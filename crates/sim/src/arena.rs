@@ -157,107 +157,33 @@ impl DmArena {
         (vn, val)
     }
 
-    /// Extract one item's `n` consecutive slots starting at `base` as
-    /// `(vn, value, cfg_gen, cfg_members)` tuples, removing them from the
-    /// arena (later items shift down by `n`). The migration export path.
+    /// Copy out one item's `n` consecutive slots starting at `base` — the
+    /// migration export path. Nothing moves: the block stays where it is
+    /// (its owner's item slot goes on the shard's free list).
     #[must_use]
-    pub fn remove_slots(&mut self, base: usize, n: usize) -> Vec<(u64, u64, u64, ReplicaSet)> {
-        let vns = self.vns.drain(base..base + n);
-        let vals = self.vals.drain(base..base + n);
-        let gens = self.cfg_gens.drain(base..base + n);
-        let members = self.cfg_members.drain(base..base + n);
-        vns.zip(vals)
-            .zip(gens.zip(members))
-            .map(|((vn, val), (gen, m))| (vn, val, gen, m))
+    pub fn read_block(&self, base: usize, n: usize) -> Vec<SlotState> {
+        (base..base + n)
+            .map(|i| (self.vns[i], self.vals[i], self.cfg_gens[i], self.cfg_members[i]))
             .collect()
     }
 
-    /// Insert one item's slots at `base` (later items shift up). The
-    /// migration import path, inverse of [`DmArena::remove_slots`].
-    pub fn insert_slots(&mut self, base: usize, slots: &[(u64, u64, u64, ReplicaSet)]) {
-        // One block shift per array (a migration-heavy run inserts
-        // thousands of items into arenas tens of thousands of slots deep).
-        self.vns.splice(base..base, slots.iter().map(|s| s.0));
-        self.vals.splice(base..base, slots.iter().map(|s| s.1));
-        self.cfg_gens.splice(base..base, slots.iter().map(|s| s.2));
-        self.cfg_members.splice(base..base, slots.iter().map(|s| s.3));
-    }
-
-    /// Extract several `n`-slot blocks (ascending, disjoint `bases`) in a
-    /// single compaction pass — the batch form of
-    /// [`DmArena::remove_slots`], one memmove of the arena instead of one
-    /// per migrating item.
-    #[must_use]
-    pub fn remove_blocks(&mut self, bases: &[usize], n: usize) -> Vec<Vec<SlotState>> {
-        debug_assert!(bases.windows(2).all(|w| w[0] + n <= w[1]));
-        let mut out = Vec::with_capacity(bases.len());
-        let mut block = Vec::new();
-        let mut w = 0;
-        let mut b = 0;
-        for r in 0..self.vns.len() {
-            if b < bases.len() && r >= bases[b] {
-                if r == bases[b] {
-                    block = Vec::with_capacity(n);
-                }
-                block.push((self.vns[r], self.vals[r], self.cfg_gens[r], self.cfg_members[r]));
-                if r + 1 == bases[b] + n {
-                    out.push(std::mem::take(&mut block));
-                    b += 1;
-                }
-                continue;
-            }
-            self.vns[w] = self.vns[r];
-            self.vals[w] = self.vals[r];
-            self.cfg_gens[w] = self.cfg_gens[r];
-            self.cfg_members[w] = self.cfg_members[r];
-            w += 1;
+    /// Overwrite the block at `base` with `slots`, growing the arena when
+    /// the block ends past its current end — the migration import path
+    /// (a reused item slot overwrites in place, a fresh one appends).
+    pub fn write_block(&mut self, base: usize, slots: &[SlotState]) {
+        let end = base + slots.len();
+        if end > self.vns.len() {
+            self.vns.resize(end, 0);
+            self.vals.resize(end, 0);
+            self.cfg_gens.resize(end, 0);
+            self.cfg_members.resize(end, ReplicaSet::EMPTY);
         }
-        self.vns.truncate(w);
-        self.vals.truncate(w);
-        self.cfg_gens.truncate(w);
-        self.cfg_members.truncate(w);
-        out
-    }
-
-    /// Insert several slot blocks at the given (ascending, post-insertion)
-    /// base offsets in one pass — the batch inverse of
-    /// [`DmArena::remove_blocks`].
-    pub fn insert_blocks(&mut self, blocks: &[(usize, &[SlotState])]) {
-        let added: usize = blocks.iter().map(|(_, s)| s.len()).sum();
-        let mut vns = Vec::with_capacity(self.vns.len() + added);
-        let mut vals = Vec::with_capacity(self.vals.len() + added);
-        let mut gens = Vec::with_capacity(self.cfg_gens.len() + added);
-        let mut members = Vec::with_capacity(self.cfg_members.len() + added);
-        let push_block = |slots: &[SlotState],
-                              vns: &mut Vec<u64>,
-                              vals: &mut Vec<u64>,
-                              gens: &mut Vec<u64>,
-                              members: &mut Vec<ReplicaSet>| {
-            for &(vn, val, gen, m) in slots {
-                vns.push(vn);
-                vals.push(val);
-                gens.push(gen);
-                members.push(m);
-            }
-        };
-        let mut bi = 0;
-        for r in 0..self.vns.len() {
-            while bi < blocks.len() && blocks[bi].0 == vns.len() {
-                push_block(blocks[bi].1, &mut vns, &mut vals, &mut gens, &mut members);
-                bi += 1;
-            }
-            vns.push(self.vns[r]);
-            vals.push(self.vals[r]);
-            gens.push(self.cfg_gens[r]);
-            members.push(self.cfg_members[r]);
+        for (i, &(vn, val, gen, members)) in (base..).zip(slots) {
+            self.vns[i] = vn;
+            self.vals[i] = val;
+            self.cfg_gens[i] = gen;
+            self.cfg_members[i] = members;
         }
-        for (_, slots) in &blocks[bi..] {
-            push_block(slots, &mut vns, &mut vals, &mut gens, &mut members);
-        }
-        self.vns = vns;
-        self.vals = vals;
-        self.cfg_gens = gens;
-        self.cfg_members = members;
     }
 
     /// Iterate `(site, vn, &value)` over one item's slots — the shape
@@ -317,53 +243,30 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_insert_slots_round_trip_an_item() {
+    fn blocks_are_read_and_written_in_place() {
         let mut a = DmArena::new_configured(9, 3);
         for slot in 0..9 {
             a.set(slot, slot as u64, slot as u64 * 10);
         }
         let shrunk: ReplicaSet = [0usize, 1].into_iter().collect();
         a.set_cfg(4, 7, shrunk);
-        // Extract item 1 (slots 3..6); item 2 shifts down into its place.
-        let moved = a.remove_slots(3, 3);
-        assert_eq!(a.len(), 6);
+        // Reading item 1 (slots 3..6) moves nothing.
+        let moved = a.read_block(3, 3);
+        assert_eq!(a.len(), 9);
         assert_eq!(moved[1], (4, 40, 7, shrunk));
-        assert_eq!(a.get(3), (6, 60));
-        // Re-insert at the front of another position and verify layout.
-        a.insert_slots(0, &moved);
+        assert_eq!(a.get(6), (6, 60));
+        // Overwrite item 0 in place: its neighbours are untouched.
+        a.write_block(0, &moved);
         assert_eq!(a.len(), 9);
         assert_eq!(a.get(0), (3, 30));
         assert_eq!(a.cfg(1), (7, shrunk));
-        assert_eq!(a.get(3), (0, 0));
-        assert_eq!(a.get(8), (8, 80));
-    }
-
-    #[test]
-    fn batch_block_removal_and_insertion_round_trip() {
-        let mut a = DmArena::new_configured(12, 3);
-        for slot in 0..12 {
-            a.set(slot, slot as u64, slot as u64 * 10);
-        }
-        // Extract items 0 and 2 (slots 0..3 and 6..9) in one pass.
-        let blocks = a.remove_blocks(&[0, 6], 3);
-        assert_eq!(a.len(), 6);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0][1].0, 1);
-        assert_eq!(blocks[1][0], (6, 60, 0, ReplicaSet::full(3)));
-        // Items 1 and 3 compacted down in order.
-        assert_eq!(a.get(0), (3, 30));
-        assert_eq!(a.get(3), (9, 90));
-        // Re-insert both blocks at their original bases; the arena must
-        // be byte-identical to the single-block round trip.
-        a.insert_blocks(&[(0, &blocks[0]), (6, &blocks[1])]);
+        assert_eq!(a.get(3), (3, 30));
+        // A block at the current end appends.
+        a.write_block(9, &moved);
         assert_eq!(a.len(), 12);
-        for slot in 0..12 {
-            assert_eq!(a.get(slot), (slot as u64, slot as u64 * 10));
-        }
-        // A tail append (base past the current end) works too.
-        let tail = a.remove_blocks(&[9], 3);
-        a.insert_blocks(&[(9, &tail[0])]);
-        assert_eq!(a.get(11), (11, 110));
+        assert_eq!(a.get(11), (5, 50));
+        assert_eq!(a.cfg(10), (7, shrunk));
+        assert_eq!(a.get(8), (8, 80));
     }
 
     #[test]

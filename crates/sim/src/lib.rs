@@ -49,8 +49,8 @@ pub use metrics::{CommitRecord, Metrics, OpStats, OpSummary, MAX_RECORDED_VIOLAT
 pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueImpl, QueueKind};
 pub use par::{default_threads, par_map, run_batch};
 pub use placement::{
-    plan_moves, ElasticPolicy, EpochSample, LoadTracker, Migration, PlacementDirectory,
-    PlacementPolicy, PlacementReport, SeedPlacement,
+    plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
+    PlacementReport, SeedPlacement,
 };
 pub use probe::InvariantProbe;
 pub use shard::{

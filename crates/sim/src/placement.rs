@@ -1,5 +1,5 @@
 //! Elastic placement control plane for the sharded simulator: a placement
-//! directory (item → shard), simulated-time load tracking, and a
+//! directory (item → shard), simulated-time load samples, and a
 //! deterministic epoch rebalancer that migrates hot items between shards.
 //!
 //! # Why placement is a first-class object
@@ -214,38 +214,6 @@ impl PlacementDirectory {
     }
 }
 
-/// Per-item commit-count differencer: turns the simulator's cumulative
-/// per-item tallies into per-epoch deltas.
-#[derive(Clone, Debug)]
-pub struct LoadTracker {
-    prev: Vec<u64>,
-}
-
-impl LoadTracker {
-    /// A tracker over `items` items, all at zero.
-    #[must_use]
-    pub fn new(items: usize) -> Self {
-        LoadTracker { prev: vec![0; items] }
-    }
-
-    /// Per-item commit deltas since the previous call, given the current
-    /// cumulative tallies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `commits` has a different length than the tracker.
-    pub fn epoch_deltas(&mut self, commits: &[u64]) -> Vec<u64> {
-        assert_eq!(commits.len(), self.prev.len(), "item count changed mid-run");
-        let deltas = commits
-            .iter()
-            .zip(&self.prev)
-            .map(|(&now, &before)| now - before)
-            .collect();
-        self.prev.copy_from_slice(commits);
-        deltas
-    }
-}
-
 /// One planned item move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Migration {
@@ -418,13 +386,6 @@ mod tests {
         assert_eq!(dir.owned_by(1), vec![4, 5, 6]);
         assert_eq!(dir.owned_by(2), vec![7, 8, 9]);
         assert_eq!(dir.counts().iter().sum::<usize>(), 10);
-    }
-
-    #[test]
-    fn load_tracker_differences_cumulative_tallies() {
-        let mut t = LoadTracker::new(3);
-        assert_eq!(t.epoch_deltas(&[5, 0, 2]), vec![5, 0, 2]);
-        assert_eq!(t.epoch_deltas(&[9, 1, 2]), vec![4, 1, 0]);
     }
 
     #[test]

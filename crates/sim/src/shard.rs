@@ -56,7 +56,7 @@
 //! Each shard's event loop runs on the same machinery as the single-item
 //! simulator: the calendar [`EventQueue`] (heap oracle behind
 //! `QC_EVENT_QUEUE=heap`) with batched same-instant delivery, the SoA
-//! [`DmArena`] (`slot = item·n + site`), the interned [`OpSlab`], the
+//! [`DmArena`] (`item slot·n + site`), the interned [`OpSlab`], the
 //! `u128` live-site bitset, and the reused phase response buffer — no
 //! hashing, no per-operation allocation, no `Arc` traffic per operation.
 
@@ -83,8 +83,8 @@ use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::par::par_map;
 use crate::placement::{
-    plan_moves, ElasticPolicy, EpochSample, LoadTracker, Migration, PlacementDirectory,
-    PlacementPolicy, PlacementReport,
+    plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
+    PlacementReport,
 };
 use crate::queue::{EventQueue, QueueImpl, QueueKind};
 use crate::sim::{ContactPolicy, ReconfigPolicy};
@@ -411,6 +411,24 @@ fn arrival_phase(seed: u64, g: usize) -> f64 {
     (splitmix(seed ^ splitmix(0x0A22_17A1 ^ g as u64)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// `interarrival · W` for a [`Workload::Routed`] run — the numerator of
+/// every item's arrival period, with `W` the [`ItemDist`] weight of the
+/// whole keyspace (a `powf` per item, so summed once per run, not once per
+/// shard); `0` for client-paced workloads, which have no arrival streams.
+fn routed_step_scale(config: &MultiConfig) -> f64 {
+    let Workload::Routed { interarrival } = config.workload else {
+        return 0.0;
+    };
+    let keyspace_weight: f64 = (0..config.items).map(|g| item_weight(g, config.dist)).sum();
+    interarrival.as_micros() as f64 * keyspace_weight
+}
+
+/// The routed arrival period of global item `g` in µs:
+/// `interarrival · W / w_g`, at least one tick.
+fn arrival_step(step_scale: f64, g: usize, dist: ItemDist) -> f64 {
+    (step_scale / item_weight(g, dist)).max(1.0)
+}
+
 /// The [`ItemDist`] weight of global item `g` (`1` uniform,
 /// `1/(g+1)^theta` zipfian).
 #[inline]
@@ -501,7 +519,25 @@ struct ShardOutcome {
     obs: ObsReport,
 }
 
+/// `slot_global` marker of a vacant item slot.
+const FREE: usize = usize::MAX;
+/// `slot_of` marker of an item this shard does not own.
+const NO_SLOT: u32 = u32::MAX;
+/// `arrived_at` marker of a slot that has processed no arrival yet.
+const NEVER: SimTime = SimTime(u64::MAX);
+
 /// One shard's event loop over its slice of the keyspace.
+///
+/// # Item slots
+///
+/// Every owned item lives in a **stable slot**: all per-item columns
+/// below are indexed by a slot number that never shifts for as long as
+/// the item stays on this shard. Exporting an item copies its state out
+/// and pushes the slot on `free`; importing pops a free slot (or appends
+/// one) and writes the state in — nothing else on the shard moves, so a
+/// migration barrier costs O(moves). Without migrations slot order equals
+/// ascending global id; after one it does not, so every walk whose order
+/// is observable goes through `walk` (ascending global id) instead.
 struct ShardSim<'a> {
     config: &'a MultiConfig,
     /// Sites per item (`quorum.n()`).
@@ -516,9 +552,9 @@ struct ShardSim<'a> {
     seq: u64,
     /// Live sites, as a bitset (`full(n)` when healthy).
     up: ReplicaSet,
-    /// Flat per-item DM arena, SoA layout: slot `item·n + site`.
+    /// Flat per-item DM arena, SoA layout: `item slot·n + site`.
     stores: DmArena,
-    /// One lemma checker per owned item.
+    /// One lemma checker per item slot.
     checkers: Vec<LemmaChecker<u64>>,
     /// Per-item memoized store re-check outcome (Lemmas 7/8(1a)/8(1b)):
     /// a pure function of the item's history digest and store slots, so
@@ -533,13 +569,14 @@ struct ShardSim<'a> {
     /// Resizable family of the quorum system (`Some` for ROWA/majority);
     /// required when `config.reconfig.enabled`.
     family: Option<QuorumFamily>,
-    /// Committed configuration generation per owned item.
+    /// Committed configuration generation per item slot.
     cur_gens: Vec<u64>,
-    /// Committed membership per owned item.
+    /// Committed membership per item slot.
     cur_members: Vec<ReplicaSet>,
-    /// Cached `(generation, members)` per coordinator per owned item:
-    /// indexed `client · local_items + item` in client-paced modes, and
-    /// just `item` under [`Workload::Routed`] (one coordinator per item).
+    /// Cached `(generation, members)` per coordinator per item slot:
+    /// indexed `slot · clients_per_shard + client` in client-paced modes
+    /// (so a fresh slot appends one row), and just `slot` under
+    /// [`Workload::Routed`] (one coordinator per item).
     /// A migrated-in item starts at `(0, full)`, so its first operation at
     /// the new owner is stale-rejected and adopts the current generation —
     /// the §4 stale-retry made visible to the conformance checker.
@@ -547,30 +584,53 @@ struct ShardSim<'a> {
     /// The in-flight dynamic attempt's `(members, read k, write k)`; the
     /// phase loop's quorum probe uses it when set.
     dyn_quorum: Option<(ReplicaSet, usize, usize)>,
-    /// Instant of the last reactive reconfiguration per owned item.
+    /// Instant of the last reactive reconfiguration per item slot.
     last_reconfig: Vec<SimTime>,
-    /// Reactive reconfigurations spent per owned item.
+    /// Reactive reconfigurations spent per item slot.
     reconfigs_used: Vec<u32>,
     /// The failure signal (timeouts + unavailable) at the last spy poll.
     last_failure_signal: u64,
-    /// Global ids of the owned items, ascending.
-    global_items: Vec<usize>,
-    /// Cumulative item weights (`cum_weights[i]` = weight of local items
-    /// `0..=i`), for one-draw item selection.
+    /// Global id of each slot's item ([`FREE`] when vacant).
+    slot_global: Vec<usize>,
+    /// Global id → slot, dense over the whole keyspace ([`NO_SLOT`] for
+    /// items owned elsewhere): the O(1) lookup behind routed arrivals,
+    /// retries and exports.
+    slot_of: Vec<u32>,
+    /// Vacant slots, reused last-freed-first.
+    free: Vec<u32>,
+    /// The occupied slots in ascending global-id order — the order of
+    /// every walk an observer can see (scripted `reconfig@` fan-out and
+    /// the reactive poll in the event log, the end-of-run lemma sweep) and
+    /// the index space of the client-paced draw table. Rebuilt on demand
+    /// after a migration (see [`refresh_walk`](Self::refresh_walk)).
+    walk: Vec<u32>,
+    walk_stale: bool,
+    /// Cumulative item weights over `walk` (`cum_weights[i]` = weight of
+    /// `walk[0..=i]`), for one-draw item selection in client-paced modes
+    /// (empty under [`Workload::Routed`], which never draws).
     cum_weights: Vec<f64>,
     total_weight: f64,
     /// Whether the workload is [`Workload::Routed`] (operations keyed by
     /// item instead of by client).
     routed: bool,
-    /// Total [`ItemDist`] weight of the *whole* keyspace (all shards) —
-    /// the `W` in the routed per-item arrival rate `w_g / (W·interarrival)`.
-    keyspace_weight: f64,
+    /// Routed arrival period per item slot, in µs (empty otherwise):
+    /// [`arrival_step`] of the slot's item, computed once when the shard
+    /// is built and carried along when the item migrates.
+    step: Vec<f64>,
+    /// Instant of the last routed arrival each item slot processed
+    /// ([`NEVER`] before the first; empty in client-paced modes) — what
+    /// lets [`handle_arrival`](Self::handle_arrival) drop a bounced
+    /// item's twin.
+    arrived_at: Vec<SimTime>,
+    /// Cumulative commits per item slot as of the last barrier sample
+    /// (see [`sample_epoch`](Self::sample_epoch)).
+    prev_commits: Vec<u64>,
     /// This shard's view of the global fault plan (local client ids).
     plan: FaultPlan,
     plan_crashes: Vec<Vec<SimTime>>,
     abort_flag: Vec<bool>,
     /// In-flight operation state, interned for the whole run: one slot per
-    /// client in client-paced modes, one per owned item under Routed.
+    /// client in client-paced modes, one per item slot under Routed.
     pending: OpSlab,
     op_counter: Vec<u64>,
     /// Per-coordinator retry epoch (see [`Event::Retry`]); bumped when a
@@ -585,7 +645,7 @@ struct ShardSim<'a> {
     causal_segs: Vec<Vec<(EdgeKind, u64)>>,
     /// Reused phase response buffer (no per-operation allocation).
     scratch: Vec<(SimTime, usize)>,
-    /// One trace recorder per owned item, when tracing.
+    /// One trace recorder per item slot, when tracing.
     recorders: Option<Vec<TraceRecorder>>,
     metrics: Metrics,
     item_commits: Vec<u64>,
@@ -598,28 +658,64 @@ struct ShardSim<'a> {
 }
 
 impl<'a> ShardSim<'a> {
-    fn new(config: &'a MultiConfig, shard: usize, global_items: Vec<usize>, traced: bool) -> Self {
+    /// A shard owning `global_items` (ascending), one slot per item in
+    /// that order. `step_scale` is the per-run constant of
+    /// [`routed_step_scale`].
+    fn new(
+        config: &'a MultiConfig,
+        shard: usize,
+        global_items: Vec<usize>,
+        traced: bool,
+        step_scale: f64,
+    ) -> Self {
         let n = config.quorum.n();
         let cps = config.clients_per_shard;
         let client_base = shard * cps;
         let local = global_items.len();
-        let (cum_weights, total) = cum_weight_table(&global_items, config.dist);
+        // An elastic shard starts with a sixteenth of spare vacant slots
+        // on its free list, so a typical run's imports land in columns
+        // sized once, here (growing fifteen columns mid-run leaves a
+        // freed copy of each behind in the allocator).
+        let slots = if config.placement.is_elastic() {
+            local + local / 16 + 16
+        } else {
+            local
+        };
         let routed = matches!(config.workload, Workload::Routed { .. });
-        let keyspace_weight: f64 = (0..config.items).map(|g| item_weight(g, config.dist)).sum();
-        // Coordinator slots: one per client in client modes, one per owned
-        // item under Routed.
-        let coords = if routed { local } else { cps };
+        // Routed shards never draw items; client-paced ones have no
+        // arrival periods.
+        let (cum_weights, total) = if routed {
+            (Vec::new(), 0.0)
+        } else {
+            cum_weight_table(&global_items, config.dist)
+        };
+        let step: Vec<f64> = if routed {
+            let owned = global_items.iter().map(|&g| arrival_step(step_scale, g, config.dist));
+            owned.chain(std::iter::repeat(0.0)).take(slots).collect()
+        } else {
+            Vec::new()
+        };
+        let mut slot_of = vec![NO_SLOT; config.items];
+        for (slot, &g) in global_items.iter().enumerate() {
+            slot_of[g] = slot as u32;
+        }
+        // Coordinator slots: one per client in client modes, one per item
+        // slot under Routed.
+        let coords = if routed { slots } else { cps };
         // The corruption target is item 0; validate() forbids Corrupt under
         // elastic placement, so the time-zero owner keeps it for the run.
         let owns_item0 = global_items.first() == Some(&0);
         let plan = config.faults.shard_view(client_base, client_base + cps, owns_item0);
         let plan_crashes = (0..n).map(|s| plan.crash_times_for(s).collect()).collect();
         let recorders = traced.then(|| {
-            global_items
-                .iter()
+            (0..slots)
                 .map(|_| TraceRecorder::new(config.quorum.label(), n, config.seed))
                 .collect()
         });
+        let slot_global: Vec<usize> =
+            global_items.into_iter().chain(std::iter::repeat(FREE)).take(slots).collect();
+        let mut walk = Vec::with_capacity(slots);
+        walk.extend(0..local as u32);
         let mut sim = ShardSim {
             config,
             n,
@@ -630,23 +726,30 @@ impl<'a> ShardSim<'a> {
             queue: QueueImpl::new(config.queue),
             seq: 0,
             up: ReplicaSet::full(n),
-            stores: DmArena::new_configured(local * n, n),
-            checkers: (0..local).map(|_| LemmaChecker::new(0)).collect(),
-            arena_checks: vec![None; local],
+            stores: DmArena::new_configured(slots * n, n),
+            checkers: (0..slots).map(|_| LemmaChecker::new(0)).collect(),
+            arena_checks: vec![None; slots],
             th: config.quorum.thresholds(),
             family: QuorumFamily::of(&*config.quorum),
-            cur_gens: vec![0; local],
-            cur_members: vec![ReplicaSet::full(n); local],
-            client_cfg: vec![(0, ReplicaSet::full(n)); if routed { local } else { cps * local }],
+            cur_gens: vec![0; slots],
+            cur_members: vec![ReplicaSet::full(n); slots],
+            client_cfg: vec![(0, ReplicaSet::full(n)); if routed { slots } else { slots * cps }],
             dyn_quorum: None,
-            last_reconfig: vec![SimTime::ZERO; local],
-            reconfigs_used: vec![0; local],
+            last_reconfig: vec![SimTime::ZERO; slots],
+            reconfigs_used: vec![0; slots],
             last_failure_signal: 0,
-            global_items,
+            slot_global,
+            slot_of,
+            // Popped from the back: spare slots fill in ascending order.
+            free: (local as u32..slots as u32).rev().collect(),
+            walk,
+            walk_stale: false,
             cum_weights,
             total_weight: total,
             routed,
-            keyspace_weight,
+            step,
+            arrived_at: vec![NEVER; if routed { slots } else { 0 }],
+            prev_commits: vec![0; slots],
             plan,
             plan_crashes,
             abort_flag: vec![false; coords],
@@ -657,7 +760,7 @@ impl<'a> ShardSim<'a> {
             scratch: Vec::new(),
             recorders,
             metrics: Metrics::default(),
-            item_commits: vec![0; local],
+            item_commits: vec![0; slots],
             shard: shard as u32,
             obs: ObsReport::new(&config.obs),
             snap: config.obs.snapshot_every_us.map(SnapshotExporter::new),
@@ -666,9 +769,10 @@ impl<'a> ShardSim<'a> {
             // Every owned item carries its own arrival stream; the phase
             // offsets stagger the streams, so no start jitter is needed
             // (and no RNG is drawn, keeping streams placement-independent).
-            for g in sim.global_items.clone() {
-                if let Some(at) = sim.next_arrival_at_or_after(g, SimTime::ZERO) {
-                    sim.schedule(at, Event::Arrival { item: g });
+            for slot in 0..local {
+                if let Some(at) = sim.next_arrival_at_or_after(slot, SimTime::ZERO) {
+                    let item = sim.slot_global[slot];
+                    sim.schedule(at, Event::Arrival { item });
                 }
             }
         } else {
@@ -711,9 +815,9 @@ impl<'a> ShardSim<'a> {
         let key = packed & 0xFFFF_FFFF;
         let epoch = (packed >> 32) as u32;
         let slot = if self.routed {
-            match self.global_items.binary_search(&key) {
-                Ok(li) => li,
-                Err(_) => return,
+            match self.slot_of[key] {
+                NO_SLOT => return,
+                slot => slot as usize,
             }
         } else {
             key
@@ -766,12 +870,42 @@ impl<'a> ShardSim<'a> {
         self.queue.len()
     }
 
-    /// Add this shard's cumulative per-item commit tallies into a global
-    /// `items`-sized accumulator (the commit load signal at a barrier).
-    fn accumulate_commits(&self, into: &mut [u64]) {
-        for (li, &g) in self.global_items.iter().enumerate() {
-            into[g] += self.item_commits[li];
+    /// The commit load signal at a barrier, in one pass over the slots:
+    /// write each owned item's commits since the previous barrier into
+    /// the keyspace-sized `deltas` (every item has exactly one owner, so
+    /// the shards between them overwrite every entry) and return this
+    /// shard's total — commits are attributed to the owner at sample time.
+    fn sample_epoch(&mut self, deltas: &mut [u64]) -> u64 {
+        let mut total = 0;
+        for (slot, &g) in self.slot_global.iter().enumerate() {
+            if g == FREE {
+                continue;
+            }
+            let d = self.item_commits[slot] - self.prev_commits[slot];
+            self.prev_commits[slot] = self.item_commits[slot];
+            deltas[g] = d;
+            total += d;
         }
+        total
+    }
+
+    /// Number of items this shard owns.
+    fn owned(&self) -> usize {
+        self.slot_global.len() - self.free.len()
+    }
+
+    /// Bring `walk` up to date after a migration: the occupied slots,
+    /// ascending by global id.
+    fn refresh_walk(&mut self) {
+        if !self.walk_stale {
+            return;
+        }
+        self.walk_stale = false;
+        let globals = &self.slot_global;
+        self.walk.clear();
+        self.walk
+            .extend((0..globals.len() as u32).filter(|&s| globals[s as usize] != FREE));
+        self.walk.sort_unstable_by_key(|&s| globals[s as usize]);
     }
 
     fn run(mut self) -> ShardOutcome {
@@ -785,10 +919,12 @@ impl<'a> ShardSim<'a> {
         self.fire_snapshots_through(self.config.duration);
         self.now = self.config.duration;
         // Every owned item's stores must satisfy the lemmas at quiescence.
+        self.refresh_walk();
         if self.config.monitor {
-            for item in 0..self.checkers.len() {
+            for i in 0..self.walk.len() {
+                let item = self.walk[i] as usize;
                 if let Err(v) = self.check_item_memo(item) {
-                    let g = self.global_items[item];
+                    let g = self.slot_global[item];
                     self.record_violation_observed(
                         format_args!("end-of-run item={g}: {v}"),
                         None,
@@ -797,16 +933,18 @@ impl<'a> ShardSim<'a> {
             }
         }
         let items = self
-            .global_items
+            .walk
             .iter()
-            .zip(&self.item_commits)
-            .zip(&self.checkers)
-            .map(|((&g, &commits), checker)| (g, commits, checker.current_vn()))
+            .map(|&s| {
+                let s = s as usize;
+                (self.slot_global[s], self.item_commits[s], self.checkers[s].current_vn())
+            })
             .collect();
         let traces = self.recorders.map(|recorders| {
-            self.global_items
+            self.slot_global
                 .iter()
                 .zip(recorders)
+                .filter(|(&g, _)| g != FREE)
                 .map(|(&g, r)| (g, r.finish()))
                 .collect()
         });
@@ -944,8 +1082,9 @@ impl<'a> ShardSim<'a> {
             FaultEvent::Reconfig { target } => {
                 // A scripted reconfiguration applies to every item; shards
                 // execute it for the items they own, in item order.
-                for item in 0..self.checkers.len() {
-                    self.try_reconfigure(item, target, true);
+                self.refresh_walk();
+                for i in 0..self.walk.len() {
+                    self.try_reconfigure(self.walk[i] as usize, target, true);
                 }
             }
             // Migrations are consumed by the elastic control plane at the
@@ -967,7 +1106,9 @@ impl<'a> ShardSim<'a> {
         let delta = signal - self.last_failure_signal;
         self.last_failure_signal = signal;
         let live = self.live_set();
-        for item in 0..self.checkers.len() {
+        self.refresh_walk();
+        for i in 0..self.walk.len() {
+            let item = self.walk[i] as usize;
             let members = self.cur_members[item];
             let grow = !live.difference(members).is_empty();
             let shrink = delta > 0 && !members.difference(live).is_empty();
@@ -1124,14 +1265,14 @@ impl<'a> ShardSim<'a> {
         self.reconfigs_used[item] += 1;
         self.last_reconfig[item] = self.now;
         if self.obs.events.enabled() {
-            let g = self.global_items[item];
+            let g = self.slot_global[item];
             self.emit_obs(EventKind::Fault {
                 desc: format!("reconfig:item{g}:gen{new_gen}:{new_members}"),
             });
         }
         if self.config.monitor {
             if let Err(v) = self.check_item_memo(item) {
-                let g = self.global_items[item];
+                let g = self.slot_global[item];
                 let now = self.now;
                 self.record_violation_observed(
                     format_args!("t={now} item={g} reconfig gen {new_gen}: {v}"),
@@ -1285,13 +1426,13 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Draw the item of the next operation from the shard's slice of the
-    /// keyspace (one uniform draw + binary search on the cumulative
-    /// weights).
+    /// Draw the item (slot) of the next operation from the shard's slice
+    /// of the keyspace (one uniform draw + binary search on the cumulative
+    /// weights, which run over `walk`).
     fn draw_item(&mut self) -> usize {
         let u: f64 = self.rng.gen_range(0.0..self.total_weight);
         let i = self.cum_weights.partition_point(|&c| c <= u);
-        i.min(self.cum_weights.len() - 1)
+        self.walk[i.min(self.cum_weights.len() - 1)] as usize
     }
 
     /// The coordinator's *global* identity, used for drop coins, trace
@@ -1301,7 +1442,7 @@ impl<'a> ShardSim<'a> {
     #[inline]
     fn coord(&self, key: usize) -> usize {
         if self.routed {
-            self.global_items[key]
+            self.slot_global[key]
         } else {
             self.client_base + key
         }
@@ -1312,34 +1453,30 @@ impl<'a> ShardSim<'a> {
     /// bits, the coordinator's current retry epoch in the high 32.
     #[inline]
     fn retry_key(&self, key: usize) -> usize {
-        let coord = if self.routed { self.global_items[key] } else { key };
+        let coord = if self.routed { self.slot_global[key] } else { key };
         coord | ((self.retry_epoch[key] as usize) << 32)
     }
 
     /// Index into `client_cfg` of coordinator `key`'s cached configuration
-    /// for local `item`.
+    /// for the item in slot `item`.
     #[inline]
     fn cfg_idx(&self, key: usize, item: usize) -> usize {
         if self.routed {
             item
         } else {
-            key * self.checkers.len() + item
+            item * self.config.clients_per_shard + key
         }
     }
 
-    /// The next arrival of global item `g`'s routed stream at or after
-    /// `t`, or `None` past the run's end. The stream is the phased
+    /// The next arrival of the routed stream of the item in `slot` at or
+    /// after `t`, or `None` past the run's end. The stream is the phased
     /// arithmetic sequence `round((φ_g + k) · step_g)` with
-    /// `step_g = interarrival · W / w_g` — O(1) from `(seed, g, t)`, no
-    /// RNG state, so a migrated item's stream continues bit-identically
-    /// on its new shard.
-    fn next_arrival_at_or_after(&self, g: usize, t: SimTime) -> Option<SimTime> {
-        let Workload::Routed { interarrival } = self.config.workload else {
-            return None;
-        };
-        let w = item_weight(g, self.config.dist);
-        let step = (interarrival.as_micros() as f64 * self.keyspace_weight / w).max(1.0);
-        let phi = arrival_phase(self.config.seed, g);
+    /// `step_g = interarrival · W / w_g` (the slot's `step` entry) — O(1)
+    /// from `(seed, g, t)`, no RNG state, so a migrated item's stream
+    /// continues bit-identically on its new shard.
+    fn next_arrival_at_or_after(&self, slot: usize, t: SimTime) -> Option<SimTime> {
+        let step = self.step[slot];
+        let phi = arrival_phase(self.config.seed, self.slot_global[slot]);
         let t_us = t.as_micros();
         // Start a couple of periods early to absorb rounding, then walk
         // forward to the first arrival at or after `t` (a bounded loop:
@@ -1362,27 +1499,37 @@ impl<'a> ShardSim<'a> {
     /// saturated), then schedule the stream's successor. Arrivals for
     /// items this shard no longer owns are tombstones.
     fn handle_arrival(&mut self, g: usize) {
-        let Ok(li) = self.global_items.binary_search(&g) else {
-            return;
+        let slot = match self.slot_of[g] {
+            NO_SLOT => return,
+            slot => slot as usize,
         };
+        // An item that left and came back before its queued arrival fired
+        // has two arrivals for the same tick here: the one queued before
+        // it left and the one rescheduled at import. The second is a
+        // tombstone too — it starts no op and schedules no successor,
+        // or the item's stream would run twice from here on.
+        if self.arrived_at[slot] == self.now {
+            return;
+        }
+        self.arrived_at[slot] = self.now;
         // Arrivals are unconditional (open loop): schedule the successor
         // before deciding what to do with this one.
-        if let Some(at) = self.next_arrival_at_or_after(g, self.now + SimTime(1)) {
+        if let Some(at) = self.next_arrival_at_or_after(slot, self.now + SimTime(1)) {
             let delay = at - self.now;
             self.schedule(delay, Event::Arrival { item: g });
         }
-        if self.pending.is_live(li) {
+        if self.pending.is_live(slot) {
             return;
         }
         let is_read = self.rng.gen_bool(self.config.read_fraction);
-        let op_index = self.op_counter[li];
-        self.op_counter[li] += 1;
+        let op_index = self.op_counter[slot];
+        self.op_counter[slot] += 1;
         // Values are unique per item across the whole run: the counter
         // migrates with the item, and the prefix is its global id.
         let value = g as u64 * 1_000_000 + op_index + 1;
         self.pending
-            .put(li, PendingOp::begin(li, is_read, value, op_index, self.now));
-        self.attempt_op(li);
+            .put(slot, PendingOp::begin(slot, is_read, value, op_index, self.now));
+        self.attempt_op(slot);
     }
 
     /// Start a fresh logical operation for local `client`.
@@ -1397,7 +1544,7 @@ impl<'a> ShardSim<'a> {
                 return;
             }
         }
-        if self.checkers.is_empty() {
+        if self.owned() == 0 {
             // Every item migrated away; park the client until one arrives
             // (open-loop arrivals keep polling on their own).
             if let Workload::Closed { think } = self.config.workload {
@@ -1833,7 +1980,7 @@ impl<'a> ShardSim<'a> {
         let root = trace.add_span(
             NO_SPAN,
             SpanKind::Access {
-                item: self.global_items[op.item] as u64,
+                item: self.slot_global[op.item] as u64,
                 write: !op.read,
             },
         );
@@ -1872,7 +2019,7 @@ impl<'a> ShardSim<'a> {
         let root = trace.add_span(
             NO_SPAN,
             SpanKind::Access {
-                item: self.global_items[op.item] as u64,
+                item: self.slot_global[op.item] as u64,
                 write: !op.read,
             },
         );
@@ -1987,7 +2134,7 @@ impl<'a> ShardSim<'a> {
             .and_then(|()| self.check_item_memo(op.item));
             if let Err(v) = check {
                 let kind = if op.read { "read" } else { "write" };
-                let g = self.global_items[op.item];
+                let g = self.slot_global[op.item];
                 let c = self.coord(client);
                 let op_ref = OpRef {
                     client: c as u64,
@@ -2097,335 +2244,208 @@ impl<'a> ShardSim<'a> {
     /// Export the global items `gs` to other shards in one batch: install
     /// the §4 generation bump over each item's *unchanged* membership (the
     /// migration fence every coordinator must observe) in planner order,
-    /// abort any parked op on a fenced item, then extract all fenced state
-    /// in a single compaction pass per parallel vector. Returns the
-    /// extracted states (ascending by global id) plus the number of items
-    /// whose fence was infeasible under the current fault state — those
-    /// stay put, their failures already counted by
-    /// [`reconfigure`](Self::reconfigure).
+    /// abort any parked op on a fenced item, then copy each fenced item's
+    /// state out of its slot and free the slot. Returns the states
+    /// (ascending by global id) plus the number of items whose fence was
+    /// infeasible under the current fault state — those stay put, their
+    /// failures already counted by [`reconfigure`](Self::reconfigure).
     ///
-    /// Batching matters: under zipfian skew the planner legitimately moves
-    /// thousands of tail items over a run, and shifting the shard's
-    /// parallel per-item vectors once per *barrier* instead of once per
-    /// *move* is what keeps migration cost amortized O(local) rather than
-    /// O(moves × local).
+    /// Nothing but the exported slots is touched, so the cost is O(moves)
+    /// however many items stay behind.
     fn migrate_out_many(&mut self, gs: &[usize]) -> (Vec<ItemState>, u64) {
         // Phase 1: the §4 fences, one per item, in the order the planner
-        // named them (this order fixes the shard's RNG draw sequence).
-        let mut lis: Vec<usize> = Vec::with_capacity(gs.len());
+        // named them.
+        let mut slots: Vec<usize> = Vec::with_capacity(gs.len());
         let mut failures = 0u64;
         for &g in gs {
-            let li = self
-                .global_items
-                .binary_search(&g)
-                .expect("the directory says this shard owns the item");
-            let members = self.cur_members[li];
-            if self.reconfigure(li, ReconfigTarget::Members(members), true, true) {
+            let slot = self.slot_of[g];
+            assert_ne!(slot, NO_SLOT, "the directory says this shard owns item {g}");
+            let slot = slot as usize;
+            let members = self.cur_members[slot];
+            if self.reconfigure(slot, ReconfigTarget::Members(members), true, true) {
                 if self.config.obs.spans {
                     // One marker per item actually fenced for export (the
                     // fence itself was counted as reconfig_fence above).
                     self.obs.spans.record(Phase::Migration, 0);
                 }
-                lis.push(li);
+                slots.push(slot);
             } else {
                 failures += 1;
             }
         }
-        if lis.is_empty() {
+        if slots.is_empty() {
             return (Vec::new(), failures);
         }
-        lis.sort_unstable();
-        // Phase 2: abort parked ops on the fenced items, while local
-        // indices are still valid.
+        // Ascending global id from here on: the order parked ops are
+        // fenced in shows in the causal log.
+        slots.sort_unstable_by_key(|&slot| self.slot_global[slot]);
+        // Phase 2: abort parked ops on the fenced items, while their
+        // slots are still occupied.
         if self.routed {
-            for &li in &lis {
-                self.abort_parked(li);
+            for &slot in &slots {
+                self.abort_parked(slot);
             }
         } else {
             for c in 0..self.config.clients_per_shard {
-                if self
-                    .pending
-                    .get(c)
-                    .is_some_and(|op| lis.binary_search(&op.item).is_ok())
-                {
+                if self.pending.get(c).is_some_and(|op| slots.contains(&op.item)) {
                     self.abort_parked(c);
                 }
             }
         }
-        // Phase 3: extract every fenced item's state; each parallel
-        // per-item vector compacts exactly once.
-        let bases: Vec<usize> = lis.iter().map(|&li| li * self.n).collect();
-        let slot_blocks = self.stores.remove_blocks(&bases, self.n);
-        let checkers = extract_at(&mut self.checkers, &lis);
-        extract_at(&mut self.arena_checks, &lis);
-        let commits = extract_at(&mut self.item_commits, &lis);
-        let cur_gens = extract_at(&mut self.cur_gens, &lis);
-        let members_v = extract_at(&mut self.cur_members, &lis);
-        let last_reconfigs = extract_at(&mut self.last_reconfig, &lis);
-        let reconfigs_useds = extract_at(&mut self.reconfigs_used, &lis);
-        let globals = extract_at(&mut self.global_items, &lis);
-        let recorders: Vec<Option<TraceRecorder>> = match self.recorders.as_mut() {
-            Some(r) => extract_at(r, &lis).into_iter().map(Some).collect(),
-            None => lis.iter().map(|_| None).collect(),
-        };
-        let (op_counts, retry_epochs) = if self.routed {
-            // Per-coordinator state is per *item* under routing; the
-            // abort flag column is always false (Routed forbids
-            // AbortClient) but must stay length-aligned. Slab slots are
-            // per item too: drop the vacated slots and re-key the shifted
-            // ops, whose `item` is their own slot index.
-            extract_at(&mut self.abort_flag, &lis);
-            let oc = extract_at(&mut self.op_counter, &lis);
-            let re = extract_at(&mut self.retry_epoch, &lis);
-            extract_at(&mut self.client_cfg, &lis);
-            // Always empty here — `abort_parked` just consumed any parked
-            // op's segments — so the column is dropped, not exported.
-            extract_at(&mut self.causal_segs, &lis);
-            self.pending.remove_many(&lis);
-            for i in lis[0]..self.pending.slots() {
-                if let Some(op) = self.pending.get_mut(i) {
-                    op.item = i;
-                }
-            }
-            (oc, re)
-        } else {
-            // Drop the fenced columns from the cps × old_local cache
-            // matrix in one pass, and re-key parked ops by how many
-            // removed columns sat below them.
-            let cps = self.config.clients_per_shard;
-            let local = self.checkers.len();
-            let old_local = local + lis.len();
-            let mut cfg = Vec::with_capacity(cps * local);
-            for c in 0..cps {
-                let mut k = 0;
-                for it in 0..old_local {
-                    if k < lis.len() && lis[k] == it {
-                        k += 1;
-                        continue;
-                    }
-                    cfg.push(self.client_cfg[c * old_local + it]);
-                }
-            }
-            self.client_cfg = cfg;
-            for c in 0..cps {
-                if let Some(op) = self.pending.get_mut(c) {
-                    debug_assert!(lis.binary_search(&op.item).is_err());
-                    op.item -= lis.partition_point(|&x| x < op.item);
-                }
-            }
-            (vec![0; lis.len()], vec![0; lis.len()])
-        };
+        // Phase 3: copy every fenced item's state out and free its slot.
+        let states = slots.iter().map(|&slot| self.vacate(slot)).collect();
         self.rebuild_draw_table();
-        let mut states = Vec::with_capacity(globals.len());
-        let mut slot_blocks = slot_blocks.into_iter();
-        let mut checkers = checkers.into_iter();
-        let mut recorders = recorders.into_iter();
-        for (k, global) in globals.into_iter().enumerate() {
-            states.push(ItemState {
-                global,
-                slots: slot_blocks.next().expect("one slot block per item"),
-                checker: checkers.next().expect("one checker per item"),
-                commits: commits[k],
-                cur_gen: cur_gens[k],
-                cur_members: members_v[k],
-                last_reconfig: last_reconfigs[k],
-                reconfigs_used: reconfigs_useds[k],
-                op_count: op_counts[k],
-                retry_epoch: retry_epochs[k],
-                recorder: recorders.next().expect("one recorder slot per item"),
-            });
-        }
         (states, failures)
+    }
+
+    /// Copy the state of the item in `slot` out and put the slot on the
+    /// free list. The slot's columns keep their stale contents until
+    /// [`occupy`](Self::occupy) overwrites them; queued events that name
+    /// the departed item tombstone through `slot_of`.
+    fn vacate(&mut self, slot: usize) -> ItemState {
+        let global = std::mem::replace(&mut self.slot_global[slot], FREE);
+        self.slot_of[global] = NO_SLOT;
+        self.free.push(slot as u32);
+        self.walk_stale = true;
+        // Per-coordinator state is per *item* under routing and travels
+        // with it; `abort_parked` has already emptied the slab slot and
+        // the causal segments.
+        debug_assert!(!self.routed || !self.pending.is_live(slot));
+        debug_assert!(!self.routed || self.causal_segs[slot].is_empty());
+        let (n, seed) = (self.n, self.config.seed);
+        ItemState {
+            global,
+            slots: self.stores.read_block(slot * n, n),
+            checker: self.checkers[slot].clone(),
+            commits: self.item_commits[slot],
+            cur_gen: self.cur_gens[slot],
+            cur_members: self.cur_members[slot],
+            last_reconfig: self.last_reconfig[slot],
+            reconfigs_used: self.reconfigs_used[slot],
+            op_count: if self.routed { self.op_counter[slot] } else { 0 },
+            retry_epoch: if self.routed { self.retry_epoch[slot] } else { 0 },
+            step: if self.routed { self.step[slot] } else { 0.0 },
+            recorder: self
+                .recorders
+                .as_mut()
+                .map(|r| std::mem::replace(&mut r[slot], TraceRecorder::new("", n, seed))),
+        }
+    }
+
+    /// Append one vacant slot to every per-slot column and return its
+    /// index (the caller occupies it at once; the DM arena grows when the
+    /// block is written).
+    fn push_slot(&mut self) -> usize {
+        let slot = self.slot_global.len();
+        let n = self.n;
+        self.slot_global.push(FREE);
+        self.checkers.push(LemmaChecker::new(0));
+        self.arena_checks.push(None);
+        self.item_commits.push(0);
+        self.prev_commits.push(0);
+        self.cur_gens.push(0);
+        self.cur_members.push(ReplicaSet::full(n));
+        self.last_reconfig.push(SimTime::ZERO);
+        self.reconfigs_used.push(0);
+        if let Some(recorders) = self.recorders.as_mut() {
+            recorders.push(TraceRecorder::new("", n, self.config.seed));
+        }
+        if self.routed {
+            self.client_cfg.push((0, ReplicaSet::full(n)));
+            self.step.push(0.0);
+            self.arrived_at.push(NEVER);
+            self.abort_flag.push(false);
+            self.op_counter.push(0);
+            self.retry_epoch.push(0);
+            self.causal_segs.push(Vec::new());
+            self.pending.push_empty();
+        } else {
+            let row = self.client_cfg.len() + self.config.clients_per_shard;
+            self.client_cfg.resize(row, (0, ReplicaSet::full(n)));
+        }
+        slot
+    }
+
+    /// Write an imported item into a free slot (the last one freed, or a
+    /// fresh one when none is) and return the slot. Every coordinator's
+    /// cache for it starts at `(0, full)`, so the first op at the new
+    /// owner stale-rejects, adopts the item's real generation, and
+    /// retries — the §4 currency check doing the fencing.
+    fn occupy(&mut self, st: ItemState) -> usize {
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => self.push_slot(),
+        };
+        let n = self.n;
+        self.slot_global[slot] = st.global;
+        self.slot_of[st.global] = slot as u32;
+        self.walk_stale = true;
+        self.stores.write_block(slot * n, &st.slots);
+        self.checkers[slot] = st.checker;
+        self.arena_checks[slot] = None;
+        self.item_commits[slot] = st.commits;
+        // The barrier sampled before it moved anything.
+        self.prev_commits[slot] = st.commits;
+        self.cur_gens[slot] = st.cur_gen;
+        self.cur_members[slot] = st.cur_members;
+        self.last_reconfig[slot] = st.last_reconfig;
+        self.reconfigs_used[slot] = st.reconfigs_used;
+        if let Some(recorders) = self.recorders.as_mut() {
+            recorders[slot] = st.recorder.expect("a traced run migrates traced items");
+        }
+        if self.routed {
+            self.client_cfg[slot] = (0, ReplicaSet::full(n));
+            self.step[slot] = st.step;
+            self.arrived_at[slot] = NEVER;
+            // `abort_flag[slot]` is false for every tenant: Routed forbids
+            // AbortClient.
+            self.op_counter[slot] = st.op_count;
+            self.retry_epoch[slot] = st.retry_epoch;
+        } else {
+            let cps = self.config.clients_per_shard;
+            self.client_cfg[slot * cps..(slot + 1) * cps].fill((0, ReplicaSet::full(n)));
+        }
+        slot
     }
 
     /// Rebuild the client draw table after the local keyspace changed.
     /// Routed shards never draw from it — arrivals are per-item streams —
-    /// so they skip the per-item `powf` rebuild entirely (it dominated
-    /// migration cost at 10⁵-item scale).
+    /// so they skip the per-item `powf` rebuild entirely.
     fn rebuild_draw_table(&mut self) {
         if self.routed {
             return;
         }
-        let (cw, total) = cum_weight_table(&self.global_items, self.config.dist);
+        self.refresh_walk();
+        let globals: Vec<usize> = self.walk.iter().map(|&s| self.slot_global[s as usize]).collect();
+        let (cw, total) = cum_weight_table(&globals, self.config.dist);
         self.cum_weights = cw;
         self.total_weight = total;
     }
 
     /// Import a batch of items exported by other shards'
     /// [`migrate_out_many`](Self::migrate_out_many) at the same barrier
-    /// instant (`sts` ascending by global id). Each item's coordinator
-    /// cache starts at `(0, full)`, so the first op at the new owner
-    /// stale-rejects, adopts the item's real generation, and retries —
-    /// the §4 currency check doing the fencing. Like the export path,
-    /// every parallel per-item vector shifts exactly once per barrier.
+    /// instant (`sts` ascending by global id, which fixes the order the
+    /// imported arrival streams are rescheduled in). O(moves), like the
+    /// export path.
     fn migrate_in_many(&mut self, sts: Vec<ItemState>) {
         debug_assert!(sts.windows(2).all(|w| w[0].global < w[1].global));
-        // Final local indices via a two-pointer merge against the
-        // existing (sorted) keyspace: each inserted item lands after the
-        // existing keys below it plus the batch items already placed.
-        let mut finals = Vec::with_capacity(sts.len());
-        let mut oi = 0;
-        for st in &sts {
-            while oi < self.global_items.len() && self.global_items[oi] < st.global {
-                oi += 1;
+        for st in sts {
+            let item = st.global;
+            let slot = self.occupy(st);
+            if !self.routed {
+                continue;
             }
-            finals.push(oi + finals.len());
-        }
-        let new_globals: Vec<usize> = sts.iter().map(|st| st.global).collect();
-        // Decompose the states into per-field insertion lists and merge
-        // each parallel vector once.
-        let mut slot_blocks = Vec::with_capacity(sts.len());
-        let mut g_ins = Vec::with_capacity(sts.len());
-        let mut ch_ins = Vec::with_capacity(sts.len());
-        let mut cm_ins = Vec::with_capacity(sts.len());
-        let mut gen_ins = Vec::with_capacity(sts.len());
-        let mut mem_ins = Vec::with_capacity(sts.len());
-        let mut lr_ins = Vec::with_capacity(sts.len());
-        let mut ru_ins = Vec::with_capacity(sts.len());
-        let mut oc_ins = Vec::with_capacity(sts.len());
-        let mut re_ins = Vec::with_capacity(sts.len());
-        let mut rec_ins = Vec::with_capacity(sts.len());
-        for (k, st) in sts.into_iter().enumerate() {
-            let li = finals[k];
-            slot_blocks.push((li * self.n, st.slots));
-            g_ins.push((li, st.global));
-            ch_ins.push((li, st.checker));
-            cm_ins.push((li, st.commits));
-            gen_ins.push((li, st.cur_gen));
-            mem_ins.push((li, st.cur_members));
-            lr_ins.push((li, st.last_reconfig));
-            ru_ins.push((li, st.reconfigs_used));
-            oc_ins.push((li, st.op_count));
-            re_ins.push((li, st.retry_epoch));
-            if self.recorders.is_some() {
-                rec_ins.push((
-                    li,
-                    st.recorder.expect("a traced run migrates traced items"),
-                ));
-            }
-        }
-        let blocks: Vec<(usize, &[SlotState])> =
-            slot_blocks.iter().map(|(b, s)| (*b, s.as_slice())).collect();
-        self.stores.insert_blocks(&blocks);
-        insert_at(&mut self.global_items, g_ins);
-        insert_at(&mut self.checkers, ch_ins);
-        insert_at(
-            &mut self.arena_checks,
-            finals.iter().map(|&li| (li, None)).collect(),
-        );
-        insert_at(&mut self.item_commits, cm_ins);
-        insert_at(&mut self.cur_gens, gen_ins);
-        insert_at(&mut self.cur_members, mem_ins);
-        insert_at(&mut self.last_reconfig, lr_ins);
-        insert_at(&mut self.reconfigs_used, ru_ins);
-        if let Some(recorders) = self.recorders.as_mut() {
-            insert_at(recorders, rec_ins);
-        }
-        let local = self.checkers.len();
-        if self.routed {
-            insert_at(
-                &mut self.abort_flag,
-                finals.iter().map(|&li| (li, false)).collect(),
-            );
-            insert_at(&mut self.op_counter, oc_ins);
-            insert_at(&mut self.retry_epoch, re_ins);
-            insert_at(
-                &mut self.causal_segs,
-                finals.iter().map(|&li| (li, Vec::new())).collect(),
-            );
-            insert_at(
-                &mut self.client_cfg,
-                finals
-                    .iter()
-                    .map(|&li| (li, (0, ReplicaSet::full(self.n))))
-                    .collect(),
-            );
-            self.pending.insert_empty_many(&finals);
-            for i in finals[0]..self.pending.slots() {
-                if let Some(op) = self.pending.get_mut(i) {
-                    op.item = i;
-                }
-            }
-            // Each item's arrival stream continues here from the first
+            // The item's arrival stream continues here from the first
             // tick strictly after the barrier — the old owner processed
             // every arrival ≤ the barrier, and any it had queued beyond
             // it tombstone, so no arrival is lost or duplicated.
-            for &g in &new_globals {
-                if let Some(at) = self.next_arrival_at_or_after(g, self.now + SimTime(1)) {
-                    let delay = at - self.now;
-                    self.schedule(delay, Event::Arrival { item: g });
-                }
-            }
-        } else {
-            // Merge fresh `(0, full)` columns into the cps × old_local
-            // cache matrix in one pass, and re-key parked ops by how many
-            // inserted columns land at or below their shifted index.
-            let cps = self.config.clients_per_shard;
-            let old_local = local - finals.len();
-            let mut cfg = Vec::with_capacity(cps * local);
-            for c in 0..cps {
-                let mut k = 0;
-                for it in 0..local {
-                    if k < finals.len() && finals[k] == it {
-                        k += 1;
-                        cfg.push((0, ReplicaSet::full(self.n)));
-                    } else {
-                        cfg.push(self.client_cfg[c * old_local + (it - k)]);
-                    }
-                }
-            }
-            self.client_cfg = cfg;
-            for c in 0..cps {
-                if let Some(op) = self.pending.get_mut(c) {
-                    let mut k = 0;
-                    while k < finals.len() && finals[k] <= op.item + k {
-                        k += 1;
-                    }
-                    op.item += k;
-                }
+            if let Some(at) = self.next_arrival_at_or_after(slot, self.now + SimTime(1)) {
+                let delay = at - self.now;
+                self.schedule(delay, Event::Arrival { item });
             }
         }
         self.rebuild_draw_table();
     }
-}
-
-/// Remove the ascending indices `lis` from `v` in one pass, returning the
-/// removed elements in order. The batch counterpart of `Vec::remove` for
-/// the migration paths: cost is one traversal regardless of `lis.len()`.
-fn extract_at<T>(v: &mut Vec<T>, lis: &[usize]) -> Vec<T> {
-    debug_assert!(lis.windows(2).all(|w| w[0] < w[1]));
-    let mut out = Vec::with_capacity(lis.len());
-    let mut kept = Vec::with_capacity(v.len() - lis.len());
-    let mut k = 0;
-    for (r, x) in std::mem::take(v).into_iter().enumerate() {
-        if k < lis.len() && lis[k] == r {
-            k += 1;
-            out.push(x);
-        } else {
-            kept.push(x);
-        }
-    }
-    *v = kept;
-    out
-}
-
-/// Insert elements at the given (ascending, post-insertion) positions in
-/// one merge pass — the batch counterpart of `Vec::insert`, inverse of
-/// [`extract_at`]. Positions past the end append in order.
-fn insert_at<T>(v: &mut Vec<T>, ins: Vec<(usize, T)>) {
-    debug_assert!(ins.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut merged = Vec::with_capacity(v.len() + ins.len());
-    let mut it = ins.into_iter().peekable();
-    for x in std::mem::take(v) {
-        while it.peek().is_some_and(|(p, _)| *p == merged.len()) {
-            merged.push(it.next().expect("peeked").1);
-        }
-        merged.push(x);
-    }
-    for (_, x) in it {
-        merged.push(x);
-    }
-    *v = merged;
 }
 
 /// One item's complete simulation state, in flight between two shards at
@@ -2447,6 +2467,8 @@ struct ItemState {
     op_count: u64,
     /// Routed-mode retry epoch (0 in client modes).
     retry_epoch: u32,
+    /// Routed-mode arrival period in µs (0 in client modes).
+    step: f64,
     /// The item's schedule-trace recorder, when tracing.
     recorder: Option<TraceRecorder>,
 }
@@ -2528,11 +2550,11 @@ fn run_elastic(
     traced: bool,
     dir: &mut PlacementDirectory,
     pol: &ElasticPolicy,
+    step_scale: f64,
 ) -> (Vec<ShardOutcome>, PlacementReport) {
     let mut sims: Vec<ShardSim<'_>> = (0..config.shards)
-        .map(|s| ShardSim::new(config, s, dir.owned_by(s), traced))
+        .map(|s| ShardSim::new(config, s, dir.owned_by(s), traced, step_scale))
         .collect();
-    let mut tracker = LoadTracker::new(config.items);
     let mut report = PlacementReport::default();
     let scripted: Vec<(SimTime, usize, usize)> = config
         .faults
@@ -2543,7 +2565,9 @@ fn run_elastic(
             _ => None,
         })
         .collect();
-    let mut tallies = vec![0u64; config.items];
+    // Per-item commits since the previous barrier; every shard rewrites
+    // its own items' entries at every barrier.
+    let mut deltas = vec![0u64; config.items];
     let mut barriers = barrier_schedule(config, pol);
     // The run's end is sampled like a barrier (moves are pointless there).
     barriers.push((config.duration, false));
@@ -2554,19 +2578,13 @@ fn run_elastic(
             s
         });
         let wall_ns = start.elapsed().as_nanos() as u64;
+        let mut shard_commits = Vec::with_capacity(config.shards);
+        let mut queue_depths = Vec::with_capacity(config.shards);
         for s in &mut sims {
             s.sync_to(t);
+            shard_commits.push(s.sample_epoch(&mut deltas));
+            queue_depths.push(s.queue_len() as u64);
         }
-        tallies.iter_mut().for_each(|v| *v = 0);
-        for s in &sims {
-            s.accumulate_commits(&mut tallies);
-        }
-        let deltas = tracker.epoch_deltas(&tallies);
-        let mut shard_commits = vec![0u64; config.shards];
-        for (g, &d) in deltas.iter().enumerate() {
-            shard_commits[dir.owner_of(g)] += d;
-        }
-        let queue_depths = sims.iter().map(|s| s.queue_len() as u64).collect();
         let mut moves: Vec<Migration> = scripted
             .iter()
             .filter(|&&(at, _, _)| at == t)
@@ -2583,8 +2601,7 @@ fn run_elastic(
         let mut failures = 0u64;
         // Dedupe by item (first mention wins — scripted moves precede
         // planned ones), resolve sources, and drop no-ops; then group by
-        // source shard so each shard compacts its parallel per-item state
-        // once per barrier instead of once per move.
+        // source shard so each shard fences its exports in one batch.
         let mut batch: Vec<Migration> = Vec::new();
         for m in moves {
             if batch.iter().any(|b| b.item == m.item) {
@@ -2597,9 +2614,8 @@ fn run_elastic(
             batch.push(Migration { item: m.item, from, to: m.to });
         }
         if !batch.is_empty() {
-            // Stable by source: within one shard, fences still run in
-            // planner order, so the per-shard RNG draw sequence matches
-            // the one-move-at-a-time path exactly.
+            // Stable by source: within one shard, fences run in planner
+            // order.
             batch.sort_by_key(|m| m.from);
             let mut dest: Vec<(usize, usize)> = batch.iter().map(|m| (m.item, m.to)).collect();
             dest.sort_unstable();
@@ -2660,13 +2676,14 @@ fn run_sharded_inner(
         config.shards,
         config.placement.seed_placement(),
     );
+    let step_scale = routed_step_scale(config);
     let (outcomes, placement) = if let PlacementPolicy::Elastic(pol) = config.placement {
-        run_elastic(config, threads, traced, &mut dir, &pol)
+        run_elastic(config, threads, traced, &mut dir, &pol, step_scale)
     } else {
         // Fixed placement: one uninterrupted leg per shard — byte-for-byte
         // the pre-placement behaviour under `Static` (round-robin).
         let outcomes = par_map((0..config.shards).collect(), threads, |_, s| {
-            ShardSim::new(config, s, dir.owned_by(s), traced).run()
+            ShardSim::new(config, s, dir.owned_by(s), traced, step_scale).run()
         });
         let placement = PlacementReport {
             final_counts: dir.counts(),
@@ -3113,6 +3130,93 @@ mod tests {
         assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
         // Commits keep flowing to the item on its new shard.
         assert!(report.item_commits[0] > 0);
+    }
+
+    /// Slot reuse: item A is exported while its next `Arrival` and a
+    /// `Retry` keyed to it are still queued, and item B is imported into
+    /// the slot A vacated. Both of A's events must tombstone — B's
+    /// counters stay untouched until B's own first arrival.
+    #[test]
+    fn events_of_a_departed_item_never_reach_the_slots_next_tenant() {
+        let mut c = MultiConfig::new(Arc::new(Majority::new(3)));
+        c.items = 4;
+        c.shards = 2;
+        c.seed = 5;
+        c.dist = ItemDist::Zipfian { theta: 0.99 };
+        c.workload = Workload::Routed {
+            interarrival: SimTime::from_millis(25),
+        };
+        c.duration = SimTime::from_secs(2);
+        c.reconfig = ReconfigPolicy::scripted_only();
+        c.placement = PlacementPolicy::Elastic(ElasticPolicy {
+            seed: crate::placement::SeedPlacement::RoundRobin,
+            max_moves_per_epoch: 0,
+            ..ElasticPolicy::new()
+        });
+        // Every message is lost, so every attempt times out and parks
+        // behind a queued retry (fences need no messages and still work).
+        c.faults = FaultPlan::new().drop_window(SimTime::ZERO, c.duration, 1000);
+        c.timeout = SimTime::from_millis(10);
+        c.retry = RetryPolicy::retries(8, SimTime::from_millis(5));
+        let step_scale = routed_step_scale(&c);
+        let mut home = ShardSim::new(&c, 0, vec![0, 2], false, step_scale);
+        let mut away = ShardSim::new(&c, 1, vec![1, 3], false, step_scale);
+        // A is the hot item 0 (slot 0 at home), B the cold item 3.
+        let (a, b) = (0usize, 3usize);
+        let a_first = home.next_arrival_at_or_after(0, SimTime::ZERO).unwrap();
+        home.run_to(a_first);
+        home.sync_to(a_first);
+        away.run_to(a_first);
+        away.sync_to(a_first);
+        assert!(home.pending.is_live(0), "A's first op is parked behind its retry");
+        let a_next = home.next_arrival_at_or_after(0, a_first + SimTime(1)).unwrap();
+        let a_retry = a_first + c.timeout + c.retry.backoff_before(2);
+        assert!(a_retry < a_next, "the retry fires inside the window below");
+        let queued = home.queue_len();
+
+        let (exported, failed) = home.migrate_out_many(&[a]);
+        assert_eq!((exported.len(), failed), (1, 0));
+        assert_eq!(home.slot_of[a], NO_SLOT);
+        assert_eq!(home.free.last(), Some(&0));
+        // Exporting removed nothing from the queue: A's retry and next
+        // arrival are still in it.
+        assert_eq!(home.queue_len(), queued);
+        let (imported, _) = away.migrate_out_many(&[b]);
+        home.migrate_in_many(imported);
+        assert_eq!(home.slot_of[b], 0, "B took the slot A vacated");
+        assert_eq!(home.slot_global[0], b);
+        let b_first = home.next_arrival_at_or_after(0, a_first + SimTime(1)).unwrap();
+        assert!(
+            b_first > a_next + SimTime::from_millis(1),
+            "pick a seed whose cold item's next tick follows the hot item's: {b_first} vs {a_next}"
+        );
+
+        // Past A's retry and A's next arrival, short of B's first: both
+        // of A's events are consumed, neither schedules anything.
+        let reconfigs = home.metrics.reconfigurations;
+        home.run_to(a_retry - SimTime(1));
+        let before = home.queue_len();
+        home.run_to(a_retry);
+        assert_eq!(home.queue_len(), before - 1, "the retry tombstoned");
+        home.run_to(a_next - SimTime(1));
+        let before = home.queue_len();
+        home.run_to(a_next);
+        assert_eq!(home.queue_len(), before - 1, "the arrival tombstoned, no successor");
+        home.run_to(a_next + SimTime::from_millis(1));
+        assert!(!home.pending.is_live(0), "A's retry prodded B's slot");
+        assert_eq!(home.op_counter[0], 0, "A's arrival started an op for B");
+        assert_eq!(home.item_commits[0], 0);
+        assert_eq!(home.arrived_at[0], NEVER);
+        assert_eq!(home.metrics.reconfigurations, reconfigs);
+        // B's own stream is intact.
+        home.run_to(b_first);
+        assert_eq!(home.op_counter[0], 1);
+        assert_eq!(home.arrived_at[0], b_first);
+        // And A went on elsewhere with its history.
+        away.migrate_in_many(exported);
+        let slot = away.slot_of[a] as usize;
+        assert_eq!(away.op_counter[slot], 1, "A's op counter travels with it");
+        assert_eq!(away.cur_gens[slot], 1, "one migration fence");
     }
 
     #[test]

@@ -120,61 +120,12 @@ impl OpSlab {
         self.live[client].then(|| &self.slots[client])
     }
 
-    /// Mutably borrow `client`'s in-flight operation, if any (migration
-    /// re-keys `PendingOp::item` when the local keyspace shifts).
-    pub fn get_mut(&mut self, client: usize) -> Option<&mut PendingOp> {
-        self.live[client].then(|| &mut self.slots[client])
-    }
-
-    /// Number of slots (live or not).
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Remove the (ascending) slots `idxs` in one compaction pass,
-    /// shifting higher slots down — the routed migration export path,
-    /// where slots are keyed by local item. Every removed slot must be
-    /// dead: migration aborts any parked op first.
-    pub fn remove_many(&mut self, idxs: &[usize]) {
-        let mut it = idxs.iter().peekable();
-        let mut w = 0;
-        for r in 0..self.slots.len() {
-            if it.peek() == Some(&&r) {
-                it.next();
-                debug_assert!(!self.live[r], "migrating a slot with an op in flight");
-                continue;
-            }
-            self.slots[w] = self.slots[r];
-            self.live[w] = self.live[r];
-            w += 1;
-        }
-        self.slots.truncate(w);
-        self.live.truncate(w);
-    }
-
-    /// Insert dead slots at the (ascending, post-insertion) positions
-    /// `idxs` in one pass, shifting higher slots up — the routed
-    /// migration import path.
-    pub fn insert_empty_many(&mut self, idxs: &[usize]) {
-        let empty = PendingOp::begin(0, false, 0, 0, SimTime::ZERO);
-        let mut slots = Vec::with_capacity(self.slots.len() + idxs.len());
-        let mut live = Vec::with_capacity(self.live.len() + idxs.len());
-        let mut it = idxs.iter().peekable();
-        for r in 0..self.slots.len() {
-            while it.peek() == Some(&&slots.len()) {
-                it.next();
-                slots.push(empty);
-                live.push(false);
-            }
-            slots.push(self.slots[r]);
-            live.push(self.live[r]);
-        }
-        for _ in it {
-            slots.push(empty);
-            live.push(false);
-        }
-        self.slots = slots;
-        self.live = live;
+    /// Append one dead slot — the routed migration import path, where
+    /// slots are keyed by the shard's stable item slots and an import
+    /// that finds no free slot grows the table by one.
+    pub fn push_empty(&mut self) {
+        self.slots.push(PendingOp::begin(0, false, 0, 0, SimTime::ZERO));
+        self.live.push(false);
     }
 
     /// Number of clients with an operation in flight (O(1); feeds the
@@ -216,27 +167,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_remove_and_insert_shift_slots() {
-        let mut slab = OpSlab::new(5);
-        for i in [1usize, 4] {
-            slab.put(i, PendingOp::begin(i, true, i as u64, 0, SimTime::ZERO));
-        }
-        // Remove dead slots 0 and 3: live slots 1 and 4 shift to 0 and 2.
-        slab.remove_many(&[0, 3]);
-        assert_eq!(slab.slots(), 3);
-        assert_eq!(slab.in_flight(), 2);
-        assert_eq!(slab.get(0).unwrap().value, 1);
-        assert!(!slab.is_live(1));
-        assert_eq!(slab.get(2).unwrap().value, 4);
-        // Insert dead slots back at (final) positions 1 and 3, including a
-        // tail append at 5.
-        slab.insert_empty_many(&[1, 3, 5]);
-        assert_eq!(slab.slots(), 6);
-        assert_eq!(slab.in_flight(), 2);
-        assert_eq!(slab.get(0).unwrap().value, 1);
-        assert!(!slab.is_live(1));
-        assert!(!slab.is_live(3));
-        assert_eq!(slab.get(4).unwrap().value, 4);
-        assert!(!slab.is_live(5));
+    fn appended_slots_start_dead_and_leave_the_rest_alone() {
+        let mut slab = OpSlab::new(2);
+        slab.put(1, PendingOp::begin(1, true, 7, 0, SimTime::ZERO));
+        slab.push_empty();
+        assert_eq!(slab.in_flight(), 1);
+        assert!(!slab.is_live(2));
+        assert_eq!(slab.get(1).unwrap().value, 7);
+        slab.put(2, PendingOp::begin(2, false, 9, 0, SimTime::ZERO));
+        assert_eq!(slab.take(2).unwrap().value, 9);
     }
 }

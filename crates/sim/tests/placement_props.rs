@@ -1,15 +1,22 @@
 //! Property-based tests for the elastic placement layer: the zipfian
 //! cumulative-weight table the routed workload draws from, the placement
 //! directory's partition invariant, the determinism and cap discipline of
-//! the greedy rebalancer, and the `migrate@` fault-grammar round-trip.
+//! the greedy rebalancer, the `migrate@` fault-grammar round-trip, and the
+//! slot-reuse wall: arbitrary scripted migration plans over the sharded
+//! simulator's stable item slots keep every oracle green.
 //!
 //! Case budget: `PROPTEST_CASES` (see `scripts/tier1.sh`), default 256.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use qc_sim::{
-    cum_weight_table, item_weight, plan_moves, ElasticPolicy, FaultPlan, ItemDist,
-    PlacementDirectory, SeedPlacement, SimTime,
+    check_trace, cum_weight_table, item_weight, plan_moves, run_sharded_elastic,
+    run_sharded_elastic_traced, ElasticPolicy, FaultPlan, ItemDist, MultiConfig,
+    PlacementDirectory, PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimTime,
+    Workload,
 };
+use quorum::{Majority, Rowa};
 
 /// A strictly-increasing global item subset (what one shard owns).
 fn item_subset() -> impl Strategy<Value = Vec<usize>> {
@@ -26,7 +33,122 @@ fn dist(theta_centi: u32) -> ItemDist {
     }
 }
 
+const MIG_ITEMS: usize = 12;
+const MIG_SHARDS: usize = 3;
+/// Scripted barriers, in ms: few enough that several moves share one.
+const MIG_BARRIERS: [u64; 5] = [60, 110, 170, 260, 330];
+
+/// A scripted migration plan as `(barrier index, item, destination)`
+/// triples: a random scatter (bounces and same-barrier batches arise on
+/// their own over five barriers and twelve items), optionally preceded by
+/// draining one shard completely at the first barrier and sending the
+/// drained items back at the third — every slot of that shard freed, then
+/// refilled.
+fn migration_plan() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+    (
+        prop::collection::vec((0usize..5, 0usize..MIG_ITEMS, 0usize..MIG_SHARDS), 0..20),
+        0usize..2 * MIG_SHARDS,
+    )
+        .prop_map(|(mut plan, drain)| {
+            if drain < MIG_SHARDS {
+                // Round-robin seeding: shard `drain` owns g ≡ drain (mod 3).
+                for g in (drain..MIG_ITEMS).step_by(MIG_SHARDS) {
+                    plan.push((0, g, (drain + 1) % MIG_SHARDS));
+                    plan.push((2, g, drain));
+                }
+            }
+            plan
+        })
+}
+
+fn migration_config(
+    plan: &[(usize, usize, usize)],
+    seed: u64,
+    routed: bool,
+    rowa: bool,
+    queue: QueueKind,
+) -> MultiConfig {
+    let mut c = if rowa {
+        MultiConfig::new(Arc::new(Rowa::new(3)))
+    } else {
+        MultiConfig::new(Arc::new(Majority::new(3)))
+    };
+    c.items = MIG_ITEMS;
+    c.shards = MIG_SHARDS;
+    c.clients_per_shard = 2;
+    c.read_fraction = 0.5;
+    c.dist = ItemDist::Zipfian { theta: 0.9 };
+    c.workload = if routed {
+        Workload::Routed {
+            interarrival: SimTime::from_millis(1),
+        }
+    } else {
+        Workload::Closed {
+            think: SimTime::from_millis(2),
+        }
+    };
+    c.duration = SimTime::from_millis(400);
+    c.seed = seed;
+    c.queue = queue;
+    c.reconfig = ReconfigPolicy::scripted_only();
+    // Rebalancing off: exactly the scripted moves fire.
+    c.placement = PlacementPolicy::Elastic(ElasticPolicy {
+        seed: SeedPlacement::RoundRobin,
+        max_moves_per_epoch: 0,
+        ..ElasticPolicy::new()
+    });
+    for &(b, item, to) in plan {
+        c.faults = c.faults.migrate_at(SimTime::from_millis(MIG_BARRIERS[b]), item, to);
+    }
+    c
+}
+
 proptest! {
+    /// Slot reuse under arbitrary scripted plans: whatever items leave and
+    /// join whichever shards in whatever order — several per barrier,
+    /// bounces, a shard emptied and refilled — the lemma monitor stays
+    /// silent, every item's spliced schedule (its history spans every
+    /// shard it visited) replays through Theorem 10, the reports are
+    /// bit-identical across thread counts and queue implementations, and
+    /// every item still has exactly one owner.
+    #[test]
+    fn scripted_migrations_reuse_slots_safely(
+        plan in migration_plan(),
+        seed in 0u64..1_000_000,
+        mode in (0u8..2, 0u8..2),
+        run in (1usize..4, 0u8..2),
+    ) {
+        let (routed, rowa) = (mode.0 == 1, mode.1 == 1);
+        let (threads, heap) = (run.0, run.1 == 1);
+        let c = migration_config(&plan, seed, routed, rowa, QueueKind::Calendar);
+        let (report, traces, placement) = run_sharded_elastic_traced(&c, 1);
+        prop_assert_eq!(
+            report.metrics.lemma_violations, 0,
+            "violations: {:?}", report.metrics.violations
+        );
+        prop_assert_eq!(placement.migration_failures, 0);
+        prop_assert_eq!(placement.final_counts.iter().sum::<usize>(), MIG_ITEMS);
+        prop_assert_eq!(report.metrics.reconfigurations, placement.migrations);
+        let mut bumps = 0u64;
+        for (g, trace) in traces.iter().enumerate() {
+            let conf = check_trace(trace, &*c.quorum).map_err(|d| {
+                TestCaseError::fail(format!("item {g} diverged: {d}"))
+            })?;
+            prop_assert_eq!(conf.max_vn, report.item_vns[g], "item {}", g);
+            // Reconfig TMs commit alongside data ops; the surplus over the
+            // item's data commits is its migration fences.
+            prop_assert!(conf.committed as u64 >= report.item_commits[g], "item {}", g);
+            bumps += conf.committed as u64 - report.item_commits[g];
+        }
+        prop_assert_eq!(bumps, placement.migrations);
+        // The untraced run on another thread count and queue is the same run.
+        let queue = if heap { QueueKind::Heap } else { QueueKind::Calendar };
+        let other = migration_config(&plan, seed, routed, rowa, queue);
+        let (r2, p2) = run_sharded_elastic(&other, threads);
+        prop_assert_eq!(r2.digest(), report.digest(), "threads {} heap {}", threads, heap);
+        prop_assert_eq!(p2.digest(), placement.digest(), "placement, threads {} heap {}", threads, heap);
+    }
+
     /// The table is strictly monotone, starts at the first item's weight,
     /// and its last entry equals the returned total — for any subset and
     /// any skew.
