@@ -3,13 +3,17 @@
 //! serialization, and the Moss lock manager. These bound the cost of the
 //! randomized checking behind experiments E1–E3.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
+
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nested_txn::{AccessKind, AccessSpec, ObjectId, Tid, TxnOp, Value};
 use qc_bench::{contention_spec, figure1_spec};
 use qc_cc::{run_concurrent, serialize_return_order, CcRunOptions, LockingObject};
 use qc_replication::{
-    build_system_a, check_projection, project_to_a, run_system_b, RunOptions,
+    build_system_a, check_projection, check_trace, project_to_a, run_system_b, RunOptions,
 };
+use qc_sim::{run_traced, ContactPolicy, SimConfig, SimTime};
+use quorum::Majority;
 
 fn bench_serial_execution(c: &mut Criterion) {
     let spec = figure1_spec();
@@ -68,6 +72,23 @@ fn bench_theorem10(c: &mut Criterion) {
     });
     g.bench_function("full_check", |b| {
         b.iter(|| check_projection(&spec, &layout, std::hint::black_box(&beta)).unwrap())
+    });
+    // The rows above replay the Figure-1 spec, a few dozen operations. This
+    // one is the oracle at simulator scale: the host-cost benchmark's
+    // checked workload (8 closed-loop clients, 50 % reads, Majority(5)) cut
+    // to 2 simulated seconds, read per trace event.
+    let mut config = SimConfig::new(Arc::new(Majority::new(5)));
+    config.clients = 8;
+    config.think_time = SimTime::ZERO;
+    config.read_fraction = 0.5;
+    config.contact = ContactPolicy::MinimalQuorum;
+    config.duration = SimTime::from_secs(2);
+    config.seed = 23;
+    let quorum = Arc::clone(&config.quorum);
+    let (_, trace) = run_traced(config);
+    g.throughput(Throughput::Elements(trace.events.len() as u64));
+    g.bench_function("check_trace_sim", |b| {
+        b.iter(|| check_trace(std::hint::black_box(&trace), &*quorum).unwrap())
     });
     g.finish();
 }

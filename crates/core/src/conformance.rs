@@ -23,9 +23,12 @@
 //!    candidate serial schedule α, which is replayed step by step on a
 //!    *real* serial system **A** — a [`SerialScheduler`] over one
 //!    non-replicated [`ReadWriteObject`] — so the trace is accepted only
-//!    if it is literally a schedule of the non-replicated system.
+//!    if it is literally a schedule of the non-replicated system. α is
+//!    streamed: each operation is stepped as the projection yields it,
+//!    after the first two layers have accepted the whole trace.
 //!
-//! [`project_trace`] exposes the erasure step on its own, and
+//! [`project_trace`] exposes the erasure step on its own (the same
+//! projection, collected), and
 //! [`trace_from_schedule`] adapts an I/O-automaton schedule of system
 //! **B** (serial or concurrency-controlled) into a trace, so the same
 //! checker cross-validates the simulator and the automata.
@@ -353,6 +356,30 @@ struct Block {
     rc: Option<(usize, u64, u64)>,
 }
 
+impl Block {
+    /// An empty block for `tid`, built in the buffers of a finished block
+    /// when there is one.
+    fn open(finished: Option<Block>, tid: TraceTid, kind: TmKind) -> Block {
+        let mut b = finished.unwrap_or(Block {
+            tid,
+            kind,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            cfg_reads: Vec::new(),
+            cfg_writes: Vec::new(),
+            rc: None,
+        });
+        b.tid = tid;
+        b.kind = kind;
+        b.reads.clear();
+        b.writes.clear();
+        b.cfg_reads.clear();
+        b.cfg_writes.clear();
+        b.rc = None;
+        b
+    }
+}
+
 fn diverge(i: usize, ev: &TraceEvent, kind: DivergenceKind) -> Divergence {
     Divergence {
         event: i,
@@ -381,6 +408,23 @@ fn end_diverge(len: usize, kind: DivergenceKind) -> Divergence {
 pub fn check_trace(
     trace: &ScheduleTrace,
     quorum: &dyn QuorumSpec,
+) -> Result<ConformanceReport, Divergence> {
+    check_trace_tapped(trace, quorum, |_, _| {})
+}
+
+/// [`check_trace`], with `tap` shown every operation serial system **A**
+/// performed, in order, beside the index of the trace event it was
+/// projected from. A test seam: it is how the suites pin that the replay
+/// steps exactly the α of [`project_trace`], no operation skipped.
+///
+/// # Errors
+///
+/// The first divergent action.
+#[doc(hidden)]
+pub fn check_trace_tapped(
+    trace: &ScheduleTrace,
+    quorum: &dyn QuorumSpec,
+    mut tap: impl FnMut(&TxnOp, usize),
 ) -> Result<ConformanceReport, Divergence> {
     if quorum.n() != trace.sites {
         return Err(Divergence {
@@ -430,6 +474,8 @@ pub fn check_trace(
     };
 
     let mut open: Option<Block> = None;
+    // The last returned block, kept for its buffers.
+    let mut finished: Option<Block> = None;
     let mut committed = 0usize;
     let mut aborted = 0usize;
     let mut erased = 0usize;
@@ -451,15 +497,7 @@ pub fn check_trace(
                         )),
                     ));
                 }
-                open = Some(Block {
-                    tid: ev.tid,
-                    kind,
-                    reads: Vec::new(),
-                    writes: Vec::new(),
-                    cfg_reads: Vec::new(),
-                    cfg_writes: Vec::new(),
-                    rc: None,
-                });
+                open = Some(Block::open(finished.take(), ev.tid, kind));
             }
             TraceAction::ReadDm { site, vn, value } => {
                 erased += 1;
@@ -928,6 +966,7 @@ pub fn check_trace(
                 check_stores(&checker, &stores, cur_gen, configs[cur_gen as usize])
                     .map_err(|v| diverge(i, ev, DivergenceKind::Lemma(v)))?;
                 committed += 1;
+                finished = Some(b);
             }
             TraceAction::Abort { .. } => {
                 if open.is_some() {
@@ -954,17 +993,26 @@ pub fn check_trace(
     check_stores(&checker, &stores, cur_gen, configs[cur_gen as usize])
         .map_err(|v| end_diverge(trace.events.len(), DivergenceKind::Lemma(v)))?;
 
-    // Theorem 10: erase the replica accesses and replay the candidate
-    // serial schedule on a real system A.
-    let (alpha, src) = project_trace(trace);
-    replay_alpha(trace.initial, &alpha, &src, &trace.events)?;
+    // Theorem 10: erase the replica accesses and step a real system A with
+    // the candidate serial schedule α, one operation at a time as the
+    // projection yields it. The structural scan above has finished: a trace
+    // that fails it is reported at the scan's event and never reaches
+    // system A.
+    let mut system_a = SystemA::new(trace.initial);
+    let mut alpha_len = 0usize;
+    project_into(trace, |op, src| {
+        alpha_len += 1;
+        system_a.step(&op, src, &trace.events)?;
+        tap(&op, src);
+        Ok(())
+    })?;
 
     Ok(ConformanceReport {
         events: trace.events.len(),
         committed,
         aborted,
         erased,
-        alpha_len: alpha.len(),
+        alpha_len,
         faulted_events,
         max_vn: checker.current_vn(),
     })
@@ -973,30 +1021,37 @@ pub fn check_trace(
 /// The non-replicated object of the synthesized serial system **A**.
 const A_OBJECT: ObjectId = ObjectId(0);
 
-/// Erase the replica-access operations (`READ-DM` / `WRITE-DM`) from a
-/// trace and emit the candidate serial schedule α of system **A**, plus,
-/// for each α operation, the index of the trace event it came from.
+/// Theorem 10's projection, one operation at a time: erase the
+/// replica-access operations (`READ-DM` / `WRITE-DM` / `READ-CFG` /
+/// `WRITE-CFG`) from `trace` and hand `sink` each operation of the
+/// candidate serial schedule α of system **A**, in order, with the index of
+/// the trace event it came from. Stops at the sink's first error.
 ///
 /// Each traced transaction manager becomes an access transaction `T0.k` on
 /// the single logical object; aborted managers contribute
 /// `REQUEST-CREATE` / `ABORT` pairs (an aborted transaction was never
 /// created), committed ones a full `REQUEST-CREATE` / `CREATE` /
-/// `REQUEST-COMMIT` / `COMMIT` block. The erasure is lenient: events that
-/// do not form a complete block are dropped (the structural layer of
-/// [`check_trace`] reports them precisely).
-pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
-    let mut alpha: Schedule<TxnOp> = Schedule::new();
-    let mut src: Vec<usize> = Vec::new();
-    alpha.push(TxnOp::Create {
-        tid: Tid::root(),
-        access: None,
-        param: None,
-    });
-    src.push(0);
+/// `REQUEST-COMMIT` / `COMMIT` block, yielded when the `COMMIT` event is
+/// reached. The erasure is lenient: events that do not form a complete
+/// block are dropped (the structural layer of [`check_trace`] reports them
+/// precisely).
+fn project_into<E>(
+    trace: &ScheduleTrace,
+    mut sink: impl FnMut(TxnOp, usize) -> Result<(), E>,
+) -> Result<(), E> {
+    sink(
+        TxnOp::Create {
+            tid: Tid::root(),
+            access: None,
+            param: None,
+        },
+        0,
+    )?;
 
     // An open TM block: (name, kind, CREATE index, REQUEST-COMMIT (value,
     // index) once seen).
     type OpenBlock = (TraceTid, TmKind, usize, Option<(u64, usize)>);
+    let root = Tid::root();
     let mut k: u32 = 0;
     let mut open: Option<OpenBlock> = None;
     for (i, ev) in trace.events.iter().enumerate() {
@@ -1022,7 +1077,7 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
                     if kind == TmKind::Reconfig {
                         continue;
                     }
-                    let tid = Tid::root().child(k);
+                    let tid = root.child(k);
                     k += 1;
                     let (spec, result) = match kind {
                         TmKind::Read => (AccessSpec::read(A_OBJECT), Value::Int(value as i64)),
@@ -1032,44 +1087,50 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
                         ),
                         TmKind::Reconfig => unreachable!("erased above"),
                     };
-                    alpha.push(TxnOp::RequestCreate {
-                        tid: tid.clone(),
-                        access: Some(spec.clone()),
-                        param: None,
-                    });
-                    src.push(ev_create);
-                    alpha.push(TxnOp::Create {
-                        tid: tid.clone(),
-                        access: Some(spec),
-                        param: None,
-                    });
-                    src.push(ev_create);
-                    alpha.push(TxnOp::RequestCommit {
-                        tid: tid.clone(),
-                        value: result.clone(),
-                    });
-                    src.push(ev_rc);
-                    alpha.push(TxnOp::Commit { tid, value: result });
-                    src.push(i);
+                    sink(
+                        TxnOp::RequestCreate {
+                            tid: tid.clone(),
+                            access: Some(spec.clone()),
+                            param: None,
+                        },
+                        ev_create,
+                    )?;
+                    sink(
+                        TxnOp::Create {
+                            tid: tid.clone(),
+                            access: Some(spec),
+                            param: None,
+                        },
+                        ev_create,
+                    )?;
+                    sink(
+                        TxnOp::RequestCommit {
+                            tid: tid.clone(),
+                            value: result.clone(),
+                        },
+                        ev_rc,
+                    )?;
+                    sink(TxnOp::Commit { tid, value: result }, i)?;
                 }
             }
             TraceAction::Abort { kind, .. } => {
                 if open.is_none() && kind != TmKind::Reconfig {
-                    let tid = Tid::root().child(k);
+                    let tid = root.child(k);
                     k += 1;
                     let spec = match kind {
                         TmKind::Read => AccessSpec::read(A_OBJECT),
                         TmKind::Write => AccessSpec::write(A_OBJECT, Value::Nil),
                         TmKind::Reconfig => unreachable!("erased above"),
                     };
-                    alpha.push(TxnOp::RequestCreate {
-                        tid: tid.clone(),
-                        access: Some(spec),
-                        param: None,
-                    });
-                    src.push(i);
-                    alpha.push(TxnOp::Abort { tid });
-                    src.push(i);
+                    sink(
+                        TxnOp::RequestCreate {
+                            tid: tid.clone(),
+                            access: Some(spec),
+                            param: None,
+                        },
+                        i,
+                    )?;
+                    sink(TxnOp::Abort { tid }, i)?;
                 }
             }
             TraceAction::ReadDm { .. }
@@ -1078,6 +1139,25 @@ pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
             | TraceAction::WriteCfg { .. } => {}
         }
     }
+    Ok(())
+}
+
+/// The Theorem 10 projection of a trace, collected: the candidate serial
+/// schedule α of system **A** and, for each α operation, the index of the
+/// trace event it came from (see [`project_into`] for the construction).
+///
+/// [`check_trace`] does not build this pair — it steps system **A** as the
+/// projection yields each operation; the collected form is for inspecting
+/// α, for documentation, and for the tests that pin the two equal.
+pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
+    let mut alpha: Schedule<TxnOp> = Schedule::new();
+    let mut src: Vec<usize> = Vec::new();
+    let collected: Result<(), std::convert::Infallible> = project_into(trace, |op, at| {
+        alpha.push(op);
+        src.push(at);
+        Ok(())
+    });
+    let Ok(()) = collected;
     (alpha, src)
 }
 
@@ -1121,37 +1201,43 @@ impl Component<TxnOp> for TraceRoot {
     }
 }
 
-/// Replay α on a fresh serial system **A**, mapping a refusal back to the
-/// trace event the refused operation was projected from.
-fn replay_alpha(
-    initial: u64,
-    alpha: &Schedule<TxnOp>,
-    src: &[usize],
-    events: &[TraceEvent],
-) -> Result<(), Divergence> {
-    let mut system: System<TxnOp> = System::new();
-    system.push(Box::new(SerialScheduler::new()));
-    system.push(Box::new(ReadWriteObject::new(
-        A_OBJECT,
-        "O(x)",
-        Value::Int(initial as i64),
-    )));
-    system.push(Box::new(TraceRoot));
-    for (j, op) in alpha.iter().enumerate() {
-        if let Err(e) = system.step(op) {
-            let at = src[j];
-            let action = events
-                .get(at)
-                .map(|ev| format!("{}: {}", ev.tid, ev.action))
-                .unwrap_or_else(|| "end of trace".into());
-            return Err(Divergence {
-                event: at,
-                action,
-                kind: DivergenceKind::Replay(format!("serial system A refused {op}: {e}")),
-            });
-        }
+/// Serial system **A** as the sink of the projection: the real
+/// [`SerialScheduler`], one non-replicated [`ReadWriteObject`] and the
+/// root, composed in an [`ioa::System`].
+struct SystemA {
+    system: System<TxnOp>,
+}
+
+impl SystemA {
+    /// System **A** in its start state, the object holding `initial`.
+    fn new(initial: u64) -> Self {
+        let mut system: System<TxnOp> = System::new();
+        system.push(Box::new(SerialScheduler::new()));
+        system.push(Box::new(ReadWriteObject::new(
+            A_OBJECT,
+            "O(x)",
+            Value::Int(initial as i64),
+        )));
+        system.push(Box::new(TraceRoot));
+        SystemA { system }
     }
-    Ok(())
+
+    /// Perform `op`, which was projected from `events[src]`.
+    ///
+    /// # Errors
+    ///
+    /// A [`DivergenceKind::Replay`] at trace event `src` when system **A**
+    /// refuses the step.
+    fn step(&mut self, op: &TxnOp, src: usize, events: &[TraceEvent]) -> Result<(), Divergence> {
+        self.system.step(op).map_err(|e| Divergence {
+            event: src,
+            action: events
+                .get(src)
+                .map(|ev| format!("{}: {}", ev.tid, ev.action))
+                .unwrap_or_else(|| "end of trace".into()),
+            kind: DivergenceKind::Replay(format!("serial system A refused {op}: {e}")),
+        })
+    }
 }
 
 /// Adapt an I/O-automaton schedule of system **B** (serial, or a serial
@@ -1882,6 +1968,169 @@ mod tests {
             alpha.as_slice()[0],
             TxnOp::Create { ref tid, .. } if tid.is_root()
         ));
+    }
+
+    #[test]
+    fn the_replay_steps_exactly_the_collected_projection() {
+        let mut with_aborts = dynamic_trace();
+        for at in [24, 10, 0] {
+            with_aborts.events.insert(
+                at,
+                ev(
+                    tid(9),
+                    TraceAction::Abort {
+                        kind: if at == 10 {
+                            TmKind::Reconfig
+                        } else {
+                            TmKind::Write
+                        },
+                        reason: AbortReason::Stale,
+                    },
+                ),
+            );
+        }
+        for (t, q) in [
+            (good_trace(), &Majority::new(3) as &dyn QuorumSpec),
+            (dynamic_trace(), &Rowa::new(3)),
+            (with_aborts, &Rowa::new(3)),
+        ] {
+            let mut stepped = Vec::new();
+            let report = check_trace_tapped(&t, q, |op, src| stepped.push((op.clone(), src)))
+                .expect("conforms");
+            let (alpha, src) = project_trace(&t);
+            assert_eq!(report.alpha_len, alpha.len());
+            let collected: Vec<_> = alpha.into_vec().into_iter().zip(src).collect();
+            assert_eq!(stepped, collected);
+        }
+    }
+
+    /// The replay layer on its own: hand-built α operations that serial
+    /// system A must refuse. (No mutated *trace* reaches these refusals —
+    /// the structural scan is stricter than system A and reports first.)
+    mod replay_refusals {
+        use super::*;
+
+        fn a(k: u32) -> Tid {
+            Tid::root().child(k)
+        }
+
+        fn create_root() -> TxnOp {
+            TxnOp::Create {
+                tid: Tid::root(),
+                access: None,
+                param: None,
+            }
+        }
+
+        fn request(k: u32, spec: AccessSpec) -> TxnOp {
+            TxnOp::request_access(a(k), spec)
+        }
+
+        fn create(k: u32, spec: AccessSpec) -> TxnOp {
+            TxnOp::Create {
+                tid: a(k),
+                access: Some(spec),
+                param: None,
+            }
+        }
+
+        /// Step `accepted` (each must be performed), then `refused`, said
+        /// to come from trace event `src` of [`good_trace`]; return the
+        /// divergence.
+        fn refuse(accepted: &[TxnOp], refused: &TxnOp, src: usize) -> Divergence {
+            let events = good_trace().events;
+            let mut system_a = SystemA::new(0);
+            for op in accepted {
+                system_a
+                    .step(op, 0, &events)
+                    .unwrap_or_else(|d| panic!("{op} should be a step of A: {d}"));
+            }
+            let d = system_a
+                .step(refused, src, &events)
+                .expect_err("system A must refuse");
+            assert_eq!(d.event, src, "{d}");
+            let rendered = events.get(src).map_or("end of trace".to_string(), |e| {
+                format!("{}: {}", e.tid, e.action)
+            });
+            assert_eq!(d.action, rendered, "{d}");
+            d
+        }
+
+        fn why(d: &Divergence) -> &str {
+            match &d.kind {
+                DivergenceKind::Replay(why) => why,
+                other => panic!("expected a replay divergence, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn a_read_returning_anything_but_the_data() {
+            let read = AccessSpec::read(A_OBJECT);
+            let d = refuse(
+                &[create_root(), request(0, read.clone()), create(0, read)],
+                &TxnOp::RequestCommit {
+                    tid: a(0),
+                    value: Value::Int(9),
+                },
+                10,
+            );
+            assert_eq!(d.action, "c0.op1.a1: REQUEST-COMMIT(vn 1, value 7)");
+            assert!(why(&d).contains("REQUEST-COMMIT(T0.0, 9)"), "{d}");
+            assert!(why(&d).contains("returns 9, data is 0"), "{d}");
+        }
+
+        #[test]
+        fn a_create_beside_a_running_sibling() {
+            let read = AccessSpec::read(A_OBJECT);
+            let d = refuse(
+                &[
+                    create_root(),
+                    request(0, read.clone()),
+                    create(0, read.clone()),
+                    request(1, read.clone()),
+                ],
+                &create(1, read),
+                7,
+            );
+            assert_eq!(d.action, "c0.op1.a1: CREATE(read-TM)");
+            assert!(why(&d).contains("CREATE(T0.1) precondition fails"), "{d}");
+        }
+
+        #[test]
+        fn a_commit_with_another_value_than_requested() {
+            let write = AccessSpec::write(A_OBJECT, Value::Int(7));
+            let d = refuse(
+                &[
+                    create_root(),
+                    request(0, write.clone()),
+                    create(0, write),
+                    TxnOp::RequestCommit {
+                        tid: a(0),
+                        value: Value::Nil,
+                    },
+                ],
+                &TxnOp::Commit {
+                    tid: a(0),
+                    value: Value::Int(7),
+                },
+                6,
+            );
+            assert_eq!(d.action, "c0.op0.a1: COMMIT");
+            assert!(
+                why(&d).contains("COMMIT(T0.0) value differs from request"),
+                "{d}"
+            );
+        }
+
+        #[test]
+        fn an_operation_on_a_name_nobody_requested() {
+            let d = refuse(&[create_root()], &create(7, AccessSpec::read(A_OBJECT)), 0);
+            assert!(why(&d).contains("CREATE(T0.7) precondition fails"), "{d}");
+            // Past the last event the divergence is rendered as such.
+            let d = refuse(&[create_root()], &TxnOp::Abort { tid: a(7) }, 12);
+            assert_eq!(d.action, "end of trace");
+            assert!(why(&d).contains("ABORT(T0.7) precondition fails"), "{d}");
+        }
     }
 
     #[test]

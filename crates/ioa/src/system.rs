@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::component::Component;
+use crate::component::{Component, OpClass};
 use crate::error::IoaError;
 use crate::schedule::Schedule;
 
@@ -21,6 +21,9 @@ use crate::schedule::Schedule;
 /// ([`System::replay`]).
 pub struct System<Op> {
     components: Vec<Box<dyn Component<Op>>>,
+    /// Scratch for [`System::step`]: each component's classification of
+    /// the operation being performed. Not part of the state.
+    classes: Vec<OpClass>,
 }
 
 impl<Op> fmt::Debug for System<Op> {
@@ -39,6 +42,7 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     pub fn new() -> Self {
         System {
             components: Vec::new(),
+            classes: Vec::new(),
         }
     }
 
@@ -94,6 +98,7 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     pub fn snapshot(&self) -> System<Op> {
         System {
             components: self.components.iter().map(|c| c.clone_boxed()).collect(),
+            classes: Vec::new(),
         }
     }
 
@@ -130,48 +135,40 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     /// * [`IoaError::StepRefused`] if the owning component does not have the
     ///   operation enabled. The system state is left unchanged in this case.
     pub fn step(&mut self, op: &Op) -> Result<(), IoaError> {
-        let mut owners = Vec::new();
-        for (i, c) in self.components.iter().enumerate() {
-            if c.classify(op).is_output() {
-                owners.push(i);
-            }
-        }
-        match owners.len() {
-            0 => {
-                return Err(IoaError::NoOutputOwner {
-                    op: format!("{op:?}"),
-                })
-            }
-            1 => {}
-            _ => {
-                return Err(IoaError::AmbiguousOutput {
-                    op: format!("{op:?}"),
-                    owners: owners
-                        .iter()
-                        .map(|&i| self.components[i].name())
-                        .collect(),
-                })
-            }
-        }
-        // Apply to the owner first so that a refusal leaves inputs unsent.
-        let owner = owners[0];
-        self.components[owner]
-            .apply(op)
-            .map_err(|reason| IoaError::StepRefused {
-                component: self.components[owner].name(),
+        // One classification per component, kept for the delivery pass in
+        // a buffer that lives as long as the system.
+        self.classes.clear();
+        self.classes
+            .extend(self.components.iter().map(|c| c.classify(op)));
+        let mut owners = (0..self.classes.len()).filter(|&i| self.classes[i].is_output());
+        let Some(owner) = owners.next() else {
+            return Err(IoaError::NoOutputOwner {
                 op: format!("{op:?}"),
-                reason,
-                at: None,
-            })?;
+            });
+        };
+        if let Some(second) = owners.next() {
+            return Err(IoaError::AmbiguousOutput {
+                op: format!("{op:?}"),
+                owners: [owner, second]
+                    .into_iter()
+                    .chain(owners)
+                    .map(|i| self.components[i].name())
+                    .collect(),
+            });
+        }
+        let refused = |c: &dyn Component<Op>, reason| IoaError::StepRefused {
+            component: c.name(),
+            op: format!("{op:?}"),
+            reason,
+            at: None,
+        };
+        // Apply to the owner first so that a refusal leaves inputs unsent.
+        let c = &mut self.components[owner];
+        c.apply(op).map_err(|reason| refused(c.as_ref(), reason))?;
         for (i, c) in self.components.iter_mut().enumerate() {
-            if i != owner && c.classify(op).is_mine() {
+            if i != owner && self.classes[i].is_mine() {
                 // Input condition: inputs are enabled in every state.
-                c.apply(op).map_err(|reason| IoaError::StepRefused {
-                    component: c.name(),
-                    op: format!("{op:?}"),
-                    reason,
-                    at: None,
-                })?;
+                c.apply(op).map_err(|reason| refused(c.as_ref(), reason))?;
             }
         }
         Ok(())
@@ -217,5 +214,48 @@ impl<Op: Clone + fmt::Debug> System<Op> {
 impl<Op: Clone + fmt::Debug> Default for System<Op> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::toy::{Channel, Producer, ToyOp};
+
+    #[test]
+    fn step_names_every_claimant_of_an_ambiguous_output() {
+        let mut sys: System<ToyOp> = System::new();
+        sys.push(Box::new(Producer::new(1)));
+        sys.push(Box::new(Channel::new(1)));
+        sys.push(Box::new(Producer::new(1)));
+        sys.push(Box::new(Producer::new(1)));
+        match sys.step(&ToyOp::Send(0)) {
+            Err(IoaError::AmbiguousOutput { owners, .. }) => {
+                assert_eq!(owners, ["producer", "producer", "producer"]);
+            }
+            other => panic!("expected an ambiguous output, got {other:?}"),
+        }
+        let unsent: &Channel = sys.component_as("channel").expect("pushed above");
+        assert_eq!(unsent.enabled_outputs(), []);
+    }
+
+    #[test]
+    fn step_without_an_owner_or_with_a_refusing_owner_changes_nothing() {
+        let mut sys: System<ToyOp> = System::new();
+        sys.push(Box::new(Producer::new(2)));
+        assert!(matches!(
+            sys.step(&ToyOp::Deliver(0)),
+            Err(IoaError::NoOutputOwner { .. })
+        ));
+        sys.push(Box::new(Channel::new(1)));
+        // The producer's next item is 0, so it refuses Send(1); the channel
+        // (an input of Send) must not have seen it.
+        match sys.step(&ToyOp::Send(1)) {
+            Err(IoaError::StepRefused { component, .. }) => assert_eq!(component, "producer"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(sys.enabled_outputs(), [ToyOp::Send(0)]);
+        sys.step(&ToyOp::Send(0)).expect("enabled");
+        assert_eq!(sys.enabled_outputs(), [ToyOp::Send(1), ToyOp::Deliver(0)]);
     }
 }

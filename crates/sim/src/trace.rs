@@ -70,8 +70,8 @@ impl TraceRecorder {
     }
 }
 
-fn event_json(e: &TraceEvent) -> String {
-    let mut s = String::new();
+/// Append `e` as one JSON object, keys in their fixed order.
+fn write_event_json(s: &mut String, e: &TraceEvent) {
     write!(
         s,
         "{{\"at_us\":{},\"client\":{},\"op\":{},\"attempt\":{},\"faulted\":{},",
@@ -112,7 +112,6 @@ fn event_json(e: &TraceEvent) -> String {
     }
     .expect("writing to a String cannot fail");
     s.push('}');
-    s
 }
 
 /// Render a trace in the stable `qc-trace-v1` JSON byte format.
@@ -133,7 +132,7 @@ pub fn trace_to_json(trace: &ScheduleTrace) -> String {
     let n = trace.events.len();
     for (i, e) in trace.events.iter().enumerate() {
         out.push_str("    ");
-        out.push_str(&event_json(e));
+        write_event_json(&mut out, e);
         if i + 1 < n {
             out.push(',');
         }

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use qc_sim::{
     check_trace, run, run_traced, AbortReason, ConformanceReport, ContactPolicy, DivergenceKind,
-    FaultPlan, LatencyModel, Metrics, ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace,
-    SimConfig, SimTime, TmKind, TraceAction,
+    FaultPlan, LatencyModel, Metrics, QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy,
+    ScheduleTrace, SimConfig, SimTime, TmKind, TraceAction,
 };
 use quorum::{Majority, ReplicaSet, Rowa};
 
@@ -110,6 +110,36 @@ fn tracing_does_not_perturb_the_run() {
         let (traced, _) = run_traced(faulted(policy));
         assert_eq!(format!("{plain:?}"), format!("{traced:?}"));
     }
+}
+
+/// The checked single-item run the host-cost benchmark times (seed 23,
+/// 20 simulated seconds, 8 closed-loop clients, 50 % reads, Majority(5),
+/// minimal-quorum contact): every field of its conformance report is
+/// pinned, so a change to how the oracle carries α or how system A keeps
+/// its state cannot quietly check less.
+#[test]
+fn the_benchmarked_checked_run_reports_what_it_always_did() {
+    let mut c = SimConfig::new(Arc::new(Majority::new(5)));
+    c.clients = 8;
+    c.think_time = SimTime::ZERO;
+    c.read_fraction = 0.5;
+    c.contact = ContactPolicy::MinimalQuorum;
+    c.duration = SimTime::from_secs(20);
+    c.seed = 23;
+    c.queue = QueueKind::Calendar;
+    let (_, _, report) = assert_conforms(c);
+    assert_eq!(
+        report,
+        ConformanceReport {
+            events: 850_995,
+            committed: 113_449,
+            aborted: 0,
+            erased: 510_648,
+            alpha_len: 453_797,
+            faulted_events: 0,
+            max_vn: 56_767,
+        }
+    );
 }
 
 // ---------------------------------------------------------------------------

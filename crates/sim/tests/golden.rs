@@ -16,14 +16,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use nested_txn::{BankingGen, WorkloadKind};
+use qc_replication::conformance::{check_trace_tapped, project_trace};
 use qc_sim::{
     check_trace, run_observed, run_sharded_elastic_traced, run_traced, run_txn_causal,
     run_txn_traced, trace_to_json, CausalOptions, ContactPolicy, DivergenceKind, ElasticPolicy,
     FaultPlan, LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, ReconfigPolicy,
-    RetryPolicy, SeedPlacement, SimConfig, SimTime, TmKind, TraceAction, TxnConfig, TxnTrace,
-    Workload,
+    RetryPolicy, ScheduleTrace, SeedPlacement, SimConfig, SimTime, TmKind, TraceAction,
+    TxnConfig, TxnTrace, Workload,
 };
-use quorum::Majority;
+use quorum::{Majority, QuorumSpec};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden")).join(name)
@@ -50,9 +51,27 @@ fn compare(name: &str, json: String) {
     );
 }
 
+/// Compare a schedule trace against its snapshot, and pin the streamed
+/// oracle on it: the operations `check_trace` steps serial system A with
+/// are the collected projection `project_trace` returns, op for op, each
+/// from the same trace event.
+fn compare_trace(name: &str, trace: &ScheduleTrace, quorum: &dyn QuorumSpec) {
+    compare(name, trace_to_json(trace));
+    let mut stepped = Vec::new();
+    let report = check_trace_tapped(trace, quorum, |op, src| stepped.push((op.clone(), src)))
+        .unwrap_or_else(|d| panic!("{name} does not conform: {d}"));
+    let (alpha, src) = project_trace(trace);
+    assert_eq!(report.alpha_len, alpha.len(), "{name}");
+    assert!(
+        stepped.into_iter().eq(alpha.into_vec().into_iter().zip(src)),
+        "{name}: the replay stepped something other than the projection"
+    );
+}
+
 fn check(name: &str, config: SimConfig) {
+    let quorum = Arc::clone(&config.quorum);
     let (_, trace) = run_traced(config);
-    compare(name, trace_to_json(&trace));
+    compare_trace(name, &trace, &*quorum);
 }
 
 fn small(seed: u64) -> SimConfig {
@@ -98,11 +117,12 @@ fn reconfig_snapshot_is_stable() {
     config.faults = FaultPlan::parse("crash@5:2;reconfig@12:0+1;recover@20:2;reconfig@24:live")
         .expect("fault plan parses");
     config.retry = RetryPolicy::retries(3, SimTime::from_millis(2));
+    let quorum = Arc::clone(&config.quorum);
     let (metrics, trace) = run_traced(config);
     assert_eq!(metrics.reconfigurations, 2, "both scripted reconfigurations run");
     assert!(metrics.stale_rejections > 0, "the shrink must strand a stale cache");
     assert_eq!(metrics.lemma_violations, 0);
-    compare("reconfig_majority3_seed17.json", trace_to_json(&trace));
+    compare_trace("reconfig_majority3_seed17.json", &trace, &*quorum);
 }
 
 fn txn_banking() -> TxnConfig {
@@ -129,7 +149,7 @@ fn txn_banking_snapshot_is_stable() {
     let (report, traces) = run_txn_traced(&config, 1);
     assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
     assert_eq!(report.stats.lemma_violations, 0, "{:?}", report.stats.violations);
-    compare("txn_banking_seed17.json", trace_to_json(&traces[0]));
+    compare_trace("txn_banking_seed17.json", &traces[0], &*config.quorum);
 }
 
 /// The causal companion to `txn_banking_snapshot_is_stable`: the same
@@ -271,7 +291,7 @@ fn migration_snapshot_is_stable() {
     assert_eq!(report.metrics.reconfigurations, 1);
     assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
     assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
-    compare("migration_majority3_seed17.json", trace_to_json(&traces[0]));
+    compare_trace("migration_majority3_seed17.json", &traces[0], &*config.quorum);
 }
 
 /// A migration installed without a configuration write quorum must be

@@ -104,21 +104,16 @@ impl ReadWriteObject {
         &self.created
     }
 
-    fn resolve(&self, op: &TxnOp) -> Option<(AccessKind, Value)> {
-        // Inline spec takes precedence; otherwise the registry.
+    /// `kind(T)` and `data(T)` of the access a `CREATE` wakes, if it is an
+    /// access to this object: from its inline spec when it carries one (the
+    /// spec takes precedence), otherwise from the registry.
+    fn resolve<'a>(&'a self, op: &'a TxnOp) -> Option<(AccessKind, &'a Value)> {
+        static NIL: Value = Value::Nil;
         if let Some(spec) = op.access() {
-            if spec.object == self.id {
-                return Some((spec.kind, spec.data.clone()));
-            }
-            return None;
+            return (spec.object == self.id).then_some((spec.kind, &spec.data));
         }
-        let tid = op.tid();
-        self.registry.get(tid).map(|reg| {
-            let data = reg
-                .data
-                .clone()
-                .or_else(|| op.param().cloned())
-                .unwrap_or(Value::Nil);
+        self.registry.get(op.tid()).map(|reg| {
+            let data = reg.data.as_ref().or(op.param()).unwrap_or(&NIL);
             (reg.kind, data)
         })
     }
@@ -141,8 +136,12 @@ impl Component<TxnOp> for ReadWriteObject {
             TxnOp::RequestCommit { tid, .. } => {
                 // Our access iff we created it (its CREATE necessarily
                 // precedes in any well-formed schedule), or it is
-                // registered to us.
-                if self.created.contains(tid) || self.registry.contains_key(tid) {
+                // registered to us. The active access is a created one
+                // and the usual asker, so it is checked first.
+                if self.active() == Some(tid)
+                    || self.created.contains(tid)
+                    || self.registry.contains_key(tid)
+                {
                     OpClass::Output
                 } else {
                     OpClass::NotMine
@@ -177,6 +176,7 @@ impl Component<TxnOp> for ReadWriteObject {
             TxnOp::Create { tid, .. } => {
                 let (kind, data) = self
                     .resolve(op)
+                    .map(|(kind, data)| (kind, data.clone()))
                     .ok_or_else(|| format!("{}: CREATE for foreign access {tid}", self.label))?;
                 // Postcondition: active := T.
                 self.active = Some((tid.clone(), kind, data));
@@ -184,19 +184,19 @@ impl Component<TxnOp> for ReadWriteObject {
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
-                let Some((active, kind, wdata)) = self.active.clone() else {
+                let Some((active, kind, _)) = &self.active else {
                     return Err(format!(
                         "{}: REQUEST-COMMIT({tid}) with no active access",
                         self.label
                     ));
                 };
-                if &active != tid {
+                if active != tid {
                     return Err(format!(
                         "{}: REQUEST-COMMIT({tid}) but active is {active}",
                         self.label
                     ));
                 }
-                match kind {
+                match *kind {
                     AccessKind::Read => {
                         if *value != self.data {
                             return Err(format!(
@@ -212,10 +212,13 @@ impl Component<TxnOp> for ReadWriteObject {
                                 self.label
                             ));
                         }
-                        self.data = wdata;
                     }
                 }
-                self.active = None;
+                // Postcondition: active := nil, and data := data(T) for a
+                // write.
+                if let Some((_, AccessKind::Write, wdata)) = self.active.take() {
+                    self.data = wdata;
+                }
                 Ok(())
             }
             other => Err(format!("{}: not an object operation: {other}", self.label)),

@@ -1,7 +1,7 @@
 //! The serial scheduler automaton (paper §2.2, fully specified).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ioa::{Component, OpClass};
 
@@ -13,9 +13,34 @@ use crate::value::Value;
 /// communication between transactions and basic objects, and thereby defines
 /// the allowable (serial) orders in which they may take steps.
 ///
-/// State components follow the paper exactly: `create-requested`, `created`,
-/// `commit-requested`, `committed`, `aborted`, and `returned`. Initially
-/// `create-requested = {T0}` and the rest are empty.
+/// The paper's state is six sets — `create-requested`, `created`,
+/// `commit-requested`, `committed`, `aborted`, `returned` — with
+/// `create-requested = {T0}` initially and the rest empty. They are kept
+/// here as one ordered table from transaction name to a node:
+///
+/// | paper | node field |
+/// |---|---|
+/// | `T ∈ create-requested` | `REQUESTED` status bit (and the ferried `payload`) |
+/// | `T ∈ created` | `CREATED` bit |
+/// | `(T,v) ∈ commit-requested` | `commit_value = Some(v)` |
+/// | `(T,v) ∈ committed` | `COMMITTED` bit (`v` is `commit_value`: `COMMIT` checks it) |
+/// | `T ∈ aborted` | `ABORTED` bit |
+/// | `T ∈ returned` | `COMMITTED` or `ABORTED` |
+/// | `siblings(T) ∩ created ⊆ returned` | `parent(T)`'s `active_children == 0` |
+/// | `children(T) ∩ create-requested ⊆ returned` | `T`'s `pending_children == 0` |
+///
+/// The two counters are the quantified preconditions maintained
+/// incrementally (a scan per step makes long flat schedules quadratic):
+/// `active_children` counts the children that are created and not
+/// returned, `pending_children` those that are create-requested and not
+/// returned. A step reaches its parent's node through the path prefix
+/// ([`Tid`] borrows as `[u32]`), so no name is built to find it.
+///
+/// *Counter-only parents.* `REQUEST-CREATE(T)` for a `T` whose parent has
+/// no node yet (only an ill-formed environment asks for one) makes the
+/// parent a node with no status bit, just to hold the counter. Such a node
+/// is in none of the paper's sets: it enables nothing and
+/// [`enabled_outputs`](Component::enabled_outputs) skips it.
 ///
 /// Output preconditions (transcribed):
 ///
@@ -45,111 +70,122 @@ use crate::value::Value;
 /// `REQUEST-CREATE(T)` to `CREATE(T)` — those payloads are part of the
 /// transaction *name* in the paper's encoding (see
 /// [`AccessSpec`](crate::AccessSpec)).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SerialScheduler {
-    create_requested: BTreeMap<Tid, (Option<AccessSpec>, Option<Value>)>,
-    created: BTreeSet<Tid>,
-    commit_requested: BTreeMap<Tid, Value>,
-    committed: BTreeMap<Tid, Value>,
-    aborted: BTreeSet<Tid>,
-    returned: BTreeSet<Tid>,
-    // The two output preconditions quantify over siblings/children, and a
-    // scan per step makes long flat schedules quadratic (replaying a
-    // million-transaction simulator trace never finishes). These counters
-    // are the same predicates maintained incrementally:
-    /// Per-parent count of created-but-not-returned children
-    /// (`siblings(T) ∩ created ⊈ returned` ⇔ counter ≠ 0).
-    active_children: BTreeMap<Tid, usize>,
-    /// Per-parent count of requested-but-not-returned children
-    /// (`children(T) ∩ create-requested ⊈ returned` ⇔ counter ≠ 0).
-    pending_children: BTreeMap<Tid, usize>,
+    nodes: BTreeMap<Tid, Node>,
+}
+
+const REQUESTED: u8 = 1;
+const CREATED: u8 = 1 << 1;
+const COMMITTED: u8 = 1 << 2;
+const ABORTED: u8 = 1 << 3;
+
+/// Everything the scheduler knows about one transaction name.
+#[derive(Debug, Clone, Default)]
+struct Node {
+    /// `REQUESTED | CREATED | COMMITTED | ABORTED`.
+    status: u8,
+    /// `(access, param)` of the `REQUEST-CREATE`, handed on by `CREATE`.
+    payload: (Option<AccessSpec>, Option<Value>),
+    /// The `v` of `(T, v) ∈ commit-requested`.
+    commit_value: Option<Value>,
+    /// Children that are created and not returned.
+    active_children: u32,
+    /// Children that are create-requested and not returned.
+    pending_children: u32,
+}
+
+impl Node {
+    fn returned(&self) -> bool {
+        self.status & (COMMITTED | ABORTED) != 0
+    }
+
+    /// `T ∈ create-requested − (created ∪ aborted)`.
+    fn awaits_create(&self) -> bool {
+        self.status & (REQUESTED | CREATED | ABORTED) == REQUESTED
+    }
+
+    /// `(T,v) ∈ commit-requested`, `T ∉ returned` and every requested
+    /// child returned (the caller excludes the root).
+    fn may_commit(&self) -> bool {
+        self.commit_value.is_some() && !self.returned() && self.pending_children == 0
+    }
+}
+
+fn parent_path(path: &[u32]) -> Option<&[u32]> {
+    path.split_last().map(|(_, parent)| parent)
+}
+
+impl Default for SerialScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SerialScheduler {
     /// A scheduler in its start state (`create-requested = {T0}`).
     pub fn new() -> Self {
-        let mut s = SerialScheduler::default();
-        s.create_requested.insert(Tid::root(), (None, None));
-        s
-    }
-
-    /// The set of created transactions.
-    pub fn created(&self) -> &BTreeSet<Tid> {
-        &self.created
-    }
-
-    /// The set of aborted transactions.
-    pub fn aborted(&self) -> &BTreeSet<Tid> {
-        &self.aborted
-    }
-
-    /// The set of returned (committed or aborted) transactions.
-    pub fn returned(&self) -> &BTreeSet<Tid> {
-        &self.returned
-    }
-
-    /// Committed transactions with their values.
-    pub fn committed(&self) -> &BTreeMap<Tid, Value> {
-        &self.committed
+        let root = Node {
+            status: REQUESTED,
+            ..Node::default()
+        };
+        SerialScheduler {
+            nodes: BTreeMap::from([(Tid::root(), root)]),
+        }
     }
 
     /// Whether `tid` is an *orphan*: some ancestor has aborted. (Used for
     /// the non-orphan hypothesis of the paper's Theorem 11.)
     pub fn is_orphan(&self, tid: &Tid) -> bool {
-        self.aborted.iter().any(|a| a.is_ancestor_of(tid))
+        (0..=tid.depth()).any(|d| {
+            self.nodes
+                .get(&tid.path()[..d])
+                .is_some_and(|n| n.status & ABORTED != 0)
+        })
     }
 
-    /// `siblings(T) ∩ created ⊆ returned`. Only consulted for a `t` that
-    /// is not itself created (see [`Self::create_enabled`]), so the
-    /// parent's active-children counter counts exactly the created,
-    /// unreturned siblings.
-    fn siblings_quiet(&self, t: &Tid) -> bool {
-        match t.parent() {
-            Some(p) => self.active_children.get(&p).copied().unwrap_or(0) == 0,
-            None => true, // the root has no siblings
+    /// `siblings(T) ∩ created ⊆ returned`. Only consulted for a `T` that
+    /// is not itself created, so the parent's counter counts exactly the
+    /// created, unreturned siblings.
+    fn siblings_quiet(&self, path: &[u32]) -> bool {
+        parent_path(path)
+            .and_then(|p| self.nodes.get(p))
+            .is_none_or(|p| p.active_children == 0)
+    }
+
+    /// The node of a `T ∈ create-requested − (created ∪ aborted)` whose
+    /// siblings are quiet: the shared precondition of `CREATE(T)` and
+    /// `ABORT(T)`.
+    fn awaiting_create_mut(&mut self, path: &[u32]) -> Option<&mut Node> {
+        let quiet = self.siblings_quiet(path);
+        self.nodes
+            .get_mut(path)
+            .filter(|n| quiet && n.awaits_create())
+    }
+
+    /// The parent's node of a child that is created or create-requested
+    /// (its `REQUEST-CREATE` made that node); `None` for the root.
+    fn parent_of_known_child(&mut self, child: &[u32]) -> Option<&mut Node> {
+        let parent = self.nodes.get_mut(parent_path(child)?);
+        debug_assert!(parent.is_some(), "REQUEST-CREATE makes the parent's node");
+        parent
+    }
+
+    /// The transaction at `path`, whose status was `before`, has just
+    /// returned: unless it had returned already, it stops being an active
+    /// (created) and a pending (create-requested) child.
+    fn child_returned(&mut self, path: &[u32], before: u8) {
+        if before & (COMMITTED | ABORTED) != 0 || before & (CREATED | REQUESTED) == 0 {
+            return;
         }
-    }
-
-    /// `children(T) ∩ create-requested ⊆ returned`, as a counter.
-    fn children_returned(&self, t: &Tid) -> bool {
-        self.pending_children.get(t).copied().unwrap_or(0) == 0
-    }
-
-    /// Maintain the counters when `t` returns: it stops being an active
-    /// sibling (if it was created) and a pending child (if requested).
-    /// Called at most once per transaction — both `COMMIT` and `ABORT`
-    /// preconditions exclude already-returned transactions.
-    fn note_returned(&mut self, t: &Tid) {
-        if let Some(p) = t.parent() {
-            if self.created.contains(t) {
-                if let Some(n) = self.active_children.get_mut(&p) {
-                    *n = n.saturating_sub(1);
-                }
+        if let Some(parent) = self.parent_of_known_child(path) {
+            if before & CREATED != 0 {
+                parent.active_children -= 1;
             }
-            if self.create_requested.contains_key(t) {
-                if let Some(n) = self.pending_children.get_mut(&p) {
-                    *n = n.saturating_sub(1);
-                }
+            if before & REQUESTED != 0 {
+                parent.pending_children -= 1;
             }
         }
-    }
-
-    fn create_enabled(&self, t: &Tid) -> bool {
-        self.create_requested.contains_key(t)
-            && !self.created.contains(t)
-            && !self.aborted.contains(t)
-            && self.siblings_quiet(t)
-    }
-
-    fn commit_enabled(&self, t: &Tid) -> bool {
-        !t.is_root()
-            && self.commit_requested.contains_key(t)
-            && !self.returned.contains(t)
-            && self.children_returned(t)
-    }
-
-    fn abort_enabled(&self, t: &Tid) -> bool {
-        !t.is_root() && self.create_enabled(t)
     }
 }
 
@@ -171,23 +207,24 @@ impl Component<TxnOp> for SerialScheduler {
 
     fn enabled_outputs(&self) -> Vec<TxnOp> {
         let mut out = Vec::new();
-        for (t, (access, param)) in &self.create_requested {
-            if self.create_enabled(t) {
+        for (t, node) in &self.nodes {
+            if node.awaits_create() && self.siblings_quiet(t.path()) {
+                let (access, param) = node.payload.clone();
                 out.push(TxnOp::Create {
                     tid: t.clone(),
-                    access: access.clone(),
-                    param: param.clone(),
+                    access,
+                    param,
                 });
                 if !t.is_root() {
                     out.push(TxnOp::Abort { tid: t.clone() });
                 }
             }
         }
-        for (t, v) in &self.commit_requested {
-            if self.commit_enabled(t) {
+        for (t, node) in &self.nodes {
+            if !t.is_root() && node.may_commit() {
                 out.push(TxnOp::Commit {
                     tid: t.clone(),
-                    value: v.clone(),
+                    value: node.commit_value.clone().expect("may_commit checked it"),
                 });
             }
         }
@@ -200,51 +237,70 @@ impl Component<TxnOp> for SerialScheduler {
                 // Postcondition: create-requested ∪= {T}. (Set union: a
                 // repeat — which only an ill-formed parent would issue — is
                 // idempotent.)
-                if let std::collections::btree_map::Entry::Vacant(e) =
-                    self.create_requested.entry(tid.clone())
-                {
-                    e.insert((access.clone(), param.clone()));
-                    if let Some(p) = tid.parent() {
-                        *self.pending_children.entry(p).or_insert(0) += 1;
+                let node = self.nodes.entry(tid.clone()).or_default();
+                if node.status & REQUESTED != 0 {
+                    return Ok(());
+                }
+                node.status |= REQUESTED;
+                node.payload = (access.clone(), param.clone());
+                if node.returned() {
+                    return Ok(());
+                }
+                if let Some(p) = parent_path(tid.path()) {
+                    match self.nodes.get_mut(p) {
+                        Some(parent) => parent.pending_children += 1,
+                        None => {
+                            let counter_only = Node {
+                                pending_children: 1,
+                                ..Node::default()
+                            };
+                            self.nodes.insert(Tid::from_path(p), counter_only);
+                        }
                     }
                 }
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
-                self.commit_requested
-                    .entry(tid.clone())
-                    .or_insert_with(|| value.clone());
+                let node = self.nodes.entry(tid.clone()).or_default();
+                node.commit_value.get_or_insert_with(|| value.clone());
                 Ok(())
             }
             TxnOp::Create { tid, .. } => {
-                if !self.create_enabled(tid) {
+                let path = tid.path();
+                let Some(node) = self.awaiting_create_mut(path) else {
                     return Err(format!("CREATE({tid}) precondition fails"));
-                }
-                self.created.insert(tid.clone());
-                if let Some(p) = tid.parent() {
-                    *self.active_children.entry(p).or_insert(0) += 1;
+                };
+                node.status |= CREATED;
+                if !node.returned() {
+                    if let Some(parent) = self.parent_of_known_child(path) {
+                        parent.active_children += 1;
+                    }
                 }
                 Ok(())
             }
             TxnOp::Commit { tid, value } => {
-                if !self.commit_enabled(tid) {
+                let path = tid.path();
+                let node = self.nodes.get_mut(path);
+                let Some(node) = node.filter(|n| !path.is_empty() && n.may_commit()) else {
                     return Err(format!("COMMIT({tid}) precondition fails"));
-                }
-                if self.commit_requested.get(tid) != Some(value) {
+                };
+                if node.commit_value.as_ref() != Some(value) {
                     return Err(format!("COMMIT({tid}) value differs from request"));
                 }
-                self.committed.insert(tid.clone(), value.clone());
-                self.returned.insert(tid.clone());
-                self.note_returned(tid);
+                let before = node.status;
+                node.status |= COMMITTED;
+                self.child_returned(path, before);
                 Ok(())
             }
             TxnOp::Abort { tid } => {
-                if !self.abort_enabled(tid) {
+                let path = tid.path();
+                let node = self.awaiting_create_mut(path);
+                let Some(node) = node.filter(|_| !path.is_empty()) else {
                     return Err(format!("ABORT({tid}) precondition fails"));
-                }
-                self.aborted.insert(tid.clone());
-                self.returned.insert(tid.clone());
-                self.note_returned(tid);
+                };
+                let before = node.status;
+                node.status |= ABORTED;
+                self.child_returned(path, before);
                 Ok(())
             }
         }
@@ -358,9 +414,10 @@ mod tests {
         let mut s = SerialScheduler::new();
         s.apply(&create(&[])).unwrap();
         s.apply(&req(&[0])).unwrap();
-        assert!(s.abort_enabled(&t(&[0])));
+        let abort = TxnOp::Abort { tid: t(&[0]) };
+        assert!(s.enabled_outputs().contains(&abort));
         s.apply(&create(&[0])).unwrap();
-        assert!(!s.abort_enabled(&t(&[0])));
+        assert!(!s.enabled_outputs().contains(&abort));
         assert!(s
             .apply(&TxnOp::Abort { tid: t(&[0]) })
             .is_err());
@@ -449,17 +506,22 @@ mod tests {
     /// nested schedule (creation, nesting, commits, and aborts).
     #[test]
     fn counter_predicates_match_the_quantified_preconditions() {
-        let brute_quiet = |s: &SerialScheduler, x: &Tid| {
-            s.created
-                .iter()
-                .filter(|c| c.is_sibling_of(x))
-                .all(|c| s.returned.contains(c))
+        let in_set = |s: &SerialScheduler, x: &Tid, bits: u8| {
+            s.nodes.get(x).is_some_and(|n| n.status & bits != 0)
         };
+        // `siblings(x) ∩ created ⊆ returned`
+        let brute_quiet = |s: &SerialScheduler, x: &Tid| {
+            s.nodes
+                .iter()
+                .filter(|(c, n)| n.status & CREATED != 0 && c.is_sibling_of(x))
+                .all(|(_, n)| n.returned())
+        };
+        // `children(x) ∩ create-requested ⊆ returned`
         let brute_children = |s: &SerialScheduler, x: &Tid| {
-            s.create_requested
-                .keys()
-                .filter(|c| c.is_child_of(x))
-                .all(|c| s.returned.contains(c))
+            s.nodes
+                .iter()
+                .filter(|(c, n)| n.status & REQUESTED != 0 && c.is_child_of(x))
+                .all(|(_, n)| n.returned())
         };
         let rc = |path: &[u32], v: Value| TxnOp::RequestCommit {
             tid: t(path),
@@ -502,23 +564,266 @@ mod tests {
             s.apply(&op).unwrap_or_else(|e| panic!("{op:?}: {e}"));
             for p in &probes {
                 // `siblings_quiet` is only consulted for a `p` that is not
-                // itself created-and-unreturned (see `create_enabled`); an
-                // active `p` counts itself in the parent's counter.
-                if !s.created.contains(p) || s.returned.contains(p) {
+                // itself created-and-unreturned (see `awaiting_create_mut`);
+                // an active `p` counts itself in the parent's counter.
+                if !in_set(&s, p, CREATED) || in_set(&s, p, COMMITTED | ABORTED) {
                     assert_eq!(
-                        s.siblings_quiet(p),
+                        s.siblings_quiet(p.path()),
                         brute_quiet(&s, p),
                         "siblings_quiet({p}) diverged after {op:?}"
                     );
                 }
                 assert_eq!(
-                    s.children_returned(p),
+                    s.nodes.get(p).is_none_or(|n| n.pending_children == 0),
                     brute_children(&s, p),
-                    "children_returned({p}) diverged after {op:?}"
+                    "pending_children({p}) diverged after {op:?}"
                 );
             }
         }
-        assert!(s.committed.contains_key(&t(&[0])));
-        assert!(s.aborted.contains(&t(&[2])));
+        assert!(in_set(&s, &t(&[0]), COMMITTED));
+        assert!(in_set(&s, &t(&[2]), ABORTED));
+    }
+
+    #[test]
+    fn a_parent_that_only_holds_a_counter_enables_nothing() {
+        let mut s = SerialScheduler::new();
+        s.apply(&create(&[])).unwrap();
+        // T0.5 was never requested; its child is.
+        s.apply(&req(&[5, 1])).unwrap();
+        assert_eq!(
+            s.enabled_outputs(),
+            vec![create(&[5, 1]), TxnOp::Abort { tid: t(&[5, 1]) }]
+        );
+        assert!(s.apply(&create(&[5])).is_err());
+        assert!(s.apply(&TxnOp::Abort { tid: t(&[5]) }).is_err());
+        // Requesting the parent afterwards keeps the child it already holds.
+        s.apply(&req(&[5])).unwrap();
+        s.apply(&create(&[5])).unwrap();
+        s.apply(&TxnOp::RequestCommit {
+            tid: t(&[5]),
+            value: Value::Nil,
+        })
+        .unwrap();
+        let commit = TxnOp::Commit {
+            tid: t(&[5]),
+            value: Value::Nil,
+        };
+        assert!(!s.enabled_outputs().contains(&commit));
+        s.apply(&TxnOp::Abort { tid: t(&[5, 1]) }).unwrap();
+        assert!(s.enabled_outputs().contains(&commit));
+    }
+}
+
+/// The node-table scheduler against the paper's literal six sets.
+#[cfg(test)]
+mod differential {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::value::ObjectId;
+
+    /// The serial scheduler exactly as §2.2 writes it: six sets, and the
+    /// two quantified preconditions evaluated by scanning them. Quadratic
+    /// on long flat schedules, which is why it is only the reference.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct SixSetScheduler {
+        create_requested: BTreeMap<Tid, (Option<AccessSpec>, Option<Value>)>,
+        created: BTreeSet<Tid>,
+        commit_requested: BTreeMap<Tid, Value>,
+        committed: BTreeMap<Tid, Value>,
+        aborted: BTreeSet<Tid>,
+        returned: BTreeSet<Tid>,
+    }
+
+    impl SixSetScheduler {
+        fn new() -> Self {
+            let mut s = SixSetScheduler::default();
+            s.create_requested.insert(Tid::root(), (None, None));
+            s
+        }
+
+        fn create_enabled(&self, t: &Tid) -> bool {
+            self.create_requested.contains_key(t)
+                && !self.created.contains(t)
+                && !self.aborted.contains(t)
+                && self
+                    .created
+                    .iter()
+                    .filter(|c| c.is_sibling_of(t))
+                    .all(|c| self.returned.contains(c))
+        }
+
+        fn commit_enabled(&self, t: &Tid) -> bool {
+            !t.is_root()
+                && self.commit_requested.contains_key(t)
+                && !self.returned.contains(t)
+                && self
+                    .create_requested
+                    .keys()
+                    .filter(|c| c.is_child_of(t))
+                    .all(|c| self.returned.contains(c))
+        }
+
+        fn enabled_outputs(&self) -> Vec<TxnOp> {
+            let mut out = Vec::new();
+            for (t, (access, param)) in &self.create_requested {
+                if self.create_enabled(t) {
+                    out.push(TxnOp::Create {
+                        tid: t.clone(),
+                        access: access.clone(),
+                        param: param.clone(),
+                    });
+                    if !t.is_root() {
+                        out.push(TxnOp::Abort { tid: t.clone() });
+                    }
+                }
+            }
+            for (t, v) in &self.commit_requested {
+                if self.commit_enabled(t) {
+                    out.push(TxnOp::Commit {
+                        tid: t.clone(),
+                        value: v.clone(),
+                    });
+                }
+            }
+            out
+        }
+
+        fn apply(&mut self, op: &TxnOp) -> Result<(), String> {
+            match op {
+                TxnOp::RequestCreate { tid, access, param } => {
+                    self.create_requested
+                        .entry(tid.clone())
+                        .or_insert_with(|| (access.clone(), param.clone()));
+                }
+                TxnOp::RequestCommit { tid, value } => {
+                    self.commit_requested
+                        .entry(tid.clone())
+                        .or_insert_with(|| value.clone());
+                }
+                TxnOp::Create { tid, .. } => {
+                    if !self.create_enabled(tid) {
+                        return Err(format!("CREATE({tid}) precondition fails"));
+                    }
+                    self.created.insert(tid.clone());
+                }
+                TxnOp::Commit { tid, value } => {
+                    if !self.commit_enabled(tid) {
+                        return Err(format!("COMMIT({tid}) precondition fails"));
+                    }
+                    if self.commit_requested.get(tid) != Some(value) {
+                        return Err(format!("COMMIT({tid}) value differs from request"));
+                    }
+                    self.committed.insert(tid.clone(), value.clone());
+                    self.returned.insert(tid.clone());
+                }
+                TxnOp::Abort { tid } => {
+                    if tid.is_root() || !self.create_enabled(tid) {
+                        return Err(format!("ABORT({tid}) precondition fails"));
+                    }
+                    self.aborted.insert(tid.clone());
+                    self.returned.insert(tid.clone());
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// The paper's sets, read back out of the node table.
+    fn six_sets_of(s: &SerialScheduler) -> SixSetScheduler {
+        let mut r = SixSetScheduler::default();
+        for (t, n) in &s.nodes {
+            if n.status & REQUESTED != 0 {
+                r.create_requested.insert(t.clone(), n.payload.clone());
+            }
+            if n.status & CREATED != 0 {
+                r.created.insert(t.clone());
+            }
+            if let Some(v) = &n.commit_value {
+                r.commit_requested.insert(t.clone(), v.clone());
+                if n.status & COMMITTED != 0 {
+                    r.committed.insert(t.clone(), v.clone());
+                }
+            }
+            if n.status & ABORTED != 0 {
+                r.aborted.insert(t.clone());
+            }
+            if n.returned() {
+                r.returned.insert(t.clone());
+            }
+        }
+        r
+    }
+
+    /// One generated step: `pick` chooses between an enabled output of the
+    /// scheduler (so runs make progress down the tree) and an arbitrary,
+    /// usually ill-formed, operation built from the other three fields.
+    type Step = (u8, u8, Vec<u32>, u8);
+
+    fn arbitrary_op(kind: u8, path: &[u32], v: u8) -> TxnOp {
+        let tid = Tid::from_path(path);
+        let value = if v == 0 {
+            Value::Nil
+        } else {
+            Value::Int(i64::from(v))
+        };
+        match kind {
+            0 => TxnOp::request_create(tid),
+            1 => TxnOp::RequestCreate {
+                tid,
+                access: Some(AccessSpec::write(ObjectId(0), value.clone())),
+                param: Some(value),
+            },
+            2 => TxnOp::RequestCommit { tid, value },
+            3 => TxnOp::Create {
+                tid,
+                access: None,
+                param: None,
+            },
+            4 => TxnOp::Commit { tid, value },
+            _ => TxnOp::Abort { tid },
+        }
+    }
+
+    proptest! {
+        /// Names come from a tree of fan-out 3 and depth ≤ 3, so repeats —
+        /// a second `REQUEST-CREATE`, `REQUEST-COMMIT` of a name nobody
+        /// requested, `ABORT` after `CREATE`, `COMMIT` before `CREATE`,
+        /// children of a parent that was never requested — are common.
+        #[test]
+        fn node_table_agrees_with_the_six_sets(
+            steps in prop::collection::vec(
+                (0u8..8, 0u8..6, prop::collection::vec(0u32..3, 0..4), 0u8..3),
+                1..80,
+            ),
+        ) {
+            let steps: Vec<Step> = steps;
+            let mut fast = SerialScheduler::new();
+            let mut slow = SixSetScheduler::new();
+            for (pick, kind, path, v) in steps {
+                let enabled = fast.enabled_outputs();
+                let op = if pick < 5 && !enabled.is_empty() {
+                    enabled[(usize::from(kind) * 3 + usize::from(v)) % enabled.len()].clone()
+                } else {
+                    arbitrary_op(kind, &path, v)
+                };
+                prop_assert_eq!(fast.apply(&op), slow.apply(&op), "apply({:?})", &op);
+                prop_assert_eq!(fast.enabled_outputs(), slow.enabled_outputs(), "after {:?}", &op);
+                prop_assert_eq!(&six_sets_of(&fast), &slow, "state after {:?}", &op);
+
+                let copy = fast.clone_boxed();
+                prop_assert_eq!(copy.enabled_outputs(), slow.enabled_outputs());
+            }
+            // A copy taken mid-run is independent of, and resets like, the
+            // original.
+            let mut copy = fast.clone_boxed();
+            copy.reset();
+            prop_assert_eq!(copy.enabled_outputs(), SixSetScheduler::new().enabled_outputs());
+            prop_assert_eq!(fast.enabled_outputs(), slow.enabled_outputs());
+            fast.reset();
+            prop_assert_eq!(&six_sets_of(&fast), &SixSetScheduler::new());
+        }
     }
 }

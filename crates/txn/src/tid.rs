@@ -1,7 +1,8 @@
 //! Transaction names, organised into a tree.
 
+use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// A transaction name: a path from the root `T0` of the transaction tree
 /// (paper §2.2, the *system type*).
@@ -33,16 +34,18 @@ pub struct Tid(Arc<[u32]>);
 
 impl Tid {
     /// The root transaction `T0`, which models the external environment.
+    ///
+    /// Every call shares one allocation.
     pub fn root() -> Self {
-        Tid(Arc::from([] as [u32; 0]))
+        static ROOT: LazyLock<Tid> = LazyLock::new(|| Tid(Arc::from([] as [u32; 0])));
+        ROOT.clone()
     }
 
     /// The `index`-th child of this transaction.
     pub fn child(&self, index: u32) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(index);
-        Tid(Arc::from(v))
+        // An exact-size iterator lets `Arc` allocate the path once, with no
+        // intermediate `Vec`.
+        Tid(self.0.iter().copied().chain([index]).collect())
     }
 
     /// Construct from an explicit path (root = empty path).
@@ -108,7 +111,9 @@ impl Tid {
 
     /// Whether `self` is a child of `other`.
     pub fn is_child_of(&self, other: &Tid) -> bool {
-        self.parent().as_ref() == Some(other)
+        self.0
+            .split_last()
+            .is_some_and(|(_, parent)| parent == &*other.0)
     }
 
     /// The least common ancestor of two names.
@@ -120,6 +125,16 @@ impl Tid {
             .take_while(|(a, b)| a == b)
             .count();
         Tid(Arc::from(&self.0[..n]))
+    }
+}
+
+/// A `Tid` hashes, compares and orders exactly as its path does, so ordered
+/// tables keyed by `Tid` can be probed with a borrowed path — in particular
+/// with the parent's path, `&t.path()[..t.depth() - 1]`, without building
+/// the parent's name.
+impl Borrow<[u32]> for Tid {
+    fn borrow(&self) -> &[u32] {
+        &self.0
     }
 }
 
@@ -210,6 +225,18 @@ mod tests {
         let c = p.child(0);
         assert!(p < c);
         assert!(Tid::root() < p);
+    }
+
+    #[test]
+    fn borrowed_paths_probe_tables_keyed_by_tid() {
+        use std::collections::{BTreeMap, HashSet};
+        let t = Tid::from_path(&[4, 2]);
+        let by_order: BTreeMap<Tid, u8> = [(t.parent().unwrap(), 1), (t.clone(), 2)].into();
+        assert_eq!(by_order.get(&t.path()[..1]), Some(&1));
+        assert_eq!(by_order.get(t.path()), Some(&2));
+        let by_hash: HashSet<Tid> = [t.clone()].into();
+        assert!(by_hash.contains(&[4u32, 2][..]));
+        assert!(!by_hash.contains(&[4u32][..]));
     }
 
     #[test]

@@ -18,6 +18,13 @@ echo "==> simulator fault/determinism/observability suites"
 cargo test -q -p qc-sim --test determinism --test faults --test fault_props \
   --test obs --test metrics_props
 
+echo "==> Theorem 10 oracle suites (scheduler differential, oracle_alloc)"
+# The node-table serial scheduler against the paper's literal six sets on
+# random, partly ill-formed operation sequences; and check_trace's
+# allocation contract (per transaction, never per α operation or event).
+cargo test -q -p nested-txn --lib scheduler::differential
+cargo test -q -p qc-sim --test oracle_alloc
+
 echo "==> nested-transaction workload suites (txn_workload_props, txn_determinism)"
 cargo test -q -p qc-sim --test txn_workload_props --test txn_determinism
 
