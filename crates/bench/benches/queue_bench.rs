@@ -1,10 +1,20 @@
 //! Criterion benches for the event-queue implementations: the calendar
-//! queue (the simulators' default) against the binary-heap oracle, under
-//! the classic *hold* model — a steady-state queue of N pending events
-//! where each iteration pops the minimum and schedules a successor at
-//! `popped time + delay`. That is exactly the simulators' traffic
-//! pattern, and the delay distribution is the variable that separates the
-//! two implementations:
+//! queue (the simulators' default) against the binary-heap oracle.
+//!
+//! `queue_shape/<name>/{calendar,heap}` replays a script recorded from the
+//! drivers' own loop (`crates/sim/tests/queue_shapes`) — one pre-drawn
+//! script per shape, the identical operations through both queues, so a
+//! row pair differs in the queue and nothing else: `periodic` is the routed
+//! sharded driver's hot shard (12 500 heterogeneous periodic streams),
+//! `bimodal` the faulted single-item driver's 8 round-trip timers beside 14
+//! timers seconds away, `drift` a migration barrier taking the hottest
+//! streams away mid-script. Read per element: one element is one queue
+//! operation.
+//!
+//! `queue_hold/…` is the classic *hold* model with iid delays — a
+//! steady-state queue of N pending events where each iteration pops the
+//! minimum and schedules a successor at `popped time + delay` — under
+//! three delay distributions:
 //!
 //! * **near-future** — uniform 200–600 µs, the LAN round-trip band: every
 //!   event lands within a bucket-day or two of the virtual clock, the
@@ -18,8 +28,12 @@
 //! The recorded ops/s land in `results/BENCH_hotpath.json` (`event_queue`
 //! section) via `exp_throughput`; this bench is the interactive view.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+#[path = "../../sim/tests/queue_shapes/mod.rs"]
+mod queue_shapes;
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qc_sim::{CalendarQueue, EventQueue, HeapQueue, SimTime};
+use queue_shapes::{apply, Op};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -76,5 +90,30 @@ fn bench_hold(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_hold);
+/// Replay a whole script on a fresh queue; the checksum keeps the pops live.
+fn replay<Q: EventQueue<u64>>(mut q: Q, script: &[Op]) -> u64 {
+    let mut sum = 0u64;
+    for &op in script {
+        if let Some((t, seq)) = apply(&mut q, op) {
+            sum = sum.wrapping_mul(31).wrapping_add(t ^ seq);
+        }
+    }
+    sum
+}
+
+fn bench_shapes(c: &mut Criterion) {
+    for shape in queue_shapes::all(23, 1).into_iter().take(3) {
+        let mut g = c.benchmark_group(format!("queue_shape/{}", shape.name));
+        g.throughput(Throughput::Elements(shape.script.len() as u64));
+        g.bench_function("calendar", |b| {
+            b.iter(|| replay(CalendarQueue::new(), &shape.script));
+        });
+        g.bench_function("heap", |b| {
+            b.iter(|| replay(HeapQueue::new(), &shape.script));
+        });
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_shapes, bench_hold);
 criterion_main!(benches);

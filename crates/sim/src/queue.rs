@@ -1,41 +1,40 @@
 //! Pending-event queues for the discrete-event loops.
 //!
-//! Both simulators (`sim.rs`, `shard.rs`) drive a loop of timestamped
-//! events ordered by `(time, seq)` — `seq` is a per-simulation push counter
-//! that makes the order total, so FIFO among same-instant events. The queue
-//! is the innermost data structure of the whole workspace: every message
-//! round trip, retry backoff and site repair passes through one push and
-//! one pop.
+//! All three simulators (`sim.rs`, `shard.rs`, `txn_workload.rs`) drive a
+//! loop of timestamped events ordered by `(time, seq)` — `seq` is a
+//! per-simulation push counter that makes the order total, so FIFO among
+//! same-instant events. Every round trip, backoff, arrival and repair is
+//! one push and one pop of this, the innermost structure of the workspace.
+//! Two implementations sit behind [`EventQueue`] and pop in **bit-identical**
+//! order (`tests/queue_props.rs` and the digest-identity tests pin it), so
+//! the configs' `queue` field ([`QueueKind`]) never shows in a digest:
 //!
-//! Two implementations sit behind the [`EventQueue`] trait:
-//!
-//! * [`CalendarQueue`] — the default. An indexed calendar queue (Brown
-//!   1988): a power-of-two array of buckets, each a "day" of `width`
-//!   simulated microseconds; an event at time `t` lives in bucket
-//!   `(t / width) mod nbuckets`. Enqueue is O(1) (append to the day's
-//!   bucket); dequeue scans forward from the current virtual day and, on
-//!   first touch of a dirty bucket, sorts it descending so the bucket's
-//!   minimum pops from the `Vec` tail in O(1). The bucket count doubles or
-//!   halves on load-factor thresholds and the width is re-derived from the
-//!   observed event-time span, keeping ~one event per bucket-day for the
-//!   dominant near-future timers. A full-year scan with no hit (a sparse
-//!   horizon, e.g. only repair timers seconds away) falls back to a direct
-//!   min search over all buckets.
-//! * [`HeapQueue`] — the `BinaryHeap` the simulators shipped with, kept as
-//!   the *slow-path oracle* (the same strategy PR 1 used for `FullReplay`):
-//!   the property suite replays arbitrary interleaved push/pop sequences
-//!   against it and the determinism suites can be forced onto it wholesale.
-//!
-//! Selection: [`QueueKind::from_env`] reads `QC_EVENT_QUEUE`
-//! (`heap` / `calendar`); the configs' `queue` field defaults from it, so
-//! CI runs the whole determinism surface once per implementation. Both
-//! implementations pop in **bit-identical** `(time, seq)` order — the
-//! property suite (`tests/queue_props.rs`) and the cross-implementation
-//! digest tests pin this, which is what makes the calendar queue
-//! observationally invisible under every pinned digest and golden trace.
+//! * [`CalendarQueue`] — the default. A calendar queue (Brown 1988): a
+//!   power-of-two ring of buckets, each one "day" of `width` (a power of
+//!   two) simulated µs; an event at `t` lives in bucket
+//!   `(t / width) mod nbuckets`, and every bucket is kept ascending, so an
+//!   in-order insert is a plain tail push and a pop takes the head of the
+//!   first bucket whose head falls in the day being scanned. The geometry
+//!   follows the traffic served rather than a guess at it:
+//!   - *width*: reviewed once per window of `max(len, 64)` pops. If the
+//!     window cost more than two steps a pop (buckets skipped + elements
+//!     moved) and three times its mean simulated pop gap is more than 2×
+//!     away from the width, the width becomes that, to the nearest power of
+//!     two. The pop rate is what a pop pays for, whatever the horizon: 8
+//!     round-trip timers beside 14 repair timers seconds away, or the routed
+//!     sharded driver's pending arrival per item (12 500 periodic streams
+//!     on the hot shard at t = 0, periods 645 µs – 7 s).
+//!   - *bucket count*: doubles at once when `len > 2·nbuckets`; shrinks
+//!     only at a review, to fit the window's peak `len`, so a length that
+//!     swings inside a window (nested transactions) never thrashes.
+//!   - *sparse horizon*: a full-year scan with no hit falls back to a
+//!     direct search over the bucket heads and takes `nbuckets / 4` pops
+//!     off the window, so a width far too small is reviewed early.
+//! * [`HeapQueue`] — a `BinaryHeap`, order-safe by construction: the
+//!   *oracle* of the property suite and of every digest-identity test.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -58,7 +57,7 @@ pub trait EventQueue<E: Copy> {
     fn pop_at(&mut self, time: SimTime) -> Option<(u64, E)>;
 
     /// The timestamp of the minimum entry (None when empty). Takes `&mut`
-    /// because the calendar queue may sort a bucket to answer.
+    /// because the calendar queue advances its scan cursor to answer.
     fn next_time(&mut self) -> Option<SimTime>;
 
     /// Number of queued events.
@@ -93,21 +92,7 @@ pub enum QueueKind {
     Heap,
 }
 
-impl QueueKind {
-    /// Read the implementation choice from the `QC_EVENT_QUEUE`
-    /// environment variable: `heap` (any case) forces the oracle,
-    /// everything else (including unset) selects the calendar queue.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("QC_EVENT_QUEUE") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-            _ => QueueKind::Calendar,
-        }
-    }
-}
-
-/// The binary-heap implementation — the pre-calendar event queue, retained
-/// verbatim as the correctness oracle.
+/// The binary-heap implementation — the correctness oracle.
 #[derive(Clone, Debug, Default)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<HeapEntry<E>>>,
@@ -186,33 +171,35 @@ impl<E: Copy> EventQueue<E> for HeapQueue<E> {
     }
 }
 
-/// Smallest bucket count the calendar shrinks down to.
+/// Smallest bucket count, widest bucket (µs; day arithmetic cannot
+/// overflow) and shortest review window (pops) a review will pick.
 const MIN_BUCKETS: usize = 8;
-/// Widest bucket the resize policy will pick (µs) — keeps the
-/// `(t / width) * width` arithmetic far from overflow.
 const MAX_WIDTH: u64 = 1 << 40;
+const MIN_WINDOW: usize = 64;
 
-/// An indexed calendar queue over `(time, seq)`-ordered events.
-///
-/// See the module docs for the design; the resize policy is: grow
-/// (double) when `len > 2·nbuckets`, shrink (halve, floor
-/// [`MIN_BUCKETS`]) when `len < nbuckets / 4`, and on every resize
-/// re-derive the bucket width as the mean gap `span / len` of the events
-/// present (clamped to `[1, MAX_WIDTH]`).
+/// A calendar queue over `(time, seq)`-ordered events whose geometry
+/// follows the traffic it serves; the module docs state the policy.
 #[derive(Clone, Debug)]
 pub struct CalendarQueue<E> {
-    /// `buckets[b]` holds events with `(t / width) % nbuckets == b`,
-    /// sorted descending by `(time, seq)` when `clean[b]`.
-    buckets: Vec<Vec<(u64, u64, E)>>,
-    clean: Vec<bool>,
-    /// `nbuckets - 1`; bucket count is a power of two.
-    mask: usize,
-    /// Bucket width in simulated µs (≥ 1).
-    width: u64,
+    /// `buckets[b]`: the events with `(t >> shift) % nbuckets == b`,
+    /// ascending by `(time, seq)`; a power of two of them.
+    buckets: Vec<VecDeque<(u64, u64, E)>>,
+    shift: u32,
     len: usize,
     /// Monotone lower bound on the next pop time (the virtual clock):
     /// every queued event has `time >= floor`.
     floor: u64,
+    /// Pops so far, and the count at which the review window closes.
+    pops: u64,
+    review_at: u64,
+    /// The window's opening pop — its time, its number, the steps
+    /// (`work[1] + work[2]`) taken before it — and the largest `len` since.
+    window_start: u64,
+    window_from: u64,
+    window_steps: u64,
+    peak: usize,
+    /// Geometry changes, buckets skipped, elements moved.
+    work: [u64; 3],
 }
 
 impl<E: Copy> Default for CalendarQueue<E> {
@@ -222,128 +209,155 @@ impl<E: Copy> Default for CalendarQueue<E> {
 }
 
 impl<E: Copy> CalendarQueue<E> {
-    /// An empty calendar queue with the initial geometry
-    /// ([`MIN_BUCKETS`] buckets of 256 µs — roughly one LAN round trip per
-    /// day, immediately re-derived once the load factor moves).
+    /// Empty, [`MIN_BUCKETS`] days of 256 µs (about a LAN round trip).
     #[must_use]
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            clean: vec![true; MIN_BUCKETS],
-            mask: MIN_BUCKETS - 1,
-            width: 256,
+            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            shift: 8,
             len: 0,
             floor: 0,
+            pops: 0,
+            review_at: 1,
+            window_start: 0,
+            window_from: 1,
+            window_steps: 0,
+            peak: 0,
+            work: [0; 3],
         }
     }
 
-    /// Current bucket count (for the resize-boundary tests).
+    /// Current bucket count (for the geometry tests).
     #[must_use]
     pub fn nbuckets(&self) -> usize {
         self.buckets.len()
     }
 
-    /// Current bucket width in µs (for the resize-boundary tests).
+    /// Current bucket width in µs (for the geometry tests).
     #[must_use]
     pub fn width(&self) -> u64 {
-        self.width
+        1 << self.shift
     }
 
-    #[inline]
-    fn bucket_of(&self, t: u64) -> usize {
-        ((t / self.width) as usize) & self.mask
+    /// `[geometry changes, buckets skipped by scans, elements moved by
+    /// ordered inserts and geometry changes]` so far — observation only.
+    #[doc(hidden)]
+    pub fn work(&self) -> [u64; 3] {
+        self.work
     }
 
+    /// Insert into the owning bucket, keeping it ascending: enter at the
+    /// end of the half the event belongs to and sink to its slot. The
+    /// in-order tail push and a new bucket minimum take no step at all.
     #[inline]
-    fn ensure_sorted(&mut self, b: usize) {
-        if !self.clean[b] {
-            // Descending by (time, seq): the bucket minimum is the tail.
-            self.buckets[b].sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
-            self.clean[b] = true;
+    fn place(&mut self, e: (u64, u64, E)) {
+        let b = (e.0 >> self.shift) as usize & (self.buckets.len() - 1);
+        let bucket = &mut self.buckets[b];
+        let key = |x: &(u64, u64, E)| (x.0, x.1);
+        let mut i = bucket.len();
+        if i > 0 && key(&e) < key(&bucket[i / 2]) {
+            bucket.push_front(e);
+            i = 0;
+            // Stops by the old middle, which is later than `e`.
+            while key(&bucket[i + 1]) < key(&e) {
+                bucket.swap(i, i + 1);
+                i += 1;
+                self.work[2] += 1;
+            }
+        } else {
+            bucket.push_back(e);
+            while i > 0 && key(&bucket[i - 1]) > key(&e) {
+                bucket.swap(i - 1, i);
+                i -= 1;
+                self.work[2] += 1;
+            }
         }
     }
 
-    /// Locate the minimum entry: `(time, bucket)`. Scans one full year
-    /// from `floor`, then falls back to a direct min search (sparse
-    /// horizon). Also advances `floor` to the found minimum — safe because
-    /// nothing earlier can exist.
+    /// Locate the minimum entry, `(time, bucket)`: scan one full year from
+    /// `floor`, then fall back to a direct search (sparse horizon). Advances
+    /// `floor` to the minimum found — safe, nothing earlier can exist.
     fn locate_min(&mut self) -> Option<(u64, usize)> {
         if self.len == 0 {
             return None;
         }
         let nb = self.buckets.len();
-        let mut b = self.bucket_of(self.floor);
+        let (day, width) = (self.floor >> self.shift, 1 << self.shift);
+        let mut b = day as usize & (nb - 1);
         // End of bucket `b`'s current day window.
-        let mut top = (self.floor / self.width)
-            .saturating_add(1)
-            .saturating_mul(self.width);
-        for _ in 0..nb {
-            self.ensure_sorted(b);
-            if let Some(&(t, _, _)) = self.buckets[b].last() {
+        let mut top = day.saturating_add(1).saturating_mul(width);
+        for i in 0..nb {
+            if let Some(&(t, _, _)) = self.buckets[b].front() {
                 if t < top {
                     self.floor = t;
+                    self.work[1] += i as u64;
                     return Some((t, b));
                 }
             }
-            b = (b + 1) & self.mask;
-            top = top.saturating_add(self.width);
+            b = (b + 1) & (nb - 1);
+            top = top.saturating_add(width);
         }
-        // Nothing within one calendar year of `floor`: direct search.
-        let mut best: Option<(u64, u64, usize)> = None;
-        for b in 0..nb {
-            self.ensure_sorted(b);
-            if let Some(&(t, seq, _)) = self.buckets[b].last() {
-                if best.is_none_or(|(bt, bs, _)| (t, seq) < (bt, bs)) {
-                    best = Some((t, seq, b));
-                }
-            }
-        }
-        let (t, _, b) = best.expect("len > 0 but no bucket minimum");
+        // Nothing within one calendar year of `floor`: direct search. A
+        // time maps to one bucket, so the least head time names it.
+        self.work[1] += 2 * nb as u64;
+        self.review_at = self.review_at.saturating_sub(nb as u64 / 4);
+        let heads = self.buckets.iter().enumerate();
+        let (t, b) = (heads.filter_map(|(b, q)| Some((q.front()?.0, b))).min())
+            .expect("len > 0 but every bucket is empty");
         self.floor = t;
         Some((t, b))
     }
 
-    fn resize(&mut self, nbuckets: usize) {
-        let mut entries: Vec<(u64, u64, E)> = Vec::with_capacity(self.len);
+    /// Re-bucket every event; the buckets keep their allocations.
+    fn regeometry(&mut self, nbuckets: usize, width: u64) {
+        let mut spill = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
-            entries.append(b);
+            spill.extend(b.drain(..));
         }
-        // Bucket width from the *median* inter-event gap of a sorted
-        // sample, aiming at a few events per bucket-day. The median (not
-        // the mean `span / len`) is what makes skewed horizons work: under
-        // a 90/10 LAN-body/WAN-tail mix the mean gap is dominated by the
-        // far tail and would lump the entire dense body into one hot
-        // bucket, degrading every pop to a resort of that bucket. A
-        // same-instant flood degenerates to width 1 (equal times share a
-        // day no matter what).
-        let width = if entries.len() >= 2 {
-            let step = (entries.len() / 64).max(1);
-            let mut sample: Vec<u64> = entries.iter().step_by(step).map(|&(t, _, _)| t).collect();
-            sample.sort_unstable();
-            let mut gaps: Vec<u64> = sample.windows(2).map(|w| w[1] - w[0]).collect();
-            gaps.sort_unstable();
-            let median = gaps[gaps.len() / 2];
-            median.saturating_mul(4).clamp(1, MAX_WIDTH)
-        } else {
-            self.width
-        };
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.clean = vec![true; nbuckets];
-        self.mask = nbuckets - 1;
-        self.width = width;
-        for (t, seq, e) in entries {
-            let b = self.bucket_of(t);
-            self.buckets[b].push((t, seq, e));
-            self.clean[b] = self.buckets[b].len() <= 1;
+        self.buckets.resize_with(nbuckets, VecDeque::new);
+        self.shift = width.trailing_zeros();
+        self.work[0] += 1;
+        self.work[2] += spill.len() as u64;
+        for e in spill {
+            self.place(e);
         }
+    }
+
+    /// Close the review window at the pop of time `now`, open the next.
+    #[cold]
+    fn review(&mut self, now: u64) {
+        let popped = self.pops - self.window_from;
+        let (mut nbuckets, mut width) = (self.buckets.len(), self.width());
+        // A cheap geometry is left alone: the mean gap of a short window
+        // is noisy (bursts between silences), a change moves every element.
+        if self.work[1] + self.work[2] - self.window_steps > 2 * popped && popped > 0 {
+            let elapsed = now.saturating_sub(self.window_start);
+            let target = (elapsed.saturating_mul(3) / popped).clamp(1, MAX_WIDTH);
+            if target > 2 * width || width > 2 * target {
+                // The power of two within 3/4 – 3/2 of `target`.
+                width = 1 << (target * 4 / 3).ilog2();
+            }
+        }
+        if self.peak * 4 < nbuckets {
+            nbuckets = self.peak.next_power_of_two().max(MIN_BUCKETS);
+        }
+        if (nbuckets, width) != (self.buckets.len(), self.width()) {
+            self.regeometry(nbuckets, width);
+        }
+        (self.window_start, self.window_from, self.peak) = (now, self.pops, self.len);
+        self.window_steps = self.work[1] + self.work[2];
+        self.review_at = self.pops + self.len.max(MIN_WINDOW) as u64;
     }
 
     #[inline]
     fn take_from(&mut self, b: usize) -> (u64, u64, E) {
-        let entry = self.buckets[b].pop().expect("located bucket is nonempty");
+        let entry = self.buckets[b]
+            .pop_front()
+            .expect("located bucket is nonempty");
         self.len -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            self.resize(self.buckets.len() / 2);
+        self.pops += 1;
+        if self.pops >= self.review_at {
+            self.review(entry.0);
         }
         entry
     }
@@ -353,14 +367,14 @@ impl<E: Copy> EventQueue<E> for CalendarQueue<E> {
     fn push(&mut self, time: SimTime, seq: u64, event: E) {
         let t = time.as_micros();
         debug_assert!(t >= self.floor, "events cannot be scheduled in the past");
-        let b = self.bucket_of(t);
-        self.buckets[b].push((t, seq, event));
-        // A one-element bucket is trivially sorted; appending to a longer
-        // one usually is not — resolve lazily at first pop touch.
-        self.clean[b] = self.buckets[b].len() <= 1;
+        self.place((t, seq, event));
         self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
+        // `len <= 2·nbuckets` held before, so only a new peak can break it.
+        if self.len > self.peak {
+            self.peak = self.len;
+            if self.len > 2 * self.buckets.len() {
+                self.regeometry(self.buckets.len() * 2, self.width());
+            }
         }
     }
 
@@ -371,13 +385,10 @@ impl<E: Copy> EventQueue<E> for CalendarQueue<E> {
     }
 
     fn pop_at(&mut self, time: SimTime) -> Option<(u64, E)> {
-        match self.locate_min() {
-            Some((t, b)) if t == time.as_micros() => {
-                let (_, seq, e) = self.take_from(b);
-                Some((seq, e))
-            }
-            _ => None,
-        }
+        let (t, b) = self.locate_min()?;
+        (t == time.as_micros())
+            .then(|| self.take_from(b))
+            .map(|(_, seq, e)| (seq, e))
     }
 
     fn next_time(&mut self) -> Option<SimTime> {
@@ -390,8 +401,10 @@ impl<E: Copy> EventQueue<E> for CalendarQueue<E> {
 
     fn rewind(&mut self, t: SimTime) {
         // A floor below the true queue minimum only lengthens the next
-        // scan; a floor above it breaks pop order, so only move back.
+        // scan; a floor above it breaks pop order, so only move back. The
+        // review window starts no later than the clock it measures.
         self.floor = self.floor.min(t.as_micros());
+        self.window_start = self.window_start.min(t.as_micros());
     }
 }
 
@@ -416,53 +429,40 @@ impl<E: Copy> QueueImpl<E> {
     }
 }
 
+/// Forward one [`EventQueue`] call to the implementation inside.
+macro_rules! forward {
+    ($this:ident, $q:ident => $call:expr) => {
+        match $this {
+            QueueImpl::Calendar($q) => $call,
+            QueueImpl::Heap($q) => $call,
+        }
+    };
+}
+
 impl<E: Copy> EventQueue<E> for QueueImpl<E> {
     #[inline]
     fn push(&mut self, time: SimTime, seq: u64, event: E) {
-        match self {
-            QueueImpl::Calendar(q) => q.push(time, seq, event),
-            QueueImpl::Heap(q) => q.push(time, seq, event),
-        }
+        forward!(self, q => q.push(time, seq, event));
     }
-
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        match self {
-            QueueImpl::Calendar(q) => q.pop(),
-            QueueImpl::Heap(q) => q.pop(),
-        }
+        forward!(self, q => q.pop())
     }
-
     #[inline]
     fn pop_at(&mut self, time: SimTime) -> Option<(u64, E)> {
-        match self {
-            QueueImpl::Calendar(q) => q.pop_at(time),
-            QueueImpl::Heap(q) => q.pop_at(time),
-        }
+        forward!(self, q => q.pop_at(time))
     }
-
     #[inline]
     fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            QueueImpl::Calendar(q) => q.next_time(),
-            QueueImpl::Heap(q) => q.next_time(),
-        }
+        forward!(self, q => q.next_time())
     }
-
     #[inline]
     fn len(&self) -> usize {
-        match self {
-            QueueImpl::Calendar(q) => q.len(),
-            QueueImpl::Heap(q) => q.len(),
-        }
+        forward!(self, q => q.len())
     }
-
     #[inline]
     fn rewind(&mut self, t: SimTime) {
-        match self {
-            QueueImpl::Calendar(q) => q.rewind(t),
-            QueueImpl::Heap(q) => q.rewind(t),
-        }
+        forward!(self, q => q.rewind(t));
     }
 }
 
@@ -544,43 +544,236 @@ mod tests {
         assert_eq!(q.pop_at(SimTime(10)), None);
     }
 
+    /// One hold step: pop the minimum, reschedule it `delay` later.
+    fn hold(q: &mut CalendarQueue<()>, seq: &mut u64, delay: u64) -> u64 {
+        let (t, _, ()) = q.pop().expect("hold queue never drains");
+        *seq += 1;
+        q.push(t + SimTime(delay), *seq, ());
+        t.as_micros()
+    }
+
     #[test]
-    fn grows_and_shrinks_on_load_factor() {
+    fn grows_on_push_and_shrinks_only_at_a_review() {
         let mut q: CalendarQueue<()> = CalendarQueue::new();
         assert_eq!(q.nbuckets(), MIN_BUCKETS);
         for i in 0..1_000u64 {
             q.push(SimTime(i * 37), i, ());
         }
-        assert!(q.nbuckets() >= 512, "grew to {}", q.nbuckets());
+        // Growth is immediate: `len <= 2·nbuckets` after every push.
+        assert_eq!(q.nbuckets(), 512);
         let mut last = 0;
         for _ in 0..996 {
             let (t, _, ()) = q.pop().unwrap();
             assert!(t.as_micros() >= last);
             last = t.as_micros();
         }
-        assert!(q.nbuckets() <= MIN_BUCKETS * 2, "shrank to {}", q.nbuckets());
+        // The first pop opened a 999-pop window whose peak was 999: no
+        // review yet, so no shrink however short the queue got.
+        assert_eq!((q.len(), q.nbuckets()), (4, 512));
+        // The window closes 4 pops on (peak 999: stays); the next one is
+        // MIN_WINDOW pops with peak 4, and its review fits the buckets.
+        let mut seq = 1_000;
+        for _ in 0..4 + MIN_WINDOW {
+            assert_eq!(q.nbuckets(), 512);
+            hold(&mut q, &mut seq, 4 * 37);
+        }
+        assert_eq!(q.nbuckets(), MIN_BUCKETS);
+        // In-order traffic at 7 events a day cost nothing: width untouched.
+        assert_eq!(
+            (q.work()[0], q.width()),
+            (6 + 1, 256),
+            "six doublings, one shrink"
+        );
+    }
+
+    #[test]
+    fn a_swinging_length_does_not_thrash() {
+        // The nested-transaction driver's shape: bursts of parallel
+        // accesses take `len` from 2 to 20 and back inside every window,
+        // with a silence of 100 ms between bursts.
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        let (mut seq, mut now) = (0u64, 0u64);
+        for round in 0..2_000 {
+            for k in 0..20 {
+                seq += 1;
+                q.push(SimTime(now + 300 + k * 7), seq, ());
+            }
+            for _ in 0..20 {
+                now = q.pop().unwrap().0.as_micros();
+            }
+            now += (round % 3) * 100_000;
+        }
+        assert_eq!(q.nbuckets(), 16);
+        assert!(q.work()[0] <= 3, "{} geometry changes", q.work()[0]);
+    }
+
+    /// One conveyor step: pop the minimum, append an event `gap` after the
+    /// latest one queued, so pops follow at the same spacing.
+    fn convey(q: &mut CalendarQueue<()>, seq: &mut u64, tail: &mut u64, gap: u64) {
+        q.pop().expect("conveyor never drains");
+        (*seq, *tail) = (*seq + 1, *tail + gap);
+        q.push(SimTime(*tail), *seq, ());
+    }
+
+    #[test]
+    fn width_follows_the_pop_rate_when_it_pays() {
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        let (mut seq, mut tail) = (0, 0);
+        for _ in 0..16 {
+            (seq, tail) = (seq + 1, tail + 1_000);
+            q.push(SimTime(tail), seq, ());
+        }
+        // One pop per 1 000 µs skips four 256 µs days a pop: the width
+        // becomes 3 × the gap, to the nearest power of two.
+        for _ in 0..1 + MIN_WINDOW {
+            convey(&mut q, &mut seq, &mut tail, 1_000);
+        }
+        assert_eq!(q.width(), 2_048);
+        // A rate within 2× either way leaves the geometry alone…
+        let before = q.work()[0];
+        for gap in [600, 1_300, 1_000] {
+            for _ in 0..4 * MIN_WINDOW {
+                convey(&mut q, &mut seq, &mut tail, gap);
+            }
+        }
+        assert_eq!((q.width(), q.work()[0]), (2_048, before));
+        // …a 10× slower one is followed…
+        for _ in 0..4 * MIN_WINDOW {
+            convey(&mut q, &mut seq, &mut tail, 10_000);
+        }
+        assert!(matches!(q.width(), 16_384 | 32_768), "{}", q.width());
+        // …and a 100× faster one is not, for as long as a day's worth of
+        // events arriving in order costs nothing to keep in one bucket.
+        let before = (q.width(), q.work());
+        for _ in 0..8 * MIN_WINDOW {
+            convey(&mut q, &mut seq, &mut tail, 100);
+        }
+        let after = q.work();
+        assert_eq!((q.width(), after[0]), (before.0, before.1[0]));
+        // All of it while the last 16 slow events drained.
+        assert!(after[1] + after[2] - before.1[1] - before.1[2] <= 16);
     }
 
     #[test]
     fn sparse_horizon_falls_back_to_direct_search() {
         let mut q = CalendarQueue::new();
-        // Force a tiny width, then queue events years apart.
-        for i in 0..32u64 {
-            q.push(SimTime(i), i, ());
+        for i in 0..200u64 {
+            q.push(SimTime(i / 4), i, ());
         }
-        for i in 0..32u64 {
-            assert_eq!(q.pop(), Some((SimTime(i), i, ())));
+        for i in 0..200u64 {
+            assert_eq!(q.pop(), Some((SimTime(i / 4), i, ())));
         }
-        q.push(SimTime(40_000_000_000), 100, ());
-        q.push(SimTime(90_000_000_000), 101, ());
-        assert_eq!(q.pop(), Some((SimTime(40_000_000_000), 100, ())));
-        assert_eq!(q.pop(), Some((SimTime(90_000_000_000), 101, ())));
+        // Events whole calendar years apart still pop in order, each by a
+        // direct search that visits every bucket twice.
+        assert_eq!((q.nbuckets(), q.width()), (128, 256));
+        let skipped = q.work()[1];
+        q.push(SimTime(40_000_000_000), 300, ());
+        q.push(SimTime(90_000_000_000), 301, ());
+        assert_eq!(q.pop(), Some((SimTime(40_000_000_000), 300, ())));
+        assert_eq!(q.work()[1] - skipped, 2 * 128);
+        assert_eq!(q.pop(), Some((SimTime(90_000_000_000), 301, ())));
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn env_selects_the_kind() {
-        // Default (unset or anything but "heap") is the calendar queue.
+    fn direct_searches_bring_the_review_forward() {
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        // 4 096 events, one pop per µs, rescheduled in scrambled order:
+        // a 256 µs day would hold 256 of them, so the width goes to 3 µs
+        // (or the power of two next to it) and the windows are 4 096 pops.
+        let (mut seq, mut lcg) = (4_096, 1u64);
+        for i in 0..seq {
+            q.push(SimTime(i), i, ());
+        }
+        for _ in 0..3 * 4_096 {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            hold(&mut q, &mut seq, 2_048 + (lcg >> 52));
+        }
+        assert!(q.nbuckets() == 2_048 && q.width() <= 4, "{}", q.width());
+        // All but 8 leave, and those slow to one pop per 125 ms: every pop
+        // is now a direct search over 2 048 buckets, and a few of them use
+        // up whatever is left of the long window.
+        while q.len() > 8 {
+            q.pop().unwrap();
+        }
+        let skipped = q.work()[1];
+        for _ in 0..1_000 {
+            hold(&mut q, &mut seq, 1_000_000);
+        }
+        assert_eq!(q.nbuckets(), MIN_BUCKETS);
+        assert!(q.width() >= 131_072, "{}", q.width());
+        // 4 096 / (2 048 / 4) searches close the window, one more the next.
+        let searched = q.work()[1] - skipped;
+        assert!(searched <= 1_000 + 9 * 2 * 2_048, "{searched}");
+    }
+
+    #[test]
+    fn a_review_never_moves_floor_past_a_queued_event() {
+        // Reviews fire inside `pop`; whatever they do to the geometry, an
+        // event pushed at the popped instant itself (the earliest legal
+        // time) must come out next.
+        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let mut seq = 0u64;
+        for i in 0..300u64 {
+            seq += 1;
+            cal.push(SimTime(i * i), seq, seq);
+            heap.push(SimTime(i * i), seq, seq);
+        }
+        while let Some((t, s, e)) = heap.pop() {
+            assert_eq!(cal.pop(), Some((t, s, e)));
+            if s % 3 == 0 {
+                for at in [t, t + SimTime(s * 7_919 % 200_000)] {
+                    seq += 1;
+                    cal.push(at, seq, seq);
+                    heap.push(at, seq, seq);
+                }
+                assert_eq!(cal.next_time(), Some(t));
+            }
+            if seq > 3_000 {
+                break;
+            }
+        }
+        assert!(cal.work()[0] > 6, "no review changed the geometry");
+        assert_eq!(drain(&mut cal), drain(&mut heap));
+    }
+
+    #[test]
+    fn rewind_also_rewinds_the_review_window() {
+        // The elastic driver's barrier: `run_to` pops one event past the
+        // barrier (here 2 s ahead), pushes it back and rewinds; arrivals
+        // then land from `barrier + 1`. When that far pop is the one that
+        // opens a review window, the window must restart at the barrier,
+        // or the next review measures a span that ends before it began.
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        let mut seq = 0u64;
+        for i in 0..8u64 {
+            seq += 1;
+            q.push(SimTime(i * 2_000), seq, ());
+        }
+        // One pop per 2 ms: width 3 × that, to the nearest power of two.
+        while q.width() != 4_096 || q.pops + 9 != q.review_at {
+            hold(&mut q, &mut seq, 16_000);
+        }
+        let barrier = drain(&mut q).last().unwrap().0;
+        q.push(SimTime(barrier + 2_000_000), 0, ());
+        let (far, far_seq, ()) = q.pop().unwrap();
+        assert_eq!((q.pops, q.window_start), (q.window_from, far.as_micros()));
+        q.push(far, far_seq, ());
+        q.rewind(SimTime(barrier));
+        assert_eq!(q.window_start, barrier);
+        for i in 0..8u64 {
+            seq += 1;
+            q.push(SimTime(barrier + 1 + i * 2_000), seq, ());
+        }
+        for _ in 0..3 * MIN_WINDOW {
+            assert!(hold(&mut q, &mut seq, 16_000) < far.as_micros());
+        }
+        assert_eq!(q.width(), 4_096, "the peek poisoned the estimate");
+    }
+
+    #[test]
+    fn queue_kind_selects_the_implementation() {
         assert_eq!(QueueKind::default(), QueueKind::Calendar);
         let q: QueueImpl<u8> = QueueImpl::new(QueueKind::Heap);
         assert!(matches!(q, QueueImpl::Heap(_)));

@@ -54,8 +54,8 @@
 //! # Hot path
 //!
 //! Each shard's event loop runs on the same machinery as the single-item
-//! simulator: the calendar [`EventQueue`] (heap oracle behind
-//! `QC_EVENT_QUEUE=heap`) with batched same-instant delivery, the SoA
+//! simulator: the calendar [`EventQueue`] (heap oracle under
+//! `queue = QueueKind::Heap`) with batched same-instant delivery, the SoA
 //! [`DmArena`] (`item slot·n + site`), the interned [`OpSlab`], the
 //! `u128` live-site bitset, and the reused phase response buffer — no
 //! hashing, no per-operation allocation, no `Arc` traffic per operation.
@@ -179,9 +179,9 @@ pub struct MultiConfig {
     /// are merged in shard-index order, so the aggregate
     /// [`ShardReport::obs`] is bit-identical for any thread count.
     pub obs: ObsOptions,
-    /// Event-queue implementation per shard (defaults from
-    /// `QC_EVENT_QUEUE`; both pop in identical order, so this never
-    /// changes results — only wall-clock speed).
+    /// Event-queue implementation per shard (the calendar queue by
+    /// default; both pop in identical order, so this never changes
+    /// results — only wall-clock speed).
     pub queue: QueueKind,
     /// Dynamic-quorum reconfiguration policy, applied *per item*: each
     /// item carries its own `(configuration, generation)` state, scripted
@@ -233,7 +233,7 @@ impl MultiConfig {
             retry: RetryPolicy::default(),
             monitor: true,
             obs: ObsOptions::disabled(),
-            queue: QueueKind::from_env(),
+            queue: QueueKind::default(),
             reconfig: ReconfigPolicy::off(),
             placement: PlacementPolicy::Static,
         }

@@ -48,8 +48,8 @@
 //! # Hot path
 //!
 //! The event loop runs on the [`EventQueue`] machinery of
-//! [`crate::queue`] (indexed calendar queue by default, binary-heap oracle
-//! behind `QC_EVENT_QUEUE=heap`), drains every same-instant event per
+//! [`crate::queue`] (calendar queue by default, binary-heap oracle under
+//! `queue = QueueKind::Heap`), drains every same-instant event per
 //! clock advance, keeps per-op state in a pre-sized [`OpSlab`], the DM
 //! stores in the SoA [`DmArena`], and the live-site set as a `u128`
 //! bitset — the steady-state committed-op path allocates nothing (pinned
@@ -217,7 +217,7 @@ pub struct SimConfig {
     /// nothing from the RNG stream, so an observed run is event-for-event
     /// identical to an unobserved one).
     pub obs: ObsOptions,
-    /// Event-queue implementation (defaults from `QC_EVENT_QUEUE`; both
+    /// Event-queue implementation (the calendar queue by default; both
     /// pop in identical order, so this never changes results — only
     /// wall-clock speed).
     pub queue: QueueKind,
@@ -258,7 +258,7 @@ impl SimConfig {
             monitor: true,
             record_history: false,
             obs: ObsOptions::disabled(),
-            queue: QueueKind::from_env(),
+            queue: QueueKind::default(),
             reconfig: ReconfigPolicy::off(),
         }
     }

@@ -42,6 +42,16 @@ fn fingerprint(m: &Metrics) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
     )
 }
 
+/// Run `config` once per event-queue implementation and hand each run to
+/// `pinned`: every value asserted in this file holds under both, in-process.
+fn for_each_queue(config: &SimConfig, pinned: impl Fn(Metrics)) {
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        let mut c = config.clone();
+        c.queue = queue;
+        pinned(run(c));
+    }
+}
+
 fn healthy(policy: ContactPolicy) -> SimConfig {
     let mut c = SimConfig::new(Arc::new(Majority::new(5)));
     c.contact = policy;
@@ -84,27 +94,30 @@ fn identical_seeds_are_bit_identical() {
 
 #[test]
 fn healthy_all_live_metrics_are_pinned() {
-    let m = run(healthy(ContactPolicy::AllLive));
-    assert_eq!(fingerprint(&m), (3828, 3828, 38280, 424, 424, 8480, 0, 0));
-    assert_eq!(digest(&m), 6227179515335722920);
+    for_each_queue(&healthy(ContactPolicy::AllLive), |m| {
+        assert_eq!(fingerprint(&m), (3828, 3828, 38280, 424, 424, 8480, 0, 0));
+        assert_eq!(digest(&m), 6227179515335722920);
+    });
 }
 
 #[test]
 fn healthy_minimal_quorum_metrics_are_pinned() {
-    let m = run(healthy(ContactPolicy::MinimalQuorum));
-    assert_eq!(fingerprint(&m), (3552, 3552, 21312, 386, 386, 4632, 0, 0));
-    assert_eq!(digest(&m), 15120862404983422755);
+    for_each_queue(&healthy(ContactPolicy::MinimalQuorum), |m| {
+        assert_eq!(fingerprint(&m), (3552, 3552, 21312, 386, 386, 4632, 0, 0));
+        assert_eq!(digest(&m), 15120862404983422755);
+    });
 }
 
 #[test]
 fn faulted_all_live_metrics_are_pinned() {
-    let m = run(faulted(ContactPolicy::AllLive));
-    assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-    assert_eq!(m.forced_aborts, 2);
-    assert_eq!(m.site_failures, 2);
-    assert!(m.dropped_messages > 0);
-    assert_eq!(fingerprint(&m), (3045, 3042, 25870, 340, 339, 5764, 2, 0));
-    assert_eq!(digest(&m), 10745518364402560754);
+    for_each_queue(&faulted(ContactPolicy::AllLive), |m| {
+        assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
+        assert_eq!(m.forced_aborts, 2);
+        assert_eq!(m.site_failures, 2);
+        assert!(m.dropped_messages > 0);
+        assert_eq!(fingerprint(&m), (3045, 3042, 25870, 340, 339, 5764, 2, 0));
+        assert_eq!(digest(&m), 10745518364402560754);
+    });
 }
 
 /// A reconfiguring ROWA run: a member crash forces the reactive trigger
@@ -151,37 +164,31 @@ fn reconfiguring_majority(seed: u64) -> SimConfig {
 
 #[test]
 fn reconfiguring_rowa_metrics_are_pinned() {
-    let m = run(reconfiguring_rowa(21));
-    assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-    assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
-    assert!(m.stale_rejections > 0);
-    let reference = digest(&m);
-    // Bit-identical under the heap event-queue oracle.
-    let mut heap = reconfiguring_rowa(21);
-    heap.queue = QueueKind::Heap;
-    assert_eq!(digest(&run(heap)), reference);
-    assert_eq!(reference, 14783729087712639457);
+    for_each_queue(&reconfiguring_rowa(21), |m| {
+        assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
+        assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
+        assert!(m.stale_rejections > 0);
+        assert_eq!(digest(&m), 14783729087712639457);
+    });
 }
 
 #[test]
 fn reconfiguring_majority_metrics_are_pinned() {
-    let m = run(reconfiguring_majority(33));
-    assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-    assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
-    let reference = digest(&m);
-    let mut heap = reconfiguring_majority(33);
-    heap.queue = QueueKind::Heap;
-    assert_eq!(digest(&run(heap)), reference);
-    assert_eq!(reference, 9043374931432434805);
+    for_each_queue(&reconfiguring_majority(33), |m| {
+        assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
+        assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
+        assert_eq!(digest(&m), 9043374931432434805);
+    });
 }
 
 #[test]
 fn faulted_minimal_quorum_metrics_are_pinned() {
-    let m = run(faulted(ContactPolicy::MinimalQuorum));
-    assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-    assert_eq!(m.forced_aborts, 2);
-    assert_eq!(m.site_failures, 2);
-    assert!(m.dropped_messages > 0);
-    assert_eq!(fingerprint(&m), (2862, 2857, 17213, 317, 316, 3814, 2, 0));
-    assert_eq!(digest(&m), 9239106001235178659);
+    for_each_queue(&faulted(ContactPolicy::MinimalQuorum), |m| {
+        assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
+        assert_eq!(m.forced_aborts, 2);
+        assert_eq!(m.site_failures, 2);
+        assert!(m.dropped_messages > 0);
+        assert_eq!(fingerprint(&m), (2862, 2857, 17213, 317, 316, 3814, 2, 0));
+        assert_eq!(digest(&m), 9239106001235178659);
+    });
 }

@@ -20,11 +20,15 @@ use qc_replication::conformance::{check_trace_tapped, project_trace};
 use qc_sim::{
     check_trace, run_observed, run_sharded_elastic_traced, run_traced, run_txn_causal,
     run_txn_traced, trace_to_json, CausalOptions, ContactPolicy, DivergenceKind, ElasticPolicy,
-    FaultPlan, LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, ReconfigPolicy,
-    RetryPolicy, ScheduleTrace, SeedPlacement, SimConfig, SimTime, TmKind, TraceAction,
-    TxnConfig, TxnTrace, Workload,
+    FaultPlan, LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, QueueKind, ReconfigPolicy,
+    RetryPolicy, ScheduleTrace, SeedPlacement, SimConfig, SimTime, TmKind, TraceAction, TxnConfig,
+    TxnTrace, Workload,
 };
 use quorum::{Majority, QuorumSpec};
+
+/// Every snapshot is regenerated under both event-queue implementations,
+/// in-process: one committed file, two runs that must both reproduce it.
+const QUEUES: [QueueKind; 2] = [QueueKind::Calendar, QueueKind::Heap];
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden")).join(name)
@@ -69,9 +73,10 @@ fn compare_trace(name: &str, trace: &ScheduleTrace, quorum: &dyn QuorumSpec) {
 }
 
 fn check(name: &str, config: SimConfig) {
-    let quorum = Arc::clone(&config.quorum);
-    let (_, trace) = run_traced(config);
-    compare_trace(name, &trace, &*quorum);
+    for queue in QUEUES {
+        let (_, trace) = run_traced(SimConfig { queue, ..config.clone() });
+        compare_trace(name, &trace, &*config.quorum);
+    }
 }
 
 fn small(seed: u64) -> SimConfig {
@@ -117,12 +122,13 @@ fn reconfig_snapshot_is_stable() {
     config.faults = FaultPlan::parse("crash@5:2;reconfig@12:0+1;recover@20:2;reconfig@24:live")
         .expect("fault plan parses");
     config.retry = RetryPolicy::retries(3, SimTime::from_millis(2));
-    let quorum = Arc::clone(&config.quorum);
-    let (metrics, trace) = run_traced(config);
-    assert_eq!(metrics.reconfigurations, 2, "both scripted reconfigurations run");
-    assert!(metrics.stale_rejections > 0, "the shrink must strand a stale cache");
-    assert_eq!(metrics.lemma_violations, 0);
-    compare_trace("reconfig_majority3_seed17.json", &trace, &*quorum);
+    for queue in QUEUES {
+        let (metrics, trace) = run_traced(SimConfig { queue, ..config.clone() });
+        assert_eq!(metrics.reconfigurations, 2, "both scripted reconfigurations run");
+        assert!(metrics.stale_rejections > 0, "the shrink must strand a stale cache");
+        assert_eq!(metrics.lemma_violations, 0);
+        compare_trace("reconfig_majority3_seed17.json", &trace, &*config.quorum);
+    }
 }
 
 fn txn_banking() -> TxnConfig {
@@ -145,11 +151,13 @@ fn txn_banking() -> TxnConfig {
 /// from doomed subtrees — is byte-stable.
 #[test]
 fn txn_banking_snapshot_is_stable() {
-    let config = txn_banking();
-    let (report, traces) = run_txn_traced(&config, 1);
-    assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
-    assert_eq!(report.stats.lemma_violations, 0, "{:?}", report.stats.violations);
-    compare_trace("txn_banking_seed17.json", &traces[0], &*config.quorum);
+    for queue in QUEUES {
+        let config = TxnConfig { queue, ..txn_banking() };
+        let (report, traces) = run_txn_traced(&config, 1);
+        assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
+        assert_eq!(report.stats.lemma_violations, 0, "{:?}", report.stats.violations);
+        compare_trace("txn_banking_seed17.json", &traces[0], &*config.quorum);
+    }
 }
 
 /// The causal companion to `txn_banking_snapshot_is_stable`: the same
@@ -158,13 +166,14 @@ fn txn_banking_snapshot_is_stable() {
 /// alongside the schedule-trace format.
 #[test]
 fn txn_banking_causal_jsonl_is_stable() {
-    let mut config = txn_banking();
-    config.causal = CausalOptions::full();
-    let (report, causal) = run_txn_causal(&config, 1);
-    assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
-    let p = causal.profile();
-    assert_eq!(p.reconciled(), p.txns(), "every critical path reconciles");
-    compare("txn_banking_causal_seed17.jsonl", causal.to_jsonl());
+    for queue in QUEUES {
+        let config = TxnConfig { queue, causal: CausalOptions::full(), ..txn_banking() };
+        let (report, causal) = run_txn_causal(&config, 1);
+        assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
+        let p = causal.profile();
+        assert_eq!(p.reconciled(), p.txns(), "every critical path reconciles");
+        compare("txn_banking_causal_seed17.jsonl", causal.to_jsonl());
+    }
 }
 
 /// A causally mutated span tree must be rejected: swapping two adjacent
@@ -285,13 +294,15 @@ fn migration_config() -> MultiConfig {
 /// retries. The migrated item's cross-shard schedule is byte-stable.
 #[test]
 fn migration_snapshot_is_stable() {
-    let config = migration_config();
-    let (report, traces, placement) = run_sharded_elastic_traced(&config, 2);
-    assert_eq!(placement.migrations, 1, "{placement:?}");
-    assert_eq!(report.metrics.reconfigurations, 1);
-    assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
-    assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
-    compare_trace("migration_majority3_seed17.json", &traces[0], &*config.quorum);
+    for queue in QUEUES {
+        let config = MultiConfig { queue, ..migration_config() };
+        let (report, traces, placement) = run_sharded_elastic_traced(&config, 2);
+        assert_eq!(placement.migrations, 1, "{placement:?}");
+        assert_eq!(report.metrics.reconfigurations, 1);
+        assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
+        assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
+        compare_trace("migration_majority3_seed17.json", &traces[0], &*config.quorum);
+    }
 }
 
 /// A migration installed without a configuration write quorum must be
@@ -349,7 +360,9 @@ fn event_log_format_is_stable() {
     config.retry = RetryPolicy::retries(3, SimTime::from_millis(2));
     config.obs = ObsOptions::full();
     config.obs.snapshot_every_us = Some(10_000);
-    let (metrics, obs) = run_observed(config);
-    assert!(metrics.lemma_violations > 0, "scenario must emit violations");
-    compare("events_majority3_seed13.jsonl", obs.events_jsonl());
+    for queue in QUEUES {
+        let (metrics, obs) = run_observed(SimConfig { queue, ..config.clone() });
+        assert!(metrics.lemma_violations > 0, "scenario must emit violations");
+        compare("events_majority3_seed13.jsonl", obs.events_jsonl());
+    }
 }

@@ -1,0 +1,242 @@
+//! Event-queue scripts shaped like the traffic the three drivers really
+//! produce, drawn ahead of time so that every queue replays the very same
+//! operations. Shared by `tests/queue_props.rs` (calendar = heap, pop for
+//! pop, and the calendar's work bound) and by `qc-bench`'s `queue_bench`
+//! (the paired `queue_shape/<name>/{calendar,heap}` rows).
+//!
+//! A script is recorded from the drivers' own loop — pop the minimum, drain
+//! its instant with `pop_at`, reschedule what fired — run over the heap
+//! oracle, so its pushes carry the times a real run would compute.
+
+// The bench replays three of the shapes and has no use for the bound's inputs.
+#![allow(dead_code)]
+
+use qc_sim::{EventQueue, HeapQueue, SimTime};
+
+/// One recorded queue operation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    /// `push(time, seq)`; the payload is `seq`.
+    Push(u64, u64),
+    /// `pop()`.
+    Pop,
+    /// `pop_at(time)` — the last one of a batch finds nothing.
+    PopAt(u64),
+    /// `rewind(time)`.
+    Rewind(u64),
+}
+
+/// A named script with what the work bound needs to know about it.
+pub struct Shape {
+    pub name: &'static str,
+    pub script: Vec<Op>,
+    /// Largest queue length the script reaches.
+    pub max_len: usize,
+    /// Times the traffic changes character mid-script.
+    pub drifts: u32,
+}
+
+/// Apply one operation; pops report what came out.
+pub fn apply<Q: EventQueue<u64>>(q: &mut Q, op: Op) -> Option<(u64, u64)> {
+    match op {
+        Op::Push(t, seq) => q.push(SimTime(t), seq, seq),
+        Op::Pop => return q.pop().map(|(t, seq, _)| (t.as_micros(), seq)),
+        Op::PopAt(t) => return q.pop_at(SimTime(t)).map(|(seq, _)| (t, seq)),
+        Op::Rewind(t) => q.rewind(SimTime(t)),
+    }
+    None
+}
+
+/// Period of the routed driver's arrival stream for the item of zipf rank
+/// `g` (θ = 0.99, one arrival per 50 µs over 10⁵ items).
+fn period(g: u32) -> u64 {
+    (645.0 * f64::from(g + 1).powf(0.99)) as u64
+}
+
+/// Records a script while running the event loop over the heap oracle; the
+/// payload of a queued event is the stream it belongs to.
+struct Recorder {
+    heap: HeapQueue<u32>,
+    script: Vec<Op>,
+    seq: u64,
+    lcg: u64,
+    max_len: usize,
+    now: u64,
+}
+
+impl Recorder {
+    fn new(seed: u64) -> Self {
+        Recorder {
+            heap: HeapQueue::new(),
+            script: Vec::new(),
+            seq: 0,
+            lcg: seed | 1,
+            max_len: 0,
+            now: 0,
+        }
+    }
+
+    fn draw(&mut self) -> u64 {
+        self.lcg = (self.lcg.wrapping_mul(6_364_136_223_846_793_005))
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.lcg >> 33
+    }
+
+    fn push(&mut self, t: u64, stream: u32) {
+        self.seq += 1;
+        self.push_as(t, self.seq, stream);
+    }
+
+    fn push_as(&mut self, t: u64, seq: u64, stream: u32) {
+        self.heap.push(SimTime(t), seq, stream);
+        self.script.push(Op::Push(t, seq));
+        self.max_len = self.max_len.max(self.heap.len());
+    }
+
+    /// Run the loop for `pops` pops: each fired stream is rescheduled
+    /// `delay(stream, draw)` later, or leaves on `None`.
+    fn run(&mut self, pops: usize, mut delay: impl FnMut(u32, u64) -> Option<u64>) {
+        let mut popped = 0;
+        while popped < pops {
+            let Some((t, _, mut stream)) = self.heap.pop() else {
+                return;
+            };
+            self.script.push(Op::Pop);
+            self.now = t.as_micros();
+            loop {
+                popped += 1;
+                let draw = self.draw();
+                if let Some(d) = delay(stream, draw) {
+                    self.push(self.now + d, stream);
+                }
+                self.script.push(Op::PopAt(self.now));
+                match self.heap.pop_at(t) {
+                    Some((_, s)) => stream = s,
+                    None => break,
+                }
+            }
+        }
+    }
+
+    fn shape(self, name: &'static str, drifts: u32) -> Shape {
+        Shape {
+            name,
+            script: self.script,
+            max_len: self.max_len,
+            drifts,
+        }
+    }
+}
+
+/// `n` periodic streams with scattered phases, as a routed shard starts.
+fn periodic_streams(r: &mut Recorder, n: u32) {
+    for g in 0..n {
+        let phase = r.draw() % period(g);
+        r.push(phase, g);
+    }
+}
+
+/// One stream per item, period `645 µs · (g+1)^0.99`: the hot shard of
+/// `sharded_zipf_elastic` holds 12 500 of them at t = 0.
+pub fn periodic(seed: u64, streams: u32, pops: usize) -> Shape {
+    let mut r = Recorder::new(seed);
+    periodic_streams(&mut r, streams);
+    r.run(pops, |g, _| Some(period(g)));
+    r.shape("periodic", 0)
+}
+
+/// Few events, two horizons: 8 round-trip timers beside 14 repair and
+/// plan timers seconds away (`single_write90_faulted`).
+pub fn bimodal(seed: u64, pops: usize) -> Shape {
+    let mut r = Recorder::new(seed);
+    for s in 0..22 {
+        let at = if s < 8 {
+            r.draw() % 400
+        } else {
+            500_000 + r.draw() % 4_500_000
+        };
+        r.push(at, s);
+    }
+    r.run(pops, |s, draw| {
+        Some(if s < 8 {
+            200 + draw % 400
+        } else {
+            500_000 + draw % 4_500_000
+        })
+    });
+    r.shape("bimodal", 0)
+}
+
+/// The hottest eighth of the streams leaves mid-script, as at a migration
+/// barrier: three quarters of the pop rate goes with them.
+pub fn drift(seed: u64, streams: u32, pops: usize) -> Shape {
+    let mut r = Recorder::new(seed);
+    periodic_streams(&mut r, streams);
+    r.run(pops / 3, |g, _| Some(period(g)));
+    r.run(pops - pops / 3, |g, _| {
+        (g >= streams / 8).then(|| period(g))
+    });
+    r.shape("drift", 1)
+}
+
+/// A same-instant flood over a closed loop of 8 timers: `flood` events land
+/// on one instant, every 64th scheduling one more at the instant being
+/// drained, and the loop carries on afterwards.
+pub fn flood(seed: u64, flood: u32, pops: usize) -> Shape {
+    let mut r = Recorder::new(seed);
+    let near = |s: u32, draw: u64| (s < 8).then(|| 200 + draw % 400);
+    for s in 0..8 {
+        let at = r.draw() % 400;
+        r.push(at, s);
+    }
+    r.run(pops / 4, near);
+    for s in 0..flood {
+        r.push(r.now + 300, 8 + s);
+    }
+    // A flood event fires once; every 64th echoes at its own instant,
+    // and each echo echoes again on a coin flip.
+    r.run(pops - pops / 4, |s, draw| {
+        if s >= 8 && s % 64 == 0 {
+            Some(0).filter(|_| draw % 2 == 0)
+        } else {
+            near(s, draw)
+        }
+    });
+    r.shape("flood", 2)
+}
+
+/// The elastic driver's barrier, `barriers` times over: `run_to` pops one
+/// event past the barrier, pushes it back under its own `(time, seq)`,
+/// `sync_to` rewinds to the barrier, and imported items' arrivals land
+/// from `barrier + 1`.
+pub fn rewind(seed: u64, barriers: u32, pops: usize) -> Shape {
+    let mut r = Recorder::new(seed);
+    periodic_streams(&mut r, 64);
+    let mut streams = 64;
+    for _ in 0..barriers {
+        r.run(pops / barriers as usize, |g, _| Some(period(g)));
+        let barrier = r.now;
+        let (t, seq, stream) = r.heap.pop().expect("periodic streams never drain");
+        r.script.push(Op::Pop);
+        r.push_as(t.as_micros(), seq, stream);
+        r.script.push(Op::Rewind(barrier));
+        for g in streams..streams + 8 {
+            let at = barrier + 1 + r.draw() % period(g);
+            r.push(at, g);
+        }
+        streams += 8;
+    }
+    r.shape("rewind", 0)
+}
+
+/// The five shapes at full size (`scale` = 1) or cut down by `scale`.
+pub fn all(seed: u64, scale: usize) -> Vec<Shape> {
+    let scaled = |n: usize| n / scale;
+    vec![
+        periodic(seed, scaled(12_500) as u32, scaled(60_000)),
+        bimodal(seed, scaled(60_000)),
+        drift(seed, scaled(4_096) as u32, scaled(60_000)),
+        flood(seed, scaled(4_096) as u32, scaled(24_000)),
+        rewind(seed, 8, scaled(32_000)),
+    ]
+}

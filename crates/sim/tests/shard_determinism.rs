@@ -16,6 +16,12 @@ use qc_sim::{
 };
 use quorum::{Majority, Rowa};
 
+/// `config` under each event-queue implementation: every test below holds
+/// under both, in-process.
+fn both_queues(config: &MultiConfig) -> [MultiConfig; 2] {
+    [QueueKind::Calendar, QueueKind::Heap].map(|queue| MultiConfig { queue, ..config.clone() })
+}
+
 fn healthy() -> MultiConfig {
     let mut c = MultiConfig::new(Arc::new(Majority::new(5)));
     c.contact = ContactPolicy::MinimalQuorum;
@@ -117,18 +123,18 @@ fn reconfiguring_digests_are_identical_across_thread_counts_and_queues() {
             "{label}: violations {:?}",
             baseline.metrics.violations
         );
-        let mut heap = config.clone();
-        heap.queue = QueueKind::Heap;
+        assert_thread_and_queue_invariant(label, &config, baseline.digest());
+    }
+}
+
+fn assert_thread_and_queue_invariant(label: &str, config: &MultiConfig, digest: u64) {
+    for c in both_queues(config) {
         for threads in [1, 2, 4] {
             assert_eq!(
-                run_sharded(&config, threads).digest(),
-                baseline.digest(),
-                "{label}: calendar digest diverged at {threads} threads"
-            );
-            assert_eq!(
-                run_sharded(&heap, threads).digest(),
-                baseline.digest(),
-                "{label}: heap digest diverged at {threads} threads"
+                run_sharded(&c, threads).digest(),
+                digest,
+                "{label}: {:?} digest diverged at {threads} threads",
+                c.queue
             );
         }
     }
@@ -139,7 +145,10 @@ fn traced_reconfiguring_items_conform_generation_aware() {
     for (label, config) in [
         ("reactive-rowa", reconfiguring_rowa()),
         ("scripted-majority", reconfiguring_majority()),
-    ] {
+    ]
+    .into_iter()
+    .flat_map(|(label, config)| both_queues(&config).map(|c| (label, c)))
+    {
         let plain = run_sharded(&config, 2);
         let (traced, traces) = run_sharded_traced(&config, 2);
         assert_eq!(
@@ -180,7 +189,7 @@ fn traced_reconfiguring_items_conform_generation_aware() {
 }
 
 #[test]
-fn digests_are_identical_across_thread_counts() {
+fn digests_are_identical_across_thread_counts_and_queues() {
     for (label, config) in [
         ("healthy", healthy()),
         ("faulted", faulted()),
@@ -193,78 +202,77 @@ fn digests_are_identical_across_thread_counts() {
             "{label}: violations {:?}",
             baseline.metrics.violations
         );
-        for threads in [2, 4] {
-            let r = run_sharded(&config, threads);
-            assert_eq!(
-                r.digest(),
-                baseline.digest(),
-                "{label}: digest diverged at {threads} threads"
-            );
-        }
+        assert_thread_and_queue_invariant(label, &config, baseline.digest());
     }
 }
 
 #[test]
 fn reports_reproduce_run_to_run() {
     let a = run_sharded(&faulted(), 2);
-    let b = run_sharded(&faulted(), 2);
-    assert_eq!(a.digest(), b.digest());
-    assert_eq!(a.item_commits, b.item_commits);
-    assert_eq!(a.item_vns, b.item_vns);
+    for config in both_queues(&faulted()) {
+        let b = run_sharded(&config, 2);
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.item_commits, b.item_commits);
+        assert_eq!(a.item_vns, b.item_vns);
+    }
 }
 
 #[test]
 fn forced_aborts_land_in_the_owning_shard_only() {
-    let r = run_sharded(&faulted(), 1);
-    // Exactly the two AbortClient events fire, once each — not once per
-    // shard.
-    assert_eq!(r.metrics.forced_aborts, 2);
-    assert_eq!(
-        r.metrics.reads.aborted + r.metrics.writes.aborted,
-        r.metrics.forced_aborts
-    );
+    for config in both_queues(&faulted()) {
+        let r = run_sharded(&config, 1);
+        // Exactly the two AbortClient events fire, once each — not once
+        // per shard.
+        assert_eq!(r.metrics.forced_aborts, 2);
+        assert_eq!(
+            r.metrics.reads.aborted + r.metrics.writes.aborted,
+            r.metrics.forced_aborts
+        );
+    }
 }
 
 #[test]
 fn traced_run_is_observational_and_items_conform() {
-    let config = faulted();
-    let plain = run_sharded(&config, 2);
-    let (traced, traces) = run_sharded_traced(&config, 2);
-    assert_eq!(plain.digest(), traced.digest(), "tracing perturbed the run");
-    assert_eq!(traces.len(), config.items);
-    for (g, trace) in traces.iter().enumerate() {
-        let report = check_trace(trace, &*config.quorum)
-            .unwrap_or_else(|d| panic!("item {g} diverged from the serial system: {d}"));
-        assert_eq!(
-            report.committed as u64, plain.item_commits[g],
-            "item {g}: trace commits vs report tally"
-        );
-        assert_eq!(
-            report.max_vn, plain.item_vns[g],
-            "item {g}: trace max vn vs final store vn"
-        );
+    for config in both_queues(&faulted()) {
+        let plain = run_sharded(&config, 2);
+        let (traced, traces) = run_sharded_traced(&config, 2);
+        assert_eq!(plain.digest(), traced.digest(), "tracing perturbed the run");
+        assert_eq!(traces.len(), config.items);
+        for (g, trace) in traces.iter().enumerate() {
+            let report = check_trace(trace, &*config.quorum)
+                .unwrap_or_else(|d| panic!("item {g} diverged from the serial system: {d}"));
+            assert_eq!(
+                report.committed as u64, plain.item_commits[g],
+                "item {g}: trace commits vs report tally"
+            );
+            assert_eq!(
+                report.max_vn, plain.item_vns[g],
+                "item {g}: trace max vn vs final store vn"
+            );
+        }
     }
 }
 
 #[test]
 fn zipfian_traces_cover_the_whole_keyspace() {
-    let config = zipfian();
-    let (report, traces) = run_sharded_traced(&config, 1);
-    assert_eq!(report.metrics.lemma_violations, 0);
-    // Every item conforms, hot head and cold tail alike.
-    let mut total_commits = 0u64;
-    for (g, trace) in traces.iter().enumerate() {
-        check_trace(trace, &*config.quorum)
-            .unwrap_or_else(|d| panic!("item {g} diverged: {d}"));
-        total_commits += trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.action, TraceAction::Commit))
-            .count() as u64;
+    for config in both_queues(&zipfian()) {
+        let (report, traces) = run_sharded_traced(&config, 1);
+        assert_eq!(report.metrics.lemma_violations, 0);
+        // Every item conforms, hot head and cold tail alike.
+        let mut total_commits = 0u64;
+        for (g, trace) in traces.iter().enumerate() {
+            check_trace(trace, &*config.quorum)
+                .unwrap_or_else(|d| panic!("item {g} diverged: {d}"));
+            total_commits += trace
+                .events
+                .iter()
+                .filter(|e| matches!(e.action, TraceAction::Commit))
+                .count() as u64;
+        }
+        assert_eq!(
+            total_commits,
+            report.metrics.reads.successes + report.metrics.writes.successes,
+            "per-item traces partition the committed operations"
+        );
     }
-    assert_eq!(
-        total_commits,
-        report.metrics.reads.successes + report.metrics.writes.successes,
-        "per-item traces partition the committed operations"
-    );
 }

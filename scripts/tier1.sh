@@ -74,13 +74,13 @@ echo "==> reconfiguration smoke (exp_faults, dynamic column non-degenerate)"
 # its static twin; --secs keeps the smoke cheap.
 cargo run --release -p qc-bench --bin exp_faults -- --secs 2 > /dev/null
 
-echo "==> determinism suites under the heap event-queue oracle"
-# The calendar queue is the default; forcing the binary-heap oracle through
-# the same pinned-digest and shard-digest suites proves the two
-# implementations are observationally identical (same pop order, same
-# metrics bits) — any divergence fails the pinned digests immediately.
-QC_EVENT_QUEUE=heap cargo test -q -p qc-sim --test determinism \
-  --test shard_determinism --test golden
+echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
+# The calendar queue against the heap oracle on arbitrary scripts and on the
+# shapes the three drivers produce, pop for pop; and the deterministic bound
+# on the calendar's own work (geometry changes, buckets skipped, elements
+# moved) over those shapes. The determinism, shard_determinism and golden
+# suites above assert their pinned values under both queues in-process.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test queue_props
 
 echo "==> perf-regression gate (exp_throughput -> bench_summary --check)"
 # Regenerate the hot-path throughput snapshot, fold it into a scratch
