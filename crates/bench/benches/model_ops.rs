@@ -6,13 +6,14 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use nested_txn::{AccessKind, AccessSpec, ObjectId, Tid, TxnOp, Value};
+use nested_txn::{AccessKind, AccessSpec, BankingGen, ObjectId, Tid, TxnOp, Value, WorkloadKind};
 use qc_bench::{contention_spec, figure1_spec};
 use qc_cc::{run_concurrent, serialize_return_order, CcRunOptions, LockingObject};
 use qc_replication::{
-    build_system_a, check_projection, check_trace, project_to_a, run_system_b, RunOptions,
+    build_system_a, check_commit_order_serializable, check_projection, check_trace, project_to_a,
+    run_system_b, RunOptions,
 };
-use qc_sim::{run_traced, ContactPolicy, SimConfig, SimTime};
+use qc_sim::{run_traced, run_txn_committed, ContactPolicy, SimConfig, SimTime, TxnConfig};
 use quorum::Majority;
 
 fn bench_serial_execution(c: &mut Criterion) {
@@ -119,6 +120,27 @@ fn bench_theorem11_pipeline(c: &mut Criterion) {
                 },
             )
             .unwrap()
+        })
+    });
+    // The rows above run the model-checking pipeline on a few dozen
+    // operations. This one is the oracle at simulator scale: the host-cost
+    // benchmark's nested workload (banking over 64 items, 16 domains of 4
+    // closed-loop clients, Majority(3)) cut to 2 simulated seconds, read
+    // per committed transaction.
+    let mut config = TxnConfig::new(
+        Arc::new(Majority::new(3)),
+        WorkloadKind::Banking(BankingGen::new(4)),
+    );
+    config.items = 64;
+    config.domains = 16;
+    config.clients_per_domain = 4;
+    config.duration = SimTime::from_secs(2);
+    config.seed = 23;
+    let (_, committed) = run_txn_committed(&config, 1);
+    g.throughput(Throughput::Elements(committed.len() as u64));
+    g.bench_function("commit_order_replay", |b| {
+        b.iter(|| {
+            check_commit_order_serializable(&|_| 0, std::hint::black_box(&committed)).unwrap()
         })
     });
     g.finish();

@@ -351,21 +351,27 @@ impl LockTable {
         self.items[item].comp_pending
     }
 
-    /// Grant queued waiters on `item` in FIFO order: the front waiter is
-    /// granted while compatible; the scan stops at the first waiter that
-    /// is not (no starvation of writers by later readers).
-    pub fn rescan(&mut self, item: usize) -> Vec<(PathTid, LockMode, u64)> {
+    /// Grant the front waiter of `item` if it is compatible with the
+    /// current holders, returning `(tid, mode, ticket)`; `None` when the
+    /// queue is empty or its front must keep waiting. Waiters are granted
+    /// strictly from the front — the first one that is not grantable ends
+    /// the batch (no starvation of writers by later readers). Allocation
+    /// free, so an event loop can drain a batch into a buffer it reuses.
+    pub fn grant_next(&mut self, item: usize) -> Option<(PathTid, LockMode, u64)> {
         let it = &mut self.items[item];
-        let mut granted = Vec::new();
-        while let Some(front) = it.waiters.front() {
-            if !it.grantable(&front.tid, front.mode) {
-                break;
-            }
-            let w = it.waiters.pop_front().expect("front exists");
-            it.add_holder(w.tid, w.mode);
-            granted.push((w.tid, w.mode, w.ticket));
+        let front = it.waiters.front()?;
+        if !it.grantable(&front.tid, front.mode) {
+            return None;
         }
-        granted
+        let w = it.waiters.pop_front().expect("front exists");
+        it.add_holder(w.tid, w.mode);
+        Some((w.tid, w.mode, w.ticket))
+    }
+
+    /// Grant queued waiters on `item` in FIFO order — every
+    /// [`LockTable::grant_next`] until the first `None`, collected.
+    pub fn rescan(&mut self, item: usize) -> Vec<(PathTid, LockMode, u64)> {
+        std::iter::from_fn(|| self.grant_next(item)).collect()
     }
 
     /// Test/diagnostic view: `(read holders, write holders, undo depth,
@@ -472,6 +478,60 @@ mod tests {
         assert!(lt.release_top(0, 2, 0));
         let granted = lt.rescan(0);
         assert_eq!(granted, vec![(w3, LockMode::Write, t3)]);
+    }
+
+    #[test]
+    fn grant_next_and_rescan_hand_back_the_same_batches() {
+        // One writer holds; behind it queue two readers, a writer that the
+        // readers will block, and a third reader behind that writer.
+        let mut one = LockTable::new(1);
+        let w0 = top(0).child(0);
+        assert_eq!(one.acquire(0, w0, LockMode::Write), Acquire::Granted);
+        let queued = [
+            (top(1).child(0), LockMode::Read),
+            (top(2).child(0), LockMode::Read),
+            (top(3).child(0), LockMode::Write),
+            (top(4).child(0), LockMode::Read),
+        ];
+        for (tid, mode) in queued {
+            assert!(matches!(one.acquire(0, tid, mode), Acquire::Queued(_)));
+        }
+        let mut all = one.clone();
+        let drain = |lt: &mut LockTable| {
+            let mut batch = Vec::new();
+            while let Some(g) = lt.grant_next(0) {
+                batch.push(g);
+            }
+            batch
+        };
+        // Nothing is grantable while the writer holds.
+        assert_eq!(drain(&mut one), vec![]);
+        assert_eq!(all.rescan(0), vec![]);
+        // The writer releases: both readers are granted, and the batch is
+        // cut short by the writer — the reader behind it must not barge.
+        for lt in [&mut one, &mut all] {
+            lt.inherit(0, &w0);
+            assert!(lt.release_top(0, 0, 0));
+        }
+        let batch = drain(&mut one);
+        assert_eq!(batch, all.rescan(0));
+        assert_eq!(
+            batch.iter().map(|g| (g.0, g.1)).collect::<Vec<_>>(),
+            queued[..2].to_vec()
+        );
+        assert_eq!(one.snapshot(0), all.snapshot(0));
+        assert_eq!(one.snapshot(0), (2, 0, 0, 2));
+        // The readers release: the writer alone, then (after it) the reader.
+        for (client, want) in [(1, 0), (2, 1), (3, 1)] {
+            for lt in [&mut one, &mut all] {
+                assert!(lt.release_top(0, client, 0));
+            }
+            let batch = drain(&mut one);
+            assert_eq!(batch, all.rescan(0));
+            assert_eq!(batch.len(), want, "after client {client} released");
+        }
+        assert_eq!(one.snapshot(0), (1, 0, 0, 0));
+        assert_eq!(one.snapshot(0), all.snapshot(0));
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! lists against a single-copy store.
 //!
 //! A read must observe either the last value committed by an earlier
-//! transaction (the store) or an earlier write of its own transaction (the
-//! overlay) — under strict two-phase copy-level locking with
-//! abort-compensation those are the only values any committed read can
-//! have seen. Writes update the overlay; the overlay folds into the store
-//! when the transaction commits. The replay returns the final single-copy
-//! state, which callers can cross-check against the replicated store's
-//! final logical values.
+//! transaction or an earlier write of its own transaction — under strict
+//! two-phase copy-level locking with abort-compensation those are the only
+//! values any committed read can have seen. A serial replay never rolls a
+//! transaction back, so both cases are one lookup: every write goes
+//! straight into the store by key, and a read expects whatever the store
+//! holds. The cost is one `BTreeMap` lookup or insert per committed access
+//! and no allocation beyond the store's own nodes (one per distinct item).
+//! The replay returns the final single-copy state, which callers can
+//! cross-check against the replicated store's final logical values.
 
 use std::collections::BTreeMap;
 
@@ -85,14 +87,12 @@ pub fn check_commit_order_serializable(
 ) -> Result<BTreeMap<u32, u64>, SerializabilityError> {
     let mut store: BTreeMap<u32, u64> = BTreeMap::new();
     for (ti, txn) in txns.iter().enumerate() {
-        let mut overlay: BTreeMap<u32, u64> = BTreeMap::new();
         for (oi, op) in txn.ops.iter().enumerate() {
             if op.write {
-                overlay.insert(op.item, op.value);
+                store.insert(op.item, op.value);
             } else {
-                let expected = overlay
+                let expected = store
                     .get(&op.item)
-                    .or_else(|| store.get(&op.item))
                     .copied()
                     .unwrap_or_else(|| initial(op.item));
                 if expected != op.value {
@@ -107,14 +107,108 @@ pub fn check_commit_order_serializable(
                 }
             }
         }
-        store.append(&mut overlay);
     }
     Ok(store)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The replay in its literal form: a transaction's writes collect in an
+    /// overlay that shadows the store and folds into it at commit.
+    /// `BTreeMap::append` rebuilds the whole store per transaction, which is
+    /// why this is only the differential reference.
+    fn overlay_replay(
+        initial: &dyn Fn(u32) -> u64,
+        txns: &[CommittedTxn],
+    ) -> Result<BTreeMap<u32, u64>, SerializabilityError> {
+        let mut store: BTreeMap<u32, u64> = BTreeMap::new();
+        for (ti, txn) in txns.iter().enumerate() {
+            let mut overlay: BTreeMap<u32, u64> = BTreeMap::new();
+            for (oi, op) in txn.ops.iter().enumerate() {
+                if op.write {
+                    overlay.insert(op.item, op.value);
+                } else {
+                    let expected = overlay
+                        .get(&op.item)
+                        .or_else(|| store.get(&op.item))
+                        .copied()
+                        .unwrap_or_else(|| initial(op.item));
+                    if expected != op.value {
+                        return Err(SerializabilityError {
+                            txn: ti,
+                            client: txn.client,
+                            op: oi,
+                            item: op.item,
+                            observed: op.value,
+                            expected,
+                        });
+                    }
+                }
+            }
+            store.append(&mut overlay);
+        }
+        Ok(store)
+    }
+
+    /// A generated access: `(item, kind — 0 is a write, value, wrong — 0
+    /// plants a read of a value the serial execution does not hold)`.
+    type GenOp = (u32, u8, u64, u8);
+
+    proptest! {
+        /// Random commit lists over ≤ 8 items whose reads observe what a
+        /// serial execution holds — so own-write reads, repeated writes to
+        /// one item and never-written items are all common — except where
+        /// `wrong` plants a read of some other value. Both replays must
+        /// return the same final store, or the same error field for field.
+        #[test]
+        fn direct_replay_agrees_with_the_overlay_reference(
+            txns in prop::collection::vec(
+                (0u32..6, prop::collection::vec((0u32..8, 0u8..3, 0u64..5, 0u8..40), 0..10)),
+                0..24,
+            ),
+        ) {
+            let txns: Vec<(u32, Vec<GenOp>)> = txns;
+            let initial = |item: u32| u64::from(item) * 100;
+            let mut truth: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut planted = false;
+            let commits: Vec<CommittedTxn> = txns
+                .into_iter()
+                .map(|(client, ops)| CommittedTxn {
+                    client,
+                    ops: ops
+                        .into_iter()
+                        .map(|(item, kind, value, wrong)| {
+                            let write = kind == 0;
+                            let value = if write {
+                                truth.insert(item, value);
+                                value
+                            } else {
+                                let held = truth.get(&item).copied();
+                                let held = held.unwrap_or_else(|| initial(item));
+                                if wrong == 0 {
+                                    planted = true;
+                                    held + 1 + value
+                                } else {
+                                    held
+                                }
+                            };
+                            AccessRecord { item, write, value }
+                        })
+                        .collect(),
+                })
+                .collect();
+            let got = check_commit_order_serializable(&initial, &commits);
+            prop_assert_eq!(&got, &overlay_replay(&initial, &commits));
+            prop_assert_eq!(got.is_err(), planted);
+            if let Ok(store) = got {
+                prop_assert_eq!(store, truth);
+            }
+        }
+    }
 
     fn r(item: u32, value: u64) -> AccessRecord {
         AccessRecord {

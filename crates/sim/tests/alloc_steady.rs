@@ -18,6 +18,12 @@
 //! touched shards own — every per-item column lives in stable slots, so
 //! nothing but the moved items' state is copied.
 //!
+//! The third pins the nested-transaction driver's: a started transaction
+//! costs the allocator its generated `ProgramTree` and, if it commits, the
+//! one `ops` vector of its `CommittedTxn` — the flattened program, the
+//! per-node runtime table and lock grants live in buffers each client and
+//! domain reuses.
+//!
 //! The counting allocator is global, so the tests take [`SERIAL`] rather
 //! than pollute each other's counts.
 
@@ -25,9 +31,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
-    run_sharded_elastic, ElasticPolicy, FaultPlan, Metrics, MultiConfig, PlacementPolicy,
-    QueueKind, ReconfigPolicy, SeedPlacement, SimConfig, SimTime, Simulation, Workload,
+    run_sharded_elastic, run_txn_committed, ElasticPolicy, FaultPlan, Metrics, MultiConfig,
+    PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimConfig, SimTime, Simulation,
+    TxnConfig, Workload,
 };
 use quorum::Majority;
 
@@ -155,4 +163,43 @@ fn a_migration_barrier_allocates_in_proportion_to_its_moves() {
              (budget {budget}): the barrier is copying state that did not move"
         );
     }
+}
+
+/// Allocator calls of one whole banking run on the calling thread, and the
+/// transactions it started.
+fn txn_run_counted(secs: u64) -> (u64, u64) {
+    let mut c = TxnConfig::new(
+        Arc::new(Majority::new(3)),
+        WorkloadKind::Banking(BankingGen::new(4)),
+    );
+    c.duration = SimTime::from_secs(secs);
+    c.seed = 17;
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let (report, commits) = run_txn_committed(&c, 1);
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(report.stats.lemma_violations, 0);
+    assert_eq!(commits.len() as u64, report.stats.txns_committed);
+    (after - before, report.stats.txns_started)
+}
+
+#[test]
+fn a_started_transaction_allocates_its_tree_and_its_committed_ops() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    txn_run_counted(1);
+    let (short_allocs, short_txns) = txn_run_counted(2);
+    let (long_allocs, long_txns) = txn_run_counted(6);
+    assert!(
+        long_txns > short_txns + 1_000,
+        "workload too small to be meaningful: {short_txns} vs {long_txns} transactions"
+    );
+    // Setup and every buffer's growth to its working size cancel in the
+    // difference. A banking tree is 1–3 vectors (1.67 on average) and most
+    // transactions commit, so this reads ≈ 2.7; a flatten that allocates
+    // per node, or a grant list per rescan, reads 10 or more.
+    let per_txn = (long_allocs - short_allocs) as f64 / (long_txns - short_txns) as f64;
+    assert!(
+        per_txn <= 4.0,
+        "{per_txn:.2} allocator calls per additional started transaction \
+         (short run {short_allocs} calls / {short_txns} txns, long run {long_allocs} / {long_txns})"
+    );
 }

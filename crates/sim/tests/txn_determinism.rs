@@ -1,10 +1,11 @@
 //! Cross-thread-count and cross-queue determinism for the
 //! nested-transaction workload, with *pinned* digests: the report digest
-//! of each scenario below is a committed constant, so any change to the
-//! event order, RNG consumption, stats accounting, or digest formula
-//! shows up as a loud diff here rather than as silent drift.
+//! of each scenario below and a digest of its committed projections in
+//! commit order are committed constants, so any change to the event
+//! order, RNG consumption, stats accounting, subtree erasure, or digest
+//! formula shows up as a loud diff here rather than as silent drift.
 //!
-//! Each scenario must produce its pinned digest on 1, 2 and 4 OS threads,
+//! Each scenario must produce its pinned digests on 1, 2 and 4 OS threads,
 //! under both the calendar and the binary-heap event queue, and
 //! run-to-run. To bless new constants after an intentional change, run
 //! the test and copy the printed digests.
@@ -12,7 +13,10 @@
 use std::sync::Arc;
 
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
-use qc_sim::{FaultPlan, QueueKind, RetryPolicy, SimTime, TxnConfig, run_txn};
+use qc_sim::{
+    run_txn, run_txn_committed, CommittedTxn, FaultPlan, QueueKind, RetryPolicy, SimTime,
+    TxnConfig,
+};
 use quorum::{Majority, Rowa};
 
 fn banking() -> TxnConfig {
@@ -68,46 +72,64 @@ fn rowa_inventory() -> TxnConfig {
     c
 }
 
-/// `(label, config, pinned digest)` — the committed determinism contract.
-fn scenarios() -> Vec<(&'static str, TxnConfig, u64)> {
+/// `(label, config, pinned report digest, pinned committed-projection
+/// digest)` — the committed determinism contract.
+fn scenarios() -> Vec<(&'static str, TxnConfig, u64, u64)> {
     vec![
-        ("banking", banking(), 0xdb09_83bb_80f1_6119),
-        ("faulted-random", faulted_random(), 0x58fd_65bb_ba99_9653),
-        ("rowa-inventory", rowa_inventory(), 0x5992_5ba0_5910_cca8),
+        ("banking", banking(), 0xdb09_83bb_80f1_6119, 0xd00e_70b4_46e0_0c3b),
+        ("faulted-random", faulted_random(), 0x58fd_65bb_ba99_9653, 0xb656_9935_b11b_071b),
+        ("rowa-inventory", rowa_inventory(), 0x5992_5ba0_5910_cca8, 0x0728_2e90_12be_2511),
     ]
+}
+
+/// FNV-1a over the commit-order `(client, [(item, write, value)…])` list —
+/// the Theorem 11 replay's input. The report digest covers counters and
+/// per-item tallies only, and the replay accepts a projection that erased
+/// too much, so the list itself is pinned.
+fn committed_digest(commits: &[CommittedTxn]) -> u64 {
+    let mut bytes = Vec::new();
+    let mut eat = |x: u64| bytes.extend_from_slice(&x.to_le_bytes());
+    for txn in commits {
+        eat(u64::from(txn.client));
+        eat(txn.ops.len() as u64);
+        for op in &txn.ops {
+            eat(u64::from(op.item));
+            eat(u64::from(op.write));
+            eat(op.value);
+        }
+    }
+    qc_obs::fnv1a(&bytes)
 }
 
 #[test]
 fn pinned_digests_hold_across_threads_and_queues() {
-    for (label, config, pinned) in scenarios() {
-        let mut calendar = config.clone();
-        calendar.queue = QueueKind::Calendar;
-        let mut heap = config;
-        heap.queue = QueueKind::Heap;
-        let baseline = run_txn(&calendar, 1);
-        assert_eq!(
-            baseline.stats.lemma_violations, 0,
-            "{label}: violations {:?}",
-            baseline.stats.violations
-        );
-        assert_eq!(
-            baseline.digest(),
-            pinned,
-            "{label}: digest drifted from its pinned constant \
-             (got {:#018x}; if intentional, re-pin it)",
-            baseline.digest()
-        );
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                run_txn(&calendar, threads).digest(),
-                pinned,
-                "{label}: calendar digest diverged at {threads} threads"
-            );
-            assert_eq!(
-                run_txn(&heap, threads).digest(),
-                pinned,
-                "{label}: heap digest diverged at {threads} threads"
-            );
+    for (label, config, pinned, pinned_commits) in scenarios() {
+        for queue in [QueueKind::Calendar, QueueKind::Heap] {
+            let mut c = config.clone();
+            c.queue = queue;
+            for threads in [1usize, 2, 4] {
+                let at = format!("{label} under {queue:?} at {threads} threads");
+                let (report, commits) = run_txn_committed(&c, threads);
+                assert_eq!(
+                    report.stats.lemma_violations, 0,
+                    "{at}: violations {:?}",
+                    report.stats.violations
+                );
+                assert_eq!(
+                    report.digest(),
+                    pinned,
+                    "{at}: report digest drifted from its pinned constant \
+                     (got {:#018x}; if intentional, re-pin it)",
+                    report.digest()
+                );
+                assert_eq!(commits.len() as u64, report.stats.txns_committed, "{at}");
+                let got = committed_digest(&commits);
+                assert_eq!(
+                    got, pinned_commits,
+                    "{at}: committed projection drifted from its pinned constant \
+                     (got {got:#018x}; if intentional, re-pin it)"
+                );
+            }
         }
     }
 }

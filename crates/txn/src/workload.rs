@@ -578,6 +578,34 @@ impl WorkloadKind {
         }
     }
 
+    /// Check the parameters [`WorkloadKind::program`] divides by: the
+    /// generators' fields are public, so a literal can bypass the `new`
+    /// constructors' assertions and would otherwise panic mid-run on an
+    /// empty draw range.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first parameter out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            WorkloadKind::Banking(g) if g.accounts < 2 => Err(format!(
+                "banking needs at least two accounts (got {})",
+                g.accounts
+            )),
+            WorkloadKind::Inventory(g) if g.products < 2 => Err(format!(
+                "inventory needs at least two products (got {})",
+                g.products
+            )),
+            WorkloadKind::Random(g) if g.slots == 0 => {
+                Err("random trees need at least one slot".into())
+            }
+            WorkloadKind::Random(g) if g.max_fanout == 0 => {
+                Err("random trees need max_fanout >= 1".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Number of item slots programs draw from.
     #[must_use]
     pub fn slots(&self) -> u32 {
@@ -680,6 +708,32 @@ mod tests {
         assert_eq!(of_doomed.len(), 2, "{of_doomed:?}");
         assert!(matches!(of_doomed[0], TxnOp::RequestCreate { .. }));
         assert!(matches!(of_doomed[1], TxnOp::Abort { .. }));
+    }
+
+    #[test]
+    fn validate_rejects_each_empty_draw_range() {
+        let random = RandomTreeGen::new(4);
+        let bad = [
+            WorkloadKind::Banking(BankingGen { accounts: 1, ..BankingGen::new(2) }),
+            WorkloadKind::Inventory(InventoryGen { products: 1, ..InventoryGen::new(2) }),
+            WorkloadKind::Random(RandomTreeGen { max_fanout: 0, ..random }),
+            WorkloadKind::Random(RandomTreeGen { slots: 0, ..random }),
+        ];
+        for kind in bad {
+            assert!(kind.validate().is_err(), "{kind:?}");
+        }
+        // The smallest legal parameters generate without panicking.
+        let good = [
+            WorkloadKind::Banking(BankingGen::new(2)),
+            WorkloadKind::Inventory(InventoryGen::new(2)),
+            WorkloadKind::Random(RandomTreeGen { slots: 1, max_fanout: 1, ..random }),
+        ];
+        for kind in good {
+            assert_eq!(kind.validate(), Ok(()), "{kind:?}");
+            for seed in 0..200 {
+                kind.program(seed).validate().unwrap_or_else(|e| panic!("{kind:?} {seed}: {e}"));
+            }
+        }
     }
 
     #[test]

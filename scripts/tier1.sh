@@ -82,6 +82,17 @@ echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # suites above assert their pinned values under both queues in-process.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test queue_props
 
+echo "==> benchmark crate builds and runs (benchmark/ is outside the workspace)"
+# benchmark/ has its own manifest, so a signature change to anything it
+# calls (LockTable::rescan, WorkloadKind::program, run_txn_committed, ...)
+# is invisible to the workspace build above. The two short runs are the
+# smoke: each re-checks its oracles (lemma violations 0, report digest equal
+# under the heap queue and the other thread count; the nested one also the
+# Theorem 11 commit-order replay) and exits non-zero if one fails.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --bins
+benchmark/run.sh --workload sharded_zipf_elastic --seed 23 --seconds 3 --trace 0 > /dev/null
+benchmark/run.sh --workload txn_banking_t11 --seed 23 --seconds 3 --trace 0 > /dev/null
+
 echo "==> perf-regression gate (exp_throughput -> bench_summary --check)"
 # Regenerate the hot-path throughput snapshot, fold it into a scratch
 # copy of the trajectory under a synthetic commit, and fail if the
