@@ -14,10 +14,10 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    run, run_observed, run_sharded, EventKind, FaultPlan, LatencyModel,
-    MultiConfig, ObsOptions, RetryPolicy, SimConfig, SimTime,
+    run, run_observed, run_sharded, EventKind, FaultPlan, LatencyModel, MultiConfig, ObsOptions,
+    QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy, SimConfig, SimTime,
 };
-use quorum::Majority;
+use quorum::{Majority, Rowa};
 
 fn base(latency: LatencyModel) -> SimConfig {
     let mut c = SimConfig::new(Arc::new(Majority::new(5)));
@@ -200,4 +200,76 @@ fn violations_become_events_with_offending_op() {
     let jsonl = obs.events_jsonl();
     assert!(jsonl.contains(r#""event":"violation""#));
     assert!(jsonl.contains(r#""op":{"#), "OpRef serialized");
+}
+
+/// The fault weather of the two pinned runs below: a member crash the
+/// reactive trigger shrinks around and a recovery it grows back after
+/// (`reconfig_fence` spans, `reconfig:` events, stale-generation retries),
+/// a scripted `reconfig@`, a forced abort, and a drop window with retries
+/// and terminal failures behind it.
+fn reconfiguring_weather() -> FaultPlan {
+    FaultPlan::new()
+        .crash_at(SimTime::from_millis(300), 4)
+        .recover_at(SimTime::from_millis(900), 4)
+        .abort_at(SimTime::from_millis(500), 1)
+        .drop_window(SimTime::from_millis(1100), SimTime::from_millis(200), 400)
+        .reconfig_at(
+            SimTime::from_millis(1500),
+            ReconfigTarget::Members([0usize, 1, 2, 3].into_iter().collect()),
+        )
+}
+
+/// The absolute pin behind the invisibility and invariance tests above:
+/// everything `ObsOptions::full()` records (phase spans, the causal
+/// profile, the event log with its fault, reconfiguration and snapshot
+/// records) for one faulted, reactively reconfiguring single-item run.
+#[test]
+fn reconfiguring_single_item_obs_digest_is_pinned() {
+    let mut c = SimConfig::new(Arc::new(Rowa::new(5)));
+    c.read_fraction = 0.5;
+    c.duration = SimTime::from_secs(2);
+    c.seed = 29;
+    c.faults = reconfiguring_weather();
+    c.retry = RetryPolicy::retries(3, SimTime::from_millis(5));
+    c.reconfig = ReconfigPolicy::reactive();
+    c.obs = ObsOptions::full();
+    c.obs.snapshot_every_us = Some(250_000);
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        let (m, obs) = run_observed(SimConfig { queue, ..c.clone() });
+        assert!(m.reconfigurations >= 3, "reconfigurations {}", m.reconfigurations);
+        assert!(m.stale_rejections > 0 && m.forced_aborts == 1);
+        assert_eq!(m.lemma_violations, 0, "{:?}", m.violations);
+        assert_eq!(obs.digest(), 630950429396481429, "{queue:?}");
+    }
+}
+
+/// The sharded twin, with a late `corrupt@` on top so the per-item
+/// violation text (`item=… client=…`) is under the pin too.
+#[test]
+fn reconfiguring_sharded_obs_digest_is_pinned() {
+    let mut c = MultiConfig::new(Arc::new(Rowa::new(5)));
+    c.items = 8;
+    c.shards = 4;
+    c.clients_per_shard = 2;
+    c.read_fraction = 0.5;
+    c.duration = SimTime::from_secs(2);
+    c.seed = 29;
+    c.faults = reconfiguring_weather().corrupt_at(SimTime::from_millis(1950), 0, 999, 123);
+    c.retry = RetryPolicy::retries(3, SimTime::from_millis(5));
+    c.reconfig = ReconfigPolicy::reactive();
+    c.obs = ObsOptions::full();
+    c.obs.snapshot_every_us = Some(250_000);
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        for threads in [1, 2, 4] {
+            let r = run_sharded(&MultiConfig { queue, ..c.clone() }, threads);
+            assert!(r.metrics.reconfigurations >= 3 * c.items as u64);
+            assert!(r.metrics.stale_rejections > 0 && r.metrics.forced_aborts == 1);
+            assert!(
+                r.metrics.violations.iter().any(|v| v.contains("item=0 client=")),
+                "no committed op met the corruption: {:?}",
+                r.metrics.violations
+            );
+            assert_eq!(r.obs.digest(), 17389884464033808329, "{queue:?}, {threads} threads");
+        }
+    }
 }
