@@ -4,7 +4,7 @@
 //! The scenario plan staggers two site outages across a 30-second run,
 //! forces two client aborts, and adds one message-drop window and one
 //! extra-delay window. Each (quorum × retry-budget) cell runs the same
-//! plan; the runtime [`qc_sim::InvariantProbe`] checks Lemma 7/8 on every
+//! plan; the simulator's runtime lemma monitor checks Lemma 7/8 on every
 //! committed operation and at end of run, and the table asserts zero
 //! violations. A final negative-control run corrupts one replica store
 //! mid-run and asserts the monitor *does* fire — demonstrating the green

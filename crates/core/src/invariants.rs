@@ -11,7 +11,7 @@
 //! state, and read-TMs return the logical state" (Lemma 8) — are factored
 //! into the runtime-agnostic [`LemmaChecker`], shared between
 //! [`LemmaMonitor`] (the I/O-automaton executor) and the discrete-event
-//! simulator's `InvariantProbe` (`qc_sim`), so both runtimes assert the
+//! simulator's protocol core (`qc_sim`), so both runtimes assert the
 //! same predicates against their own replica states.
 
 use std::collections::BTreeMap;
@@ -121,7 +121,7 @@ impl fmt::Display for LemmaViolation {
 /// fed to [`commit_write`](Self::commit_write), and asserts the lemma
 /// predicates against whatever replica states the hosting runtime can
 /// observe. [`LemmaMonitor`] instantiates it per step over the I/O-automaton
-/// system's DM components; the simulator's `InvariantProbe` (`qc_sim`)
+/// system's DM components; the simulator's protocol core (`qc_sim`)
 /// instantiates it over the simulated per-site stores. Generic over the
 /// value type so both `Value`-based and plain-integer runtimes share the
 /// exact predicate code.
@@ -473,7 +473,7 @@ impl LemmaMonitor {
         }
         let current = track.dm_last_write_vn.values().copied().max().unwrap_or(0);
         // Lemmas 7, 8(1a), 8(1b): shared predicate code with the simulator's
-        // InvariantProbe, via LemmaChecker. Replica indices map to DM
+        // lemma monitor, via LemmaChecker. Replica indices map to DM
         // objects positionally; 8(1a)/8(1b) apply only when access(x, β) has
         // even length (no TM in progress).
         let checker = LemmaChecker::from_state(current, track.logical_state.clone());

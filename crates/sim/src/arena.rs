@@ -1,4 +1,4 @@
-//! Structure-of-arrays DM store arena shared by both simulators.
+//! Structure-of-arrays DM store arena under the protocol core.
 //!
 //! A DM's state is a `(version number, value)` pair per site per item. The
 //! simulators used to keep these as `Vec<(u64, u64)>` — array-of-structs —

@@ -4,11 +4,18 @@
 //! Goldman & Lynch (PODC 1987) is a theory paper; its introduction
 //! motivates replication by availability, reliability and performance.
 //! This crate provides the testbed-stand-in used by the workspace's
-//! quantitative experiments (Q1–Q5 in `EXPERIMENTS.md`): replica sites
-//! with exponential crash/repair processes, parametric message latency
-//! (LAN / WAN / fixed), closed-loop clients running the Gifford protocol
-//! (read-quorum discovery, then write-quorum installation), and per-class
-//! metrics (latency percentiles, message cost, availability, throughput).
+//! quantitative experiments (`EXPERIMENTS.md`): replica sites with
+//! exponential crash/repair processes and scripted fault plans, parametric
+//! message latency (LAN / WAN / fixed), clients running the Gifford
+//! protocol (read-quorum discovery, then write-quorum installation) with
+//! the paper's §4 reconfiguration, and per-class metrics (latency
+//! percentiles, message cost, availability, throughput).
+//!
+//! The protocol is written once (the private `protocol` module) and run
+//! by three drivers, each an event loop of its own: the single-item
+//! [`Simulation`], the sharded multi-item [`run_sharded`], and the
+//! nested-transaction [`txn_workload`], which composes the same quorum
+//! operations with a copy-level lock table (the paper's Theorem 11).
 //!
 //! # Example
 //!
@@ -32,7 +39,7 @@ mod latency;
 mod metrics;
 mod par;
 pub mod placement;
-mod probe;
+mod protocol;
 pub mod queue;
 mod shard;
 #[allow(clippy::module_inception)]
@@ -52,7 +59,7 @@ pub use placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
     PlacementReport, SeedPlacement,
 };
-pub use probe::InvariantProbe;
+pub use protocol::{ContactPolicy, ReconfigPolicy};
 pub use shard::{
     cum_weight_table, item_weight, run_sharded, run_sharded_elastic,
     run_sharded_elastic_traced, run_sharded_traced, ItemDist, MultiConfig, ShardReport, Workload,
@@ -66,7 +73,7 @@ pub use qc_obs::{
     EventKind, EventLogMode, Histogram, ObsEvent, ObsOptions, ObsReport, OpRef, Phase,
     Snapshot, SpanRecorder, PHASES,
 };
-pub use sim::{run, run_observed, run_traced, ContactPolicy, ReconfigPolicy, SimConfig, Simulation};
+pub use sim::{run, run_observed, run_traced, SimConfig, Simulation};
 pub use time::SimTime;
 pub use trace::{trace_to_json, TraceRecorder};
 pub use qc_obs::causal::{

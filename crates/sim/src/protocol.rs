@@ -1,0 +1,1967 @@
+//! The quorum-consensus protocol, written once.
+//!
+//! Theorem 11 is the paper's modularity result: the replication algorithm
+//! is *one* component, and it composes with any copy-level concurrency
+//! control. This module is that component; the three drivers (`sim.rs`,
+//! `shard.rs`, `txn_workload.rs`) are event loops around it. It has two
+//! layers.
+//!
+//! **Item level — [`Cluster`], under all three drivers.** The sites one
+//! event loop simulates (live set, its view of the fault plan, planned and
+//! stochastic crash times), the DM arena, and the per-item columns that
+//! belong with it: the Lemma 7/8 checker and its memo, the committed
+//! configuration, the reconfigure budget, the schedule-trace recorder. On
+//! them: the quorum-gathering [phase](Cluster::phase), the quorum /
+//! feasibility / contact-target rule, [`FaultEvent`] application, the
+//! Goldman–Lynch §4 [reconfigure op](Cluster::reconfigure) and the one
+//! Gifford [attempt](Cluster::attempt). Outcomes are small `Copy` return
+//! values: this layer knows nothing of `Metrics`, `TxnStats`, event queues
+//! or clients, which is what lets the nested-transaction driver run it
+//! under a lock table. The lemma monitor's verdict is asked for by the
+//! caller ([`Cluster::commit_check`], [`Cluster::check_item`]), never
+//! carried in a per-attempt return.
+//!
+//! **Client-op level — [`Clients`], under the two flat drivers.** What a
+//! logical operation costs across its attempts and leaves behind: forced
+//! abort / commit / failed / stale bookkeeping over [`Metrics`], the
+//! [`OpSlab`], phase spans, causal segments, snapshots, the event log and
+//! violation reporting. It returns what to schedule ([`Then`]) and never
+//! schedules.
+//!
+//! Every name an observer can see is the driver's to supply: the
+//! coordinator and item of an operation ([`OpId`]), whether an item is
+//! named at all in violation and event texts (the single-item driver's one
+//! item is anonymous), and the reconfigure-TM's operation number.
+//!
+//! # Protocol fidelity
+//!
+//! Quorum membership is decided by a [`QuorumSpec`] predicate, so every
+//! quorum system of the `quorum` crate plugs in directly; systems with a
+//! [`Thresholds`](quorum::Thresholds) form take the popcount fast path.
+//!
+//! **Crash visibility.** A phase checks, per contacted site, whether the
+//! site's next scheduled crash (stochastic or planned) lands before the
+//! response would complete; if so the response is lost and the quorum must
+//! be assembled from the surviving sites or the attempt times out. Sampling
+//! site state once at operation start would be unsound once operations
+//! retry across repair intervals.
+//!
+//! **Atomic commit rounds.** A phase either assembles its quorum — and, for
+//! writes, installs the new version at exactly the responding quorum — or
+//! installs nothing. This is the simulation analogue of the paper's
+//! transaction-abort semantics: a failed attempt has no visible effect, so
+//! every committed point of the run is an "even point" of the access
+//! sequence and Lemmas 7 and 8 must hold there.
+//!
+//! **Failure classification.** An attempt that cannot possibly succeed —
+//! the live sites contain no read (for reads) or no read+write quorum (for
+//! writes) — fails fast as *unavailable* without sending messages; one
+//! whose quorum exists but does not assemble within the timeout is a
+//! *timeout*. An attempt under a *cached* configuration (§4) is the
+//! exception to failing fast: it contacts whatever members are live,
+//! because a single reply can reveal the newer generation.
+//!
+//! The protocol's only RNG use is two latency samples per live, undropped
+//! target, in ascending site order.
+
+use std::fmt;
+use std::sync::Arc;
+
+use qc_obs::causal::{AbortCause, EdgeKind, SpanKind, TxnRef, TxnTrace, NO_SPAN};
+use qc_obs::{
+    EventKind, EventSink, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot, SnapshotExporter,
+};
+use qc_replication::{AbortReason, LemmaChecker, LemmaViolation, TmKind, TraceAction, TraceTid};
+use quorum::{QuorumFamily, QuorumSpec, ReplicaSet};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+use crate::arena::{DmArena, SlotState};
+use crate::faults::{message_dropped, FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
+use crate::latency::LatencyModel;
+use crate::metrics::{Metrics, OpStats};
+use crate::slab::{OpSlab, PendingOp};
+use crate::time::SimTime;
+use crate::trace::TraceRecorder;
+
+/// Which replicas the coordinator contacts in each phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ContactPolicy {
+    /// Contact every live replica; finish when a quorum of responses is in
+    /// (lowest latency, highest message cost).
+    AllLive,
+    /// Contact a minimal quorum among the live replicas (lowest message
+    /// cost; a single slow member delays the phase).
+    MinimalQuorum,
+}
+
+/// When and how a simulator issues reconfigure ops (the paper's §4
+/// dynamic-quorum scheme).
+///
+/// Dynamic quorums are strictly **opt-in**: with the default
+/// ([`ReconfigPolicy::off`]) a run is the static protocol, byte for byte.
+/// When enabled, replica slots carry a `(configuration, generation)` pair,
+/// data ops validate their cached generation against a configuration read
+/// quorum, and reconfigure ops — scripted via the fault plan's
+/// `reconfig@t:spec` verb and/or issued by the reactive trigger — install
+/// new configurations mid-run following Goldman–Lynch: the new
+/// configuration is written to a write quorum of the *old* configuration,
+/// after which ops at stale generations are rejected and retried under the
+/// new one.
+///
+/// The reactive trigger is the operational counterpart of `qc-reconfig`'s
+/// `Spy` automaton: a periodic check (the Spy's always-enabled
+/// `REQUEST-CREATE` output, discretized to a `poll` cadence) that spends a
+/// bounded budget of reconfigurations (`max_reconfigs`, the Spy's
+/// `used < max_reconfigs` guard) when the failure signal — the delta in
+/// timeout/unavailable classifications already kept in
+/// [`Metrics`](crate::Metrics) — indicates the current membership is
+/// wrong. It draws nothing from the RNG stream, so reconfiguring runs
+/// stay deterministic across thread counts and queue implementations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReconfigPolicy {
+    /// Master switch: when false, the simulator is exactly the static one.
+    pub enabled: bool,
+    /// Run the reactive spy trigger (scripted `reconfig@t` events work
+    /// either way).
+    pub reactive: bool,
+    /// Cadence of the reactive trigger's failure-signal check.
+    pub poll: SimTime,
+    /// Minimum time between two reactive reconfigurations.
+    pub cooldown: SimTime,
+    /// Never shrink the membership below this size.
+    pub min_members: usize,
+    /// Budget of reactive reconfigurations per run (the Spy's
+    /// `max_reconfigs`).
+    pub max_reconfigs: u32,
+}
+
+impl ReconfigPolicy {
+    /// Dynamic quorums disabled (the default): the static simulator.
+    #[must_use]
+    pub fn off() -> Self {
+        ReconfigPolicy {
+            enabled: false,
+            reactive: false,
+            poll: SimTime::from_millis(50),
+            cooldown: SimTime::from_millis(200),
+            min_members: 1,
+            max_reconfigs: 64,
+        }
+    }
+
+    /// Generation-aware protocol with the reactive spy trigger: poll the
+    /// failure signal every 50 ms, reconfigure to the live membership,
+    /// with a 200 ms cooldown between reconfigurations.
+    #[must_use]
+    pub fn reactive() -> Self {
+        ReconfigPolicy {
+            enabled: true,
+            reactive: true,
+            ..ReconfigPolicy::off()
+        }
+    }
+
+    /// Generation-aware protocol, but only fault-plan `reconfig@t` events
+    /// ever reconfigure.
+    #[must_use]
+    pub fn scripted_only() -> Self {
+        ReconfigPolicy {
+            enabled: true,
+            reactive: false,
+            ..ReconfigPolicy::off()
+        }
+    }
+}
+
+impl Default for ReconfigPolicy {
+    fn default() -> Self {
+        ReconfigPolicy::off()
+    }
+}
+
+/// The check list every driver's `validate` shares, one wording per
+/// mistake: dynamic quorums need a resizable family, scripted `reconfig@`
+/// events need the policy enabled, `migrate@` events need a driver that
+/// `migrates`, the plan's sites and clients must be in range, and a flat
+/// driver's `read_fraction` must be a probability (anything else — NaN
+/// included — would panic in `gen_bool` at the first operation).
+pub(crate) fn validate(
+    quorum: &dyn QuorumSpec,
+    faults: &FaultPlan,
+    reconfig: &ReconfigPolicy,
+    clients: usize,
+    migrates: bool,
+    read_fraction: Option<f64>,
+) -> Result<(), String> {
+    let scripts = |is: fn(&FaultEvent) -> bool| faults.events().iter().any(|(_, e)| is(e));
+    if let Some(f) = read_fraction {
+        if !(0.0..=1.0).contains(&f) {
+            return Err(format!("read_fraction must be in [0, 1], got {f}"));
+        }
+    }
+    if reconfig.enabled {
+        if QuorumFamily::of(quorum).is_none() {
+            return Err(format!(
+                "dynamic quorums require a ROWA or majority quorum system, got {}",
+                quorum.label()
+            ));
+        }
+    } else if scripts(|e| matches!(e, FaultEvent::Reconfig { .. })) {
+        return Err(
+            "fault plan contains reconfig events but the reconfig policy is disabled".into(),
+        );
+    }
+    if !migrates && scripts(|e| matches!(e, FaultEvent::Migrate { .. })) {
+        return Err(
+            "fault plan contains migrate events, which need the sharded simulator's elastic \
+             placement"
+                .into(),
+        );
+    }
+    faults.validate(quorum.n(), clients)
+}
+
+const FAMILY: &str = "validate() requires a quorum family under dynamic quorums";
+
+/// Sentinel for "no stochastic crash scheduled".
+pub(crate) const NO_CRASH: SimTime = SimTime(u64::MAX);
+
+/// A quorum rule by sizes: `read` / `write` responses from `members`. Where
+/// a phase takes `Option<Sizes>`, `None` is the configured static system's
+/// own predicates (a system with no threshold form).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sizes {
+    pub members: ReplicaSet,
+    pub read: usize,
+    pub write: usize,
+}
+
+/// The outcome of one simulated phase.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhaseOutcome {
+    /// Completion time offset (the timeout when the phase failed).
+    pub elapsed: SimTime,
+    /// Requests sent plus responses that left a live site undropped.
+    pub messages: u64,
+    /// Messages lost to the drop window.
+    pub dropped: u64,
+    /// The responding quorum when `ok`; otherwise every site whose response
+    /// arrived within the timeout (too few to satisfy the rule).
+    pub responders: ReplicaSet,
+    pub ok: bool,
+}
+
+/// How one Gifford attempt ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// No quorum could exist among the live sites.
+    Unavailable,
+    /// A quorum exists but did not assemble within the timeout.
+    Timeout,
+    /// A response carried a generation newer than the coordinator's cache,
+    /// which has adopted it. Nothing was installed.
+    Stale,
+    /// Committed `(vn, value)` over the logical value `prev`; the caller
+    /// owes the lemma monitor a [`Cluster::commit_check`].
+    Committed { vn: u64, value: u64, prev: u64 },
+}
+
+/// What one Gifford attempt cost, however it ended.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Cost {
+    /// Simulated time of the phases that ran (gather + install).
+    pub elapsed: SimTime,
+    /// Phase 1's share of `elapsed`.
+    pub gather: SimTime,
+    pub messages: u64,
+    pub dropped: u64,
+}
+
+/// What a reconfigure op did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Reconfigured {
+    /// Not warranted: over budget, cooling down, below `min_members`, or
+    /// the membership would not change.
+    Skipped,
+    /// Scripted, but the live sites cannot carry it.
+    Failed,
+    /// Generation `gen` with `members` is committed; the caller owes the
+    /// lemma monitor a [`Cluster::check_item`].
+    Installed { gen: u64, members: ReplicaSet },
+}
+
+/// What applying a planned [`FaultEvent`] asks of the driver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FaultEffect {
+    None,
+    /// A live site went down.
+    SiteDown,
+    /// Force-abort this (driver-local) client's next attempt.
+    Abort(usize),
+    /// Slot 0's stores were scribbled on; the caller owes the lemma
+    /// monitor a [`Cluster::check_item`] *now*: a later write's install can
+    /// overwrite the corrupted entry before any committed operation (or
+    /// the end-of-run sweep) would look at it, so detection at injection
+    /// time is the only seed-independent guarantee.
+    Corrupted,
+    /// Reconfigure every owned item towards `target`.
+    Reconfig(ReconfigTarget),
+}
+
+/// One item in flight between two clusters at a migration barrier: its `n`
+/// DM slots and its entry in every per-item column.
+pub(crate) struct ItemExport {
+    slots: Vec<SlotState>,
+    checker: LemmaChecker<u64>,
+    gen: u64,
+    members: ReplicaSet,
+    last_reconfig: SimTime,
+    reconfigs_used: u32,
+    recorder: Option<TraceRecorder>,
+}
+
+/// One transaction-manager block of the schedule trace, CREATE to COMMIT.
+struct TmBlock {
+    kind: TmKind,
+    /// Whether the TM also read the configuration at `reads`.
+    read_cfg: bool,
+    reads: ReplicaSet,
+    /// `(sites, gen, members)` of the configuration installs.
+    cfg_writes: Option<(ReplicaSet, u64, ReplicaSet)>,
+    /// `(sites, vn, value)` of the data installs.
+    dm_writes: Option<(ReplicaSet, u64, u64)>,
+    /// REQUEST-COMMIT's `(vn, value)`.
+    commit: (u64, u64),
+}
+
+/// What a driver configures a [`Cluster`] with.
+pub(crate) struct ClusterSpec {
+    pub quorum: Arc<dyn QuorumSpec + Send + Sync>,
+    pub latency: LatencyModel,
+    pub contact: ContactPolicy,
+    pub timeout: SimTime,
+    /// The run's master seed: drop coins and trace headers.
+    pub seed: u64,
+    /// The seed of this event loop's private RNG stream.
+    pub rng_seed: u64,
+    /// This event loop's view of the fault plan.
+    pub plan: FaultPlan,
+    pub reconfig: ReconfigPolicy,
+    pub monitor: bool,
+    /// Item slots to start with.
+    pub slots: usize,
+}
+
+/// The replicated store one event loop drives: sites, fault weather, DM
+/// arena, per-item protocol state. Items are addressed by slot; the block
+/// of slot `i` is `stores[i·n .. (i+1)·n]`, and every per-item column is
+/// indexed by slot.
+pub(crate) struct Cluster {
+    pub cfg: ClusterSpec,
+    /// Sites per item (`quorum.n()`).
+    pub n: usize,
+    /// The static quorum system as a size rule over all `n` sites, when it
+    /// has a `Thresholds` form (ROWA and majority do): membership probes
+    /// and contact selection then run as inline popcounts instead of
+    /// virtual calls.
+    th: Option<Sizes>,
+    /// Resizable family of the quorum system, when it has one (required
+    /// for dynamic quorums: the size rules must extend to any member set).
+    family: Option<QuorumFamily>,
+    /// Planned crash times per site, ascending (for straddle detection).
+    plan_crashes: Vec<Vec<SimTime>>,
+    /// Next scheduled stochastic crash per site ([`NO_CRASH`] when none;
+    /// only the single-item driver has a stochastic failure process).
+    pub stoch_next_down: Vec<SimTime>,
+    pub rng: ChaCha8Rng,
+    pub now: SimTime,
+    /// Live sites, as a bitset (`full(n)` when healthy).
+    pub up: ReplicaSet,
+    /// Flat per-item DM arena, SoA layout: `item slot·n + site`.
+    stores: DmArena,
+    /// One lemma checker per item slot.
+    checkers: Vec<LemmaChecker<u64>>,
+    /// Per-item memoized outcome of the store re-check (Lemmas 7/8(1a)/
+    /// 8(1b)): a pure function of the item's history digest, committed
+    /// membership and store slots, so between mutations of those it is
+    /// replayed, not re-scanned. Cleared per item at every mutation site
+    /// (write installs, corrupt injections, committed-write digests,
+    /// reconfigurations).
+    memos: Vec<Option<Result<(), LemmaViolation>>>,
+    /// Committed configuration generation per item slot (0 = the initial
+    /// full membership; only reconfigure ops advance it).
+    gens: Vec<u64>,
+    /// Members of the committed configuration per item slot.
+    members: Vec<ReplicaSet>,
+    /// The reactive trigger's cooldown and budget per item slot: instant of
+    /// the last reconfiguration, and how many so far.
+    last_reconfig: Vec<SimTime>,
+    reconfigs_used: Vec<u32>,
+    /// One schedule-trace recorder per item slot, when tracing.
+    recorders: Option<Vec<TraceRecorder>>,
+    /// Phase response buffer, reused so the hot path allocates nothing.
+    scratch: Vec<(SimTime, usize)>,
+}
+
+impl Cluster {
+    pub fn new(cfg: ClusterSpec) -> Self {
+        let n = cfg.quorum.n();
+        let slots = cfg.slots;
+        Cluster {
+            n,
+            th: cfg.quorum.thresholds().map(|t| Sizes {
+                members: ReplicaSet::full(t.n),
+                read: t.read_size,
+                write: t.write_size,
+            }),
+            family: QuorumFamily::of(&*cfg.quorum),
+            plan_crashes: (0..n)
+                .map(|s| cfg.plan.crash_times_for(s).collect())
+                .collect(),
+            stoch_next_down: vec![NO_CRASH; n],
+            rng: ChaCha8Rng::seed_from_u64(cfg.rng_seed),
+            now: SimTime::ZERO,
+            up: ReplicaSet::full(n),
+            stores: DmArena::new_configured(slots * n, n),
+            checkers: (0..slots).map(|_| LemmaChecker::new(0)).collect(),
+            memos: vec![None; slots],
+            gens: vec![0; slots],
+            members: vec![ReplicaSet::full(n); slots],
+            last_reconfig: vec![SimTime::ZERO; slots],
+            reconfigs_used: vec![0; slots],
+            recorders: None,
+            scratch: Vec::new(),
+            cfg,
+        }
+    }
+
+    /// Committed configuration generation of the item in `slot`.
+    pub fn gen(&self, slot: usize) -> u64 {
+        self.gens[slot]
+    }
+
+    /// Committed membership of the item in `slot`.
+    pub fn members(&self, slot: usize) -> ReplicaSet {
+        self.members[slot]
+    }
+
+    /// `current-vn` of the committed history of the item in `slot`.
+    pub fn current_vn(&self, slot: usize) -> u64 {
+        self.checkers[slot].current_vn()
+    }
+
+    // ----- schedule tracing ----------------------------------------------
+
+    /// Record every item's schedule from here on. Tracing is purely
+    /// observational: it draws nothing from the RNG stream.
+    pub fn attach_recorders(&mut self) {
+        let recorder = || TraceRecorder::new(self.cfg.quorum.label(), self.n, self.cfg.seed);
+        self.recorders = Some((0..self.checkers.len()).map(|_| recorder()).collect());
+    }
+
+    /// Detach the recorders, one per item slot, if tracing.
+    pub fn take_recorders(&mut self) -> Option<Vec<TraceRecorder>> {
+        self.recorders.take()
+    }
+
+    /// Record one TM block against `item` at the current instant — the one
+    /// emitter of data TMs and the reconfigure-TM alike (callers check for
+    /// a recorder first, to skip building the block).
+    fn emit_tm(&mut self, item: usize, tid: TraceTid, b: TmBlock) {
+        let faulted = self.faulted_now();
+        let (now, base, stores) = (self.now, item * self.n, &self.stores);
+        let Some(recorders) = self.recorders.as_mut() else {
+            return;
+        };
+        let rec = &mut recorders[item];
+        let mut emit = |action| rec.record(now, tid, action, faulted);
+        emit(TraceAction::Create { kind: b.kind });
+        if b.read_cfg {
+            for site in b.reads {
+                let gen = stores.cfg_gen(base + site);
+                emit(TraceAction::ReadCfg { site, gen });
+            }
+        }
+        // Emitted before any install, so the READ-DM events carry the
+        // store contents the discovery actually saw.
+        for site in b.reads {
+            let (vn, value) = stores.get(base + site);
+            emit(TraceAction::ReadDm { site, vn, value });
+        }
+        if let Some((sites, gen, members)) = b.cfg_writes {
+            for site in sites {
+                emit(TraceAction::WriteCfg { site, gen, members });
+            }
+        }
+        if let Some((sites, vn, value)) = b.dm_writes {
+            for site in sites {
+                emit(TraceAction::WriteDm { site, vn, value });
+            }
+        }
+        let (vn, value) = b.commit;
+        emit(TraceAction::RequestCommit { vn, value });
+        emit(TraceAction::Commit);
+    }
+
+    /// Record the ABORT of an attempt that was never created (no-op when
+    /// untraced): a driver's forced or fenced abort; a failed attempt
+    /// records its own. A forced abort is a fault by definition.
+    pub fn emit_abort(&mut self, item: usize, tid: TraceTid, write: bool, reason: AbortReason) {
+        if self.recorders.is_none() {
+            return;
+        }
+        let faulted = reason == AbortReason::Forced || self.faulted_now();
+        let kind = if write { TmKind::Write } else { TmKind::Read };
+        let now = self.now;
+        if let Some(recorders) = self.recorders.as_mut() {
+            recorders[item].record(now, tid, TraceAction::Abort { kind, reason }, faulted);
+        }
+    }
+
+    // ----- sites and weather ---------------------------------------------
+
+    /// Whether any fault condition is active right now — a site down, or
+    /// an open drop/delay window. Trace events are tagged with this so a
+    /// reader can separate healthy-period actions from faulted-period ones.
+    fn faulted_now(&self) -> bool {
+        self.up != ReplicaSet::full(self.n)
+            || self.cfg.plan.drop_permille_at(self.now) > 0
+            || self.cfg.plan.delay_extra_at(self.now) > SimTime::ZERO
+    }
+
+    /// Whether `site` (up now) crashes at or before `t` — the straddle
+    /// check: a response arriving at `t` is lost if the site's next
+    /// stochastic or planned crash lands first.
+    fn site_crashes_by(&self, site: usize, t: SimTime) -> bool {
+        if self.stoch_next_down[site] <= t {
+            return true;
+        }
+        let planned = &self.plan_crashes[site];
+        let i = planned.partition_point(|&c| c <= self.now);
+        i < planned.len() && planned[i] <= t
+    }
+
+    /// Apply planned fault `idx` to the sites and stores; what concerns
+    /// clients, the monitor or whole keyspaces comes back as a
+    /// [`FaultEffect`].
+    pub fn apply_fault(&mut self, idx: usize) -> FaultEffect {
+        match self.cfg.plan.events()[idx].1 {
+            FaultEvent::Crash { site } => {
+                if self.up.contains(site) {
+                    self.up.remove(site);
+                    return FaultEffect::SiteDown;
+                }
+            }
+            FaultEvent::Recover { site } => self.up.insert(site),
+            FaultEvent::AbortClient { client } => return FaultEffect::Abort(client),
+            FaultEvent::Corrupt { site, vn, value } => {
+                // The plan view routes Corrupt to the loop owning global
+                // item 0, which is slot 0 there.
+                self.stores.set(site, vn, value);
+                self.memos[0] = None;
+                return FaultEffect::Corrupted;
+            }
+            FaultEvent::Reconfig { target } => return FaultEffect::Reconfig(target),
+            // Windows act at message time via drop_permille_at /
+            // delay_extra_at; migrations are consumed by the elastic
+            // control plane at its barriers (stripped from every plan
+            // view, rejected by the other drivers' validate).
+            FaultEvent::DropWindow { .. }
+            | FaultEvent::DelayWindow { .. }
+            | FaultEvent::Migrate { .. } => {}
+        }
+        FaultEffect::None
+    }
+
+    // ----- the quorum rule -----------------------------------------------
+
+    /// Whether `have` includes the relevant quorum — a popcount wherever
+    /// sizes decide, which for the static system's threshold form agrees
+    /// exactly with its predicates (asserted exhaustively in the quorum
+    /// crate).
+    #[inline]
+    fn is_quorum(&self, have: ReplicaSet, write: bool, rule: Option<Sizes>) -> bool {
+        match rule {
+            Some(r) => have.intersection(r.members).len() >= if write { r.write } else { r.read },
+            None if write => self.cfg.quorum.is_write_quorum_bits(have),
+            None => self.cfg.quorum.is_read_quorum_bits(have),
+        }
+    }
+
+    /// Whether the live sites hold the quorums an operation needs (writes
+    /// also need a read quorum, for version discovery).
+    #[inline]
+    fn feasible(&self, write: bool, rule: Option<Sizes>) -> bool {
+        match rule {
+            Some(r) => {
+                let k = self.up.intersection(r.members).len();
+                k >= r.read && (!write || k >= r.write)
+            }
+            None => {
+                let health = self.cfg.quorum.quorum_health(self.up);
+                health.can_read() && (!write || health.can_write())
+            }
+        }
+    }
+
+    /// The sites a phase contacts, or `None` when the live sites hold no
+    /// such quorum. Contacting a site known to be down buys nothing: it
+    /// cannot respond. A minimal quorum matches `find_*_quorum_bits` bit
+    /// for bit: for threshold systems the greedy ascending-drop shrink
+    /// keeps exactly the highest `k` live members.
+    #[inline]
+    fn targets(&self, write: bool, rule: Option<Sizes>) -> Option<ReplicaSet> {
+        let minimal = self.cfg.contact == ContactPolicy::MinimalQuorum;
+        let Some(r) = rule else {
+            return match (minimal, write) {
+                (false, _) => Some(self.up),
+                (true, true) => self.cfg.quorum.find_write_quorum_bits(self.up),
+                (true, false) => self.cfg.quorum.find_read_quorum_bits(self.up),
+            };
+        };
+        let live = self.up.intersection(r.members);
+        let k = if write { r.write } else { r.read };
+        if live.len() < k {
+            // A read still contacts whoever is live: any single response
+            // can reveal a newer generation, which is how a coordinator
+            // with a stale cache ever recovers. (Only an attempt under a
+            // cached configuration gets here; the others fail fast.)
+            return (!write).then_some(live);
+        }
+        Some(if minimal { live.keep_highest(k) } else { live })
+    }
+
+    // ----- the phase and the attempt -------------------------------------
+
+    /// Simulate one quorum-gathering phase from the current site state
+    /// (`write_phase` selects the side of `rule`).
+    ///
+    /// `targets` are contacted (one request + one response each if live;
+    /// requests to dead sites are sent and lost); the phase completes at
+    /// the earliest time the responder set satisfies the quorum rule.
+    /// Messages may be dropped by an active drop window, delayed by an
+    /// active delay window, and responses are lost when the site crashes
+    /// before the response would arrive. The per-message drop coins are
+    /// keyed by `coin_client` and `tid`'s operation and attempt numbers.
+    fn phase(
+        &mut self,
+        targets: ReplicaSet,
+        (coin_client, tid): (usize, TraceTid),
+        write_phase: bool,
+        rule: Option<Sizes>,
+    ) -> PhaseOutcome {
+        let phase_no: u8 = if write_phase { 2 } else { 1 };
+        let drop_permille = self.cfg.plan.drop_permille_at(self.now);
+        let delay_extra = self.cfg.plan.delay_extra_at(self.now);
+        let (client, op_index, attempt) = (coin_client, tid.op, tid.attempt);
+        let seed = self.cfg.seed;
+        let mut responses = std::mem::take(&mut self.scratch);
+        responses.clear();
+        let (mut messages, mut dropped) = (0u64, 0u64);
+        for s in targets {
+            messages += 1; // request
+            if !self.up.contains(s) {
+                continue;
+            }
+            if message_dropped(
+                seed,
+                client,
+                op_index,
+                attempt,
+                phase_no,
+                s,
+                false,
+                drop_permille,
+            ) {
+                dropped += 1;
+                continue;
+            }
+            let rtt = self.cfg.latency.sample(&mut self.rng)
+                + self.cfg.latency.sample(&mut self.rng)
+                + delay_extra
+                + delay_extra;
+            if self.site_crashes_by(s, self.now + rtt) {
+                // The site dies before its response completes.
+                continue;
+            }
+            messages += 1; // response
+            if message_dropped(
+                seed,
+                client,
+                op_index,
+                attempt,
+                phase_no,
+                s,
+                true,
+                drop_permille,
+            ) {
+                dropped += 1;
+                continue;
+            }
+            responses.push((rtt, s));
+        }
+        // `(rtt, site)` pairs are distinct (sites differ), so an unstable
+        // sort orders them exactly as a stable one would.
+        responses.sort_unstable();
+        let mut have = ReplicaSet::new();
+        let mut done = None;
+        for &(t, s) in &responses {
+            if t > self.cfg.timeout {
+                break;
+            }
+            have.insert(s);
+            if self.is_quorum(have, write_phase, rule) {
+                done = Some(t);
+                break;
+            }
+        }
+        self.scratch = responses;
+        PhaseOutcome {
+            elapsed: done.unwrap_or(self.cfg.timeout),
+            messages,
+            dropped,
+            responders: have,
+            ok: done.is_some(),
+        }
+    }
+
+    /// One Gifford attempt against `item`, decided at the current instant:
+    /// phase 1 gathers a read quorum and resolves the version; a read
+    /// commits there; a write (`Some(value)`) gathers a write quorum and
+    /// installs `value` at `vn + 1` at exactly the responders. `tid` names
+    /// the attempt in the trace — its TM block when it commits, its ABORT
+    /// when it does not — and, with `coin_client`, in its drop coins (a
+    /// compensation is the same attempt under a system identity).
+    ///
+    /// The quorums are the static system's unless dynamic quorums are on.
+    /// Then, with `cache = Some((gen, members))` — a flat driver's
+    /// coordinator cache — they are over the cached members, phase 1 also
+    /// demands a configuration read quorum, and doubles as the generation
+    /// currency check: a responder at a newer generation makes the attempt
+    /// [`Outcome::Stale`], whether or not the quorum assembled, and the
+    /// cache adopts what it saw. With `cache = None` they are over the
+    /// item's *committed* membership, which cannot be stale and needs no
+    /// proof of currency (the nested-transaction driver, whose accesses are
+    /// decided at the one instant they read the membership).
+    pub fn attempt(
+        &mut self,
+        item: usize,
+        tid: TraceTid,
+        coin_client: usize,
+        write: Option<u64>,
+        cache: Option<&mut (u64, ReplicaSet)>,
+    ) -> (Outcome, Cost) {
+        let coin = (coin_client, tid);
+        let base = item * self.n;
+        let mut cost = Cost::default();
+        let members = match &cache {
+            Some(c) => Some(c.1),
+            None if self.cfg.reconfig.enabled => Some(self.members[item]),
+            None => None,
+        };
+        let dynamic = members.map(|members| {
+            let family = self.family.expect(FAMILY);
+            let m = members.len();
+            let config = if cache.is_some() {
+                QuorumFamily::config_quorum_size(m)
+            } else {
+                0
+            };
+            Sizes {
+                members,
+                read: family.read_size(m).max(config),
+                write: family.write_size(m),
+            }
+        });
+        let rule = dynamic.or(self.th);
+        let reachable = match (&cache, dynamic) {
+            // A cached attempt gives up before sending only when there is
+            // nothing to contact: no response could even reveal a newer
+            // generation.
+            (Some(_), Some(r)) => !self.up.intersection(r.members).is_empty(),
+            _ => self.feasible(write.is_some(), rule),
+        };
+        let outcome = 'attempt: {
+            if !reachable {
+                break 'attempt Outcome::Unavailable;
+            }
+            let Some(targets) = self.targets(false, rule) else {
+                break 'attempt Outcome::Unavailable;
+            };
+            let p1 = self.phase(targets, coin, false, rule);
+            cost = Cost {
+                elapsed: p1.elapsed,
+                gather: p1.elapsed,
+                messages: p1.messages,
+                dropped: p1.dropped,
+            };
+            if let Some(cache) = cache {
+                // Generation currency: any in-time response carrying a
+                // newer generation supersedes this attempt, whether or not
+                // the phase assembled its quorum.
+                let seen = self.stores.discover_cfg(base, p1.responders);
+                if seen.0 > cache.0 {
+                    *cache = seen;
+                    break 'attempt Outcome::Stale;
+                }
+            }
+            if !p1.ok {
+                // Structurally impossible (too few live members — only a
+                // cached attempt gets this far that way) is unavailable; a
+                // quorum that exists but did not assemble in time is a
+                // timeout.
+                let exists = rule.is_none_or(|r| self.up.intersection(r.members).len() >= r.read);
+                break 'attempt if exists {
+                    Outcome::Timeout
+                } else {
+                    Outcome::Unavailable
+                };
+            }
+            // Under a cached configuration the responders cover a
+            // configuration read quorum of the cached members at the cached
+            // generation: had a newer configuration committed, its install
+            // set would intersect them (both are configuration majorities
+            // of the same membership), so the generation is current and the
+            // data quorums are over the right members.
+            let (dvn, dval) = self.stores.discover(base, p1.responders);
+            let (vn, value, installs) = match write {
+                None => (dvn, dval, None),
+                Some(value) => {
+                    let Some(targets) = self.targets(true, rule) else {
+                        break 'attempt Outcome::Unavailable;
+                    };
+                    let p2 = self.phase(targets, coin, true, rule);
+                    cost.elapsed += p2.elapsed;
+                    cost.messages += p2.messages;
+                    cost.dropped += p2.dropped;
+                    if !p2.ok {
+                        break 'attempt Outcome::Timeout;
+                    }
+                    (dvn + 1, value, Some(p2.responders))
+                }
+            };
+            if self.recorders.is_some() {
+                let block = TmBlock {
+                    kind: if write.is_some() {
+                        TmKind::Write
+                    } else {
+                        TmKind::Read
+                    },
+                    read_cfg: dynamic.is_some(),
+                    reads: p1.responders,
+                    cfg_writes: None,
+                    dm_writes: installs.map(|sites| (sites, vn, value)),
+                    commit: (vn, value),
+                };
+                self.emit_tm(item, tid, block);
+            }
+            if let Some(sites) = installs {
+                for s in sites {
+                    self.stores.set(base + s, vn, value);
+                }
+                self.memos[item] = None;
+            }
+            Outcome::Committed {
+                vn,
+                value,
+                prev: dval,
+            }
+        };
+        // Each attempt is its own transaction in the paper's sense; a
+        // failed one was "never created" and appears only as an ABORT.
+        let aborted = match outcome {
+            Outcome::Committed { .. } => return (outcome, cost),
+            Outcome::Unavailable => AbortReason::Unavailable,
+            Outcome::Timeout => AbortReason::Timeout,
+            Outcome::Stale => AbortReason::Stale,
+        };
+        self.emit_abort(item, tid, write.is_some(), aborted);
+        (outcome, cost)
+    }
+
+    // ----- the lemma monitor ---------------------------------------------
+
+    /// Assert Lemmas 7 and 8(1a)/8(1b) against one item's stores (`Ok` when
+    /// the monitor is off), memoized (see the `memos` field). Under dynamic
+    /// quorums Lemma 8(1a)'s write quorum is evaluated over the item's
+    /// committed membership.
+    pub fn check_item(&mut self, item: usize) -> Result<(), LemmaViolation> {
+        if !self.cfg.monitor {
+            return Ok(());
+        }
+        if let Some(r) = &self.memos[item] {
+            return r.clone();
+        }
+        let states = self.stores.states(item * self.n..(item + 1) * self.n);
+        let checker = &self.checkers[item];
+        let r = if self.cfg.reconfig.enabled {
+            let family = self.family.expect(FAMILY);
+            let members = self.members[item];
+            checker.check_states(states, true, |holders| {
+                holders.intersection(members).len() >= family.write_size(members.len())
+            })
+        } else {
+            let quorum = &*self.cfg.quorum;
+            checker.check_states(states, true, |holders| quorum.is_write_quorum_bits(holders))
+        };
+        self.memos[item] = Some(r.clone());
+        r
+    }
+
+    /// The monitor at a commit point (`Ok` when it is off): Lemma 8(2) for
+    /// a read; for a write, digest it into the history (`current-vn` must
+    /// advance by exactly one), which drops the memo — its inputs changed;
+    /// then the store re-check. A committed read mutates nothing, so
+    /// between writes every read replays the last outcome.
+    pub fn commit_check(
+        &mut self,
+        item: usize,
+        write: bool,
+        vn: u64,
+        value: u64,
+    ) -> Result<(), LemmaViolation> {
+        if !self.cfg.monitor {
+            return Ok(());
+        }
+        if write {
+            self.memos[item] = None;
+            self.checkers[item].commit_write(vn, value)
+        } else {
+            self.checkers[item].check_read(&value)
+        }
+        .and_then(|()| self.check_item(item))
+    }
+
+    // ----- reconfiguration (§4) ------------------------------------------
+
+    /// Whether the reactive trigger wants `item` moved to the live
+    /// membership: sites outside its membership recovered (grow), or the
+    /// loop's operations are `failing` and members are down (shrink).
+    pub fn wants_reconfig(&self, item: usize, failing: bool) -> bool {
+        let members = self.members[item];
+        !self.up.difference(members).is_empty()
+            || (failing && !members.difference(self.up).is_empty())
+    }
+
+    /// Execute one reconfigure op against `item` if it is warranted and
+    /// feasible; `tm_op` is the operation number the driver names the
+    /// reconfigure-TM by in the item's trace.
+    ///
+    /// The op follows Goldman–Lynch §4 with the control plane taken as
+    /// reliable: discovery reads the `(configuration, generation)` pair
+    /// and the data state at a configuration read quorum of the *old*
+    /// members, the new configuration is installed at a configuration
+    /// write quorum of the old members (plus every live new member, so
+    /// later configuration reads of the new membership see it), and the
+    /// discovered data state is refreshed at a data write quorum of the
+    /// *new* members. It completes at one instant, sends no messages, and
+    /// draws nothing from the RNG stream, so enabling tracing or changing
+    /// the thread count cannot perturb a reconfiguring run.
+    ///
+    /// A `scripted` op ignores the reactive trigger's budget and cooldown
+    /// and counts as [`Reconfigured::Failed`] when infeasible. `allow_same`
+    /// lets the generation advance over an *unchanged* membership — the
+    /// fence a migration needs every coordinator to observe (stale-abort
+    /// and re-adopt) before the item serves from its new shard.
+    pub fn reconfigure(
+        &mut self,
+        item: usize,
+        tm_op: u64,
+        target: ReconfigTarget,
+        scripted: bool,
+        allow_same: bool,
+    ) -> Reconfigured {
+        let infeasible = if scripted {
+            Reconfigured::Failed
+        } else {
+            Reconfigured::Skipped
+        };
+        let Some(family) = self.family else {
+            return infeasible;
+        };
+        let pol = self.cfg.reconfig;
+        let used = self.reconfigs_used[item];
+        let cooling = used > 0 && self.now - self.last_reconfig[item] < pol.cooldown;
+        if !scripted && (used >= pol.max_reconfigs || cooling) {
+            return Reconfigured::Skipped;
+        }
+        let live = self.up;
+        let members = match target {
+            ReconfigTarget::Live => live,
+            ReconfigTarget::Members(m) => m,
+        };
+        let old = self.members[item];
+        if members.len() < pol.min_members || (!allow_same && members == old) {
+            return Reconfigured::Skipped;
+        }
+        let discovery = live.intersection(old);
+        let refresh = live.intersection(members);
+        let feasible = discovery.len() >= QuorumFamily::config_quorum_size(old.len())
+            && discovery.len() >= family.read_size(old.len())
+            && refresh.len() >= family.write_size(members.len());
+        if !feasible {
+            return infeasible;
+        }
+        let base = item * self.n;
+        let gen = self.gens[item] + 1;
+        let (dvn, dval) = self.stores.discover(base, discovery);
+        let install = discovery.union(refresh);
+        if self.recorders.is_some() {
+            let tid = TraceTid {
+                client: u32::MAX,
+                op: tm_op,
+                attempt: 1,
+            };
+            let block = TmBlock {
+                kind: TmKind::Reconfig,
+                read_cfg: true,
+                reads: discovery,
+                cfg_writes: Some((install, gen, members)),
+                dm_writes: Some((refresh, dvn, dval)),
+                commit: (gen, members.bits() as u64),
+            };
+            self.emit_tm(item, tid, block);
+        }
+        for s in install {
+            self.stores.set_cfg(base + s, gen, members);
+        }
+        for s in refresh {
+            self.stores.set(base + s, dvn, dval);
+        }
+        self.gens[item] = gen;
+        self.members[item] = members;
+        self.memos[item] = None;
+        self.reconfigs_used[item] += 1;
+        self.last_reconfig[item] = self.now;
+        Reconfigured::Installed { gen, members }
+    }
+
+    // ----- migration -----------------------------------------------------
+
+    /// Append one fresh item slot to every per-item column (the DM arena
+    /// grows when a block is imported into it).
+    pub fn push_slot(&mut self) {
+        let n = self.n;
+        self.checkers.push(LemmaChecker::new(0));
+        self.memos.push(None);
+        self.gens.push(0);
+        self.members.push(ReplicaSet::full(n));
+        self.last_reconfig.push(SimTime::ZERO);
+        self.reconfigs_used.push(0);
+        if let Some(recorders) = self.recorders.as_mut() {
+            recorders.push(TraceRecorder::new("", n, self.cfg.seed));
+        }
+    }
+
+    /// Copy the item in `slot` out. The slot's columns keep their stale
+    /// contents until [`import`](Self::import) overwrites them.
+    pub fn export(&mut self, slot: usize) -> ItemExport {
+        let (n, seed) = (self.n, self.cfg.seed);
+        ItemExport {
+            slots: self.stores.read_block(slot * n, n),
+            checker: self.checkers[slot].clone(),
+            gen: self.gens[slot],
+            members: self.members[slot],
+            last_reconfig: self.last_reconfig[slot],
+            reconfigs_used: self.reconfigs_used[slot],
+            recorder: self
+                .recorders
+                .as_mut()
+                .map(|r| std::mem::replace(&mut r[slot], TraceRecorder::new("", n, seed))),
+        }
+    }
+
+    /// Write an exported item into `slot`.
+    pub fn import(&mut self, slot: usize, item: ItemExport) {
+        self.stores.write_block(slot * self.n, &item.slots);
+        self.checkers[slot] = item.checker;
+        self.memos[slot] = None;
+        self.gens[slot] = item.gen;
+        self.members[slot] = item.members;
+        self.last_reconfig[slot] = item.last_reconfig;
+        self.reconfigs_used[slot] = item.reconfigs_used;
+        if let Some(recorders) = self.recorders.as_mut() {
+            recorders[slot] = item.recorder.expect("a traced run migrates traced items");
+        }
+    }
+}
+
+/// How violation text names an item: the single-item driver's one item is
+/// anonymous (`None`), the others name the global id.
+struct ItemTag(Option<usize>);
+
+impl fmt::Display for ItemTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(g) => write!(f, " item={g}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Who runs an operation, in the names observers see.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OpId {
+    /// The coordinator's global identity (drop coins, trace transaction
+    /// names, causal ids, violation op-refs).
+    pub coord: usize,
+    /// The op's global item id; `None` in the single-item driver.
+    pub item: Option<usize>,
+}
+
+impl OpId {
+    fn tid(self, op: &PendingOp) -> TraceTid {
+        TraceTid {
+            client: self.coord as u32,
+            op: op.op_index,
+            attempt: op.attempt,
+        }
+    }
+}
+
+/// What the driver schedules after an attempt.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Then {
+    /// The op is parked in the slab; run its next attempt after `delay`.
+    Retry { delay: SimTime },
+    /// The op is over — committed as `(vn, value)` when `commit` is set.
+    /// Closed-loop pacing starts the coordinator's next op
+    /// `max(after + think, floor)` from now; the floor keeps a zero-time
+    /// failure with zero think time from spinning at one instant.
+    Next {
+        after: SimTime,
+        floor: SimTime,
+        commit: Option<(u64, u64)>,
+    },
+}
+
+/// The flat drivers' ledger of logical operations: one coordinator slot
+/// per client (or per item slot under the routed workload).
+pub(crate) struct Clients {
+    pub metrics: Metrics,
+    /// Per-coordinator in-flight operation, interned for the whole run.
+    pub pending: OpSlab,
+    /// A pending forced abort per coordinator.
+    abort_flag: Vec<bool>,
+    /// Per-coordinator causal segment history of the in-flight op, in
+    /// causal order (`(edge kind, µs)`); only written when the causal
+    /// recorder is on. Mirrors the `PendingOp` phase accumulators exactly,
+    /// so the trace built from it reconciles with end-to-end latency.
+    causal_segs: Vec<Vec<(EdgeKind, u64)>>,
+    /// Observability recordings (spans / events / snapshots / causal).
+    pub obs: ObsReport,
+    /// Periodic snapshot schedule, when enabled.
+    snap: Option<SnapshotExporter>,
+    opts: ObsOptions,
+    retry: RetryPolicy,
+    /// Shard tag stamped on events, snapshots and causal traces.
+    shard: u32,
+    /// The failure signal (timeouts + unavailable) at the last spy poll.
+    last_failure_signal: u64,
+}
+
+impl Clients {
+    pub fn new(coords: usize, opts: &ObsOptions, retry: RetryPolicy, shard: u32) -> Self {
+        Clients {
+            metrics: Metrics::default(),
+            pending: OpSlab::new(coords),
+            abort_flag: vec![false; coords],
+            causal_segs: vec![Vec::new(); coords],
+            obs: ObsReport::new(opts),
+            snap: opts.snapshot_every_us.map(SnapshotExporter::new),
+            opts: *opts,
+            retry,
+            shard,
+            last_failure_signal: 0,
+        }
+    }
+
+    /// Append one idle coordinator slot.
+    pub fn push_coord(&mut self) {
+        self.pending.push_empty();
+        self.abort_flag.push(false);
+        self.causal_segs.push(Vec::new());
+    }
+
+    /// Whether coordinator `key` has nothing in flight and no causal
+    /// history — what a migrating item's coordinator must look like.
+    pub fn is_idle(&self, key: usize) -> bool {
+        !self.pending.is_live(key) && self.causal_segs[key].is_empty()
+    }
+
+    fn stats(&mut self, read: bool) -> &mut OpStats {
+        if read {
+            &mut self.metrics.reads
+        } else {
+            &mut self.metrics.writes
+        }
+    }
+
+    // ----- observation ---------------------------------------------------
+
+    /// Emit every due snapshot with boundary time ≤ `t` (state as of the
+    /// events processed so far). Drivers call this before the event at `t`
+    /// executes, so a snapshot reflects exactly its boundary instant.
+    #[inline]
+    pub fn fire_snapshots_through(&mut self, t: SimTime) {
+        loop {
+            let due = match self.snap.as_mut() {
+                Some(s) => s.next_due(t.as_micros()),
+                None => return,
+            };
+            let Some(at_us) = due else { return };
+            let snap = Snapshot {
+                at_us,
+                shard: self.shard,
+                ops_done: self.metrics.reads.successes + self.metrics.writes.successes,
+                in_flight: self.pending.in_flight(),
+                violations: self.metrics.lemma_violations,
+                read_p50_us: self.metrics.reads.latency_hist().p50(),
+                read_p99_us: self.metrics.reads.latency_hist().p99(),
+                write_p50_us: self.metrics.writes.latency_hist().p50(),
+                write_p99_us: self.metrics.writes.latency_hist().p99(),
+            };
+            self.obs.snapshots.push(snap);
+            if self.obs.events.enabled() {
+                self.obs.events.emit(ObsEvent {
+                    at_us,
+                    shard: self.shard,
+                    kind: EventKind::Snapshot(snap),
+                });
+            }
+        }
+    }
+
+    /// Log a structured event at simulated instant `now`.
+    pub fn emit_obs(&mut self, now: SimTime, kind: EventKind) {
+        self.obs.events.emit(ObsEvent {
+            at_us: now.as_micros(),
+            shard: self.shard,
+            kind,
+        });
+    }
+
+    /// Record a lemma violation in the metrics and, when the event log is
+    /// enabled, as a structured event carrying the offending op (if the
+    /// violation was detected at an op's commit).
+    ///
+    /// Takes pre-formatted arguments, not a `String`: the description is
+    /// rendered only where it is actually retained (the capped metrics
+    /// list, the event log), so no call path is forced to allocate first.
+    fn violation(&mut self, now: SimTime, description: fmt::Arguments<'_>, op: Option<OpRef>) {
+        if self.obs.events.enabled() {
+            let desc = description.to_string();
+            self.emit_obs(
+                now,
+                EventKind::Violation {
+                    desc: desc.clone(),
+                    op,
+                },
+            );
+            self.metrics.record_violation(desc);
+        } else {
+            self.metrics.record_violation_args(description);
+        }
+    }
+
+    // ----- faults, reconfiguration, the quiescent sweep ------------------
+
+    /// A planned fault fires: count it, log it, apply it. A scripted
+    /// reconfiguration comes back for the driver to run, in the order
+    /// observers see, over every item it owns.
+    pub fn plan_fault(&mut self, cluster: &mut Cluster, idx: usize) -> Option<ReconfigTarget> {
+        self.metrics.injected_faults += 1;
+        let now = cluster.now;
+        if self.obs.events.enabled() {
+            let (at, event) = cluster.cfg.plan.events()[idx];
+            self.emit_obs(
+                now,
+                EventKind::Fault {
+                    desc: event.text(at),
+                },
+            );
+        }
+        match cluster.apply_fault(idx) {
+            FaultEffect::None => {}
+            FaultEffect::SiteDown => self.metrics.site_failures += 1,
+            FaultEffect::Abort(client) => self.abort_flag[client] = true,
+            FaultEffect::Corrupted => {
+                if let Err(v) = cluster.check_item(0) {
+                    self.violation(now, format_args!("t={now} corrupt injection: {v}"), None);
+                }
+            }
+            FaultEffect::Reconfig(target) => return Some(target),
+        }
+        None
+    }
+
+    /// The reactive trigger's failure signal (see [`ReconfigPolicy`]):
+    /// whether timeout + unavailable classifications rose since the last
+    /// poll. The signal is per event loop; the membership comparison
+    /// ([`Cluster::wants_reconfig`]), cooldown and budget are per item.
+    pub fn failure_signal_rose(&mut self) -> bool {
+        let signal = self.metrics.reads.timeouts
+            + self.metrics.reads.unavailable
+            + self.metrics.writes.timeouts
+            + self.metrics.writes.unavailable;
+        let rose = signal > self.last_failure_signal;
+        self.last_failure_signal = signal;
+        rose
+    }
+
+    /// Run [`Cluster::reconfigure`] and account for it; whether it
+    /// installed. `global` names the item in the event log and violations.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_reconfigure(
+        &mut self,
+        cluster: &mut Cluster,
+        item: usize,
+        global: Option<usize>,
+        tm_op: u64,
+        target: ReconfigTarget,
+        scripted: bool,
+        allow_same: bool,
+    ) -> bool {
+        let (gen, members) = match cluster.reconfigure(item, tm_op, target, scripted, allow_same) {
+            Reconfigured::Skipped => return false,
+            Reconfigured::Failed => {
+                self.metrics.reconfig_failures += 1;
+                return false;
+            }
+            Reconfigured::Installed { gen, members } => (gen, members),
+        };
+        if self.opts.spans {
+            // The op completes at one instant (reliable control plane), so
+            // the fence is a zero-duration marker — counted like
+            // vn_resolve/commit_round so fence frequency shows up in the
+            // phase profile.
+            self.obs.spans.record(Phase::ReconfigFence, 0);
+        }
+        self.metrics.reconfigurations += 1;
+        let now = cluster.now;
+        if self.obs.events.enabled() {
+            let desc = match global {
+                Some(g) => format!("reconfig:item{g}:gen{gen}:{members}"),
+                None => format!("reconfig:gen{gen}:{members}"),
+            };
+            self.emit_obs(now, EventKind::Fault { desc });
+        }
+        if let Err(v) = cluster.check_item(item) {
+            let tag = ItemTag(global);
+            self.violation(
+                now,
+                format_args!("t={now}{tag} reconfig gen {gen}: {v}"),
+                None,
+            );
+        }
+        true
+    }
+
+    /// The stores must satisfy the lemmas at quiescence too (this is what
+    /// catches a Corrupt injection that no later read observed).
+    pub fn final_check(&mut self, cluster: &mut Cluster, item: usize, global: Option<usize>) {
+        if let Err(v) = cluster.check_item(item) {
+            let tag = ItemTag(global);
+            self.violation(cluster.now, format_args!("end-of-run{tag}: {v}"), None);
+        }
+    }
+
+    // ----- one attempt of a logical operation ----------------------------
+
+    /// Run one attempt of coordinator `key`'s operation `op` (taken from
+    /// the slab by the driver) and account for how it ended. `cache` is
+    /// the coordinator's cached configuration of the op's item under
+    /// dynamic quorums; a stale attempt adopts the newer one into it.
+    pub fn run_attempt(
+        &mut self,
+        cluster: &mut Cluster,
+        key: usize,
+        id: OpId,
+        mut op: PendingOp,
+        cache: Option<&mut (u64, ReplicaSet)>,
+    ) -> Then {
+        let tid = id.tid(&op);
+        // A forced abort (the paper's transaction-abort model): the
+        // operation stops with no visible effect.
+        if self.abort_flag[key] {
+            self.abort_flag[key] = false;
+            self.metrics.forced_aborts += 1;
+            cluster.emit_abort(op.item, tid, !op.read, AbortReason::Forced);
+            self.stats(op.read).record_abort();
+            self.causal_finish(cluster.now, key, id, &op, Some(AbortCause::Forced));
+            return Then::Next {
+                after: SimTime::ZERO,
+                floor: SimTime::ZERO,
+                commit: None,
+            };
+        }
+        let write = (!op.read).then_some(op.value);
+        let (
+            outcome,
+            Cost {
+                elapsed,
+                gather,
+                messages,
+                dropped,
+            },
+        ) = cluster.attempt(op.item, tid, id.coord, write, cache);
+        self.metrics.dropped_messages += dropped;
+        // Phase-span accounting (exact): every executed phase is gather or
+        // install time, whether or not the attempt goes on to commit.
+        let install = elapsed - gather;
+        op.gather_us += gather.as_micros();
+        op.install_us += install.as_micros();
+        self.causal_push(key, EdgeKind::ReadGather, gather);
+        self.causal_push(key, EdgeKind::WriteInstall, install);
+        op.messages += messages;
+        match outcome {
+            Outcome::Committed { vn, value, .. } => {
+                self.commit(cluster, key, id, op, elapsed, (vn, value))
+            }
+            Outcome::Stale => self.stale(key, op, elapsed),
+            failed => {
+                let unavailable = failed == Outcome::Unavailable;
+                self.failed(cluster.now, key, id, op, elapsed, unavailable)
+            }
+        }
+    }
+
+    /// The operation committed: record metrics and spans, seal its causal
+    /// trace, assert the lemmas.
+    fn commit(
+        &mut self,
+        cluster: &mut Cluster,
+        key: usize,
+        id: OpId,
+        op: PendingOp,
+        elapsed: SimTime,
+        (vn, value): (u64, u64),
+    ) -> Then {
+        let now = cluster.now;
+        let total = (now - op.started) + elapsed;
+        self.stats(op.read).record_success(total, op.messages);
+        if self.opts.spans {
+            // Exact reconciliation: gather + install + backoff == total by
+            // construction (see the PendingOp accumulator docs). The
+            // vn_resolve and commit_round phases take zero *simulated*
+            // time — version resolution happens when the gather completes
+            // and the commit round is atomic — so they are recorded as
+            // zero-duration spans, one per committed op, keeping phase
+            // counts meaningful (DESIGN.md §5.4).
+            debug_assert_eq!(
+                op.gather_us + op.install_us + op.backoff_us,
+                total.as_micros(),
+                "phase spans must reconcile exactly with end-to-end latency"
+            );
+            self.obs.spans.record(Phase::ReadGather, op.gather_us);
+            self.obs.spans.record(Phase::VnResolve, 0);
+            if !op.read {
+                self.obs.spans.record(Phase::WriteInstall, op.install_us);
+            }
+            self.obs.spans.record(Phase::CommitRound, 0);
+            if op.backoff_us > 0 {
+                self.obs.spans.record(Phase::RetryBackoff, op.backoff_us);
+            }
+        }
+        self.causal_finish(now, key, id, &op, None);
+        if let Err(v) = cluster.commit_check(op.item, !op.read, vn, value) {
+            let kind = if op.read { "read" } else { "write" };
+            let (tag, client) = (ItemTag(id.item), id.coord);
+            let op_ref = OpRef {
+                client: client as u64,
+                op: op.op_index,
+                attempt: op.attempt,
+                kind,
+                vn,
+                value,
+            };
+            self.violation(
+                now,
+                format_args!("t={now}{tag} client={client} {kind}: {v}"),
+                Some(op_ref),
+            );
+        }
+        Then::Next {
+            after: elapsed,
+            floor: SimTime::ZERO,
+            commit: Some((vn, value)),
+        }
+    }
+
+    /// A failed attempt: retry with backoff if the policy allows, else
+    /// record the failure and let the coordinator move on.
+    fn failed(
+        &mut self,
+        now: SimTime,
+        key: usize,
+        id: OpId,
+        mut op: PendingOp,
+        elapsed: SimTime,
+        unavailable: bool,
+    ) -> Then {
+        if op.attempt < self.retry.attempts {
+            op.attempt += 1;
+            self.stats(op.read).record_retry();
+            // Never reschedule at the current instant: a fail-fast
+            // unavailable attempt takes zero sim time, and with a zero
+            // backoff the coordinator would spin forever at one timestamp
+            // against the same dead sites.
+            let delay = (elapsed + self.retry.backoff_before(op.attempt)).max(SimTime(1));
+            // The attempt's own phase time is already in gather/install;
+            // only the extra sleep (including the 1 µs floor) is backoff,
+            // so phase spans reconcile exactly on eventual commit.
+            op.backoff_us += (delay - elapsed).as_micros();
+            self.causal_push(key, EdgeKind::RetryBackoff, delay - elapsed);
+            self.pending.put(key, op);
+            return Then::Retry { delay };
+        }
+        let stats = self.stats(op.read);
+        if unavailable {
+            stats.record_unavailable(op.messages);
+        } else {
+            stats.record_failure(op.messages);
+        }
+        self.causal_finish(now, key, id, &op, Some(AbortCause::QuorumUnavailable));
+        Then::Next {
+            after: elapsed,
+            floor: SimTime(1),
+            commit: None,
+        }
+    }
+
+    /// A stale-generation rejection: the attempt aborts with no visible
+    /// effect and the operation retries at once under the configuration it
+    /// just adopted. The retry budget is untouched — the cached generation
+    /// strictly increased, so these retries are bounded by the run's
+    /// reconfiguration count — and the op's failure statistics don't move
+    /// (only terminal outcomes count attempts).
+    fn stale(&mut self, key: usize, mut op: PendingOp, elapsed: SimTime) -> Then {
+        self.metrics.stale_rejections += 1;
+        // A fresh attempt number keeps trace transaction names unique.
+        op.attempt += 1;
+        let delay = elapsed.max(SimTime(1));
+        // The burned gather time is retry overhead, not useful gather
+        // work: reclassify the stale attempt's elapsed (phase 1 only — a
+        // stale rejection happens at version resolution) as retry_backoff.
+        // The phase sum still equals end-to-end latency exactly.
+        op.gather_us -= elapsed.as_micros();
+        op.backoff_us += delay.as_micros();
+        if self.opts.causal.enabled {
+            // The same reclassification in the causal segment list: the
+            // stale attempt's gather segment becomes a `StaleRetry`
+            // segment covering the whole retry delay.
+            let segs = &mut self.causal_segs[key];
+            if elapsed > SimTime::ZERO {
+                let popped = segs.pop();
+                debug_assert_eq!(
+                    popped,
+                    Some((EdgeKind::ReadGather, elapsed.as_micros())),
+                    "stale attempt must end with its own gather segment"
+                );
+            }
+            segs.push((EdgeKind::StaleRetry, delay.as_micros()));
+        }
+        self.pending.put(key, op);
+        Then::Retry { delay }
+    }
+
+    /// Abort coordinator `key`'s parked op, if it has one, at a migration
+    /// barrier with a stale rejection: the generation bump just installed
+    /// supersedes it. The abandoned op leaves no `OpStats` record (it
+    /// neither committed nor exhausted its budget).
+    pub fn fence_parked(&mut self, cluster: &mut Cluster, key: usize, id: OpId) -> bool {
+        let Some(op) = self.pending.take(key) else {
+            return false;
+        };
+        self.metrics.stale_rejections += 1;
+        cluster.emit_abort(op.item, id.tid(&op), !op.read, AbortReason::Stale);
+        self.causal_finish(cluster.now, key, id, &op, Some(AbortCause::Fence));
+        true
+    }
+
+    // ----- causal flight recorder ----------------------------------------
+
+    /// Append a causal segment to the coordinator's in-flight op. Zero
+    /// durations are dropped — the trace only carries time that was
+    /// actually spent, and the phase accumulators skip zeros the same way,
+    /// so the two stay in lockstep.
+    #[inline]
+    fn causal_push(&mut self, key: usize, kind: EdgeKind, dur: SimTime) {
+        if self.opts.causal.enabled && dur > SimTime::ZERO {
+            self.causal_segs[key].push((kind, dur.as_micros()));
+        }
+    }
+
+    /// Build and record the causal trace of a finished (committed or
+    /// terminally aborted) operation: a single `Access` root span whose
+    /// segments are the coordinator's accumulated causal history, laid
+    /// back-to-back from the op's start. The segment sum equals the
+    /// phase-accumulator sum by construction, so the trace reconciles
+    /// exactly with end-to-end latency. An op killed *mid-backoff* by a
+    /// migration fence ([`AbortCause::Fence`]) has a chain that extends to
+    /// its parked retry instant: it is cut at `now`, where a zero-duration
+    /// `Fence` marker names the barrier.
+    #[allow(clippy::cast_possible_truncation)]
+    fn causal_finish(
+        &mut self,
+        now: SimTime,
+        key: usize,
+        id: OpId,
+        op: &PendingOp,
+        cause: Option<AbortCause>,
+    ) {
+        if !self.opts.causal.enabled {
+            return;
+        }
+        let segs = std::mem::take(&mut self.causal_segs[key]);
+        let fenced = cause == Some(AbortCause::Fence);
+        debug_assert!(
+            fenced
+                || segs.iter().map(|&(_, d)| d).sum::<u64>()
+                    == op.gather_us + op.install_us + op.backoff_us,
+            "causal segments must mirror the phase accumulators exactly"
+        );
+        let txn = TxnRef {
+            client: id.coord as u32,
+            epoch: op.op_index as u32,
+        };
+        let mut trace = TxnTrace::new(txn, self.shard, op.started.as_micros());
+        let access = SpanKind::Access {
+            item: id.item.unwrap_or(0) as u64,
+            write: !op.read,
+        };
+        let root = trace.add_span(NO_SPAN, access);
+        let mut at = op.started.as_micros();
+        trace.start_span(root, at);
+        let end = if fenced { now.as_micros() } else { u64::MAX };
+        for (kind, dur) in segs {
+            if at >= end {
+                break;
+            }
+            let dur = dur.min(end - at);
+            trace.push_seg(root, kind, at, dur, None);
+            at += dur;
+        }
+        if fenced {
+            trace.push_seg(root, EdgeKind::Fence, at, 0, None);
+        }
+        if let Some(c) = cause {
+            trace.abort_span(root, at, c);
+            trace.seal(at, false, root, cause);
+        } else {
+            trace.finish_span(root, at);
+            trace.seal(at, true, NO_SPAN, None);
+        }
+        self.obs.causal.record(trace);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use quorum::{Majority, Rowa, Weighted};
+
+    const TID: TraceTid = TraceTid {
+        client: 0,
+        op: 0,
+        attempt: 1,
+    };
+    const COIN: (usize, TraceTid) = (0, TID);
+
+    fn spec(quorum: Arc<dyn QuorumSpec + Send + Sync>) -> ClusterSpec {
+        ClusterSpec {
+            quorum,
+            latency: LatencyModel::lan(),
+            contact: ContactPolicy::AllLive,
+            timeout: SimTime::from_millis(50),
+            seed: 9,
+            rng_seed: 9,
+            plan: FaultPlan::new(),
+            reconfig: ReconfigPolicy::off(),
+            monitor: true,
+            slots: 1,
+        }
+    }
+
+    #[test]
+    fn all_live_skips_down_sites() {
+        let mut c = Cluster::new(spec(Arc::new(Majority::new(5))));
+        c.up.remove(0);
+        c.up.remove(3);
+        let targets = c.targets(false, c.th).unwrap();
+        assert_eq!(targets.iter().collect::<Vec<_>>(), vec![1, 2, 4]);
+        // 3 requests + 3 responses — no messages wasted on dead sites.
+        let out = c.phase(targets, COIN, false, c.th);
+        assert!(out.ok);
+        assert_eq!(out.messages, 6);
+        assert_eq!(out.responders.len(), 3);
+    }
+
+    #[test]
+    fn straddled_crash_loses_the_response() {
+        // Site 2 crashes at t = 100 µs. A phase started just before, whose
+        // responses land after the crash, must not count site 2.
+        let mut c = Cluster::new(ClusterSpec {
+            latency: LatencyModel::Fixed(SimTime(300)),
+            plan: FaultPlan::new().crash_at(SimTime(100), 2),
+            ..spec(Arc::new(Majority::new(3)))
+        });
+        c.now = SimTime(50);
+        let out = c.phase(ReplicaSet::full(3), COIN, false, c.th);
+        // Sites 0 and 1 respond (quorum); site 2's response is lost.
+        assert!(out.ok);
+        assert!(!out.responders.contains(2));
+        // 3 requests + 2 responses.
+        assert_eq!(out.messages, 5);
+    }
+
+    /// A cluster over `Majority(3)` with site 2 down, after one committed
+    /// and digested write of 7 — installed at the quorum {0, 1}.
+    fn after_one_write(plan: FaultPlan) -> Cluster {
+        let mut c = Cluster::new(ClusterSpec {
+            plan,
+            ..spec(Arc::new(Majority::new(3)))
+        });
+        c.check_item(0).unwrap();
+        c.up.remove(2);
+        let (write, _) = c.attempt(0, TID, 0, Some(7), None);
+        let committed = Outcome::Committed {
+            vn: 1,
+            value: 7,
+            prev: 0,
+        };
+        assert_eq!(write, committed);
+        let stores: Vec<_> = (0..3).map(|s| c.stores.get(s)).collect();
+        assert_eq!(stores, vec![(1, 7), (1, 7), (0, 0)]);
+        c.commit_check(0, true, 1, 7).unwrap();
+        c
+    }
+
+    #[test]
+    fn monitor_follows_a_faithful_run() {
+        let mut c = after_one_write(FaultPlan::new());
+        let (read, _) = c.attempt(0, TID, 0, None, None);
+        let committed = Outcome::Committed {
+            vn: 1,
+            value: 7,
+            prev: 7,
+        };
+        assert_eq!(read, committed);
+        c.commit_check(0, false, 1, 7).unwrap();
+        assert_eq!(c.current_vn(0), 1);
+        assert_eq!(*c.checkers[0].logical_state(), 7);
+    }
+
+    #[test]
+    fn monitor_fires_on_corruption_and_wrong_reads() {
+        let mut c = after_one_write(FaultPlan::new().corrupt_at(SimTime(7), 2, 99, 3));
+        // Wrong read value.
+        assert!(c.commit_check(0, false, 1, 9).is_err());
+        // Corrupted store: version beyond current-vn.
+        assert!(c.check_item(0).is_ok());
+        assert_eq!(c.apply_fault(0), FaultEffect::Corrupted);
+        assert!(c.check_item(0).is_err());
+    }
+
+    #[test]
+    fn recorders_detach_with_the_recorded_trace() {
+        let mut c = Cluster::new(spec(Arc::new(Majority::new(3))));
+        assert!(c.take_recorders().is_none());
+        // Untraced, emission is a no-op.
+        c.emit_abort(0, TID, false, AbortReason::Timeout);
+        c.attach_recorders();
+        c.now = SimTime::from_millis(1);
+        let (read, _) = c.attempt(0, TID, 0, None, None);
+        assert!(matches!(read, Outcome::Committed { .. }));
+        c.emit_abort(0, TID, true, AbortReason::Forced);
+        let trace = c.take_recorders().unwrap().pop().unwrap().finish();
+        assert_eq!((trace.seed, trace.sites), (9, 3));
+        let create = TraceAction::Create { kind: TmKind::Read };
+        let first = &trace.events[0];
+        assert_eq!(
+            (first.at_us, first.action, first.faulted),
+            (1_000, create, false)
+        );
+        let last = trace.events.last().unwrap();
+        let abort = TraceAction::Abort {
+            kind: TmKind::Write,
+            reason: AbortReason::Forced,
+        };
+        assert_eq!(last.action, abort);
+        assert!(last.faulted, "a forced abort is a fault by definition");
+        // Taking the trace detaches the recorders.
+        assert!(c.take_recorders().is_none());
+    }
+
+    /// The stores and configurations of item 0, site by site.
+    fn snapshot(c: &Cluster) -> Vec<((u64, u64), (u64, ReplicaSet))> {
+        (0..c.n)
+            .map(|s| (c.stores.get(s), c.stores.cfg(s)))
+            .collect()
+    }
+
+    proptest! {
+        /// One phase and one attempt from an arbitrary site state: live
+        /// set, drop and delay windows, planned crashes (some straddling
+        /// the round trip), contact policy, and the static system or a
+        /// membership rule — cached (possibly stale) or committed.
+        #[test]
+        fn a_phase_and_an_attempt_obey_their_laws(
+            n in 3usize..=6,
+            masks in (0u64..64, 0u64..64, 0u64..64, 1u64..64),
+            weather in (0u32..=600, 0u64..300, 0u64..64, 900u64..2_600),
+            latency in 0u64..450,
+            mode in (0u8..5, 0u8..2, 0u8..2, 0u8..2),
+            calm in (0u8..2, 0u8..2),
+        ) {
+            // Two masks and-ed: a quarter of the sites down or crashing.
+            let (down, sparse, target_mask, member_mask) = masks;
+            let (permille, delay, crash_mask, crash_at) = weather;
+            let (permille, delay) = (permille * u32::from(calm.0), delay * u64::from(calm.1));
+            let (system, minimal, write, reconfigured) = mode;
+            let full = ReplicaSet::full(n);
+            let set = |mask: u64| ReplicaSet::from_bits(u128::from(mask)).intersection(full);
+            let quorum: Arc<dyn QuorumSpec + Send + Sync> = match system {
+                0 => Arc::new(Rowa::new(n)),
+                // One heavy site: n + 1 votes (a majority of them to write,
+                // the rest plus one to read), no threshold form.
+                1 => {
+                    let mut votes = vec![1; n];
+                    votes[0] = 2;
+                    let total = n as u32 + 1;
+                    let write = total / 2 + 1;
+                    Arc::new(Weighted::new(votes, total + 1 - write, write))
+                }
+                _ => Arc::new(Majority::new(n)),
+            };
+            // Systems 3 and 4 run majority under a membership rule.
+            let dynamic = system >= 3;
+            let (window, long) = (SimTime(500), SimTime::from_secs(10));
+            let mut plan = FaultPlan::new();
+            if permille > 0 {
+                plan = plan.drop_window(window, long, permille);
+            }
+            if delay > 0 {
+                plan = plan.delay_window(window, long, SimTime(delay));
+            }
+            let crashing = set(crash_mask & sparse);
+            for s in crashing {
+                plan = plan.crash_at(SimTime(crash_at), s);
+            }
+            let timeout = SimTime(1_000);
+            let mut c = Cluster::new(ClusterSpec {
+                latency: LatencyModel::Fixed(SimTime(latency)),
+                contact: [ContactPolicy::AllLive, ContactPolicy::MinimalQuorum][minimal as usize],
+                timeout,
+                plan: plan.clone(),
+                reconfig: ReconfigPolicy { enabled: dynamic, ..ReconfigPolicy::off() },
+                ..spec(quorum)
+            });
+            // A healthy history first (t = 0, before any weather), so the
+            // attempt below has a version to discover and a value to keep.
+            let (first, _) = c.attempt(0, TID, 0, Some(7), None);
+            prop_assert_eq!(first, Outcome::Committed { vn: 1, value: 7, prev: 0 });
+            prop_assert!(c.commit_check(0, true, 1, 7).is_ok());
+            if dynamic && reconfigured == 1 {
+                let target = ReconfigTarget::Members(set(member_mask).union(set(1)));
+                c.reconfigure(0, 0, target, true, true);
+                prop_assert_eq!(c.gen(0), 1);
+            }
+            let (now, up) = (SimTime(1_000), full.difference(set(down & sparse)));
+            (c.now, c.up) = (now, up);
+
+            // ----- the phase -----
+            let rule = (system == 3)
+                .then(|| Sizes {
+                    members: set(member_mask),
+                    read: set(member_mask).len() / 2 + 1,
+                    write: set(member_mask).len(),
+                })
+                .or(c.th);
+            let targets = set(target_mask);
+            let rtt = SimTime(2 * latency + 2 * delay);
+            let straddles = now < SimTime(crash_at) && SimTime(crash_at) <= now + rtt;
+            let (mut sent, mut dropped, mut arrive) = (0, 0, ReplicaSet::new());
+            for s in targets.intersection(up) {
+                if message_dropped(9, 0, 0, 1, 1, s, false, permille) {
+                    dropped += 1;
+                } else if !(straddles && crashing.contains(s)) {
+                    sent += 1;
+                    if message_dropped(9, 0, 0, 1, 1, s, true, permille) {
+                        dropped += 1;
+                    } else {
+                        arrive.insert(s);
+                    }
+                }
+            }
+            let out = c.phase(targets, COIN, false, rule);
+            // Requests, plus a response from every site the request reached
+            // that outlives the round trip.
+            prop_assert_eq!((out.messages, out.dropped), (targets.len() as u64 + sent, dropped));
+            prop_assert_eq!(out.ok, rtt <= timeout && c.is_quorum(arrive, false, rule));
+            prop_assert!(out.responders.is_subset(arrive));
+            if out.ok {
+                prop_assert!(c.is_quorum(out.responders, false, rule));
+                prop_assert_eq!(out.elapsed, rtt);
+            } else {
+                prop_assert_eq!(out.elapsed, timeout);
+                let in_time = if rtt <= timeout { arrive } else { ReplicaSet::new() };
+                prop_assert_eq!(out.responders, in_time);
+            }
+
+            // ----- the attempt -----
+            let before = snapshot(&c);
+            // System 3 acts on a cache that a reconfiguration made stale.
+            let mut cache = (system == 3).then_some((0, full));
+            c.attach_recorders();
+            let (outcome, cost) = c.attempt(0, TID, 0, (write == 1).then_some(42), cache.as_mut());
+            prop_assert!(cost.gather <= cost.elapsed && cost.dropped <= cost.messages);
+            // The attempt's last word in the trace: COMMIT, or its own ABORT.
+            let trace = c.take_recorders().unwrap().pop().unwrap().finish();
+            let reason = match outcome {
+                Outcome::Committed { .. } => None,
+                Outcome::Unavailable => Some(AbortReason::Unavailable),
+                Outcome::Timeout => Some(AbortReason::Timeout),
+                Outcome::Stale => Some(AbortReason::Stale),
+            };
+            let kind = if write == 1 { TmKind::Write } else { TmKind::Read };
+            let last = reason.map_or(TraceAction::Commit, |reason| TraceAction::Abort { kind, reason });
+            prop_assert_eq!(trace.events.last().map(|e| e.action), Some(last));
+            prop_assert!(reason.is_none() || trace.events.len() == 1);
+            match outcome {
+                Outcome::Committed { vn, value, prev } if write == 1 => {
+                    prop_assert_eq!((vn, value, prev), (2, 42, 7));
+                    // Exactly the installs changed, and they leave the
+                    // lemmas intact (8(1a): at a write quorum).
+                    for (s, old) in before.iter().enumerate() {
+                        prop_assert_eq!(c.stores.cfg(s), old.1);
+                        prop_assert!(c.stores.get(s) == old.0 || c.stores.get(s) == (2, 42));
+                    }
+                    prop_assert!(c.commit_check(0, true, vn, value).is_ok());
+                }
+                Outcome::Committed { vn, value, .. } => {
+                    prop_assert_eq!((vn, value), (1, 7));
+                    prop_assert_eq!(snapshot(&c), before.clone());
+                    prop_assert!(c.commit_check(0, false, vn, value).is_ok());
+                }
+                Outcome::Stale => {
+                    // Only a cache behind a reconfiguration, which it adopts.
+                    prop_assert!(reconfigured == 1);
+                    prop_assert_eq!(cache, Some((c.gen(0), c.members(0))));
+                    prop_assert_eq!(snapshot(&c), before.clone());
+                }
+                Outcome::Unavailable | Outcome::Timeout => {
+                    prop_assert!(outcome == Outcome::Unavailable || cost.elapsed >= timeout);
+                    prop_assert_eq!(snapshot(&c), before.clone());
+                }
+            }
+            if let (Outcome::Committed { .. }, Some((gen, _))) = (outcome, cache) {
+                // Committing under a cache proves the cache current.
+                prop_assert_eq!(gen, c.gen(0));
+            }
+            prop_assert!(c.check_item(0).is_ok());
+        }
+    }
+}

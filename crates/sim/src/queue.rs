@@ -1,6 +1,6 @@
 //! Pending-event queues for the discrete-event loops.
 //!
-//! All three simulators (`sim.rs`, `shard.rs`, `txn_workload.rs`) drive a
+//! All three drivers (`sim.rs`, `shard.rs`, `txn_workload.rs`) drive a
 //! loop of timestamped events ordered by `(time, seq)` — `seq` is a
 //! per-simulation push counter that makes the order total, so FIFO among
 //! same-instant events. Every round trip, backoff, arrival and repair is
@@ -38,7 +38,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// The interface both simulators drive their event loop through.
+/// The interface every driver runs its event loop through.
 ///
 /// Entries are `(time, seq, event)`; `seq` values must be unique per queue
 /// (the simulators use a monotone push counter), which makes the pop order

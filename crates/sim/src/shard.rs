@@ -1,13 +1,21 @@
-//! Sharded multi-item simulation: deterministic parallel event loops over
-//! a keyspace of independently replicated items.
+//! The sharded driver: deterministic parallel event loops over a keyspace
+//! of independently replicated items.
 //!
-//! The single-item simulator (`sim.rs`) models one replicated object. Real
+//! The single-item driver (`sim.rs`) models one replicated object. Real
 //! deployments replicate many objects over the same sites, and the paper's
 //! per-object correctness argument (Lemmas 7/8 hold for each object's
 //! access sequence independently) is exactly what makes the workload
 //! *shardable*: items never interact, so the keyspace can be partitioned
 //! into shards, each shard driven by its own event loop, and the shards
 //! executed on however many OS threads are available.
+//!
+//! The protocol — phases, quorum rule, fault application, reconfiguration,
+//! the lemma monitor, the per-operation bookkeeping — is
+//! [`crate::protocol`]'s, the same code the single-item driver runs with
+//! one item. What is here is what only this driver has: [`MultiConfig`],
+//! the event enum and loop, item choice and the closed / open / routed
+//! workloads, stable item slots and `walk`, migration and the elastic
+//! barriers, and the merge of per-shard results.
 //!
 //! # Determinism contract
 //!
@@ -54,31 +62,22 @@
 //! # Hot path
 //!
 //! Each shard's event loop runs on the same machinery as the single-item
-//! simulator: the calendar [`EventQueue`] (heap oracle under
+//! driver: the calendar [`EventQueue`] (heap oracle under
 //! `queue = QueueKind::Heap`) with batched same-instant delivery, the SoA
-//! [`DmArena`] (`item slot·n + site`), the interned [`OpSlab`], the
-//! `u128` live-site bitset, and the reused phase response buffer — no
-//! hashing, no per-operation allocation, no `Arc` traffic per operation.
+//! [`DmArena`](crate::DmArena) (`item slot·n + site`), the interned
+//! `OpSlab`, the `u128` live-site bitset, and the reused phase response
+//! buffer — no hashing, no per-operation allocation, no `Arc` traffic per
+//! operation.
 
-use std::fmt;
 use std::sync::Arc;
 
-use quorum::{QuorumFamily, QuorumSpec, ReplicaSet, Thresholds};
+use quorum::{QuorumSpec, ReplicaSet};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use qc_obs::causal::{AbortCause, EdgeKind, SpanKind, TxnRef as CausalTxnRef, TxnTrace, NO_SPAN};
-use qc_obs::{
-    EventKind, EventSink, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot,
-    SnapshotExporter,
-};
-use qc_replication::{
-    AbortReason, LemmaChecker, LemmaViolation, ScheduleTrace, TmKind, TraceAction, TraceTid,
-};
+use qc_obs::{ObsOptions, ObsReport, Phase};
+use qc_replication::ScheduleTrace;
 
-use crate::arena::{DmArena, SlotState};
-use crate::faults::{message_dropped, FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
+use crate::faults::{FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::par::par_map;
@@ -86,11 +85,12 @@ use crate::placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
     PlacementReport,
 };
+use crate::protocol::{
+    validate, Clients, Cluster, ClusterSpec, ContactPolicy, ItemExport, OpId, ReconfigPolicy, Then,
+};
 use crate::queue::{EventQueue, QueueImpl, QueueKind};
-use crate::sim::{ContactPolicy, ReconfigPolicy};
-use crate::slab::{OpSlab, PendingOp};
+use crate::slab::PendingOp;
 use crate::time::SimTime;
-use crate::trace::TraceRecorder;
 
 /// How clients pick the item of each operation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -264,41 +264,10 @@ impl MultiConfig {
         if self.clients_per_shard == 0 {
             return Err("each shard needs at least one client".into());
         }
-        if self.reconfig.enabled {
-            if QuorumFamily::of(&*self.quorum).is_none() {
-                return Err(format!(
-                    "dynamic quorums require a ROWA or majority quorum system, got {}",
-                    self.quorum.label()
-                ));
-            }
-        } else if self
-            .faults
-            .events()
-            .iter()
-            .any(|(_, e)| matches!(e, FaultEvent::Reconfig { .. }))
-        {
-            return Err(
-                "fault plan contains reconfig events but MultiConfig::reconfig is disabled".into(),
-            );
-        }
-        let migrates: Vec<(usize, usize)> = self
-            .faults
-            .events()
-            .iter()
-            .filter_map(|&(_, e)| match e {
-                FaultEvent::Migrate { item, to } => Some((item, to)),
-                _ => None,
-            })
-            .collect();
-        if !self.placement.is_elastic() {
-            if !migrates.is_empty() {
-                return Err(
-                    "fault plan contains migrate events but MultiConfig::placement is not \
-                     elastic"
-                        .into(),
-                );
-            }
-        } else {
+        let elastic = self.placement.is_elastic();
+        let (quorum, clients) = (&*self.quorum, self.clients());
+        validate(quorum, &self.faults, &self.reconfig, clients, elastic, Some(self.read_fraction))?;
+        if elastic {
             if !self.reconfig.enabled {
                 return Err(
                     "elastic placement installs migrations as reconfigurations; enable \
@@ -318,7 +287,8 @@ impl MultiConfig {
                         .into(),
                 );
             }
-            for (item, to) in migrates {
+            for &(_, e) in self.faults.events() {
+                let FaultEvent::Migrate { item, to } = e else { continue };
                 if item >= self.items {
                     return Err(format!(
                         "migrate references item {item}, but there are {} items",
@@ -349,7 +319,7 @@ impl MultiConfig {
                 "abort@ events reference clients, but the routed workload has none".into(),
             );
         }
-        self.faults.validate(self.quorum.n(), self.clients())
+        Ok(())
     }
 }
 
@@ -501,13 +471,6 @@ impl EventBox {
     }
 }
 
-struct PhaseOutcome {
-    elapsed: SimTime,
-    messages: u64,
-    responders: ReplicaSet,
-    ok: bool,
-}
-
 /// What one shard hands back to the merge step.
 struct ShardOutcome {
     metrics: Metrics,
@@ -530,49 +493,26 @@ const NEVER: SimTime = SimTime(u64::MAX);
 ///
 /// # Item slots
 ///
-/// Every owned item lives in a **stable slot**: all per-item columns
-/// below are indexed by a slot number that never shifts for as long as
-/// the item stays on this shard. Exporting an item copies its state out
-/// and pushes the slot on `free`; importing pops a free slot (or appends
-/// one) and writes the state in — nothing else on the shard moves, so a
-/// migration barrier costs O(moves). Without migrations slot order equals
-/// ascending global id; after one it does not, so every walk whose order
-/// is observable goes through `walk` (ascending global id) instead.
+/// Every owned item lives in a **stable slot**: the cluster's per-item
+/// columns and all per-item columns below are indexed by a slot number
+/// that never shifts for as long as the item stays on this shard.
+/// Exporting an item copies its state out and pushes the slot on `free`;
+/// importing pops a free slot (or appends one) and writes the state in —
+/// nothing else on the shard moves, so a migration barrier costs O(moves).
+/// Without migrations slot order equals ascending global id; after one it
+/// does not, so every walk whose order is observable goes through `walk`
+/// (ascending global id) instead.
 struct ShardSim<'a> {
     config: &'a MultiConfig,
-    /// Sites per item (`quorum.n()`).
-    n: usize,
     /// Global client id of this shard's first client.
     client_base: usize,
-    /// This shard's private Arc handle (cloned once, at construction).
-    quorum: Arc<dyn QuorumSpec + Send + Sync>,
-    rng: ChaCha8Rng,
-    now: SimTime,
     queue: QueueImpl<EventBox>,
     seq: u64,
-    /// Live sites, as a bitset (`full(n)` when healthy).
-    up: ReplicaSet,
-    /// Flat per-item DM arena, SoA layout: `item slot·n + site`.
-    stores: DmArena,
-    /// One lemma checker per item slot.
-    checkers: Vec<LemmaChecker<u64>>,
-    /// Per-item memoized store re-check outcome (Lemmas 7/8(1a)/8(1b)):
-    /// a pure function of the item's history digest and store slots, so
-    /// between mutations of either it is replayed, not re-scanned.
-    /// Cleared per item at every mutation site (write installs, corrupt
-    /// injections, committed-write digests).
-    arena_checks: Vec<Option<Result<(), LemmaViolation>>>,
-    /// Threshold form of the quorum system, when it has one: quorum
-    /// membership and contact selection as inline popcounts (see
-    /// `Simulation::is_quorum`); `None` falls back to the dyn predicates.
-    th: Option<Thresholds>,
-    /// Resizable family of the quorum system (`Some` for ROWA/majority);
-    /// required when `config.reconfig.enabled`.
-    family: Option<QuorumFamily>,
-    /// Committed configuration generation per item slot.
-    cur_gens: Vec<u64>,
-    /// Committed membership per item slot.
-    cur_members: Vec<ReplicaSet>,
+    /// The sites and this shard's items, one cluster slot per item slot.
+    cluster: Cluster,
+    /// The coordinators' operations: one coordinator per client in
+    /// client-paced modes, one per item slot under [`Workload::Routed`].
+    ops: Clients,
     /// Cached `(generation, members)` per coordinator per item slot:
     /// indexed `slot · clients_per_shard + client` in client-paced modes
     /// (so a fresh slot appends one row), and just `slot` under
@@ -581,15 +521,6 @@ struct ShardSim<'a> {
     /// the new owner is stale-rejected and adopts the current generation —
     /// the §4 stale-retry made visible to the conformance checker.
     client_cfg: Vec<(u64, ReplicaSet)>,
-    /// The in-flight dynamic attempt's `(members, read k, write k)`; the
-    /// phase loop's quorum probe uses it when set.
-    dyn_quorum: Option<(ReplicaSet, usize, usize)>,
-    /// Instant of the last reactive reconfiguration per item slot.
-    last_reconfig: Vec<SimTime>,
-    /// Reactive reconfigurations spent per item slot.
-    reconfigs_used: Vec<u32>,
-    /// The failure signal (timeouts + unavailable) at the last spy poll.
-    last_failure_signal: u64,
     /// Global id of each slot's item ([`FREE`] when vacant).
     slot_global: Vec<usize>,
     /// Global id → slot, dense over the whole keyspace ([`NO_SLOT`] for
@@ -625,36 +556,11 @@ struct ShardSim<'a> {
     /// Cumulative commits per item slot as of the last barrier sample
     /// (see [`sample_epoch`](Self::sample_epoch)).
     prev_commits: Vec<u64>,
-    /// This shard's view of the global fault plan (local client ids).
-    plan: FaultPlan,
-    plan_crashes: Vec<Vec<SimTime>>,
-    abort_flag: Vec<bool>,
-    /// In-flight operation state, interned for the whole run: one slot per
-    /// client in client-paced modes, one per item slot under Routed.
-    pending: OpSlab,
+    item_commits: Vec<u64>,
     op_counter: Vec<u64>,
     /// Per-coordinator retry epoch (see [`Event::Retry`]); bumped when a
     /// barrier abort invalidates the coordinator's parked retry.
     retry_epoch: Vec<u32>,
-    /// Per-coordinator causal segment history of the in-flight op, in
-    /// causal order (`(edge kind, µs)`); only written when
-    /// `config.obs.causal` is enabled. Mirrors the `PendingOp` phase
-    /// accumulators exactly (see the single-item simulator's
-    /// `causal_finish`); under Routed the slots are per item and migrate
-    /// with it (always empty at a barrier — parked ops are fenced first).
-    causal_segs: Vec<Vec<(EdgeKind, u64)>>,
-    /// Reused phase response buffer (no per-operation allocation).
-    scratch: Vec<(SimTime, usize)>,
-    /// One trace recorder per item slot, when tracing.
-    recorders: Option<Vec<TraceRecorder>>,
-    metrics: Metrics,
-    item_commits: Vec<u64>,
-    /// This shard's index, stamped on events and snapshots.
-    shard: u32,
-    /// Observability recordings (per `config.obs`).
-    obs: ObsReport,
-    /// Periodic snapshot schedule, when enabled.
-    snap: Option<SnapshotExporter>,
 }
 
 impl<'a> ShardSim<'a> {
@@ -705,39 +611,33 @@ impl<'a> ShardSim<'a> {
         // The corruption target is item 0; validate() forbids Corrupt under
         // elastic placement, so the time-zero owner keeps it for the run.
         let owns_item0 = global_items.first() == Some(&0);
-        let plan = config.faults.shard_view(client_base, client_base + cps, owns_item0);
-        let plan_crashes = (0..n).map(|s| plan.crash_times_for(s).collect()).collect();
-        let recorders = traced.then(|| {
-            (0..slots)
-                .map(|_| TraceRecorder::new(config.quorum.label(), n, config.seed))
-                .collect()
+        let mut cluster = Cluster::new(ClusterSpec {
+            quorum: Arc::clone(&config.quorum),
+            latency: config.latency,
+            contact: config.contact,
+            timeout: config.timeout,
+            seed: config.seed,
+            rng_seed: shard_seed(config.seed, shard),
+            plan: config.faults.shard_view(client_base, client_base + cps, owns_item0),
+            reconfig: config.reconfig,
+            monitor: config.monitor,
+            slots,
         });
+        if traced {
+            cluster.attach_recorders();
+        }
         let slot_global: Vec<usize> =
             global_items.into_iter().chain(std::iter::repeat(FREE)).take(slots).collect();
         let mut walk = Vec::with_capacity(slots);
         walk.extend(0..local as u32);
         let mut sim = ShardSim {
             config,
-            n,
             client_base,
-            quorum: Arc::clone(&config.quorum),
-            rng: ChaCha8Rng::seed_from_u64(shard_seed(config.seed, shard)),
-            now: SimTime::ZERO,
             queue: QueueImpl::new(config.queue),
             seq: 0,
-            up: ReplicaSet::full(n),
-            stores: DmArena::new_configured(slots * n, n),
-            checkers: (0..slots).map(|_| LemmaChecker::new(0)).collect(),
-            arena_checks: vec![None; slots],
-            th: config.quorum.thresholds(),
-            family: QuorumFamily::of(&*config.quorum),
-            cur_gens: vec![0; slots],
-            cur_members: vec![ReplicaSet::full(n); slots],
+            cluster,
+            ops: Clients::new(coords, &config.obs, config.retry, shard as u32),
             client_cfg: vec![(0, ReplicaSet::full(n)); if routed { slots } else { slots * cps }],
-            dyn_quorum: None,
-            last_reconfig: vec![SimTime::ZERO; slots],
-            reconfigs_used: vec![0; slots],
-            last_failure_signal: 0,
             slot_global,
             slot_of,
             // Popped from the back: spare slots fill in ascending order.
@@ -750,20 +650,9 @@ impl<'a> ShardSim<'a> {
             step,
             arrived_at: vec![NEVER; if routed { slots } else { 0 }],
             prev_commits: vec![0; slots],
-            plan,
-            plan_crashes,
-            abort_flag: vec![false; coords],
-            pending: OpSlab::new(coords),
+            item_commits: vec![0; slots],
             op_counter: vec![0; coords],
             retry_epoch: vec![0; coords],
-            causal_segs: vec![Vec::new(); coords],
-            scratch: Vec::new(),
-            recorders,
-            metrics: Metrics::default(),
-            item_commits: vec![0; slots],
-            shard: shard as u32,
-            obs: ObsReport::new(&config.obs),
-            snap: config.obs.snapshot_every_us.map(SnapshotExporter::new),
         };
         if routed {
             // Every owned item carries its own arrival stream; the phase
@@ -777,14 +666,13 @@ impl<'a> ShardSim<'a> {
             }
         } else {
             for c in 0..cps {
-                // Stagger client starts to avoid phase lock (same policy as
-                // the single-item simulator).
-                let jitter = SimTime(sim.rng.gen_range(0..1_000));
+                // Stagger client starts to avoid phase lock.
+                let jitter = SimTime(sim.cluster.rng.gen_range(0..1_000));
                 sim.schedule(jitter, Event::OpStart { client: c });
             }
         }
-        for idx in 0..sim.plan.len() {
-            let at = sim.plan.events()[idx].0;
+        for idx in 0..sim.cluster.cfg.plan.len() {
+            let at = sim.cluster.cfg.plan.events()[idx].0;
             sim.schedule(at, Event::PlanFault { idx });
         }
         if sim.config.reconfig.enabled && sim.config.reconfig.reactive {
@@ -795,17 +683,51 @@ impl<'a> ShardSim<'a> {
 
     fn schedule(&mut self, delay: SimTime, e: Event) {
         self.seq += 1;
-        self.queue.push(self.now + delay, self.seq, EventBox::pack(e));
+        self.queue.push(self.cluster.now + delay, self.seq, EventBox::pack(e));
     }
 
     fn dispatch(&mut self, e: EventBox) {
         match e.unpack() {
             Event::OpStart { client } => self.handle_op(client),
             Event::Retry { key } => self.handle_retry(key),
-            Event::PlanFault { idx } => self.handle_plan_fault(idx),
-            Event::SpyCheck => self.spy_check(),
+            Event::PlanFault { idx } => {
+                // A scripted reconfiguration applies to every item; shards
+                // execute it for the items they own, in item order.
+                if let Some(target) = self.ops.plan_fault(&mut self.cluster, idx) {
+                    self.refresh_walk();
+                    for i in 0..self.walk.len() {
+                        self.reconfigure_slot(self.walk[i] as usize, target, true, false);
+                    }
+                }
+            }
+            Event::SpyCheck => {
+                let failing = self.ops.failure_signal_rose();
+                self.refresh_walk();
+                for i in 0..self.walk.len() {
+                    let slot = self.walk[i] as usize;
+                    if self.cluster.wants_reconfig(slot, failing) {
+                        self.reconfigure_slot(slot, ReconfigTarget::Live, false, false);
+                    }
+                }
+                self.schedule(self.config.reconfig.poll, Event::SpyCheck);
+            }
             Event::Arrival { item } => self.handle_arrival(item),
         }
+    }
+
+    /// One reconfigure op on the item in `slot`; whether it installed. Its
+    /// TM is named by the new generation, which is monotone per item, so
+    /// the names in an item's trace stay unique even when migrations
+    /// splice the trace across shards (a per-shard counter would not).
+    fn reconfigure_slot(
+        &mut self,
+        slot: usize,
+        target: ReconfigTarget,
+        scripted: bool,
+        allow_same: bool,
+    ) -> bool {
+        let (global, tm_op) = (Some(self.slot_global[slot]), self.cluster.gen(slot) + 1);
+        self.ops.run_reconfigure(&mut self.cluster, slot, global, tm_op, target, scripted, allow_same)
     }
 
     /// A queued retry fires. Unpack the `(coordinate, epoch)` key; a
@@ -838,10 +760,9 @@ impl<'a> ShardSim<'a> {
                 self.queue.push(t, seq, e);
                 break;
             }
-            // Snapshot boundaries fire before the event at `t`, exactly as
-            // in the single-item simulator.
-            self.fire_snapshots_through(t);
-            self.now = t;
+            // Snapshot boundaries fire before the event at `t`.
+            self.ops.fire_snapshots_through(t);
+            self.cluster.now = t;
             self.dispatch(e);
             // Batched delivery: drain every remaining event at `t` in
             // `(time, seq)` order before re-entering the full dequeue path.
@@ -856,8 +777,8 @@ impl<'a> ShardSim<'a> {
     /// any due snapshot boundaries move. Migrations applied while parked
     /// are stamped at the barrier.
     fn sync_to(&mut self, t: SimTime) {
-        self.fire_snapshots_through(t);
-        self.now = t;
+        self.ops.fire_snapshots_through(t);
+        self.cluster.now = t;
         // `run_to` peeked one event past the barrier, advancing the
         // calendar queue's scan cursor beyond `t`; migrations arriving at
         // this barrier schedule events from `t + 1`, so re-open the
@@ -916,31 +837,23 @@ impl<'a> ShardSim<'a> {
     /// The end-of-run tail: final snapshot boundaries, the quiescent
     /// lemma sweep, and result assembly.
     fn finish(mut self) -> ShardOutcome {
-        self.fire_snapshots_through(self.config.duration);
-        self.now = self.config.duration;
+        self.ops.fire_snapshots_through(self.config.duration);
+        self.cluster.now = self.config.duration;
         // Every owned item's stores must satisfy the lemmas at quiescence.
         self.refresh_walk();
-        if self.config.monitor {
-            for i in 0..self.walk.len() {
-                let item = self.walk[i] as usize;
-                if let Err(v) = self.check_item_memo(item) {
-                    let g = self.slot_global[item];
-                    self.record_violation_observed(
-                        format_args!("end-of-run item={g}: {v}"),
-                        None,
-                    );
-                }
-            }
+        for &slot in &self.walk {
+            let slot = slot as usize;
+            self.ops.final_check(&mut self.cluster, slot, Some(self.slot_global[slot]));
         }
         let items = self
             .walk
             .iter()
             .map(|&s| {
                 let s = s as usize;
-                (self.slot_global[s], self.item_commits[s], self.checkers[s].current_vn())
+                (self.slot_global[s], self.item_commits[s], self.cluster.current_vn(s))
             })
             .collect();
-        let traces = self.recorders.map(|recorders| {
+        let traces = self.cluster.take_recorders().map(|recorders| {
             self.slot_global
                 .iter()
                 .zip(recorders)
@@ -949,480 +862,10 @@ impl<'a> ShardSim<'a> {
                 .collect()
         });
         ShardOutcome {
-            metrics: self.metrics,
+            metrics: self.ops.metrics,
             items,
             traces,
-            obs: self.obs,
-        }
-    }
-
-    /// Emit every due snapshot with boundary time ≤ `t`.
-    fn fire_snapshots_through(&mut self, t: SimTime) {
-        loop {
-            let due = match self.snap.as_mut() {
-                Some(s) => s.next_due(t.as_micros()),
-                None => return,
-            };
-            let Some(at_us) = due else { return };
-            let snap = Snapshot {
-                at_us,
-                shard: self.shard,
-                ops_done: self.metrics.reads.successes + self.metrics.writes.successes,
-                in_flight: self.pending.in_flight(),
-                violations: self.metrics.lemma_violations,
-                read_p50_us: self.metrics.reads.latency_hist().p50(),
-                read_p99_us: self.metrics.reads.latency_hist().p99(),
-                write_p50_us: self.metrics.writes.latency_hist().p50(),
-                write_p99_us: self.metrics.writes.latency_hist().p99(),
-            };
-            self.obs.snapshots.push(snap);
-            if self.obs.events.enabled() {
-                self.obs.events.emit(ObsEvent {
-                    at_us,
-                    shard: self.shard,
-                    kind: EventKind::Snapshot(snap),
-                });
-            }
-        }
-    }
-
-    /// Log a structured event at the current simulated instant.
-    fn emit_obs(&mut self, kind: EventKind) {
-        let at_us = self.now.as_micros();
-        self.obs.events.emit(ObsEvent {
-            at_us,
-            shard: self.shard,
-            kind,
-        });
-    }
-
-    /// Record a lemma violation in the metrics and the event log (taking
-    /// pre-formatted arguments so the hot path never allocates; see
-    /// `Metrics::record_violation_args`).
-    fn record_violation_observed(&mut self, description: fmt::Arguments<'_>, op: Option<OpRef>) {
-        if self.obs.events.enabled() {
-            let desc = description.to_string();
-            self.emit_obs(EventKind::Violation {
-                desc: desc.clone(),
-                op,
-            });
-            self.metrics.record_violation(desc);
-        } else {
-            self.metrics.record_violation_args(description);
-        }
-    }
-
-    /// Assert Lemmas 7 and 8(1a)/8(1b) against one item's stores. Under
-    /// dynamic quorums Lemma 8(1a)'s write quorum is evaluated over the
-    /// item's committed membership.
-    fn check_item(&self, item: usize) -> Result<(), LemmaViolation> {
-        let states = self.stores.states(item * self.n..(item + 1) * self.n);
-        if self.config.reconfig.enabled {
-            let family = self.family.expect("checked in MultiConfig::validate");
-            let members = self.cur_members[item];
-            self.checkers[item].check_states(states, true, |holders| {
-                holders.intersection(members).len() >= family.write_size(members.len())
-            })
-        } else {
-            let quorum: &dyn QuorumSpec = &*self.quorum;
-            self.checkers[item]
-                .check_states(states, true, |holders| quorum.is_write_quorum_bits(holders))
-        }
-    }
-
-    /// [`check_item`](Self::check_item), memoized per item (see the
-    /// `arena_checks` field).
-    fn check_item_memo(&mut self, item: usize) -> Result<(), LemmaViolation> {
-        match &self.arena_checks[item] {
-            Some(r) => r.clone(),
-            None => {
-                let r = self.check_item(item);
-                self.arena_checks[item] = Some(r.clone());
-                r
-            }
-        }
-    }
-
-    fn handle_plan_fault(&mut self, idx: usize) {
-        self.metrics.injected_faults += 1;
-        let (at, event) = self.plan.events()[idx];
-        if self.obs.events.enabled() {
-            let desc = event.text(at);
-            self.emit_obs(EventKind::Fault { desc });
-        }
-        match event {
-            FaultEvent::Crash { site } => {
-                if self.up.contains(site) {
-                    self.up.remove(site);
-                    self.metrics.site_failures += 1;
-                }
-            }
-            FaultEvent::Recover { site } => {
-                self.up.insert(site);
-            }
-            FaultEvent::AbortClient { client } => {
-                self.abort_flag[client] = true;
-            }
-            FaultEvent::Corrupt { site, vn, value } => {
-                // shard_view routes Corrupt to the shard owning item 0;
-                // local index 0 is global item 0 there.
-                self.stores.set(site, vn, value);
-                self.arena_checks[0] = None;
-                if self.config.monitor {
-                    if let Err(v) = self.check_item_memo(0) {
-                        let now = self.now;
-                        self.record_violation_observed(
-                            format_args!("t={now} corrupt injection: {v}"),
-                            None,
-                        );
-                    }
-                }
-            }
-            FaultEvent::DropWindow { .. } | FaultEvent::DelayWindow { .. } => {}
-            FaultEvent::Reconfig { target } => {
-                // A scripted reconfiguration applies to every item; shards
-                // execute it for the items they own, in item order.
-                self.refresh_walk();
-                for i in 0..self.walk.len() {
-                    self.try_reconfigure(self.walk[i] as usize, target, true);
-                }
-            }
-            // Migrations are consumed by the elastic control plane at the
-            // epoch barrier (and stripped from shard views); the shard
-            // loop never sees one.
-            FaultEvent::Migrate { .. } => {}
-        }
-    }
-
-    /// The reactive trigger, per owned item (see
-    /// [`ReconfigPolicy`](crate::ReconfigPolicy) and the single-item
-    /// `spy_check`): the failure-signal delta is shard-wide, the
-    /// membership comparison, cooldown, and budget are per item.
-    fn spy_check(&mut self) {
-        let signal = self.metrics.reads.timeouts
-            + self.metrics.reads.unavailable
-            + self.metrics.writes.timeouts
-            + self.metrics.writes.unavailable;
-        let delta = signal - self.last_failure_signal;
-        self.last_failure_signal = signal;
-        let live = self.live_set();
-        self.refresh_walk();
-        for i in 0..self.walk.len() {
-            let item = self.walk[i] as usize;
-            let members = self.cur_members[item];
-            let grow = !live.difference(members).is_empty();
-            let shrink = delta > 0 && !members.difference(live).is_empty();
-            if grow || shrink {
-                self.try_reconfigure(item, ReconfigTarget::Live, false);
-            }
-        }
-        self.schedule(self.config.reconfig.poll, Event::SpyCheck);
-    }
-
-    /// Execute one reconfigure op against `item` if warranted and
-    /// feasible — the per-item mirror of the single-item simulator's
-    /// `try_reconfigure` (Goldman–Lynch §4: discovery at a configuration
-    /// read quorum of the old members, install at a configuration write
-    /// quorum of the old members plus every live new member, data refresh
-    /// at a data write quorum of the new members; one instant, no
-    /// messages, no RNG draws).
-    fn try_reconfigure(&mut self, item: usize, target: ReconfigTarget, scripted: bool) {
-        self.reconfigure(item, target, scripted, false);
-    }
-
-    /// [`try_reconfigure`](Self::try_reconfigure) with an explicit
-    /// same-membership escape hatch and a success flag. Migration uses
-    /// `allow_same = true`: moving an item bumps its generation over an
-    /// *unchanged* membership — the epoch fence every coordinator must
-    /// observe (stale-abort and re-adopt) before the item serves from its
-    /// new shard.
-    fn reconfigure(
-        &mut self,
-        item: usize,
-        target: ReconfigTarget,
-        scripted: bool,
-        allow_same: bool,
-    ) -> bool {
-        let Some(family) = self.family else {
-            if scripted {
-                self.metrics.reconfig_failures += 1;
-            }
-            return false;
-        };
-        let pol = self.config.reconfig;
-        if !scripted {
-            if self.reconfigs_used[item] >= pol.max_reconfigs {
-                return false;
-            }
-            if self.reconfigs_used[item] > 0 && self.now - self.last_reconfig[item] < pol.cooldown
-            {
-                return false;
-            }
-        }
-        let live = self.live_set();
-        let new_members = match target {
-            ReconfigTarget::Live => live,
-            ReconfigTarget::Members(m) => m,
-        };
-        if new_members.len() < pol.min_members
-            || (!allow_same && new_members == self.cur_members[item])
-        {
-            return false;
-        }
-        let old = self.cur_members[item];
-        let discovery = live.intersection(old);
-        let refresh = live.intersection(new_members);
-        let feasible = discovery.len() >= QuorumFamily::config_quorum_size(old.len())
-            && discovery.len() >= family.read_size(old.len())
-            && refresh.len() >= family.write_size(new_members.len());
-        if !feasible {
-            if scripted {
-                self.metrics.reconfig_failures += 1;
-            }
-            return false;
-        }
-        let base = item * self.n;
-        let new_gen = self.cur_gens[item] + 1;
-        let (dvn, dval) = self.stores.discover(base, discovery);
-        let install = discovery.union(refresh);
-        if self.recorders.is_some() {
-            // `new_gen` is monotone per item, so the reconfig-TM names in
-            // an item's trace stay unique even when migrations splice the
-            // trace across shards (a per-shard counter would not).
-            let tid = TraceTid {
-                client: u32::MAX,
-                op: new_gen,
-                attempt: 1,
-            };
-            let faulted = self.faulted_now();
-            self.emit_item(
-                item,
-                tid,
-                TraceAction::Create {
-                    kind: TmKind::Reconfig,
-                },
-                faulted,
-            );
-            for s in discovery {
-                let gen = self.stores.cfg_gen(base + s);
-                self.emit_item(item, tid, TraceAction::ReadCfg { site: s, gen }, faulted);
-            }
-            for s in discovery {
-                let (vn, value) = self.stores.get(base + s);
-                self.emit_item(item, tid, TraceAction::ReadDm { site: s, vn, value }, faulted);
-            }
-            for s in install {
-                self.emit_item(
-                    item,
-                    tid,
-                    TraceAction::WriteCfg {
-                        site: s,
-                        gen: new_gen,
-                        members: new_members,
-                    },
-                    faulted,
-                );
-            }
-            for s in refresh {
-                self.emit_item(
-                    item,
-                    tid,
-                    TraceAction::WriteDm {
-                        site: s,
-                        vn: dvn,
-                        value: dval,
-                    },
-                    faulted,
-                );
-            }
-            self.emit_item(
-                item,
-                tid,
-                TraceAction::RequestCommit {
-                    vn: new_gen,
-                    value: new_members.bits() as u64,
-                },
-                faulted,
-            );
-            self.emit_item(item, tid, TraceAction::Commit, faulted);
-        }
-        for s in install {
-            self.stores.set_cfg(base + s, new_gen, new_members);
-        }
-        for s in refresh {
-            self.stores.set(base + s, dvn, dval);
-        }
-        self.cur_gens[item] = new_gen;
-        self.cur_members[item] = new_members;
-        self.arena_checks[item] = None;
-        if self.config.obs.spans {
-            // Instantaneous (reliable control plane): a zero-duration
-            // marker, counted like vn_resolve/commit_round so fence
-            // frequency shows up in the phase profile.
-            self.obs.spans.record(Phase::ReconfigFence, 0);
-        }
-        self.metrics.reconfigurations += 1;
-        self.reconfigs_used[item] += 1;
-        self.last_reconfig[item] = self.now;
-        if self.obs.events.enabled() {
-            let g = self.slot_global[item];
-            self.emit_obs(EventKind::Fault {
-                desc: format!("reconfig:item{g}:gen{new_gen}:{new_members}"),
-            });
-        }
-        if self.config.monitor {
-            if let Err(v) = self.check_item_memo(item) {
-                let g = self.slot_global[item];
-                let now = self.now;
-                self.record_violation_observed(
-                    format_args!("t={now} item={g} reconfig gen {new_gen}: {v}"),
-                    None,
-                );
-            }
-        }
-        true
-    }
-
-    fn live_set(&self) -> ReplicaSet {
-        self.up
-    }
-
-    fn faulted_now(&self) -> bool {
-        self.up != ReplicaSet::full(self.n)
-            || self.plan.drop_permille_at(self.now) > 0
-            || self.plan.delay_extra_at(self.now) > SimTime::ZERO
-    }
-
-    /// Whether `site` (up now) crashes at or before `t` (straddle check;
-    /// sharded runs use planned faults only, so no stochastic component).
-    fn site_crashes_by(&self, site: usize, t: SimTime) -> bool {
-        let planned = &self.plan_crashes[site];
-        let i = planned.partition_point(|&c| c <= self.now);
-        i < planned.len() && planned[i] <= t
-    }
-
-    /// One quorum-gathering phase (`write_phase` selects the predicate).
-    /// Identical semantics to the single-item simulator's phase; the
-    /// quorum predicate is dispatched inline, so no per-call closure or
-    /// `Arc` clone.
-    fn phase(
-        &mut self,
-        targets: ReplicaSet,
-        client: usize,
-        op_index: u64,
-        attempt: u32,
-        write_phase: bool,
-    ) -> PhaseOutcome {
-        let phase_no: u8 = if write_phase { 2 } else { 1 };
-        let drop_permille = self.plan.drop_permille_at(self.now);
-        let delay_extra = self.plan.delay_extra_at(self.now);
-        let seed = self.config.seed;
-        let global_client = self.coord(client);
-        let mut responses = std::mem::take(&mut self.scratch);
-        responses.clear();
-        let mut messages = 0u64;
-        for s in targets {
-            messages += 1; // request
-            if !self.up.contains(s) {
-                continue;
-            }
-            if message_dropped(
-                seed,
-                global_client,
-                op_index,
-                attempt,
-                phase_no,
-                s,
-                false,
-                drop_permille,
-            ) {
-                self.metrics.dropped_messages += 1;
-                continue;
-            }
-            let rtt = self.config.latency.sample(&mut self.rng)
-                + self.config.latency.sample(&mut self.rng)
-                + delay_extra
-                + delay_extra;
-            if self.site_crashes_by(s, self.now + rtt) {
-                continue;
-            }
-            messages += 1; // response
-            if message_dropped(
-                seed,
-                global_client,
-                op_index,
-                attempt,
-                phase_no,
-                s,
-                true,
-                drop_permille,
-            ) {
-                self.metrics.dropped_messages += 1;
-                continue;
-            }
-            responses.push((rtt, s));
-        }
-        responses.sort_unstable();
-        let mut have = ReplicaSet::new();
-        let mut outcome = PhaseOutcome {
-            elapsed: self.config.timeout,
-            messages,
-            responders: ReplicaSet::new(),
-            ok: false,
-        };
-        for &(t, s) in &responses {
-            if t > self.config.timeout {
-                break;
-            }
-            have.insert(s);
-            if self.is_quorum(have, write_phase) {
-                outcome = PhaseOutcome {
-                    elapsed: t,
-                    messages,
-                    responders: have,
-                    ok: true,
-                };
-                break;
-            }
-        }
-        self.scratch = responses;
-        outcome
-    }
-
-    /// Whether `have` includes the relevant quorum — a popcount when the
-    /// quorum system has a [`Thresholds`] form (agrees exactly with the
-    /// predicates; asserted exhaustively in the quorum crate).
-    #[inline]
-    fn is_quorum(&self, have: ReplicaSet, write: bool) -> bool {
-        // A dynamic attempt's quorums are over its cached membership; the
-        // read side also demands a configuration read quorum so the
-        // attempt can prove its generation is current.
-        if let Some((members, rk, wk)) = self.dyn_quorum {
-            let k = have.intersection(members).len();
-            return k >= if write { wk } else { rk };
-        }
-        match self.th {
-            Some(t) => {
-                let k = have.intersection(ReplicaSet::full(t.n)).len();
-                k >= if write { t.write_size } else { t.read_size }
-            }
-            None if write => self.quorum.is_write_quorum_bits(have),
-            None => self.quorum.is_read_quorum_bits(have),
-        }
-    }
-
-    /// Minimal quorum inside `available`, matching `find_*_quorum_bits`
-    /// bit-for-bit (threshold shrink keeps the highest `k` live members).
-    #[inline]
-    fn find_quorum(&self, available: ReplicaSet, write: bool) -> Option<ReplicaSet> {
-        match self.th {
-            Some(t) => {
-                let k = if write { t.write_size } else { t.read_size };
-                let live = available.intersection(ReplicaSet::full(t.n));
-                (live.len() >= k).then(|| live.keep_highest(k))
-            }
-            None if write => self.quorum.find_write_quorum_bits(available),
-            None => self.quorum.find_read_quorum_bits(available),
+            obs: self.ops.obs,
         }
     }
 
@@ -1430,22 +873,21 @@ impl<'a> ShardSim<'a> {
     /// of the keyspace (one uniform draw + binary search on the cumulative
     /// weights, which run over `walk`).
     fn draw_item(&mut self) -> usize {
-        let u: f64 = self.rng.gen_range(0.0..self.total_weight);
+        let u: f64 = self.cluster.rng.gen_range(0.0..self.total_weight);
         let i = self.cum_weights.partition_point(|&c| c <= u);
         self.walk[i.min(self.cum_weights.len() - 1)] as usize
     }
 
-    /// The coordinator's *global* identity, used for drop coins, trace
-    /// transaction names, and violation op-refs: the global client id in
-    /// client-paced modes, the global item id under Routed (deterministic
-    /// across placements — a migrated item keeps its coordinate).
+    /// Coordinator `key`'s operation on the item in slot `item`, in the
+    /// names observers see. The coordinator's *global* identity — drop
+    /// coins, trace transaction names, causal ids, violation op-refs — is
+    /// the global client id in client-paced modes and the global item id
+    /// under Routed (deterministic across placements — a migrated item
+    /// keeps its coordinate).
     #[inline]
-    fn coord(&self, key: usize) -> usize {
-        if self.routed {
-            self.slot_global[key]
-        } else {
-            self.client_base + key
-        }
+    fn op_id(&self, key: usize, item: usize) -> OpId {
+        let coord = if self.routed { self.slot_global[key] } else { self.client_base + key };
+        OpId { coord, item: Some(self.slot_global[item]) }
     }
 
     /// The packed key a queued [`Event::Retry`] carries for coordinator
@@ -1503,32 +945,31 @@ impl<'a> ShardSim<'a> {
             NO_SLOT => return,
             slot => slot as usize,
         };
+        let now = self.cluster.now;
         // An item that left and came back before its queued arrival fired
         // has two arrivals for the same tick here: the one queued before
         // it left and the one rescheduled at import. The second is a
         // tombstone too — it starts no op and schedules no successor,
         // or the item's stream would run twice from here on.
-        if self.arrived_at[slot] == self.now {
+        if self.arrived_at[slot] == now {
             return;
         }
-        self.arrived_at[slot] = self.now;
+        self.arrived_at[slot] = now;
         // Arrivals are unconditional (open loop): schedule the successor
         // before deciding what to do with this one.
-        if let Some(at) = self.next_arrival_at_or_after(slot, self.now + SimTime(1)) {
-            let delay = at - self.now;
-            self.schedule(delay, Event::Arrival { item: g });
+        if let Some(at) = self.next_arrival_at_or_after(slot, now + SimTime(1)) {
+            self.schedule(at - now, Event::Arrival { item: g });
         }
-        if self.pending.is_live(slot) {
+        if self.ops.pending.is_live(slot) {
             return;
         }
-        let is_read = self.rng.gen_bool(self.config.read_fraction);
+        let is_read = self.cluster.rng.gen_bool(self.config.read_fraction);
         let op_index = self.op_counter[slot];
         self.op_counter[slot] += 1;
         // Values are unique per item across the whole run: the counter
         // migrates with the item, and the prefix is its global id.
         let value = g as u64 * 1_000_000 + op_index + 1;
-        self.pending
-            .put(slot, PendingOp::begin(slot, is_read, value, op_index, self.now));
+        self.ops.pending.put(slot, PendingOp::begin(slot, is_read, value, op_index, now));
         self.attempt_op(slot);
     }
 
@@ -1538,7 +979,7 @@ impl<'a> ShardSim<'a> {
             // Arrivals are unconditional in an open loop; schedule the next
             // one before deciding what to do with this one.
             self.schedule(interarrival.max(SimTime(1)), Event::OpStart { client });
-            if self.pending.is_live(client) {
+            if self.ops.pending.is_live(client) {
                 // Client still retrying a previous operation: it absorbs
                 // this arrival (saturation).
                 return;
@@ -1547,698 +988,59 @@ impl<'a> ShardSim<'a> {
         if self.owned() == 0 {
             // Every item migrated away; park the client until one arrives
             // (open-loop arrivals keep polling on their own).
-            if let Workload::Closed { think } = self.config.workload {
-                self.schedule(think.max(SimTime(1)), Event::OpStart { client });
-            }
+            self.next_op(client, SimTime::ZERO, SimTime(1));
             return;
         }
         let item = self.draw_item();
-        let is_read = self.rng.gen_bool(self.config.read_fraction);
+        let is_read = self.cluster.rng.gen_bool(self.config.read_fraction);
         let op_index = self.op_counter[client];
         self.op_counter[client] += 1;
         // A value unique across the whole run (all shards), so per-item
         // histories identify writes.
         let value = (self.client_base + client) as u64 * 1_000_000 + op_index + 1;
-        self.pending
-            .put(client, PendingOp::begin(item, is_read, value, op_index, self.now));
+        let op = PendingOp::begin(item, is_read, value, op_index, self.cluster.now);
+        self.ops.pending.put(client, op);
         self.attempt_op(client);
     }
 
-    fn trace_tid(&self, client: usize, op: &PendingOp) -> TraceTid {
-        TraceTid {
-            client: self.coord(client) as u32,
-            op: op.op_index,
-            attempt: op.attempt,
-        }
-    }
-
-    /// Record one trace action against `op`'s item (no-op when untraced).
-    fn emit(&mut self, client: usize, op: &PendingOp, action: TraceAction, faulted: bool) {
-        let tid = self.trace_tid(client, op);
-        self.emit_item(op.item, tid, action, faulted);
-    }
-
-    /// Record one trace action against `item` under an explicit tid (the
-    /// reconfigure op has no client).
-    fn emit_item(&mut self, item: usize, tid: TraceTid, action: TraceAction, faulted: bool) {
-        let now = self.now;
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders[item].record(now, tid, action, faulted);
-        }
-    }
-
-    /// Run one attempt of local `client`'s pending operation.
-    fn attempt_op(&mut self, client: usize) {
-        let mut op = match self.pending.take(client) {
-            Some(op) => op,
-            None => return,
-        };
-
-        if self.abort_flag[client] {
-            self.abort_flag[client] = false;
-            self.metrics.forced_aborts += 1;
-            if self.recorders.is_some() {
-                let kind = if op.read { TmKind::Read } else { TmKind::Write };
-                self.emit(
-                    client,
-                    &op,
-                    TraceAction::Abort {
-                        kind,
-                        reason: AbortReason::Forced,
-                    },
-                    true,
-                );
-            }
-            let stats = if op.read {
-                &mut self.metrics.reads
-            } else {
-                &mut self.metrics.writes
-            };
-            stats.record_abort();
-            self.causal_finish(client, &op, Some(AbortCause::Forced));
-            if let Workload::Closed { think } = self.config.workload {
-                self.schedule(think, Event::OpStart { client });
-            }
-            return;
-        }
-
-        if self.config.reconfig.enabled {
-            let family = self.family.expect("checked in MultiConfig::validate");
-            self.attempt_op_dynamic(client, op, family);
-            return;
-        }
-
-        let feasible = match self.th {
-            Some(t) => {
-                let k = self.live_set().intersection(ReplicaSet::full(t.n)).len();
-                if op.read {
-                    k >= t.read_size
-                } else {
-                    k >= t.read_size && k >= t.write_size
-                }
-            }
-            None => {
-                let health = self.quorum.quorum_health(self.live_set());
-                if op.read {
-                    health.can_read()
-                } else {
-                    health.can_read() && health.can_write()
-                }
-            }
-        };
-        if !feasible {
-            self.finish_failed_attempt(client, op, SimTime::ZERO, 0, true);
-            return;
-        }
-
-        // Phase 1 (both kinds): version discovery at a read quorum.
-        let live = self.live_set();
-        let targets1 = match self.config.contact {
-            ContactPolicy::AllLive => Some(live),
-            ContactPolicy::MinimalQuorum => self.find_quorum(live, false),
-        };
-        let out1 = match targets1 {
-            Some(targets) => self.phase(targets, client, op.op_index, op.attempt, false),
-            None => {
-                self.finish_failed_attempt(client, op, SimTime::ZERO, 0, true);
-                return;
-            }
-        };
-        op.gather_us += out1.elapsed.as_micros();
-        self.causal_push(client, EdgeKind::ReadGather, out1.elapsed);
-        if !out1.ok {
-            self.finish_failed_attempt(client, op, out1.elapsed, out1.messages, false);
-            return;
-        }
-        let base = op.item * self.n;
-        let (dvn, dval) = self.stores.discover(base, out1.responders);
-
-        if op.read {
-            if self.recorders.is_some() {
-                let faulted = self.faulted_now();
-                self.emit(client, &op, TraceAction::Create { kind: TmKind::Read }, faulted);
-                for s in out1.responders {
-                    let (vn, value) = self.stores.get(base + s);
-                    self.emit(client, &op, TraceAction::ReadDm { site: s, vn, value }, faulted);
-                }
-                self.emit(
-                    client,
-                    &op,
-                    TraceAction::RequestCommit { vn: dvn, value: dval },
-                    faulted,
-                );
-                self.emit(client, &op, TraceAction::Commit, faulted);
-            }
-            self.commit_op(client, op, out1.elapsed, out1.messages, dvn, dval);
-            return;
-        }
-
-        // Phase 2 (writes): install at a write quorum, atomically.
-        let live = self.live_set();
-        let targets2 = match self.config.contact {
-            ContactPolicy::AllLive => Some(live),
-            ContactPolicy::MinimalQuorum => self.find_quorum(live, true),
-        };
-        let out2 = match targets2 {
-            Some(targets) => self.phase(targets, client, op.op_index, op.attempt, true),
-            None => {
-                self.finish_failed_attempt(client, op, out1.elapsed, out1.messages, true);
-                return;
-            }
-        };
-        op.install_us += out2.elapsed.as_micros();
-        self.causal_push(client, EdgeKind::WriteInstall, out2.elapsed);
-        let elapsed = out1.elapsed + out2.elapsed;
-        let messages = out1.messages + out2.messages;
-        if !out2.ok {
-            self.finish_failed_attempt(client, op, elapsed, messages, false);
-            return;
-        }
-        let new_vn = dvn + 1;
-        if self.recorders.is_some() {
-            let faulted = self.faulted_now();
-            self.emit(client, &op, TraceAction::Create { kind: TmKind::Write }, faulted);
-            for s in out1.responders {
-                let (vn, value) = self.stores.get(base + s);
-                self.emit(client, &op, TraceAction::ReadDm { site: s, vn, value }, faulted);
-            }
-            for s in out2.responders {
-                self.emit(
-                    client,
-                    &op,
-                    TraceAction::WriteDm {
-                        site: s,
-                        vn: new_vn,
-                        value: op.value,
-                    },
-                    faulted,
-                );
-            }
-            self.emit(
-                client,
-                &op,
-                TraceAction::RequestCommit {
-                    vn: new_vn,
-                    value: op.value,
-                },
-                faulted,
-            );
-            self.emit(client, &op, TraceAction::Commit, faulted);
-        }
-        for s in out2.responders {
-            self.stores.set(base + s, new_vn, op.value);
-        }
-        self.arena_checks[op.item] = None;
-        self.commit_op(client, op, elapsed, messages, new_vn, op.value);
-    }
-
-    /// One attempt of a pending operation under dynamic quorums — the
-    /// per-item mirror of the single-item simulator's
-    /// `attempt_op_dynamic`: the Gifford phases run over the client's
-    /// cached `(generation, members)` pair for the op's item, phase 1
-    /// doubles as the generation-currency check, and a stale attempt
-    /// aborts with [`AbortReason::Stale`] and retries under the adopted
-    /// configuration without spending its retry budget.
-    fn attempt_op_dynamic(&mut self, client: usize, mut op: PendingOp, family: QuorumFamily) {
-        let idx = self.cfg_idx(client, op.item);
-        let (cgen, members) = self.client_cfg[idx];
-        let m = members.len();
-        let rk = family
-            .read_size(m)
-            .max(QuorumFamily::config_quorum_size(m));
-        let wk = family.write_size(m);
-        self.dyn_quorum = Some((members, rk, wk));
-        let livem = self.live_set().intersection(members);
-        if livem.is_empty() {
-            // Nothing to contact: no response could even reveal a newer
-            // generation.
-            self.finish_failed_attempt(client, op, SimTime::ZERO, 0, true);
-            return;
-        }
-        // Contact live members even when they cannot assemble the quorum:
-        // any single response can reveal a newer generation, which is how
-        // a client with a stale cache ever recovers.
-        let targets = match self.config.contact {
-            ContactPolicy::AllLive => livem,
-            ContactPolicy::MinimalQuorum if livem.len() >= rk => livem.keep_highest(rk),
-            ContactPolicy::MinimalQuorum => livem,
-        };
-        let out1 = self.phase(targets, client, op.op_index, op.attempt, false);
-        op.gather_us += out1.elapsed.as_micros();
-        self.causal_push(client, EdgeKind::ReadGather, out1.elapsed);
-        let base = op.item * self.n;
-        // Generation currency: any in-time response carrying a newer
-        // generation supersedes this attempt, whether or not the phase
-        // assembled its quorum.
-        let seen = if out1.ok {
-            out1.responders
-        } else {
-            self.responders_within_timeout()
-        };
-        let (sgen, smembers) = self.stores.discover_cfg(base, seen);
-        if sgen > cgen {
-            self.client_cfg[idx] = (sgen, smembers);
-            self.finish_stale_attempt(client, op, out1.elapsed, out1.messages);
-            return;
-        }
-        if !out1.ok {
-            // Structurally impossible (too few live members) counts as
-            // unavailable; a quorum that exists but did not assemble in
-            // time is a timeout.
-            self.finish_failed_attempt(client, op, out1.elapsed, out1.messages, livem.len() < rk);
-            return;
-        }
-        // The responders cover a configuration read quorum of the cached
-        // members at generation `cgen`: had a newer configuration
-        // committed, its install set would intersect them (both are
-        // configuration majorities of the same membership), so `cgen` is
-        // current and the data quorums below are over the right members.
-        let (dvn, dval) = self.stores.discover(base, out1.responders);
-
-        if op.read {
-            if self.recorders.is_some() {
-                let faulted = self.faulted_now();
-                self.emit(client, &op, TraceAction::Create { kind: TmKind::Read }, faulted);
-                for s in out1.responders {
-                    let gen = self.stores.cfg_gen(base + s);
-                    self.emit(client, &op, TraceAction::ReadCfg { site: s, gen }, faulted);
-                }
-                for s in out1.responders {
-                    let (vn, value) = self.stores.get(base + s);
-                    self.emit(client, &op, TraceAction::ReadDm { site: s, vn, value }, faulted);
-                }
-                self.emit(
-                    client,
-                    &op,
-                    TraceAction::RequestCommit { vn: dvn, value: dval },
-                    faulted,
-                );
-                self.emit(client, &op, TraceAction::Commit, faulted);
-            }
-            self.commit_op(client, op, out1.elapsed, out1.messages, dvn, dval);
-            return;
-        }
-
-        // Phase 2 (writes): install at a data write quorum of the cached
-        // members, atomically.
-        let livem2 = self.live_set().intersection(members);
-        if livem2.len() < wk {
-            self.finish_failed_attempt(client, op, out1.elapsed, out1.messages, true);
-            return;
-        }
-        let targets2 = match self.config.contact {
-            ContactPolicy::AllLive => livem2,
-            ContactPolicy::MinimalQuorum => livem2.keep_highest(wk),
-        };
-        let out2 = self.phase(targets2, client, op.op_index, op.attempt, true);
-        op.install_us += out2.elapsed.as_micros();
-        self.causal_push(client, EdgeKind::WriteInstall, out2.elapsed);
-        let elapsed = out1.elapsed + out2.elapsed;
-        let messages = out1.messages + out2.messages;
-        if !out2.ok {
-            self.finish_failed_attempt(client, op, elapsed, messages, false);
-            return;
-        }
-        let new_vn = dvn + 1;
-        if self.recorders.is_some() {
-            let faulted = self.faulted_now();
-            self.emit(
-                client,
-                &op,
-                TraceAction::Create {
-                    kind: TmKind::Write,
-                },
-                faulted,
-            );
-            for s in out1.responders {
-                let gen = self.stores.cfg_gen(base + s);
-                self.emit(client, &op, TraceAction::ReadCfg { site: s, gen }, faulted);
-            }
-            for s in out1.responders {
-                let (vn, value) = self.stores.get(base + s);
-                self.emit(client, &op, TraceAction::ReadDm { site: s, vn, value }, faulted);
-            }
-            for s in out2.responders {
-                self.emit(
-                    client,
-                    &op,
-                    TraceAction::WriteDm {
-                        site: s,
-                        vn: new_vn,
-                        value: op.value,
-                    },
-                    faulted,
-                );
-            }
-            self.emit(
-                client,
-                &op,
-                TraceAction::RequestCommit {
-                    vn: new_vn,
-                    value: op.value,
-                },
-                faulted,
-            );
-            self.emit(client, &op, TraceAction::Commit, faulted);
-        }
-        for s in out2.responders {
-            self.stores.set(base + s, new_vn, op.value);
-        }
-        self.arena_checks[op.item] = None;
-        self.commit_op(client, op, elapsed, messages, new_vn, op.value);
-    }
-
-    /// The sites whose responses to the last phase arrived within the
-    /// timeout — the failed-phase view used for generation discovery.
-    fn responders_within_timeout(&self) -> ReplicaSet {
-        let mut set = ReplicaSet::new();
-        for &(t, s) in &self.scratch {
-            if t <= self.config.timeout {
-                set.insert(s);
-            }
-        }
-        set
-    }
-
-    /// Whether the causal flight recorder is on for this run.
-    fn causal_on(&self) -> bool {
-        self.config.obs.causal.enabled
-    }
-
-    /// Append a causal segment to the coordinator's in-flight op (see
-    /// the single-item simulator's `causal_push`).
-    fn causal_push(&mut self, client: usize, kind: EdgeKind, dur: SimTime) {
-        if self.causal_on() && dur > SimTime::ZERO {
-            self.causal_segs[client].push((kind, dur.as_micros()));
-        }
-    }
-
-    /// Mirror `finish_stale_attempt`'s accumulator reclassification in
-    /// the causal segment list (see the single-item simulator's
-    /// `causal_stale`).
-    fn causal_stale(&mut self, client: usize, attempt_elapsed: SimTime, delay: SimTime) {
-        if !self.causal_on() {
-            return;
-        }
-        let segs = &mut self.causal_segs[client];
-        if attempt_elapsed > SimTime::ZERO {
-            let popped = segs.pop();
-            debug_assert_eq!(
-                popped,
-                Some((EdgeKind::ReadGather, attempt_elapsed.as_micros())),
-                "stale attempt must end with its own gather segment"
-            );
-        }
-        if delay > SimTime::ZERO {
-            segs.push((EdgeKind::StaleRetry, delay.as_micros()));
-        }
-    }
-
-    /// Build and record the causal trace for a finished (committed or
-    /// terminally aborted) operation: a single `Access` root span whose
-    /// segments are the coordinator's accumulated causal history, laid
-    /// back-to-back from the op's start (see the single-item simulator's
-    /// `causal_finish`). Identity is the global coordinator — client id
-    /// in client-paced modes, global item id under Routed — so a trace
-    /// stream stays coherent when items migrate between shards.
-    #[allow(clippy::cast_possible_truncation)]
-    fn causal_finish(&mut self, client: usize, op: &PendingOp, cause: Option<AbortCause>) {
-        if !self.causal_on() {
-            return;
-        }
-        let segs = std::mem::take(&mut self.causal_segs[client]);
-        debug_assert_eq!(
-            segs.iter().map(|&(_, d)| d).sum::<u64>(),
-            op.gather_us + op.install_us + op.backoff_us,
-            "causal segments must mirror the phase accumulators exactly"
-        );
-        let id = CausalTxnRef {
-            client: self.coord(client) as u32,
-            epoch: op.op_index as u32,
-        };
-        let mut trace = TxnTrace::new(id, self.shard, op.started.as_micros());
-        let root = trace.add_span(
-            NO_SPAN,
-            SpanKind::Access {
-                item: self.slot_global[op.item] as u64,
-                write: !op.read,
-            },
-        );
-        let mut at = op.started.as_micros();
-        trace.start_span(root, at);
-        for (kind, dur) in segs {
-            trace.push_seg(root, kind, at, dur, None);
-            at += dur;
-        }
-        if let Some(c) = cause {
-            trace.abort_span(root, at, c);
-            trace.seal(at, false, root, cause);
-        } else {
-            trace.finish_span(root, at);
-            trace.seal(at, true, NO_SPAN, None);
-        }
-        self.obs.causal.record(trace);
-    }
-
-    /// Record the causal trace of an op killed *mid-backoff* by a
-    /// migration fence: its segment chain extends to the parked retry
-    /// instant, so the chain is truncated at the fence (`now`) and the
-    /// abort is attributed to [`AbortCause::Fence`].
-    #[allow(clippy::cast_possible_truncation)]
-    fn causal_fence(&mut self, slot: usize, op: &PendingOp) {
-        if !self.causal_on() {
-            return;
-        }
-        let segs = std::mem::take(&mut self.causal_segs[slot]);
-        let id = CausalTxnRef {
-            client: self.coord(slot) as u32,
-            epoch: op.op_index as u32,
-        };
-        let now_us = self.now.as_micros();
-        let mut trace = TxnTrace::new(id, self.shard, op.started.as_micros());
-        let root = trace.add_span(
-            NO_SPAN,
-            SpanKind::Access {
-                item: self.slot_global[op.item] as u64,
-                write: !op.read,
-            },
-        );
-        let mut at = op.started.as_micros();
-        trace.start_span(root, at);
-        for (kind, dur) in segs {
-            if at >= now_us {
-                break;
-            }
-            let dur = dur.min(now_us - at);
-            trace.push_seg(root, kind, at, dur, None);
-            at += dur;
-        }
-        // Zero-duration marker naming the barrier that killed the op.
-        trace.push_seg(root, EdgeKind::Fence, at, 0, None);
-        trace.abort_span(root, at, AbortCause::Fence);
-        trace.seal(at, false, root, Some(AbortCause::Fence));
-        self.obs.causal.record(trace);
-    }
-
-    /// A stale-generation rejection: the attempt aborts with no visible
-    /// effect and the operation retries immediately under the newly
-    /// adopted configuration, without spending the retry budget (bounded
-    /// by the run's reconfiguration count — see the single-item
-    /// simulator's `finish_stale_attempt`).
-    fn finish_stale_attempt(
-        &mut self,
-        client: usize,
-        mut op: PendingOp,
-        attempt_elapsed: SimTime,
-        attempt_messages: u64,
-    ) {
-        self.metrics.stale_rejections += 1;
-        if self.recorders.is_some() {
-            let kind = if op.read { TmKind::Read } else { TmKind::Write };
-            let faulted = self.faulted_now();
-            self.emit(
-                client,
-                &op,
-                TraceAction::Abort {
-                    kind,
-                    reason: AbortReason::Stale,
-                },
-                faulted,
-            );
-        }
-        op.messages += attempt_messages;
-        // A fresh attempt number keeps trace transaction names unique.
-        op.attempt += 1;
-        let delay = attempt_elapsed.max(SimTime(1));
-        // As in the single-item simulator: a stale attempt's gather time
-        // is retry overhead, reclassified from `gather_us` into
-        // retry_backoff with the phase sum preserved.
-        op.gather_us -= attempt_elapsed.as_micros();
-        op.backoff_us += delay.as_micros();
-        self.causal_stale(client, attempt_elapsed, delay);
-        self.pending.put(client, op);
-        self.schedule(delay, Event::Retry { key: self.retry_key(client) });
-    }
-
-    /// Commit the pending operation against its item.
-    fn commit_op(
-        &mut self,
-        client: usize,
-        op: PendingOp,
-        attempt_elapsed: SimTime,
-        attempt_messages: u64,
-        vn: u64,
-        value: u64,
-    ) {
-        let total = (self.now - op.started) + attempt_elapsed;
-        let messages = op.messages + attempt_messages;
-        let stats = if op.read {
-            &mut self.metrics.reads
-        } else {
-            &mut self.metrics.writes
-        };
-        stats.record_success(total, messages);
-        if self.config.obs.spans {
-            // Exact reconciliation, as in the single-item simulator
-            // (see sim.rs `commit_op` and DESIGN.md §5.4).
-            debug_assert_eq!(
-                op.gather_us + op.install_us + op.backoff_us,
-                total.as_micros(),
-                "phase spans must reconcile exactly with end-to-end latency"
-            );
-            self.obs.spans.record(Phase::ReadGather, op.gather_us);
-            self.obs.spans.record(Phase::VnResolve, 0);
-            if !op.read {
-                self.obs.spans.record(Phase::WriteInstall, op.install_us);
-            }
-            self.obs.spans.record(Phase::CommitRound, 0);
-            if op.backoff_us > 0 {
-                self.obs.spans.record(Phase::RetryBackoff, op.backoff_us);
-            }
-        }
-        self.causal_finish(client, &op, None);
-        self.item_commits[op.item] += 1;
-        if self.config.monitor {
-            // Same clauses and first-offender order as before, with the
-            // store re-check memoized per item: committed reads mutate
-            // nothing, so between writes to an item every read of it
-            // replays the last outcome. A committed write digests into
-            // the history first (dropping the memo — its inputs changed)
-            // and re-scans.
-            let check = if op.read {
-                self.checkers[op.item].check_read(&value)
-            } else {
-                self.arena_checks[op.item] = None;
-                self.checkers[op.item].commit_write(vn, value)
-            }
-            .and_then(|()| self.check_item_memo(op.item));
-            if let Err(v) = check {
-                let kind = if op.read { "read" } else { "write" };
-                let g = self.slot_global[op.item];
-                let c = self.coord(client);
-                let op_ref = OpRef {
-                    client: c as u64,
-                    op: op.op_index,
-                    attempt: op.attempt,
-                    kind,
-                    vn,
-                    value,
-                };
-                let now = self.now;
-                self.record_violation_observed(
-                    format_args!("t={now} item={g} client={c} {kind}: {v}"),
-                    Some(op_ref),
-                );
-            }
-        }
+    /// Closed-loop pacing: the coordinator's next operation starts
+    /// `max(after + think, floor)` from now. Open-loop arrivals are
+    /// unconditional, so there is nothing to schedule for them here.
+    fn next_op(&mut self, client: usize, after: SimTime, floor: SimTime) {
         if let Workload::Closed { think } = self.config.workload {
-            self.schedule(attempt_elapsed + think, Event::OpStart { client });
+            self.schedule((after + think).max(floor), Event::OpStart { client });
         }
     }
 
-    /// A failed attempt: retry with backoff if the policy allows, else
-    /// record the failure and (closed loop) move the client on.
-    fn finish_failed_attempt(
-        &mut self,
-        client: usize,
-        mut op: PendingOp,
-        attempt_elapsed: SimTime,
-        attempt_messages: u64,
-        unavailable: bool,
-    ) {
-        if self.recorders.is_some() {
-            let kind = if op.read { TmKind::Read } else { TmKind::Write };
-            let reason = if unavailable {
-                AbortReason::Unavailable
-            } else {
-                AbortReason::Timeout
-            };
-            let faulted = self.faulted_now();
-            self.emit(client, &op, TraceAction::Abort { kind, reason }, faulted);
-        }
-        op.messages += attempt_messages;
-        if op.attempt < self.config.retry.attempts {
-            op.attempt += 1;
-            let stats = if op.read {
-                &mut self.metrics.reads
-            } else {
-                &mut self.metrics.writes
-            };
-            stats.record_retry();
-            // Never reschedule at the current instant (see sim.rs).
-            let delay = (attempt_elapsed + self.config.retry.backoff_before(op.attempt))
-                .max(SimTime(1));
-            // Everything past the attempt's own elapsed time is backoff
-            // (including the SimTime(1) floor), so phase spans reconcile
-            // exactly with end-to-end latency on eventual commit.
-            op.backoff_us += (delay - attempt_elapsed).as_micros();
-            self.causal_push(client, EdgeKind::RetryBackoff, delay - attempt_elapsed);
-            self.pending.put(client, op);
-            self.schedule(delay, Event::Retry { key: self.retry_key(client) });
-            return;
-        }
-        let stats = if op.read {
-            &mut self.metrics.reads
-        } else {
-            &mut self.metrics.writes
-        };
-        if unavailable {
-            stats.record_unavailable(op.messages);
-        } else {
-            stats.record_failure(op.messages);
-        }
-        self.causal_finish(client, &op, Some(AbortCause::QuorumUnavailable));
-        if let Workload::Closed { think } = self.config.workload {
-            self.schedule((attempt_elapsed + think).max(SimTime(1)), Event::OpStart { client });
+    /// Run one attempt of coordinator `key`'s pending operation and
+    /// schedule what follows it.
+    fn attempt_op(&mut self, key: usize) {
+        let Some(op) = self.ops.pending.take(key) else { return };
+        let id = self.op_id(key, op.item);
+        let idx = self.cfg_idx(key, op.item);
+        let cache = self.config.reconfig.enabled.then(|| &mut self.client_cfg[idx]);
+        match self.ops.run_attempt(&mut self.cluster, key, id, op, cache) {
+            Then::Retry { delay } => {
+                self.schedule(delay, Event::Retry { key: self.retry_key(key) });
+            }
+            Then::Next { after, floor, commit } => {
+                if commit.is_some() {
+                    self.item_commits[op.item] += 1;
+                }
+                self.next_op(key, after, floor);
+            }
         }
     }
 
-    /// Abort coordinator `slot`'s parked op at a migration barrier with a
-    /// stale rejection: the generation bump just installed supersedes the
-    /// attempt. Bumping the retry epoch tombstones the op's queued retry;
-    /// the abandoned op leaves no `OpStats` record (it neither committed
-    /// nor exhausted its budget). A closed-loop client moves on.
-    fn abort_parked(&mut self, slot: usize) {
-        let Some(op) = self.pending.take(slot) else { return };
-        self.metrics.stale_rejections += 1;
-        self.retry_epoch[slot] += 1;
-        if self.recorders.is_some() {
-            let kind = if op.read { TmKind::Read } else { TmKind::Write };
-            let faulted = self.faulted_now();
-            self.emit(
-                slot,
-                &op,
-                TraceAction::Abort {
-                    kind,
-                    reason: AbortReason::Stale,
-                },
-                faulted,
-            );
-        }
-        self.causal_fence(slot, &op);
-        if let Workload::Closed { think } = self.config.workload {
-            self.schedule(think.max(SimTime(1)), Event::OpStart { client: slot });
-        }
+    /// Abort coordinator `key`'s parked op at a migration barrier (see
+    /// [`Clients::fence_parked`]). Bumping the retry epoch tombstones the
+    /// op's queued retry; a closed-loop client moves on.
+    fn abort_parked(&mut self, key: usize) {
+        let Some(item) = self.ops.pending.get(key).map(|op| op.item) else { return };
+        let id = self.op_id(key, item);
+        self.ops.fence_parked(&mut self.cluster, key, id);
+        self.retry_epoch[key] += 1;
+        self.next_op(key, SimTime::ZERO, SimTime(1));
     }
 
     /// Export the global items `gs` to other shards in one batch: install
@@ -2248,7 +1050,7 @@ impl<'a> ShardSim<'a> {
     /// state out of its slot and free the slot. Returns the states
     /// (ascending by global id) plus the number of items whose fence was
     /// infeasible under the current fault state — those stay put, their
-    /// failures already counted by [`reconfigure`](Self::reconfigure).
+    /// failures already counted by [`reconfigure_slot`](Self::reconfigure_slot).
     ///
     /// Nothing but the exported slots is touched, so the cost is O(moves)
     /// however many items stay behind.
@@ -2261,12 +1063,12 @@ impl<'a> ShardSim<'a> {
             let slot = self.slot_of[g];
             assert_ne!(slot, NO_SLOT, "the directory says this shard owns item {g}");
             let slot = slot as usize;
-            let members = self.cur_members[slot];
-            if self.reconfigure(slot, ReconfigTarget::Members(members), true, true) {
+            let members = self.cluster.members(slot);
+            if self.reconfigure_slot(slot, ReconfigTarget::Members(members), true, true) {
                 if self.config.obs.spans {
                     // One marker per item actually fenced for export (the
                     // fence itself was counted as reconfig_fence above).
-                    self.obs.spans.record(Phase::Migration, 0);
+                    self.ops.obs.spans.record(Phase::Migration, 0);
                 }
                 slots.push(slot);
             } else {
@@ -2287,7 +1089,7 @@ impl<'a> ShardSim<'a> {
             }
         } else {
             for c in 0..self.config.clients_per_shard {
-                if self.pending.get(c).is_some_and(|op| slots.contains(&op.item)) {
+                if self.ops.pending.get(c).is_some_and(|op| slots.contains(&op.item)) {
                     self.abort_parked(c);
                 }
             }
@@ -2310,25 +1112,14 @@ impl<'a> ShardSim<'a> {
         // Per-coordinator state is per *item* under routing and travels
         // with it; `abort_parked` has already emptied the slab slot and
         // the causal segments.
-        debug_assert!(!self.routed || !self.pending.is_live(slot));
-        debug_assert!(!self.routed || self.causal_segs[slot].is_empty());
-        let (n, seed) = (self.n, self.config.seed);
+        debug_assert!(!self.routed || self.ops.is_idle(slot));
         ItemState {
             global,
-            slots: self.stores.read_block(slot * n, n),
-            checker: self.checkers[slot].clone(),
+            core: self.cluster.export(slot),
             commits: self.item_commits[slot],
-            cur_gen: self.cur_gens[slot],
-            cur_members: self.cur_members[slot],
-            last_reconfig: self.last_reconfig[slot],
-            reconfigs_used: self.reconfigs_used[slot],
             op_count: if self.routed { self.op_counter[slot] } else { 0 },
             retry_epoch: if self.routed { self.retry_epoch[slot] } else { 0 },
             step: if self.routed { self.step[slot] } else { 0.0 },
-            recorder: self
-                .recorders
-                .as_mut()
-                .map(|r| std::mem::replace(&mut r[slot], TraceRecorder::new("", n, seed))),
         }
     }
 
@@ -2337,28 +1128,18 @@ impl<'a> ShardSim<'a> {
     /// block is written).
     fn push_slot(&mut self) -> usize {
         let slot = self.slot_global.len();
-        let n = self.n;
+        let n = self.cluster.n;
         self.slot_global.push(FREE);
-        self.checkers.push(LemmaChecker::new(0));
-        self.arena_checks.push(None);
+        self.cluster.push_slot();
         self.item_commits.push(0);
         self.prev_commits.push(0);
-        self.cur_gens.push(0);
-        self.cur_members.push(ReplicaSet::full(n));
-        self.last_reconfig.push(SimTime::ZERO);
-        self.reconfigs_used.push(0);
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders.push(TraceRecorder::new("", n, self.config.seed));
-        }
         if self.routed {
             self.client_cfg.push((0, ReplicaSet::full(n)));
             self.step.push(0.0);
             self.arrived_at.push(NEVER);
-            self.abort_flag.push(false);
             self.op_counter.push(0);
             self.retry_epoch.push(0);
-            self.causal_segs.push(Vec::new());
-            self.pending.push_empty();
+            self.ops.push_coord();
         } else {
             let row = self.client_cfg.len() + self.config.clients_per_shard;
             self.client_cfg.resize(row, (0, ReplicaSet::full(n)));
@@ -2376,29 +1157,20 @@ impl<'a> ShardSim<'a> {
             Some(slot) => slot as usize,
             None => self.push_slot(),
         };
-        let n = self.n;
+        let n = self.cluster.n;
         self.slot_global[slot] = st.global;
         self.slot_of[st.global] = slot as u32;
         self.walk_stale = true;
-        self.stores.write_block(slot * n, &st.slots);
-        self.checkers[slot] = st.checker;
-        self.arena_checks[slot] = None;
+        self.cluster.import(slot, st.core);
         self.item_commits[slot] = st.commits;
         // The barrier sampled before it moved anything.
         self.prev_commits[slot] = st.commits;
-        self.cur_gens[slot] = st.cur_gen;
-        self.cur_members[slot] = st.cur_members;
-        self.last_reconfig[slot] = st.last_reconfig;
-        self.reconfigs_used[slot] = st.reconfigs_used;
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders[slot] = st.recorder.expect("a traced run migrates traced items");
-        }
         if self.routed {
             self.client_cfg[slot] = (0, ReplicaSet::full(n));
             self.step[slot] = st.step;
             self.arrived_at[slot] = NEVER;
-            // `abort_flag[slot]` is false for every tenant: Routed forbids
-            // AbortClient.
+            // The coordinator's abort flag is clear for every tenant:
+            // Routed forbids AbortClient.
             self.op_counter[slot] = st.op_count;
             self.retry_epoch[slot] = st.retry_epoch;
         } else {
@@ -2439,9 +1211,9 @@ impl<'a> ShardSim<'a> {
             // tick strictly after the barrier — the old owner processed
             // every arrival ≤ the barrier, and any it had queued beyond
             // it tombstone, so no arrival is lost or duplicated.
-            if let Some(at) = self.next_arrival_at_or_after(slot, self.now + SimTime(1)) {
-                let delay = at - self.now;
-                self.schedule(delay, Event::Arrival { item });
+            let now = self.cluster.now;
+            if let Some(at) = self.next_arrival_at_or_after(slot, now + SimTime(1)) {
+                self.schedule(at - now, Event::Arrival { item });
             }
         }
         self.rebuild_draw_table();
@@ -2449,28 +1221,22 @@ impl<'a> ShardSim<'a> {
 }
 
 /// One item's complete simulation state, in flight between two shards at
-/// a migration barrier.
+/// a migration barrier: what the protocol knows about it, plus what this
+/// driver keeps per item.
 struct ItemState {
     /// Global item id.
     global: usize,
-    /// The item's `n` DM slots (`(vn, value, cfg_gen, cfg_members)`).
-    slots: Vec<SlotState>,
-    /// The item's Lemma 7/8 monitor, with its full history digest.
-    checker: LemmaChecker<u64>,
+    /// The item's DM slots, lemma monitor, committed configuration,
+    /// reconfigure budget and trace recorder.
+    core: ItemExport,
     /// Committed operations so far (feeds the cumulative load tallies).
     commits: u64,
-    cur_gen: u64,
-    cur_members: ReplicaSet,
-    last_reconfig: SimTime,
-    reconfigs_used: u32,
     /// Routed-mode per-item operation counter (0 in client modes).
     op_count: u64,
     /// Routed-mode retry epoch (0 in client modes).
     retry_epoch: u32,
     /// Routed-mode arrival period in µs (0 in client modes).
     step: f64,
-    /// The item's schedule-trace recorder, when tracing.
-    recorder: Option<TraceRecorder>,
 }
 
 fn merge_outcomes(
@@ -2851,6 +1617,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_run() {
+        use qc_replication::TraceAction;
         let c = base();
         let plain = run_sharded(&c, 1);
         let (traced, traces) = run_sharded_traced(&c, 1);
@@ -3168,7 +1935,7 @@ mod tests {
         home.sync_to(a_first);
         away.run_to(a_first);
         away.sync_to(a_first);
-        assert!(home.pending.is_live(0), "A's first op is parked behind its retry");
+        assert!(home.ops.pending.is_live(0), "A's first op is parked behind its retry");
         let a_next = home.next_arrival_at_or_after(0, a_first + SimTime(1)).unwrap();
         let a_retry = a_first + c.timeout + c.retry.backoff_before(2);
         assert!(a_retry < a_next, "the retry fires inside the window below");
@@ -3193,7 +1960,7 @@ mod tests {
 
         // Past A's retry and A's next arrival, short of B's first: both
         // of A's events are consumed, neither schedules anything.
-        let reconfigs = home.metrics.reconfigurations;
+        let reconfigs = home.ops.metrics.reconfigurations;
         home.run_to(a_retry - SimTime(1));
         let before = home.queue_len();
         home.run_to(a_retry);
@@ -3203,11 +1970,11 @@ mod tests {
         home.run_to(a_next);
         assert_eq!(home.queue_len(), before - 1, "the arrival tombstoned, no successor");
         home.run_to(a_next + SimTime::from_millis(1));
-        assert!(!home.pending.is_live(0), "A's retry prodded B's slot");
+        assert!(!home.ops.pending.is_live(0), "A's retry prodded B's slot");
         assert_eq!(home.op_counter[0], 0, "A's arrival started an op for B");
         assert_eq!(home.item_commits[0], 0);
         assert_eq!(home.arrived_at[0], NEVER);
-        assert_eq!(home.metrics.reconfigurations, reconfigs);
+        assert_eq!(home.ops.metrics.reconfigurations, reconfigs);
         // B's own stream is intact.
         home.run_to(b_first);
         assert_eq!(home.op_counter[0], 1);
@@ -3216,7 +1983,7 @@ mod tests {
         away.migrate_in_many(exported);
         let slot = away.slot_of[a] as usize;
         assert_eq!(away.op_counter[slot], 1, "A's op counter travels with it");
-        assert_eq!(away.cur_gens[slot], 1, "one migration fence");
+        assert_eq!(away.cluster.gen(slot), 1, "one migration fence");
     }
 
     #[test]

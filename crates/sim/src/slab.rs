@@ -1,9 +1,10 @@
 //! Per-operation state, interned in a slab reused across operations.
 //!
-//! The flat simulators (`sim.rs`, `shard.rs`) track at most one logical
+//! The flat drivers (`sim.rs`, `shard.rs`) track at most one logical
 //! operation in flight per client, possibly across several retry
-//! attempts. The slab owns one [`PendingOp`] slot per client for the
-//! lifetime of the run: beginning an operation writes the slot, an
+//! attempts; the slab is part of their shared ledger
+//! (`protocol::Clients`). It owns one [`PendingOp`] slot per client for
+//! the lifetime of the run: beginning an operation writes the slot, an
 //! attempt copies it out, a retry writes it back. Nothing on the
 //! committed-op path allocates — the steady-state allocation profile of a
 //! run is flat in the number of operations, which the debug-mode
@@ -25,11 +26,10 @@ use crate::time::SimTime;
 
 /// A logical operation in flight for one client (possibly across retries).
 ///
-/// Shared by the single-item and sharded simulators; the single-item
-/// simulator pins `item` to 0.
+/// The single-item driver pins `item` to 0.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PendingOp {
-    /// Shard-local item index (always 0 in the single-item simulator).
+    /// Item slot (always 0 in the single-item driver).
     pub item: usize,
     /// Whether this is a logical read (else a write).
     pub read: bool,

@@ -5,8 +5,8 @@
 //! replicated system: each committed operation is one transaction manager
 //! run (`CREATE`, its replica accesses, `REQUEST-COMMIT`, `COMMIT`), each
 //! failed or forced-aborted attempt is a transaction that was *never
-//! created* (`ABORT`). A [`TraceRecorder`] — attached to the simulator's
-//! [`InvariantProbe`](crate::InvariantProbe) — captures that schedule as a
+//! created* (`ABORT`). A [`TraceRecorder`] — one per item, attached to the
+//! protocol core a driver runs — captures that schedule as a
 //! [`ScheduleTrace`], which `qc_replication::check_trace` then replays
 //! through the Theorem 10 projection and the serial-system machinery.
 //!

@@ -1,5 +1,5 @@
 //! Integration tests for the observability layer (`qc_obs`) as wired
-//! into both simulators:
+//! into the flat drivers:
 //!
 //! * observation is invisible — an observed run commits exactly the
 //!   operations of an unobserved one (metrics digests equal);

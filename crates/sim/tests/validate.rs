@@ -1,0 +1,141 @@
+//! One check list under three `validate`s: every configuration mistake the
+//! protocol core rejects is an `Err` naming it — in the same words from
+//! `SimConfig`, `MultiConfig` and `TxnConfig` — and never a panic inside a
+//! run.
+
+use std::sync::Arc;
+
+use nested_txn::{BankingGen, WorkloadKind};
+use qc_sim::{
+    FaultPlan, MultiConfig, ReconfigPolicy, ReconfigTarget, SimConfig, SimTime, Simulation,
+    TxnConfig,
+};
+use quorum::{Majority, QuorumSpec, Weighted};
+
+/// One runnable configuration of each driver, broken the same way.
+struct Three {
+    sim: SimConfig,
+    multi: MultiConfig,
+    txn: TxnConfig,
+}
+
+impl Three {
+    fn new() -> Self {
+        let quorum = || Arc::new(Majority::new(3));
+        Three {
+            sim: SimConfig::new(quorum()),
+            multi: MultiConfig::new(quorum()),
+            txn: TxnConfig::new(quorum(), WorkloadKind::Banking(BankingGen::new(4))),
+        }
+    }
+
+    fn quorum(&mut self, quorum: Arc<dyn QuorumSpec + Send + Sync>) {
+        (self.sim.quorum, self.multi.quorum, self.txn.quorum) =
+            (quorum.clone(), quorum.clone(), quorum);
+    }
+
+    fn faults(&mut self, plan: FaultPlan) {
+        (self.sim.faults, self.multi.faults, self.txn.faults) = (plan.clone(), plan.clone(), plan);
+    }
+
+    fn reconfig(&mut self, policy: ReconfigPolicy) {
+        (self.sim.reconfig, self.multi.reconfig, self.txn.reconfig) = (policy, policy, policy);
+    }
+
+    /// The flat drivers only: a nested program fixes its own read share.
+    fn read_fraction(&mut self, f: f64) {
+        (self.sim.read_fraction, self.multi.read_fraction) = (f, f);
+    }
+
+    fn verdicts(&self) -> [(&'static str, Result<(), String>); 3] {
+        [
+            ("SimConfig", self.sim.validate()),
+            ("MultiConfig", self.multi.validate()),
+            ("TxnConfig", self.txn.validate()),
+        ]
+    }
+}
+
+#[test]
+fn the_three_configs_reject_the_same_mistakes_in_the_same_words() {
+    const AT: SimTime = SimTime(1_000);
+    // The mistake, how to make it, what the error must say, and how many of
+    // the three configurations can make it.
+    type Row = (&'static str, fn(&mut Three), &'static str, usize);
+    let table: [Row; 9] = [
+        (
+            "dynamic quorums over a system with no resizable family",
+            |t| {
+                t.quorum(Arc::new(Weighted::new(vec![2, 1, 1], 3, 2)));
+                t.reconfig(ReconfigPolicy::scripted_only());
+            },
+            "ROWA or majority",
+            3,
+        ),
+        (
+            "a scripted reconfig@ with the policy off",
+            |t| t.faults(FaultPlan::new().reconfig_at(AT, ReconfigTarget::Live)),
+            "reconfig events",
+            3,
+        ),
+        (
+            "a migrate@ with nowhere to migrate",
+            |t| t.faults(FaultPlan::new().migrate_at(AT, 0, 0)),
+            "migrate events",
+            3,
+        ),
+        (
+            "a crash@ of a site that does not exist",
+            |t| t.faults(FaultPlan::new().crash_at(AT, 3)),
+            "references site 3",
+            3,
+        ),
+        (
+            "an abort@ of a client that does not exist",
+            |t| t.faults(FaultPlan::new().abort_at(AT, 1_000)),
+            "references client 1000",
+            3,
+        ),
+        (
+            "a reconfig@ to no members at all",
+            |t| {
+                t.reconfig(ReconfigPolicy::scripted_only());
+                let nobody = ReconfigTarget::Members(std::iter::empty::<usize>().collect());
+                t.faults(FaultPlan::new().reconfig_at(AT, nobody));
+            },
+            "empty member set",
+            3,
+        ),
+        ("a read fraction above one", |t| t.read_fraction(1.5), "read_fraction", 2),
+        ("a negative read fraction", |t| t.read_fraction(-0.25), "read_fraction", 2),
+        ("a NaN read fraction", |t| t.read_fraction(f64::NAN), "read_fraction", 2),
+    ];
+    for (config, verdict) in Three::new().verdicts() {
+        assert_eq!(verdict, Ok(()), "{config}: the default must be runnable");
+    }
+    for (what, breakage, says, makers) in table {
+        let mut three = Three::new();
+        breakage(&mut three);
+        let mut wording: Option<String> = None;
+        for (config, verdict) in three.verdicts().into_iter().take(makers) {
+            let err = verdict.expect_err(&format!("{config} accepted {what}"));
+            assert!(err.contains(says), "{config} on {what}: {err:?} does not say {says:?}");
+            // The client count differs between the configs, and with it the
+            // tail of an out-of-range message; everything else is verbatim.
+            let head = err.split(", but there are").next().unwrap_or(&err).to_string();
+            assert_eq!(*wording.get_or_insert(head.clone()), head, "{config} on {what}");
+        }
+    }
+}
+
+/// The hole the flat drivers shared: a read fraction that is not a
+/// probability passed `MultiConfig::validate` and panicked in `gen_bool`
+/// inside a `par_map` worker, and `SimConfig` had no `validate` at all.
+/// `Simulation::new` keeps its documented panic, with `validate`'s message.
+#[test]
+#[should_panic(expected = "read_fraction must be in [0, 1], got 1.5")]
+fn simulation_new_panics_with_the_validate_message() {
+    let mut c = SimConfig::new(Arc::new(Majority::new(3)));
+    c.read_fraction = 1.5;
+    let _ = Simulation::new(c);
+}

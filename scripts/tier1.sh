@@ -12,34 +12,18 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test (PROPTEST_CASES=$PROPTEST_CASES)"
+# Every suite of every crate, once: the simulator's determinism / fault /
+# observability / reconfiguration / placement / causal / nested-transaction
+# suites, the Theorem 10 oracle suites (scheduler::differential,
+# oracle_alloc) and the protocol core's own property test all run here, at
+# the property-test budget above. Nothing below repeats them.
 cargo test -q --workspace
-
-echo "==> simulator fault/determinism/observability suites"
-cargo test -q -p qc-sim --test determinism --test faults --test fault_props \
-  --test obs --test metrics_props
-
-echo "==> Theorem 10 oracle suites (scheduler differential, oracle_alloc)"
-# The node-table serial scheduler against the paper's literal six sets on
-# random, partly ill-formed operation sequences; and check_trace's
-# allocation contract (per transaction, never per α operation or event).
-cargo test -q -p nested-txn --lib scheduler::differential
-cargo test -q -p qc-sim --test oracle_alloc
-
-echo "==> nested-transaction workload suites (txn_workload_props, txn_determinism)"
-cargo test -q -p qc-sim --test txn_workload_props --test txn_determinism
 
 echo "==> nested-transaction smoke (exp_txn: digests, conformance, Theorem 11)"
 # The binary asserts 1/2/4-thread digest identity, per-item Theorem 10
 # conformance, and commit-order serializability of the committed
 # projection; --smoke keeps the scale and sweep sections cheap.
 cargo run --release -p qc-bench --bin exp_txn -- --smoke > /dev/null
-
-echo "==> causal flight-recorder suites (causal, causal_props)"
-# Observed == unobserved digests, exact critical-path reconciliation,
-# stale-retry/fence attribution, and the 1/2/4-thread x calendar/heap
-# causal digest identity — plus the property wall over arbitrary nested
-# programs and fault plans.
-cargo test -q -p qc-sim --test causal --test causal_props
 
 echo "==> critical-path smoke (exp_critpath --smoke) + qc-trace queries"
 # The binary asserts recording invisibility, thread/queue invariance of
@@ -52,15 +36,11 @@ cargo run --release -p qc-bench --bin qc-trace -- \
 cargo run --release -p qc-bench --bin qc-trace -- \
   results/critpath_slowest.jsonl check > /dev/null
 cargo run --release -p qc-bench --bin qc-trace -- \
+  crates/sim/tests/golden/txn_banking_causal_seed17.jsonl top 3 > /dev/null
+cargo run --release -p qc-bench --bin qc-trace -- \
   results/critpath_slowest.jsonl profile > /dev/null
-
-echo "==> dynamic-quorum property suite (reconfig_props)"
-cargo test -q -p qc-sim --test reconfig_props
-
-echo "==> placement suites (placement_props, placement_determinism)"
-# The zipfian weight-table laws, planner invariants, and the elastic
-# thread/queue digest identity plus Theorem 10 replay of migrated items.
-cargo test -q -p qc-sim --test placement_props --test placement_determinism
+cargo run --release -p qc-bench --bin qc-trace -- \
+  results/critpath_slowest.jsonl aborts > /dev/null
 
 echo "==> elastic rebalancing smoke (exp_rebalance --smoke)"
 # The binary asserts 1/2/4-thread x calendar/heap digest identity of the
@@ -74,11 +54,15 @@ echo "==> reconfiguration smoke (exp_faults, dynamic column non-degenerate)"
 # its static twin; --secs keeps the smoke cheap.
 cargo run --release -p qc-bench --bin exp_faults -- --secs 2 > /dev/null
 
+echo "==> shard scaling smoke (exp_shard_scaling: determinism + per-item conformance)"
+cargo run --release -p qc-bench --bin exp_shard_scaling -- --secs 2 --threads 2 > /dev/null
+
 echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # The calendar queue against the heap oracle on arbitrary scripts and on the
 # shapes the three drivers produce, pop for pop; and the deterministic bound
 # on the calendar's own work (geometry changes, buckets skipped, elements
-# moved) over those shapes. The determinism, shard_determinism and golden
+# moved) over those shapes — the one suite run twice, the second time at
+# four times the budget. The determinism, shard_determinism and golden
 # suites above assert their pinned values under both queues in-process.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test queue_props
 
@@ -107,6 +91,13 @@ cargo run --release -p qc-bench --bin bench_summary -- \
 cargo run --release -p qc-bench --bin bench_summary -- \
   --results "$GATE_DIR" --check
 rm -rf "$GATE_DIR"
+
+echo "==> observability smoke (exp_obs --smoke)"
+# Asserts the snapshot exporter fires on every simulated boundary and the
+# 1/2/4-thread sharded histogram merge is bit-identical. After the perf
+# gate: it reads the hot-path snapshot exp_throughput just wrote as its
+# null-sink baseline.
+cargo run --release -p qc-bench --bin exp_obs -- --smoke > /dev/null
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
