@@ -25,8 +25,8 @@
 //! * **same-instant** — delays of 0/1 µs, the batched-delivery flood case
 //!   ordered almost entirely by `seq`.
 //!
-//! The recorded ops/s land in `results/BENCH_hotpath.json` (`event_queue`
-//! section) via `exp_throughput`; this bench is the interactive view.
+//! This bench is the interactive view; the gated measurement of the same
+//! hold model is `benchmark/`'s `queue.hold_ns_per_event`.
 
 #[path = "../../sim/tests/queue_shapes/mod.rs"]
 mod queue_shapes;

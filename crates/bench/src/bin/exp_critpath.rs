@@ -25,7 +25,6 @@
 //! `--smoke` (CI leg: shrink every section, skip the 10⁵ floor).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use nested_txn::{BankingGen, InventoryGen, WorkloadKind};
 use qc_bench::{flag_value, row, rule};
@@ -63,7 +62,7 @@ fn main() {
 
     println!(
         "Q13 — causal span trees & critical-path attribution (n = 3 majority, \
-         seed {seed}, {threads} threads{})\n",
+         seed {seed}{})\n",
         if smoke { ", smoke" } else { "" }
     );
 
@@ -99,9 +98,7 @@ fn main() {
     scale_cfg.items = 64;
     scale_cfg.domains = 16;
     scale_cfg.clients_per_domain = 4;
-    let start = Instant::now();
     let (scale_report, scale_causal) = run_txn_causal(&scale_cfg, threads);
-    let scale_wall = start.elapsed().as_secs_f64();
     let sp = scale_causal.profile();
     assert_eq!(
         sp.txns(),
@@ -122,14 +119,13 @@ fn main() {
     }
     println!(
         "scale: {} txns recorded, {} committed, reconciled {}/{} (exact), \
-         e2e p50 {} us / p99 {} us, {:.2} s wall",
+         e2e p50 {} us / p99 {} us",
         sp.txns(),
         sp.committed(),
         sp.reconciled(),
         sp.txns(),
         sp.e2e().p50(),
         sp.e2e().quantile(0.99),
-        scale_wall,
     );
 
     // 3. Attribution: where critical-path time goes, contended vs faulted.
@@ -234,8 +230,6 @@ fn main() {
     std::fs::write(jsonl_path, &jsonl).expect("write critpath_slowest.jsonl");
 
     let json = JsonObject::new()
-        .field("cores", &default_threads())
-        .field("threads", &threads)
         .field("seed", &seed)
         .field("sim_duration_secs", &secs)
         .field("smoke", &smoke)
@@ -249,7 +243,6 @@ fn main() {
         .field("scale_committed", &sp.committed())
         .field("scale_reconciled", &sp.reconciled())
         .field_raw("scale_e2e", &sp.e2e().summary_json())
-        .field("scale_wall_secs", &scale_wall)
         .field_raw("scenarios", &serde_json::array_raw(scenario_rows))
         .field("slowest_jsonl", jsonl_path)
         .field("slowest_kept", &top_causal.slowest().len())

@@ -3,7 +3,7 @@
 //! Runs the instrumented simulator under LAN and WAN latency models and
 //! prints a per-phase breakdown (read_gather / vn_resolve / write_install
 //! / commit_round / retry_backoff) with p50/p99/p999/max from the
-//! log-bucketed HDR histograms. Three properties are *asserted*, not just
+//! log-bucketed HDR histograms. Four properties are *asserted*, not just
 //! reported:
 //!
 //! 1. **Reconciliation** — the per-phase span sums must add up to the
@@ -14,9 +14,11 @@
 //!    threads.
 //! 3. **Snapshots** — the periodic exporter fired on every simulated
 //!    boundary of the run.
+//! 4. **Invisibility** — the fully observed run's metrics digest equals
+//!    the unobserved run's.
 //!
-//! The null-sink overhead (observed run vs plain run, wall-clock) is
-//! measured and recorded. Everything lands in `results/BENCH_obs.json`.
+//! Everything lands in `results/BENCH_obs.json`. What recording costs the
+//! host is `benchmark/`'s `obs.spans_ns_per_commit` / `obs.full_ns_per_commit`.
 //!
 //! Flags: `--secs N` (default 10), `--seed N` (default 23), `--smoke`
 //! (1-second run for CI; same assertions), `--obs-dir DIR` /
@@ -26,15 +28,13 @@
 //!   cargo run --release -p qc-bench --bin exp_obs > results/exp_obs.txt
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use qc_bench::{flag_value, obs_flags, row, rule};
 use qc_sim::{
-    run, run_batch, run_observed, run_sharded, ContactPolicy, FaultPlan, LatencyModel,
-    Metrics, MultiConfig, ObsOptions, ObsReport, Phase, RetryPolicy, SimConfig, SimTime,
-    PHASES,
+    run, run_observed, run_sharded, ContactPolicy, FaultPlan, LatencyModel, Metrics,
+    MultiConfig, ObsOptions, ObsReport, Phase, RetryPolicy, SimConfig, SimTime, PHASES,
 };
-use quorum::{Majority, QuorumSpec, Rowa};
+use quorum::Majority;
 use serde_json::JsonObject;
 
 fn base(latency: LatencyModel, secs: u64, seed: u64) -> SimConfig {
@@ -126,49 +126,6 @@ fn phase_section(label: &str, m: &Metrics, obs: &ObsReport) -> Vec<String> {
     rows
 }
 
-/// The 24-cell 1-thread batch whose wall time `exp_throughput` records as
-/// `thread_scaling[0].wall_secs` in `results/BENCH_hotpath.json` — rebuilt
-/// here verbatim so the *null-sink* path (observability compiled in but
-/// disabled) can be timed against that committed pre-instrumentation
-/// baseline.
-fn hotpath_batch() -> Vec<SimConfig> {
-    let systems: Vec<Arc<dyn QuorumSpec + Send + Sync>> =
-        vec![Arc::new(Rowa::new(5)), Arc::new(Majority::new(5))];
-    let mut batch = Vec::new();
-    for k in 0..4u64 {
-        for q in &systems {
-            for rf in [0.5, 0.9, 0.99] {
-                let mut c = SimConfig::new(Arc::clone(q));
-                c.clients = 8;
-                c.read_fraction = rf;
-                c.contact = ContactPolicy::MinimalQuorum;
-                c.think_time = SimTime::from_millis(0);
-                // Must track exp_throughput's SIM_SECS: the batch is only a
-                // valid comparison against thread_scaling[0].wall_secs if
-                // the cells simulate the same duration.
-                c.duration = SimTime::from_secs(60);
-                c.seed = 23 + 1_000 * (k + 1);
-                batch.push(c);
-            }
-        }
-    }
-    batch
-}
-
-/// `thread_scaling[0].wall_secs` from the committed
-/// `results/BENCH_hotpath.json`, extracted with a targeted scan (the
-/// vendored serde_json is a writer, not a parser).
-fn prepr_baseline_wall() -> Option<f64> {
-    let text = std::fs::read_to_string("results/BENCH_hotpath.json").ok()?;
-    let scaling = text.split("\"thread_scaling\"").nth(1)?;
-    let wall = scaling.split("\"wall_secs\":").nth(1)?;
-    let num: String = wall
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let secs: u64 = flag_value("--secs")
@@ -203,57 +160,14 @@ fn main() {
         sections.push((label, m, obs, rows));
     }
 
-    // Null-sink overhead: the same LAN workload with observability fully
-    // disabled must cost (wall-clock) about the same as before this layer
-    // existed — the no-op sinks compile away. Take the best of a few
-    // rounds to tame scheduler noise; in smoke mode only report it.
-    let rounds = if smoke { 2 } else { 5 };
-    let mut plain_best = f64::INFINITY;
-    let mut observed_best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let m = run(base(LatencyModel::lan(), secs, seed));
-        plain_best = plain_best.min(start.elapsed().as_secs_f64());
-        let mut c = base(LatencyModel::lan(), secs, seed);
-        c.obs = ObsOptions::full();
-        let start = Instant::now();
-        let (mo, _) = run_observed(c);
-        observed_best = observed_best.min(start.elapsed().as_secs_f64());
-        assert_eq!(m.digest(), mo.digest(), "observation must be invisible");
-    }
-    let overhead = observed_best / plain_best.max(1e-9) - 1.0;
-    println!(
-        "instrumentation wall overhead (full recording vs disabled): \
-         {:.1}% ({observed_best:.4}s vs {plain_best:.4}s, best of {rounds})",
-        overhead * 100.0
+    // Invisibility: the fully observed LAN run above must report exactly
+    // what the same run reports with observability disabled.
+    let plain = run(base(LatencyModel::lan(), secs, seed));
+    assert_eq!(
+        plain.digest(),
+        sections[0].1.digest(),
+        "observation must be invisible"
     );
-
-    // Null-sink overhead vs the committed pre-instrumentation baseline:
-    // re-time the exact 24-cell batch whose 1-thread wall the pre-PR
-    // `exp_throughput` recorded in BENCH_hotpath.json, with observability
-    // disabled (the default). Skipped in smoke mode (it simulates 8
-    // minutes of traffic) and when no baseline file is present.
-    let mut null_vs_baseline = None;
-    if !smoke {
-        if let Some(baseline) = prepr_baseline_wall() {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let batch = hotpath_batch();
-                let cells = batch.len();
-                let start = Instant::now();
-                let out = run_batch(batch, 1);
-                best = best.min(start.elapsed().as_secs_f64());
-                assert_eq!(out.len(), cells);
-            }
-            let vs = best / baseline.max(1e-9) - 1.0;
-            println!(
-                "null-sink batch wall: {best:.4}s vs committed pre-PR baseline \
-                 {baseline:.4}s ({:+.1}%)",
-                vs * 100.0
-            );
-            null_vs_baseline = Some((best, baseline, vs));
-        }
-    }
 
     // Cross-thread-count identity of the merged sharded recordings: the
     // histogram merge (and event/snapshot concatenation) is performed in
@@ -301,24 +215,11 @@ fn main() {
         .field("sim_duration_secs", &secs)
         .field("seed", &seed)
         .field("smoke", &smoke)
-        .field("null_sink_overhead_pct", &(overhead * 100.0))
-        .field("plain_wall_secs", &plain_best)
-        .field("observed_wall_secs", &observed_best)
         .field(
             "sharded_obs_digest",
             &format!("{:#018x}", reports[0].obs.digest()),
         )
         .field("sharded_obs_thread_counts", "1/2/4 identical");
-    if let Some((wall, baseline, vs)) = null_vs_baseline {
-        json = json.field_raw(
-            "null_sink_vs_prepr_baseline",
-            &JsonObject::new()
-                .field("batch_wall_secs", &wall)
-                .field("prepr_wall_secs", &baseline)
-                .field("overhead_pct", &(vs * 100.0))
-                .build(),
-        );
-    }
     for (label, m, obs, rows) in &sections {
         let e2e = m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
         json = json.field_raw(

@@ -1,14 +1,13 @@
-//! Q12 — elastic rebalancing: aggregate wall-clock throughput of the
-//! sharded simulator under zipfian skew, with and without the
-//! deterministic hot-item rebalancer.
+//! Q12 — elastic rebalancing: shard load of the sharded simulator under
+//! zipfian skew, with and without the deterministic hot-item rebalancer.
 //!
 //! A *routed* open workload over a *range* seed placement concentrates
-//! the zipf head on one shard; that shard's event loop becomes the
-//! critical path of every parallel epoch and aggregate wall-clock
-//! throughput collapses toward single-shard speed. The elastic control
-//! plane migrates hot items off the loaded shard at simulated-time epoch
-//! barriers — each move a §4 generation bump over unchanged members, so
-//! the whole run stays deterministic and Theorem 10-conformant.
+//! the zipf head on one shard, which then carries several times its fair
+//! share of every epoch's commits. The elastic control plane migrates hot
+//! items off the loaded shard at simulated-time epoch barriers — each
+//! move a §4 generation bump over unchanged members, so the whole run
+//! stays deterministic and Theorem 10-conformant. (What the collapse
+//! costs the host is `benchmark/`'s `placement.frozen_ratio`.)
 //!
 //! Three sections, all written to `results/BENCH_rebalance.json`:
 //!
@@ -20,19 +19,15 @@
 //!    through the generation-aware Theorem 10 checker (asserted).
 //! 3. **Skew sweep** — for θ ∈ {0, 0.9, 0.99}: the range-seeded
 //!    *collapsed* control (epoch barriers present, rebalancing disabled)
-//!    vs the *elastic* run. Reports committed ops, wall seconds,
-//!    migrations, and the final-epoch shard-load ratio (max/mean, a
-//!    deterministic flatness signal). Full mode asserts the elastic
-//!    zipfian arms recover ≥ 0.8× the uniform arm's wall-clock
-//!    throughput and end ≥ 2× flatter than their collapsed controls.
+//!    vs the *elastic* run. Reports committed ops, migrations, and the
+//!    final-epoch shard-load ratio (max/mean, 1.0 = flat); asserts the
+//!    elastic zipfian arms end ≥ 2× flatter than their collapsed controls.
 //!
 //! Flags: `--items N` (default 100000), `--shards S` (default 8),
 //! `--secs N` (default 10), `--seed N` (default 29), `--threads T`
-//! (default: all cores), `--smoke` (CI leg: shrink everything, assert
-//! only the deterministic sections).
+//! (default: all cores), `--smoke` (CI leg: shrink everything).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use qc_bench::{flag_value, row, rule};
 use qc_sim::{
@@ -105,7 +100,7 @@ fn main() {
 
     println!(
         "Q12 — elastic rebalancing (n = 5 majority, {items} items, {shards} shards, \
-         routed 20k ops/s, {secs} s simulated, {threads} threads{})\n",
+         routed 20k ops/s, {secs} s simulated{})\n",
         if smoke { ", smoke" } else { "" }
     );
 
@@ -157,14 +152,12 @@ fn main() {
     );
 
     // 3. Skew sweep: collapsed control vs elastic, per θ.
-    let widths = [6, 11, 10, 12, 11, 11, 11];
+    let widths = [6, 11, 10, 11, 11];
     row(
         &[
             "theta".into(),
             "arm".into(),
             "commits".into(),
-            "wall secs".into(),
-            "ops/wall-s".into(),
             "moves".into(),
             "load ratio".into(),
         ],
@@ -172,7 +165,6 @@ fn main() {
     );
     rule(&widths);
     let mut sweep_rows = Vec::new();
-    let mut uniform_wall_tp = None;
     let mut checks = Vec::new();
     for theta in [0.0, 0.9, 0.99] {
         let mut per_theta = Vec::new();
@@ -182,40 +174,30 @@ fn main() {
                 continue;
             }
             let c = with_moves(config(items, shards, secs, seed, theta), max_moves);
-            let start = Instant::now();
             let (report, placement) = run_sharded_elastic(&c, threads);
-            let wall = start.elapsed().as_secs_f64();
             assert_eq!(
                 report.metrics.lemma_violations, 0,
                 "violations: {:?}",
                 report.metrics.violations
             );
             let commits = report.metrics.reads.successes + report.metrics.writes.successes;
-            let wall_tp = commits as f64 / wall.max(1e-9);
             let ratio = final_load_ratio(&placement);
-            if theta == 0.0 {
-                uniform_wall_tp = Some(wall_tp);
-            }
             row(
                 &[
                     format!("{theta}"),
                     arm.into(),
                     format!("{commits}"),
-                    format!("{wall:.3}"),
-                    format!("{wall_tp:.0}"),
                     format!("{}", placement.migrations),
                     format!("{ratio:.2}"),
                 ],
                 &widths,
             );
-            per_theta.push((arm, wall_tp, ratio));
+            per_theta.push(ratio);
             sweep_rows.push(
                 JsonObject::new()
                     .field("theta", &theta)
                     .field("arm", arm)
                     .field("commits", &commits)
-                    .field("wall_secs", &wall)
-                    .field("ops_per_wall_sec", &wall_tp)
                     .field("migrations", &placement.migrations)
                     .field("migration_failures", &placement.migration_failures)
                     .field("final_load_ratio", &ratio)
@@ -224,45 +206,24 @@ fn main() {
             );
         }
         if theta > 0.0 {
-            let collapsed = per_theta[0];
-            let elastic = per_theta[1];
-            checks.push((theta, collapsed, elastic));
+            checks.push((theta, per_theta[0], per_theta[1]));
         }
     }
     rule(&widths);
 
-    let uniform = uniform_wall_tp.expect("the uniform arm ran");
     let mut recoveries = Vec::new();
-    for (theta, (_, collapsed_tp, collapsed_ratio), (_, elastic_tp, elastic_ratio)) in checks {
-        let recovery = elastic_tp / uniform.max(1e-9);
-        let collapse = collapsed_tp / uniform.max(1e-9);
-        println!(
-            "theta {theta}: collapsed {collapse:.2}x uniform -> elastic {recovery:.2}x \
-             (load ratio {collapsed_ratio:.2} -> {elastic_ratio:.2})"
-        );
-        // The deterministic signal holds at every scale: the rebalancer
-        // must leave the final epoch meaningfully flatter than the
-        // collapsed control left it.
+    for (theta, collapsed_ratio, elastic_ratio) in checks {
+        println!("theta {theta}: load ratio {collapsed_ratio:.2} -> {elastic_ratio:.2}");
+        // Q12's criterion: the rebalancer must leave the final epoch
+        // meaningfully flatter than the collapsed control left it.
         assert!(
             elastic_ratio * 2.0 <= collapsed_ratio,
             "theta {theta}: final load ratio {elastic_ratio:.2} not >= 2x flatter \
              than collapsed {collapsed_ratio:.2}"
         );
-        if !smoke && default_threads() >= shards {
-            // Wall-clock success criterion: only meaningful where the
-            // shards can actually run in parallel (smoke boxes and
-            // single-core hosts have no collapse to recover from).
-            assert!(
-                recovery >= 0.8,
-                "theta {theta}: elastic recovered only {recovery:.2}x of uniform \
-                 wall-clock throughput"
-            );
-        }
         recoveries.push(
             JsonObject::new()
                 .field("theta", &theta)
-                .field("collapsed_vs_uniform", &collapse)
-                .field("elastic_vs_uniform", &recovery)
                 .field("collapsed_load_ratio", &collapsed_ratio)
                 .field("elastic_load_ratio", &elastic_ratio)
                 .build(),
@@ -270,8 +231,6 @@ fn main() {
     }
 
     let json = JsonObject::new()
-        .field("cores", &default_threads())
-        .field("threads", &threads)
         .field("items", &items)
         .field("shards", &shards)
         .field("sim_duration_secs", &secs)
@@ -289,8 +248,8 @@ fn main() {
 
     println!(
         "\nExpected shape: under a range seed the zipf head lands on one shard and the \
-         collapsed arm's wall-clock throughput sinks toward single-shard speed; the \
-         elastic arm migrates the head across shards within a few epochs and recovers \
-         near-uniform aggregate throughput, with every move a checked reconfiguration."
+         collapsed arm ends the run with that shard at several times its fair share; the \
+         elastic arm migrates the head across shards within a few epochs and ends near \
+         flat, with every move a checked reconfiguration."
     );
 }

@@ -11,9 +11,8 @@
 //!    (asserted).
 //! 3. **Scaling** — aggregate simulated ops/sec as the shard count grows
 //!    from 1 (the single-shard baseline, same per-shard client count) to
-//!    8, plus wall-clock per sweep point. Simulated throughput scales with
-//!    the shard count because shards are independent; wall-clock speedup
-//!    additionally needs cores.
+//!    8. Simulated throughput scales with the shard count because shards
+//!    are independent.
 //!
 //! Flags: `--items N` (default 16), `--shards S` (max shard count,
 //! default 8), `--secs N` (default 10), `--seed N` (default 23),
@@ -22,7 +21,6 @@
 //! assertions.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use qc_bench::{flag_value, obs_flags, row, rule};
 use qc_sim::{
@@ -73,7 +71,7 @@ fn main() {
 
     println!(
         "Q7 — shard scaling (n = 5 majority, {items} items, 2 clients/shard, \
-         zipf {theta}, {secs} s simulated, {threads} threads)\n"
+         zipf {theta}, {secs} s simulated)\n"
     );
 
     // `--obs-dir DIR` / `--snapshot-every SECS`: run the determinism
@@ -137,14 +135,13 @@ fn main() {
 
     // 3. Scaling sweep: aggregate simulated throughput vs shard count.
     println!();
-    let widths = [8, 10, 14, 12, 12];
+    let widths = [8, 10, 14, 12];
     row(
         &[
             "shards".into(),
             "clients".into(),
             "ops/sec".into(),
             "speedup".into(),
-            "wall secs".into(),
         ],
         &widths,
     );
@@ -156,9 +153,7 @@ fn main() {
             continue;
         }
         let c = config(items, shards, secs, seed, theta);
-        let start = Instant::now();
         let report = run_sharded(&c, threads);
-        let wall = start.elapsed().as_secs_f64();
         assert_eq!(
             report.metrics.lemma_violations, 0,
             "violations: {:?}",
@@ -175,7 +170,6 @@ fn main() {
                 format!("{}", c.clients()),
                 format!("{ops:.0}"),
                 format!("{speedup:.2}x"),
-                format!("{wall:.3}"),
             ],
             &widths,
         );
@@ -185,19 +179,17 @@ fn main() {
                 .field("clients", &c.clients())
                 .field("agg_ops_per_sec", &ops)
                 .field("speedup_vs_single_shard", &speedup)
-                .field("wall_secs", &wall)
                 .build(),
         );
     }
     rule(&widths);
 
-    // Item-count scaling at the max shard count: per-item arena cost.
+    // Item-count scaling at the max shard count: the aggregate rate is set
+    // by the clients, not by how many items they spread over.
     let mut items_rows = Vec::new();
     for n_items in [items, items * 4, items * 16] {
         let c = config(n_items, max_shards.min(n_items), secs.min(5), seed, theta);
-        let start = Instant::now();
         let report = run_sharded(&c, threads);
-        let wall = start.elapsed().as_secs_f64();
         let ops = report
             .metrics
             .throughput_ops_per_sec(SimTime::from_secs(secs.min(5)));
@@ -205,14 +197,11 @@ fn main() {
             JsonObject::new()
                 .field("items", &n_items)
                 .field("agg_ops_per_sec", &ops)
-                .field("wall_secs", &wall)
                 .build(),
         );
     }
 
     let json = JsonObject::new()
-        .field("cores", &default_threads())
-        .field("threads", &threads)
         .field("items", &items)
         .field("zipf_theta", &theta)
         .field("sim_duration_secs", &secs)

@@ -11,60 +11,23 @@
 //! conflicts as contention (number of users on the same items) grows; the
 //! per-seed runs fan out over [`qc_sim::par_map`].
 //!
-//! Also writes `results/BENCH_hotpath.json`: hot-path throughput numbers
-//! (simulator ops/sec under both event-queue implementations, the
-//! event-queue hold-model microbench, explorer schedules/sec with
-//! checkpointed vs full-replay state reconstruction, sweep-runner thread
-//! scaling at 1/2/4/8 threads) for before/after comparisons.
+//! Everything printed is a function of the flags and the seed. What a
+//! committed operation costs the host is `benchmark/run.sh`'s job.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use ioa::{ExploreLimits, ReplayStrategy};
-use nested_txn::Value;
 use qc_bench::{
     contention_spec, dump_trace, faults_flag, flag_value, obs_flags, row, rule, trace_dir_flag,
     trace_file_stem,
 };
 use qc_cc::{check_theorem11, CcRunOptions};
-use qc_replication::{
-    verify_exhaustive_with, ConfigChoice, ItemSpec, SystemSpec, UserSpec, UserStep,
-};
 use qc_sim::{
-    check_trace, default_threads, par_map, run, run_batch, run_observed, run_sharded,
-    run_traced, ContactPolicy, EventQueue, FaultPlan, ItemDist, Metrics, MultiConfig,
-    QueueImpl, QueueKind, SimConfig, SimTime, Workload,
+    check_trace, default_threads, par_map, run_batch, run_observed, run_sharded, run_traced,
+    ContactPolicy, FaultPlan, ItemDist, Metrics, MultiConfig, SimConfig, SimTime, Workload,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use quorum::{Majority, QuorumSpec, Rowa};
-use serde_json::JsonObject;
 
-// 60 simulated seconds keeps each cell's wall time around 100ms, long
-// enough that per-run setup (arena/queue construction, page faults)
-// amortizes out of the ops/wall-second rate; at 20s the fixed cost was a
-// double-digit percentage of the measurement.
 const SIM_SECS: u64 = 60;
-
-/// Run a cell `BENCH_TRIALS` times and report the fastest wall time. The
-/// metrics are identical across trials (the simulator is deterministic),
-/// so trials only de-noise the wall-clock rate: min is the standard
-/// estimator for a noise floor that is strictly additive.
-const BENCH_TRIALS: usize = 3;
-
-fn run_timed(c: &SimConfig) -> (Metrics, f64) {
-    let mut best: Option<(Metrics, f64)> = None;
-    for _ in 0..BENCH_TRIALS {
-        let start = Instant::now();
-        let m = run(c.clone());
-        let wall = start.elapsed().as_secs_f64();
-        best = match best {
-            Some((pm, pw)) if pw <= wall => Some((pm, pw)),
-            _ => Some((m, wall)),
-        };
-    }
-    best.expect("BENCH_TRIALS > 0")
-}
 
 fn sim_grid(faults: &FaultPlan, seed: u64, secs: u64) -> Vec<(String, f64, SimConfig)> {
     let systems: Vec<Arc<dyn QuorumSpec + Send + Sync>> =
@@ -84,68 +47,6 @@ fn sim_grid(faults: &FaultPlan, seed: u64, secs: u64) -> Vec<(String, f64, SimCo
         }
     }
     grid
-}
-
-/// One sampled inter-event delay (µs) for the event-queue hold model —
-/// the same distributions as `benches/queue_bench.rs`, so the JSON rows
-/// and the interactive bench agree.
-fn hold_delay(dist: &str, rng: &mut ChaCha8Rng) -> u64 {
-    match dist {
-        "near-future" => rng.gen_range(200..600),
-        "wan-tail" => {
-            if rng.gen_range(0u32..10) == 0 {
-                rng.gen_range(100_000..5_000_000)
-            } else {
-                rng.gen_range(500..2_000)
-            }
-        }
-        _ => rng.gen_range(0..2), // same-instant floods
-    }
-}
-
-/// Hold-model cost of one pop+reschedule on a steady-state queue of
-/// `size` pending events, in ns/op: batches of 10k ops until 100 ms of
-/// wall clock has accumulated.
-fn hold_ns_per_op(kind: QueueKind, dist: &str, size: u64) -> f64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let mut q: QueueImpl<u64> = QueueImpl::new(kind);
-    for seq in 0..size {
-        q.push(SimTime(hold_delay(dist, &mut rng)), seq, seq);
-    }
-    let mut seq = size;
-    let mut ops = 0u64;
-    let start = Instant::now();
-    loop {
-        for _ in 0..10_000 {
-            let (t, _, payload) = q.pop().expect("hold queue never drains");
-            seq += 1;
-            q.push(t + SimTime(hold_delay(dist, &mut rng)), seq, payload);
-        }
-        ops += 10_000;
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 100 {
-            return elapsed.as_nanos() as f64 / ops as f64;
-        }
-    }
-}
-
-/// The seed scope used for the explorer throughput numbers: one write then
-/// one read on 2 ROWA replicas — the largest single-user scope from E6.
-fn explorer_scope() -> SystemSpec {
-    SystemSpec {
-        items: vec![ItemSpec {
-            name: "x".into(),
-            init: Value::Int(0),
-            replicas: 2,
-            config: ConfigChoice::Rowa,
-        }],
-        plain: vec![],
-        users: vec![UserSpec::new(vec![
-            UserStep::Write(0, Value::Int(1)),
-            UserStep::Read(0),
-        ])],
-        strategy: Default::default(),
-    }
 }
 
 fn main() {
@@ -168,20 +69,16 @@ fn main() {
     // `--obs-dir DIR` / `--snapshot-every SECS` instrument every cell and
     // dump its event log + snapshots under DIR.
     let obs = obs_flags();
-    println!(
-        "Q3a — simulated throughput vs read fraction (n = 5, 8 clients, LAN, \
-         {threads}-thread sweep)\n"
-    );
+    println!("Q3a — simulated throughput vs read fraction (n = 5, 8 clients, LAN)\n");
     if !faults.is_empty() {
         println!("injected fault plan: {faults}\n");
     }
-    let widths = [14, 8, 12, 12, 12, 12];
+    let widths = [14, 8, 12, 12, 12];
     row(
         &[
             "quorum".into(),
             "reads".into(),
             "ops/sim-s".into(),
-            "ops/wall-s".into(),
             "read p50".into(),
             "write p50".into(),
         ],
@@ -190,19 +87,14 @@ fn main() {
     rule(&widths);
 
     let grid = sim_grid(&faults, seed, secs);
-    // Each cell reports (metrics, its own wall-clock seconds): simulated
-    // throughput is the model's prediction, wall throughput is what the
-    // simulator itself sustains — reported side by side below.
-    let timed: Vec<(Metrics, f64)> = match trace_dir_flag() {
+    let metrics: Vec<Metrics> = match trace_dir_flag() {
         Some(dir) => {
             // Traced cells run serially (identical metrics); each trace is
             // dumped as JSON and must pass the Theorem 10 conformance check.
             std::fs::create_dir_all(&dir).expect("create --trace-dir");
             grid.iter()
                 .map(|(label, rf, c)| {
-                    let start = Instant::now();
                     let (m, trace) = run_traced(c.clone());
-                    let wall = start.elapsed().as_secs_f64();
                     let name = format!(
                         "throughput_{}_rf{}.json",
                         trace_file_stem(label),
@@ -218,7 +110,7 @@ fn main() {
                         report.events,
                         report.committed
                     );
-                    (m, wall)
+                    m
                 })
                 .collect()
         }
@@ -234,102 +126,41 @@ fn main() {
                     (l.clone(), *rf, c)
                 })
                 .collect();
-            let outs = par_map(cells, threads, |_, (_, _, c)| {
-                let start = Instant::now();
-                let out = run_observed(c);
-                (out, start.elapsed().as_secs_f64())
-            });
+            let outs = par_map(cells, threads, |_, (_, _, c)| run_observed(c));
             outs.into_iter()
                 .zip(&grid)
-                .map(|(((m, report), wall), (label, rf, _))| {
+                .map(|((m, report), (label, rf, _))| {
                     let stem = format!(
                         "throughput_{}_rf{}",
                         trace_file_stem(label),
                         (rf * 100.0) as u32
                     );
                     obs.dump(&stem, &report);
-                    (m, wall)
+                    m
                 })
                 .collect()
         }
-        None => {
-            let configs: Vec<SimConfig> = grid.iter().map(|(_, _, c)| c.clone()).collect();
-            par_map(configs, threads, |_, c| run_timed(&c))
-        }
+        None => run_batch(grid.iter().map(|(_, _, c)| c.clone()).collect(), threads),
     };
-    let mut sim_rows = Vec::new();
     let mut prev_label = None;
-    for ((label, rf, _), (m, wall)) in grid.iter().zip(&timed) {
+    for ((label, rf, _), m) in grid.iter().zip(&metrics) {
         if prev_label.is_some() && prev_label != Some(label) {
             rule(&widths);
         }
         prev_label = Some(label);
         let ops = m.throughput_ops_per_sec(SimTime::from_secs(secs));
-        let committed = m.reads.successes + m.writes.successes;
-        let wall_ops = committed as f64 / wall.max(1e-9);
         row(
             &[
                 label.clone(),
                 format!("{rf:.2}"),
                 format!("{ops:.0}"),
-                format!("{wall_ops:.0}"),
                 format!("{:.2}ms", m.reads.percentile_ms(50.0)),
                 format!("{:.2}ms", m.writes.percentile_ms(50.0)),
             ],
             &widths,
         );
-        sim_rows.push(
-            JsonObject::new()
-                .field("quorum", label.as_str())
-                .field("read_fraction", rf)
-                .field("event_queue", "calendar")
-                .field("ops_per_sim_sec", &ops)
-                .field("ops_per_wall_sec", &wall_ops)
-                .field("wall_secs", wall)
-                .build(),
-        );
     }
     rule(&widths);
-
-    // Heap-oracle pass: the same grid with the event queue forced to the
-    // binary-heap implementation. Both implementations pop the identical
-    // (time, seq) order, so the metrics must be bit-identical — asserted
-    // below on the plain path — and the wall-throughput delta isolates
-    // what the calendar queue itself contributes.
-    let heap_configs: Vec<SimConfig> = grid
-        .iter()
-        .map(|(_, _, c)| {
-            let mut c = c.clone();
-            c.queue = QueueKind::Heap;
-            c
-        })
-        .collect();
-    let plain_run = trace_dir_flag().is_none() && !obs.enabled();
-    let heap_timed: Vec<(Metrics, f64)> = par_map(heap_configs, threads, |_, c| run_timed(&c));
-    for (((label, rf, _), (m_cal, _)), (m, wall)) in
-        grid.iter().zip(&timed).zip(&heap_timed)
-    {
-        if plain_run {
-            assert_eq!(
-                format!("{m_cal:?}"),
-                format!("{m:?}"),
-                "{label} rf={rf}: heap oracle diverged from calendar queue"
-            );
-        }
-        let ops = m.throughput_ops_per_sec(SimTime::from_secs(secs));
-        let committed = m.reads.successes + m.writes.successes;
-        let wall_ops = committed as f64 / wall.max(1e-9);
-        sim_rows.push(
-            JsonObject::new()
-                .field("quorum", label.as_str())
-                .field("read_fraction", rf)
-                .field("event_queue", "heap")
-                .field("ops_per_sim_sec", &ops)
-                .field("ops_per_wall_sec", &wall_ops)
-                .field("wall_secs", wall)
-                .build(),
-        );
-    }
 
     // Optional sharded multi-item section: `--items N [--zipf THETA]`
     // runs the sharded simulator over an N-item keyspace (8 shards, or one
@@ -380,103 +211,6 @@ fn main() {
             report.metrics.lemma_violations
         );
     }
-
-    // Sweep-runner thread scaling (wall-clock). The bare 6-cell grid
-    // finishes in well under a second, so a measurement over it is
-    // dominated by thread spawn and scheduler noise; replicate the grid
-    // with distinct seeds until the batch amortizes that overhead, and
-    // record the speedup over the 1-thread wall explicitly. (On a
-    // single-core host the speedup stays ~1; the counts still validate
-    // determinism.)
-    let mut scaling_rows = Vec::new();
-    let replicas = 4usize;
-    let batch = || -> Vec<SimConfig> {
-        (0..replicas)
-            .flat_map(|k| {
-                sim_grid(&faults, seed + 1_000 * (k as u64 + 1), secs)
-                    .into_iter()
-                    .map(|(_, _, c)| c)
-            })
-            .collect()
-    };
-    let mut wall1 = None;
-    for t in [1usize, 2, 4, 8] {
-        let configs = batch();
-        let cells = configs.len();
-        let start = Instant::now();
-        let out = run_batch(configs, t);
-        let wall = start.elapsed().as_secs_f64();
-        assert_eq!(out.len(), cells);
-        let w1 = *wall1.get_or_insert(wall);
-        scaling_rows.push(
-            JsonObject::new()
-                .field("threads", &t)
-                .field("cells", &cells)
-                .field("wall_secs", &wall)
-                .field("speedup", &(w1 / wall.max(1e-9)))
-                .build(),
-        );
-    }
-
-    // Event-queue hold model: ns per pop+reschedule for both queue
-    // implementations across delay distributions and queue sizes. The
-    // simulators themselves run in the near-future/16 cell.
-    let mut queue_rows = Vec::new();
-    for dist in ["near-future", "wan-tail", "same-instant"] {
-        for size in [16u64, 256, 4096] {
-            let cal = hold_ns_per_op(QueueKind::Calendar, dist, size);
-            let heap = hold_ns_per_op(QueueKind::Heap, dist, size);
-            queue_rows.push(
-                JsonObject::new()
-                    .field("distribution", dist)
-                    .field("size", &size)
-                    .field("calendar_ns_per_op", &cal)
-                    .field("heap_ns_per_op", &heap)
-                    .build(),
-            );
-        }
-    }
-
-    // Explorer throughput: checkpointed state reconstruction vs the
-    // full-replay baseline on the seed scope (identical stats; the work
-    // counters and wall time differ).
-    let limits = ExploreLimits {
-        max_depth: 80,
-        max_schedules: 5_000_000,
-    };
-    let mut explorer_rows = Vec::new();
-    for (name, strategy) in [
-        ("full_replay", ReplayStrategy::FullReplay),
-        ("checkpoint_every_4", ReplayStrategy::default()),
-    ] {
-        let start = Instant::now();
-        let report = verify_exhaustive_with(&explorer_scope(), limits, strategy)
-            .expect("seed scope verifies");
-        let secs = start.elapsed().as_secs_f64();
-        let sched_per_sec = report.stats.schedules as f64 / secs.max(1e-9);
-        explorer_rows.push(
-            JsonObject::new()
-                .field("strategy", name)
-                .field("schedules", &report.stats.schedules)
-                .field("replayed_steps", &report.profile.replayed_steps)
-                .field("checkpoints_taken", &report.profile.checkpoints_taken)
-                .field("wall_secs", &secs)
-                .field("schedules_per_sec", &sched_per_sec)
-                .build(),
-        );
-    }
-
-    let json = JsonObject::new()
-        .field("cores", &threads)
-        .field("sim_duration_secs", &secs)
-        .field_raw("simulator", &serde_json::array_raw(sim_rows))
-        .field_raw("event_queue", &serde_json::array_raw(queue_rows))
-        .field_raw("thread_scaling", &serde_json::array_raw(scaling_rows))
-        .field_raw("explorer", &serde_json::array_raw(explorer_rows))
-        .build();
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_hotpath.json", json).expect("write BENCH_hotpath.json");
-    println!("\nwrote results/BENCH_hotpath.json");
 
     println!("\nQ3b — 2PL contention on the concurrent nested-transaction runtime\n");
     let widths = [8, 6, 12, 12, 12, 12];

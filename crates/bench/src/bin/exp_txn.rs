@@ -26,7 +26,6 @@
 //! `--smoke` (CI leg: shrink every section, skip the 10⁵ floor).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use qc_bench::{flag_value, row, rule};
@@ -72,7 +71,7 @@ fn main() {
 
     println!(
         "Q11 — nested transactions over the sharded store (n = 3 majority, \
-         seed {seed}, {threads} threads{})\n",
+         seed {seed}{})\n",
         if smoke { ", smoke" } else { "" }
     );
 
@@ -126,9 +125,7 @@ fn main() {
     scale_cfg.items = 64;
     scale_cfg.domains = 16;
     scale_cfg.clients_per_domain = 4;
-    let start = Instant::now();
     let (scale_report, scale_commits) = run_txn_committed(&scale_cfg, threads);
-    let scale_wall = start.elapsed().as_secs_f64();
     check_commit_order_serializable(&|_| 0, &scale_commits)
         .unwrap_or_else(|e| panic!("Theorem 11 replay failed at scale: {e}"));
     assert_eq!(
@@ -146,13 +143,12 @@ fn main() {
     let s = &scale_report.stats;
     println!(
         "scale: {} txns started, {} committed, abort rate {:.4}, \
-         {} accesses, max depth {}, {:.2} s wall ({} domains x {} clients, {secs} s simulated)",
+         {} accesses, max depth {} ({} domains x {} clients, {secs} s simulated)",
         s.txns_started,
         s.txns_committed,
         abort_rate(&scale_report),
         s.reads_committed + s.writes_committed,
         s.max_depth,
-        scale_wall,
         scale_cfg.domains,
         scale_cfg.clients_per_domain,
     );
@@ -260,8 +256,6 @@ fn main() {
     );
 
     let json = JsonObject::new()
-        .field("cores", &default_threads())
-        .field("threads", &threads)
         .field("seed", &seed)
         .field("sim_duration_secs", &secs)
         .field("smoke", &smoke)
@@ -274,7 +268,6 @@ fn main() {
         .field("scale_abort_rate", &abort_rate(&scale_report))
         .field("scale_subtree_aborts", &scale_report.stats.subtree_aborts)
         .field("scale_compensations", &scale_report.stats.compensations)
-        .field("scale_wall_secs", &scale_wall)
         .field_raw("contention_sweep", &serde_json::array_raw(sweep_rows))
         .field(
             "faulted_abort_rate",

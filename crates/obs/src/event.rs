@@ -1,22 +1,16 @@
 //! Structured event log: rare, schema-stable events (fault firings,
 //! lemma violations, progress snapshots) rendered as JSONL.
 //!
-//! The [`EventSink`] trait has three implementations:
-//!
-//! - [`NullSink`] — every method is an inlined no-op and
-//!   [`EventSink::enabled`] returns `false`, so instrumented call sites
-//!   gated on `sink.enabled()` compile to nothing on the hot path.
-//! - [`EventLog`] — the in-memory implementation the simulator owns:
-//!   unbounded ([`EventLogMode::Full`]) or a ring buffer keeping the
-//!   last N events ([`EventLogMode::Ring`]).
-//! - [`JsonlSink`] — streams each event as one JSON line to any
-//!   `io::Write` (a file for live export).
+//! [`EventLog`] is the in-memory log the simulator owns: unbounded
+//! ([`EventLogMode::Full`]), a ring buffer keeping the last N events
+//! ([`EventLogMode::Ring`]), or off ([`EventLogMode::Null`] — the default,
+//! under which [`EventLog::enabled`] is `false` and call sites gated on it
+//! build no payload).
 //!
 //! The JSONL format is versioned (`qc-events-v1`) and golden-tested in
 //! `crates/sim/tests/golden.rs` so it cannot drift silently.
 
 use std::collections::VecDeque;
-use std::io::Write;
 
 use crate::snapshot::Snapshot;
 
@@ -136,36 +130,10 @@ fn trim_at(s: &Snapshot) -> String {
     )
 }
 
-/// Receives structured events.
-pub trait EventSink {
-    /// Log one event.
-    fn emit(&mut self, event: ObsEvent);
-    /// Whether emitted events are observable. Instrumented call sites
-    /// may skip constructing event payloads when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; `enabled()` is `false` so gated call sites pay
-/// nothing beyond one predictable branch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    #[inline(always)]
-    fn emit(&mut self, _event: ObsEvent) {}
-
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Retention policy of an [`EventLog`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EventLogMode {
-    /// Keep nothing (the log behaves like [`NullSink`]).
+    /// Keep nothing.
     #[default]
     Null,
     /// Keep only the most recent N events (older ones are dropped and
@@ -245,10 +213,9 @@ impl EventLog {
     pub fn digest(&self) -> u64 {
         crate::fnv1a(self.to_jsonl().as_bytes())
     }
-}
 
-impl EventSink for EventLog {
-    fn emit(&mut self, event: ObsEvent) {
+    /// Log one event.
+    pub fn emit(&mut self, event: ObsEvent) {
         match self.mode {
             EventLogMode::Null => {}
             EventLogMode::Ring(cap) => {
@@ -262,44 +229,10 @@ impl EventSink for EventLog {
         }
     }
 
-    fn enabled(&self) -> bool {
+    /// Whether emitted events are kept. Instrumented call sites may skip
+    /// constructing event payloads when this is `false`.
+    pub fn enabled(&self) -> bool {
         self.mode != EventLogMode::Null
-    }
-}
-
-/// Streams events as JSON lines to a writer (live file export).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    out: W,
-    written: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer; the format header line is written together with
-    /// the first event.
-    pub fn new(out: W) -> Self {
-        Self { out, written: 0 }
-    }
-
-    /// Events written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Unwrap the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: ObsEvent) {
-        if self.written == 0 {
-            let _ = writeln!(self.out, "{{\"format\":\"{EVENTS_FORMAT}\"}}");
-        }
-        let _ = writeln!(self.out, "{}", event.to_json_line());
-        let _ = self.out.flush();
-        self.written += 1;
     }
 }
 
@@ -315,13 +248,6 @@ mod tests {
                 desc: desc.to_string(),
             },
         }
-    }
-
-    #[test]
-    fn null_sink_disabled() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.emit(fault(1, "crash@0:0"));
     }
 
     #[test]
@@ -414,19 +340,6 @@ mod tests {
         log.emit(fault(1, "crash@0:0"));
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(fault(1, "crash@0:0"));
-        sink.emit(fault(2, "recover@0:0"));
-        assert_eq!(sink.written(), 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "{\"format\":\"qc-events-v1\"}");
-        assert!(lines[1].contains("\"event\":\"fault\""));
     }
 
     #[test]

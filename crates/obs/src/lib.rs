@@ -13,10 +13,9 @@
 //! - [`SpanRecorder`] — per-phase duration histograms over the
 //!   protocol's named phases ([`Phase`]): `read_gather`, `vn_resolve`,
 //!   `write_install`, `commit_round`, `retry_backoff`.
-//! - [`EventSink`] — structured event log (fault firings, lemma
-//!   violations, snapshots) with [`NullSink`] (zero-cost), [`EventLog`]
-//!   (ring or unbounded memory) and [`JsonlSink`] (live JSONL file)
-//!   implementations.
+//! - [`EventLog`] — structured event log (fault firings, lemma
+//!   violations, snapshots): off, ring-bounded or unbounded, rendered as
+//!   versioned JSONL.
 //! - [`SnapshotExporter`] — periodic progress snapshots every N
 //!   simulated microseconds.
 //!
@@ -43,10 +42,7 @@ pub use causal::{
     AbortCause, CausalOptions, CausalReport, CritPath, CritProfile, CritStep, EdgeKind, Seg, Span,
     SpanKind, SpanOutcome, TxnRef, TxnTrace, ABORT_CAUSES, EDGE_KINDS, NO_SPAN, NO_TIME,
 };
-pub use event::{
-    EventKind, EventLog, EventLogMode, EventSink, JsonlSink, NullSink, ObsEvent, OpRef,
-    EVENTS_FORMAT,
-};
+pub use event::{EventKind, EventLog, EventLogMode, ObsEvent, OpRef, EVENTS_FORMAT};
 pub use hist::Histogram;
 pub use snapshot::{snapshots_json, Snapshot, SnapshotExporter};
 pub use span::{Phase, SpanRecorder, NUM_PHASES, PHASES};

@@ -113,6 +113,13 @@ pub enum FaultEvent {
     },
 }
 
+/// The largest `extra` a delay window may add to each message. A phase's
+/// round trip is two one-way samples plus twice this, so an eighth of the
+/// clock's range leaves that sum, and the arrival instant it is added to,
+/// three quarters of the range to spare; any `extra` beyond the timeout
+/// already loses every response.
+const MAX_DELAY_EXTRA: SimTime = SimTime(u64::MAX / 8);
+
 /// A deterministic, serializable schedule of [`FaultEvent`]s.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
@@ -247,7 +254,8 @@ impl FaultPlan {
     }
 
     /// Check every event references sites `< sites` and clients
-    /// `< clients`.
+    /// `< clients`, and that no window's end or extra delay can overflow
+    /// the simulated clock.
     ///
     /// # Errors
     ///
@@ -289,6 +297,23 @@ impl FaultPlan {
                 // configuration, not of (sites, clients); the sharded
                 // simulator's `MultiConfig::validate` checks them.
                 FaultEvent::Migrate { .. } => {}
+                // `drop_permille_at` / `delay_extra_at` compute the window's
+                // end and the phase sums two one-way samples and twice
+                // `extra`, all unchecked on the per-phase path.
+                FaultEvent::DropWindow { duration, .. }
+                | FaultEvent::DelayWindow { duration, .. }
+                    if at.0.checked_add(duration.0).is_none() =>
+                {
+                    return Err(format!(
+                        "window at {at} lasting {duration} ends past the last simulated instant"
+                    ));
+                }
+                FaultEvent::DelayWindow { extra, .. } if extra > MAX_DELAY_EXTRA => {
+                    return Err(format!(
+                        "delay window at {at} adds {extra} per message; the most a window may \
+                         add is {MAX_DELAY_EXTRA}"
+                    ));
+                }
                 FaultEvent::DropWindow { .. } | FaultEvent::DelayWindow { .. } => {}
             }
         }
@@ -500,7 +525,9 @@ fn parse_ms(s: &str) -> Result<SimTime, ()> {
     let ms = whole.parse::<u64>().map_err(|_| ())?;
     let mut us = ms.checked_mul(1_000).ok_or(())?;
     if !frac.is_empty() {
-        us += format!("{frac:0<3}").parse::<u64>().map_err(|_| ())?;
+        us = us
+            .checked_add(format!("{frac:0<3}").parse::<u64>().map_err(|_| ())?)
+            .ok_or(())?;
     }
     Ok(SimTime(us))
 }

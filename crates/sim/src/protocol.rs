@@ -69,7 +69,7 @@ use std::sync::Arc;
 
 use qc_obs::causal::{AbortCause, EdgeKind, SpanKind, TxnRef, TxnTrace, NO_SPAN};
 use qc_obs::{
-    EventKind, EventSink, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot, SnapshotExporter,
+    EventKind, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot, SnapshotExporter,
 };
 use qc_replication::{AbortReason, LemmaChecker, LemmaViolation, TmKind, TraceAction, TraceTid};
 use quorum::{QuorumFamily, QuorumSpec, ReplicaSet};

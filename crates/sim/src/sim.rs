@@ -38,7 +38,7 @@ use std::sync::Arc;
 use quorum::{QuorumSpec, ReplicaSet};
 use rand::Rng;
 
-use qc_obs::{EventKind, EventSink, ObsOptions, ObsReport};
+use qc_obs::{EventKind, ObsOptions, ObsReport};
 use qc_replication::ScheduleTrace;
 
 use crate::faults::{FaultPlan, ReconfigTarget, RetryPolicy};

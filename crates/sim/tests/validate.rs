@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
-    FaultPlan, MultiConfig, ReconfigPolicy, ReconfigTarget, SimConfig, SimTime, Simulation,
-    TxnConfig,
+    run, run_sharded, run_txn, FaultPlan, MultiConfig, ReconfigPolicy, ReconfigTarget,
+    SimConfig, SimTime, Simulation, TxnConfig,
 };
 use quorum::{Majority, QuorumSpec, Weighted};
 
@@ -62,7 +62,7 @@ fn the_three_configs_reject_the_same_mistakes_in_the_same_words() {
     // The mistake, how to make it, what the error must say, and how many of
     // the three configurations can make it.
     type Row = (&'static str, fn(&mut Three), &'static str, usize);
-    let table: [Row; 9] = [
+    let table: [Row; 11] = [
         (
             "dynamic quorums over a system with no resizable family",
             |t| {
@@ -106,6 +106,18 @@ fn the_three_configs_reject_the_same_mistakes_in_the_same_words() {
             "empty member set",
             3,
         ),
+        (
+            "a delay@ whose extra overflows the phase's round-trip sum",
+            |t| t.faults(FaultPlan::parse("delay@0:1000,18446744073709551").unwrap()),
+            "the most a window may add",
+            3,
+        ),
+        (
+            "a drop@ whose end is past the last instant",
+            |t| t.faults(FaultPlan::parse("drop@1:18446744073709551,5").unwrap()),
+            "ends past the last simulated instant",
+            3,
+        ),
         ("a read fraction above one", |t| t.read_fraction(1.5), "read_fraction", 2),
         ("a negative read fraction", |t| t.read_fraction(-0.25), "read_fraction", 2),
         ("a NaN read fraction", |t| t.read_fraction(f64::NAN), "read_fraction", 2),
@@ -138,4 +150,37 @@ fn simulation_new_panics_with_the_validate_message() {
     let mut c = SimConfig::new(Arc::new(Majority::new(3)));
     c.read_fraction = 1.5;
     let _ = Simulation::new(c);
+}
+
+/// The other side of the two window rows above: the widest windows that
+/// validate run under overflow checks (this is a debug build) on all three
+/// drivers. Before the rows existed the two plans there passed every
+/// `validate`, then overflowed `at + duration` in `drop_permille_at` and
+/// the round-trip sum in the phase — a panic here, a wrapped clock and no
+/// commits in release.
+#[test]
+fn the_widest_windows_that_validate_run_without_overflow() {
+    let second = SimTime::from_secs(1);
+    let widest = FaultPlan::new()
+        .delay_window(SimTime::ZERO, second, SimTime(u64::MAX / 8))
+        .drop_window(second, SimTime(u64::MAX - second.0), 5);
+    let wider = widest.clone().delay_window(second, second, SimTime(u64::MAX / 8 + 1));
+    let mut three = Three::new();
+    three.faults(wider);
+    for (config, verdict) in three.verdicts() {
+        assert!(verdict.is_err(), "{config} accepted an extra delay one past the bound");
+    }
+    three.faults(widest);
+    for (config, verdict) in three.verdicts() {
+        assert_eq!(verdict, Ok(()), "{config}");
+    }
+    let duration = SimTime::from_secs(2);
+    (three.sim.duration, three.multi.duration, three.txn.duration) = (duration, duration, duration);
+    // The delay window outlasts every timeout, so nothing commits inside it.
+    let flat = run(three.sim);
+    assert!(flat.reads.successes + flat.writes.successes > 0);
+    assert!(flat.reads.timeouts + flat.writes.timeouts > 0);
+    let sharded = run_sharded(&three.multi, 2).metrics;
+    assert!(sharded.reads.successes + sharded.writes.successes > 0);
+    assert!(run_txn(&three.txn, 2).stats.txns_committed > 0);
 }

@@ -8,54 +8,98 @@ cd "$(dirname "$0")/.."
 # reproducible (the vendored proptest reads this; default is 256).
 export PROPTEST_CASES="${PROPTEST_CASES:-256}"
 
+# What `git status` shows before the gate runs; it must show the same after.
+TREE_BEFORE="$(git status --porcelain)"
+
 echo "==> cargo build --release"
-cargo build --release --workspace
+cargo build --release
 
 echo "==> cargo test (PROPTEST_CASES=$PROPTEST_CASES)"
-# Every suite of every crate, once: the simulator's determinism / fault /
+# Every suite of every crate, once (`default-members` in the root manifest
+# is the whole workspace): the simulator's determinism / fault /
 # observability / reconfiguration / placement / causal / nested-transaction
 # suites, the Theorem 10 oracle suites (scheduler::differential,
 # oracle_alloc) and the protocol core's own property test all run here, at
 # the property-test budget above. Nothing below repeats them.
-cargo test -q --workspace
+cargo test -q
+
+echo "==> no wall clock under crates/bench/src"
+# An experiment's output is a function of its flags and seed; host time is
+# benchmark/'s to measure.
+if grep -rnE 'Instant|SystemTime' crates/bench/src; then
+  echo "tier1: an experiment binary reads the host clock" >&2
+  exit 1
+fi
+
+# The experiment legs run the built binaries from scratch working
+# directories: they write results/ relative to where they run, so the
+# committed results/ (recorded at full scale) is never touched.
+BIN="${CARGO_TARGET_DIR:-$PWD/target}/release"
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
+# leg BIN [--threads] ARGS...: run the experiment twice, each from its own
+# empty directory — on 1 and on 2 worker threads when the second word is
+# --threads — and require byte-identical stdout and written files. The
+# first run's directory stays at $SCRATCH/BIN.a.
+leg() {
+  local bin="$1" t1="" t2=""
+  shift
+  if [ "${1:-}" = "--threads" ]; then
+    shift
+    t1="--threads 1" t2="--threads 2"
+  fi
+  mkdir "$SCRATCH/$bin.a" "$SCRATCH/$bin.b"
+  # shellcheck disable=SC2086  # $t1 / $t2 are zero or two words
+  (cd "$SCRATCH/$bin.a" && "$BIN/$bin" "$@" $t1 > stdout.txt)
+  # shellcheck disable=SC2086
+  (cd "$SCRATCH/$bin.b" && "$BIN/$bin" "$@" $t2 > stdout.txt)
+  diff -r "$SCRATCH/$bin.a" "$SCRATCH/$bin.b"
+}
 
 echo "==> nested-transaction smoke (exp_txn: digests, conformance, Theorem 11)"
 # The binary asserts 1/2/4-thread digest identity, per-item Theorem 10
 # conformance, and commit-order serializability of the committed
 # projection; --smoke keeps the scale and sweep sections cheap.
-cargo run --release -p qc-bench --bin exp_txn -- --smoke > /dev/null
+leg exp_txn --threads --smoke
 
 echo "==> critical-path smoke (exp_critpath --smoke) + qc-trace queries"
 # The binary asserts recording invisibility, thread/queue invariance of
 # the causal digest, and exact reconciliation at scale; qc-trace then
 # re-parses both the golden causal JSONL and the freshly exported
 # slowest-transaction JSONL, re-verifying every span tree offline.
-cargo run --release -p qc-bench --bin exp_critpath -- --smoke > /dev/null
-cargo run --release -p qc-bench --bin qc-trace -- \
-  crates/sim/tests/golden/txn_banking_causal_seed17.jsonl check
-cargo run --release -p qc-bench --bin qc-trace -- \
-  results/critpath_slowest.jsonl check > /dev/null
-cargo run --release -p qc-bench --bin qc-trace -- \
-  crates/sim/tests/golden/txn_banking_causal_seed17.jsonl top 3 > /dev/null
-cargo run --release -p qc-bench --bin qc-trace -- \
-  results/critpath_slowest.jsonl profile > /dev/null
-cargo run --release -p qc-bench --bin qc-trace -- \
-  results/critpath_slowest.jsonl aborts > /dev/null
+leg exp_critpath --threads --smoke
+GOLDEN=crates/sim/tests/golden/txn_banking_causal_seed17.jsonl
+SLOWEST="$SCRATCH/exp_critpath.a/results/critpath_slowest.jsonl"
+"$BIN/qc-trace" "$GOLDEN" check
+"$BIN/qc-trace" "$SLOWEST" check > /dev/null
+"$BIN/qc-trace" "$GOLDEN" top 3 > /dev/null
+"$BIN/qc-trace" "$SLOWEST" profile > /dev/null
+"$BIN/qc-trace" "$SLOWEST" aborts > /dev/null
 
 echo "==> elastic rebalancing smoke (exp_rebalance --smoke)"
 # The binary asserts 1/2/4-thread x calendar/heap digest identity of the
 # elastic run, per-item conformance including migrated items, and that
 # the elastic arm at least halves the collapsed arm's load ratio; --smoke
 # keeps the item count and sweep cheap.
-cargo run --release -p qc-bench --bin exp_rebalance -- --smoke > /dev/null
+leg exp_rebalance --threads --smoke
 
 echo "==> reconfiguration smoke (exp_faults, dynamic column non-degenerate)"
 # The binary itself asserts every dynamic ROWA cell reconfigured and beat
 # its static twin; --secs keeps the smoke cheap.
-cargo run --release -p qc-bench --bin exp_faults -- --secs 2 > /dev/null
+leg exp_faults --secs 2
 
 echo "==> shard scaling smoke (exp_shard_scaling: determinism + per-item conformance)"
-cargo run --release -p qc-bench --bin exp_shard_scaling -- --secs 2 --threads 2 > /dev/null
+leg exp_shard_scaling --threads --secs 2
+
+echo "==> throughput smoke (exp_throughput: Q3a grid, Q3b Theorem 11 runs)"
+leg exp_throughput --threads --secs 2
+
+echo "==> observability smoke (exp_obs --smoke)"
+# Asserts the snapshot exporter fires on every simulated boundary, the
+# observed run's metrics digest equals the unobserved one, and the
+# 1/2/4-thread sharded histogram merge is bit-identical.
+leg exp_obs --smoke
 
 echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # The calendar queue against the heap oracle on arbitrary scripts and on the
@@ -77,32 +121,17 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml --bins
 benchmark/run.sh --workload sharded_zipf_elastic --seed 23 --seconds 3 --trace 0 > /dev/null
 benchmark/run.sh --workload txn_banking_t11 --seed 23 --seconds 3 --trace 0 > /dev/null
 
-echo "==> perf-regression gate (exp_throughput -> bench_summary --check)"
-# Regenerate the hot-path throughput snapshot, fold it into a scratch
-# copy of the trajectory under a synthetic commit, and fail if the
-# geometric mean of ops/wall-s regressed more than 15% against the most
-# recent recorded commit. The scratch copy keeps the gate from editing
-# the committed trajectory history.
-cargo run --release -p qc-bench --bin exp_throughput -- --secs 5 > /dev/null
-GATE_DIR="$(mktemp -d)"
-cp results/BENCH_*.json "$GATE_DIR"/
-cargo run --release -p qc-bench --bin bench_summary -- \
-  --results "$GATE_DIR" --commit worktree > /dev/null
-cargo run --release -p qc-bench --bin bench_summary -- \
-  --results "$GATE_DIR" --check
-rm -rf "$GATE_DIR"
-
-echo "==> observability smoke (exp_obs --smoke)"
-# Asserts the snapshot exporter fires on every simulated boundary and the
-# 1/2/4-thread sharded histogram merge is bit-identical. After the perf
-# gate: it reads the hot-path snapshot exp_throughput just wrote as its
-# null-sink baseline.
-cargo run --release -p qc-bench --bin exp_obs -- --smoke > /dev/null
-
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # The observability crate is in the workspace, but pin it explicitly so a
 # future workspace exclusion cannot silently drop it from the gate.
 cargo clippy -p qc-obs --all-targets -- -D warnings
+
+echo "==> the gate left the tree as it found it"
+if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
+  git status --porcelain
+  echo "tier1: the gate changed tracked or unignored files" >&2
+  exit 1
+fi
 
 echo "tier1: OK"
