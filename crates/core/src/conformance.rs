@@ -24,11 +24,12 @@
 //!    *real* serial system **A** — a [`SerialScheduler`] over one
 //!    non-replicated [`ReadWriteObject`] — so the trace is accepted only
 //!    if it is literally a schedule of the non-replicated system. α is
-//!    streamed: each operation is stepped as the projection yields it,
-//!    after the first two layers have accepted the whole trace.
+//!    never stored: the one pass over the events that checks the first two
+//!    layers hands each transaction manager's α operations to system **A**
+//!    as the manager's `COMMIT` / `ABORT` event closes its block. A refusal
+//!    by **A** is remembered, not returned, until the pass has finished,
+//!    so a trace the first two layers reject is reported by them.
 //!
-//! [`project_trace`] exposes the erasure step on its own (the same
-//! projection, collected), and
 //! [`trace_from_schedule`] adapts an I/O-automaton schedule of system
 //! **B** (serial or concurrency-controlled) into a trace, so the same
 //! checker cross-validates the simulator and the automata.
@@ -347,6 +348,8 @@ struct Rep {
 struct Block {
     tid: TraceTid,
     kind: TmKind,
+    /// Index of the `CREATE` event.
+    create: usize,
     reads: Vec<Rep>,
     writes: Vec<Rep>,
     /// Configuration reads: `(site, generation)`.
@@ -357,12 +360,13 @@ struct Block {
 }
 
 impl Block {
-    /// An empty block for `tid`, built in the buffers of a finished block
-    /// when there is one.
-    fn open(finished: Option<Block>, tid: TraceTid, kind: TmKind) -> Block {
+    /// An empty block for `tid`, created at event `create`, built in the
+    /// buffers of a finished block when there is one.
+    fn open(finished: Option<Block>, tid: TraceTid, kind: TmKind, create: usize) -> Block {
         let mut b = finished.unwrap_or(Block {
             tid,
             kind,
+            create,
             reads: Vec::new(),
             writes: Vec::new(),
             cfg_reads: Vec::new(),
@@ -371,6 +375,7 @@ impl Block {
         });
         b.tid = tid;
         b.kind = kind;
+        b.create = create;
         b.reads.clear();
         b.writes.clear();
         b.cfg_reads.clear();
@@ -413,9 +418,10 @@ pub fn check_trace(
 }
 
 /// [`check_trace`], with `tap` shown every operation serial system **A**
-/// performed, in order, beside the index of the trace event it was
-/// projected from. A test seam: it is how the suites pin that the replay
-/// steps exactly the α of [`project_trace`], no operation skipped.
+/// performed, in order and as it is performed, beside the index of the
+/// trace event it was projected from. A test seam: it is how the suites
+/// pin that the replay steps exactly the α of [`project_trace`], no
+/// operation skipped.
 ///
 /// # Errors
 ///
@@ -424,6 +430,17 @@ pub fn check_trace(
 pub fn check_trace_tapped(
     trace: &ScheduleTrace,
     quorum: &dyn QuorumSpec,
+    tap: impl FnMut(&TxnOp, usize),
+) -> Result<ConformanceReport, Divergence> {
+    check_against(trace, quorum, SystemA::new(trace.initial), tap)
+}
+
+/// The three layers in one pass over the events, layer 3 stepping
+/// `system_a` (in its start state).
+fn check_against(
+    trace: &ScheduleTrace,
+    quorum: &dyn QuorumSpec,
+    mut system_a: SystemA,
     mut tap: impl FnMut(&TxnOp, usize),
 ) -> Result<ConformanceReport, Divergence> {
     if quorum.n() != trace.sites {
@@ -481,6 +498,26 @@ pub fn check_trace_tapped(
     let mut erased = 0usize;
     let mut faulted_events = 0usize;
 
+    // Theorem 10: system A performs the candidate serial schedule α one
+    // operation at a time, each returned block's operations when the scan
+    // has accepted the event that closes it. Its first refusal ends the
+    // replay and is kept until the scan is over: a trace that fails the
+    // scan is reported at the scan's event even if A refused earlier.
+    let mut alpha_len = 0usize;
+    let mut step = |op: TxnOp, src: usize| {
+        alpha_len += 1;
+        system_a.step(&op, src, &trace.events)?;
+        tap(&op, src);
+        Ok(())
+    };
+    let mut refusal: Option<Divergence> = step(create_root(), 0).err();
+    let mut next_name: u32 = 0;
+    let mut replay = |kind, committed, closed| {
+        if refusal.is_none() {
+            refusal = project_block(&mut next_name, kind, committed, closed, &mut step).err();
+        }
+    };
+
     for (i, ev) in trace.events.iter().enumerate() {
         if ev.faulted {
             faulted_events += 1;
@@ -497,7 +534,7 @@ pub fn check_trace_tapped(
                         )),
                     ));
                 }
-                open = Some(Block::open(finished.take(), ev.tid, kind));
+                open = Some(Block::open(finished.take(), ev.tid, kind, i));
             }
             TraceAction::ReadDm { site, vn, value } => {
                 erased += 1;
@@ -938,7 +975,7 @@ pub fn check_trace_tapped(
                         ),
                     ));
                 };
-                let Some((_, vn, value)) = b.rc else {
+                let Some((request, vn, value)) = b.rc else {
                     return Err(diverge(
                         i,
                         ev,
@@ -966,9 +1003,10 @@ pub fn check_trace_tapped(
                 check_stores(&checker, &stores, cur_gen, configs[cur_gen as usize])
                     .map_err(|v| diverge(i, ev, DivergenceKind::Lemma(v)))?;
                 committed += 1;
+                replay(b.kind, Some((value, b.create, request)), i);
                 finished = Some(b);
             }
-            TraceAction::Abort { .. } => {
+            TraceAction::Abort { kind, .. } => {
                 if open.is_some() {
                     return Err(diverge(
                         i,
@@ -981,6 +1019,7 @@ pub fn check_trace_tapped(
                     ));
                 }
                 aborted += 1;
+                replay(kind, None, i);
             }
         }
     }
@@ -993,19 +1032,9 @@ pub fn check_trace_tapped(
     check_stores(&checker, &stores, cur_gen, configs[cur_gen as usize])
         .map_err(|v| end_diverge(trace.events.len(), DivergenceKind::Lemma(v)))?;
 
-    // Theorem 10: erase the replica accesses and step a real system A with
-    // the candidate serial schedule α, one operation at a time as the
-    // projection yields it. The structural scan above has finished: a trace
-    // that fails it is reported at the scan's event and never reaches
-    // system A.
-    let mut system_a = SystemA::new(trace.initial);
-    let mut alpha_len = 0usize;
-    project_into(trace, |op, src| {
-        alpha_len += 1;
-        system_a.step(&op, src, &trace.events)?;
-        tap(&op, src);
-        Ok(())
-    })?;
+    if let Some(refused) = refusal {
+        return Err(refused);
+    }
 
     Ok(ConformanceReport {
         events: trace.events.len(),
@@ -1021,143 +1050,114 @@ pub fn check_trace_tapped(
 /// The non-replicated object of the synthesized serial system **A**.
 const A_OBJECT: ObjectId = ObjectId(0);
 
-/// Theorem 10's projection, one operation at a time: erase the
-/// replica-access operations (`READ-DM` / `WRITE-DM` / `READ-CFG` /
-/// `WRITE-CFG`) from `trace` and hand `sink` each operation of the
-/// candidate serial schedule α of system **A**, in order, with the index of
-/// the trace event it came from. Stops at the sink's first error.
+/// `CREATE(T0)`, the first operation of every α.
+fn create_root() -> TxnOp {
+    TxnOp::Create {
+        tid: Tid::root(),
+        access: None,
+        param: None,
+    }
+}
+
+/// Theorem 10's projection of one returned transaction manager: hand
+/// `sink` its operations in the candidate serial schedule α of system
+/// **A**, in order, each with the index of the trace event it came from.
+/// Stops at the sink's first error.
 ///
-/// Each traced transaction manager becomes an access transaction `T0.k` on
-/// the single logical object; aborted managers contribute
-/// `REQUEST-CREATE` / `ABORT` pairs (an aborted transaction was never
-/// created), committed ones a full `REQUEST-CREATE` / `CREATE` /
-/// `REQUEST-COMMIT` / `COMMIT` block, yielded when the `COMMIT` event is
-/// reached. The erasure is lenient: events that do not form a complete
-/// block are dropped (the structural layer of [`check_trace`] reports them
-/// precisely).
-fn project_into<E>(
-    trace: &ScheduleTrace,
+/// `closed` is the index of the manager's `COMMIT` or `ABORT` event and
+/// `committed`, for a committed one, the value it request-committed and
+/// the indices of its `CREATE` and `REQUEST-COMMIT` events. The manager
+/// becomes the access `T0.k` on the single logical object, `k` counting up
+/// in `next_name`: a committed one the full `REQUEST-CREATE` / `CREATE` /
+/// `REQUEST-COMMIT` / `COMMIT` block, an aborted one a `REQUEST-CREATE` /
+/// `ABORT` pair (an aborted transaction was never created).
+/// Reconfigure-TMs change no logical state: the projection erases them
+/// entirely, so a dynamic trace projects to the same α as its static twin.
+fn project_block<E>(
+    next_name: &mut u32,
+    kind: TmKind,
+    committed: Option<(u64, usize, usize)>,
+    closed: usize,
     mut sink: impl FnMut(TxnOp, usize) -> Result<(), E>,
 ) -> Result<(), E> {
-    sink(
-        TxnOp::Create {
-            tid: Tid::root(),
-            access: None,
-            param: None,
-        },
-        0,
-    )?;
-
-    // An open TM block: (name, kind, CREATE index, REQUEST-COMMIT (value,
-    // index) once seen).
-    type OpenBlock = (TraceTid, TmKind, usize, Option<(u64, usize)>);
-    let root = Tid::root();
-    let mut k: u32 = 0;
-    let mut open: Option<OpenBlock> = None;
-    for (i, ev) in trace.events.iter().enumerate() {
-        match ev.action {
-            TraceAction::Create { kind } => {
-                open = Some((ev.tid, kind, i, None));
-            }
-            TraceAction::RequestCommit { value, .. } => {
-                if let Some(o) = open.as_mut() {
-                    if o.0 == ev.tid {
-                        o.3 = Some((value, i));
-                    }
-                }
-            }
-            TraceAction::Commit => {
-                let done = open
-                    .take_if(|o| o.0 == ev.tid)
-                    .and_then(|(_, kind, ev_create, rc)| rc.map(|rc| (kind, ev_create, rc)));
-                if let Some((kind, ev_create, (value, ev_rc))) = done {
-                    // Reconfigure-TMs change no logical state: Theorem 10's
-                    // projection erases them entirely, so a dynamic trace
-                    // projects to the same serial α as its static twin.
-                    if kind == TmKind::Reconfig {
-                        continue;
-                    }
-                    let tid = root.child(k);
-                    k += 1;
-                    let (spec, result) = match kind {
-                        TmKind::Read => (AccessSpec::read(A_OBJECT), Value::Int(value as i64)),
-                        TmKind::Write => (
-                            AccessSpec::write(A_OBJECT, Value::Int(value as i64)),
-                            Value::Nil,
-                        ),
-                        TmKind::Reconfig => unreachable!("erased above"),
-                    };
-                    sink(
-                        TxnOp::RequestCreate {
-                            tid: tid.clone(),
-                            access: Some(spec.clone()),
-                            param: None,
-                        },
-                        ev_create,
-                    )?;
-                    sink(
-                        TxnOp::Create {
-                            tid: tid.clone(),
-                            access: Some(spec),
-                            param: None,
-                        },
-                        ev_create,
-                    )?;
-                    sink(
-                        TxnOp::RequestCommit {
-                            tid: tid.clone(),
-                            value: result.clone(),
-                        },
-                        ev_rc,
-                    )?;
-                    sink(TxnOp::Commit { tid, value: result }, i)?;
-                }
-            }
-            TraceAction::Abort { kind, .. } => {
-                if open.is_none() && kind != TmKind::Reconfig {
-                    let tid = root.child(k);
-                    k += 1;
-                    let spec = match kind {
-                        TmKind::Read => AccessSpec::read(A_OBJECT),
-                        TmKind::Write => AccessSpec::write(A_OBJECT, Value::Nil),
-                        TmKind::Reconfig => unreachable!("erased above"),
-                    };
-                    sink(
-                        TxnOp::RequestCreate {
-                            tid: tid.clone(),
-                            access: Some(spec),
-                            param: None,
-                        },
-                        i,
-                    )?;
-                    sink(TxnOp::Abort { tid }, i)?;
-                }
-            }
-            TraceAction::ReadDm { .. }
-            | TraceAction::WriteDm { .. }
-            | TraceAction::ReadCfg { .. }
-            | TraceAction::WriteCfg { .. } => {}
-        }
-    }
-    Ok(())
+    let value = committed.map(|(value, ..)| Value::Int(value as i64));
+    let (spec, result) = match kind {
+        TmKind::Reconfig => return Ok(()),
+        TmKind::Read => (AccessSpec::read(A_OBJECT), value.unwrap_or_default()),
+        TmKind::Write => (
+            AccessSpec::write(A_OBJECT, value.unwrap_or_default()),
+            Value::Nil,
+        ),
+    };
+    let tid = Tid::from_path(&[*next_name]);
+    *next_name += 1;
+    let Some((_, create, request)) = committed else {
+        sink(TxnOp::request_access(tid.clone(), spec), closed)?;
+        return sink(TxnOp::Abort { tid }, closed);
+    };
+    sink(TxnOp::request_access(tid.clone(), spec.clone()), create)?;
+    let created = TxnOp::Create {
+        tid: tid.clone(),
+        access: Some(spec),
+        param: None,
+    };
+    sink(created, create)?;
+    let requested = TxnOp::RequestCommit {
+        tid: tid.clone(),
+        value: result.clone(),
+    };
+    sink(requested, request)?;
+    sink(TxnOp::Commit { tid, value: result }, closed)
 }
 
 /// The Theorem 10 projection of a trace, collected: the candidate serial
 /// schedule α of system **A** and, for each α operation, the index of the
-/// trace event it came from (see [`project_into`] for the construction).
+/// trace event it came from — `CREATE(T0)`, then [`project_block`] of each
+/// returned manager.
 ///
-/// [`check_trace`] does not build this pair — it steps system **A** as the
-/// projection yields each operation; the collected form is for inspecting
-/// α, for documentation, and for the tests that pin the two equal.
+/// The erasure is lenient: events that do not form a complete block are
+/// dropped (the structural layer of [`check_trace`] reports them
+/// precisely). [`check_trace`] does not call this — its one pass hands
+/// system **A** each block as the block closes; the collected form is for
+/// inspecting α, for DESIGN.md, and for the tests that pin the two equal.
+#[doc(hidden)]
 pub fn project_trace(trace: &ScheduleTrace) -> (Schedule<TxnOp>, Vec<usize>) {
     let mut alpha: Schedule<TxnOp> = Schedule::new();
     let mut src: Vec<usize> = Vec::new();
-    let collected: Result<(), std::convert::Infallible> = project_into(trace, |op, at| {
+    let mut collect = |op, at| {
         alpha.push(op);
         src.push(at);
-        Ok(())
-    });
-    let Ok(()) = collected;
+        Ok::<(), std::convert::Infallible>(())
+    };
+    let Ok(()) = collect(create_root(), 0);
+
+    // An open block: its name, kind, `CREATE` index and, once seen, its
+    // `REQUEST-COMMIT`'s `(value, index)`.
+    type OpenBlock = (TraceTid, TmKind, usize, Option<(u64, usize)>);
+    let mut open: Option<OpenBlock> = None;
+    let mut next_name: u32 = 0;
+    for (i, ev) in trace.events.iter().enumerate() {
+        match ev.action {
+            TraceAction::Create { kind } => open = Some((ev.tid, kind, i, None)),
+            TraceAction::RequestCommit { value, .. } => {
+                if let Some(o) = open.as_mut().filter(|o| o.0 == ev.tid) {
+                    o.3 = Some((value, i));
+                }
+            }
+            TraceAction::Commit => {
+                if let Some((_, kind, create, Some((value, request)))) =
+                    open.take_if(|o| o.0 == ev.tid)
+                {
+                    let block = Some((value, create, request));
+                    let Ok(()) = project_block(&mut next_name, kind, block, i, &mut collect);
+                }
+            }
+            TraceAction::Abort { kind, .. } if open.is_none() => {
+                let Ok(()) = project_block(&mut next_name, kind, None, i, &mut collect);
+            }
+            _ => {}
+        }
+    }
     (alpha, src)
 }
 
@@ -2014,14 +2014,6 @@ mod tests {
             Tid::root().child(k)
         }
 
-        fn create_root() -> TxnOp {
-            TxnOp::Create {
-                tid: Tid::root(),
-                access: None,
-                param: None,
-            }
-        }
-
         fn request(k: u32, spec: AccessSpec) -> TxnOp {
             TxnOp::request_access(a(k), spec)
         }
@@ -2130,6 +2122,99 @@ mod tests {
             let d = refuse(&[create_root()], &TxnOp::Abort { tid: a(7) }, 12);
             assert_eq!(d.action, "end of trace");
             assert!(why(&d).contains("ABORT(T0.7) precondition fails"), "{d}");
+        }
+
+        /// A valid read-then-write run over Majority(3): the read-TM is
+        /// events 0–4 (`REQUEST-COMMIT` at 3), the write-TM 5–11
+        /// (`REQUEST-COMMIT` at 10).
+        fn read_first_trace() -> ScheduleTrace {
+            let (r, w) = (tid(0), tid(1));
+            let read = |t, site| {
+                let (vn, value) = (0, 0);
+                ev(t, TraceAction::ReadDm { site, vn, value })
+            };
+            let install = |site| {
+                let (vn, value) = (1, 7);
+                ev(w, TraceAction::WriteDm { site, vn, value })
+            };
+            let mut t = ScheduleTrace::new("majority(2/3)", 3, 0);
+            t.events = vec![
+                ev(r, TraceAction::Create { kind: TmKind::Read }),
+                read(r, 0),
+                read(r, 1),
+                ev(r, TraceAction::RequestCommit { vn: 0, value: 0 }),
+                ev(r, TraceAction::Commit),
+                ev(
+                    w,
+                    TraceAction::Create {
+                        kind: TmKind::Write,
+                    },
+                ),
+                read(w, 1),
+                read(w, 2),
+                install(1),
+                install(2),
+                ev(w, TraceAction::RequestCommit { vn: 1, value: 7 }),
+                ev(w, TraceAction::Commit),
+            ];
+            t
+        }
+
+        /// The one pass against a system A whose object starts at
+        /// `initial + 1`: it refuses the read-TM's `REQUEST-COMMIT`, event
+        /// 3 of [`read_first_trace`], when that block closes. Returns the
+        /// verdict and the operations A performed.
+        fn check_against_a_wrong_object(
+            t: &ScheduleTrace,
+        ) -> (Result<ConformanceReport, Divergence>, Vec<(TxnOp, usize)>) {
+            let mut stepped = Vec::new();
+            let verdict = check_against(
+                t,
+                &Majority::new(3),
+                SystemA::new(t.initial + 1),
+                |op, src| stepped.push((op.clone(), src)),
+            );
+            (verdict, stepped)
+        }
+
+        #[test]
+        fn a_refusal_waits_for_the_scan_and_a_later_structural_error_wins() {
+            let mut t = read_first_trace();
+            check_trace(&t, &Majority::new(3)).expect("conforms against the real A");
+            // Drop the write-TM's second install, six events after the
+            // event A refuses: {1} is not a majority write quorum.
+            t.events.remove(9);
+            let (verdict, stepped) = check_against_a_wrong_object(&t);
+            let d = verdict.unwrap_err();
+            assert_eq!(d.kind, DivergenceKind::NoWriteQuorum, "{d}");
+            assert_eq!(d.event, 9, "layer 1 reports at its own event: {d}");
+            assert_eq!(d.action, "c0.op1.a1: REQUEST-COMMIT(vn 1, value 7)");
+            assert_eq!(stepped.len(), 3, "A stopped at its refusal");
+
+            // So does an error only the end of the trace shows.
+            let mut t = read_first_trace();
+            t.events.truncate(10);
+            let d = check_against_a_wrong_object(&t).0.unwrap_err();
+            assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
+            assert_eq!((d.event, d.action.as_str()), (10, "end of trace"));
+        }
+
+        #[test]
+        fn on_a_clean_trace_the_remembered_refusal_is_the_verdict() {
+            let t = read_first_trace();
+            let (verdict, stepped) = check_against_a_wrong_object(&t);
+            let d = verdict.expect_err("the refusal must not be dropped");
+            assert_eq!(d.event, 3, "{d}");
+            assert_eq!(d.action, "c0.op0.a1: REQUEST-COMMIT(vn 0, value 0)");
+            assert_eq!(
+                why(&d),
+                "serial system A refused REQUEST-COMMIT(T0.0, 0): component 'O(x)' refused \
+                 operation REQUEST-COMMIT(T0.0, 0): O(x): read access T0.0 returns 0, data is 1"
+            );
+            // A performed α up to the refused operation and nothing after.
+            let (alpha, src) = project_trace(&t);
+            let collected: Vec<_> = alpha.into_vec().into_iter().zip(src).collect();
+            assert_eq!(stepped, collected[..3]);
         }
     }
 

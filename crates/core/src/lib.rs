@@ -61,8 +61,8 @@ pub mod theorem10;
 mod tm;
 
 pub use conformance::{
-    check_trace, project_trace, trace_from_schedule, AbortReason, ConformanceReport, Divergence,
-    DivergenceKind, ScheduleTrace, TmKind, TraceAction, TraceEvent, TraceTid,
+    check_trace, trace_from_schedule, AbortReason, ConformanceReport, Divergence, DivergenceKind,
+    ScheduleTrace, TmKind, TraceAction, TraceEvent, TraceTid,
 };
 pub use exhaustive::{verify_exhaustive, verify_exhaustive_with, ExhaustiveReport};
 pub use genspec::{random_spec, GenParams};

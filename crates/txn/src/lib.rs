@@ -68,6 +68,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod name_tree;
 mod object;
 mod op;
 mod program;

@@ -1,10 +1,10 @@
 //! Basic objects: read/write objects (paper §2.3).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
 
 use ioa::{Component, OpClass};
 
+use crate::name_tree::NameTree;
 use crate::op::{AccessKind, TxnOp};
 use crate::tid::Tid;
 use crate::value::{ObjectId, Value};
@@ -47,23 +47,17 @@ pub struct ReadWriteObject {
     init: Value,
     data: Value,
     active: Option<(Tid, AccessKind, Value)>,
-    created: BTreeSet<Tid>,
-    registry: BTreeMap<Tid, RegisteredAccess>,
+    /// Whether each name is an access created here, on the name tree.
+    created: NameTree<bool>,
+    /// The registered accesses, on the name tree.
+    registry: NameTree<Option<RegisteredAccess>>,
 }
 
 impl ReadWriteObject {
     /// An object whose accesses carry their attributes inline (system
     /// **B** style).
     pub fn new(id: ObjectId, label: impl Into<String>, init: Value) -> Self {
-        ReadWriteObject {
-            id,
-            label: label.into(),
-            data: init.clone(),
-            init,
-            active: None,
-            created: BTreeSet::new(),
-            registry: BTreeMap::new(),
-        }
+        Self::with_registry(id, label, init, [])
     }
 
     /// An object with a pre-registered access map (system **A** style).
@@ -71,16 +65,21 @@ impl ReadWriteObject {
         id: ObjectId,
         label: impl Into<String>,
         init: Value,
-        registry: BTreeMap<Tid, RegisteredAccess>,
+        registry: impl IntoIterator<Item = (Tid, RegisteredAccess)>,
     ) -> Self {
+        let mut by_name = NameTree::new();
+        for (tid, access) in registry {
+            let at = by_name.entry(tid.path());
+            by_name[at.slot] = Some(access);
+        }
         ReadWriteObject {
             id,
             label: label.into(),
             data: init.clone(),
             init,
             active: None,
-            created: BTreeSet::new(),
-            registry,
+            created: NameTree::new(),
+            registry: by_name,
         }
     }
 
@@ -99,9 +98,20 @@ impl ReadWriteObject {
         self.active.as_ref().map(|(t, _, _)| t)
     }
 
-    /// All accesses created at this object so far.
-    pub fn accesses_created(&self) -> &BTreeSet<Tid> {
-        &self.created
+    /// All accesses created at this object so far, in name order.
+    pub fn accesses_created(&self) -> Vec<Tid> {
+        let mut names = Vec::new();
+        self.created.walk(|path, _, &created| {
+            if created {
+                names.push(Tid::from_path(path));
+            }
+        });
+        names
+    }
+
+    /// `kind(T)` and `data(T)` as registered for the access named `tid`.
+    fn registered(&self, tid: &Tid) -> Option<&RegisteredAccess> {
+        self.registry.get(tid.path())?.as_ref()
     }
 
     /// `kind(T)` and `data(T)` of the access a `CREATE` wakes, if it is an
@@ -112,7 +122,7 @@ impl ReadWriteObject {
         if let Some(spec) = op.access() {
             return (spec.object == self.id).then_some((spec.kind, &spec.data));
         }
-        self.registry.get(op.tid()).map(|reg| {
+        self.registered(op.tid()).map(|reg| {
             let data = reg.data.as_ref().or(op.param()).unwrap_or(&NIL);
             (reg.kind, data)
         })
@@ -139,8 +149,8 @@ impl Component<TxnOp> for ReadWriteObject {
                 // registered to us. The active access is a created one
                 // and the usual asker, so it is checked first.
                 if self.active() == Some(tid)
-                    || self.created.contains(tid)
-                    || self.registry.contains_key(tid)
+                    || self.created.get(tid.path()) == Some(&true)
+                    || self.registered(tid).is_some()
                 {
                     OpClass::Output
                 } else {
@@ -154,7 +164,7 @@ impl Component<TxnOp> for ReadWriteObject {
     fn reset(&mut self) {
         self.data = self.init.clone();
         self.active = None;
-        self.created.clear();
+        self.created = NameTree::new();
     }
 
     fn enabled_outputs(&self) -> Vec<TxnOp> {
@@ -180,7 +190,8 @@ impl Component<TxnOp> for ReadWriteObject {
                     .ok_or_else(|| format!("{}: CREATE for foreign access {tid}", self.label))?;
                 // Postcondition: active := T.
                 self.active = Some((tid.clone(), kind, data));
-                self.created.insert(tid.clone());
+                let at = self.created.entry(tid.path());
+                self.created[at.slot] = true;
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
@@ -236,6 +247,8 @@ impl Component<TxnOp> for ReadWriteObject {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::op::AccessSpec;
 
@@ -397,5 +410,166 @@ mod tests {
         assert_eq!(x.data(), &Value::Int(0));
         assert!(x.active().is_none());
         assert!(x.accesses_created().is_empty());
+    }
+}
+
+/// The name-tree object against one that keeps `created` and the registry
+/// as ordered tables keyed by name, as §2.3 writes them.
+#[cfg(test)]
+mod differential {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::name_tree::testing::{wide_path, INDICES};
+    use crate::op::AccessSpec;
+
+    const ME: ObjectId = ObjectId(0);
+
+    /// §2.3's read-write object over a `BTreeSet<Tid>` of created accesses
+    /// and a `BTreeMap` registry.
+    #[derive(Clone, Debug, Default)]
+    struct SetObject {
+        data: Value,
+        active: Option<(Tid, AccessKind, Value)>,
+        created: BTreeSet<Tid>,
+        registry: BTreeMap<Tid, RegisteredAccess>,
+    }
+
+    impl SetObject {
+        fn resolve(&self, op: &TxnOp) -> Option<(AccessKind, Value)> {
+            if let Some(spec) = op.access() {
+                return (spec.object == ME).then(|| (spec.kind, spec.data.clone()));
+            }
+            let reg = self.registry.get(op.tid())?;
+            let data = reg.data.clone().or(op.param().cloned()).unwrap_or_default();
+            Some((reg.kind, data))
+        }
+
+        fn classify(&self, op: &TxnOp) -> OpClass {
+            let mine = match op {
+                TxnOp::Create { .. } => {
+                    return self
+                        .resolve(op)
+                        .map_or(OpClass::NotMine, |_| OpClass::Input)
+                }
+                TxnOp::RequestCommit { tid, .. } => {
+                    self.active.as_ref().is_some_and(|(t, ..)| t == tid)
+                        || self.created.contains(tid)
+                        || self.registry.contains_key(tid)
+                }
+                _ => false,
+            };
+            if mine {
+                OpClass::Output
+            } else {
+                OpClass::NotMine
+            }
+        }
+
+        fn apply(&mut self, op: &TxnOp) -> Result<(), ()> {
+            match op {
+                TxnOp::Create { tid, .. } => {
+                    let (kind, data) = self.resolve(op).ok_or(())?;
+                    self.active = Some((tid.clone(), kind, data));
+                    self.created.insert(tid.clone());
+                    Ok(())
+                }
+                TxnOp::RequestCommit { tid, value } => {
+                    let (_, kind, wdata) =
+                        self.active.clone().filter(|(t, ..)| t == tid).ok_or(())?;
+                    match kind {
+                        AccessKind::Read if *value == self.data => {}
+                        AccessKind::Write if value.is_nil() => self.data = wdata,
+                        _ => return Err(()),
+                    }
+                    self.active = None;
+                    Ok(())
+                }
+                _ => Err(()),
+            }
+        }
+    }
+
+    fn name(picks: &[usize]) -> Tid {
+        Tid::from_path(&wide_path(picks))
+    }
+
+    fn arbitrary_op(kind: u8, tid: Tid, v: u8) -> TxnOp {
+        let value = match v {
+            0 => Value::Nil,
+            v => Value::Int(i64::from(v)),
+        };
+        let create = |access: Option<AccessSpec>, param: Option<Value>| TxnOp::Create {
+            tid: tid.clone(),
+            access,
+            param,
+        };
+        match kind {
+            0 => create(Some(AccessSpec::read(ME)), None),
+            1 => create(Some(AccessSpec::write(ME, value)), None),
+            2 => create(Some(AccessSpec::read(ObjectId(5))), None),
+            3 => create(None, (v != 0).then_some(value)),
+            4 | 5 => TxnOp::RequestCommit { tid, value },
+            6 => TxnOp::request_create(tid),
+            _ => TxnOp::Abort { tid },
+        }
+    }
+
+    proptest! {
+        /// Accesses named from a tree of depth ≤ 4 over the child indices
+        /// `{0, 1, 2, 7, 1 000 000, u32::MAX}`, created in any order, with
+        /// inline attributes, registered ones, or neither; half the steps
+        /// let the active access answer.
+        #[test]
+        fn name_tree_object_agrees_with_the_ordered_tables(
+            registered in prop::collection::vec(
+                (prop::collection::vec(0usize..INDICES.len(), 0..5), 0u8..4),
+                0..6,
+            ),
+            steps in prop::collection::vec(
+                (0u8..4, 0u8..8, prop::collection::vec(0usize..INDICES.len(), 0..5), 0u8..3),
+                1..60,
+            ),
+        ) {
+            let registry: BTreeMap<Tid, RegisteredAccess> = registered
+                .iter()
+                .map(|(path, how)| {
+                    let kind = if how % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
+                    let data = (*how == 3).then_some(Value::Int(40));
+                    (name(path), RegisteredAccess { kind, data })
+                })
+                .collect();
+            let mut fast =
+                ReadWriteObject::with_registry(ME, "x", Value::Int(0), registry.clone());
+            let mut slow = SetObject { data: Value::Int(0), registry, ..SetObject::default() };
+            for (pick, kind, path, v) in steps {
+                let enabled = fast.enabled_outputs();
+                let op = match enabled.first() {
+                    Some(answer) if pick < 2 => answer.clone(),
+                    _ => arbitrary_op(kind, name(&path), v),
+                };
+                prop_assert_eq!(fast.classify(&op), slow.classify(&op), "classify({:?})", &op);
+                prop_assert_eq!(fast.apply(&op).is_ok(), slow.apply(&op).is_ok(), "apply({:?})", &op);
+                prop_assert_eq!(fast.data(), &slow.data, "after {:?}", &op);
+                prop_assert_eq!(fast.active(), slow.active.as_ref().map(|(t, ..)| t));
+                let created: Vec<Tid> = slow.created.iter().cloned().collect();
+                prop_assert_eq!(fast.accesses_created(), created, "after {:?}", &op);
+                // The generated name, whether or not the step used it.
+                let probe = TxnOp::RequestCommit { tid: name(&path), value: Value::Nil };
+                prop_assert_eq!(fast.classify(&probe), slow.classify(&probe), "{:?}", &probe);
+            }
+            // A copy is independent of the original, and a reset forgets the
+            // created accesses but not the registry.
+            let copy = fast.clone_boxed();
+            fast.reset();
+            prop_assert!(fast.accesses_created().is_empty());
+            prop_assert_eq!(copy.enabled_outputs().len(), usize::from(slow.active.is_some()));
+            for tid in slow.registry.keys() {
+                let probe = TxnOp::RequestCommit { tid: tid.clone(), value: Value::Nil };
+                prop_assert_eq!(fast.classify(&probe), OpClass::Output);
+            }
+        }
     }
 }

@@ -20,7 +20,8 @@ echo "==> cargo test (PROPTEST_CASES=$PROPTEST_CASES)"
 # observability / reconfiguration / placement / causal / nested-transaction
 # suites, the Theorem 10 oracle suites (scheduler::differential,
 # oracle_alloc) and the protocol core's own property test all run here, at
-# the property-test budget above. Nothing below repeats them.
+# the property-test budget above. Only the two legs below that say "1024
+# cases" run a suite again, at four times that budget.
 cargo test -q
 
 echo "==> no wall clock under crates/bench/src"
@@ -105,21 +106,31 @@ echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # The calendar queue against the heap oracle on arbitrary scripts and on the
 # shapes the three drivers produce, pop for pop; and the deterministic bound
 # on the calendar's own work (geometry changes, buckets skipped, elements
-# moved) over those shapes — the one suite run twice, the second time at
-# four times the budget. The determinism, shard_determinism and golden
+# moved) over those shapes — run a second time here, at four times the
+# budget. The determinism, shard_determinism and golden
 # suites above assert their pinned values under both queues in-process.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test queue_props
+
+echo "==> system A differentials (scheduler and object vs ordered tables, 1024 cases)"
+# The serial scheduler against the paper's literal six sets and the
+# read/write object against a BTreeSet of created accesses, step for step,
+# over names whose child indices are sparse, huge and out of order — what
+# the name tree under both must get right, at four times the budget.
+PROPTEST_CASES=1024 cargo test -q -p nested-txn --lib differential
 
 echo "==> benchmark crate builds and runs (benchmark/ is outside the workspace)"
 # benchmark/ has its own manifest, so a signature change to anything it
 # calls (LockTable::rescan, WorkloadKind::program, run_txn_committed, ...)
-# is invisible to the workspace build above. The two short runs are the
+# is invisible to the workspace build above. The three short runs are the
 # smoke: each re-checks its oracles (lemma violations 0, report digest equal
 # under the heap queue and the other thread count; the nested one also the
-# Theorem 11 commit-order replay) and exits non-zero if one fails.
+# Theorem 11 commit-order replay; the checked one `check_trace` inside every
+# rep, its committed count equal to the report's) and exits non-zero if one
+# fails.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --bins
 benchmark/run.sh --workload sharded_zipf_elastic --seed 23 --seconds 3 --trace 0 > /dev/null
 benchmark/run.sh --workload txn_banking_t11 --seed 23 --seconds 3 --trace 0 > /dev/null
+benchmark/run.sh --workload single_checked_t10 --seed 23 --seconds 3 --trace 0 > /dev/null
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
