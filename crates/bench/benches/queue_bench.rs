@@ -2,7 +2,7 @@
 //! queue (the simulators' default) against the binary-heap oracle.
 //!
 //! `queue_shape/<name>/{calendar,heap}` replays a script recorded from the
-//! drivers' own loop (`crates/sim/tests/queue_shapes`) — one pre-drawn
+//! drivers' own `pop_until` loop (`crates/sim/tests/queue_shapes`) — one pre-drawn
 //! script per shape, the identical operations through both queues, so a
 //! row pair differs in the queue and nothing else: `periodic` is the routed
 //! sharded driver's hot shard (12 500 heterogeneous periodic streams),
@@ -22,7 +22,7 @@
 //! * **wan-tail** — a 90/10 mix of 0.5–2 ms body and 100 ms–5 s tail,
 //!   modelling WAN retries and repair timers: events spread over a long
 //!   horizon, stressing bucket-day scanning and width adaptation.
-//! * **same-instant** — delays of 0/1 µs, the batched-delivery flood case
+//! * **same-instant** — delays of 0/1 µs, the same-instant flood case
 //!   ordered almost entirely by `seq`.
 //!
 //! This bench is the interactive view; the gated measurement of the same

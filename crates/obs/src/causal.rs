@@ -554,6 +554,15 @@ impl TxnTrace {
                     if !s.segs.is_empty() {
                         return Err(format!("span {i}: inner span with segs"));
                     }
+                    // With "parent before child" above, the critical-path
+                    // walk down `children` cannot cycle.
+                    let stray = s
+                        .children
+                        .iter()
+                        .find(|&&c| self.spans[c as usize].parent != i32u);
+                    if let Some(c) = stray {
+                        return Err(format!("span {i}: child {c} names another parent"));
+                    }
                 }
             }
             if s.start_us == NO_TIME {
@@ -579,7 +588,8 @@ impl TxnTrace {
                             seg.at_us
                         ));
                     }
-                    t += seg.dur_us;
+                    t = (t.checked_add(seg.dur_us))
+                        .ok_or_else(|| format!("span {i} seg {j}: overflows"))?;
                 }
                 match s.outcome {
                     SpanOutcome::Ok | SpanOutcome::Aborted => {
@@ -679,7 +689,8 @@ impl TxnTrace {
                     step.at_us
                 ));
             }
-            t += step.dur_us;
+            t = (t.checked_add(step.dur_us))
+                .ok_or_else(|| format!("critical path step {j}: overflows"))?;
         }
         if t != self.end_us {
             return Err(format!(
@@ -782,22 +793,37 @@ impl TxnTrace {
         if Jv::get_str(obj, "event") != Some("span_tree") {
             return Err("not a span_tree event".into());
         }
+        let id_u32 = |key: &str| -> Result<u32, String> {
+            let v = Jv::get_u64(obj, key).ok_or_else(|| format!("missing {key}"))?;
+            u32::try_from(v).map_err(|_| format!("{key} {v} out of range"))
+        };
         let id = TxnRef {
-            client: Jv::get_u64(obj, "client").ok_or("missing client")? as u32,
-            epoch: Jv::get_u64(obj, "epoch").ok_or("missing epoch")? as u32,
+            client: id_u32("client")?,
+            epoch: id_u32("epoch")?,
         };
         let mut trace = TxnTrace::new(
             id,
-            Jv::get_u64(obj, "shard").ok_or("missing shard")? as u32,
+            id_u32("shard")?,
             Jv::get_u64(obj, "start_us").ok_or("missing start_us")?,
         );
         trace.end_us = Jv::get_u64(obj, "end_us").ok_or("missing end_us")?;
         trace.committed = Jv::get_str(obj, "outcome") == Some("committed");
         trace.cause = Jv::get_str(obj, "cause").and_then(AbortCause::from_name);
-        trace.doomed = Jv::get_u64(obj, "doomed").map_or(NO_SPAN, |d| d as u32);
         let spans = Jv::get(obj, "spans")
             .and_then(Jv::as_arr)
             .ok_or("missing spans")?;
+        // Every index a line names must be one of its spans: `verify` and
+        // the queries index with them.
+        let span_index = |what: &str, v: u64| -> Result<u32, String> {
+            u32::try_from(v)
+                .ok()
+                .filter(|&i| (i as usize) < spans.len())
+                .ok_or_else(|| format!("{what} {v} is not one of the {} spans", spans.len()))
+        };
+        trace.doomed = match Jv::get_u64(obj, "doomed") {
+            Some(d) => span_index("doomed span", d)?,
+            None => NO_SPAN,
+        };
         for sv in spans {
             let so = sv.as_obj().ok_or("span is not an object")?;
             let kind = match Jv::get_str(so, "kind") {
@@ -809,10 +835,11 @@ impl TxnTrace {
                 },
                 _ => return Err("bad span kind".into()),
             };
-            let mut span = Span::new(
-                Jv::get_u64(so, "parent").map_or(NO_SPAN, |p| p as u32),
-                kind,
-            );
+            let parent = match Jv::get_u64(so, "parent") {
+                Some(p) => span_index("parent", p)?,
+                None => NO_SPAN,
+            };
+            let mut span = Span::new(parent, kind);
             span.start_us = Jv::get_u64(so, "start_us").unwrap_or(NO_TIME);
             span.end_us = Jv::get_u64(so, "end_us").unwrap_or(NO_TIME);
             span.outcome = Jv::get_str(so, "outcome")
@@ -823,10 +850,13 @@ impl TxnTrace {
                 for gv in segs {
                     let go = gv.as_obj().ok_or("seg is not an object")?;
                     let blocker = match Jv::get(go, "blocker") {
-                        Some(Jv::Arr(pair)) if pair.len() == 2 => Some(TxnRef {
-                            client: pair[0].as_u64().ok_or("bad blocker")? as u32,
-                            epoch: pair[1].as_u64().ok_or("bad blocker")? as u32,
-                        }),
+                        Some(Jv::Arr(pair)) if pair.len() == 2 => {
+                            let half = |v: &Jv| v.as_u64().and_then(|v| u32::try_from(v).ok());
+                            Some(TxnRef {
+                                client: half(&pair[0]).ok_or("bad blocker")?,
+                                epoch: half(&pair[1]).ok_or("bad blocker")?,
+                            })
+                        }
                         _ => None,
                     };
                     span.segs.push(Seg {
@@ -841,7 +871,8 @@ impl TxnTrace {
             }
             if let Some(children) = Jv::get(so, "children").and_then(Jv::as_arr) {
                 for c in children {
-                    span.children.push(c.as_u64().ok_or("bad child index")? as u32);
+                    let c = c.as_u64().ok_or("bad child index")?;
+                    span.children.push(span_index("child", c)?);
                 }
             }
             trace.spans.push(span);
@@ -1544,6 +1575,35 @@ mod tests {
             "{\"at_us\":1,\"shard\":0,\"event\":\"fault\",\"desc\":\"x\"}"
         )
         .is_err());
+        // Child, doomed and parent indices past the span list.
+        let head = "{\"at_us\":10,\"shard\":0,\"event\":\"span_tree\",\"client\":0,\"epoch\":0,\
+                    \"start_us\":0,\"end_us\":10,";
+        for tail in [
+            "\"outcome\":\"committed\",\"cause\":null,\"doomed\":null,\"spans\":[{\"parent\":null,\
+             \"kind\":\"seq\",\"start_us\":0,\"end_us\":10,\"outcome\":\"ok\",\"children\":[7]}]}",
+            "\"outcome\":\"aborted\",\"cause\":\"lock_timeout\",\"doomed\":9,\"spans\":[{\"parent\":\
+             null,\"kind\":\"seq\",\"start_us\":0,\"end_us\":10,\"outcome\":\"aborted\"}]}",
+            "\"outcome\":\"committed\",\"cause\":null,\"doomed\":null,\"spans\":[{\"parent\":null,\
+             \"kind\":\"seq\",\"start_us\":0,\"end_us\":10,\"outcome\":\"ok\",\"children\":[1]},\
+             {\"parent\":5,\"kind\":\"seq\",\"start_us\":0,\"end_us\":10,\"outcome\":\"ok\"}]}",
+        ] {
+            let line = format!("{head}{tail}");
+            assert!(TxnTrace::parse_json_line(&line).is_err(), "{line}");
+        }
+        // Ids past 32 bits are refused, not truncated.
+        let wide = head.replace("\"client\":0", "\"client\":4294967296");
+        let line = format!("{wide}\"outcome\":\"committed\",\"doomed\":null,\"spans\":[]}}");
+        let err = TxnTrace::parse_json_line(&line).unwrap_err();
+        assert!(err.contains("client"), "{err}");
+        // A child that names another parent would send the critical-path
+        // walk round a cycle.
+        let cycle = format!(
+            "{head}\"outcome\":\"committed\",\"cause\":null,\"doomed\":null,\"spans\":[{{\
+             \"parent\":null,\"kind\":\"seq\",\"start_us\":0,\"end_us\":10,\"outcome\":\"ok\",\
+             \"children\":[0]}}]}}"
+        );
+        let t = TxnTrace::parse_json_line(&cycle).expect("indices in range");
+        assert!(t.verify().is_err());
     }
 
     #[test]

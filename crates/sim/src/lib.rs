@@ -53,7 +53,7 @@ pub use arena::DmArena;
 pub use faults::{message_dropped, FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 pub use latency::{sample_exponential, LatencyModel};
 pub use metrics::{CommitRecord, Metrics, OpStats, OpSummary, MAX_RECORDED_VIOLATIONS};
-pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueImpl, QueueKind};
+pub use queue::{CalendarQueue, EventQueue, HeapQueue, QueueKind};
 pub use par::{default_threads, par_map, run_batch};
 pub use placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,

@@ -13,7 +13,7 @@
 //! the lemma monitor, the per-operation bookkeeping — is
 //! [`crate::protocol`]'s, the same code the single-item driver runs with
 //! one item. What is here is what only this driver has: [`MultiConfig`],
-//! the event enum and loop, item choice and the closed / open / routed
+//! the event enum and its dispatch, item choice and the closed / open / routed
 //! workloads, stable item slots and `walk`, migration and the elastic
 //! barriers, and the merge of per-shard results.
 //!
@@ -61,9 +61,12 @@
 //!
 //! # Hot path
 //!
-//! Each shard's event loop runs on the same machinery as the single-item
-//! driver: the calendar [`EventQueue`] (heap oracle under
-//! `queue = QueueKind::Heap`) with batched same-instant delivery, the SoA
+//! Each shard's event loop is the single-item driver's: `pop_until(limit)`
+//! on the calendar queue (heap oracle under `queue = QueueKind::Heap`),
+//! the limit being the run's end or, under elastic placement, the next
+//! barrier. At a barrier the queue answers `None` without taking the event
+//! past it and accepts the migrations' pushes from the barrier on, so
+//! parking a shard only moves its clock. Around it: the SoA
 //! [`DmArena`](crate::DmArena) (`item slot·n + site`), the interned
 //! `OpSlab`, the `u128` live-site bitset, and the reused phase response
 //! buffer — no hashing, no per-operation allocation, no `Arc` traffic per
@@ -88,7 +91,7 @@ use crate::placement::{
 use crate::protocol::{
     validate, Clients, Cluster, ClusterSpec, ContactPolicy, ItemExport, OpId, ReconfigPolicy, Then,
 };
-use crate::queue::{EventQueue, QueueImpl, QueueKind};
+use crate::queue::{Events, QueueKind};
 use crate::slab::PendingOp;
 use crate::time::SimTime;
 
@@ -430,14 +433,13 @@ pub fn cum_weight_table(global_items: &[usize], dist: ItemDist) -> (Vec<f64>, f6
 enum Event {
     OpStart { client: usize },
     PlanFault { idx: usize },
-    /// Retry of a parked operation. The low 32 bits of `key` are the
-    /// shard-local client index in client-paced modes and the **global**
-    /// item id under [`Workload::Routed`]; the high 32 bits carry the
-    /// coordinator's retry epoch at scheduling time. A migration aborts
-    /// the in-flight op and bumps the epoch, so a retry queued before the
-    /// barrier tombstones instead of prodding whatever op parks there
-    /// next.
-    Retry { key: usize },
+    /// Retry of a parked operation. `coord` is the shard-local client
+    /// index in client-paced modes and the **global** item id under
+    /// [`Workload::Routed`]; `epoch` is the coordinator's retry epoch at
+    /// scheduling time. A migration aborts the in-flight op and bumps the
+    /// epoch, so a retry queued before the barrier tombstones instead of
+    /// prodding whatever op parks there next.
+    Retry { coord: u32, epoch: u32 },
     SpyCheck,
     /// A routed arrival for global item `item`. Arrivals for items this
     /// shard no longer owns are tombstones (the new owner re-derives the
@@ -445,31 +447,8 @@ enum Event {
     Arrival { item: usize },
 }
 
-// `(time, seq)` alone orders queue entries, so the payload needs no `Ord`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EventBox(u8, usize);
-
-impl EventBox {
-    fn pack(e: Event) -> Self {
-        match e {
-            Event::OpStart { client } => EventBox(0, client),
-            Event::PlanFault { idx } => EventBox(1, idx),
-            Event::Retry { key } => EventBox(2, key),
-            Event::SpyCheck => EventBox(3, 0),
-            Event::Arrival { item } => EventBox(4, item),
-        }
-    }
-
-    fn unpack(self) -> Event {
-        match self.0 {
-            0 => Event::OpStart { client: self.1 },
-            1 => Event::PlanFault { idx: self.1 },
-            2 => Event::Retry { key: self.1 },
-            3 => Event::SpyCheck,
-            _ => Event::Arrival { item: self.1 },
-        }
-    }
-}
+// The queue stores events as they are: keep them two words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// What one shard hands back to the merge step.
 struct ShardOutcome {
@@ -506,8 +485,7 @@ struct ShardSim<'a> {
     config: &'a MultiConfig,
     /// Global client id of this shard's first client.
     client_base: usize,
-    queue: QueueImpl<EventBox>,
-    seq: u64,
+    events: Events<Event>,
     /// The sites and this shard's items, one cluster slot per item slot.
     cluster: Cluster,
     /// The coordinators' operations: one coordinator per client in
@@ -633,8 +611,7 @@ impl<'a> ShardSim<'a> {
         let mut sim = ShardSim {
             config,
             client_base,
-            queue: QueueImpl::new(config.queue),
-            seq: 0,
+            events: Events::new(config.queue),
             cluster,
             ops: Clients::new(coords, &config.obs, config.retry, shard as u32),
             client_cfg: vec![(0, ReplicaSet::full(n)); if routed { slots } else { slots * cps }],
@@ -682,14 +659,13 @@ impl<'a> ShardSim<'a> {
     }
 
     fn schedule(&mut self, delay: SimTime, e: Event) {
-        self.seq += 1;
-        self.queue.push(self.cluster.now + delay, self.seq, EventBox::pack(e));
+        self.events.push(self.cluster.now + delay, e);
     }
 
-    fn dispatch(&mut self, e: EventBox) {
-        match e.unpack() {
+    fn dispatch(&mut self, e: Event) {
+        match e {
             Event::OpStart { client } => self.handle_op(client),
-            Event::Retry { key } => self.handle_retry(key),
+            Event::Retry { coord, epoch } => self.handle_retry(coord as usize, epoch),
             Event::PlanFault { idx } => {
                 // A scripted reconfiguration applies to every item; shards
                 // execute it for the items they own, in item order.
@@ -730,19 +706,17 @@ impl<'a> ShardSim<'a> {
         self.ops.run_reconfigure(&mut self.cluster, slot, global, tm_op, target, scripted, allow_same)
     }
 
-    /// A queued retry fires. Unpack the `(coordinate, epoch)` key; a
-    /// stale epoch — or, under Routed, an item that migrated away —
-    /// tombstones (the op it named was aborted at a barrier).
-    fn handle_retry(&mut self, packed: usize) {
-        let key = packed & 0xFFFF_FFFF;
-        let epoch = (packed >> 32) as u32;
+    /// A queued retry of coordinate `coord` fires; a stale epoch — or,
+    /// under Routed, an item that migrated away — tombstones (the op it
+    /// named was aborted at a barrier).
+    fn handle_retry(&mut self, coord: usize, epoch: u32) {
         let slot = if self.routed {
-            match self.slot_of[key] {
+            match self.slot_of[coord] {
                 NO_SLOT => return,
                 slot => slot as usize,
             }
         } else {
-            key
+            coord
         };
         if self.retry_epoch[slot] != epoch {
             return;
@@ -750,25 +724,14 @@ impl<'a> ShardSim<'a> {
         self.attempt_op(slot);
     }
 
-    /// Advance the event loop through every event at `t ≤ limit` (events
-    /// at exactly `limit` fire). The first event past the limit is
-    /// re-pushed under its original `(time, seq)`, so resuming the loop
-    /// preserves the total order exactly.
+    /// Fire every event at `t ≤ limit` (events at exactly `limit` fire),
+    /// in `(time, seq)` order; the queue keeps everything later.
     fn run_to(&mut self, limit: SimTime) {
-        while let Some((t, seq, e)) = self.queue.pop() {
-            if t > limit {
-                self.queue.push(t, seq, e);
-                break;
-            }
+        while let Some((t, e)) = self.events.pop_until(limit) {
             // Snapshot boundaries fire before the event at `t`.
             self.ops.fire_snapshots_through(t);
             self.cluster.now = t;
             self.dispatch(e);
-            // Batched delivery: drain every remaining event at `t` in
-            // `(time, seq)` order before re-entering the full dequeue path.
-            while let Some((_, e)) = self.queue.pop_at(t) {
-                self.dispatch(e);
-            }
         }
     }
 
@@ -779,16 +742,11 @@ impl<'a> ShardSim<'a> {
     fn sync_to(&mut self, t: SimTime) {
         self.ops.fire_snapshots_through(t);
         self.cluster.now = t;
-        // `run_to` peeked one event past the barrier, advancing the
-        // calendar queue's scan cursor beyond `t`; migrations arriving at
-        // this barrier schedule events from `t + 1`, so re-open the
-        // window (every event ≤ `t` has already been drained).
-        self.queue.rewind(t);
     }
 
     /// Pending-event count (the queue-depth load signal at a barrier).
     fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.events.len()
     }
 
     /// The commit load signal at a barrier, in one pass over the slots:
@@ -888,15 +846,6 @@ impl<'a> ShardSim<'a> {
     fn op_id(&self, key: usize, item: usize) -> OpId {
         let coord = if self.routed { self.slot_global[key] } else { self.client_base + key };
         OpId { coord, item: Some(self.slot_global[item]) }
-    }
-
-    /// The packed key a queued [`Event::Retry`] carries for coordinator
-    /// `key`: the coordinate (global item id under Routed) in the low 32
-    /// bits, the coordinator's current retry epoch in the high 32.
-    #[inline]
-    fn retry_key(&self, key: usize) -> usize {
-        let coord = if self.routed { self.slot_global[key] } else { key };
-        coord | ((self.retry_epoch[key] as usize) << 32)
     }
 
     /// Index into `client_cfg` of coordinator `key`'s cached configuration
@@ -1021,7 +970,11 @@ impl<'a> ShardSim<'a> {
         let cache = self.config.reconfig.enabled.then(|| &mut self.client_cfg[idx]);
         match self.ops.run_attempt(&mut self.cluster, key, id, op, cache) {
             Then::Retry { delay } => {
-                self.schedule(delay, Event::Retry { key: self.retry_key(key) });
+                // The coordinate a retry names survives a migration: the
+                // global item id under Routed.
+                let coord = if self.routed { self.slot_global[key] } else { key };
+                let epoch = self.retry_epoch[key];
+                self.schedule(delay, Event::Retry { coord: coord as u32, epoch });
             }
             Then::Next { after, floor, commit } => {
                 if commit.is_some() {

@@ -16,16 +16,16 @@
 //! reconfiguration, the lemma monitor, and the per-operation bookkeeping —
 //! lives in [`crate::protocol`] (see its docs for the fidelity notes). What
 //! is here is what only this driver has: [`SimConfig`], the event enum and
-//! loop, closed-loop pacing with think time, the per-client configuration
-//! cache, the commit history, and the exponential time-to-failure /
-//! time-to-repair process per site.
+//! its dispatch, closed-loop pacing with think time, the per-client
+//! configuration cache, the commit history, and the exponential
+//! time-to-failure / time-to-repair process per site.
 //!
 //! # Hot path
 //!
-//! The event loop runs on the [`EventQueue`] machinery of
-//! [`crate::queue`] (calendar queue by default, binary-heap oracle under
-//! `queue = QueueKind::Heap`), drains every same-instant event per
-//! clock advance, keeps per-op state in a pre-sized `OpSlab`, the DM
+//! The event loop is `pop_until(duration)` on [`crate::queue`]'s queue
+//! (calendar by default, the binary-heap oracle under
+//! `queue = QueueKind::Heap`), which owns the `(time, seq)` order and the
+//! push counter. Per-op state lives in a pre-sized `OpSlab`, the DM
 //! stores in the SoA [`DmArena`](crate::DmArena), and the live-site set as
 //! a `u128` bitset — the steady-state committed-op path allocates nothing
 //! (pinned by `tests/alloc_steady.rs`). All of it is observationally
@@ -47,7 +47,7 @@ use crate::metrics::{CommitRecord, Metrics};
 use crate::protocol::{
     validate, Clients, Cluster, ClusterSpec, ContactPolicy, OpId, ReconfigPolicy, Then, NO_CRASH,
 };
-use crate::queue::{EventQueue, QueueImpl, QueueKind};
+use crate::queue::{Events, QueueKind};
 use crate::slab::PendingOp;
 use crate::time::SimTime;
 
@@ -160,40 +160,13 @@ enum Event {
     SpyCheck,
 }
 
-// The queue stores a compact packed form; `(time, seq)` alone orders
-// events, so the payload needs no `Ord`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EventBox(u8, usize);
-
-impl EventBox {
-    fn pack(e: Event) -> Self {
-        match e {
-            Event::OpStart { client } => EventBox(0, client),
-            Event::SiteDown { site } => EventBox(1, site),
-            Event::SiteUp { site } => EventBox(2, site),
-            Event::PlanFault { idx } => EventBox(3, idx),
-            Event::Retry { client } => EventBox(4, client),
-            Event::SpyCheck => EventBox(5, 0),
-        }
-    }
-
-    fn unpack(self) -> Event {
-        match self.0 {
-            0 => Event::OpStart { client: self.1 },
-            1 => Event::SiteDown { site: self.1 },
-            2 => Event::SiteUp { site: self.1 },
-            3 => Event::PlanFault { idx: self.1 },
-            4 => Event::Retry { client: self.1 },
-            _ => Event::SpyCheck,
-        }
-    }
-}
+// The queue stores events as they are: keep them two words.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// The simulator state.
 pub struct Simulation {
     config: SimConfig,
-    queue: QueueImpl<EventBox>,
-    seq: u64,
+    events: Events<Event>,
     /// The sites and the one replicated item (slot 0, anonymous to
     /// observers: violation and event texts name no item).
     cluster: Cluster,
@@ -229,8 +202,7 @@ impl Simulation {
             slots: 1,
         });
         let mut sim = Simulation {
-            queue: QueueImpl::new(config.queue),
-            seq: 0,
+            events: Events::new(config.queue),
             cluster,
             ops: Clients::new(config.clients, &config.obs, config.retry, 0),
             op_counter: vec![0; config.clients],
@@ -260,8 +232,7 @@ impl Simulation {
     }
 
     fn schedule(&mut self, delay: SimTime, e: Event) {
-        self.seq += 1;
-        self.queue.push(self.cluster.now + delay, self.seq, EventBox::pack(e));
+        self.events.push(self.cluster.now + delay, e);
     }
 
     /// Run to completion, consuming the simulator and returning metrics.
@@ -296,8 +267,8 @@ impl Simulation {
         (self.ops.metrics, recorder.expect("attached above").finish())
     }
 
-    fn dispatch(&mut self, e: EventBox) {
-        match e.unpack() {
+    fn dispatch(&mut self, e: Event) {
+        match e {
             Event::OpStart { client } => self.handle_op(client),
             Event::Retry { client } => self.attempt_op(client),
             Event::PlanFault { idx } => {
@@ -353,23 +324,13 @@ impl Simulation {
     }
 
     fn drive(&mut self) {
-        while let Some((t, _, e)) = self.queue.pop() {
-            if t > self.config.duration {
-                break;
-            }
+        while let Some((t, e)) = self.events.pop_until(self.config.duration) {
             // Snapshot boundaries crossed by this clock advance fire
             // before the event at `t` executes, so a snapshot reflects
             // exactly the state at its boundary time.
             self.ops.fire_snapshots_through(t);
             self.cluster.now = t;
             self.dispatch(e);
-            // Batched delivery: drain every remaining event at `t` —
-            // including ones the handlers above schedule *at* `t` — before
-            // re-entering the full dequeue path. `pop_at` keeps the exact
-            // `(time, seq)` order, so this is pure amortization.
-            while let Some((_, e)) = self.queue.pop_at(t) {
-                self.dispatch(e);
-            }
         }
         // Boundaries between the last event and the end of the run.
         self.ops.fire_snapshots_through(self.config.duration);

@@ -1,5 +1,6 @@
 //! Property-based equivalence of the calendar event queue against the
 //! binary-heap oracle: under arbitrary interleaved push/pop sequences,
+//! `pop_until` limits that stop short of the queue's minimum,
 //! same-timestamp floods, load factors that force bucket resizes in both
 //! directions, and scripts shaped like the three drivers' own traffic
 //! (`queue_shapes`), the two implementations pop a bit-identical
@@ -41,7 +42,6 @@ fn check_equivalence(script: &[Op]) {
                 heap.push(SimTime(now.saturating_add(delay)), seq, seq as u32);
             }
             None => {
-                assert_eq!(cal.next_time(), heap.next_time());
                 let popped = heap.pop();
                 assert_eq!(cal.pop(), popped);
                 if let Some((t, _, _)) = popped {
@@ -126,49 +126,56 @@ proptest! {
         check_equivalence(&script);
     }
 
-    /// `pop_at` (the batched-delivery primitive) agrees between the two
-    /// implementations: after a pop at `t`, both drain the same residue at
-    /// `t` in the same order, even when new same-instant entries are
-    /// pushed mid-batch.
+    /// `pop_until` (the drivers' one dequeue) agrees between the two
+    /// implementations for ascending limits drawn inside and past the
+    /// queued times: both hand out the same entries up to each limit, in
+    /// the same order even when entries are pushed at or after the instant
+    /// just popped, then `None` — after which both take pushes from the
+    /// limit itself on.
     #[test]
-    fn pop_at_batches_match(
-        times in prop::collection::vec(0u64..16, 1..200),
-        extra in prop::collection::vec(0u64..16, 0..20),
+    fn pop_until_matches_heap_oracle(
+        times in prop::collection::vec(0u64..1_000, 1..200),
+        limits in prop::collection::vec(0u64..1_500, 1..20),
+        extra in prop::collection::vec(0u64..16, 0..100),
     ) {
         let mut cal: CalendarQueue<u32> = CalendarQueue::new();
         let mut heap: HeapQueue<u32> = HeapQueue::new();
         let mut seq = 0u64;
-        for &t in &times {
+        let mut push = |cal: &mut CalendarQueue<u32>, heap: &mut HeapQueue<u32>, t: u64| {
             seq += 1;
             cal.push(SimTime(t), seq, seq as u32);
             heap.push(SimTime(t), seq, seq as u32);
+        };
+        for &t in &times {
+            push(&mut cal, &mut heap, t);
         }
+        let mut limits = limits;
+        limits.sort_unstable();
         let mut extra = extra.into_iter();
-        while let Some(popped) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(popped));
-            let t = popped.0;
-            // Mid-batch same-instant pushes must surface in this batch,
-            // in seq order.
-            if let Some(dt) = extra.next() {
-                seq += 1;
-                cal.push(t + SimTime(dt), seq, seq as u32);
-                heap.push(t + SimTime(dt), seq, seq as u32);
-            }
+        for limit in limits {
             loop {
-                let a = cal.pop_at(t);
-                let b = heap.pop_at(t);
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+                let popped = heap.pop_until(SimTime(limit));
+                prop_assert_eq!(cal.pop_until(SimTime(limit)), popped);
+                let Some((t, _, _)) = popped else { break };
+                prop_assert!(t.as_micros() <= limit);
+                if let Some(dt) = extra.next() {
+                    push(&mut cal, &mut heap, t.as_micros() + dt);
                 }
             }
+            // The barrier's pushes: one at the limit, one just past it.
+            push(&mut cal, &mut heap, limit);
+            push(&mut cal, &mut heap, limit + 1);
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        while let Some(popped) = heap.pop() {
+            prop_assert_eq!(cal.pop(), Some(popped));
         }
         prop_assert_eq!(cal.pop(), None);
     }
 
     /// The drivers' traffic at a sixteenth of its size, phases and delays
     /// redrawn per case: heterogeneous periodic streams, a near/far bimodal
-    /// queue, a rate drift, a same-instant flood, barrier rewinds.
+    /// queue, a rate drift, a same-instant flood, elastic barriers.
     #[test]
     fn driver_shapes_match_heap_oracle(seed in 0u64..u64::MAX) {
         for shape in queue_shapes::all(seed, 16) {

@@ -4,9 +4,9 @@
 //! pop, and the calendar's work bound) and by `qc-bench`'s `queue_bench`
 //! (the paired `queue_shape/<name>/{calendar,heap}` rows).
 //!
-//! A script is recorded from the drivers' own loop — pop the minimum, drain
-//! its instant with `pop_at`, reschedule what fired — run over the heap
-//! oracle, so its pushes carry the times a real run would compute.
+//! A script is recorded from the drivers' own loop — `pop_until(limit)`,
+//! reschedule what fired — run over the heap oracle, so its pushes carry
+//! the times a real run would compute.
 
 // The bench replays three of the shapes and has no use for the bound's inputs.
 #![allow(dead_code)]
@@ -18,12 +18,8 @@ use qc_sim::{EventQueue, HeapQueue, SimTime};
 pub enum Op {
     /// `push(time, seq)`; the payload is `seq`.
     Push(u64, u64),
-    /// `pop()`.
-    Pop,
-    /// `pop_at(time)` — the last one of a batch finds nothing.
-    PopAt(u64),
-    /// `rewind(time)`.
-    Rewind(u64),
+    /// `pop_until(limit)`; `u64::MAX` is a plain `pop()`.
+    PopUntil(u64),
 }
 
 /// A named script with what the work bound needs to know about it.
@@ -39,12 +35,14 @@ pub struct Shape {
 /// Apply one operation; pops report what came out.
 pub fn apply<Q: EventQueue<u64>>(q: &mut Q, op: Op) -> Option<(u64, u64)> {
     match op {
-        Op::Push(t, seq) => q.push(SimTime(t), seq, seq),
-        Op::Pop => return q.pop().map(|(t, seq, _)| (t.as_micros(), seq)),
-        Op::PopAt(t) => return q.pop_at(SimTime(t)).map(|(seq, _)| (t, seq)),
-        Op::Rewind(t) => q.rewind(SimTime(t)),
+        Op::Push(t, seq) => {
+            q.push(SimTime(t), seq, seq);
+            None
+        }
+        Op::PopUntil(limit) => q
+            .pop_until(SimTime(limit))
+            .map(|(t, seq, _)| (t.as_micros(), seq)),
     }
-    None
 }
 
 /// Period of the routed driver's arrival stream for the item of zipf rank
@@ -84,36 +82,34 @@ impl Recorder {
 
     fn push(&mut self, t: u64, stream: u32) {
         self.seq += 1;
-        self.push_as(t, self.seq, stream);
-    }
-
-    fn push_as(&mut self, t: u64, seq: u64, stream: u32) {
-        self.heap.push(SimTime(t), seq, stream);
-        self.script.push(Op::Push(t, seq));
+        self.heap.push(SimTime(t), self.seq, stream);
+        self.script.push(Op::Push(t, self.seq));
         self.max_len = self.max_len.max(self.heap.len());
     }
 
     /// Run the loop for `pops` pops: each fired stream is rescheduled
     /// `delay(stream, draw)` later, or leaves on `None`.
-    fn run(&mut self, pops: usize, mut delay: impl FnMut(u32, u64) -> Option<u64>) {
-        let mut popped = 0;
-        while popped < pops {
-            let Some((t, _, mut stream)) = self.heap.pop() else {
+    fn run(&mut self, pops: usize, delay: impl FnMut(u32, u64) -> Option<u64>) {
+        self.run_until(u64::MAX, pops, delay);
+    }
+
+    /// [`run`](Self::run) with the driver's limit: stop early at the
+    /// `pop_until(limit)` that answers `None`.
+    fn run_until(
+        &mut self,
+        limit: u64,
+        pops: usize,
+        mut delay: impl FnMut(u32, u64) -> Option<u64>,
+    ) {
+        for _ in 0..pops {
+            self.script.push(Op::PopUntil(limit));
+            let Some((t, _, stream)) = self.heap.pop_until(SimTime(limit)) else {
                 return;
             };
-            self.script.push(Op::Pop);
             self.now = t.as_micros();
-            loop {
-                popped += 1;
-                let draw = self.draw();
-                if let Some(d) = delay(stream, draw) {
-                    self.push(self.now + d, stream);
-                }
-                self.script.push(Op::PopAt(self.now));
-                match self.heap.pop_at(t) {
-                    Some((_, s)) => stream = s,
-                    None => break,
-                }
+            let draw = self.draw();
+            if let Some(d) = delay(stream, draw) {
+                self.push(self.now + d, stream);
             }
         }
     }
@@ -205,28 +201,29 @@ pub fn flood(seed: u64, flood: u32, pops: usize) -> Shape {
     r.shape("flood", 2)
 }
 
-/// The elastic driver's barrier, `barriers` times over: `run_to` pops one
-/// event past the barrier, pushes it back under its own `(time, seq)`,
-/// `sync_to` rewinds to the barrier, and imported items' arrivals land
-/// from `barrier + 1`.
-pub fn rewind(seed: u64, barriers: u32, pops: usize) -> Shape {
+/// The elastic driver's barrier, `barriers` times over: the loop runs
+/// `pop_until(barrier)` until it answers `None`, and imported items'
+/// arrivals then land from `barrier + 1` — the first one at the barrier
+/// itself, the earliest push the queue must still take in order.
+pub fn barrier(seed: u64, barriers: u32, pops: usize) -> Shape {
     let mut r = Recorder::new(seed);
     periodic_streams(&mut r, 64);
     let mut streams = 64;
     for _ in 0..barriers {
         r.run(pops / barriers as usize, |g, _| Some(period(g)));
         let barrier = r.now;
-        let (t, seq, stream) = r.heap.pop().expect("periodic streams never drain");
-        r.script.push(Op::Pop);
-        r.push_as(t.as_micros(), seq, stream);
-        r.script.push(Op::Rewind(barrier));
+        r.run_until(barrier, usize::MAX, |g, _| Some(period(g)));
         for g in streams..streams + 8 {
-            let at = barrier + 1 + r.draw() % period(g);
+            let at = if g == streams {
+                barrier
+            } else {
+                barrier + 1 + r.draw() % period(g)
+            };
             r.push(at, g);
         }
         streams += 8;
     }
-    r.shape("rewind", 0)
+    r.shape("barrier", 0)
 }
 
 /// The five shapes at full size (`scale` = 1) or cut down by `scale`.
@@ -237,6 +234,6 @@ pub fn all(seed: u64, scale: usize) -> Vec<Shape> {
         bimodal(seed, scaled(60_000)),
         drift(seed, scaled(4_096) as u32, scaled(60_000)),
         flood(seed, scaled(4_096) as u32, scaled(24_000)),
-        rewind(seed, 8, scaled(32_000)),
+        barrier(seed, 8, scaled(32_000)),
     ]
 }

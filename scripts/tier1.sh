@@ -77,6 +77,22 @@ SLOWEST="$SCRATCH/exp_critpath.a/results/critpath_slowest.jsonl"
 "$BIN/qc-trace" "$GOLDEN" top 3 > /dev/null
 "$BIN/qc-trace" "$SLOWEST" profile > /dev/null
 "$BIN/qc-trace" "$SLOWEST" aborts > /dev/null
+# Malformed input is an error (status 1), never a panic (status 101): a
+# child index and a doomed-span index past the one-span list.
+TREE='"at_us":10,"shard":0,"event":"span_tree","client":0,"epoch":0,"start_us":0,"end_us":10'
+ROOT='"parent":null,"kind":"seq","start_us":0,"end_us":10'
+printf '%s\n' "{$TREE,\"outcome\":\"committed\",\"cause\":null,\"doomed\":null,\"spans\":[{$ROOT,\"outcome\":\"ok\",\"children\":[7]}]}" \
+  > "$SCRATCH/bad_child.jsonl"
+printf '%s\n' "{$TREE,\"outcome\":\"aborted\",\"cause\":\"lock_timeout\",\"doomed\":9,\"spans\":[{$ROOT,\"outcome\":\"aborted\"}]}" \
+  > "$SCRATCH/bad_doomed.jsonl"
+for bad in "$SCRATCH"/bad_child.jsonl "$SCRATCH"/bad_doomed.jsonl; do
+  status=0
+  "$BIN/qc-trace" "$bad" check 2> /dev/null || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "tier1: qc-trace exited $status on $bad, expected 1" >&2
+    exit 1
+  fi
+done
 
 echo "==> elastic rebalancing smoke (exp_rebalance --smoke)"
 # The binary asserts 1/2/4-thread x calendar/heap digest identity of the
@@ -131,6 +147,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml --bins
 benchmark/run.sh --workload sharded_zipf_elastic --seed 23 --seconds 3 --trace 0 > /dev/null
 benchmark/run.sh --workload txn_banking_t11 --seed 23 --seconds 3 --trace 0 > /dev/null
 benchmark/run.sh --workload single_checked_t10 --seed 23 --seconds 3 --trace 0 > /dev/null
+
+echo "==> perf records are well-formed (scripts/perf_record.py --check)"
+# Every results/perf/PR-*.json carries the five workloads x five end-to-end
+# metrics of BENCHMARK.json, a host block, the parent commit and its raw runs.
+python3 scripts/perf_record.py --check results/perf/PR-*.json
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
