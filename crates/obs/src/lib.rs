@@ -50,12 +50,53 @@ pub use span::{Phase, SpanRecorder, NUM_PHASES, PHASES};
 /// FNV-1a over raw bytes — the workspace's standard digest primitive
 /// (stable across platforms and Rust versions, unlike `DefaultHasher`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut sink = Fnv1a::new(FNV_PRIME);
+    sink.update(bytes);
+    sink.finish()
+}
+
+/// The 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a as a [`std::fmt::Write`] sink: `write!(sink, "{x:?}")` hashes
+/// exactly the bytes of `format!("{x:?}")` without building the string,
+/// so a digest over a rendering of millions of samples costs no memory.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a {
+    hash: u64,
+    prime: u64,
+}
+
+impl Fnv1a {
+    /// An empty digest (the FNV offset basis) that multiplies by `prime`:
+    /// [`FNV_PRIME`] for FNV-1a proper, another value only to reproduce a
+    /// digest pinned under it.
+    pub fn new(prime: u64) -> Self {
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            prime,
+        }
     }
-    hash
+
+    /// Fold `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(self.prime);
+        }
+    }
+
+    /// The digest of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// What a run should record. The default records nothing and adds no
@@ -178,6 +219,15 @@ mod tests {
         // Standard FNV-1a test vectors.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn fnv_sink_hashes_the_formatted_bytes() {
+        use std::fmt::Write;
+        let value = (vec![1u64, 20, 300], "x|y", Some(-4.5f64));
+        let mut sink = Fnv1a::new(FNV_PRIME);
+        write!(sink, "{value:?}|{}", 7).unwrap();
+        assert_eq!(sink.finish(), fnv1a(format!("{value:?}|{}", 7).as_bytes()));
     }
 
     #[test]

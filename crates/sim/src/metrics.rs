@@ -1,6 +1,8 @@
 //! Operation metrics and summaries.
 
-use qc_obs::Histogram;
+use std::fmt::{self, Write as _};
+
+use qc_obs::{Fnv1a, Histogram};
 use serde::Serialize;
 
 use crate::time::SimTime;
@@ -25,10 +27,13 @@ pub struct OpStats {
     /// Operations forcibly aborted by an injected fault.
     pub aborted: u64,
     latencies_us: Vec<u64>,
-    /// Log-bucketed success-latency histogram (µs). Kept alongside the
-    /// raw samples: the samples give exact percentiles for reports, the
-    /// histogram gives O(1)-memory live percentiles for snapshots plus
-    /// exact count/sum/min/max for the observability reconciliation.
+    /// Log-bucketed success-latency histogram (µs) over exactly the values
+    /// of `latencies_us` (`record_success` and `merge` write both). Exact
+    /// percentiles are *selected* through it: its bucket counts locate the
+    /// rank, and a counting pass over the samples narrows that bucket to
+    /// the value — no copy, no sort. It also gives O(1)-memory live
+    /// percentiles for snapshots, the exact sum behind the mean, and
+    /// count/sum/max for the observability reconciliation.
     hist: Histogram,
 }
 
@@ -76,23 +81,72 @@ impl OpStats {
         }
     }
 
-    /// Mean success latency in milliseconds.
+    /// Mean success latency in milliseconds, from the histogram's exact
+    /// sum (saturating at `u64::MAX` µs, which no run reaches).
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.latencies_us.is_empty() {
+        if self.hist.count() == 0 {
             return 0.0;
         }
-        self.latencies_us.iter().sum::<u64>() as f64 / self.latencies_us.len() as f64 / 1_000.0
+        self.hist.sum() as f64 / self.hist.count() as f64 / 1_000.0
     }
 
-    /// A latency percentile (0–100) in milliseconds.
+    /// A latency percentile (0–100) in milliseconds: the exact sample of
+    /// rank `round(p/100 · (n−1))` in sorted order (clamped to the sample
+    /// range), selected without copying or sorting the samples.
     pub fn percentile_ms(&self, p: f64) -> f64 {
-        if self.latencies_us.is_empty() {
+        let n = self.latencies_us.len();
+        if n == 0 {
             return 0.0;
         }
-        let mut v = self.latencies_us.clone();
-        v.sort_unstable();
-        let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
-        v[rank.min(v.len() - 1)] as f64 / 1_000.0
+        let rank = ((p / 100.0) * (n as f64 - 1.0)).round() as usize;
+        self.select(rank.min(n - 1) as u64) as f64 / 1_000.0
+    }
+
+    /// The sample of 0-based `rank` in sorted order. The histogram's
+    /// bucket counts locate the bucket `[lo, hi]` holding the rank; each
+    /// pass over the samples then counts the in-range values into at most
+    /// `2^SELECT_BITS` equal slots and narrows `[lo, hi]` to the slot
+    /// holding the rank. A bucket is under 0.8 % of its values wide, so
+    /// one pass suffices below `2^(SELECT_BITS + 7)` µs (≈ 8.4 s) and four
+    /// cover any `u64`.
+    fn select(&self, mut rank: u64) -> u64 {
+        const SELECT_BITS: u32 = 16;
+        debug_assert_eq!(self.hist.count(), self.latencies_us.len() as u64);
+        let (mut lo, mut hi) = (0, 0);
+        for (bucket_lo, bucket_hi, count) in self.hist.buckets() {
+            if rank < count {
+                (lo, hi) = (bucket_lo, bucket_hi);
+                break;
+            }
+            rank -= count;
+        }
+        let mut slots = Vec::new();
+        while lo < hi {
+            let span = hi - lo;
+            let shift = (u64::BITS - span.leading_zeros()).saturating_sub(SELECT_BITS);
+            slots.clear();
+            slots.resize((span >> shift) as usize + 1, 0u64);
+            for &x in &self.latencies_us {
+                let d = x.wrapping_sub(lo);
+                if d <= span {
+                    slots[(d >> shift) as usize] += 1;
+                }
+            }
+            let slot = slots
+                .iter()
+                .position(|&c| {
+                    if rank < c {
+                        return true;
+                    }
+                    rank -= c;
+                    false
+                })
+                .expect("the histogram and the samples hold the same values");
+            let offset = (slot as u64) << shift;
+            lo += offset;
+            hi = lo + (span - offset).min((1 << shift) - 1);
+        }
+        lo
     }
 
     /// Mean messages per attempted operation.
@@ -222,6 +276,17 @@ pub struct CommitRecord {
     pub value: u64,
 }
 
+/// The FNV-1a digest of what `render` writes, streamed — the rendering is
+/// never built. Shared by the report digests ([`Metrics::digest`],
+/// `ShardReport`, `TxnReport` and `PlacementReport`), which multiply by
+/// `0x1000_0000_01b3`, not the FNV prime `0x100_0000_01b3`: every pinned
+/// report digest depends on it.
+pub(crate) fn report_digest(render: impl FnOnce(&mut Fnv1a) -> fmt::Result) -> u64 {
+    let mut h = Fnv1a::new(0x1000_0000_01b3);
+    render(&mut h).expect("the FNV-1a sink accepts every write");
+    h.finish()
+}
+
 /// Number of lemma-violation descriptions retained verbatim in
 /// [`Metrics::violations`]; further violations only bump the counter.
 pub const MAX_RECORDED_VIOLATIONS: usize = 8;
@@ -312,16 +377,10 @@ impl Metrics {
     /// every latency sample). Two runs with equal digests committed the
     /// same operations with the same latencies — this is the value the
     /// cross-thread-count determinism suite and the shard-scaling smoke
-    /// pin.
+    /// pin. The rendering streams into the hash; it is never built.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let s = format!("{self:?}");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        report_digest(|h| write!(h, "{self:?}"))
     }
 
     /// Combined throughput in operations per simulated second.
@@ -360,6 +419,43 @@ mod tests {
         assert!(s.percentile_ms(50.0) <= s.percentile_ms(95.0));
         assert!(s.percentile_ms(95.0) <= s.percentile_ms(99.0));
         assert_eq!(s.percentile_ms(100.0), 100.0);
+    }
+
+    /// Reference for `percentile_ms`: sort a copy of the samples and index
+    /// it.
+    fn percentile_by_sort(s: &OpStats, p: f64) -> f64 {
+        let mut v = s.latencies_us.clone();
+        v.sort_unstable();
+        let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
+        v[rank.min(v.len() - 1)] as f64 / 1_000.0
+    }
+
+    #[test]
+    fn selection_equals_the_sort_of_a_copy() {
+        let mut s = OpStats::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..3_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Exact low buckets, millisecond latencies, one-pass and
+            // multi-pass wide buckets, and repeated values.
+            let v = match i % 5 {
+                0 => x % 100,
+                1 => 2_000 + x % 50_000,
+                2 => (1 << 22) + x % (1 << 30),
+                3 => u64::MAX / 2 - x % 1_000_000,
+                _ => 4_321,
+            };
+            s.record_success(SimTime(v), 1);
+        }
+        for p in [-1.0, 0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, 150.0, f64::NAN] {
+            assert_eq!(
+                s.percentile_ms(p).to_bits(),
+                percentile_by_sort(&s, p).to_bits(),
+                "p = {p}"
+            );
+        }
     }
 
     #[test]

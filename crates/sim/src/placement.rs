@@ -36,6 +36,9 @@
 //! but they live outside [`PlacementReport::digest`], which hashes the
 //! deterministic fields only.
 
+use std::fmt::Write as _;
+
+use crate::metrics::report_digest;
 use crate::time::SimTime;
 
 /// How the keyspace is laid out at simulated time zero.
@@ -342,27 +345,24 @@ impl PlacementReport {
     /// [`ShardReport::digest`]: crate::ShardReport::digest
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut s = String::new();
-        for e in &self.epochs {
-            s.push_str(&format!(
-                "{}|{:?}|{:?}|{}|{};",
-                e.at.as_micros(),
-                e.shard_commits,
-                e.queue_depths,
-                e.moves,
-                e.move_failures
-            ));
-        }
-        s.push_str(&format!(
-            "#{}|{}|{:?}",
-            self.migrations, self.migration_failures, self.final_counts
-        ));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        report_digest(|h| {
+            for e in &self.epochs {
+                write!(
+                    h,
+                    "{}|{:?}|{:?}|{}|{};",
+                    e.at.as_micros(),
+                    e.shard_commits,
+                    e.queue_depths,
+                    e.moves,
+                    e.move_failures
+                )?;
+            }
+            write!(
+                h,
+                "#{}|{}|{:?}",
+                self.migrations, self.migration_failures, self.final_counts
+            )
+        })
     }
 }
 

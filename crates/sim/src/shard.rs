@@ -72,6 +72,7 @@
 //! buffer — no hashing, no per-operation allocation, no `Arc` traffic per
 //! operation.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use quorum::{QuorumSpec, ReplicaSet};
@@ -82,7 +83,7 @@ use qc_replication::ScheduleTrace;
 
 use crate::faults::{FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
-use crate::metrics::Metrics;
+use crate::metrics::{report_digest, Metrics};
 use crate::par::par_map;
 use crate::placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
@@ -351,16 +352,13 @@ impl ShardReport {
     /// with the same latencies on the same items.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let s = format!(
-            "{:?}|{:?}|{:?}",
-            self.metrics, self.item_commits, self.item_vns
-        );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        report_digest(|h| {
+            write!(
+                h,
+                "{:?}|{:?}|{:?}",
+                self.metrics, self.item_commits, self.item_vns
+            )
+        })
     }
 }
 

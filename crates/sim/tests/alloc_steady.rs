@@ -13,12 +13,16 @@
 //! The first test compares total allocator calls between a short and a
 //! long run and bounds the delta by a small constant.
 //!
-//! The second pins the migration path's contract: a barrier that moves
+//! The second pins the report read's: exact p50 and p99 of both classes
+//! allocate the same bytes after a short and a long run — they select
+//! through the histogram instead of sorting a copy of the samples.
+//!
+//! The third pins the migration path's contract: a barrier that moves
 //! `k` items between shards allocates O(k) bytes, however many items the
 //! touched shards own — every per-item column lives in stable slots, so
 //! nothing but the moved items' state is copied.
 //!
-//! The third pins the nested-transaction driver's: a started transaction
+//! The fourth pins the nested-transaction driver's: a started transaction
 //! costs the allocator its generated `ProgramTree` and, if it commits, the
 //! one `ops` vector of its `CommittedTxn` — the flattened program, the
 //! per-node runtime table and lock grants live in buffers each client and
@@ -103,6 +107,32 @@ fn committed_op_path_allocates_sublinearly() {
         "hot path allocates per-op: {delta} extra allocator calls for \
          {} extra committed ops (short run {short_allocs}, long run {long_allocs})",
         long_ops - short_ops
+    );
+}
+
+/// Bytes allocated by a report read: p50 and p99 of both classes.
+fn report_read_bytes(m: &Metrics) -> u64 {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let read = [&m.reads, &m.writes].map(|s| (s.percentile_ms(50.0), s.percentile_ms(99.0)));
+    let after = ALLOC_BYTES.load(Ordering::Relaxed);
+    std::hint::black_box(read);
+    after - before
+}
+
+#[test]
+fn the_report_read_allocates_independently_of_run_length() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, short_m) = drive_counted(2, QueueKind::Calendar);
+    let (_, long_m) = drive_counted(12, QueueKind::Calendar);
+    let (short, long) = (report_read_bytes(&short_m), report_read_bytes(&long_m));
+    // Six times the samples: sorting a copy per percentile allocates
+    // ≈ 330 KiB more after the long run.
+    assert!(
+        long.abs_diff(short) <= 64 * 1024,
+        "the report read allocates {short} bytes after 2 s and {long} after 12 s \
+         ({} and {} samples)",
+        short_m.reads.successes + short_m.writes.successes,
+        long_m.reads.successes + long_m.writes.successes
     );
 }
 

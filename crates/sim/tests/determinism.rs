@@ -16,7 +16,8 @@ use qc_sim::{
 };
 use quorum::{Majority, Rowa};
 
-/// FNV-1a over the complete `Debug` rendering of the metrics.
+/// FNV-1a over the complete `Debug` rendering of the metrics, built as a
+/// string: the reference `Metrics::digest` streams the same bytes into.
 fn digest(m: &Metrics) -> u64 {
     let s = format!("{m:?}");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -44,11 +45,15 @@ fn fingerprint(m: &Metrics) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
 
 /// Run `config` once per event-queue implementation and hand each run to
 /// `pinned`: every value asserted in this file holds under both, in-process.
+/// The streamed `Metrics::digest` must equal the string-built reference on
+/// every run pinned here.
 fn for_each_queue(config: &SimConfig, pinned: impl Fn(Metrics)) {
     for queue in [QueueKind::Calendar, QueueKind::Heap] {
         let mut c = config.clone();
         c.queue = queue;
-        pinned(run(c));
+        let m = run(c);
+        assert_eq!(m.digest(), digest(&m));
+        pinned(m);
     }
 }
 

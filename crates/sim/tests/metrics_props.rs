@@ -15,10 +15,14 @@
 //!   statistical view (counters, availability, mean, percentiles over
 //!   the sample multiset, histogram rendering) is permutation-invariant.
 //!
+//! It also checks `OpStats::percentile_ms`, which selects through the
+//! histogram without copying or sorting, against sorting a copy of a list
+//! of latencies the test keeps itself.
+//!
 //! Case budget: `PROPTEST_CASES` (see `scripts/tier1.sh`), default 256.
 
 use proptest::prelude::*;
-use qc_sim::{Metrics, SimTime};
+use qc_sim::{Metrics, OpStats, SimTime};
 
 /// Raw material for one recorded operation:
 /// `(kind, read_flag, latency_us, messages)`.
@@ -82,7 +86,97 @@ fn ops_strategy() -> impl Strategy<Value = Vec<RawOp>> {
     prop::collection::vec((0u8..6, 0u8..2, 0u64..200_000, 0u64..40), 0..120)
 }
 
+/// The percentiles the selection is checked at, out-of-range and NaN
+/// included.
+const PERCENTILES: [f64; 9] = [-1.0, 0.0, 0.1, 50.0, 99.0, 99.9, 100.0, 150.0, f64::NAN];
+
+/// A latency of one of six shapes, chosen by `kind`: exact low buckets, a
+/// small pool of repeated values, millisecond latencies, values at or past
+/// `2^22` µs (wide buckets), values around `u64::MAX / 2` and arbitrary
+/// `u64`s (both reach the multi-pass narrowing).
+fn latency(kind: u8, raw: u64) -> u64 {
+    match kind {
+        0 => raw % 64,
+        1 => [0, 1, 63, 64, 127, 1_000, 4_321][(raw % 7) as usize],
+        2 => raw % 200_000,
+        3 => (1 << 22) + raw % (1 << 40),
+        4 => u64::MAX / 2 - (1 << 23) + raw % (1 << 24),
+        _ => raw,
+    }
+}
+
+fn latencies_strategy() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec((0u8..6, 0u64..=u64::MAX), 0..300)
+        .prop_map(|raw| raw.into_iter().map(|(k, r)| latency(k, r)).collect())
+}
+
+/// The percentile `OpStats::percentile_ms` selects, computed the
+/// straightforward way: sort a copy of the samples and index it.
+fn sorted_percentile(samples: &[u64], p: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut v = samples.to_vec();
+    v.sort_unstable();
+    let rank = ((p / 100.0) * (v.len() as f64 - 1.0)).round() as usize;
+    v[rank.min(v.len() - 1)] as f64 / 1_000.0
+}
+
+fn recorded(samples: &[u64]) -> OpStats {
+    let mut s = OpStats::default();
+    for &v in samples {
+        s.record_success(SimTime(v), 1);
+    }
+    s
+}
+
+/// `percentile_ms` of `stats` equals the sort of `samples` at every checked
+/// percentile, bit for bit.
+fn check_percentiles(stats: &OpStats, samples: &[u64]) -> Result<(), TestCaseError> {
+    for p in PERCENTILES {
+        prop_assert_eq!(
+            stats.percentile_ms(p).to_bits(),
+            sorted_percentile(samples, p).to_bits(),
+            "p = {}",
+            p
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    /// The selected percentile is the sort's, bit for bit, over any mix of
+    /// latencies — recorded directly, and merged from shards cut at an
+    /// arbitrary list of positions.
+    #[test]
+    fn percentile_equals_the_sort_of_the_samples(
+        samples in latencies_strategy(),
+        cuts in prop::collection::vec(0usize..300, 0..6),
+    ) {
+        check_percentiles(&recorded(&samples), &samples)?;
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (samples.len() + 1)).collect();
+        bounds.push(0);
+        bounds.push(samples.len());
+        bounds.sort_unstable();
+        let mut merged = OpStats::default();
+        for w in bounds.windows(2) {
+            merged.merge(&recorded(&samples[w[0]..w[1]]));
+        }
+        check_percentiles(&merged, &samples)?;
+    }
+
+    /// One sample, or many equal ones: every percentile is that value.
+    #[test]
+    fn percentile_of_equal_samples_is_the_value(
+        kind in 0u8..6,
+        raw in 0u64..=u64::MAX,
+        n in 1usize..200,
+    ) {
+        let samples = vec![latency(kind, raw); n];
+        check_percentiles(&recorded(&samples), &samples)?;
+        check_percentiles(&recorded(&samples[..1]), &samples[..1])?;
+    }
+
     /// Splitting one operation stream into shards at an arbitrary cut
     /// list and merging the per-shard metrics yields the same statistics
     /// as recording everything into a single `Metrics`.

@@ -127,6 +127,12 @@ echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # suites above assert their pinned values under both queues in-process.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test queue_props
 
+echo "==> metric suites (metrics_props at 1024 cases)"
+# Exact percentiles selected through the histogram against sorting a copy
+# of the samples — duplicates, wide and multi-pass buckets, shard merges —
+# and the merge's split invariance, commutativity and associativity.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test metrics_props
+
 echo "==> system A differentials (scheduler and object vs ordered tables, 1024 cases)"
 # The serial scheduler against the paper's literal six sets and the
 # read/write object against a BTreeSet of created accesses, step for step,
