@@ -1550,16 +1550,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        for t in [sample(), {
-            let mut a = TxnTrace::new(TxnRef { client: 0, epoch: 0 }, 2, 50);
-            let root = a.add_span(NO_SPAN, SpanKind::Access { item: 9, write: true });
-            a.start_span(root, 50);
-            a.push_seg(root, EdgeKind::ReadGather, 50, 10, None);
-            a.push_seg(root, EdgeKind::Fence, 60, 40, None);
-            a.abort_span(root, 100, AbortCause::Fence);
-            a.seal(100, false, root, Some(AbortCause::Fence));
-            a
-        }] {
+        for t in [sample(), fenced()] {
             let line = t.to_json_line();
             let back = TxnTrace::parse_json_line(&line).unwrap();
             assert_eq!(back, t);
@@ -1604,6 +1595,71 @@ mod tests {
         );
         let t = TxnTrace::parse_json_line(&cycle).expect("indices in range");
         assert!(t.verify().is_err());
+    }
+
+    /// The fenced access of `json_round_trip`: one span, a gather and a
+    /// fence segment, aborted.
+    fn fenced() -> TxnTrace {
+        let mut a = TxnTrace::new(TxnRef { client: 0, epoch: 0 }, 2, 50);
+        let root = a.add_span(NO_SPAN, SpanKind::Access { item: 9, write: true });
+        a.start_span(root, 50);
+        a.push_seg(root, EdgeKind::ReadGather, 50, 10, None);
+        a.push_seg(root, EdgeKind::Fence, 60, 40, None);
+        a.abort_span(root, 100, AbortCause::Fence);
+        a.seal(100, false, root, Some(AbortCause::Fence));
+        a
+    }
+
+    /// Digit runs at and past the edges of the integer types the parser
+    /// narrows to.
+    const WIDE: &[&str] = &[
+        "18446744073709551615",
+        "18446744073709551614",
+        "18446744073709551616",
+        "4294967295",
+        "4294967296",
+        "0",
+    ];
+
+    /// Apply `edits` to `line`, each `(kind, position, operand)`: flip one
+    /// bit of a byte (staying ASCII), truncate, delete a byte, or replace
+    /// the digit run at or after the position by a [`WIDE`] number.
+    fn mutate(line: &str, edits: &[(u8, usize, u8)]) -> String {
+        let mut b = line.as_bytes().to_vec();
+        for &(kind, at, x) in edits {
+            if b.is_empty() {
+                break;
+            }
+            let at = at % b.len();
+            match kind {
+                0 => b[at] ^= 1 << (x % 7),
+                1 => b.truncate(at),
+                2 => {
+                    b.remove(at);
+                }
+                _ => {
+                    let start = (at..b.len()).find(|&i| b[i].is_ascii_digit()).unwrap_or(b.len());
+                    let end = (start..b.len()).find(|&i| !b[i].is_ascii_digit()).unwrap_or(b.len());
+                    b.splice(start..end, WIDE[usize::from(x) % WIDE.len()].bytes());
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    proptest::proptest! {
+        /// A damaged `span_tree` line is a trace or an `Err`, and a trace
+        /// that parses verifies to `Ok` or `Err`: neither ever panics.
+        #[test]
+        fn mutated_span_trees_parse_and_verify_without_panicking(
+            which in 0usize..2,
+            edits in proptest::prop::collection::vec((0u8..4, 0usize..4096, 0u8..=255), 1..5),
+        ) {
+            let line = mutate(&[sample(), fenced()][which].to_json_line(), &edits);
+            if let Ok(t) = TxnTrace::parse_json_line(&line) {
+                let _ = t.verify();
+            }
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! **Client-op level — [`Clients`], under the two flat drivers.** What a
 //! logical operation costs across its attempts and leaves behind: forced
 //! abort / commit / failed / stale bookkeeping over [`Metrics`], the
-//! [`OpSlab`], phase spans, causal segments, snapshots, the event log and
-//! violation reporting. It returns what to schedule ([`Then`]) and never
-//! schedules.
+//! [`OpSlab`], the per-op segment chain that phase spans and causal traces
+//! fold, snapshots, the event log and violation reporting. It returns what
+//! to schedule ([`Then`]) and never schedules.
 //!
 //! Every name an observer can see is the driver's to supply: the
 //! coordinator and item of an operation ([`OpId`]), whether an item is
@@ -1144,11 +1144,13 @@ pub(crate) struct Clients {
     pub pending: OpSlab,
     /// A pending forced abort per coordinator.
     abort_flag: Vec<bool>,
-    /// Per-coordinator causal segment history of the in-flight op, in
-    /// causal order (`(edge kind, µs)`); only written when the causal
-    /// recorder is on. Mirrors the `PendingOp` phase accumulators exactly,
-    /// so the trace built from it reconciles with end-to-end latency.
-    causal_segs: Vec<Vec<(EdgeKind, u64)>>,
+    /// Per-coordinator segment chain of the in-flight op: where its time
+    /// went, as `(edge kind, µs)` in causal order, zero durations left
+    /// out. The op's only time record, written only when spans or causal
+    /// recording are on. When an attempt starts, the chain tiles the time
+    /// since the op started; the op's phase spans and causal trace are
+    /// folds of it at finish, which clears it (capacity kept).
+    segs: Vec<Vec<(EdgeKind, u64)>>,
     /// Observability recordings (spans / events / snapshots / causal).
     pub obs: ObsReport,
     /// Periodic snapshot schedule, when enabled.
@@ -1167,7 +1169,7 @@ impl Clients {
             metrics: Metrics::default(),
             pending: OpSlab::new(coords),
             abort_flag: vec![false; coords],
-            causal_segs: vec![Vec::new(); coords],
+            segs: vec![Vec::new(); coords],
             obs: ObsReport::new(opts),
             snap: opts.snapshot_every_us.map(SnapshotExporter::new),
             opts: *opts,
@@ -1181,13 +1183,13 @@ impl Clients {
     pub fn push_coord(&mut self) {
         self.pending.push_empty();
         self.abort_flag.push(false);
-        self.causal_segs.push(Vec::new());
+        self.segs.push(Vec::new());
     }
 
-    /// Whether coordinator `key` has nothing in flight and no causal
-    /// history — what a migrating item's coordinator must look like.
+    /// Whether coordinator `key` has nothing in flight and an empty
+    /// segment chain — what a migrating item's coordinator must look like.
     pub fn is_idle(&self, key: usize) -> bool {
-        !self.pending.is_live(key) && self.causal_segs[key].is_empty()
+        !self.pending.is_live(key) && self.segs[key].is_empty()
     }
 
     fn stats(&mut self, read: bool) -> &mut OpStats {
@@ -1389,7 +1391,7 @@ impl Clients {
             self.metrics.forced_aborts += 1;
             cluster.emit_abort(op.item, tid, !op.read, AbortReason::Forced);
             self.stats(op.read).record_abort();
-            self.causal_finish(cluster.now, key, id, &op, Some(AbortCause::Forced));
+            self.finish_op(cluster.now, key, id, &op, Some(AbortCause::Forced));
             return Then::Next {
                 after: SimTime::ZERO,
                 floor: SimTime::ZERO,
@@ -1407,19 +1409,18 @@ impl Clients {
             },
         ) = cluster.attempt(op.item, tid, id.coord, write, cache);
         self.metrics.dropped_messages += dropped;
-        // Phase-span accounting (exact): every executed phase is gather or
-        // install time, whether or not the attempt goes on to commit.
-        let install = elapsed - gather;
-        op.gather_us += gather.as_micros();
-        op.install_us += install.as_micros();
-        self.causal_push(key, EdgeKind::ReadGather, gather);
-        self.causal_push(key, EdgeKind::WriteInstall, install);
         op.messages += messages;
+        if outcome == Outcome::Stale {
+            return self.stale(key, op, elapsed);
+        }
+        // Every executed phase of an attempt that was not stale is gather
+        // or install time, whether or not the attempt goes on to commit.
+        self.push_seg(key, EdgeKind::ReadGather, gather);
+        self.push_seg(key, EdgeKind::WriteInstall, elapsed - gather);
         match outcome {
             Outcome::Committed { vn, value, .. } => {
                 self.commit(cluster, key, id, op, elapsed, (vn, value))
             }
-            Outcome::Stale => self.stale(key, op, elapsed),
             failed => {
                 let unavailable = failed == Outcome::Unavailable;
                 self.failed(cluster.now, key, id, op, elapsed, unavailable)
@@ -1441,30 +1442,38 @@ impl Clients {
         let now = cluster.now;
         let total = (now - op.started) + elapsed;
         self.stats(op.read).record_success(total, op.messages);
+        let segs = &self.segs[key];
+        debug_assert!(
+            !(self.opts.spans || self.opts.causal.enabled)
+                || segs.iter().map(|&(_, us)| us).sum::<u64>() == total.as_micros(),
+            "the segment chain must tile the op's end-to-end latency"
+        );
         if self.opts.spans {
-            // Exact reconciliation: gather + install + backoff == total by
-            // construction (see the PendingOp accumulator docs). The
-            // vn_resolve and commit_round phases take zero *simulated*
-            // time — version resolution happens when the gather completes
-            // and the commit round is atomic — so they are recorded as
-            // zero-duration spans, one per committed op, keeping phase
-            // counts meaningful (DESIGN.md §5.4).
-            debug_assert_eq!(
-                op.gather_us + op.install_us + op.backoff_us,
-                total.as_micros(),
-                "phase spans must reconcile exactly with end-to-end latency"
-            );
-            self.obs.spans.record(Phase::ReadGather, op.gather_us);
+            // The phase spans are a fold of the chain, a stale retry
+            // counting as backoff. The vn_resolve and commit_round phases
+            // take zero *simulated* time — version resolution happens when
+            // the gather completes and the commit round is atomic — so
+            // they are recorded as zero-duration spans, one per committed
+            // op, keeping phase counts meaningful (DESIGN.md §5.4).
+            let (mut gather, mut install, mut backoff) = (0, 0, 0);
+            for &(kind, us) in segs {
+                match kind {
+                    EdgeKind::ReadGather => gather += us,
+                    EdgeKind::WriteInstall => install += us,
+                    _ => backoff += us,
+                }
+            }
+            self.obs.spans.record(Phase::ReadGather, gather);
             self.obs.spans.record(Phase::VnResolve, 0);
             if !op.read {
-                self.obs.spans.record(Phase::WriteInstall, op.install_us);
+                self.obs.spans.record(Phase::WriteInstall, install);
             }
             self.obs.spans.record(Phase::CommitRound, 0);
-            if op.backoff_us > 0 {
-                self.obs.spans.record(Phase::RetryBackoff, op.backoff_us);
+            if backoff > 0 {
+                self.obs.spans.record(Phase::RetryBackoff, backoff);
             }
         }
-        self.causal_finish(now, key, id, &op, None);
+        self.finish_op(now, key, id, &op, None);
         if let Err(v) = cluster.commit_check(op.item, !op.read, vn, value) {
             let kind = if op.read { "read" } else { "write" };
             let (tag, client) = (ItemTag(id.item), id.coord);
@@ -1508,11 +1517,9 @@ impl Clients {
             // backoff the coordinator would spin forever at one timestamp
             // against the same dead sites.
             let delay = (elapsed + self.retry.backoff_before(op.attempt)).max(SimTime(1));
-            // The attempt's own phase time is already in gather/install;
-            // only the extra sleep (including the 1 µs floor) is backoff,
-            // so phase spans reconcile exactly on eventual commit.
-            op.backoff_us += (delay - elapsed).as_micros();
-            self.causal_push(key, EdgeKind::RetryBackoff, delay - elapsed);
+            // The attempt's own phase time is already on the chain; only
+            // the extra sleep (including the 1 µs floor) is backoff.
+            self.push_seg(key, EdgeKind::RetryBackoff, delay - elapsed);
             self.pending.put(key, op);
             return Then::Retry { delay };
         }
@@ -1522,7 +1529,7 @@ impl Clients {
         } else {
             stats.record_failure(op.messages);
         }
-        self.causal_finish(now, key, id, &op, Some(AbortCause::QuorumUnavailable));
+        self.finish_op(now, key, id, &op, Some(AbortCause::QuorumUnavailable));
         Then::Next {
             after: elapsed,
             floor: SimTime(1),
@@ -1541,27 +1548,10 @@ impl Clients {
         // A fresh attempt number keeps trace transaction names unique.
         op.attempt += 1;
         let delay = elapsed.max(SimTime(1));
-        // The burned gather time is retry overhead, not useful gather
-        // work: reclassify the stale attempt's elapsed (phase 1 only — a
-        // stale rejection happens at version resolution) as retry_backoff.
-        // The phase sum still equals end-to-end latency exactly.
-        op.gather_us -= elapsed.as_micros();
-        op.backoff_us += delay.as_micros();
-        if self.opts.causal.enabled {
-            // The same reclassification in the causal segment list: the
-            // stale attempt's gather segment becomes a `StaleRetry`
-            // segment covering the whole retry delay.
-            let segs = &mut self.causal_segs[key];
-            if elapsed > SimTime::ZERO {
-                let popped = segs.pop();
-                debug_assert_eq!(
-                    popped,
-                    Some((EdgeKind::ReadGather, elapsed.as_micros())),
-                    "stale attempt must end with its own gather segment"
-                );
-            }
-            segs.push((EdgeKind::StaleRetry, delay.as_micros()));
-        }
+        // The burned gather time (phase 1 only — a stale rejection happens
+        // at version resolution) is retry overhead, not useful gather
+        // work: the whole retry delay is one stale_retry segment.
+        self.push_seg(key, EdgeKind::StaleRetry, delay);
         self.pending.put(key, op);
         Then::Retry { delay }
     }
@@ -1576,34 +1566,32 @@ impl Clients {
         };
         self.metrics.stale_rejections += 1;
         cluster.emit_abort(op.item, id.tid(&op), !op.read, AbortReason::Stale);
-        self.causal_finish(cluster.now, key, id, &op, Some(AbortCause::Fence));
+        self.finish_op(cluster.now, key, id, &op, Some(AbortCause::Fence));
         true
     }
 
-    // ----- causal flight recorder ----------------------------------------
+    // ----- the segment chain ---------------------------------------------
 
-    /// Append a causal segment to the coordinator's in-flight op. Zero
-    /// durations are dropped — the trace only carries time that was
-    /// actually spent, and the phase accumulators skip zeros the same way,
-    /// so the two stay in lockstep.
+    /// Append a segment to coordinator `key`'s chain, if an observer reads
+    /// the chain. Zero durations are left out: the chain carries only time
+    /// that was actually spent.
     #[inline]
-    fn causal_push(&mut self, key: usize, kind: EdgeKind, dur: SimTime) {
-        if self.opts.causal.enabled && dur > SimTime::ZERO {
-            self.causal_segs[key].push((kind, dur.as_micros()));
+    fn push_seg(&mut self, key: usize, kind: EdgeKind, dur: SimTime) {
+        if (self.opts.spans || self.opts.causal.enabled) && dur > SimTime::ZERO {
+            self.segs[key].push((kind, dur.as_micros()));
         }
     }
 
-    /// Build and record the causal trace of a finished (committed or
-    /// terminally aborted) operation: a single `Access` root span whose
-    /// segments are the coordinator's accumulated causal history, laid
-    /// back-to-back from the op's start. The segment sum equals the
-    /// phase-accumulator sum by construction, so the trace reconciles
-    /// exactly with end-to-end latency. An op killed *mid-backoff* by a
-    /// migration fence ([`AbortCause::Fence`]) has a chain that extends to
-    /// its parked retry instant: it is cut at `now`, where a zero-duration
-    /// `Fence` marker names the barrier.
+    /// Close coordinator `key`'s finished (committed or terminally
+    /// aborted) op: record its causal trace if the recorder is on, then
+    /// clear its chain. The trace is a single `Access` root span whose
+    /// segments are the chain laid back-to-back from the op's start, so it
+    /// reconciles exactly with end-to-end latency. An op killed
+    /// *mid-backoff* by a migration fence ([`AbortCause::Fence`]) has a
+    /// chain that extends to its parked retry instant: it is cut at `now`,
+    /// where a zero-duration `Fence` marker names the barrier.
     #[allow(clippy::cast_possible_truncation)]
-    fn causal_finish(
+    fn finish_op(
         &mut self,
         now: SimTime,
         key: usize,
@@ -1611,49 +1599,43 @@ impl Clients {
         op: &PendingOp,
         cause: Option<AbortCause>,
     ) {
-        if !self.opts.causal.enabled {
-            return;
-        }
-        let segs = std::mem::take(&mut self.causal_segs[key]);
-        let fenced = cause == Some(AbortCause::Fence);
-        debug_assert!(
-            fenced
-                || segs.iter().map(|&(_, d)| d).sum::<u64>()
-                    == op.gather_us + op.install_us + op.backoff_us,
-            "causal segments must mirror the phase accumulators exactly"
-        );
-        let txn = TxnRef {
-            client: id.coord as u32,
-            epoch: op.op_index as u32,
-        };
-        let mut trace = TxnTrace::new(txn, self.shard, op.started.as_micros());
-        let access = SpanKind::Access {
-            item: id.item.unwrap_or(0) as u64,
-            write: !op.read,
-        };
-        let root = trace.add_span(NO_SPAN, access);
-        let mut at = op.started.as_micros();
-        trace.start_span(root, at);
-        let end = if fenced { now.as_micros() } else { u64::MAX };
-        for (kind, dur) in segs {
-            if at >= end {
-                break;
+        let segs = &mut self.segs[key];
+        if self.opts.causal.enabled {
+            let txn = TxnRef {
+                client: id.coord as u32,
+                epoch: op.op_index as u32,
+            };
+            let mut trace = TxnTrace::new(txn, self.shard, op.started.as_micros());
+            let access = SpanKind::Access {
+                item: id.item.unwrap_or(0) as u64,
+                write: !op.read,
+            };
+            let root = trace.add_span(NO_SPAN, access);
+            let mut at = op.started.as_micros();
+            trace.start_span(root, at);
+            let fenced = cause == Some(AbortCause::Fence);
+            let end = if fenced { now.as_micros() } else { u64::MAX };
+            for &(kind, dur) in segs.iter() {
+                if at >= end {
+                    break;
+                }
+                let dur = dur.min(end - at);
+                trace.push_seg(root, kind, at, dur, None);
+                at += dur;
             }
-            let dur = dur.min(end - at);
-            trace.push_seg(root, kind, at, dur, None);
-            at += dur;
+            if fenced {
+                trace.push_seg(root, EdgeKind::Fence, at, 0, None);
+            }
+            if let Some(c) = cause {
+                trace.abort_span(root, at, c);
+                trace.seal(at, false, root, cause);
+            } else {
+                trace.finish_span(root, at);
+                trace.seal(at, true, NO_SPAN, None);
+            }
+            self.obs.causal.record(trace);
         }
-        if fenced {
-            trace.push_seg(root, EdgeKind::Fence, at, 0, None);
-        }
-        if let Some(c) = cause {
-            trace.abort_span(root, at, c);
-            trace.seal(at, false, root, cause);
-        } else {
-            trace.finish_span(root, at);
-            trace.seal(at, true, NO_SPAN, None);
-        }
-        self.obs.causal.record(trace);
+        segs.clear();
     }
 }
 

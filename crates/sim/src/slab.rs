@@ -21,10 +21,19 @@
 //! The slab also maintains the in-flight population as a counter, so the
 //! periodic observability snapshots read it in O(1) instead of scanning
 //! the client array per snapshot boundary.
+//!
+//! A slot holds only what the protocol needs to run the next attempt.
+//! Where the op's time went is not in it: that is the coordinator's
+//! segment chain in `protocol::Clients`, written only when spans or
+//! causal recording are on.
 
 use crate::time::SimTime;
 
-/// A logical operation in flight for one client (possibly across retries).
+// Every attempt copies the op out of the slab and a retry copies it back.
+const _: () = assert!(std::mem::size_of::<PendingOp>() <= 48);
+
+/// A logical operation in flight for one client (possibly across retries):
+/// its identity, attempt count and message cost, nothing about its timing.
 ///
 /// The single-item driver pins `item` to 0.
 #[derive(Clone, Copy, Debug)]
@@ -43,14 +52,6 @@ pub(crate) struct PendingOp {
     pub started: SimTime,
     /// Messages accumulated by earlier failed attempts.
     pub messages: u64,
-    /// Simulated µs spent gathering read quorums, across all attempts.
-    pub gather_us: u64,
-    /// Simulated µs spent installing at write quorums, across attempts.
-    pub install_us: u64,
-    /// Simulated µs of retry backoff beyond the failed attempts' own
-    /// phase time (so `gather + install + backoff` is exactly the
-    /// operation's end-to-end latency if it commits).
-    pub backoff_us: u64,
 }
 
 impl PendingOp {
@@ -64,9 +65,6 @@ impl PendingOp {
             attempt: 1,
             started,
             messages: 0,
-            gather_us: 0,
-            install_us: 0,
-            backoff_us: 0,
         }
     }
 }

@@ -11,7 +11,9 @@
 //! allocations.
 //!
 //! The first test compares total allocator calls between a short and a
-//! long run and bounds the delta by a small constant.
+//! long run and bounds the delta by a small constant, unobserved and with
+//! phase spans on. A causal profile allocates each finished op's trace and
+//! nothing more; its test bounds the calls per additional committed op.
 //!
 //! The second pins the report read's: exact p50 and p99 of both classes
 //! allocate the same bytes after a short and a long run — they select
@@ -37,9 +39,9 @@ use std::sync::{Arc, Mutex};
 
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
-    run_sharded_elastic, run_txn_committed, ElasticPolicy, FaultPlan, Metrics, MultiConfig,
-    PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimConfig, SimTime, Simulation,
-    TxnConfig, Workload,
+    run_sharded_elastic, run_txn_committed, CausalOptions, ElasticPolicy, FaultPlan, Metrics,
+    MultiConfig, ObsOptions, PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimConfig,
+    SimTime, Simulation, TxnConfig, Workload,
 };
 use quorum::Majority;
 
@@ -71,11 +73,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocator calls made *inside* `Simulation::run` (construction excluded:
-/// the slab, arena, and fault tables are deliberately allocated up front).
-fn drive_counted(secs: u64, queue: QueueKind) -> (u64, Metrics) {
+/// the slab, arena, and fault tables are deliberately allocated up front),
+/// and the ops it committed.
+fn drive_counted(secs: u64, obs: ObsOptions) -> (u64, Metrics) {
     let mut config = SimConfig::new(Arc::new(Majority::new(5)));
     config.duration = SimTime::from_secs(secs);
-    config.queue = queue;
+    config.queue = QueueKind::Calendar;
+    config.obs = obs;
     let sim = Simulation::new(config);
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let metrics = sim.run();
@@ -83,30 +87,68 @@ fn drive_counted(secs: u64, queue: QueueKind) -> (u64, Metrics) {
     (after - before, metrics)
 }
 
+/// Allocator calls and committed ops of a 2 s and a 12 s run under `obs`,
+/// after a warm-up run that pays one-time lazy init (TLS, rand tables, …)
+/// and every reused buffer's growth to its working size.
+fn short_and_long(obs: ObsOptions) -> [(u64, u64); 2] {
+    drive_counted(1, obs);
+    let [short, long] = [2, 12].map(|secs| {
+        let (allocs, m) = drive_counted(secs, obs);
+        (allocs, m.reads.successes + m.writes.successes)
+    });
+    assert!(
+        long.1 > short.1 + 10_000,
+        "workload too small to be meaningful: {} vs {} ops",
+        short.1,
+        long.1
+    );
+    [short, long]
+}
+
+/// Unobserved, and with phase spans on: spans are a fold of each
+/// coordinator's reused segment chain, so they add nothing per op.
 #[test]
 fn committed_op_path_allocates_sublinearly() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Warm-up run so one-time lazy init (TLS, rand tables, …) is paid.
-    drive_counted(1, QueueKind::Calendar);
+    let spans = ObsOptions {
+        spans: true,
+        ..ObsOptions::disabled()
+    };
+    for obs in [ObsOptions::disabled(), spans] {
+        let [(short_allocs, short_ops), (long_allocs, long_ops)] = short_and_long(obs);
+        // ~6× the operations may cost only the latency-vector doublings
+        // and stray bucket growth — a constant, nowhere near linear in ops.
+        let delta = long_allocs.saturating_sub(short_allocs);
+        assert!(
+            delta <= 64,
+            "hot path allocates per-op under {obs:?}: {delta} extra allocator calls for \
+             {} extra committed ops (short run {short_allocs}, long run {long_allocs})",
+            long_ops - short_ops
+        );
+    }
+}
 
-    let (short_allocs, short_m) = drive_counted(2, QueueKind::Calendar);
-    let (long_allocs, long_m) = drive_counted(12, QueueKind::Calendar);
-
-    let short_ops = short_m.reads.successes + short_m.writes.successes;
-    let long_ops = long_m.reads.successes + long_m.writes.successes;
+/// The causal profile costs each finished op its trace: the span list, the
+/// root span's segment list and the critical-path walk that folds it into
+/// the profile, plus a second walk in a debug build, where `record`
+/// verifies the trace. The segment chain the trace is built from is
+/// reused; a chain taken out of `Clients` at every finish costs one more
+/// call per op. Measured per additional committed op in the debug test
+/// build: 4.001 with the reused chain, 5.001 with a taken one.
+#[test]
+fn a_causal_profile_allocates_only_the_trace_per_op() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let causal = ObsOptions {
+        causal: CausalOptions::profile(),
+        ..ObsOptions::disabled()
+    };
+    let [(short_allocs, short_ops), (long_allocs, long_ops)] = short_and_long(causal);
+    let per_op = (long_allocs - short_allocs) as f64 / (long_ops - short_ops) as f64;
+    let bound = if cfg!(debug_assertions) { 4.5 } else { 3.5 };
     assert!(
-        long_ops > short_ops + 10_000,
-        "workload too small to be meaningful: {short_ops} vs {long_ops} ops"
-    );
-
-    // ~6× the operations may cost only the latency-vector doublings and
-    // stray bucket growth — a constant, nowhere near linear in ops.
-    let delta = long_allocs.saturating_sub(short_allocs);
-    assert!(
-        delta <= 64,
-        "hot path allocates per-op: {delta} extra allocator calls for \
-         {} extra committed ops (short run {short_allocs}, long run {long_allocs})",
-        long_ops - short_ops
+        per_op <= bound,
+        "{per_op:.3} allocator calls per additional committed op under the causal profile \
+         (short run {short_allocs} calls / {short_ops} ops, long run {long_allocs} / {long_ops})"
     );
 }
 
@@ -122,8 +164,8 @@ fn report_read_bytes(m: &Metrics) -> u64 {
 #[test]
 fn the_report_read_allocates_independently_of_run_length() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, short_m) = drive_counted(2, QueueKind::Calendar);
-    let (_, long_m) = drive_counted(12, QueueKind::Calendar);
+    let (_, short_m) = drive_counted(2, ObsOptions::disabled());
+    let (_, long_m) = drive_counted(12, ObsOptions::disabled());
     let (short, long) = (report_read_bytes(&short_m), report_read_bytes(&long_m));
     // Six times the samples: sorting a copy per percentile allocates
     // ≈ 330 KiB more after the long run.

@@ -1,6 +1,6 @@
 //! Property wall for the causal flight recorder: under *any* generated
-//! combination of nested program shape, fault plan, quorum system, and
-//! parallelism, every recorded span tree must
+//! combination of nested program shape (or flat operation), fault plan,
+//! quorum system, and parallelism, every recorded span tree must
 //!
 //! * be causally consistent (parents bracket children, sequential
 //!   children tile, leaf segments chain gap-free — `TxnTrace::verify`),
@@ -17,7 +17,8 @@ use std::sync::Arc;
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use proptest::prelude::*;
 use qc_sim::{
-    run_txn_causal, CausalOptions, CritProfile, FaultPlan, RetryPolicy, SimTime, TxnConfig,
+    run_sharded, run_txn_causal, CausalOptions, CritProfile, FaultPlan, MultiConfig, ObsOptions,
+    ReconfigPolicy, RetryPolicy, SimTime, TxnConfig,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -135,4 +136,70 @@ proptest! {
             prop_assert_eq!(one.digest(), multi.digest(), "diverged at {} threads", threads);
         }
     }
+
+    /// The flat drivers' phase spans and causal traces are two folds of
+    /// one segment chain per operation. Under arbitrary crash, recovery,
+    /// forced-abort and drop weather, with reactive reconfiguration (so
+    /// stale-generation retries too): the spans sum to the committed
+    /// latency, every trace verifies and reconciles, one trace per
+    /// finished op, and the whole report is thread-count-invariant.
+    #[test]
+    fn flat_spans_and_traces_reconcile_exactly(
+        seed in 0u64..1_000_000,
+        weather in prop::collection::vec((0u8..4, 0u64..DURATION_MS, 0usize..8), 0..8),
+        rowa_raw in 0u8..2,
+        attempts in 1u32..4,
+    ) {
+        let c = flat_config(seed, &weather, rowa_raw == 1, attempts);
+        let r = run_sharded(&c, 1);
+        let m = &r.metrics;
+        let e2e = m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
+        prop_assert_eq!(r.obs.spans.total_us(), e2e, "phase spans drifted from latency");
+        let p = r.obs.causal.profile();
+        let finished: u64 = [&m.reads, &m.writes]
+            .iter()
+            .map(|s| s.successes + s.timeouts + s.unavailable + s.aborted)
+            .sum();
+        prop_assert_eq!(p.txns(), finished, "one trace per finished op");
+        prop_assert_eq!(p.reconciled(), p.txns(), "profile saw a non-reconciling path");
+        for t in r.obs.causal.all() {
+            prop_assert_eq!(t.verify(), Ok(()), "inconsistent trace: {}", t.to_json_line());
+        }
+        prop_assert_eq!(run_sharded(&c, 2).obs.digest(), r.obs.digest(), "diverged at 2 threads");
+    }
+}
+
+/// A sharded flat run (2 shards × 2 clients over 4 items) with spans and
+/// every causal trace recorded, under `weather`: `(kind, at_ms, index)`
+/// crashes, recoveries, forced aborts and 30 ms drop windows.
+fn flat_config(seed: u64, weather: &[(u8, u64, usize)], rowa: bool, attempts: u32) -> MultiConfig {
+    let quorum: Arc<dyn QuorumSpec + Send + Sync> = if rowa {
+        Arc::new(Rowa::new(SITES))
+    } else {
+        Arc::new(Majority::new(SITES))
+    };
+    let mut c = MultiConfig::new(quorum);
+    c.items = 4;
+    c.shards = 2;
+    c.clients_per_shard = 2;
+    c.read_fraction = 0.5;
+    c.duration = SimTime::from_millis(DURATION_MS);
+    c.seed = seed;
+    for &(kind, at_ms, idx) in weather {
+        let at = SimTime::from_millis(at_ms);
+        c.faults = match kind {
+            0 => c.faults.crash_at(at, idx % SITES),
+            1 => c.faults.recover_at(at, idx % SITES),
+            2 => c.faults.abort_at(at, idx % 4),
+            _ => c.faults.drop_window(at, SimTime::from_millis(30), 100 * (idx as u32 + 2)),
+        };
+    }
+    c.retry = RetryPolicy::retries(attempts, SimTime::from_millis(2));
+    c.reconfig = ReconfigPolicy::reactive();
+    c.obs = ObsOptions {
+        spans: true,
+        causal: CausalOptions::full(),
+        ..ObsOptions::disabled()
+    };
+    c
 }

@@ -63,6 +63,76 @@ fn events_strategy() -> impl Strategy<Value = Vec<RawEvent>> {
     })
 }
 
+/// Event shapes, `#` standing for a word: every verb of the plan grammar
+/// with its arity, and a few shapes the grammar does not know.
+const SHAPES: &[&str] = &[
+    "crash@#:#",
+    "recover@#:#",
+    "abort@#:#",
+    "corrupt@#:#,#,#",
+    "drop@#:#,#",
+    "delay@#:#,#",
+    "reconfig@#:live",
+    "reconfig@#:#+#",
+    "migrate@#:#->#",
+    "burn@#:#",
+    "crash@#:#,#",
+    "drop@#",
+    "#",
+];
+
+/// Words for the `#`s: in range, at and past the edges of what the grammar
+/// accepts, and not numbers at all.
+const WORDS: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "3",
+    "42",
+    "1000",
+    "1.5",
+    "0.001",
+    " 7 ",
+    "+7",
+    "2.0005",
+    "18446744073709551",
+    "18446744073709551615",
+    "18446744073709551616",
+    "live",
+    "",
+];
+
+/// Noise spliced into an event (a third of the time): the grammar's
+/// punctuation out of place, whitespace, or characters it never uses.
+const NOISE: &[&str] = &[
+    " ", "\t", "@", ":", ";", ",", "+", "-", ">", ".", "x", "é", "\u{0}",
+];
+
+/// One event of the plan grammar, often well formed: a shape with its
+/// `#`s filled from [`WORDS`] and, a third of the time, a noise token
+/// spliced in anywhere.
+fn event_text() -> impl Strategy<Value = String> {
+    (
+        0..SHAPES.len(),
+        prop::collection::vec(0..WORDS.len(), 4),
+        0usize..64,
+        0..NOISE.len() * 3,
+    )
+        .prop_map(|(shape, words, at, noise)| {
+            let mut words = words.into_iter().map(|i| WORDS[i]);
+            let mut text: String = SHAPES[shape]
+                .split_inclusive('#')
+                .map(|part| match part.strip_suffix('#') {
+                    Some(head) => format!("{head}{}", words.next().unwrap_or("")),
+                    None => part.to_string(),
+                })
+                .collect();
+            // Every shape and word is ASCII, so any position is a char boundary.
+            text.insert_str(at % (text.len() + 1), NOISE.get(noise).copied().unwrap_or(""));
+            text
+        })
+}
+
 fn config(
     quorum: Arc<dyn QuorumSpec + Send + Sync>,
     plan: FaultPlan,
@@ -183,5 +253,19 @@ proptest! {
         let a = run(config(Arc::new(Majority::new(3)), plan, seed, ContactPolicy::AllLive, 2));
         let b = run(config(Arc::new(Majority::new(3)), reparsed, seed, ContactPolicy::AllLive, 2));
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Plan text from outside is an `Ok` plan or an `Err`, never a panic,
+    /// and every plan that parses prints to text that parses back to it.
+    #[test]
+    fn any_plan_text_parses_or_errs_and_round_trips(
+        events in prop::collection::vec(event_text(), 0..4),
+        joiner in 0usize..3,
+    ) {
+        let text = events.join(["; ", ";", " ;\n"][joiner]);
+        if let Ok(plan) = FaultPlan::parse(&text) {
+            let printed = plan.to_string();
+            prop_assert_eq!(FaultPlan::parse(&printed), Ok(plan), "{:?} printed as {:?}", text, printed);
+        }
     }
 }

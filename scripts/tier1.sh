@@ -20,7 +20,7 @@ echo "==> cargo test (PROPTEST_CASES=$PROPTEST_CASES)"
 # observability / reconfiguration / placement / causal / nested-transaction
 # suites, the Theorem 10 oracle suites (scheduler::differential,
 # oracle_alloc) and the protocol core's own property test all run here, at
-# the property-test budget above. Only the two legs below that say "1024
+# the property-test budget above. Only the legs below that say "1024
 # cases" run a suite again, at four times that budget.
 cargo test -q
 
@@ -132,6 +132,14 @@ echo "==> metric suites (metrics_props at 1024 cases)"
 # of the samples — duplicates, wide and multi-pass buckets, shard merges —
 # and the merge's split invariance, commutativity and associativity.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test metrics_props
+
+echo "==> causal suites (causal_props at 1024 cases)"
+# Exact reconciliation and thread invariance of the recorded span trees
+# under arbitrary program trees x faults x quorums, and for the flat
+# drivers phase spans and traces as two folds of one segment chain per
+# operation: a change to what an operation records, or to when its chain
+# is written and cleared, is checked here at four times the budget.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test causal_props
 
 echo "==> system A differentials (scheduler and object vs ordered tables, 1024 cases)"
 # The serial scheduler against the paper's literal six sets and the
