@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use qc_sim::{
-    run_txn, run_txn_committed, CommittedTxn, FaultPlan, QueueKind, RetryPolicy, SimTime,
-    TxnConfig,
+    run_txn, run_txn_causal, run_txn_committed, AbortCause, CausalOptions, CommittedTxn,
+    EdgeKind, FaultPlan, QueueKind, RetryPolicy, SimTime, TxnConfig,
 };
 use quorum::{Majority, Rowa};
 
@@ -152,4 +152,33 @@ fn faulted_scenario_exercises_the_abort_paths() {
     assert!(r.stats.compensations > 0, "{:?}", r.stats);
     assert!(r.stats.retries > 0, "{:?}", r.stats);
     assert!(r.stats.dropped_messages > 0, "{:?}", r.stats);
+}
+
+/// The faulted scenario's causal report under `CausalOptions::full()`:
+/// every span tree — nested retry backoff, forced-abort dooms and
+/// accesses abandoned after their retry budget included — is pinned, on
+/// 1, 2 and 4 threads under both queues, beside the unobserved report.
+#[test]
+fn faulted_causal_digest_is_pinned_across_threads_and_queues() {
+    let mut config = faulted_random();
+    config.causal = CausalOptions::full();
+    let plain = run_txn(&faulted_random(), 1);
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        config.queue = queue;
+        for threads in [1usize, 2, 4] {
+            let at = format!("{queue:?} at {threads} threads");
+            let (report, causal) = run_txn_causal(&config, threads);
+            assert_eq!(report.digest(), plain.digest(), "{at}: recording perturbed the run");
+            let p = causal.profile();
+            assert!(p.edge(EdgeKind::RetryBackoff).count() > 0, "{at}: no retry backoff");
+            assert!(p.aborts(AbortCause::Forced) > 0, "{at}: no forced doom");
+            assert!(report.stats.access_aborts > 0, "{at}: no abandoned access");
+            assert_eq!(
+                causal.digest(),
+                0x2efe_8e05_f4ce_e46a,
+                "{at}: causal digest drifted from its pinned constant (got {:#018x})",
+                causal.digest()
+            );
+        }
+    }
 }
