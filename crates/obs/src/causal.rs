@@ -392,6 +392,26 @@ impl TxnTrace {
         });
     }
 
+    /// Lay `segs` — `(kind, µs)` in causal order — on leaf `span` back to
+    /// back from `at_us`, cut at `until_us`, leaving zero durations out;
+    /// returns the instant the last one ends.
+    pub fn lay_segs(
+        &mut self,
+        span: u32,
+        mut at_us: u64,
+        until_us: u64,
+        segs: impl IntoIterator<Item = (EdgeKind, u64)>,
+    ) -> u64 {
+        for (kind, dur) in segs {
+            let dur = dur.min(until_us.saturating_sub(at_us));
+            if dur > 0 {
+                self.push_seg(span, kind, at_us, dur, None);
+                at_us += dur;
+            }
+        }
+        at_us
+    }
+
     /// Seal the trace at `now`: record the outcome, remember the doomed
     /// span (for aborts), and clamp any span still in flight to
     /// [`SpanOutcome::Cancelled`] at the transaction end.

@@ -679,6 +679,16 @@ impl RetryPolicy {
         let raw = self.backoff.as_micros().saturating_mul(u64::from(factor));
         SimTime(raw.min(self.max_backoff.as_micros()))
     }
+
+    /// The one retry rule: after attempt number `attempt` failed having
+    /// taken `elapsed`, the next starts `elapsed + backoff_before(next)`
+    /// later — never at the same instant, or a fail-fast attempt (zero
+    /// simulated time) with a zero backoff would spin forever against the
+    /// same dead sites. `None` once the budget is spent.
+    pub(crate) fn retry_delay(&self, attempt: u32, elapsed: SimTime) -> Option<SimTime> {
+        let next = (attempt < self.attempts).then_some(attempt + 1)?;
+        Some((elapsed + self.backoff_before(next)).max(SimTime(1)))
+    }
 }
 
 /// SplitMix64 finalizer: the per-message hash underlying drop decisions.

@@ -14,9 +14,13 @@
 //! nested-transaction harness (`txn_workload.rs`): a parallel program
 //! node puts several children of one client in flight at once, and a
 //! whole-transaction abort can straddle them. That harness therefore
-//! keeps per-program-node runtime state (status + epoch guards) instead
-//! of using this slab — see `tests/concurrent_siblings.rs` in
-//! `nested-txn` for the pinned rationale.
+//! keeps per-program-node runtime state (status, attempt number, epoch
+//! guards) instead of using this slab — see `tests/concurrent_siblings.rs`
+//! in `nested-txn` for the pinned rationale. What an attempt does is
+//! shared all the same: each leaf access runs the same attempt step
+//! (`protocol::Cluster::step`) as a flat operation's attempt — forced
+//! abort, retry rule and segment classification — and only the
+//! accounting on its verdict is the harness's own.
 //!
 //! The slab also maintains the in-flight population as a counter, so the
 //! periodic observability snapshots read it in O(1) instead of scanning

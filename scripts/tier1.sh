@@ -141,6 +141,13 @@ echo "==> causal suites (causal_props at 1024 cases)"
 # is written and cleared, is checked here at four times the budget.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test causal_props
 
+echo "==> configuration fuzz (the three validates at 1024 cases)"
+# Every field of SimConfig, MultiConfig and TxnConfig drawn from the edges
+# of its type, with fault-plan text from the plan-parse fuzz: validate
+# always returns, and a configuration it accepts that is small enough to
+# build runs 20 simulated milliseconds without a panic.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test fault_props any_config
+
 echo "==> system A differentials (scheduler and object vs ordered tables, 1024 cases)"
 # The serial scheduler against the paper's literal six sets and the
 # read/write object against a BTreeSet of created accesses, step for step,
