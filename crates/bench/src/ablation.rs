@@ -10,31 +10,23 @@
 //! voting configuration, exercising Gifford's original vote interface.
 
 use nested_txn::{TxnOp, Value};
-use qc_bench::{row, rule};
-use qc_replication::{
-    run_system_b, ConfigChoice, ItemSpec, RunOptions, SystemSpec, TmStrategy, UserSpec, UserStep,
-};
+use qc_replication::{run_system_b, ConfigChoice, RunOptions, SystemSpec, TmStrategy, UserStep};
 use qc_sim::{default_threads, par_map};
 
+use crate::cli::Flags;
+use crate::item_x;
+use crate::report::Table;
+
 fn spec(strategy: TmStrategy, config: ConfigChoice) -> SystemSpec {
-    SystemSpec {
-        items: vec![ItemSpec {
-            name: "x".into(),
-            init: Value::Int(0),
-            replicas: 5,
-            config,
-        }],
-        plain: vec![],
-        users: vec![UserSpec::new(vec![
-            UserStep::Write(0, Value::Int(1)),
-            UserStep::Read(0),
-            UserStep::Read(0),
-        ])],
-        strategy,
-    }
+    let user = vec![
+        UserStep::Write(0, Value::Int(1)),
+        UserStep::Read(0),
+        UserStep::Read(0),
+    ];
+    item_x(5, config, strategy, vec![user])
 }
 
-fn measure(name: &str, s: &SystemSpec, widths: &[usize]) {
+fn measure(name: &str, s: &SystemSpec, table: &Table) {
     let runs = 40u64;
     // Independent seeded runs — fan them across cores; per-seed results
     // are deterministic, so the aggregates below are thread-count-stable.
@@ -54,9 +46,7 @@ fn measure(name: &str, s: &SystemSpec, widths: &[usize]) {
             .expect("run");
             let accesses = beta
                 .iter()
-                .filter(|op| {
-                    matches!(op, TxnOp::Create { .. }) && layout.is_replica_access_op(op)
-                })
+                .filter(|op| matches!(op, TxnOp::Create { .. }) && layout.is_replica_access_op(op))
                 .count();
             // Completed = every TM committed.
             let completed = layout.tm_roles.keys().all(|t| {
@@ -69,57 +59,55 @@ fn measure(name: &str, s: &SystemSpec, widths: &[usize]) {
     let steps: usize = per_seed.iter().map(|(s, _, _)| s).sum();
     let accesses: usize = per_seed.iter().map(|(_, a, _)| a).sum();
     let completed = per_seed.iter().filter(|(_, _, c)| *c).count();
-    row(
-        &[
-            name.into(),
-            format!("{runs}"),
-            format!("{:.0}", steps as f64 / runs as f64),
-            format!("{:.1}", accesses as f64 / runs as f64),
-            format!("{completed}/{runs}"),
-        ],
-        widths,
-    );
+    table.row(&[
+        name.into(),
+        format!("{runs}"),
+        format!("{:.0}", steps as f64 / runs as f64),
+        format!("{:.1}", accesses as f64 / runs as f64),
+        format!("{completed}/{runs}"),
+    ]);
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("A1 — TM strategy & configuration ablation (1 write + 2 reads, n = 5)\n");
-    let widths = [34, 6, 11, 13, 11];
-    row(
-        &[
-            "variant".into(),
-            "runs".into(),
-            "ops/run".into(),
-            "accesses/run".into(),
-            "completed".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("variant", 34),
+        ("runs", 6),
+        ("ops/run", 11),
+        ("accesses/run", 13),
+        ("completed", 11),
+    ]);
 
     measure(
         "targeted, majority",
         &spec(TmStrategy::Targeted, ConfigChoice::Majority),
-        &widths,
+        &table,
     );
     measure(
         "eager, majority",
         &spec(TmStrategy::Eager, ConfigChoice::Majority),
-        &widths,
+        &table,
     );
     measure(
         "chaotic(max 6), majority",
-        &spec(TmStrategy::Chaotic { max_accesses: 6 }, ConfigChoice::Majority),
-        &widths,
+        &spec(
+            TmStrategy::Chaotic { max_accesses: 6 },
+            ConfigChoice::Majority,
+        ),
+        &table,
     );
     measure(
         "chaotic(max 10), majority",
-        &spec(TmStrategy::Chaotic { max_accesses: 10 }, ConfigChoice::Majority),
-        &widths,
+        &spec(
+            TmStrategy::Chaotic { max_accesses: 10 },
+            ConfigChoice::Majority,
+        ),
+        &table,
     );
     measure(
         "eager, rowa",
         &spec(TmStrategy::Eager, ConfigChoice::Rowa),
-        &widths,
+        &table,
     );
     measure(
         "eager, weighted 3-1-1-1-1 (r4,w4)",
@@ -131,7 +119,7 @@ fn main() {
                 write: 4,
             },
         ),
-        &widths,
+        &table,
     );
 
     println!(
@@ -140,4 +128,5 @@ fn main() {
          ROWA reads use the fewest accesses. Correctness (Lemma monitors, attached \
          in every run) is identical across all variants — the paper's point."
     );
+    Ok(())
 }

@@ -6,47 +6,32 @@
 //! to commit, while Theorem 10 continues to hold.
 
 use nested_txn::{TxnOp, Value};
-use qc_bench::{row, rule};
 use qc_replication::{
-    check_projection, run_system_b, ConfigChoice, ItemSpec, RunOptions, SystemSpec, UserSpec,
-    UserStep,
+    check_projection, run_system_b, ConfigChoice, RunOptions, SystemSpec, TmStrategy, UserStep,
 };
 
+use crate::cli::Flags;
+use crate::item_x;
+use crate::report::Table;
+
 fn spec() -> SystemSpec {
-    SystemSpec {
-        items: vec![ItemSpec {
-            name: "x".into(),
-            init: Value::Int(0),
-            replicas: 5,
-            config: ConfigChoice::Majority,
-        }],
-        plain: vec![],
-        users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(1)),
-                UserStep::Read(0),
-            ]),
-            UserSpec::new(vec![UserStep::Read(0), UserStep::Write(0, Value::Int(2))]),
-        ],
-        strategy: Default::default(),
-    }
+    let users = vec![
+        vec![UserStep::Write(0, Value::Int(1)), UserStep::Read(0)],
+        vec![UserStep::Read(0), UserStep::Write(0, Value::Int(2))],
+    ];
+    item_x(5, ConfigChoice::Majority, TmStrategy::default(), users)
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("E5 — abort tolerance: logical operations complete despite access aborts\n");
-    let widths = [14, 6, 12, 14, 14, 9];
-    row(
-        &[
-            "abort weight".into(),
-            "runs".into(),
-            "Σ aborts".into(),
-            "TMs committed".into(),
-            "TMs created".into(),
-            "refuted".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("abort weight", 14),
+        ("runs", 6),
+        ("Σ aborts", 12),
+        ("TMs committed", 14),
+        ("TMs created", 14),
+        ("refuted", 9),
+    ]);
 
     let s = spec();
     for abort_weight in [0u32, 2, 5, 10, 20, 40, 80] {
@@ -94,21 +79,19 @@ fn main() {
                 }
             }
         }
-        row(
-            &[
-                format!("{abort_weight}"),
-                format!("{runs}"),
-                format!("{aborts}"),
-                format!("{tm_commits}"),
-                format!("{tm_creates}"),
-                format!("{refuted}"),
-            ],
-            &widths,
-        );
+        table.row(&[
+            format!("{abort_weight}"),
+            format!("{runs}"),
+            format!("{aborts}"),
+            format!("{tm_commits}"),
+            format!("{tm_creates}"),
+            format!("{refuted}"),
+        ]);
     }
 
     println!(
         "\nExpected: created TMs almost always still commit (they retry aborted \
          accesses with fresh names); refuted = 0 at every abort rate."
     );
+    Ok(())
 }

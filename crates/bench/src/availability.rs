@@ -13,13 +13,15 @@
 
 use std::sync::Arc;
 
-use qc_bench::{faults_flag, flag_value, row, rule};
 use qc_sim::{
     default_threads, run_batch, ContactPolicy, FaultPlan, ReconfigPolicy, SimConfig, SimTime,
 };
 use quorum::{analysis, Majority, QuorumSpec, Rowa};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+use crate::cli::Flags;
+use crate::report::Table;
 
 fn sim_config(
     q: &Arc<dyn QuorumSpec + Send + Sync>,
@@ -48,37 +50,32 @@ fn sim_config(
     c
 }
 
-fn main() {
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     // `--faults "<plan>"` layers a deterministic fault plan on top of the
     // stochastic failures in every simulator cell (the analytic columns
     // know nothing about the plan, so expect the sim columns to drop below
     // them); `--seed N` re-seeds the simulator cells.
-    let faults = faults_flag().unwrap_or_default();
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(17);
+    let faults = flags
+        .get_with("--faults", FaultPlan::parse)?
+        .unwrap_or_default();
+    let seed = flags.get("--seed")?.unwrap_or(17);
 
     println!("Q2 — availability vs per-site failure probability p (n = 5)\n");
     if !faults.is_empty() {
         println!("injected fault plan: {faults}\n");
     }
-    let widths = [14, 6, 10, 10, 10, 10, 10, 10, 10, 7];
-    row(
-        &[
-            "quorum".into(),
-            "p".into(),
-            "read ex".into(),
-            "read mc".into(),
-            "read sim".into(),
-            "write ex".into(),
-            "write mc".into(),
-            "write sim".into(),
-            "write dyn".into(),
-            "recfg".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("quorum", 14),
+        ("p", 6),
+        ("read ex", 10),
+        ("read mc", 10),
+        ("read sim", 10),
+        ("write ex", 10),
+        ("write mc", 10),
+        ("write sim", 10),
+        ("write dyn", 10),
+        ("recfg", 7),
+    ]);
 
     let systems: Vec<Arc<dyn QuorumSpec + Send + Sync>> =
         vec![Arc::new(Rowa::new(5)), Arc::new(Majority::new(5))];
@@ -111,29 +108,29 @@ fn main() {
             let up = 1.0 - p;
             let r_ex = analysis::exact_read_availability(q.as_ref(), up);
             let w_ex = analysis::exact_write_availability(q.as_ref(), up);
-            let (r_mc, w_mc) =
-                analysis::monte_carlo_availability(q.as_ref(), up, 50_000, &mut rng);
+            let (r_mc, w_mc) = analysis::monte_carlo_availability(q.as_ref(), up, 50_000, &mut rng);
             let m = sims.next().expect("one static sim per grid cell");
             let d = sims.next().expect("one dynamic sim per grid cell");
-            assert_eq!(d.lemma_violations, 0, "dynamic cell violations: {:?}", d.violations);
-            let (r_sim, w_sim) = (m.reads.availability(), m.writes.availability());
-            row(
-                &[
-                    q.label(),
-                    format!("{p:.2}"),
-                    format!("{r_ex:.4}"),
-                    format!("{r_mc:.4}"),
-                    format!("{r_sim:.4}"),
-                    format!("{w_ex:.4}"),
-                    format!("{w_mc:.4}"),
-                    format!("{w_sim:.4}"),
-                    format!("{:.4}", d.writes.availability()),
-                    format!("{}", d.reconfigurations),
-                ],
-                &widths,
+            assert_eq!(
+                d.lemma_violations, 0,
+                "dynamic cell violations: {:?}",
+                d.violations
             );
+            let (r_sim, w_sim) = (m.reads.availability(), m.writes.availability());
+            table.row(&[
+                q.label(),
+                format!("{p:.2}"),
+                format!("{r_ex:.4}"),
+                format!("{r_mc:.4}"),
+                format!("{r_sim:.4}"),
+                format!("{w_ex:.4}"),
+                format!("{w_mc:.4}"),
+                format!("{w_sim:.4}"),
+                format!("{:.4}", d.writes.availability()),
+                format!("{}", d.reconfigurations),
+            ]);
         }
-        rule(&widths);
+        table.rule();
     }
 
     println!(
@@ -143,4 +140,5 @@ fn main() {
          far above the static formulas as p grows — the membership follows the \
          live set instead of waiting out every outage."
     );
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! `qc-trace` — query tool over `qc-events-v1` causal span-tree JSONL.
 //!
 //! Reads the flight-recorder output (`CausalReport::to_jsonl`, e.g.
-//! `results/critpath_slowest.jsonl` from `exp_critpath`, or the golden
+//! `results/critpath_slowest.jsonl` from `qc-exp critpath`, or the golden
 //! `txn_banking_causal_seed17.jsonl`) and answers the questions the
 //! recorder exists for, offline:
 //!
@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 
-use qc_bench::{row, rule};
+use qc_bench::Table;
 use qc_sim::{AbortCause, CritProfile, TxnTrace, ABORT_CAUSES, EDGE_KINDS};
 
 fn usage() -> ExitCode {
@@ -38,16 +38,15 @@ fn usage() -> ExitCode {
 /// are skipped, malformed span lines are fatal (a recorder that emits
 /// garbage should not be silently tolerated by its own query tool).
 fn load(path: &str) -> Result<Vec<TxnTrace>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut traces = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || !line.contains("\"event\":\"span_tree\"") {
             continue;
         }
-        let t = TxnTrace::parse_json_line(line)
-            .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        let t =
+            TxnTrace::parse_json_line(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
         t.verify()
             .map_err(|e| format!("{path}:{}: inconsistent trace: {e}", lineno + 1))?;
         traces.push(t);
@@ -92,30 +91,28 @@ fn cmd_aborts(traces: &[TxnTrace]) {
         profile.committed(),
         aborted
     );
-    let widths = [20, 10, 10];
-    row(&["cause".into(), "count".into(), "share".into()], &widths);
-    rule(&widths);
+    let table = Table::header(&[("cause", 20), ("count", 10), ("share", 10)]);
     for &cause in &ABORT_CAUSES {
         let n = profile.aborts(cause);
         if n > 0 {
             #[allow(clippy::cast_precision_loss)]
-            row(
-                &[
-                    cause.name().into(),
-                    format!("{n}"),
-                    format!("{:.3}", n as f64 / aborted.max(1) as f64),
-                ],
-                &widths,
-            );
+            table.row(&[
+                cause.name().into(),
+                format!("{n}"),
+                format!("{:.3}", n as f64 / aborted.max(1) as f64),
+            ]);
         }
     }
-    rule(&widths);
+    table.rule();
     for (shown, t) in traces.iter().filter(|t| !t.committed).enumerate() {
         if shown == 0 {
             println!("\nabort chains (root -> dooming span):");
         }
         if shown == 8 {
-            println!("  ... ({} more)", traces.iter().filter(|t| !t.committed).count() - 8);
+            println!(
+                "  ... ({} more)",
+                traces.iter().filter(|t| !t.committed).count() - 8
+            );
             break;
         }
         let chain: Vec<String> = t
@@ -147,18 +144,13 @@ fn cmd_profile(traces: &[TxnTrace]) {
         profile.e2e().p50(),
         profile.e2e().quantile(0.99),
     );
-    let widths = [14, 10, 12, 12, 10];
-    row(
-        &[
-            "edge".into(),
-            "paths".into(),
-            "total ms".into(),
-            "mean us".into(),
-            "share".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("edge", 14),
+        ("paths", 10),
+        ("total ms", 12),
+        ("mean us", 12),
+        ("share", 10),
+    ]);
     let path_total: u64 = EDGE_KINDS.iter().map(|&k| profile.edge(k).sum()).sum();
     for &kind in &EDGE_KINDS {
         let h = profile.edge(kind);
@@ -166,18 +158,15 @@ fn cmd_profile(traces: &[TxnTrace]) {
             continue;
         }
         #[allow(clippy::cast_precision_loss)]
-        row(
-            &[
-                kind.name().into(),
-                format!("{}", h.count()),
-                format!("{:.1}", h.sum() as f64 / 1e3),
-                format!("{:.0}", h.mean()),
-                format!("{:.3}", h.sum() as f64 / path_total.max(1) as f64),
-            ],
-            &widths,
-        );
+        table.row(&[
+            kind.name().into(),
+            format!("{}", h.count()),
+            format!("{:.1}", h.sum() as f64 / 1e3),
+            format!("{:.0}", h.mean()),
+            format!("{:.3}", h.sum() as f64 / path_total.max(1) as f64),
+        ]);
     }
-    rule(&widths);
+    table.rule();
 }
 
 fn cmd_check(traces: &[TxnTrace]) -> ExitCode {
@@ -231,14 +220,16 @@ fn main() -> ExitCode {
         }
     };
     match args.get(1).map(String::as_str).unwrap_or("top") {
-        "top" => {
-            let k = args
-                .get(2)
-                .map(|s| s.parse().expect("K takes an integer"))
-                .unwrap_or(5);
-            cmd_top(traces, k);
-            ExitCode::SUCCESS
-        }
+        "top" => match args.get(2).map_or(Ok(5), |k| k.parse()) {
+            Ok(k) => {
+                cmd_top(traces, k);
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("qc-trace: top K takes an integer: {e}");
+                ExitCode::FAILURE
+            }
+        },
         "aborts" => {
             cmd_aborts(&traces);
             ExitCode::SUCCESS

@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
-use qc_bench::{row, rule};
-use qc_sim::{run, ContactPolicy, LatencyModel, SimConfig, SimTime};
+use qc_sim::{ContactPolicy, LatencyModel, SimConfig, SimTime};
 use quorum::{Grid, Majority, QuorumSpec, Rowa, TreeQuorum, Weighted};
+
+use crate::cli::Flags;
+use crate::report::Table;
 
 fn systems_for(n: usize) -> Vec<Arc<dyn QuorumSpec + Send + Sync>> {
     let mut v: Vec<Arc<dyn QuorumSpec + Send + Sync>> =
@@ -26,22 +28,17 @@ fn systems_for(n: usize) -> Vec<Arc<dyn QuorumSpec + Send + Sync>> {
     v
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("Q1 — per-operation cost by quorum system (LAN, minimal contact, 50% reads)\n");
-    let widths = [4, 18, 11, 11, 10, 10, 10];
-    row(
-        &[
-            "n".into(),
-            "quorum".into(),
-            "msgs/read".into(),
-            "msgs/write".into(),
-            "read p50".into(),
-            "write p50".into(),
-            "write p95".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("n", 4),
+        ("quorum", 18),
+        ("msgs/read", 11),
+        ("msgs/write", 11),
+        ("read p50", 10),
+        ("write p50", 10),
+        ("write p95", 10),
+    ]);
 
     for n in [3usize, 5, 9, 15, 25] {
         for q in systems_for(n) {
@@ -51,25 +48,23 @@ fn main() {
             c.contact = ContactPolicy::MinimalQuorum;
             c.duration = SimTime::from_secs(20);
             c.seed = 11;
-            let m = run(c);
-            row(
-                &[
-                    format!("{n}"),
-                    q.label(),
-                    format!("{:.1}", m.reads.messages_per_op()),
-                    format!("{:.1}", m.writes.messages_per_op()),
-                    format!("{:.2}ms", m.reads.percentile_ms(50.0)),
-                    format!("{:.2}ms", m.writes.percentile_ms(50.0)),
-                    format!("{:.2}ms", m.writes.percentile_ms(95.0)),
-                ],
-                &widths,
-            );
+            let m = qc_sim::run(c);
+            table.row(&[
+                format!("{n}"),
+                q.label(),
+                format!("{:.1}", m.reads.messages_per_op()),
+                format!("{:.1}", m.writes.messages_per_op()),
+                format!("{:.2}ms", m.reads.percentile_ms(50.0)),
+                format!("{:.2}ms", m.writes.percentile_ms(50.0)),
+                format!("{:.2}ms", m.writes.percentile_ms(95.0)),
+            ]);
         }
-        rule(&widths);
+        table.rule();
     }
 
     println!(
         "Expected shape: ROWA reads cost 2 messages at every n; threshold systems \
          scale like n; grid/tree scale like √n — with corresponding latency ordering."
     );
+    Ok(())
 }

@@ -26,39 +26,23 @@
 
 use std::sync::Arc;
 
-use nested_txn::{BankingGen, InventoryGen, WorkloadKind};
-use qc_bench::{flag_value, row, rule};
-use qc_sim::{
-    default_threads, run_txn, run_txn_causal, FaultPlan, QueueKind, SimTime, TxnConfig,
-    ABORT_CAUSES, EDGE_KINDS,
-};
+use nested_txn::{InventoryGen, WorkloadKind};
+use qc_sim::{run_txn, run_txn_causal, FaultPlan, QueueKind, SimTime, ABORT_CAUSES, EDGE_KINDS};
 use quorum::Majority;
 use serde_json::JsonObject;
 
-fn banking(seed: u64, secs: u64) -> TxnConfig {
-    let mut c = TxnConfig::new(
-        Arc::new(Majority::new(3)),
-        WorkloadKind::Banking(BankingGen::new(4)),
-    );
-    c.items = 8;
-    c.domains = 2;
-    c.clients_per_domain = 2;
-    c.duration = SimTime::from_secs(secs);
-    c.seed = seed;
-    c
-}
+use crate::banking;
+use crate::cli::Flags;
+use crate::report::{same_on_1_2_4, write_results, Table};
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(if smoke { 2 } else { 120 });
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(17);
-    let threads: usize = flag_value("--threads")
-        .map(|s| s.parse().expect("--threads takes an integer"))
-        .unwrap_or_else(default_threads);
+/// Where the slowest transactions' span trees are exported.
+const SLOWEST: &str = "critpath_slowest.jsonl";
+
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.smoke();
+    let secs: u64 = flags.get("--secs")?.unwrap_or(if smoke { 2 } else { 120 });
+    let seed: u64 = flags.get("--seed")?.unwrap_or(17);
+    let threads = flags.threads()?;
 
     println!(
         "Q13 — causal span trees & critical-path attribution (n = 3 majority, \
@@ -69,9 +53,10 @@ fn main() {
     // 1. Invisibility + thread/queue invariance of the recording.
     let inv_cfg = banking(seed, secs.min(2));
     let plain_digest = run_txn(&inv_cfg, 1).digest();
-    let mut causal_digests = Vec::new();
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        for t in [1usize, 2, 4] {
+    let causal_digest = same_on_1_2_4(
+        "causal digest",
+        &[QueueKind::Calendar, QueueKind::Heap],
+        |queue, t| {
             let mut c = banking(seed, secs.min(2));
             c.queue = queue;
             let (report, causal) = run_txn_causal(&c, t);
@@ -80,17 +65,13 @@ fn main() {
                 plain_digest,
                 "causal recording perturbed the run ({queue:?} x {t} threads)"
             );
-            causal_digests.push(causal.digest());
-        }
-    }
-    assert!(
-        causal_digests.windows(2).all(|w| w[0] == w[1]),
-        "causal digest diverged across threads/queues: {causal_digests:x?}"
+            causal.digest()
+        },
+        |&d| d,
     );
     println!(
         "invariance: report digest {plain_digest:#018x} unperturbed; causal digest \
-         {:#018x} identical on 1/2/4 threads x calendar/heap",
-        causal_digests[0]
+         {causal_digest:#018x} identical on 1/2/4 threads x calendar/heap"
     );
 
     // 2. Scale: >= 1e5 nested transactions, every critical path exact.
@@ -130,19 +111,14 @@ fn main() {
 
     // 3. Attribution: where critical-path time goes, contended vs faulted.
     println!();
-    let widths = [12, 10, 12, 12, 12, 12];
-    row(
-        &[
-            "scenario".into(),
-            "edge".into(),
-            "paths".into(),
-            "total ms".into(),
-            "mean us".into(),
-            "share".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("scenario", 12),
+        ("edge", 10),
+        ("paths", 12),
+        ("total ms", 12),
+        ("mean us", 12),
+        ("share", 12),
+    ]);
     let sweep_secs = if smoke { 1 } else { secs.min(10) };
     let mut contended = banking(seed, sweep_secs);
     contended.workload = WorkloadKind::Inventory(InventoryGen::new(3));
@@ -165,7 +141,7 @@ fn main() {
         .abort_at(SimTime::from_millis(700), 3);
     let mut scenario_rows = Vec::new();
     for (name, cfg) in [("contended", &contended), ("faulted", &faulted)] {
-        let (report, causal) = run_txn_causal(cfg, threads);
+        let (_, causal) = run_txn_causal(cfg, threads);
         let p = causal.profile();
         assert_eq!(p.reconciled(), p.txns(), "{name}: paths must reconcile");
         let path_total: u64 = EDGE_KINDS.iter().map(|&k| p.edge(k).sum()).sum();
@@ -174,17 +150,14 @@ fn main() {
             if h.count() == 0 {
                 continue;
             }
-            row(
-                &[
-                    name.into(),
-                    kind.name().into(),
-                    format!("{}", h.count()),
-                    format!("{:.1}", h.sum() as f64 / 1e3),
-                    format!("{:.0}", h.mean()),
-                    format!("{:.3}", h.sum() as f64 / path_total.max(1) as f64),
-                ],
-                &widths,
-            );
+            table.row(&[
+                name.into(),
+                kind.name().into(),
+                format!("{}", h.count()),
+                format!("{:.1}", h.sum() as f64 / 1e3),
+                format!("{:.0}", h.mean()),
+                format!("{:.3}", h.sum() as f64 / path_total.max(1) as f64),
+            ]);
         }
         let mut aborts = JsonObject::new();
         for &cause in &ABORT_CAUSES {
@@ -209,9 +182,8 @@ fn main() {
                 .field_raw("abort_causes", &aborts.build())
                 .build(),
         );
-        let _ = report;
     }
-    rule(&widths);
+    table.rule();
 
     // 4. Top-K slowest transactions, rendered and exported for qc-trace.
     let (_, top_causal) = run_txn_causal(&faulted, threads);
@@ -220,21 +192,18 @@ fn main() {
     for t in top_causal.slowest().iter().take(shown) {
         print!("{}", t.render_critical_path());
     }
-    std::fs::create_dir_all("results").expect("create results/");
-    let jsonl_path = "results/critpath_slowest.jsonl";
     let mut jsonl = String::new();
     for t in top_causal.slowest() {
         jsonl.push_str(&t.to_json_line());
         jsonl.push('\n');
     }
-    std::fs::write(jsonl_path, &jsonl).expect("write critpath_slowest.jsonl");
 
     let json = JsonObject::new()
         .field("seed", &seed)
         .field("sim_duration_secs", &secs)
         .field("smoke", &smoke)
         .field("report_digest", &format!("{plain_digest:#018x}"))
-        .field("causal_digest", &format!("{:#018x}", causal_digests[0]))
+        .field("causal_digest", &format!("{causal_digest:#018x}"))
         .field(
             "invariance",
             "1/2/4 threads x calendar/heap identical; observed == unobserved",
@@ -244,11 +213,11 @@ fn main() {
         .field("scale_reconciled", &sp.reconciled())
         .field_raw("scale_e2e", &sp.e2e().summary_json())
         .field_raw("scenarios", &serde_json::array_raw(scenario_rows))
-        .field("slowest_jsonl", jsonl_path)
+        .field("slowest_jsonl", &format!("results/{SLOWEST}"))
         .field("slowest_kept", &top_causal.slowest().len())
         .build();
-    std::fs::write("results/BENCH_critpath.json", json).expect("write BENCH_critpath.json");
-    println!("\nwrote results/BENCH_critpath.json and {jsonl_path}");
+    let wrote = write_results(&[("BENCH_critpath.json", &json), (SLOWEST, &jsonl)]);
+    println!("\n{wrote}");
 
     println!(
         "\nExpected shape: committed-path time is dominated by read_gather and \
@@ -258,4 +227,5 @@ fn main() {
          transaction's latency exactly, at any thread count, on either event \
          queue."
     );
+    Ok(())
 }

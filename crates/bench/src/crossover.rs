@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
-use qc_bench::{row, rule};
-use qc_sim::{run, ContactPolicy, SimConfig, SimTime};
+use qc_sim::{ContactPolicy, SimConfig, SimTime};
 use quorum::{analysis, Majority, QuorumSpec, Rowa};
+
+use crate::cli::Flags;
+use crate::report::Table;
 
 fn simulated_msgs(q: Arc<dyn QuorumSpec + Send + Sync>, rf: f64) -> f64 {
     let mut c = SimConfig::new(q);
@@ -14,27 +16,22 @@ fn simulated_msgs(q: Arc<dyn QuorumSpec + Send + Sync>, rf: f64) -> f64 {
     c.contact = ContactPolicy::MinimalQuorum;
     c.duration = SimTime::from_secs(15);
     c.seed = 41;
-    let m = run(c);
+    let m = qc_sim::run(c);
     let ops = (m.reads.attempts + m.writes.attempts) as f64;
     (m.reads.messages + m.writes.messages) as f64 / ops
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     let n = 5;
     println!("Q5 — ROWA vs majority crossover (n = {n}); accesses & messages per op\n");
-    let widths = [8, 12, 12, 12, 12, 10];
-    row(
-        &[
-            "reads".into(),
-            "rowa (an)".into(),
-            "maj (an)".into(),
-            "rowa (sim)".into(),
-            "maj (sim)".into(),
-            "winner".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("reads", 8),
+        ("rowa (an)", 12),
+        ("maj (an)", 12),
+        ("rowa (sim)", 12),
+        ("maj (sim)", 12),
+        ("winner", 10),
+    ]);
 
     let rowa = Rowa::new(n);
     let maj = Majority::new(n);
@@ -59,23 +56,20 @@ fn main() {
             }
             prev_sign = Some(rowa_wins);
         }
-        row(
-            &[
-                format!("{rf:.1}"),
-                format!("{a_rowa:.2}"),
-                format!("{a_maj:.2}"),
-                format!("{s_rowa:.2}"),
-                format!("{s_maj:.2}"),
-                if a_rowa < a_maj {
-                    "rowa".into()
-                } else if a_maj < a_rowa {
-                    "majority".into()
-                } else {
-                    "tie".into()
-                },
-            ],
-            &widths,
-        );
+        table.row(&[
+            format!("{rf:.1}"),
+            format!("{a_rowa:.2}"),
+            format!("{a_maj:.2}"),
+            format!("{s_rowa:.2}"),
+            format!("{s_maj:.2}"),
+            if a_rowa < a_maj {
+                "rowa".into()
+            } else if a_maj < a_rowa {
+                "majority".into()
+            } else {
+                "tie".into()
+            },
+        ]);
     }
 
     match crossover {
@@ -87,4 +81,5 @@ fn main() {
              *availability* (see Q2)."
         ),
     }
+    Ok(())
 }

@@ -16,9 +16,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use qc_bench::{row, rule};
-use qc_sim::{run, ContactPolicy, SimConfig, SimTime};
+use qc_sim::{ContactPolicy, SimConfig, SimTime};
 use quorum::{Majority, QuorumSpec};
+
+use crate::cli::Flags;
+use crate::report::Table;
 
 /// Availability of reads/writes for spec `q` when exactly `live` sites are
 /// up.
@@ -39,7 +41,7 @@ fn latency_with(q: Arc<dyn QuorumSpec + Send + Sync>, dead: usize) -> Option<f64
         c.mttf = Some(SimTime(1)); // fail immediately…
         c.mttr = SimTime::from_secs(1_000_000); // …and never recover
     }
-    let m = run(c);
+    let m = qc_sim::run(c);
     // With the crude permanence model every site eventually dies; instead
     // compute analytically-guided latency only while writes are available.
     if m.writes.successes == 0 {
@@ -49,22 +51,17 @@ fn latency_with(q: Arc<dyn QuorumSpec + Send + Sync>, dead: usize) -> Option<f64
     }
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     let n = 5usize;
     println!("Q4 — sequential permanent failures, n = {n}: static vs reconfiguring\n");
-    let widths = [10, 12, 12, 14, 14, 16];
-    row(
-        &[
-            "sites up".into(),
-            "static R".into(),
-            "static W".into(),
-            "dynamic R".into(),
-            "dynamic W".into(),
-            "reconfig legal?".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("sites up", 10),
+        ("static R", 12),
+        ("static W", 12),
+        ("dynamic R", 14),
+        ("dynamic W", 14),
+        ("reconfig legal?", 16),
+    ]);
 
     let static_q = Majority::new(n);
     // The dynamic system's current configuration: starts as majority(5)
@@ -89,8 +86,7 @@ fn main() {
                 old_members.iter().position(|&m| m == s).unwrap()
             })
             .collect();
-        let can_reconfigure =
-            old_q.is_read_quorum(&old_live) && old_q.is_write_quorum(&old_live);
+        let can_reconfigure = old_q.is_read_quorum(&old_live) && old_q.is_write_quorum(&old_live);
         if can_reconfigure && live.len() < old_members.len() && !live.is_empty() {
             current = (live.clone(), Majority::new(live.len()));
         }
@@ -102,23 +98,20 @@ fn main() {
             .collect();
         let (dr, dw) = (q.is_read_quorum(&mapped), q.is_write_quorum(&mapped));
 
-        row(
-            &[
-                format!("{}", live.len()),
-                if sr { "yes" } else { "NO" }.into(),
-                if sw { "yes" } else { "NO" }.into(),
-                if dr { "yes" } else { "NO" }.into(),
-                if dw { "yes" } else { "NO" }.into(),
-                if dead == 0 {
-                    "-".into()
-                } else if can_reconfigure {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ],
-            &widths,
-        );
+        table.row(&[
+            format!("{}", live.len()),
+            if sr { "yes" } else { "NO" }.into(),
+            if sw { "yes" } else { "NO" }.into(),
+            if dr { "yes" } else { "NO" }.into(),
+            if dw { "yes" } else { "NO" }.into(),
+            if dead == 0 {
+                "-".into()
+            } else if can_reconfigure {
+                "yes".into()
+            } else {
+                "NO".into()
+            },
+        ]);
     }
 
     // A small latency check on the healthy cluster for context.
@@ -131,4 +124,5 @@ fn main() {
          sites remain; the reconfiguring system re-majorities after every failure \
          and keeps both reads and writes available down to a single survivor."
     );
+    Ok(())
 }

@@ -18,20 +18,22 @@
 //! conformance checker (the negative control must *fail* it).
 //!
 //! Reproduce with:
-//!   cargo run --release -p qc-bench --bin exp_faults > results/exp_faults.txt
+//!   cargo run --release -p qc-bench --bin qc-exp -- faults > results/exp_faults.txt
 //! Also writes `results/BENCH_faults.json` (plan, seed, per-cell metrics).
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use qc_bench::{
-    dump_trace, faults_flag, flag_value, obs_flags, row, rule, trace_dir_flag, trace_file_stem,
-};
 use qc_sim::{
-    check_trace, default_threads, par_map, run, run_batch, run_observed, run_traced,
-    ContactPolicy, FaultPlan, Metrics, ReconfigPolicy, RetryPolicy, SimConfig, SimTime,
+    check_trace, default_threads, run_observed, run_traced, ContactPolicy, FaultPlan,
+    ReconfigPolicy, RetryPolicy, SimConfig, SimTime,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 use serde_json::JsonObject;
+
+use crate::cli::{Flags, ObsFlags};
+use crate::report::{write_results, Table};
+use crate::{dump_trace, run_cells, trace_file_stem};
 
 const DURATION_SECS: u64 = 30;
 
@@ -83,19 +85,17 @@ fn mode_name(dynamic: bool) -> &'static str {
     }
 }
 
-fn main() {
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(DURATION_SECS);
-    let plan = faults_flag().unwrap_or_else(|| scenario(secs));
-    let trace_dir = trace_dir_flag();
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let seed: u64 = flags.get("--seed")?.unwrap_or(42);
+    let secs: u64 = flags.get("--secs")?.unwrap_or(DURATION_SECS);
+    let given_plan = flags.get_with("--faults", FaultPlan::parse)?;
+    let pinned = secs == DURATION_SECS && given_plan.is_none();
+    let plan = given_plan.unwrap_or_else(|| scenario(secs));
+    let trace_dir: Option<PathBuf> = flags.get("--trace-dir")?;
     // `--obs-dir DIR` / `--snapshot-every SECS`: run every cell with the
     // instrumentation layer on (fault firings and any violations land in
     // the event log) and dump the recordings per cell.
-    let obs = obs_flags();
+    let obs = ObsFlags::new(flags)?;
 
     println!("Q6 — fault injection under a seeded plan (n = 5, seed {seed}, {secs} s)\n");
     println!("plan: {plan}\n");
@@ -105,101 +105,55 @@ fn main() {
     let budgets = [1u32, 4];
     let modes = [false, true];
 
-    let mut cells: Vec<(Arc<dyn QuorumSpec + Send + Sync>, u32, bool)> = Vec::new();
+    let mut cells = Vec::new();
     for q in &systems {
         for &a in &budgets {
             for &d in &modes {
-                cells.push((Arc::clone(q), a, d));
+                let stem = format!(
+                    "faults_{}_a{a}_{}",
+                    trace_file_stem(&q.label()),
+                    mode_name(d)
+                );
+                cells.push((stem, cell(q, &plan, seed, a, secs, d)));
             }
         }
     }
-    let metrics: Vec<Metrics> = match &trace_dir {
-        Some(dir) => {
-            // Traced runs are serial, but the recorded metrics are
-            // bit-identical to the parallel sweep's; every trace must
-            // replay through the (generation-aware) Theorem 10
-            // conformance checker.
-            std::fs::create_dir_all(dir).expect("create --trace-dir");
-            cells
-                .iter()
-                .map(|(q, attempts, dynamic)| {
-                    let (m, trace) =
-                        run_traced(cell(q, &plan, seed, *attempts, secs, *dynamic));
-                    let name = format!(
-                        "faults_{}_a{attempts}_{}.json",
-                        trace_file_stem(&q.label()),
-                        mode_name(*dynamic)
-                    );
-                    let path = dump_trace(dir, &name, &trace);
-                    let report = check_trace(&trace, q.as_ref()).unwrap_or_else(|d| {
-                        panic!("{name}: trace failed conformance: {d}")
-                    });
-                    println!(
-                        "trace {}: {} events ({} faulted), {} committed, conformant",
-                        path.display(),
-                        report.events,
-                        report.faulted_events,
-                        report.committed
-                    );
-                    m
-                })
-                .collect()
-        }
-        None if obs.enabled() => {
-            let options = obs.options();
-            let grid: Vec<SimConfig> = cells
-                .iter()
-                .map(|(q, a, d)| {
-                    let mut c = cell(q, &plan, seed, *a, secs, *d);
-                    c.obs = options;
-                    c
-                })
-                .collect();
-            let outs = par_map(grid, default_threads(), |_, c| run_observed(c));
-            outs.into_iter()
-                .zip(&cells)
-                .map(|((m, report), (q, attempts, dynamic))| {
-                    let stem = format!(
-                        "faults_{}_a{attempts}_{}",
-                        trace_file_stem(&q.label()),
-                        mode_name(*dynamic)
-                    );
-                    obs.dump(&stem, &report);
-                    m
-                })
-                .collect()
-        }
-        None => {
-            let grid: Vec<SimConfig> = cells
-                .iter()
-                .map(|(q, a, d)| cell(q, &plan, seed, *a, secs, *d))
-                .collect();
-            run_batch(grid, default_threads())
-        }
-    };
+    // Traced runs are serial, but the recorded metrics are bit-identical
+    // to the parallel sweep's; every trace must replay through the
+    // (generation-aware) Theorem 10 conformance checker.
+    let metrics = run_cells(
+        cells,
+        trace_dir.as_deref(),
+        &obs,
+        default_threads(),
+        |path, r| {
+            println!(
+                "trace {}: {} events ({} faulted), {} committed, conformant",
+                path.display(),
+                r.events,
+                r.faulted_events,
+                r.committed
+            );
+        },
+    );
     if trace_dir.is_some() {
         println!();
     }
 
-    let widths = [14, 9, 8, 10, 10, 8, 8, 8, 8, 8, 6, 6];
-    row(
-        &[
-            "quorum".into(),
-            "attempts".into(),
-            "mode".into(),
-            "read av".into(),
-            "write av".into(),
-            "unavail".into(),
-            "timeout".into(),
-            "retries".into(),
-            "aborted".into(),
-            "dropped".into(),
-            "recfg".into(),
-            "viol".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("quorum", 14),
+        ("attempts", 9),
+        ("mode", 8),
+        ("read av", 10),
+        ("write av", 10),
+        ("unavail", 8),
+        ("timeout", 8),
+        ("retries", 8),
+        ("aborted", 8),
+        ("dropped", 8),
+        ("recfg", 6),
+        ("viol", 6),
+    ]);
 
     // The headline comparison: reconfiguration must close most of the
     // write-availability gap the outages open under static ROWA, and the
@@ -232,23 +186,20 @@ fn main() {
                 if q.label().starts_with("rowa") {
                     rowa_write_av.push((attempts, dynamic, m.writes.availability()));
                 }
-                row(
-                    &[
-                        q.label(),
-                        format!("{attempts}"),
-                        mode_name(dynamic).into(),
-                        format!("{:.4}", m.reads.availability()),
-                        format!("{:.4}", m.writes.availability()),
-                        format!("{}", m.reads.unavailable + m.writes.unavailable),
-                        format!("{}", m.reads.timeouts + m.writes.timeouts),
-                        format!("{}", m.reads.retries + m.writes.retries),
-                        format!("{}", m.reads.aborted + m.writes.aborted),
-                        format!("{}", m.dropped_messages),
-                        format!("{}", m.reconfigurations),
-                        format!("{}", m.lemma_violations),
-                    ],
-                    &widths,
-                );
+                table.row(&[
+                    q.label(),
+                    format!("{attempts}"),
+                    mode_name(dynamic).into(),
+                    format!("{:.4}", m.reads.availability()),
+                    format!("{:.4}", m.writes.availability()),
+                    format!("{}", m.reads.unavailable + m.writes.unavailable),
+                    format!("{}", m.reads.timeouts + m.writes.timeouts),
+                    format!("{}", m.reads.retries + m.writes.retries),
+                    format!("{}", m.reads.aborted + m.writes.aborted),
+                    format!("{}", m.dropped_messages),
+                    format!("{}", m.reconfigurations),
+                    format!("{}", m.lemma_violations),
+                ]);
                 cells_json.push(
                     JsonObject::new()
                         .field("quorum", q.label().as_str())
@@ -256,8 +207,7 @@ fn main() {
                         .field("mode", mode_name(dynamic))
                         .field_raw(
                             "reads",
-                            &serde_json::to_string(&m.reads.summary())
-                                .expect("summary serializes"),
+                            &serde_json::to_string(&m.reads.summary()).expect("summary serializes"),
                         )
                         .field_raw(
                             "writes",
@@ -276,7 +226,7 @@ fn main() {
                 );
             }
         }
-        rule(&widths);
+        table.rule();
     }
 
     // On the pinned default scenario the static ROWA cells sit near 0.56
@@ -294,7 +244,7 @@ fn main() {
                 "rowa a{attempts}: dynamic write availability {av:.4} did not \
                  improve on static {static_av:.4}"
             );
-            if secs == DURATION_SECS && flag_value("--faults").is_none() {
+            if pinned {
                 assert!(
                     av >= 0.85,
                     "rowa a{attempts}: dynamic write availability {av:.4} < 0.85 \
@@ -308,17 +258,13 @@ fn main() {
     // MUST fire — this is the proof that the zero-violation cells above
     // actually checked something. Under `--trace-dir` the recorded trace
     // must likewise FAIL conformance, proving the checker is not vacuous.
-    let corrupt =
-        FaultPlan::new().corrupt_at(SimTime(secs * 1_000_000 / 2), 2, 999_999, 77);
+    let corrupt = FaultPlan::new().corrupt_at(SimTime(secs * 1_000_000 / 2), 2, 999_999, 77);
     let m = if let Some(dir) = &trace_dir {
         let (m, trace) = run_traced(cell(&systems[1], &corrupt, seed, 1, secs, false));
         let path = dump_trace(dir, "faults_negative_control.json", &trace);
         let d = check_trace(&trace, systems[1].as_ref())
             .expect_err("negative control failed: corrupted trace passed conformance");
-        println!(
-            "trace {}: rejected as required — {d}",
-            path.display()
-        );
+        println!("trace {}: rejected as required — {d}", path.display());
         m
     } else if obs.enabled() {
         // The negative control is the interesting event log: the corrupt
@@ -330,7 +276,7 @@ fn main() {
         obs.dump("faults_negative_control", &report);
         m
     } else {
-        run(cell(&systems[1], &corrupt, seed, 1, secs, false))
+        qc_sim::run(cell(&systems[1], &corrupt, seed, 1, secs, false))
     };
     assert!(
         m.lemma_violations > 0,
@@ -347,7 +293,10 @@ fn main() {
         .field("seed", &seed)
         .field("duration_secs", &secs)
         .field("plan_text", plan.to_string().as_str())
-        .field_raw("plan", &serde_json::to_string(&plan).expect("plan serializes"))
+        .field_raw(
+            "plan",
+            &serde_json::to_string(&plan).expect("plan serializes"),
+        )
         .field_raw("cells", &serde_json::array_raw(cells_json))
         .field_raw(
             "negative_control",
@@ -357,9 +306,7 @@ fn main() {
                 .build(),
         )
         .build();
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_faults.json", json).expect("write BENCH_faults.json");
-    println!("wrote results/BENCH_faults.json");
+    println!("{}", write_results(&[("BENCH_faults.json", &json)]));
 
     println!(
         "\nExpected shape: retries recover most availability lost to the two \
@@ -370,7 +317,8 @@ fn main() {
          the out-of-model corruption."
     );
     println!(
-        "Reproduce: cargo run --release -p qc-bench --bin exp_faults \
+        "Reproduce: cargo run --release -p qc-bench --bin qc-exp -- faults \
          > results/exp_faults.txt"
     );
+    Ok(())
 }

@@ -8,24 +8,22 @@
 //! lifetime and therefore blocks (and deadlock-aborts) more under
 //! contention.
 
-use qc_bench::{contention_spec, row, rule};
 use qc_cc::{check_theorem11, CcRunOptions, LockGranularity};
 
-fn main() {
+use crate::cli::Flags;
+use crate::contention_spec;
+use crate::report::Table;
+
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("A2 — nested vs top-level-exclusive locking under contention\n");
-    let widths = [24, 8, 12, 12, 12, 9];
-    row(
-        &[
-            "variant".into(),
-            "users".into(),
-            "commit rate".into(),
-            "aborts/run".into(),
-            "confl/run".into(),
-            "refuted".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("variant", 24),
+        ("users", 8),
+        ("commit rate", 12),
+        ("aborts/run", 12),
+        ("confl/run", 12),
+        ("refuted", 9),
+    ]);
 
     for users in [2usize, 3, 4] {
         for (name, granularity) in [
@@ -59,19 +57,16 @@ fn main() {
                     }
                 }
             }
-            row(
-                &[
-                    format!("{name}, {users}u"),
-                    format!("{users}"),
-                    format!("{:.2}", commits as f64 / (runs as usize * users) as f64),
-                    format!("{:.1}", aborts as f64 / runs as f64),
-                    format!("{:.1}", conflicts as f64 / runs as f64),
-                    format!("{refuted}"),
-                ],
-                &widths,
-            );
+            table.row(&[
+                format!("{name}, {users}u"),
+                format!("{users}"),
+                format!("{:.2}", commits as f64 / (runs as usize * users) as f64),
+                format!("{:.1}", aborts as f64 / runs as f64),
+                format!("{:.1}", conflicts as f64 / runs as f64),
+                format!("{refuted}"),
+            ]);
         }
-        rule(&widths);
+        table.rule();
     }
 
     println!(
@@ -84,4 +79,5 @@ fn main() {
          advantage needs intra-transaction parallelism, which these sequential \
          user programs deliberately do not exercise."
     );
+    Ok(())
 }

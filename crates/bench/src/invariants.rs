@@ -9,54 +9,51 @@
 //! read-TM returns the logical state.
 
 use nested_txn::Value;
-use qc_bench::{row, rule};
-use qc_replication::{
-    run_system_b, ConfigChoice, ItemSpec, RunOptions, SystemSpec, TmStrategy, UserSpec, UserStep,
-};
+use qc_replication::{run_system_b, ConfigChoice, RunOptions, SystemSpec, TmStrategy, UserStep};
+
+use crate::cli::Flags;
+use crate::item_x;
+use crate::report::Table;
 
 fn workload(config: ConfigChoice, replicas: usize, strategy: TmStrategy) -> SystemSpec {
-    SystemSpec {
-        items: vec![ItemSpec {
-            name: "x".into(),
-            init: Value::Int(0),
-            replicas,
-            config,
-        }],
-        plain: vec![],
-        users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(1)),
-                UserStep::Read(0),
-                UserStep::Write(0, Value::Int(2)),
-            ]),
-            UserSpec::new(vec![
-                UserStep::Read(0),
-                UserStep::Write(0, Value::Int(3)),
-                UserStep::Read(0),
-            ]),
+    let users = vec![
+        vec![
+            UserStep::Write(0, Value::Int(1)),
+            UserStep::Read(0),
+            UserStep::Write(0, Value::Int(2)),
         ],
-        strategy,
-    }
+        vec![
+            UserStep::Read(0),
+            UserStep::Write(0, Value::Int(3)),
+            UserStep::Read(0),
+        ],
+    ];
+    item_x(replicas, config, strategy, users)
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("E2 — Lemma 7 / Lemma 8 invariant monitoring on random executions of B\n");
-    let widths = [26, 8, 12, 12, 9];
-    row(
-        &[
-            "configuration".into(),
-            "runs".into(),
-            "steps checked".into(),
-            "reads checked".into(),
-            "violations".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("configuration", 26),
+        ("runs", 8),
+        ("steps checked", 12),
+        ("reads checked", 12),
+        ("violations", 9),
+    ]);
 
     let regimes: Vec<(&str, ConfigChoice, usize, TmStrategy)> = vec![
-        ("majority, 3 replicas", ConfigChoice::Majority, 3, TmStrategy::Eager),
-        ("majority, 5 replicas", ConfigChoice::Majority, 5, TmStrategy::Eager),
+        (
+            "majority, 3 replicas",
+            ConfigChoice::Majority,
+            3,
+            TmStrategy::Eager,
+        ),
+        (
+            "majority, 5 replicas",
+            ConfigChoice::Majority,
+            5,
+            TmStrategy::Eager,
+        ),
         ("rowa, 4 replicas", ConfigChoice::Rowa, 4, TmStrategy::Eager),
         (
             "majority, 3, chaotic TMs",
@@ -103,16 +100,14 @@ fn main() {
                 }
             }
         }
-        row(
-            &[
-                name.into(),
-                format!("{runs}"),
-                format!("{steps}"),
-                format!("{reads}"),
-                format!("{violations}"),
-            ],
-            &widths,
-        );
+        table.row(&[
+            name.into(),
+            format!("{runs}"),
+            format!("{steps}"),
+            format!("{reads}"),
+            format!("{violations}"),
+        ]);
     }
     println!("\nExpected: violations = 0 (Lemmas 7 and 8 hold in every reachable state).");
+    Ok(())
 }

@@ -1,111 +1,118 @@
-//! Shared helpers for the experiment binaries (`exp_*`, `fig_*`) and
-//! criterion benches that regenerate the evaluation in `EXPERIMENTS.md`.
+//! The experiments that regenerate the evaluation in `EXPERIMENTS.md`,
+//! run as `qc-exp <name> [flags]` (see [`qc_exp`]), plus the specs the
+//! criterion benches share with them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use nested_txn::Value;
-use qc_replication::{ConfigChoice, ItemSpec, SystemSpec, UserSpec, UserStep};
+mod cli;
+mod report;
 
-/// The value following `flag` in this process's argument list, if present
-/// (`--flag value` form). The experiment binaries use this for the fault
-/// and seed overrides; anything fancier would not earn its keep here.
-pub fn flag_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .map(|w| w[1].clone())
-}
+mod ablation;
+mod aborts;
+mod availability;
+mod cost;
+mod critpath;
+mod crossover;
+mod exhaustive;
+mod failover;
+mod faults;
+mod granularity;
+mod invariants;
+mod obs;
+mod rebalance;
+mod reconfig;
+mod shard_scaling;
+mod theorem10;
+mod theorem11;
+mod throughput;
+mod trees;
+mod txn;
 
-/// Parse a `--faults "<plan text>"` argument into a [`qc_sim::FaultPlan`];
-/// `None` when the flag is absent. Exits with a message on a malformed
-/// plan, since silently running a different experiment than the user asked
-/// for would be worse than stopping.
-pub fn faults_flag() -> Option<qc_sim::FaultPlan> {
-    flag_value("--faults").map(|spec| match qc_sim::FaultPlan::parse(&spec) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("invalid --faults plan: {e}");
-            std::process::exit(2);
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use nested_txn::{BankingGen, Value, WorkloadKind};
+use qc_replication::{ConfigChoice, ItemSpec, SystemSpec, TmStrategy, UserSpec, UserStep};
+use qc_sim::{ConformanceReport, Metrics, SimConfig};
+
+use cli::{Flags, ObsFlags};
+pub use report::Table;
+
+/// An experiment's body: an `Err` is a malformed flag value, returned
+/// before the experiment prints anything.
+type Run = fn(&Flags) -> Result<(), String>;
+
+/// The experiments by subcommand, each with the flags it accepts and its
+/// body. `results/exp_<name>.txt` (`results/fig_trees.txt` for `trees`)
+/// is an experiment's stdout at default flags.
+const EXPERIMENTS: &[(&str, &str, Run)] = &[
+    ("ablation", "", ablation::run),
+    ("aborts", "", aborts::run),
+    ("availability", "--faults --seed", availability::run),
+    ("cost", "", cost::run),
+    ("critpath", "--smoke --secs --seed --threads", critpath::run),
+    ("crossover", "", crossover::run),
+    ("exhaustive", "", exhaustive::run),
+    ("failover", "", failover::run),
+    (
+        "faults",
+        "--seed --secs --faults --trace-dir --obs-dir --snapshot-every",
+        faults::run,
+    ),
+    ("granularity", "", granularity::run),
+    ("invariants", "", invariants::run),
+    (
+        "obs",
+        "--smoke --secs --seed --obs-dir --snapshot-every",
+        obs::run,
+    ),
+    (
+        "rebalance",
+        "--smoke --items --shards --secs --seed --threads",
+        rebalance::run,
+    ),
+    ("reconfig", "", reconfig::run),
+    (
+        "shard_scaling",
+        "--items --shards --secs --seed --zipf --threads --obs-dir --snapshot-every",
+        shard_scaling::run,
+    ),
+    ("theorem10", "", theorem10::run),
+    ("theorem11", "", theorem11::run),
+    (
+        "throughput",
+        "--faults --seed --secs --threads --items --zipf --trace-dir --obs-dir --snapshot-every",
+        throughput::run,
+    ),
+    ("trees", "", trees::run),
+    ("txn", "--smoke --secs --seed --threads", txn::run),
+];
+
+/// Run `qc-exp`'s arguments: an experiment name, then that experiment's
+/// flags.
+///
+/// # Errors
+///
+/// A usage message for an unknown experiment, a flag the experiment does
+/// not accept, a flag missing its value, or a malformed value — always
+/// before the experiment prints anything.
+pub fn qc_exp(args: &[String]) -> Result<(), String> {
+    let name = args.first().map_or("", String::as_str);
+    let Some(&(_, accepted, run)) = EXPERIMENTS.iter().find(|e| e.0 == name) else {
+        let mut usage = format!("unknown experiment {name:?}\nusage: qc-exp <name> [flags]");
+        for (name, accepted, _) in EXPERIMENTS {
+            usage += format!("\n  {name:<14}{accepted}").trim_end();
         }
-    })
-}
-
-/// Parsed observability flags shared by the experiment binaries:
-/// `--obs-dir DIR` turns on the full instrumentation (per-phase spans +
-/// structured event log + periodic snapshots) and dumps the recordings
-/// under DIR; `--snapshot-every SECS` sets the snapshot period in
-/// *simulated* seconds (implies instrumentation even without a dir).
-pub struct ObsFlags {
-    /// Dump directory (`--obs-dir`), created eagerly when given.
-    pub dir: Option<std::path::PathBuf>,
-    /// Snapshot period in simulated seconds (`--snapshot-every`).
-    pub every_secs: Option<f64>,
-}
-
-/// Parse `--obs-dir` / `--snapshot-every` from this process's arguments.
-pub fn obs_flags() -> ObsFlags {
-    let dir = flag_value("--obs-dir").map(std::path::PathBuf::from);
-    let every_secs = flag_value("--snapshot-every").map(|s| {
-        let v: f64 = s.parse().expect("--snapshot-every takes seconds");
-        assert!(v > 0.0, "--snapshot-every must be positive");
-        v
-    });
-    if let Some(d) = &dir {
-        std::fs::create_dir_all(d).expect("create --obs-dir");
-    }
-    ObsFlags { dir, every_secs }
-}
-
-impl ObsFlags {
-    /// Whether any observability output was requested.
-    pub fn enabled(&self) -> bool {
-        self.dir.is_some() || self.every_secs.is_some()
-    }
-
-    /// The [`qc_sim::ObsOptions`] these flags imply: disabled when neither
-    /// flag was given, otherwise spans + full event log + snapshots every
-    /// `--snapshot-every` (default 1) simulated seconds.
-    pub fn options(&self) -> qc_sim::ObsOptions {
-        if !self.enabled() {
-            return qc_sim::ObsOptions::disabled();
-        }
-        let mut o = qc_sim::ObsOptions::full();
-        if let Some(secs) = self.every_secs {
-            o.snapshot_every_us = Some((secs * 1e6) as u64);
-        }
-        o
-    }
-
-    /// Write `obs` under `--obs-dir` as `<stem>.events.jsonl` and
-    /// `<stem>.snapshots.json`; no-op when the flag is absent.
-    pub fn dump(&self, stem: &str, obs: &qc_sim::ObsReport) {
-        let Some(dir) = &self.dir else { return };
-        let events = dir.join(format!("{stem}.events.jsonl"));
-        std::fs::write(&events, obs.events_jsonl()).expect("write events jsonl");
-        let snaps = dir.join(format!("{stem}.snapshots.json"));
-        std::fs::write(&snaps, obs.snapshots_json()).expect("write snapshots json");
-        println!(
-            "obs: {} ({} events, {} snapshots) + {}",
-            events.display(),
-            obs.events.len(),
-            obs.snapshots.len(),
-            snaps.display()
-        );
-    }
-}
-
-/// Parse a `--trace-dir DIR` argument: the directory into which an
-/// experiment binary dumps one JSON schedule trace per simulator cell and
-/// replays each through the Theorem 10 conformance checker. `None` (the
-/// flag absent) keeps the default parallel, untraced sweep.
-pub fn trace_dir_flag() -> Option<std::path::PathBuf> {
-    flag_value("--trace-dir").map(std::path::PathBuf::from)
+        return Err(usage);
+    };
+    let flags = Flags::parse(accepted, &args[1..]).map_err(|e| format!("{name}: {e}"))?;
+    run(&flags).map_err(|e| format!("{name}: {e}"))
 }
 
 /// Reduce a quorum label (or any cell tag) to a filename fragment: quorum
 /// labels contain `(`, `/` and spaces that have no business in file names.
-pub fn trace_file_stem(label: &str) -> String {
+fn trace_file_stem(label: &str) -> String {
     label
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -113,30 +120,88 @@ pub fn trace_file_stem(label: &str) -> String {
 }
 
 /// Write a recorded trace as `<dir>/<name>` and return its path.
-pub fn dump_trace(
-    dir: &std::path::Path,
-    name: &str,
-    trace: &qc_sim::ScheduleTrace,
-) -> std::path::PathBuf {
+fn dump_trace(dir: &Path, name: &str, trace: &qc_sim::ScheduleTrace) -> PathBuf {
     let path = dir.join(name);
     std::fs::write(&path, qc_sim::trace_to_json(trace)).expect("write trace file");
     path
 }
 
-/// Print a fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) {
-    let line: Vec<String> = cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect();
-    println!("{}", line.join("  "));
+/// Run a sweep of simulator cells, each named by a file stem. Under
+/// `--trace-dir` the cells run serially and traced: each trace is written
+/// as `<stem>.json` and must replay through the Theorem 10 conformance
+/// checker, and `on_trace` reports it. Under `--obs-dir` /
+/// `--snapshot-every` they run instrumented and their recordings are
+/// dumped per stem. Otherwise they run as one parallel batch. The metrics
+/// are the same in all three.
+fn run_cells(
+    cells: Vec<(String, SimConfig)>,
+    trace_dir: Option<&Path>,
+    obs: &ObsFlags,
+    threads: usize,
+    on_trace: impl Fn(&Path, &ConformanceReport),
+) -> Vec<Metrics> {
+    if let Some(dir) = trace_dir {
+        std::fs::create_dir_all(dir).expect("create --trace-dir");
+        let traced = |(stem, c): (String, SimConfig)| {
+            let quorum = Arc::clone(&c.quorum);
+            let (m, trace) = qc_sim::run_traced(c);
+            let path = dump_trace(dir, &format!("{stem}.json"), &trace);
+            let report = qc_sim::check_trace(&trace, quorum.as_ref())
+                .unwrap_or_else(|d| panic!("{stem}.json: trace failed conformance: {d}"));
+            on_trace(&path, &report);
+            m
+        };
+        return cells.into_iter().map(traced).collect();
+    }
+    if !obs.enabled() {
+        return qc_sim::run_batch(cells.into_iter().map(|(_, c)| c).collect(), threads);
+    }
+    let options = obs.options();
+    let outs = qc_sim::par_map(cells, threads, |_, (stem, mut c)| {
+        c.obs = options;
+        (stem, qc_sim::run_observed(c))
+    });
+    let dumped = |(stem, (m, report)): (String, (Metrics, _))| {
+        obs.dump(&stem, &report);
+        m
+    };
+    outs.into_iter().map(dumped).collect()
 }
 
-/// Print a rule matching the given widths.
-pub fn rule(widths: &[usize]) {
-    let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-    println!("{}", "-".repeat(total));
+/// The banking workload `txn` and `critpath` start from: 8 items, two
+/// domains of two clients, n = 3 majority.
+fn banking(seed: u64, secs: u64) -> qc_sim::TxnConfig {
+    let mut c = qc_sim::TxnConfig::new(
+        Arc::new(quorum::Majority::new(3)),
+        WorkloadKind::Banking(BankingGen::new(4)),
+    );
+    c.items = 8;
+    c.domains = 2;
+    c.clients_per_domain = 2;
+    c.duration = qc_sim::SimTime::from_secs(secs);
+    c.seed = seed;
+    c
+}
+
+/// One logical item `x` (initially 0) on `replicas` copies under
+/// `config`, and one user transaction per step list in `users`.
+fn item_x(
+    replicas: usize,
+    config: ConfigChoice,
+    strategy: TmStrategy,
+    users: Vec<Vec<UserStep>>,
+) -> SystemSpec {
+    SystemSpec {
+        items: vec![ItemSpec {
+            name: "x".into(),
+            init: Value::Int(0),
+            replicas,
+            config,
+        }],
+        plain: vec![],
+        users: users.into_iter().map(UserSpec::new).collect(),
+        strategy,
+    }
 }
 
 /// The paper's running example (Figure 1 shape): two logical items `x`

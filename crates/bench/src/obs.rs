@@ -25,17 +25,19 @@
 //! `--snapshot-every SECS` (dump recordings).
 //!
 //! Reproduce with:
-//!   cargo run --release -p qc-bench --bin exp_obs > results/exp_obs.txt
+//!   cargo run --release -p qc-bench --bin qc-exp -- obs > results/exp_obs.txt
 
 use std::sync::Arc;
 
-use qc_bench::{flag_value, obs_flags, row, rule};
 use qc_sim::{
-    run, run_observed, run_sharded, ContactPolicy, FaultPlan, LatencyModel, Metrics,
-    MultiConfig, ObsOptions, ObsReport, Phase, RetryPolicy, SimConfig, SimTime, PHASES,
+    run_observed, run_sharded, ContactPolicy, FaultPlan, LatencyModel, Metrics, MultiConfig,
+    ObsOptions, ObsReport, Phase, QueueKind, RetryPolicy, SimConfig, SimTime, PHASES,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
+
+use crate::cli::{Flags, ObsFlags};
+use crate::report::{same_on_1_2_4, write_results, Table};
 
 fn base(latency: LatencyModel, secs: u64, seed: u64) -> SimConfig {
     let mut c = SimConfig::new(Arc::new(Majority::new(5)));
@@ -78,36 +80,28 @@ fn phase_section(label: &str, m: &Metrics, obs: &ObsReport) -> Vec<String> {
          phase Σ {span_sum} µs (exact match: {})",
         span_sum == e2e_sum
     );
-    let widths = [14, 10, 10, 10, 10, 10, 8];
-    row(
-        &[
-            "phase".into(),
-            "spans".into(),
-            "p50 µs".into(),
-            "p99 µs".into(),
-            "p999 µs".into(),
-            "max µs".into(),
-            "share".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("phase", 14),
+        ("spans", 10),
+        ("p50 µs", 10),
+        ("p99 µs", 10),
+        ("p999 µs", 10),
+        ("max µs", 10),
+        ("share", 8),
+    ]);
     let mut rows = Vec::new();
     for phase in PHASES {
         let h = obs.spans.hist(phase);
         let share = h.sum() as f64 / (span_sum as f64).max(1.0);
-        row(
-            &[
-                phase.name().into(),
-                format!("{}", h.count()),
-                format!("{}", h.p50()),
-                format!("{}", h.p99()),
-                format!("{}", h.p999()),
-                format!("{}", h.max()),
-                format!("{:.1}%", share * 100.0),
-            ],
-            &widths,
-        );
+        table.row(&[
+            phase.name().into(),
+            format!("{}", h.count()),
+            format!("{}", h.p50()),
+            format!("{}", h.p99()),
+            format!("{}", h.p999()),
+            format!("{}", h.max()),
+            format!("{:.1}%", share * 100.0),
+        ]);
         rows.push(
             JsonObject::new()
                 .field("phase", phase.name())
@@ -121,20 +115,16 @@ fn phase_section(label: &str, m: &Metrics, obs: &ObsReport) -> Vec<String> {
                 .build(),
         );
     }
-    rule(&widths);
+    table.rule();
     println!();
     rows
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(if smoke { 1 } else { 10 });
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(23);
-    let dump = obs_flags();
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.smoke();
+    let secs: u64 = flags.get("--secs")?.unwrap_or(if smoke { 1 } else { 10 });
+    let seed: u64 = flags.get("--seed")?.unwrap_or(23);
+    let dump = ObsFlags::new(flags)?;
 
     println!(
         "Q8 — per-phase latency breakdown (n = 5 majority, minimal-quorum \
@@ -162,7 +152,7 @@ fn main() {
 
     // Invisibility: the fully observed LAN run above must report exactly
     // what the same run reports with observability disabled.
-    let plain = run(base(LatencyModel::lan(), secs, seed));
+    let plain = qc_sim::run(base(LatencyModel::lan(), secs, seed));
     assert_eq!(
         plain.digest(),
         sections[0].1.digest(),
@@ -181,44 +171,31 @@ fn main() {
     mc.seed = seed;
     mc.obs = ObsOptions::full();
     mc.obs.snapshot_every_us = Some(100_000);
-    let reports: Vec<_> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| run_sharded(&mc, t))
-        .collect();
-    for (r, t) in reports.iter().zip([1usize, 2, 4]).skip(1) {
-        assert_eq!(
-            r.obs.spans.digest(),
-            reports[0].obs.spans.digest(),
-            "{t}-thread histogram merge diverged from 1-thread"
-        );
-        assert_eq!(
-            r.obs.digest(),
-            reports[0].obs.digest(),
-            "{t}-thread obs recordings diverged from 1-thread"
-        );
-    }
+    let sharded = same_on_1_2_4(
+        "merged obs recordings (spans, all)",
+        &[QueueKind::Calendar],
+        |_, t| run_sharded(&mc, t).obs,
+        |o| (o.spans.digest(), o.digest()),
+    );
     assert!(
-        !reports[0].obs.snapshots.is_empty(),
+        !sharded.snapshots.is_empty(),
         "sharded snapshot exporter must fire"
     );
     println!(
         "sharded determinism: obs digest {:#018x} (spans {:#018x}) identical \
          on 1/2/4 threads; {} snapshots, {} events",
-        reports[0].obs.digest(),
-        reports[0].obs.spans.digest(),
-        reports[0].obs.snapshots.len(),
-        reports[0].obs.events.len(),
+        sharded.digest(),
+        sharded.spans.digest(),
+        sharded.snapshots.len(),
+        sharded.events.len(),
     );
-    dump.dump("obs_sharded", &reports[0].obs);
+    dump.dump("obs_sharded", &sharded);
 
     let mut json = JsonObject::new()
         .field("sim_duration_secs", &secs)
         .field("seed", &seed)
         .field("smoke", &smoke)
-        .field(
-            "sharded_obs_digest",
-            &format!("{:#018x}", reports[0].obs.digest()),
-        )
+        .field("sharded_obs_digest", &format!("{:#018x}", sharded.digest()))
         .field("sharded_obs_thread_counts", "1/2/4 identical");
     for (label, m, obs, rows) in &sections {
         let e2e = m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
@@ -238,9 +215,7 @@ fn main() {
                 .build(),
         );
     }
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_obs.json", json.build()).expect("write BENCH_obs.json");
-    println!("\nwrote results/BENCH_obs.json");
+    println!("\n{}", write_results(&[("BENCH_obs.json", &json.build())]));
 
     println!(
         "\nExpected shape: LAN ops are gather-dominated with a tight tail; WAN \
@@ -248,4 +223,5 @@ fn main() {
          window moves an order of magnitude of latency into retry_backoff; and \
          the phase sums reconcile with end-to-end latency exactly."
     );
+    Ok(())
 }

@@ -13,7 +13,7 @@
 //!
 //! 1. **Determinism** — `ShardReport` and `PlacementReport` digests of an
 //!    elastic zipfian run on 1/2/4 threads × calendar/heap queues; the
-//!    binary *asserts* all six agree and that migrations happened.
+//!    experiment *asserts* all six agree and that migrations happened.
 //! 2. **Conformance** — the same run traced; every per-item schedule
 //!    (including items whose history spans two shards) must replay
 //!    through the generation-aware Theorem 10 checker (asserted).
@@ -29,14 +29,16 @@
 
 use std::sync::Arc;
 
-use qc_bench::{flag_value, row, rule};
 use qc_sim::{
-    check_trace, default_threads, run_sharded_elastic, run_sharded_elastic_traced,
-    ContactPolicy, ElasticPolicy, ItemDist, MultiConfig, PlacementPolicy, PlacementReport,
-    QueueKind, ReconfigPolicy, SimTime, Workload,
+    check_trace, run_sharded_elastic, run_sharded_elastic_traced, ContactPolicy, ElasticPolicy,
+    ItemDist, MultiConfig, PlacementPolicy, PlacementReport, QueueKind, ReconfigPolicy, SimTime,
+    Workload,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
+
+use crate::cli::Flags;
+use crate::report::{same_on_1_2_4, write_results, Table};
 
 fn config(items: usize, shards: usize, secs: u64, seed: u64, theta: f64) -> MultiConfig {
     let mut c = MultiConfig::new(Arc::new(Majority::new(5)));
@@ -79,24 +81,15 @@ fn final_load_ratio(p: &PlacementReport) -> f64 {
     max * last.shard_commits.len() as f64 / total as f64
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let items: usize = flag_value("--items")
-        .map(|s| s.parse().expect("--items takes an integer"))
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.smoke();
+    let items: usize = flags
+        .get("--items")?
         .unwrap_or(if smoke { 512 } else { 100_000 });
-    let shards: usize = flag_value("--shards")
-        .map(|s| s.parse().expect("--shards takes an integer"))
-        .unwrap_or(if smoke { 4 } else { 8 });
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(if smoke { 2 } else { 10 });
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(29);
-    let threads: usize = flag_value("--threads")
-        .map(|s| s.parse().expect("--threads takes an integer"))
-        .unwrap_or_else(default_threads)
-        .min(shards);
+    let shards: usize = flags.get("--shards")?.unwrap_or(if smoke { 4 } else { 8 });
+    let secs: u64 = flags.get("--secs")?.unwrap_or(if smoke { 2 } else { 10 });
+    let seed: u64 = flags.get("--seed")?.unwrap_or(29);
+    let threads = flags.threads()?.min(shards);
 
     println!(
         "Q12 — elastic rebalancing (n = 5 majority, {items} items, {shards} shards, \
@@ -107,21 +100,17 @@ fn main() {
     // 1. Determinism: both digests identical across thread counts and
     // queue implementations, with real migrations in the run.
     let det_cfg = config(items.min(4096), shards, secs.min(2), seed, 0.99);
-    let mut results = Vec::new();
-    for kind in [QueueKind::Calendar, QueueKind::Heap] {
-        let mut c = det_cfg.clone();
-        c.queue = kind;
-        for t in [1usize, 2, 4] {
+    let (digest0, pdigest0, migrations0) = same_on_1_2_4(
+        "(ShardReport digest, PlacementReport digest, migrations)",
+        &[QueueKind::Calendar, QueueKind::Heap],
+        |queue, t| {
+            let mut c = det_cfg.clone();
+            c.queue = queue;
             let (r, p) = run_sharded_elastic(&c, t);
-            results.push((kind, t, r.digest(), p.digest(), p.migrations));
-        }
-    }
-    let (_, _, digest0, pdigest0, migrations0) = results[0];
-    for &(kind, t, d, pd, m) in &results {
-        assert_eq!(d, digest0, "ShardReport digest diverged at {kind:?}/{t} threads");
-        assert_eq!(pd, pdigest0, "PlacementReport digest diverged at {kind:?}/{t} threads");
-        assert_eq!(m, migrations0);
-    }
+            (r.digest(), p.digest(), p.migrations)
+        },
+        |&k| k,
+    );
     assert!(migrations0 > 0, "the determinism scenario must migrate");
     println!(
         "determinism: digest {digest0:#018x} / placement {pdigest0:#018x} identical on \
@@ -152,18 +141,13 @@ fn main() {
     );
 
     // 3. Skew sweep: collapsed control vs elastic, per θ.
-    let widths = [6, 11, 10, 11, 11];
-    row(
-        &[
-            "theta".into(),
-            "arm".into(),
-            "commits".into(),
-            "moves".into(),
-            "load ratio".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("theta", 6),
+        ("arm", 11),
+        ("commits", 10),
+        ("moves", 11),
+        ("load ratio", 11),
+    ]);
     let mut sweep_rows = Vec::new();
     let mut checks = Vec::new();
     for theta in [0.0, 0.9, 0.99] {
@@ -182,16 +166,13 @@ fn main() {
             );
             let commits = report.metrics.reads.successes + report.metrics.writes.successes;
             let ratio = final_load_ratio(&placement);
-            row(
-                &[
-                    format!("{theta}"),
-                    arm.into(),
-                    format!("{commits}"),
-                    format!("{}", placement.migrations),
-                    format!("{ratio:.2}"),
-                ],
-                &widths,
-            );
+            table.row(&[
+                format!("{theta}"),
+                arm.into(),
+                format!("{commits}"),
+                format!("{}", placement.migrations),
+                format!("{ratio:.2}"),
+            ]);
             per_theta.push(ratio);
             sweep_rows.push(
                 JsonObject::new()
@@ -209,7 +190,7 @@ fn main() {
             checks.push((theta, per_theta[0], per_theta[1]));
         }
     }
-    rule(&widths);
+    table.rule();
 
     let mut recoveries = Vec::new();
     for (theta, collapsed_ratio, elastic_ratio) in checks {
@@ -237,14 +218,15 @@ fn main() {
         .field("smoke", &smoke)
         .field("determinism_digest", &format!("{digest0:#018x}"))
         .field("placement_digest", &format!("{pdigest0:#018x}"))
-        .field("determinism_grid", "1/2/4 threads x calendar/heap identical")
+        .field(
+            "determinism_grid",
+            "1/2/4 threads x calendar/heap identical",
+        )
         .field("conformant_items", &traces.len())
         .field_raw("skew_sweep", &serde_json::array_raw(sweep_rows))
         .field_raw("recovery", &serde_json::array_raw(recoveries))
         .build();
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_rebalance.json", json).expect("write BENCH_rebalance.json");
-    println!("\nwrote results/BENCH_rebalance.json");
+    println!("\n{}", write_results(&[("BENCH_rebalance.json", &json)]));
 
     println!(
         "\nExpected shape: under a range seed the zipf head lands on one shard and the \
@@ -252,4 +234,5 @@ fn main() {
          elastic arm migrates the head across shards within a few epochs and ends near \
          flat, with every move a checked reconfiguration."
     );
+    Ok(())
 }

@@ -3,9 +3,11 @@
 //! generation/version invariants (I1–I3) monitored at every step.
 
 use nested_txn::Value;
-use qc_bench::{row, rule};
 use qc_reconfig::{check_rc_random, RcItemSpec, RcRunOptions, RcSystemSpec};
 use qc_replication::{UserSpec, UserStep};
+
+use crate::cli::Flags;
+use crate::report::Table;
 
 fn spec(replicas: usize, max_reconfigs: u32) -> RcSystemSpec {
     let u: Vec<usize> = (0..replicas).collect();
@@ -15,16 +17,10 @@ fn spec(replicas: usize, max_reconfigs: u32) -> RcSystemSpec {
             init: Value::Int(0),
             replicas,
             initial_config: quorum::generators::majority(&u),
-            alt_configs: vec![
-                quorum::generators::rowa(&u),
-                quorum::generators::raow(&u),
-            ],
+            alt_configs: vec![quorum::generators::rowa(&u), quorum::generators::raow(&u)],
         }],
         users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(7)),
-                UserStep::Read(0),
-            ]),
+            UserSpec::new(vec![UserStep::Write(0, Value::Int(7)), UserStep::Read(0)]),
             UserSpec::new(vec![
                 UserStep::Read(0),
                 UserStep::Write(0, Value::Int(9)),
@@ -35,20 +31,15 @@ fn spec(replicas: usize, max_reconfigs: u32) -> RcSystemSpec {
     }
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("E4 — reconfiguration: correctness across dynamic quorum changes\n");
-    let widths = [28, 6, 10, 12, 9];
-    row(
-        &[
-            "regime".into(),
-            "runs".into(),
-            "Σ|β|".into(),
-            "reconfigs".into(),
-            "refuted".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("regime", 28),
+        ("runs", 6),
+        ("Σ|β|", 10),
+        ("reconfigs", 12),
+        ("refuted", 9),
+    ]);
 
     let regimes = [
         ("3 replicas, no spies", 3usize, 0u32, 2u32, 12u64),
@@ -82,20 +73,18 @@ fn main() {
                 }
             }
         }
-        row(
-            &[
-                name.into(),
-                format!("{runs}"),
-                format!("{b_total}"),
-                format!("{reconfigs}"),
-                format!("{refuted}"),
-            ],
-            &widths,
-        );
+        table.row(&[
+            name.into(),
+            format!("{runs}"),
+            format!("{b_total}"),
+            format!("{reconfigs}"),
+            format!("{refuted}"),
+        ]);
     }
     println!(
         "\nExpected: refuted = 0; reconfigs > 0 whenever spies are enabled. \
          New configurations are written to an *old* write-quorum only — the \
          Goldman–Lynch improvement over Gifford's old-and-new rule."
     );
+    Ok(())
 }

@@ -5,7 +5,7 @@
 //! Three sections, all written to `results/BENCH_shard.json`:
 //!
 //! 1. **Determinism** — the report digest of a fixed configuration run on
-//!    1, 2 and 4 OS threads; the binary *asserts* the three are equal.
+//!    1, 2 and 4 OS threads; the experiment *asserts* the three are equal.
 //! 2. **Conformance** — a traced run of the same configuration; every
 //!    per-item schedule must pass the Theorem 10 conformance check
 //!    (asserted).
@@ -22,15 +22,20 @@
 
 use std::sync::Arc;
 
-use qc_bench::{flag_value, obs_flags, row, rule};
 use qc_sim::{
-    check_trace, default_threads, run_sharded, run_sharded_traced, ContactPolicy, ItemDist,
-    MultiConfig, SimTime, Workload,
+    check_trace, run_sharded, run_sharded_traced, ContactPolicy, ItemDist, MultiConfig, QueueKind,
+    SimTime, Workload,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
 
-fn config(items: usize, shards: usize, secs: u64, seed: u64, theta: f64) -> MultiConfig {
+use crate::cli::{Flags, ObsFlags};
+use crate::report::{same_on_1_2_4, write_results, Table};
+
+/// `items` items on `shards` shards of n = 5 majority with minimal-quorum
+/// contact, two closed-loop clients per shard with no think time, keys
+/// uniform or zipfian with skew `theta`; `throughput --items` runs it too.
+pub(crate) fn config(items: usize, shards: usize, secs: u64, seed: u64, theta: f64) -> MultiConfig {
     let mut c = MultiConfig::new(Arc::new(Majority::new(5)));
     c.contact = ContactPolicy::MinimalQuorum;
     c.items = items;
@@ -49,70 +54,40 @@ fn config(items: usize, shards: usize, secs: u64, seed: u64, theta: f64) -> Mult
     c
 }
 
-fn main() {
-    let items: usize = flag_value("--items")
-        .map(|s| s.parse().expect("--items takes an integer"))
-        .unwrap_or(16);
-    let max_shards: usize = flag_value("--shards")
-        .map(|s| s.parse().expect("--shards takes an integer"))
-        .unwrap_or(8);
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(10);
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(23);
-    let theta: f64 = flag_value("--zipf")
-        .map(|s| s.parse().expect("--zipf takes a float"))
-        .unwrap_or(0.0);
-    let threads: usize = flag_value("--threads")
-        .map(|s| s.parse().expect("--threads takes an integer"))
-        .unwrap_or_else(default_threads);
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let items: usize = flags.get("--items")?.unwrap_or(16);
+    let max_shards: usize = flags.get("--shards")?.unwrap_or(8);
+    let secs: u64 = flags.get("--secs")?.unwrap_or(10);
+    let seed: u64 = flags.get("--seed")?.unwrap_or(23);
+    let theta: f64 = flags.get("--zipf")?.unwrap_or(0.0);
+    let threads = flags.threads()?;
+    // `--obs-dir DIR` / `--snapshot-every SECS`: run the determinism
+    // configuration instrumented too; the merged ObsReport is part of the
+    // cross-thread-count identity check below.
+    let obs = ObsFlags::new(flags)?;
 
     println!(
         "Q7 — shard scaling (n = 5 majority, {items} items, 2 clients/shard, \
          zipf {theta}, {secs} s simulated)\n"
     );
 
-    // `--obs-dir DIR` / `--snapshot-every SECS`: run the determinism
-    // configuration instrumented too; the merged ObsReport is part of the
-    // cross-thread-count identity check below.
-    let obs = obs_flags();
-
     // 1. Determinism: bit-identical report digest across thread counts —
     // including the merged observability recordings when enabled.
     let mut det_cfg = config(items, max_shards.min(items), secs.min(2), seed, theta);
     det_cfg.obs = obs.options();
-    let mut digests = Vec::new();
-    let mut obs_digests = Vec::new();
-    for t in [1usize, 2, 4] {
-        let r = run_sharded(&det_cfg, t);
-        digests.push(r.digest());
-        obs_digests.push(r.obs.digest());
-        if t == 1 {
-            obs.dump("shard_scaling", &r.obs);
-        }
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "digest diverged across thread counts: {digests:x?}"
+    let det = same_on_1_2_4(
+        "(report digest, obs digest)",
+        &[QueueKind::Calendar],
+        |_, t| run_sharded(&det_cfg, t),
+        |r| (r.digest(), r.obs.digest()),
     );
-    assert!(
-        obs_digests.windows(2).all(|w| w[0] == w[1]),
-        "obs recordings diverged across thread counts: {obs_digests:x?}"
-    );
-    println!(
-        "determinism: digest {:#018x} identical on 1/2/4 threads",
-        digests[0]
-    );
+    obs.dump("shard_scaling", &det.obs);
+    let digest = det.digest();
+    println!("determinism: digest {digest:#018x} identical on 1/2/4 threads");
 
     // 2. Conformance: every per-item schedule replays through Theorem 10.
     let (traced_report, traces) = run_sharded_traced(&det_cfg, threads);
-    assert_eq!(
-        traced_report.digest(),
-        digests[0],
-        "tracing perturbed the run"
-    );
+    assert_eq!(traced_report.digest(), digest, "tracing perturbed the run");
     let mut traced_events = 0usize;
     for (g, trace) in traces.iter().enumerate() {
         let conf = check_trace(trace, &*det_cfg.quorum)
@@ -135,17 +110,12 @@ fn main() {
 
     // 3. Scaling sweep: aggregate simulated throughput vs shard count.
     println!();
-    let widths = [8, 10, 14, 12];
-    row(
-        &[
-            "shards".into(),
-            "clients".into(),
-            "ops/sec".into(),
-            "speedup".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("shards", 8),
+        ("clients", 10),
+        ("ops/sec", 14),
+        ("speedup", 12),
+    ]);
     let mut sweep_rows = Vec::new();
     let mut baseline_ops = None;
     for shards in [1usize, 2, 4, 8] {
@@ -164,15 +134,12 @@ fn main() {
             .throughput_ops_per_sec(SimTime::from_secs(secs));
         let base = *baseline_ops.get_or_insert(ops);
         let speedup = ops / base.max(1e-9);
-        row(
-            &[
-                format!("{shards}"),
-                format!("{}", c.clients()),
-                format!("{ops:.0}"),
-                format!("{speedup:.2}x"),
-            ],
-            &widths,
-        );
+        table.row(&[
+            format!("{shards}"),
+            format!("{}", c.clients()),
+            format!("{ops:.0}"),
+            format!("{speedup:.2}x"),
+        ]);
         sweep_rows.push(
             JsonObject::new()
                 .field("shards", &shards)
@@ -182,7 +149,7 @@ fn main() {
                 .build(),
         );
     }
-    rule(&widths);
+    table.rule();
 
     // Item-count scaling at the max shard count: the aggregate rate is set
     // by the clients, not by how many items they spread over.
@@ -205,15 +172,13 @@ fn main() {
         .field("items", &items)
         .field("zipf_theta", &theta)
         .field("sim_duration_secs", &secs)
-        .field("determinism_digest", &format!("{:#018x}", digests[0]))
+        .field("determinism_digest", &format!("{digest:#018x}"))
         .field("determinism_thread_counts", "1/2/4 identical")
         .field("conformant_items", &traces.len())
         .field_raw("shard_scaling", &serde_json::array_raw(sweep_rows))
         .field_raw("item_scaling", &serde_json::array_raw(items_rows))
         .build();
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_shard.json", json).expect("write BENCH_shard.json");
-    println!("\nwrote results/BENCH_shard.json");
+    println!("\n{}", write_results(&[("BENCH_shard.json", &json)]));
 
     println!(
         "\nExpected shape: aggregate simulated ops/sec grows ~linearly with the \
@@ -221,4 +186,5 @@ fn main() {
          certifies the 8-shard result is bit-identical however many OS threads \
          executed it."
     );
+    Ok(())
 }

@@ -6,13 +6,14 @@
 //! Prints one row per generator regime: runs checked, total β/α
 //! operations, and failures (which must be 0).
 
-use qc_bench::{row, rule};
 use qc_replication::{check_random, random_spec, GenParams, RunOptions};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn regime(name: &str, params: GenParams, abort_weight: u32, runs: u64) {
-    let widths = [22, 6, 10, 10, 9, 9];
+use crate::cli::Flags;
+use crate::report::Table;
+
+fn regime(table: &Table, name: &str, params: GenParams, abort_weight: u32, runs: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(0xE1);
     let mut b_total = 0usize;
     let mut a_total = 0usize;
@@ -40,39 +41,32 @@ fn regime(name: &str, params: GenParams, abort_weight: u32, runs: u64) {
             }
         }
     }
-    row(
-        &[
-            name.into(),
-            format!("{runs}"),
-            format!("{b_total}"),
-            format!("{a_total}"),
-            format!("{tms}"),
-            format!("{failures}"),
-        ],
-        &widths,
-    );
+    table.row(&[
+        name.into(),
+        format!("{runs}"),
+        format!("{b_total}"),
+        format!("{a_total}"),
+        format!("{tms}"),
+        format!("{failures}"),
+    ]);
 }
 
-fn main() {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("E1 — Theorem 10: project-and-replay over random systems and schedules\n");
-    let widths = [22, 6, 10, 10, 9, 9];
-    row(
-        &[
-            "regime".into(),
-            "runs".into(),
-            "Σ|β|".into(),
-            "Σ|α|".into(),
-            "Σ TMs".into(),
-            "refuted".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let t = Table::header(&[
+        ("regime", 22),
+        ("runs", 6),
+        ("Σ|β|", 10),
+        ("Σ|α|", 10),
+        ("Σ TMs", 9),
+        ("refuted", 9),
+    ]);
 
-    regime("small, no aborts", GenParams::default(), 0, 120);
-    regime("small, light aborts", GenParams::default(), 3, 120);
-    regime("small, heavy aborts", GenParams::default(), 50, 120);
+    regime(&t, "small, no aborts", GenParams::default(), 0, 120);
+    regime(&t, "small, light aborts", GenParams::default(), 3, 120);
+    regime(&t, "small, heavy aborts", GenParams::default(), 50, 120);
     regime(
+        &t,
         "wide (5 users)",
         GenParams {
             users: (4, 5),
@@ -82,6 +76,7 @@ fn main() {
         60,
     );
     regime(
+        &t,
         "deep (nesting 4)",
         GenParams {
             max_depth: 4,
@@ -92,6 +87,7 @@ fn main() {
         60,
     );
     regime(
+        &t,
         "many replicas (7-9)",
         GenParams {
             replicas: (7, 9),
@@ -102,4 +98,5 @@ fn main() {
     );
 
     println!("\nExpected: refuted = 0 in every regime (the paper's Theorem 10).");
+    Ok(())
 }

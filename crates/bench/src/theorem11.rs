@@ -6,26 +6,24 @@
 //! and replay on **A** (conclusion). Reports interleaving statistics;
 //! `refuted` must stay 0.
 
-use qc_bench::{contention_spec, row, rule};
 use qc_cc::{check_theorem11, CcRunOptions};
 
-fn main() {
+use crate::cli::Flags;
+use crate::contention_spec;
+use crate::report::Table;
+
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     println!("E3 — Theorem 11: 2PL at the copies ⇒ serializability at the items\n");
-    let widths = [24, 6, 10, 10, 9, 9, 10, 9];
-    row(
-        &[
-            "regime".into(),
-            "runs".into(),
-            "Σ|γ|".into(),
-            "Σ|σ|".into(),
-            "commits".into(),
-            "aborts".into(),
-            "conflicts".into(),
-            "refuted".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("regime", 24),
+        ("runs", 6),
+        ("Σ|γ|", 10),
+        ("Σ|σ|", 10),
+        ("commits", 9),
+        ("aborts", 9),
+        ("conflicts", 10),
+        ("refuted", 9),
+    ]);
 
     let regimes = [
         ("2 users, 3 replicas", 2usize, 3usize, 1u32, 20u64),
@@ -66,23 +64,21 @@ fn main() {
                 }
             }
         }
-        row(
-            &[
-                name.into(),
-                format!("{runs}"),
-                format!("{gamma}"),
-                format!("{sigma}"),
-                format!("{commits}"),
-                format!("{aborts}"),
-                format!("{conflicts}"),
-                format!("{refuted}"),
-            ],
-            &widths,
-        );
+        table.row(&[
+            name.into(),
+            format!("{runs}"),
+            format!("{gamma}"),
+            format!("{sigma}"),
+            format!("{commits}"),
+            format!("{aborts}"),
+            format!("{conflicts}"),
+            format!("{refuted}"),
+        ]);
     }
 
     println!(
         "\nExpected: refuted = 0 — every 2PL interleaving serializes against B \
          and, projected, against A (the paper's modularity result)."
     );
+    Ok(())
 }

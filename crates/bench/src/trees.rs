@@ -10,8 +10,10 @@
 use std::collections::BTreeMap;
 
 use nested_txn::{ObjectId, Tid, TxnOp};
-use qc_bench::figure1_spec;
 use qc_replication::{project_to_a, run_system_b, Layout, RunOptions, TmRole};
+
+use crate::cli::Flags;
+use crate::figure1_spec;
 
 fn label(
     tid: &Tid,
@@ -126,7 +128,7 @@ fn tids_of(schedule: &ioa::Schedule<TxnOp>) -> Vec<Tid> {
     tids
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub(crate) fn run(_: &Flags) -> Result<(), String> {
     let spec = figure1_spec();
     let (beta, layout) = run_system_b(
         &spec,
@@ -135,7 +137,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             abort_weight: 0,
             ..RunOptions::default()
         },
-    )?;
+    )
+    .expect("the Figure 1 system runs to completion at seed 4");
 
     // Plain (non-replica) accesses, identified by their carried specs.
     let plain_ids: Vec<ObjectId> = layout.plain_objects.iter().map(|(o, _)| *o).collect();

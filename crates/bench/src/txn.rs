@@ -28,26 +28,16 @@
 use std::sync::Arc;
 
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
-use qc_bench::{flag_value, row, rule};
 use qc_sim::{
-    check_commit_order_serializable, check_trace, default_threads, run_txn, run_txn_committed,
-    run_txn_traced, FaultPlan, SimTime, TxnConfig, TxnReport,
+    check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_traced,
+    FaultPlan, QueueKind, SimTime, TxnConfig, TxnReport,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
 
-fn banking(seed: u64, secs: u64) -> TxnConfig {
-    let mut c = TxnConfig::new(
-        Arc::new(Majority::new(3)),
-        WorkloadKind::Banking(BankingGen::new(4)),
-    );
-    c.items = 8;
-    c.domains = 2;
-    c.clients_per_domain = 2;
-    c.duration = SimTime::from_secs(secs);
-    c.seed = seed;
-    c
-}
+use crate::banking;
+use crate::cli::Flags;
+use crate::report::{same_on_1_2_4, write_results, Table};
 
 fn abort_rate(r: &TxnReport) -> f64 {
     let done = r.stats.txns_committed + r.stats.txns_aborted;
@@ -57,17 +47,11 @@ fn abort_rate(r: &TxnReport) -> f64 {
     r.stats.txns_aborted as f64 / done as f64
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let secs: u64 = flag_value("--secs")
-        .map(|s| s.parse().expect("--secs takes an integer"))
-        .unwrap_or(if smoke { 2 } else { 120 });
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(17);
-    let threads: usize = flag_value("--threads")
-        .map(|s| s.parse().expect("--threads takes an integer"))
-        .unwrap_or_else(default_threads);
+pub(crate) fn run(flags: &Flags) -> Result<(), String> {
+    let smoke = flags.smoke();
+    let secs: u64 = flags.get("--secs")?.unwrap_or(if smoke { 2 } else { 120 });
+    let seed: u64 = flags.get("--seed")?.unwrap_or(17);
+    let threads = flags.threads()?;
 
     println!(
         "Q11 — nested transactions over the sharded store (n = 3 majority, \
@@ -77,26 +61,17 @@ fn main() {
 
     // 1. Determinism: bit-identical digest across thread counts.
     let det_cfg = banking(seed, secs.min(2));
-    let mut digests = Vec::new();
-    for t in [1usize, 2, 4] {
-        digests.push(run_txn(&det_cfg, t).digest());
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "digest diverged across thread counts: {digests:x?}"
+    let digest = same_on_1_2_4(
+        "report digest",
+        &[QueueKind::Calendar],
+        |_, t| run_txn(&det_cfg, t).digest(),
+        |&d| d,
     );
-    println!(
-        "determinism: digest {:#018x} identical on 1/2/4 threads",
-        digests[0]
-    );
+    println!("determinism: digest {digest:#018x} identical on 1/2/4 threads");
 
     // 2. Conformance: Theorem 10 per item, Theorem 11 for the whole run.
     let (traced_report, traces) = run_txn_traced(&det_cfg, threads);
-    assert_eq!(
-        traced_report.digest(),
-        digests[0],
-        "tracing perturbed the run"
-    );
+    assert_eq!(traced_report.digest(), digest, "tracing perturbed the run");
     let mut traced_events = 0usize;
     for (g, trace) in traces.iter().enumerate() {
         let conf = check_trace(trace, &*det_cfg.quorum)
@@ -108,10 +83,14 @@ fn main() {
         traced_events += conf.events;
     }
     let (rep2, commits) = run_txn_committed(&det_cfg, threads);
-    assert_eq!(rep2.digest(), digests[0], "commit capture perturbed the run");
+    assert_eq!(rep2.digest(), digest, "commit capture perturbed the run");
     let finals = check_commit_order_serializable(&|_| 0, &commits)
         .unwrap_or_else(|e| panic!("Theorem 11 replay failed: {e}"));
-    assert_eq!(rep2.stats.lemma_violations, 0, "{:?}", rep2.stats.violations);
+    assert_eq!(
+        rep2.stats.lemma_violations, 0,
+        "{:?}",
+        rep2.stats.violations
+    );
     println!(
         "conformance: {} items / {traced_events} trace events (Theorem 10), \
          {} committed txns replay serially over {} items (Theorem 11)",
@@ -156,20 +135,15 @@ fn main() {
     // 4. Contention sweep: abort/compensation rates vs clients per domain,
     // per workload shape, plus a faulted scenario.
     println!();
-    let widths = [11, 8, 9, 11, 11, 11, 12];
-    row(
-        &[
-            "workload".into(),
-            "clients".into(),
-            "txns".into(),
-            "abort rate".into(),
-            "lock waits".into(),
-            "timeouts".into(),
-            "compensations".into(),
-        ],
-        &widths,
-    );
-    rule(&widths);
+    let table = Table::header(&[
+        ("workload", 11),
+        ("clients", 8),
+        ("txns", 9),
+        ("abort rate", 11),
+        ("lock waits", 11),
+        ("timeouts", 11),
+        ("compensations", 12),
+    ]);
     let sweep_secs = if smoke { 1 } else { secs.min(10) };
     let cpd_points: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
     let mut sweep_rows = Vec::new();
@@ -194,18 +168,15 @@ fn main() {
                 report.stats.violations
             );
             let st = &report.stats;
-            row(
-                &[
-                    name.into(),
-                    format!("{}", c.clients()),
-                    format!("{}", st.txns_started),
-                    format!("{:.4}", abort_rate(&report)),
-                    format!("{}", st.lock_waits),
-                    format!("{}", st.lock_timeouts),
-                    format!("{}", st.compensations),
-                ],
-                &widths,
-            );
+            table.row(&[
+                name.into(),
+                format!("{}", c.clients()),
+                format!("{}", st.txns_started),
+                format!("{:.4}", abort_rate(&report)),
+                format!("{}", st.lock_waits),
+                format!("{}", st.lock_timeouts),
+                format!("{}", st.compensations),
+            ]);
             sweep_rows.push(
                 JsonObject::new()
                     .field("workload", name)
@@ -222,7 +193,7 @@ fn main() {
             );
         }
     }
-    rule(&widths);
+    table.rule();
 
     // Faulted scenario: crashes, a drop window and forced aborts while
     // the wall stays green.
@@ -259,7 +230,7 @@ fn main() {
         .field("seed", &seed)
         .field("sim_duration_secs", &secs)
         .field("smoke", &smoke)
-        .field("determinism_digest", &format!("{:#018x}", digests[0]))
+        .field("determinism_digest", &format!("{digest:#018x}"))
         .field("determinism_thread_counts", "1/2/4 identical")
         .field("conformant_items", &traces.len())
         .field("theorem11_committed_txns", &commits.len())
@@ -269,15 +240,10 @@ fn main() {
         .field("scale_subtree_aborts", &scale_report.stats.subtree_aborts)
         .field("scale_compensations", &scale_report.stats.compensations)
         .field_raw("contention_sweep", &serde_json::array_raw(sweep_rows))
-        .field(
-            "faulted_abort_rate",
-            &abort_rate(&faulted_report),
-        )
+        .field("faulted_abort_rate", &abort_rate(&faulted_report))
         .field("faulted_forced_aborts", &faulted_report.stats.forced_aborts)
         .build();
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_txn.json", json).expect("write BENCH_txn.json");
-    println!("\nwrote results/BENCH_txn.json");
+    println!("\n{}", write_results(&[("BENCH_txn.json", &json)]));
 
     println!(
         "\nExpected shape: the abort rate climbs with clients per domain (more \
@@ -286,4 +252,5 @@ fn main() {
          faulted, or at 1e5-txn scale — replays serially (Theorem 11) and every \
          per-item schedule conforms to the single-copy serial object (Theorem 10)."
     );
+    Ok(())
 }

@@ -1,5 +1,5 @@
 //! Causal span trees and critical-path extraction for nested
-//! transactions — the flight recorder behind `exp_critpath`/`qc-trace`.
+//! transactions — the flight recorder behind `qc-exp critpath` and `qc-trace`.
 //!
 //! The paper's central object is the *transaction tree*: quorum
 //! reads/writes at the leaves, Moss-style commit decisions propagating
@@ -32,7 +32,7 @@
 //! exploits this to extract the longest causally-dependent chain from
 //! txn start to commit/abort, and the chain's segment durations sum to
 //! the end-to-end latency **exactly** — asserted in [`TxnTrace::verify`],
-//! the test wall, and `exp_critpath`.
+//! the test wall, and `qc-exp critpath`.
 //!
 //! Serialized span trees ride the qc-events-v1 JSONL stream as
 //! `"event":"span_tree"` lines ([`TxnTrace::to_json_line`]); this module
@@ -1091,7 +1091,7 @@ impl CausalOptions {
         Self::default()
     }
 
-    /// Profile plus the 8 slowest full traces — the `exp_critpath`
+    /// Profile plus the 8 slowest full traces — the `qc-exp critpath`
     /// preset.
     pub fn profile() -> Self {
         Self {

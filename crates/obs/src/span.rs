@@ -26,7 +26,7 @@
 //! - `reconfig_fence` — a §4 reconfiguration fence: the instant a new
 //!   `(configuration, generation)` is installed through a write quorum
 //!   of the *old* members. Recorded as a zero-duration span per
-//!   installation so `exp_obs` percentiles count dynamic runs' fences.
+//!   installation so `qc-exp obs` percentiles count dynamic runs' fences.
 //! - `migration` — an elastic-placement hot-item migration barrier
 //!   (a same-members generation bump batched per epoch), one
 //!   zero-duration span per migrated item.

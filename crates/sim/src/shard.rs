@@ -143,6 +143,11 @@ pub enum Workload {
     },
 }
 
+/// The most epoch barriers an elastic run may plan: [`MultiConfig::validate`]
+/// rejects a duration / epoch ratio above it, since every barrier is an
+/// entry in a list built up front and a parallel round over the shards.
+pub const MAX_EPOCH_BARRIERS: u64 = 1_000_000;
+
 /// Configuration of one sharded multi-item run.
 #[derive(Clone)]
 pub struct MultiConfig {
@@ -320,6 +325,14 @@ impl MultiConfig {
             if let PlacementPolicy::Elastic(pol) = &self.placement {
                 if pol.epoch == SimTime::ZERO {
                     return Err("the rebalancing epoch must be positive".into());
+                }
+                let barriers = self.duration.0 / pol.epoch.0;
+                if barriers > MAX_EPOCH_BARRIERS {
+                    return Err(format!(
+                        "duration {} over a rebalancing epoch of {} is {barriers} epoch \
+                         barriers; at most {MAX_EPOCH_BARRIERS} fit",
+                        self.duration, pol.epoch
+                    ));
                 }
             }
         }

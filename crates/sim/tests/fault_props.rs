@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use qc_sim::{
     run, run_sharded, run_txn, ContactPolicy, ElasticPolicy, FaultPlan, ItemDist, LatencyModel,
     Metrics, MultiConfig, PlacementPolicy, ReconfigPolicy, RetryPolicy, SeedPlacement, SimConfig,
-    SimTime, TxnConfig, Workload,
+    SimTime, TxnConfig, Workload, MAX_EPOCH_BARRIERS,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -320,10 +320,16 @@ impl Fields<'_> {
         [0.0, 0.5, 1.0, f64::NAN, -1.0, 2.0][self.pick() % 6]
     }
 
+    /// A latency model; a uniform one's bounds are drawn apart, so a range
+    /// may be empty (`lo > hi`), always zero, or reach past every knob.
     fn latency(&mut self) -> LatencyModel {
-        match self.pick() % 3 {
+        match self.pick() % 4 {
             0 => LatencyModel::lan(),
             1 => LatencyModel::wan(),
+            2 => LatencyModel::Uniform {
+                lo: self.time(200),
+                hi: self.time(600),
+            },
             _ => LatencyModel::Fixed(self.time(300)),
         }
     }
@@ -396,20 +402,25 @@ impl Fields<'_> {
             _ => Workload::Routed { interarrival: pace },
         };
         c.timeout = self.time(5_000);
-        c.duration = self.time(20_000);
+        // Long, so an elastic epoch can be tiny against it; the run is RUN.
+        c.duration = self.time(300_000_000);
         c.seed = self.u64(7);
         c.retry = self.retry();
         c.reconfig = self.reconfig();
         c.placement = match self.pick() % 3 {
             0 => PlacementPolicy::Static,
             1 => PlacementPolicy::Seeded(SeedPlacement::Range),
-            _ => PlacementPolicy::Elastic(ElasticPolicy {
-                epoch: self.time(5_000),
-                max_moves_per_epoch: self.usize(2),
-                hot_ratio: 1.0 + self.fraction(),
-                min_epoch_commits: self.u64(1),
-                ..ElasticPolicy::new()
-            }),
+            _ => {
+                // A 1 µs epoch against the drawn 300 s is 3·10⁸ barriers.
+                let small_epoch = [1, 5_000][self.pick() % 2];
+                PlacementPolicy::Elastic(ElasticPolicy {
+                    epoch: self.time(small_epoch),
+                    max_moves_per_epoch: self.usize(2),
+                    hot_ratio: 1.0 + self.fraction(),
+                    min_epoch_commits: self.u64(1),
+                    ..ElasticPolicy::new()
+                })
+            }
         };
         c.faults = faults;
         c
@@ -451,7 +462,9 @@ proptest! {
     /// Every field of the three configurations from the edges of its type
     /// and a plan from the plan-text fuzz above: `validate` always returns,
     /// and a configuration it accepts that is small enough to build runs
-    /// 20 simulated milliseconds without a panic.
+    /// 20 simulated milliseconds without a panic. The run is shorter than
+    /// the drawn duration, so what the drawn duration costs an elastic run
+    /// (one barrier per epoch) is checked on the accepted configuration.
     #[test]
     fn any_config_validates_or_errs_and_ok_configs_run(
         picks in prop::collection::vec(0usize..60, 120),
@@ -465,6 +478,10 @@ proptest! {
         }
         let multi = fields.multi(faults.clone());
         let counts = [multi.items, multi.shards, multi.clients_per_shard];
+        if let (Ok(()), PlacementPolicy::Elastic(pol)) = (multi.validate(), &multi.placement) {
+            let barriers = multi.duration.0 / pol.epoch.0;
+            prop_assert!(barriers <= MAX_EPOCH_BARRIERS, "{} barriers accepted", barriers);
+        }
         if multi.validate().is_ok() && buildable(&counts) {
             let _ = run_sharded(&MultiConfig { duration: RUN, ..multi }, 1);
         }

@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
-    run, run_sharded, run_txn, FaultPlan, ItemDist, LatencyModel, MultiConfig, ReconfigPolicy,
-    ReconfigTarget, SimConfig, SimTime, Simulation, TxnConfig,
+    run, run_sharded, run_txn, ElasticPolicy, FaultPlan, ItemDist, LatencyModel, MultiConfig,
+    PlacementPolicy, ReconfigPolicy, ReconfigTarget, SimConfig, SimTime, Simulation, TxnConfig,
+    MAX_EPOCH_BARRIERS,
 };
 use quorum::{Majority, QuorumSpec, Weighted};
 
@@ -234,4 +235,24 @@ fn a_zipfian_theta_that_is_not_a_skew_is_an_error() {
         let err = c.validate().expect_err(&format!("theta {theta} accepted"));
         assert!(err.contains("zipfian theta"), "{err:?}");
     }
+}
+
+/// An elastic run builds one barrier per epoch of its duration up front and
+/// runs a parallel round at each: a 1 µs epoch over 300 s was 3·10⁸ of
+/// them, and `validate` checked only that the epoch was positive.
+#[test]
+fn an_elastic_epoch_tiny_against_the_duration_is_an_error() {
+    let mut c = MultiConfig::new(Arc::new(Majority::new(3)));
+    c.reconfig = ReconfigPolicy::scripted_only();
+    c.placement = PlacementPolicy::Elastic(ElasticPolicy {
+        epoch: SimTime(1),
+        ..ElasticPolicy::new()
+    });
+    c.duration = SimTime::from_secs(300);
+    let err = c.validate().expect_err("3e8 epoch barriers accepted");
+    assert!(err.contains("duration") && err.contains("epoch"), "{err:?}");
+    c.duration = SimTime(MAX_EPOCH_BARRIERS);
+    assert_eq!(c.validate(), Ok(()), "the bound itself is runnable");
+    c.duration = SimTime(MAX_EPOCH_BARRIERS + 1);
+    assert!(c.validate().is_err());
 }

@@ -28,95 +28,124 @@ echo "==> no wall clock under crates/bench/src"
 # An experiment's output is a function of its flags and seed; host time is
 # benchmark/'s to measure.
 if grep -rnE 'Instant|SystemTime' crates/bench/src; then
-  echo "tier1: an experiment binary reads the host clock" >&2
+  echo "tier1: an experiment reads the host clock" >&2
   exit 1
 fi
 
-# The experiment legs run the built binaries from scratch working
-# directories: they write results/ relative to where they run, so the
+# The experiment legs run the built qc-exp from scratch working
+# directories: it writes results/ relative to where it runs, so the
 # committed results/ (recorded at full scale) is never touched.
 BIN="${CARGO_TARGET_DIR:-$PWD/target}/release"
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
-# leg BIN [--threads] ARGS...: run the experiment twice, each from its own
-# empty directory — on 1 and on 2 worker threads when the second word is
-# --threads — and require byte-identical stdout and written files. The
-# first run's directory stays at $SCRATCH/BIN.a.
+# leg NAME [--threads] ARGS...: run `qc-exp NAME ARGS` twice, each from its
+# own empty directory — on 1 and on 2 worker threads when the second word
+# is --threads — and require byte-identical stdout and written files. The
+# first run's directory stays at $SCRATCH/NAME.a.
 leg() {
-  local bin="$1" t1="" t2=""
+  local name="$1" t1="" t2=""
   shift
   if [ "${1:-}" = "--threads" ]; then
     shift
     t1="--threads 1" t2="--threads 2"
   fi
-  mkdir "$SCRATCH/$bin.a" "$SCRATCH/$bin.b"
+  mkdir "$SCRATCH/$name.a" "$SCRATCH/$name.b"
   # shellcheck disable=SC2086  # $t1 / $t2 are zero or two words
-  (cd "$SCRATCH/$bin.a" && "$BIN/$bin" "$@" $t1 > stdout.txt)
+  (cd "$SCRATCH/$name.a" && "$BIN/qc-exp" "$name" "$@" $t1 > stdout.txt)
   # shellcheck disable=SC2086
-  (cd "$SCRATCH/$bin.b" && "$BIN/$bin" "$@" $t2 > stdout.txt)
-  diff -r "$SCRATCH/$bin.a" "$SCRATCH/$bin.b"
+  (cd "$SCRATCH/$name.b" && "$BIN/qc-exp" "$name" "$@" $t2 > stdout.txt)
+  diff -r "$SCRATCH/$name.a" "$SCRATCH/$name.b"
 }
 
-echo "==> nested-transaction smoke (exp_txn: digests, conformance, Theorem 11)"
-# The binary asserts 1/2/4-thread digest identity, per-item Theorem 10
+# expect_status N CMD...: CMD must exit with status N (its output discarded).
+expect_status() {
+  local want="$1" status=0
+  shift
+  "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne "$want" ]; then
+    echo "tier1: '$*' exited $status, expected $want" >&2
+    exit 1
+  fi
+}
+
+echo "==> qc-exp refuses malformed flags (status 2, never a panic)"
+expect_status 2 "$BIN/qc-exp" no_such_experiment
+expect_status 2 "$BIN/qc-exp" cost --seed 5
+expect_status 2 "$BIN/qc-exp" shard_scaling --secs abc
+expect_status 2 "$BIN/qc-exp" obs --smoke --snapshot-every -1
+expect_status 2 "$BIN/qc-exp" txn --seed
+
+echo "==> nested-transaction smoke (qc-exp txn: digests, conformance, Theorem 11)"
+# The experiment asserts 1/2/4-thread digest identity, per-item Theorem 10
 # conformance, and commit-order serializability of the committed
 # projection; --smoke keeps the scale and sweep sections cheap.
-leg exp_txn --threads --smoke
+leg txn --threads --smoke
 
-echo "==> critical-path smoke (exp_critpath --smoke) + qc-trace queries"
-# The binary asserts recording invisibility, thread/queue invariance of
-# the causal digest, and exact reconciliation at scale; qc-trace then
+echo "==> critical-path smoke (qc-exp critpath --smoke) + qc-trace queries"
+# The experiment asserts recording invisibility, thread/queue invariance
+# of the causal digest, and exact reconciliation at scale; qc-trace then
 # re-parses both the golden causal JSONL and the freshly exported
 # slowest-transaction JSONL, re-verifying every span tree offline.
-leg exp_critpath --threads --smoke
+leg critpath --threads --smoke
 GOLDEN=crates/sim/tests/golden/txn_banking_causal_seed17.jsonl
-SLOWEST="$SCRATCH/exp_critpath.a/results/critpath_slowest.jsonl"
+SLOWEST="$SCRATCH/critpath.a/results/critpath_slowest.jsonl"
 "$BIN/qc-trace" "$GOLDEN" check
 "$BIN/qc-trace" "$SLOWEST" check > /dev/null
 "$BIN/qc-trace" "$GOLDEN" top 3 > /dev/null
 "$BIN/qc-trace" "$SLOWEST" profile > /dev/null
 "$BIN/qc-trace" "$SLOWEST" aborts > /dev/null
 # Malformed input is an error (status 1), never a panic (status 101): a
-# child index and a doomed-span index past the one-span list.
+# child index and a doomed-span index past the one-span list, and a K
+# that is not a number.
 TREE='"at_us":10,"shard":0,"event":"span_tree","client":0,"epoch":0,"start_us":0,"end_us":10'
 ROOT='"parent":null,"kind":"seq","start_us":0,"end_us":10'
 printf '%s\n' "{$TREE,\"outcome\":\"committed\",\"cause\":null,\"doomed\":null,\"spans\":[{$ROOT,\"outcome\":\"ok\",\"children\":[7]}]}" \
   > "$SCRATCH/bad_child.jsonl"
 printf '%s\n' "{$TREE,\"outcome\":\"aborted\",\"cause\":\"lock_timeout\",\"doomed\":9,\"spans\":[{$ROOT,\"outcome\":\"aborted\"}]}" \
   > "$SCRATCH/bad_doomed.jsonl"
-for bad in "$SCRATCH"/bad_child.jsonl "$SCRATCH"/bad_doomed.jsonl; do
-  status=0
-  "$BIN/qc-trace" "$bad" check 2> /dev/null || status=$?
-  if [ "$status" -ne 1 ]; then
-    echo "tier1: qc-trace exited $status on $bad, expected 1" >&2
-    exit 1
-  fi
-done
+expect_status 1 "$BIN/qc-trace" "$SCRATCH/bad_child.jsonl" check
+expect_status 1 "$BIN/qc-trace" "$SCRATCH/bad_doomed.jsonl" check
+expect_status 1 "$BIN/qc-trace" "$GOLDEN" top abc
 
-echo "==> elastic rebalancing smoke (exp_rebalance --smoke)"
-# The binary asserts 1/2/4-thread x calendar/heap digest identity of the
-# elastic run, per-item conformance including migrated items, and that
-# the elastic arm at least halves the collapsed arm's load ratio; --smoke
-# keeps the item count and sweep cheap.
-leg exp_rebalance --threads --smoke
+echo "==> elastic rebalancing smoke (qc-exp rebalance --smoke)"
+# The experiment asserts 1/2/4-thread x calendar/heap digest identity of
+# the elastic run, per-item conformance including migrated items, and
+# that the elastic arm at least halves the collapsed arm's load ratio;
+# --smoke keeps the item count and sweep cheap.
+leg rebalance --threads --smoke
 
-echo "==> reconfiguration smoke (exp_faults, dynamic column non-degenerate)"
-# The binary itself asserts every dynamic ROWA cell reconfigured and beat
-# its static twin; --secs keeps the smoke cheap.
-leg exp_faults --secs 2
+echo "==> reconfiguration smoke (qc-exp faults, dynamic column non-degenerate)"
+# The experiment itself asserts every dynamic ROWA cell reconfigured and
+# beat its static twin; --secs keeps the smoke cheap.
+leg faults --secs 2
 
-echo "==> shard scaling smoke (exp_shard_scaling: determinism + per-item conformance)"
-leg exp_shard_scaling --threads --secs 2
+echo "==> shard scaling smoke (qc-exp shard_scaling: determinism + per-item conformance)"
+leg shard_scaling --threads --secs 2
 
-echo "==> throughput smoke (exp_throughput: Q3a grid, Q3b Theorem 11 runs)"
-leg exp_throughput --threads --secs 2
+echo "==> throughput smoke (qc-exp throughput: Q3a grid, Q3b Theorem 11 runs)"
+leg throughput --threads --secs 2
 
-echo "==> observability smoke (exp_obs --smoke)"
+echo "==> observability smoke (qc-exp obs --smoke)"
 # Asserts the snapshot exporter fires on every simulated boundary, the
 # observed run's metrics digest equals the unobserved one, and the
 # 1/2/4-thread sharded histogram merge is bit-identical.
-leg exp_obs --smoke
+leg obs --smoke
+
+echo "==> every experiment at default flags reproduces the committed results/"
+# Each experiment's stdout is results/exp_<name>.txt (fig_trees.txt for
+# trees); together with the files they write, the directory must equal
+# results/ byte for byte. results/perf/ holds benchmark records, and the
+# ignored traces/ and obs/ hold --trace-dir / --obs-dir dumps.
+mkdir -p "$SCRATCH/all/results"
+for name in ablation aborts availability cost critpath crossover exhaustive failover \
+  faults granularity invariants obs rebalance reconfig shard_scaling theorem10 \
+  theorem11 throughput trees txn; do
+  file="exp_$name.txt"
+  [ "$name" = trees ] && file=fig_trees.txt
+  (cd "$SCRATCH/all" && "$BIN/qc-exp" "$name" > "results/$file")
+done
+diff -r -x perf -x traces -x obs results "$SCRATCH/all/results"
 
 echo "==> event-queue suites (queue_props at 1024 cases, work bound)"
 # The calendar queue against the heap oracle on arbitrary scripts and on the
