@@ -33,6 +33,14 @@
 //! [`trace_from_schedule`] adapts an I/O-automaton schedule of system
 //! **B** (serial or concurrency-controlled) into a trace, so the same
 //! checker cross-validates the simulator and the automata.
+//!
+//! A trace's events are read as [`TraceEvent`] values but stored packed,
+//! in [`TraceEvents`]. Each event is a 24-byte row: a header index, the
+//! action's tag and site, and two payload words. The row points into two
+//! append-only tables. The header table holds `(at_us, tid, faulted)`,
+//! which every event of a simulated TM block shares, so a block stores it
+//! once. The member-set table holds the sets `WRITE-CFG` installs, once
+//! per reconfiguration.
 
 use std::fmt;
 
@@ -129,7 +137,7 @@ pub enum TraceAction {
     /// A performed read access at a replica: the DM returned its store.
     ReadDm {
         /// The replica site.
-        site: usize,
+        site: u8,
         /// The version number the site held.
         vn: u64,
         /// The value the site held.
@@ -138,7 +146,7 @@ pub enum TraceAction {
     /// A performed write access at a replica: the DM installed a version.
     WriteDm {
         /// The replica site.
-        site: usize,
+        site: u8,
         /// The installed version number.
         vn: u64,
         /// The installed value.
@@ -148,7 +156,7 @@ pub enum TraceAction {
     /// stored generation number.
     ReadCfg {
         /// The replica site.
-        site: usize,
+        site: u8,
         /// The generation the site's configuration store held.
         gen: u64,
     },
@@ -156,7 +164,7 @@ pub enum TraceAction {
     /// new `(generation, members)` pair.
     WriteCfg {
         /// The replica site.
-        site: usize,
+        site: u8,
         /// The installed generation number.
         gen: u64,
         /// The installed member set.
@@ -223,6 +231,211 @@ pub struct TraceEvent {
     pub faulted: bool,
 }
 
+/// The `(at_us, tid, faulted)` an event shares with its neighbours.
+#[derive(Clone, Copy, PartialEq)]
+struct Header {
+    at_us: u64,
+    tid: TraceTid,
+    faulted: bool,
+}
+
+/// A [`TraceAction`]'s variant, with the fields that fit in a byte.
+#[derive(Clone, Copy)]
+enum Tag {
+    Create(TmKind),
+    ReadDm,
+    WriteDm,
+    ReadCfg,
+    WriteCfg,
+    RequestCommit,
+    Commit,
+    Abort(TmKind, AbortReason),
+}
+
+/// One packed event: its header's index, its action's tag and site, and
+/// the action's two word-sized fields (`vn`/`value`, `gen`/member-set
+/// index; zero where the action has fewer).
+#[derive(Clone, Copy)]
+struct Row {
+    header: u32,
+    tag: Tag,
+    site: u8,
+    a: u64,
+    b: u64,
+}
+
+/// The events of a [`ScheduleTrace`], packed: a 24-byte row per event
+/// over two append-only side tables.
+///
+/// - **Headers.** Every event of a simulated TM block — `CREATE` through
+///   `COMMIT` — happens at one instant, under one name and one fault flag,
+///   so [`push`](Self::push) stores that `(at_us, tid, faulted)` once and
+///   reuses it while it matches the last one stored. A block costs one
+///   32-byte header, an `ABORT` its own. An event that differs from its
+///   predecessor in any of the three gets a fresh header, so every
+///   sequence of events is storable; a trace adapted from an automaton
+///   schedule, whose `at_us` is the schedule position, has one per event.
+/// - **Member sets.** A `WRITE-CFG` row holds an index into the table of
+///   installed member sets, which repeats an entry only when it differs
+///   from the last one: a reconfiguration's installs share one entry.
+///
+/// Readers see [`TraceEvent`] values: [`get`](Self::get) and
+/// [`iter`](Self::iter) decode rows by value. Equality and `Debug` are
+/// over that decoded sequence. A trace is edited by way of a `Vec`:
+/// [`to_vec`](Self::to_vec), then `From<Vec<TraceEvent>>`.
+///
+/// Header indices are `u32`: a trace holds at most 2³² distinct headers
+/// (128 GiB of them).
+#[derive(Clone, Default)]
+pub struct TraceEvents {
+    rows: Vec<Row>,
+    headers: Vec<Header>,
+    members: Vec<ReplicaSet>,
+}
+
+impl TraceEvents {
+    /// No events.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no events.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Append `ev`.
+    ///
+    /// # Panics
+    ///
+    /// Past 2³² distinct headers.
+    pub fn push(&mut self, ev: TraceEvent) {
+        let header = Header {
+            at_us: ev.at_us,
+            tid: ev.tid,
+            faulted: ev.faulted,
+        };
+        if self.headers.last() != Some(&header) {
+            self.headers.push(header);
+        }
+        let header = u32::try_from(self.headers.len() - 1).expect("at most 2^32 trace headers");
+        let (tag, site, a, b) = match ev.action {
+            TraceAction::Create { kind } => (Tag::Create(kind), 0, 0, 0),
+            TraceAction::ReadDm { site, vn, value } => (Tag::ReadDm, site, vn, value),
+            TraceAction::WriteDm { site, vn, value } => (Tag::WriteDm, site, vn, value),
+            TraceAction::ReadCfg { site, gen } => (Tag::ReadCfg, site, gen, 0),
+            TraceAction::WriteCfg { site, gen, members } => {
+                if self.members.last() != Some(&members) {
+                    self.members.push(members);
+                }
+                (Tag::WriteCfg, site, gen, self.members.len() as u64 - 1)
+            }
+            TraceAction::RequestCommit { vn, value } => (Tag::RequestCommit, 0, vn, value),
+            TraceAction::Commit => (Tag::Commit, 0, 0, 0),
+            TraceAction::Abort { kind, reason } => (Tag::Abort(kind, reason), 0, 0, 0),
+        };
+        self.rows.push(Row {
+            header,
+            tag,
+            site,
+            a,
+            b,
+        });
+    }
+
+    /// The event at `i`, if there is one.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<TraceEvent> {
+        self.rows.get(i).map(|r| self.decode(r))
+    }
+
+    /// The events in order, by value.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceEvent> + ExactSizeIterator + '_ {
+        self.rows.iter().map(|r| self.decode(r))
+    }
+
+    /// The events, unpacked.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<TraceEvent> {
+        self.iter().collect()
+    }
+
+    fn decode(&self, r: &Row) -> TraceEvent {
+        let Header {
+            at_us,
+            tid,
+            faulted,
+        } = self.headers[r.header as usize];
+        let (site, a, b) = (r.site, r.a, r.b);
+        let action = match r.tag {
+            Tag::Create(kind) => TraceAction::Create { kind },
+            Tag::ReadDm => TraceAction::ReadDm {
+                site,
+                vn: a,
+                value: b,
+            },
+            Tag::WriteDm => TraceAction::WriteDm {
+                site,
+                vn: a,
+                value: b,
+            },
+            Tag::ReadCfg => TraceAction::ReadCfg { site, gen: a },
+            Tag::WriteCfg => TraceAction::WriteCfg {
+                site,
+                gen: a,
+                members: self.members[b as usize],
+            },
+            Tag::RequestCommit => TraceAction::RequestCommit { vn: a, value: b },
+            Tag::Commit => TraceAction::Commit,
+            Tag::Abort(kind, reason) => TraceAction::Abort { kind, reason },
+        };
+        TraceEvent {
+            at_us,
+            tid,
+            action,
+            faulted,
+        }
+    }
+}
+
+impl Extend<TraceEvent> for TraceEvents {
+    fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, events: I) {
+        for ev in events {
+            self.push(ev);
+        }
+    }
+}
+
+impl From<Vec<TraceEvent>> for TraceEvents {
+    fn from(events: Vec<TraceEvent>) -> Self {
+        let mut packed = TraceEvents::new();
+        packed.extend(events);
+        packed
+    }
+}
+
+impl PartialEq for TraceEvents {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TraceEvents {}
+
+impl fmt::Debug for TraceEvents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// An ordered schedule of one run over a single replicated item.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleTrace {
@@ -235,7 +448,7 @@ pub struct ScheduleTrace {
     /// The item's initial value (version 0 at every site).
     pub initial: u64,
     /// The events, in schedule order.
-    pub events: Vec<TraceEvent>,
+    pub events: TraceEvents,
 }
 
 impl ScheduleTrace {
@@ -246,7 +459,7 @@ impl ScheduleTrace {
             sites,
             seed,
             initial: 0,
-            events: Vec::new(),
+            events: TraceEvents::new(),
         }
     }
 }
@@ -519,6 +732,7 @@ fn check_against(
     };
 
     for (i, ev) in trace.events.iter().enumerate() {
+        let ev = &ev;
         if ev.faulted {
             faulted_events += 1;
         }
@@ -538,6 +752,7 @@ fn check_against(
             }
             TraceAction::ReadDm { site, vn, value } => {
                 erased += 1;
+                let site = usize::from(site);
                 let b = match open.as_mut() {
                     Some(b) if b.tid == ev.tid && b.rc.is_none() => b,
                     _ => {
@@ -589,6 +804,7 @@ fn check_against(
             }
             TraceAction::WriteDm { site, vn, value } => {
                 erased += 1;
+                let site = usize::from(site);
                 let b = match open.as_mut() {
                     Some(b) if b.tid == ev.tid && b.rc.is_none() => b,
                     _ => {
@@ -658,6 +874,7 @@ fn check_against(
             }
             TraceAction::ReadCfg { site, gen } => {
                 erased += 1;
+                let site = usize::from(site);
                 if family.is_none() {
                     return Err(diverge(
                         i,
@@ -719,6 +936,7 @@ fn check_against(
             }
             TraceAction::WriteCfg { site, gen, members } => {
                 erased += 1;
+                let site = usize::from(site);
                 if family.is_none() {
                     return Err(diverge(
                         i,
@@ -1228,7 +1446,7 @@ impl SystemA {
     ///
     /// A [`DivergenceKind::Replay`] at trace event `src` when system **A**
     /// refuses the step.
-    fn step(&mut self, op: &TxnOp, src: usize, events: &[TraceEvent]) -> Result<(), Divergence> {
+    fn step(&mut self, op: &TxnOp, src: usize, events: &TraceEvents) -> Result<(), Divergence> {
         self.system.step(op).map_err(|e| Divergence {
             event: src,
             action: events
@@ -1254,7 +1472,8 @@ impl SystemA {
 /// # Errors
 ///
 /// A description of the first inadaptable operation (non-integer values,
-/// unknown item, or interleaved transaction managers).
+/// unknown item, or interleaved transaction managers), or of an item with
+/// more replicas than a trace site can name.
 pub fn trace_from_schedule(
     layout: &Layout,
     item: ItemId,
@@ -1275,12 +1494,13 @@ pub fn trace_from_schedule(
             il.item.name
         ));
     }
-    let site_of: std::collections::BTreeMap<ObjectId, usize> = il
+    let site_of: std::collections::BTreeMap<ObjectId, u8> = il
         .dm_objects
         .iter()
         .enumerate()
-        .map(|(s, o)| (*o, s))
-        .collect();
+        .map(|(s, o)| u8::try_from(s).map(|s| (*o, s)))
+        .collect::<Result<_, _>>()
+        .map_err(|_| format!("item {} has more than 256 replicas", il.item.name))?;
 
     let mut trace =
         ScheduleTrace::new(format!("schedule:{}", il.item.name), il.dm_objects.len(), 0);
@@ -1461,7 +1681,7 @@ pub fn trace_from_schedule(
                     action: TraceAction::Commit,
                     faulted: false,
                 });
-                trace.events.append(&mut o.buf);
+                trace.events.extend(o.buf);
                 specs.clear();
             }
             TxnOp::Abort { tid } => {
@@ -1501,6 +1721,7 @@ mod tests {
     use super::*;
     use crate::spec::{ConfigChoice, ItemSpec, SystemSpec, UserSpec, UserStep};
     use crate::theorem10::{run_system_b, RunOptions};
+    use proptest::prelude::*;
     use quorum::{Majority, Rowa};
 
     fn ev(tid: TraceTid, action: TraceAction) -> TraceEvent {
@@ -1518,6 +1739,14 @@ mod tests {
             op,
             attempt: 1,
         }
+    }
+
+    /// Edit `t`'s events as a `Vec`.
+    fn edit<R>(t: &mut ScheduleTrace, f: impl FnOnce(&mut Vec<TraceEvent>) -> R) -> R {
+        let mut events = t.events.to_vec();
+        let r = f(&mut events);
+        t.events = events.into();
+        r
     }
 
     /// A valid write-then-read run over Majority(3).
@@ -1585,7 +1814,8 @@ mod tests {
             ),
             ev(r, TraceAction::RequestCommit { vn: 1, value: 7 }),
             ev(r, TraceAction::Commit),
-        ];
+        ]
+        .into();
         t
     }
 
@@ -1604,20 +1834,22 @@ mod tests {
     #[test]
     fn aborted_attempts_project_to_abort_pairs() {
         let mut t = good_trace();
-        t.events.insert(
-            0,
-            ev(
-                TraceTid {
-                    client: 1,
-                    op: 0,
-                    attempt: 1,
-                },
-                TraceAction::Abort {
-                    kind: TmKind::Write,
-                    reason: AbortReason::Timeout,
-                },
-            ),
-        );
+        edit(&mut t, |e| {
+            e.insert(
+                0,
+                ev(
+                    TraceTid {
+                        client: 1,
+                        op: 0,
+                        attempt: 1,
+                    },
+                    TraceAction::Abort {
+                        kind: TmKind::Write,
+                        reason: AbortReason::Timeout,
+                    },
+                ),
+            )
+        });
         let report = check_trace(&t, &Majority::new(3)).expect("conforms");
         assert_eq!(report.aborted, 1);
         assert_eq!(report.alpha_len, 11);
@@ -1627,7 +1859,7 @@ mod tests {
     fn read_without_quorum_is_rejected() {
         let mut t = good_trace();
         // Drop the read's second READ-DM: {1} is not a majority read quorum.
-        t.events.remove(9);
+        edit(&mut t, |e| e.remove(9));
         let d = check_trace(&t, &Majority::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::NoReadQuorum);
         assert_eq!(d.event, 9, "divergence at the REQUEST-COMMIT: {d}");
@@ -1637,7 +1869,7 @@ mod tests {
     fn commit_without_quorum_install_is_rejected() {
         let mut t = good_trace();
         // Drop one WRITE-DM: {0} is not a majority write quorum.
-        t.events.remove(4);
+        edit(&mut t, |e| e.remove(4));
         let d = check_trace(&t, &Majority::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::NoWriteQuorum);
         assert_eq!(d.event, 4, "divergence at the write's REQUEST-COMMIT: {d}");
@@ -1647,14 +1879,16 @@ mod tests {
     fn stale_version_install_is_rejected() {
         let mut t = good_trace();
         // The write claims to install vn 2 after discovering vn 0.
-        t.events[3] = ev(
-            tid(0),
-            TraceAction::WriteDm {
-                site: 0,
-                vn: 2,
-                value: 7,
-            },
-        );
+        edit(&mut t, |e| {
+            e[3] = ev(
+                tid(0),
+                TraceAction::WriteDm {
+                    site: 0,
+                    vn: 2,
+                    value: 7,
+                },
+            )
+        });
         let d = check_trace(&t, &Majority::new(3)).unwrap_err();
         assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
         assert_eq!(d.event, 3);
@@ -1665,14 +1899,16 @@ mod tests {
         let mut t = good_trace();
         // The read claims site 1 still holds vn 0 — but the write installed
         // vn 1 there.
-        t.events[8] = ev(
-            tid(1),
-            TraceAction::ReadDm {
-                site: 1,
-                vn: 0,
-                value: 0,
-            },
-        );
+        edit(&mut t, |e| {
+            e[8] = ev(
+                tid(1),
+                TraceAction::ReadDm {
+                    site: 1,
+                    vn: 0,
+                    value: 0,
+                },
+            )
+        });
         let d = check_trace(&t, &Majority::new(3)).unwrap_err();
         assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
         assert_eq!(d.event, 8);
@@ -1681,7 +1917,7 @@ mod tests {
     #[test]
     fn truncated_block_is_rejected_at_end_of_trace() {
         let mut t = good_trace();
-        t.events.truncate(10);
+        edit(&mut t, |e| e.truncate(10));
         let d = check_trace(&t, &Majority::new(3)).unwrap_err();
         assert_eq!(d.event, 10);
         assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
@@ -1745,7 +1981,8 @@ mod tests {
             ),
             ev(r, TraceAction::RequestCommit { vn: 0, value: 0 }),
             ev(r, TraceAction::Commit),
-        ];
+        ]
+        .into();
         let d = check_trace(&t, &config).unwrap_err();
         assert!(matches!(d.kind, DivergenceKind::Lemma(_)), "{d}");
         assert_eq!(d.event, 9, "stale read detected at its COMMIT: {d}");
@@ -1872,7 +2109,8 @@ mod tests {
             ),
             ev(rd, TraceAction::RequestCommit { vn: 1, value: 7 }),
             ev(rd, TraceAction::Commit),
-        ];
+        ]
+        .into();
         t
     }
 
@@ -1895,8 +2133,8 @@ mod tests {
         let mut t = dynamic_trace();
         // Strip the write-TM's configuration reads: it now runs at
         // generation 0, which generation 1 superseded.
-        t.events.remove(12);
-        t.events.remove(11);
+        edit(&mut t, |e| e.remove(12));
+        edit(&mut t, |e| e.remove(11));
         let d = check_trace(&t, &Rowa::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::StaleGeneration);
         assert_eq!(d.event, 14, "divergence at the write's REQUEST-COMMIT: {d}");
@@ -1907,7 +2145,7 @@ mod tests {
         let mut t = dynamic_trace();
         // Drop one WRITE-CFG: {0} is not a config majority of the old
         // membership {0, 1, 2}.
-        t.events.remove(5);
+        edit(&mut t, |e| e.remove(5));
         let d = check_trace(&t, &Rowa::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::NoConfigWriteQuorum);
         assert_eq!(
@@ -1921,7 +2159,7 @@ mod tests {
         let mut t = dynamic_trace();
         // Drop one of the write-TM's READ-CFGs: {0} is not a config
         // majority of the current membership {0, 1}.
-        t.events.remove(12);
+        edit(&mut t, |e| e.remove(12));
         let d = check_trace(&t, &Rowa::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::NoConfigReadQuorum);
         assert_eq!(d.event, 15, "divergence at the write's REQUEST-COMMIT: {d}");
@@ -1937,14 +2175,16 @@ mod tests {
         assert_eq!(d.event, 1, "refused at the first READ-CFG: {d}");
         // And a generation the discovery never saw is malformed even under
         // a family: claim gen 2 was installed after reading gen 0.
-        t.events[4] = ev(
-            tid(0),
-            TraceAction::WriteCfg {
-                site: 0,
-                gen: 2,
-                members: [0usize, 1].into_iter().collect(),
-            },
-        );
+        edit(&mut t, |e| {
+            e[4] = ev(
+                tid(0),
+                TraceAction::WriteCfg {
+                    site: 0,
+                    gen: 2,
+                    members: [0usize, 1].into_iter().collect(),
+                },
+            )
+        });
         let d = check_trace(&t, &Rowa::new(3)).unwrap_err();
         assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
         assert_eq!(d.event, 4, "refused at the skipping WRITE-CFG: {d}");
@@ -1974,20 +2214,22 @@ mod tests {
     fn the_replay_steps_exactly_the_collected_projection() {
         let mut with_aborts = dynamic_trace();
         for at in [24, 10, 0] {
-            with_aborts.events.insert(
-                at,
-                ev(
-                    tid(9),
-                    TraceAction::Abort {
-                        kind: if at == 10 {
-                            TmKind::Reconfig
-                        } else {
-                            TmKind::Write
+            edit(&mut with_aborts, |e| {
+                e.insert(
+                    at,
+                    ev(
+                        tid(9),
+                        TraceAction::Abort {
+                            kind: if at == 10 {
+                                TmKind::Reconfig
+                            } else {
+                                TmKind::Write
+                            },
+                            reason: AbortReason::Stale,
                         },
-                        reason: AbortReason::Stale,
-                    },
-                ),
-            );
+                    ),
+                )
+            });
         }
         for (t, q) in [
             (good_trace(), &Majority::new(3) as &dyn QuorumSpec),
@@ -2156,7 +2398,8 @@ mod tests {
                 install(2),
                 ev(w, TraceAction::RequestCommit { vn: 1, value: 7 }),
                 ev(w, TraceAction::Commit),
-            ];
+            ]
+            .into();
             t
         }
 
@@ -2183,7 +2426,7 @@ mod tests {
             check_trace(&t, &Majority::new(3)).expect("conforms against the real A");
             // Drop the write-TM's second install, six events after the
             // event A refuses: {1} is not a majority write quorum.
-            t.events.remove(9);
+            edit(&mut t, |e| e.remove(9));
             let (verdict, stepped) = check_against_a_wrong_object(&t);
             let d = verdict.unwrap_err();
             assert_eq!(d.kind, DivergenceKind::NoWriteQuorum, "{d}");
@@ -2193,7 +2436,7 @@ mod tests {
 
             // So does an error only the end of the trace shows.
             let mut t = read_first_trace();
-            t.events.truncate(10);
+            edit(&mut t, |e| e.truncate(10));
             let d = check_against_a_wrong_object(&t).0.unwrap_err();
             assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "{d}");
             assert_eq!((d.event, d.action.as_str()), (10, "end of trace"));
@@ -2254,5 +2497,123 @@ mod tests {
             checked += report.committed;
         }
         assert!(checked > 0, "no TM ever committed across the seeds");
+    }
+
+    #[test]
+    fn packed_rows_and_headers_stay_small() {
+        assert_eq!(std::mem::size_of::<Row>(), 24);
+        assert!(std::mem::size_of::<Header>() <= 32);
+    }
+
+    /// Each TM block of a simulated trace shares one header, and a
+    /// reconfiguration's installs share one member-set entry.
+    #[test]
+    fn blocks_share_headers_and_installs_share_member_sets() {
+        let t = good_trace();
+        assert_eq!((t.events.len(), t.events.headers.len()), (12, 2));
+        let t = dynamic_trace();
+        assert_eq!(t.events.headers.len(), 3);
+        assert_eq!(t.events.members.len(), 1);
+    }
+
+    /// `(selector, raw)`: 0, `u64::MAX`, a small value or `raw` itself, so
+    /// equal neighbours and the extremes are both common.
+    type Word = (u8, u64);
+
+    fn word((sel, raw): Word) -> u64 {
+        match sel {
+            0 => 0,
+            1 => u64::MAX,
+            2 => raw % 4,
+            _ => raw,
+        }
+    }
+
+    fn word_strategy() -> (std::ops::Range<u8>, std::ops::RangeInclusive<u64>) {
+        (0u8..4, 0..=u64::MAX)
+    }
+
+    /// One event drawn from its parts: `(at_us, client, op, attempt)`, then
+    /// `(faulted, action kind, site, sub-kind)`, then the action's two
+    /// words and a member set's two halves.
+    fn arbitrary_event(
+        (at, client, op, attempt): (Word, u32, Word, u32),
+        (faulted, action, site, sub): (u8, u8, u8, u8),
+        (a, b): (Word, Word),
+        (lo, hi): (Word, Word),
+    ) -> TraceEvent {
+        let kind = [TmKind::Read, TmKind::Write, TmKind::Reconfig][usize::from(sub % 3)];
+        let reason = [
+            AbortReason::Forced,
+            AbortReason::Unavailable,
+            AbortReason::Timeout,
+            AbortReason::Stale,
+        ][usize::from(sub % 4)];
+        let (a, b) = (word(a), word(b));
+        let members = ReplicaSet::from_bits(u128::from(word(lo)) | u128::from(word(hi)) << 64);
+        let action = match action {
+            0 => TraceAction::Create { kind },
+            1 => TraceAction::ReadDm { site, vn: a, value: b },
+            2 => TraceAction::WriteDm { site, vn: a, value: b },
+            3 => TraceAction::ReadCfg { site, gen: a },
+            4 => TraceAction::WriteCfg {
+                site,
+                gen: a,
+                members,
+            },
+            5 => TraceAction::RequestCommit { vn: a, value: b },
+            6 => TraceAction::Commit,
+            _ => TraceAction::Abort { kind, reason },
+        };
+        TraceEvent {
+            at_us: word(at),
+            tid: TraceTid {
+                client,
+                op: word(op),
+                attempt,
+            },
+            action,
+            faulted: faulted == 1,
+        }
+    }
+
+    proptest! {
+        /// Packing is lossless on any sequence of events, well-formed or
+        /// not: interleaved names, time running backwards, the fault flag
+        /// flipping inside a block, all eight actions, every site, any
+        /// member set and the extremes of every word.
+        #[test]
+        fn packing_round_trips_any_event_sequence(
+            raw in prop::collection::vec(
+                (
+                    (word_strategy(), 0u32..3, word_strategy(), 0u32..3),
+                    (0u8..2, 0u8..8, 0u8..=255, 0u8..12),
+                    (word_strategy(), word_strategy()),
+                    (word_strategy(), word_strategy()),
+                ),
+                0..64,
+            ),
+        ) {
+            let events: Vec<TraceEvent> = raw
+                .into_iter()
+                .map(|(h, t, ab, m)| arbitrary_event(h, t, ab, m))
+                .collect();
+            let packed = TraceEvents::from(events.clone());
+            prop_assert_eq!(packed.len(), events.len());
+            prop_assert_eq!(packed.is_empty(), events.is_empty());
+            prop_assert_eq!(packed.to_vec(), events.clone());
+            for (i, ev) in events.iter().enumerate() {
+                prop_assert_eq!(packed.get(i), Some(*ev));
+            }
+            prop_assert_eq!(packed.get(events.len()), None);
+            prop_assert!(packed.iter().rev().eq(events.iter().rev().copied()));
+            prop_assert_eq!(format!("{packed:?}"), format!("{events:?}"));
+            prop_assert!(packed.headers.len() <= events.len());
+            let mut pushed = TraceEvents::new();
+            for ev in &events {
+                pushed.push(*ev);
+            }
+            prop_assert_eq!(pushed, packed);
+        }
     }
 }

@@ -143,7 +143,7 @@ impl<V: Clone + PartialEq + fmt::Debug> LemmaChecker<V> {
 
     /// A checker at an arbitrary known state (used by [`LemmaMonitor`],
     /// which tracks `current-vn` and `logical-state` itself).
-    pub fn from_state(current_vn: u64, logical: V) -> Self {
+    fn from_state(current_vn: u64, logical: V) -> Self {
         LemmaChecker {
             current_vn,
             logical,

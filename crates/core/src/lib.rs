@@ -62,7 +62,7 @@ mod tm;
 
 pub use conformance::{
     check_trace, trace_from_schedule, AbortReason, ConformanceReport, Divergence, DivergenceKind,
-    ScheduleTrace, TmKind, TraceAction, TraceEvent, TraceTid,
+    ScheduleTrace, TmKind, TraceAction, TraceEvent, TraceEvents, TraceTid,
 };
 pub use exhaustive::{verify_exhaustive, verify_exhaustive_with, ExhaustiveReport};
 pub use genspec::{random_spec, GenParams};

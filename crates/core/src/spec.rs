@@ -185,16 +185,6 @@ impl Layout {
             None => false,
         }
     }
-
-    /// Whether `tid` names a TM.
-    pub fn is_tm(&self, tid: &Tid) -> bool {
-        self.tm_roles.contains_key(tid)
-    }
-
-    /// The layout of the item a TM manages, if `tid` is a TM.
-    pub fn item_of_tm(&self, tid: &Tid) -> Option<&ItemLayout> {
-        self.tm_roles.get(tid).map(|r| &self.items[&r.item()])
-    }
 }
 
 /// Boxed component automata, as assembled by the builders.
@@ -651,7 +641,7 @@ mod tests {
         let b = build_system_b(&spec);
         // TM lives under the sub-transaction: T0.0.0.0.
         let tm = Tid::root().child(0).child(0).child(0);
-        assert!(b.layout.is_tm(&tm));
+        assert!(b.layout.tm_roles.contains_key(&tm));
         assert_eq!(b.layout.user_tids.len(), 2); // user + sub
     }
 

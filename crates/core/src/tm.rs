@@ -438,11 +438,6 @@ impl WriteTm {
         self.value.as_ref()
     }
 
-    /// The set of DMs whose write accesses have committed.
-    pub fn written_set(&self) -> &BTreeSet<ObjectId> {
-        &self.written
-    }
-
     fn read_covered(&self) -> bool {
         self.base.config.covers_read_quorum(&self.read)
     }

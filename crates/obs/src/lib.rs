@@ -131,14 +131,6 @@ impl ObsOptions {
             causal: CausalOptions::profile(),
         }
     }
-
-    /// True if any recording is requested.
-    pub fn any_enabled(&self) -> bool {
-        self.spans
-            || self.events != EventLogMode::Null
-            || self.snapshot_every_us.is_some()
-            || self.causal.enabled
-    }
 }
 
 /// Everything one run (or one shard) recorded. Shard reports are merged
@@ -232,13 +224,12 @@ mod tests {
 
     #[test]
     fn options_presets() {
-        assert!(!ObsOptions::disabled().any_enabled());
-        assert!(ObsOptions::full().any_enabled());
-        let spans_only = ObsOptions {
-            spans: true,
-            ..ObsOptions::disabled()
-        };
-        assert!(spans_only.any_enabled());
+        let off = ObsOptions::disabled();
+        assert!(!off.spans && off.events == EventLogMode::Null);
+        assert!(off.snapshot_every_us.is_none() && !off.causal.enabled);
+        let full = ObsOptions::full();
+        assert!(full.spans && full.events == EventLogMode::Full);
+        assert!(full.snapshot_every_us.is_some() && full.causal.enabled);
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl SnapshotExporter {
             None
         }
     }
-
-    /// The next boundary that will fire.
-    pub fn next_at(&self) -> u64 {
-        self.next_us
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +116,8 @@ mod tests {
             fired.push(at);
         }
         assert_eq!(fired, [2_000, 3_000, 4_000]);
-        assert_eq!(exp.next_at(), 5_000);
+        assert_eq!(exp.next_due(4_999), None);
+        assert_eq!(exp.next_due(5_000), Some(5_000));
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub fn monte_carlo_availability(
 /// Sizes `(read, write)` of the smallest quorums when all replicas are up —
 /// the per-operation message cost floor (one round-trip per quorum member,
 /// plus one more write round for logical writes).
-pub fn min_quorum_sizes(spec: &dyn QuorumSpec) -> (usize, usize) {
+fn min_quorum_sizes(spec: &dyn QuorumSpec) -> (usize, usize) {
     let all = ReplicaSet::full(spec.n());
     let r = spec
         .find_read_quorum_bits(all)
@@ -108,46 +108,6 @@ pub fn expected_accesses_per_op(spec: &dyn QuorumSpec, read_fraction: f64) -> f6
     let (r, w) = min_quorum_sizes(spec);
     let (r, w) = (r as f64, w as f64);
     read_fraction * r + (1.0 - read_fraction) * (r + w)
-}
-
-/// System *load* in the sense of Naor & Wool, restricted to the uniform
-/// strategy over the minimum quorums found by greedy shrinking from each
-/// rotation of the universe: an upper-bound heuristic on the best load.
-///
-/// Returns the maximum, over replicas, of the fraction of sampled quorums
-/// containing that replica.
-pub fn uniform_load_estimate(spec: &dyn QuorumSpec, rng: &mut dyn rand::RngCore) -> f64 {
-    let n = spec.n();
-    let samples = 200.max(4 * n);
-    let mut counts = vec![0u32; n];
-    let mut total = 0u32;
-    for _ in 0..samples {
-        // Random availability order: shrink from a random permutation bias.
-        let mut avail = ReplicaSet::full(n);
-        // Randomly drop a few replicas to diversify the minimal quorums found.
-        for i in 0..n {
-            if rng.gen_bool(0.3) && avail.len() > 1 {
-                let mut candidate = avail;
-                candidate.remove(i);
-                if spec.is_read_quorum_bits(candidate) {
-                    avail = candidate;
-                }
-            }
-        }
-        if let Some(q) = spec.find_read_quorum_bits(avail) {
-            for x in q {
-                counts[x] += 1;
-            }
-            total += 1;
-        }
-    }
-    if total == 0 {
-        return 1.0;
-    }
-    counts
-        .iter()
-        .map(|&c| f64::from(c) / f64::from(total))
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -219,14 +179,5 @@ mod tests {
         let grid = crate::Grid::new(3, 3);
         let maj9 = Majority::new(9);
         assert!(expected_accesses_per_op(&grid, 0.0) < expected_accesses_per_op(&maj9, 0.0));
-    }
-
-    #[test]
-    fn load_is_a_probability() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let l = uniform_load_estimate(&Majority::new(5), &mut rng);
-        assert!((0.0..=1.0).contains(&l));
-        // Majority load is at least k/n = 3/5.
-        assert!(l >= 0.6 - 1e-9);
     }
 }

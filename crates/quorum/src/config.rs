@@ -71,21 +71,6 @@ impl<T: Ord + Clone> Configuration<T> {
         }
     }
 
-    /// Build a configuration, validating legality and non-emptiness.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigurationError`] if any quorum is empty or any read/write pair
-    /// fails to intersect.
-    pub fn new_legal(
-        read_quorums: impl IntoIterator<Item = BTreeSet<T>>,
-        write_quorums: impl IntoIterator<Item = BTreeSet<T>>,
-    ) -> Result<Self, ConfigurationError> {
-        let cfg = Self::new(read_quorums, write_quorums);
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
     /// The read-quorums.
     pub fn read_quorums(&self) -> &[BTreeSet<T>] {
         &self.read_quorums

@@ -68,7 +68,7 @@ pub use shard::{
 pub use qc_replication::{
     check_commit_order_serializable, check_trace, AbortReason, AccessRecord, CommittedTxn,
     ConformanceReport, Divergence, DivergenceKind, ScheduleTrace, SerializabilityError, TmKind,
-    TraceAction, TraceEvent, TraceTid,
+    TraceAction, TraceEvent, TraceEvents, TraceTid,
 };
 pub use qc_obs::{
     EventKind, EventLogMode, Histogram, ObsEvent, ObsOptions, ObsReport, OpRef, Phase,

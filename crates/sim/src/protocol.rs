@@ -581,27 +581,29 @@ impl Cluster {
         };
         let rec = &mut recorders[item];
         let mut emit = |action| rec.record(now, tid, action, faulted);
+        // A `ReplicaSet` holds sites below 128, so each fits a trace's `u8`.
+        let site_u8 = |site: usize| site as u8;
         emit(TraceAction::Create { kind: b.kind });
         if b.read_cfg {
             for site in b.reads {
                 let gen = stores.cfg_gen(base + site);
-                emit(TraceAction::ReadCfg { site, gen });
+                emit(TraceAction::ReadCfg { site: site_u8(site), gen });
             }
         }
         // Emitted before any install, so the READ-DM events carry the
         // store contents the discovery actually saw.
         for site in b.reads {
             let (vn, value) = stores.get(base + site);
-            emit(TraceAction::ReadDm { site, vn, value });
+            emit(TraceAction::ReadDm { site: site_u8(site), vn, value });
         }
         if let Some((sites, gen, members)) = b.cfg_writes {
             for site in sites {
-                emit(TraceAction::WriteCfg { site, gen, members });
+                emit(TraceAction::WriteCfg { site: site_u8(site), gen, members });
             }
         }
         if let Some((sites, vn, value)) = b.dm_writes {
             for site in sites {
-                emit(TraceAction::WriteDm { site, vn, value });
+                emit(TraceAction::WriteDm { site: site_u8(site), vn, value });
             }
         }
         let (vn, value) = b.commit;
@@ -612,7 +614,7 @@ impl Cluster {
     /// Record the ABORT of an attempt that was never created (no-op when
     /// untraced): a driver's forced or fenced abort; a failed attempt
     /// records its own. A forced abort is a fault by definition.
-    pub fn emit_abort(&mut self, item: usize, tid: TraceTid, write: bool, reason: AbortReason) {
+    fn emit_abort(&mut self, item: usize, tid: TraceTid, write: bool, reason: AbortReason) {
         if self.recorders.is_none() {
             return;
         }
@@ -1887,12 +1889,12 @@ mod tests {
         let trace = c.take_recorders().unwrap().pop().unwrap().finish();
         assert_eq!((trace.seed, trace.sites), (9, 3));
         let create = TraceAction::Create { kind: TmKind::Read };
-        let first = &trace.events[0];
+        let first = trace.events.get(0).unwrap();
         assert_eq!(
             (first.at_us, first.action, first.faulted),
             (1_000, create, false)
         );
-        let last = trace.events.last().unwrap();
+        let last = trace.events.iter().next_back().unwrap();
         let abort = TraceAction::Abort {
             kind: TmKind::Write,
             reason: AbortReason::Forced,
@@ -2036,7 +2038,7 @@ mod tests {
             };
             let kind = if write == 1 { TmKind::Write } else { TmKind::Read };
             let last = reason.map_or(TraceAction::Commit, |reason| TraceAction::Abort { kind, reason });
-            prop_assert_eq!(trace.events.last().map(|e| e.action), Some(last));
+            prop_assert_eq!(trace.events.iter().next_back().map(|e| e.action), Some(last));
             prop_assert!(reason.is_none() || trace.events.len() == 1);
             match outcome {
                 Outcome::Committed { vn, value, prev } if write == 1 => {

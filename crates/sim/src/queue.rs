@@ -210,12 +210,6 @@ impl<E: Copy> CalendarQueue<E> {
         }
     }
 
-    /// Current bucket count (for the geometry tests).
-    #[must_use]
-    pub fn nbuckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Current bucket width in µs (for the geometry tests).
     #[must_use]
     pub fn width(&self) -> u64 {
@@ -507,12 +501,12 @@ mod tests {
     #[test]
     fn grows_on_push_and_shrinks_only_at_a_review() {
         let mut q: CalendarQueue<()> = CalendarQueue::new();
-        assert_eq!(q.nbuckets(), MIN_BUCKETS);
+        assert_eq!(q.buckets.len(), MIN_BUCKETS);
         for i in 0..1_000u64 {
             q.push(SimTime(i * 37), i, ());
         }
         // Growth is immediate: `len <= 2·nbuckets` after every push.
-        assert_eq!(q.nbuckets(), 512);
+        assert_eq!(q.buckets.len(), 512);
         let mut last = 0;
         for _ in 0..996 {
             let (t, _, ()) = q.pop().unwrap();
@@ -521,15 +515,15 @@ mod tests {
         }
         // The first pop opened a 999-pop window whose peak was 999: no
         // review yet, so no shrink however short the queue got.
-        assert_eq!((q.len(), q.nbuckets()), (4, 512));
+        assert_eq!((q.len(), q.buckets.len()), (4, 512));
         // The window closes 4 pops on (peak 999: stays); the next one is
         // MIN_WINDOW pops with peak 4, and its review fits the buckets.
         let mut seq = 1_000;
         for _ in 0..4 + MIN_WINDOW {
-            assert_eq!(q.nbuckets(), 512);
+            assert_eq!(q.buckets.len(), 512);
             hold(&mut q, &mut seq, 4 * 37);
         }
-        assert_eq!(q.nbuckets(), MIN_BUCKETS);
+        assert_eq!(q.buckets.len(), MIN_BUCKETS);
         // In-order traffic at 7 events a day cost nothing: width untouched.
         assert_eq!(
             (q.work()[0], q.width()),
@@ -555,7 +549,7 @@ mod tests {
             }
             now += (round % 3) * 100_000;
         }
-        assert_eq!(q.nbuckets(), 16);
+        assert_eq!(q.buckets.len(), 16);
         assert!(q.work()[0] <= 3, "{} geometry changes", q.work()[0]);
     }
 
@@ -617,7 +611,7 @@ mod tests {
         }
         // Events whole calendar years apart still pop in order, each by a
         // direct search that visits every bucket twice.
-        assert_eq!((q.nbuckets(), q.width()), (128, 256));
+        assert_eq!((q.buckets.len(), q.width()), (128, 256));
         let skipped = q.work()[1];
         q.push(SimTime(40_000_000_000), 300, ());
         q.push(SimTime(90_000_000_000), 301, ());
@@ -641,7 +635,7 @@ mod tests {
             lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             hold(&mut q, &mut seq, 2_048 + (lcg >> 52));
         }
-        assert!(q.nbuckets() == 2_048 && q.width() <= 4, "{}", q.width());
+        assert!(q.buckets.len() == 2_048 && q.width() <= 4, "{}", q.width());
         // All but 8 leave, and those slow to one pop per 125 ms: every pop
         // is now a direct search over 2 048 buckets, and a few of them use
         // up whatever is left of the long window.
@@ -652,7 +646,7 @@ mod tests {
         for _ in 0..1_000 {
             hold(&mut q, &mut seq, 1_000_000);
         }
-        assert_eq!(q.nbuckets(), MIN_BUCKETS);
+        assert_eq!(q.buckets.len(), MIN_BUCKETS);
         assert!(q.width() >= 131_072, "{}", q.width());
         // 4 096 / (2 048 / 4) searches close the window, one more the next.
         let searched = q.work()[1] - skipped;

@@ -10,6 +10,12 @@
 //! [`ScheduleTrace`], which `qc_replication::check_trace` then replays
 //! through the Theorem 10 projection and the serial-system machinery.
 //!
+//! The recorder appends to the trace's packed event store
+//! ([`qc_replication::TraceEvents`]): a 24-byte row per event, and one
+//! `(at_us, tid, faulted)` header per run of events that share it. The
+//! protocol core emits a whole TM block at one instant under one name and
+//! one fault flag, so a block costs one header, and an `ABORT` its own.
+//!
 //! The recorder is purely observational: it draws nothing from the
 //! simulator's RNG stream and mutates no simulator state, so a traced run
 //! commits exactly the operations the untraced run commits
@@ -132,7 +138,7 @@ pub fn trace_to_json(trace: &ScheduleTrace) -> String {
     let n = trace.events.len();
     for (i, e) in trace.events.iter().enumerate() {
         out.push_str("    ");
-        write_event_json(&mut out, e);
+        write_event_json(&mut out, &e);
         if i + 1 < n {
             out.push(',');
         }
@@ -171,8 +177,8 @@ mod tests {
         assert_eq!(t.quorum, "majority(3)");
         assert_eq!(t.sites, 3);
         assert_eq!(t.seed, 7);
-        assert_eq!(t.events[0].at_us, 10);
-        assert!(t.events[1].faulted);
+        assert_eq!(t.events.get(0).unwrap().at_us, 10);
+        assert!(t.events.get(1).unwrap().faulted);
     }
 
     #[test]

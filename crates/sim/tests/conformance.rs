@@ -13,7 +13,7 @@ use std::sync::Arc;
 use qc_sim::{
     check_trace, run, run_traced, AbortReason, ConformanceReport, ContactPolicy, DivergenceKind,
     FaultPlan, LatencyModel, Metrics, QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy,
-    ScheduleTrace, SimConfig, SimTime, TmKind, TraceAction,
+    ScheduleTrace, SimConfig, SimTime, TmKind, TraceAction, TraceEvent,
 };
 use quorum::{Majority, ReplicaSet, Rowa};
 
@@ -334,10 +334,10 @@ fn corrupted_run_fails_conformance() {
     );
     // The divergent action is the first READ-DM that observed the
     // corrupted store.
+    let diverged = t.events.get(d.event).expect("an event").action;
     assert!(
-        matches!(t.events[d.event].action, TraceAction::ReadDm { vn: 9_999_999, .. }),
-        "diverged at {} instead of the corrupt observation",
-        t.events[d.event].action
+        matches!(diverged, TraceAction::ReadDm { vn: 9_999_999, .. }),
+        "diverged at {diverged} instead of the corrupt observation"
     );
 }
 
@@ -384,9 +384,9 @@ fn small_recorded_run() -> (ScheduleTrace, Arc<Majority>) {
 
 /// Index of the first write block's REQUEST-COMMIT and the indices of its
 /// WRITE-DM installs.
-fn first_write_block(t: &ScheduleTrace) -> (usize, Vec<usize>) {
+fn first_write_block(events: &[TraceEvent]) -> (usize, Vec<usize>) {
     let mut installs = Vec::new();
-    for (i, e) in t.events.iter().enumerate() {
+    for (i, e) in events.iter().enumerate() {
         match e.action {
             TraceAction::WriteDm { .. } => installs.push(i),
             TraceAction::RequestCommit { .. } if !installs.is_empty() => return (i, installs),
@@ -402,11 +402,13 @@ fn first_write_block(t: &ScheduleTrace) -> (usize, Vec<usize>) {
 #[test]
 fn mutated_stale_version_is_rejected() {
     let (mut t, q) = small_recorded_run();
-    let (rc, _) = first_write_block(&t);
-    let TraceAction::RequestCommit { vn, value } = t.events[rc].action else {
+    let mut events = t.events.to_vec();
+    let (rc, _) = first_write_block(&events);
+    let TraceAction::RequestCommit { vn, value } = events[rc].action else {
         panic!("expected REQUEST-COMMIT at {rc}");
     };
-    t.events[rc].action = TraceAction::RequestCommit { vn: vn + 1, value };
+    events[rc].action = TraceAction::RequestCommit { vn: vn + 1, value };
+    t.events = events.into();
     let d = check_trace(&t, &*q).expect_err("stale version must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the mutated action", d.action);
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");
@@ -418,10 +420,12 @@ fn mutated_stale_version_is_rejected() {
 #[test]
 fn mutated_commit_without_quorum_install_is_rejected() {
     let (mut t, q) = small_recorded_run();
-    let (rc, installs) = first_write_block(&t);
+    let mut events = t.events.to_vec();
+    let (rc, installs) = first_write_block(&events);
     for &i in installs.iter().rev() {
-        t.events.remove(i);
+        events.remove(i);
     }
+    t.events = events.into();
     let rc = rc - installs.len();
     let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the gutted commit", d.action);
@@ -519,9 +523,8 @@ fn recorded_reconfiguring_run() -> (ScheduleTrace, Arc<Majority>) {
 }
 
 /// Event bounds of the reconfigure block: (CREATE index, COMMIT index).
-fn reconfig_block(t: &ScheduleTrace) -> (usize, usize) {
-    let create = t
-        .events
+fn reconfig_block(events: &[TraceEvent]) -> (usize, usize) {
+    let create = events
         .iter()
         .position(|e| {
             matches!(
@@ -532,8 +535,8 @@ fn reconfig_block(t: &ScheduleTrace) -> (usize, usize) {
             )
         })
         .expect("a reconfigure CREATE");
-    let tid = t.events[create].tid;
-    let commit = t.events[create..]
+    let tid = events[create].tid;
+    let commit = events[create..]
         .iter()
         .position(|e| e.tid == tid && matches!(e.action, TraceAction::Commit))
         .expect("the reconfigure COMMIT")
@@ -551,11 +554,12 @@ fn reconfig_block(t: &ScheduleTrace) -> (usize, usize) {
 #[test]
 fn mutated_stale_generation_commit_is_rejected() {
     let (mut t, q) = recorded_reconfiguring_run();
-    let (_, commit) = reconfig_block(&t);
+    let mut events = t.events.to_vec();
+    let (_, commit) = reconfig_block(&events);
 
     // Thin the WRITE-CFG installs to the first three (a config write
     // quorum of the five old members), leaving the rest at generation 0.
-    let installs: Vec<usize> = t.events[..commit]
+    let installs: Vec<usize> = events[..commit]
         .iter()
         .enumerate()
         .filter(|(_, e)| matches!(e.action, TraceAction::WriteCfg { .. }))
@@ -564,18 +568,18 @@ fn mutated_stale_generation_commit_is_rejected() {
     assert!(installs.len() > 3, "need holdout sites beyond the quorum");
     let mut holdouts = ReplicaSet::EMPTY;
     for &i in installs[3..].iter().rev() {
-        let TraceAction::WriteCfg { site, .. } = t.events[i].action else {
+        let TraceAction::WriteCfg { site, .. } = events[i].action else {
             unreachable!();
         };
-        holdouts.insert(site);
-        t.events.remove(i);
+        holdouts.insert(usize::from(site));
+        events.remove(i);
     }
     let commit = commit - (installs.len() - 3);
     assert!(!holdouts.is_empty());
 
     // Find the first post-reconfigure write block and rewrite its
     // configuration reads to the stale holdouts.
-    let create = t.events[commit..]
+    let create = events[commit..]
         .iter()
         .position(|e| {
             matches!(
@@ -587,30 +591,32 @@ fn mutated_stale_generation_commit_is_rejected() {
         })
         .expect("a post-reconfigure write block")
         + commit;
-    let tid = t.events[create].tid;
-    let rc = t.events[create..]
+    let tid = events[create].tid;
+    let rc = events[create..]
         .iter()
         .position(|e| e.tid == tid && matches!(e.action, TraceAction::RequestCommit { .. }))
         .expect("the block's REQUEST-COMMIT")
         + create;
     // Drop the block's recorded generation-1 READ-CFGs...
     let cfg_reads: Vec<usize> = (create..rc)
-        .filter(|&i| t.events[i].tid == tid && matches!(t.events[i].action, TraceAction::ReadCfg { .. }))
+        .filter(|&i| events[i].tid == tid && matches!(events[i].action, TraceAction::ReadCfg { .. }))
         .collect();
     assert!(!cfg_reads.is_empty(), "dynamic blocks carry READ-CFG");
     for &i in cfg_reads.iter().rev() {
-        t.events.remove(i);
+        events.remove(i);
     }
     let rc = rc - cfg_reads.len();
     // ...and replace them with faithful generation-0 reads at the
     // holdouts, as if discovery had only ever reached the stale minority.
-    let template = t.events[create];
+    let template = events[create];
     for (k, site) in holdouts.iter().enumerate() {
         let mut ev = template;
+        let site = u8::try_from(site).expect("a five-site run");
         ev.action = TraceAction::ReadCfg { site, gen: 0 };
-        t.events.insert(create + 1 + k, ev);
+        events.insert(create + 1 + k, ev);
     }
     let rc = rc + holdouts.len();
+    t.events = events.into();
 
     let d = check_trace(&t, &*q).expect_err("a stale-generation commit must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the stale commit", d.action);
@@ -624,20 +630,22 @@ fn mutated_stale_generation_commit_is_rejected() {
 #[test]
 fn mutated_install_without_old_config_quorum_is_rejected() {
     let (mut t, q) = recorded_reconfiguring_run();
-    let (create, commit) = reconfig_block(&t);
-    let tid = t.events[create].tid;
-    let rc = t.events[create..]
+    let mut events = t.events.to_vec();
+    let (create, commit) = reconfig_block(&events);
+    let tid = events[create].tid;
+    let rc = events[create..]
         .iter()
         .position(|e| e.tid == tid && matches!(e.action, TraceAction::RequestCommit { .. }))
         .expect("the reconfigure REQUEST-COMMIT")
         + create;
     let installs: Vec<usize> = (create..commit)
-        .filter(|&i| matches!(t.events[i].action, TraceAction::WriteCfg { .. }))
+        .filter(|&i| matches!(events[i].action, TraceAction::WriteCfg { .. }))
         .collect();
     assert!(!installs.is_empty());
     for &i in installs.iter().rev() {
-        t.events.remove(i);
+        events.remove(i);
     }
+    t.events = events.into();
     let rc = rc - installs.len();
     let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
     assert_eq!(d.event, rc, "diverged at {} instead of the gutted install", d.action);
@@ -649,19 +657,20 @@ fn mutated_install_without_old_config_quorum_is_rejected() {
 #[test]
 fn mutated_read_observation_is_rejected() {
     let (mut t, q) = small_recorded_run();
-    let target = t
-        .events
+    let mut events = t.events.to_vec();
+    let target = events
         .iter()
         .position(|e| matches!(e.action, TraceAction::ReadDm { .. }))
         .expect("some read observation");
-    let TraceAction::ReadDm { site, vn, value } = t.events[target].action else {
+    let TraceAction::ReadDm { site, vn, value } = events[target].action else {
         unreachable!();
     };
-    t.events[target].action = TraceAction::ReadDm {
+    events[target].action = TraceAction::ReadDm {
         site,
         vn,
         value: value + 1,
     };
+    t.events = events.into();
     let d = check_trace(&t, &*q).expect_err("fabricated observation must not conform");
     assert_eq!(d.event, target, "diverged at {} instead of the mutation", d.action);
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");

@@ -240,10 +240,12 @@ fn mutated_txn_trace_is_rejected_at_first_divergence() {
         .position(|e| matches!(e.action, TraceAction::WriteDm { .. }))
         .expect("the banking run writes item 0");
     let mut bad = good.clone();
-    let TraceAction::WriteDm { vn, .. } = &mut bad.events[mutated_at].action else {
+    let mut events = bad.events.to_vec();
+    let TraceAction::WriteDm { vn, .. } = &mut events[mutated_at].action else {
         unreachable!()
     };
     *vn += 7;
+    bad.events = events.into();
     let d = check_trace(&bad, &*config.quorum)
         .expect_err("a mutated version number must not replay");
     assert_eq!(
@@ -260,10 +262,12 @@ fn mutated_txn_trace_is_rejected_at_first_divergence() {
         .position(|e| matches!(e.action, TraceAction::RequestCommit { .. }))
         .expect("a committed TM block exists");
     let mut bad = good.clone();
-    let TraceAction::RequestCommit { value, .. } = &mut bad.events[value_at].action else {
+    let mut events = bad.events.to_vec();
+    let TraceAction::RequestCommit { value, .. } = &mut events[value_at].action else {
         unreachable!()
     };
     *value ^= 0xDEAD;
+    bad.events = events.into();
     check_trace(&bad, &*config.quorum).expect_err("a mutated commit value must not replay");
 }
 
@@ -324,9 +328,11 @@ fn migration_without_config_write_quorum_is_rejected() {
         .expect("the migration runs a reconfigure-TM")
         .tid;
     let mut bad = good.clone();
-    bad.events.retain(|e| {
+    let mut events = bad.events.to_vec();
+    events.retain(|e| {
         !(e.tid == reconfig_tid && matches!(e.action, TraceAction::WriteCfg { .. }))
     });
+    bad.events = events.into();
     assert!(bad.events.len() < good.events.len(), "WRITE-CFG records were present");
     let mutated_at = bad
         .events

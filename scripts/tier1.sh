@@ -120,6 +120,17 @@ echo "==> reconfiguration smoke (qc-exp faults, dynamic column non-degenerate)"
 # beat its static twin; --secs keeps the smoke cheap.
 leg faults --secs 2
 
+echo "==> trace dumps reproduce (qc-exp faults --trace-dir, twice)"
+# Every cell runs traced, is written by trace_to_json and replays through
+# the conformance checker on the way out; two runs must dump the same
+# bytes.
+mkdir "$SCRATCH/traces.a" "$SCRATCH/traces.b"
+for side in a b; do
+  (cd "$SCRATCH/traces.$side" && "$BIN/qc-exp" faults --secs 2 --trace-dir traces > stdout.txt)
+done
+test -s "$SCRATCH/traces.a/traces/faults_rowa_a1_dynamic.json"
+diff -r "$SCRATCH/traces.a" "$SCRATCH/traces.b"
+
 echo "==> shard scaling smoke (qc-exp shard_scaling: determinism + per-item conformance)"
 leg shard_scaling --threads --secs 2
 
