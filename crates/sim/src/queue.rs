@@ -192,7 +192,7 @@ impl<E: Copy> Default for CalendarQueue<E> {
 }
 
 impl<E: Copy> CalendarQueue<E> {
-    /// Empty, [`MIN_BUCKETS`] days of 256 µs (about a LAN round trip).
+    /// Empty, eight days of 256 µs (about a LAN round trip).
     #[must_use]
     pub fn new() -> Self {
         CalendarQueue {

@@ -429,9 +429,24 @@ impl Fields<'_> {
     fn txn(&mut self, faults: FaultPlan) -> TxnConfig {
         let size = self.u32(4);
         let workload = match self.pick() % 3 {
-            0 => WorkloadKind::Banking(BankingGen { accounts: size, ..BankingGen::new(4) }),
-            1 => WorkloadKind::Inventory(InventoryGen { products: size, ..InventoryGen::new(4) }),
-            _ => WorkloadKind::Random(RandomTreeGen { slots: size, ..RandomTreeGen::new(4) }),
+            0 => WorkloadKind::Banking(BankingGen {
+                accounts: size,
+                doomed_permille: self.u32(125),
+            }),
+            1 => WorkloadKind::Inventory(InventoryGen {
+                products: size,
+                check_permille: self.u32(600),
+                doomed_permille: self.u32(100),
+            }),
+            _ => WorkloadKind::Random(RandomTreeGen {
+                slots: size,
+                max_depth: self.u32(4),
+                max_fanout: self.u32(3),
+                write_permille: self.u32(400),
+                read_only_permille: self.u32(200),
+                doom_permille: self.u32(100),
+                parallel_permille: self.u32(500),
+            }),
         };
         let mut c = TxnConfig::new(self.quorum(), workload);
         c.latency = self.latency();
@@ -459,8 +474,8 @@ fn buildable(counts: &[usize]) -> bool {
 const RUN: SimTime = SimTime(20_000);
 
 proptest! {
-    /// Every field of the three configurations from the edges of its type
-    /// and a plan from the plan-text fuzz above: `validate` always returns,
+    /// Every field of the three configurations — a nested configuration's
+    /// program generator included — from the edges of its type and a plan from the plan-text fuzz above: `validate` always returns,
     /// and a configuration it accepts that is small enough to build runs
     /// 20 simulated milliseconds without a panic. The run is shorter than
     /// the drawn duration, so what the drawn duration costs an elastic run

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use nested_txn::{BankingGen, WorkloadKind};
+use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use qc_sim::{
     run, run_sharded, run_txn, ElasticPolicy, FaultPlan, ItemDist, LatencyModel, MultiConfig,
     PlacementPolicy, ReconfigPolicy, ReconfigTarget, SimConfig, SimTime, Simulation, TxnConfig,
@@ -255,4 +255,34 @@ fn an_elastic_epoch_tiny_against_the_duration_is_an_error() {
     assert_eq!(c.validate(), Ok(()), "the bound itself is runnable");
     c.duration = SimTime(MAX_EPOCH_BARRIERS + 1);
     assert!(c.validate().is_err());
+}
+
+/// A program generator's fields passed `TxnConfig::validate` unbounded: a
+/// random tree with `max_fanout` 70 000 validated, then exhausted memory
+/// generating its first program, and a permille above 1000 meant "always".
+#[test]
+fn a_program_generator_field_out_of_range_is_an_error() {
+    let random = RandomTreeGen::new(4);
+    let bad = [
+        (WorkloadKind::Random(RandomTreeGen { max_fanout: 70_000, ..random }), "max_fanout"),
+        (WorkloadKind::Random(RandomTreeGen { write_permille: 1001, ..random }), "write_permille"),
+        (
+            WorkloadKind::Inventory(InventoryGen { check_permille: u32::MAX, ..InventoryGen::new(4) }),
+            "check_permille",
+        ),
+        (
+            WorkloadKind::Banking(BankingGen { doomed_permille: 1001, ..BankingGen::new(4) }),
+            "doomed_permille",
+        ),
+    ];
+    for (workload, field) in bad {
+        let mut three = Three::new();
+        three.txn.workload = workload;
+        let err = three.txn.validate().expect_err(&format!("{workload:?} accepted"));
+        assert!(err.contains(field), "{err:?} does not name {field}");
+    }
+    let mut three = Three::new();
+    let widest = RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT, ..random };
+    three.txn.workload = WorkloadKind::Random(widest);
+    assert_eq!(three.txn.validate(), Ok(()), "the bound itself is accepted");
 }

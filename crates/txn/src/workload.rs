@@ -489,6 +489,14 @@ pub struct RandomTreeGen {
 }
 
 impl RandomTreeGen {
+    /// The largest `max_fanout` [`WorkloadKind::validate`] accepts. A tree
+    /// is at most four levels deep whatever `max_depth` says (the leaf
+    /// chance reaches 1000‰ at depth 4), so one program holds at most
+    /// `max_fanout³` accesses: 2¹⁸ at this bound. A fanout of 70 000
+    /// validated before the bound existed and exhausted memory generating
+    /// its first program.
+    pub const MAX_FANOUT: u32 = 64;
+
     /// A balanced default over `slots` item slots: depth ≤ 4, fan-out ≤ 3,
     /// 40% writes, 20% read-only subtrees, 10% doomed subtrees, 50%
     /// parallel batches.
@@ -578,15 +586,33 @@ impl WorkloadKind {
         }
     }
 
-    /// Check the parameters [`WorkloadKind::program`] divides by: the
+    /// Check the generator's fields: the ones [`WorkloadKind::program`]
+    /// divides by, a random tree's fanout against
+    /// [`RandomTreeGen::MAX_FANOUT`], and every permille against 1000. The
     /// generators' fields are public, so a literal can bypass the `new`
     /// constructors' assertions and would otherwise panic mid-run on an
-    /// empty draw range.
+    /// empty draw range or exhaust memory generating a program.
     ///
     /// # Errors
     ///
-    /// A description of the first parameter out of range.
+    /// A description of the first parameter out of range, naming it.
     pub fn validate(&self) -> Result<(), String> {
+        let permilles = match *self {
+            WorkloadKind::Banking(g) => vec![("doomed_permille", g.doomed_permille)],
+            WorkloadKind::Inventory(g) => vec![
+                ("check_permille", g.check_permille),
+                ("doomed_permille", g.doomed_permille),
+            ],
+            WorkloadKind::Random(g) => vec![
+                ("write_permille", g.write_permille),
+                ("read_only_permille", g.read_only_permille),
+                ("doom_permille", g.doom_permille),
+                ("parallel_permille", g.parallel_permille),
+            ],
+        };
+        if let Some((name, p)) = permilles.into_iter().find(|&(_, p)| p > 1000) {
+            return Err(format!("{name} must be at most 1000 (got {p})"));
+        }
         match *self {
             WorkloadKind::Banking(g) if g.accounts < 2 => Err(format!(
                 "banking needs at least two accounts (got {})",
@@ -602,6 +628,11 @@ impl WorkloadKind {
             WorkloadKind::Random(g) if g.max_fanout == 0 => {
                 Err("random trees need max_fanout >= 1".into())
             }
+            WorkloadKind::Random(g) if g.max_fanout > RandomTreeGen::MAX_FANOUT => Err(format!(
+                "random trees need max_fanout <= {} (got {})",
+                RandomTreeGen::MAX_FANOUT,
+                g.max_fanout
+            )),
             _ => Ok(()),
         }
     }
@@ -718,6 +749,10 @@ mod tests {
             WorkloadKind::Inventory(InventoryGen { products: 1, ..InventoryGen::new(2) }),
             WorkloadKind::Random(RandomTreeGen { max_fanout: 0, ..random }),
             WorkloadKind::Random(RandomTreeGen { slots: 0, ..random }),
+            WorkloadKind::Random(RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT + 1, ..random }),
+            WorkloadKind::Random(RandomTreeGen { parallel_permille: 1001, ..random }),
+            WorkloadKind::Banking(BankingGen { doomed_permille: 1001, ..BankingGen::new(2) }),
+            WorkloadKind::Inventory(InventoryGen { check_permille: 1001, ..InventoryGen::new(2) }),
         ];
         for kind in bad {
             assert!(kind.validate().is_err(), "{kind:?}");
@@ -728,6 +763,8 @@ mod tests {
             WorkloadKind::Inventory(InventoryGen::new(2)),
             WorkloadKind::Random(RandomTreeGen { slots: 1, max_fanout: 1, ..random }),
         ];
+        let widest = RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT, ..random };
+        assert_eq!(WorkloadKind::Random(widest).validate(), Ok(()));
         for kind in good {
             assert_eq!(kind.validate(), Ok(()), "{kind:?}");
             for seed in 0..200 {

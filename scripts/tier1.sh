@@ -220,6 +220,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # future workspace exclusion cannot silently drop it from the gate.
 cargo clippy -p qc-obs --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# A doc link to a deleted or private item is a warning; a public doc must
+# not point at either.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> the gate left the tree as it found it"
 if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
   git status --porcelain
