@@ -17,6 +17,13 @@
 //!   [`Weighted`], [`Grid`], [`TreeQuorum`]): predicate-form quorum systems
 //!   that scale to replica counts where explicit enumeration is infeasible
 //!   — used by the evaluation substrate;
+//! * [`Thresholds`]: the one quorum rule by sizes over a member set —
+//!   what [`QuorumSpec::thresholds`] returns for ROWA and threshold
+//!   systems, resized to a reconfigured membership by
+//!   [`Thresholds::over`], and the answer to every read, write and
+//!   configuration-majority quorum question the simulator and the
+//!   Theorem 10 checker ask ([`is_quorum`] falls back to a system's own
+//!   predicates when it has no rule);
 //! * [`analysis`]: exact and Monte-Carlo availability, quorum sizes, and
 //!   load, reproducing the classic quorum trade-off studies (experiments
 //!   Q1–Q5 in `EXPERIMENTS.md`).
@@ -48,6 +55,6 @@ mod spec;
 pub use config::{CompiledConfiguration, Configuration, ConfigurationError};
 pub use replica_set::ReplicaSet;
 pub use spec::{
-    to_configuration, Grid, Majority, QuorumFamily, QuorumHealth, QuorumSpec, Rowa, Thresholds,
-    TreeQuorum, Weighted,
+    is_quorum, to_configuration, Grid, Majority, QuorumSpec, Rowa, Thresholds, TreeQuorum,
+    Weighted,
 };

@@ -11,122 +11,175 @@ use std::collections::BTreeSet;
 use crate::config::Configuration;
 use crate::replica_set::{ReplicaSet, MAX_REPLICAS};
 
-/// What a quorum system can still do given a set of live replicas.
+/// A quorum rule by sizes over a member set: a set includes a read-quorum
+/// iff it holds at least `read` of the members, a write-quorum iff it holds
+/// at least `write` of them.
 ///
-/// Computed by [`QuorumSpec::quorum_health`]; coordinators use it to fail
-/// fast ("quorum unavailable") instead of timing out against a site set
-/// that can never assemble the required quorum.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuorumHealth {
-    /// Both a read-quorum and a write-quorum are available.
-    ReadWrite,
-    /// Only a read-quorum is available.
-    ReadOnly,
-    /// Only a write-quorum is available (possible under asymmetric
-    /// thresholds where read-quorums are larger than write-quorums).
-    WriteOnly,
-    /// Neither quorum is available.
-    Unavailable,
-}
-
-impl QuorumHealth {
-    /// Whether a read-quorum can be assembled.
-    #[must_use]
-    pub fn can_read(self) -> bool {
-        matches!(self, QuorumHealth::ReadWrite | QuorumHealth::ReadOnly)
-    }
-
-    /// Whether a write-quorum can be assembled.
-    #[must_use]
-    pub fn can_write(self) -> bool {
-        matches!(self, QuorumHealth::ReadWrite | QuorumHealth::WriteOnly)
-    }
-}
-
-/// The pure-threshold form of a quorum system: a set is a read-quorum iff
-/// it contains at least `read_size` of replicas `0..n`, and a write-quorum
-/// iff it contains at least `write_size`.
+/// [`QuorumSpec::thresholds`] returns it over all `n` replicas for the
+/// systems whose predicates are exactly counts (ROWA is `read = 1`,
+/// `write = n`; [`Majority`] is its configured sizes). Hot loops answer
+/// quorum questions through it as one mask-and-popcount with no virtual
+/// call and no allocation.
 ///
-/// Returned by [`QuorumSpec::thresholds`] for systems whose predicates are
-/// exactly counts (ROWA is `read_size = 1`, `write_size = n`; [`Majority`]
-/// is its configured sizes). Hot loops use it to answer quorum questions
-/// as one mask-and-popcount with no virtual call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Thresholds {
-    /// Number of replicas.
-    pub n: usize,
-    /// Minimum in-range members of a read-quorum.
-    pub read_size: usize,
-    /// Minimum in-range members of a write-quorum.
-    pub write_size: usize,
-}
-
-/// The recognized *resizable* quorum families, for dynamic
-/// reconfiguration (Goldman & Lynch §4).
-///
-/// A reconfiguration replaces a configuration's member set while keeping
-/// its quorum *rule*: ROWA stays read-one/write-all over the new members,
-/// majority stays simple majorities. [`QuorumFamily::of`] classifies a
-/// [`QuorumSpec`] by its threshold form; systems without a pure threshold
-/// form (grids, trees, weighted votes) have no canonical resizing and are
-/// not dynamically reconfigurable here.
+/// It is also the rule a configuration keeps while dynamic reconfiguration
+/// (Goldman & Lynch §4) replaces its member set: [`over`](Self::over)
+/// resizes ROWA to read-one/write-all of the new members and simple
+/// majorities to simple majorities of them. Asymmetric thresholds have no
+/// canonical resizing, and systems with no threshold form (grids, trees,
+/// weighted votes) have no rule at all; neither reconfigures here.
 ///
 /// The *configuration sub-object* — the `(generation, members)` pair each
-/// replica carries next to its data — is always majority-governed
-/// ([`QuorumFamily::config_quorum_size`]), independent of the data
-/// family. Pure ROWA could otherwise never reconfigure away from a dead
+/// replica carries next to its data — is always governed by a majority of
+/// the members ([`is_config_quorum`](Self::is_config_quorum)), whatever the
+/// data rule. Pure ROWA could otherwise never reconfigure away from a dead
 /// site: installing the new configuration requires a write-quorum of the
-/// *old* configuration, and an old ROWA data-write-quorum includes the
-/// dead site by definition. A majority of the old members both satisfies
-/// the Goldman–Lynch old-quorum rule (config-read and config-write
-/// majorities over the same member set intersect) and stays available
-/// under minority failures.
+/// *old* configuration, and an old ROWA data-write-quorum includes the dead
+/// site by definition. A majority of the old members both satisfies the
+/// Goldman–Lynch old-quorum rule (configuration-read and -write majorities
+/// over the same member set intersect) and stays available under minority
+/// failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuorumFamily {
-    /// Read-one / write-all over the current members.
-    Rowa,
-    /// Simple majorities (`⌊m/2⌋ + 1` both sides) over the current members.
-    Majority,
+pub struct Thresholds {
+    members: ReplicaSet,
+    read: usize,
+    write: usize,
+    family: Family,
 }
 
-impl QuorumFamily {
-    /// Classify `spec`, or `None` when it is not a resizable threshold
-    /// system.
-    #[must_use]
-    pub fn of(spec: &dyn QuorumSpec) -> Option<Self> {
-        let t = spec.thresholds()?;
-        if t.read_size == 1 && t.write_size == t.n {
-            Some(QuorumFamily::Rowa)
-        } else if t.read_size == t.n / 2 + 1 && t.write_size == t.read_size {
-            Some(QuorumFamily::Majority)
+/// How a [`Thresholds`] rule resizes to a new member set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Family {
+    /// Read one, write all of the members.
+    Rowa,
+    /// `⌊m/2⌋ + 1` of the `m` members on both sides.
+    Majority,
+    /// No canonical resizing.
+    Fixed,
+}
+
+impl Thresholds {
+    /// `read` / `write` of the `n` replicas `0..n`, resizable when that is
+    /// ROWA or simple majorities (ROWA first: over one replica they agree).
+    fn new(n: usize, read: usize, write: usize) -> Self {
+        let family = if read == 1 && write == n {
+            Family::Rowa
+        } else if read == n / 2 + 1 && write == read {
+            Family::Majority
         } else {
-            None
+            Family::Fixed
+        };
+        Thresholds {
+            members: ReplicaSet::full(n),
+            read,
+            write,
+            family,
         }
     }
 
-    /// Data read-quorum size over `m` members.
+    /// The member set the sizes count over.
     #[must_use]
-    pub fn read_size(self, m: usize) -> usize {
-        match self {
-            QuorumFamily::Rowa => 1,
-            QuorumFamily::Majority => m / 2 + 1,
+    pub fn members(self) -> ReplicaSet {
+        self.members
+    }
+
+    /// Whether the rule resizes to any member set (ROWA and simple
+    /// majorities do), which dynamic reconfiguration requires.
+    #[must_use]
+    pub fn resizable(self) -> bool {
+        self.family != Family::Fixed
+    }
+
+    /// The same rule over `members`, or `None` when it has no resizing. A
+    /// rule resized to its own members is itself, resizable or not.
+    #[must_use]
+    pub fn over(self, members: ReplicaSet) -> Option<Self> {
+        let m = members.len();
+        let (read, write) = match self.family {
+            _ if members == self.members => return Some(self),
+            Family::Rowa => (1, m),
+            Family::Majority => (m / 2 + 1, m / 2 + 1),
+            Family::Fixed => return None,
+        };
+        Some(Thresholds {
+            members,
+            read,
+            write,
+            ..self
+        })
+    }
+
+    /// The rule of a phase that reads the configuration with the data: its
+    /// read side also needs a configuration quorum of the members, so it is
+    /// the larger of the two sizes.
+    #[must_use]
+    pub fn with_config_reads(self) -> Self {
+        Thresholds {
+            read: self.read.max(self.members.len() / 2 + 1),
+            ..self
         }
     }
 
-    /// Data write-quorum size over `m` members.
-    #[must_use]
-    pub fn write_size(self, m: usize) -> usize {
-        match self {
-            QuorumFamily::Rowa => m,
-            QuorumFamily::Majority => m / 2 + 1,
+    fn size(self, write: bool) -> usize {
+        if write {
+            self.write
+        } else {
+            self.read
         }
     }
 
-    /// Configuration-quorum size over `m` members (majority, both for
-    /// reading and writing the configuration sub-object).
+    /// Whether `set` includes a read-quorum (`write`: a write-quorum).
+    #[inline]
     #[must_use]
-    pub fn config_quorum_size(m: usize) -> usize {
-        m / 2 + 1
+    pub fn is_quorum(self, set: ReplicaSet, write: bool) -> bool {
+        set.intersection(self.members).len() >= self.size(write)
+    }
+
+    /// Whether `set` includes a configuration quorum: a majority of the
+    /// members, for reading and writing the configuration alike.
+    #[inline]
+    #[must_use]
+    pub fn is_config_quorum(self, set: ReplicaSet) -> bool {
+        set.intersection(self.members).len() > self.members.len() / 2
+    }
+
+    /// Whether the `live` replicas hold the quorums an operation needs: a
+    /// read-quorum, and for a write (`write`) a write-quorum too.
+    #[inline]
+    #[must_use]
+    pub fn feasible(self, live: ReplicaSet, write: bool) -> bool {
+        let k = live.intersection(self.members).len();
+        k >= self.read && (!write || k >= self.write)
+    }
+
+    /// A minimal read-quorum (`write`: write-quorum) within `available`:
+    /// its highest-indexed members, which is what the greedy ascending-drop
+    /// shrink of [`QuorumSpec::find_read_quorum_bits`] leaves of a count.
+    #[inline]
+    #[must_use]
+    pub fn find_quorum(self, available: ReplicaSet, write: bool) -> Option<ReplicaSet> {
+        let live = available.intersection(self.members);
+        let k = self.size(write);
+        (live.len() >= k).then(|| live.keep_highest(k))
+    }
+}
+
+/// Whether `set` includes a read-quorum (`write`: a write-quorum) of one
+/// configuration of `spec`: by `rule`, the configuration's size rule, when
+/// it has one, else by `spec`'s own predicates (a system with no threshold
+/// form has the one configuration of all its replicas). The simulator and
+/// the conformance checker both decide quorums here.
+#[inline]
+#[must_use]
+pub fn is_quorum(
+    spec: &dyn QuorumSpec,
+    rule: Option<Thresholds>,
+    set: ReplicaSet,
+    write: bool,
+) -> bool {
+    match rule {
+        Some(r) => r.is_quorum(set, write),
+        None if write => spec.is_write_quorum_bits(set),
+        None => spec.is_read_quorum_bits(set),
     }
 }
 
@@ -188,41 +241,21 @@ pub trait QuorumSpec: std::fmt::Debug {
         self.find_write_quorum_bits(to_bits(available)).map(Into::into)
     }
 
-    /// The threshold form of this system, when its quorum predicates are
-    /// exactly "at least `k` members of `0..n`" counts: a set is a
-    /// read-(write-)quorum iff it contains at least `read_size`
-    /// (`write_size`) of the replicas. Hot loops (the simulators' phase
-    /// assembly, contact selection, and feasibility probes) use this to
-    /// evaluate membership as an inline mask-and-popcount instead of a
-    /// virtual call per probe.
+    /// The threshold form of this system over all its replicas, when its
+    /// quorum predicates are exactly "at least `k` of `0..n`" counts. Hot
+    /// loops (the simulators' phase assembly, contact selection and
+    /// feasibility probes) use it to evaluate membership as an inline
+    /// mask-and-popcount instead of a virtual call per probe, and a
+    /// reconfigured membership resizes it ([`Thresholds::over`]).
     ///
-    /// Returning `Some` is a contract: the thresholds must agree *exactly*
-    /// with `is_read_quorum_bits` / `is_write_quorum_bits`, and the greedy
+    /// Returning `Some` is a contract: the rule must agree *exactly* with
+    /// `is_read_quorum_bits` / `is_write_quorum_bits`, and the greedy
     /// ascending-drop shrink of `find_*_quorum_bits` must equal
-    /// `keep_highest(k)` of the in-range members (true for any pure
-    /// threshold predicate). The default is `None`: callers fall back to
-    /// the predicate methods.
+    /// [`Thresholds::find_quorum`] (true for any pure threshold
+    /// predicate). The default is `None`: callers fall back to the
+    /// predicate methods.
     fn thresholds(&self) -> Option<Thresholds> {
         None
-    }
-
-    /// Quorum-loss detection: what this system can still do when only
-    /// `live` replicas are reachable.
-    ///
-    /// The answer depends only on quorum membership over indices, so it is
-    /// exact (not a heuristic): [`QuorumHealth::Unavailable`] means *no*
-    /// subset of `live` is a quorum, and the operation is doomed before a
-    /// single message is sent.
-    fn quorum_health(&self, live: ReplicaSet) -> QuorumHealth {
-        match (
-            self.is_read_quorum_bits(live),
-            self.is_write_quorum_bits(live),
-        ) {
-            (true, true) => QuorumHealth::ReadWrite,
-            (true, false) => QuorumHealth::ReadOnly,
-            (false, true) => QuorumHealth::WriteOnly,
-            (false, false) => QuorumHealth::Unavailable,
-        }
     }
 
     /// A short human-readable label ("rowa", "majority", …) for reports.
@@ -251,7 +284,7 @@ fn shrink(set: ReplicaSet, pred: impl Fn(ReplicaSet) -> bool) -> ReplicaSet {
 /// Read-one / write-all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rowa {
-    n: usize,
+    rule: Thresholds,
 }
 
 impl Rowa {
@@ -263,45 +296,38 @@ impl Rowa {
     pub fn new(n: usize) -> Self {
         assert!(n > 0);
         assert!(n <= MAX_REPLICAS, "ReplicaSet caps replicas at 128");
-        Rowa { n }
+        Rowa {
+            rule: Thresholds::new(n, 1, n),
+        }
     }
 }
 
+// Read-one / write-all is the degenerate threshold pair (1, n); its
+// minimal read-quorum is the highest live replica, its write-quorum the
+// full replica set.
 impl QuorumSpec for Rowa {
     fn n(&self) -> usize {
-        self.n
+        self.rule.members.len()
     }
 
     fn is_read_quorum_bits(&self, set: ReplicaSet) -> bool {
-        set.intersects(ReplicaSet::full(self.n))
+        self.rule.is_quorum(set, false)
     }
 
     fn is_write_quorum_bits(&self, set: ReplicaSet) -> bool {
-        set.is_superset(ReplicaSet::full(self.n))
+        self.rule.is_quorum(set, true)
     }
 
-    // O(1) fast paths, bit-identical to the default greedy shrink (which
-    // drops indices ascending): a ROWA read-quorum shrinks to the highest
-    // live replica, a write-quorum to exactly the full replica set.
     fn find_read_quorum_bits(&self, available: ReplicaSet) -> Option<ReplicaSet> {
-        available
-            .intersection(ReplicaSet::full(self.n))
-            .max()
-            .map(ReplicaSet::singleton)
+        self.rule.find_quorum(available, false)
     }
 
     fn find_write_quorum_bits(&self, available: ReplicaSet) -> Option<ReplicaSet> {
-        let full = ReplicaSet::full(self.n);
-        available.is_superset(full).then_some(full)
+        self.rule.find_quorum(available, true)
     }
 
-    // Read-one / write-all is the degenerate threshold pair (1, n).
     fn thresholds(&self) -> Option<Thresholds> {
-        Some(Thresholds {
-            n: self.n,
-            read_size: 1,
-            write_size: self.n,
-        })
+        Some(self.rule)
     }
 
     fn label(&self) -> String {
@@ -314,9 +340,7 @@ impl QuorumSpec for Rowa {
 /// `read_size + write_size > n` (Gifford's constraint with unit votes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Majority {
-    n: usize,
-    read_size: usize,
-    write_size: usize,
+    rule: Thresholds,
 }
 
 impl Majority {
@@ -328,11 +352,8 @@ impl Majority {
     pub fn new(n: usize) -> Self {
         assert!(n > 0);
         assert!(n <= MAX_REPLICAS, "ReplicaSet caps replicas at 128");
-        let k = n / 2 + 1;
         Majority {
-            n,
-            read_size: k,
-            write_size: k,
+            rule: Thresholds::new(n, n / 2 + 1, n / 2 + 1),
         }
     }
 
@@ -348,64 +369,47 @@ impl Majority {
         assert!(read_size <= n && write_size <= n);
         assert!(read_size + write_size > n, "quorum sizes must overlap");
         Majority {
-            n,
-            read_size,
-            write_size,
+            rule: Thresholds::new(n, read_size, write_size),
         }
-    }
-
-    /// The read threshold.
-    pub fn read_size(&self) -> usize {
-        self.read_size
-    }
-
-    /// The write threshold.
-    pub fn write_size(&self) -> usize {
-        self.write_size
     }
 }
 
+// Threshold systems shrink greedily to the highest `size` in-range indices
+// (ascending drop order removes the lowest first), so the minimal quorum is
+// one mask-and-popcount instead of `len` predicate probes — this is the
+// per-operation path of the simulator's MinimalQuorum contact policy.
 impl QuorumSpec for Majority {
     fn n(&self) -> usize {
-        self.n
+        self.rule.members.len()
     }
 
     fn is_read_quorum_bits(&self, set: ReplicaSet) -> bool {
-        set.intersection(ReplicaSet::full(self.n)).len() >= self.read_size
+        self.rule.is_quorum(set, false)
     }
 
     fn is_write_quorum_bits(&self, set: ReplicaSet) -> bool {
-        set.intersection(ReplicaSet::full(self.n)).len() >= self.write_size
+        self.rule.is_quorum(set, true)
     }
 
-    // Threshold systems shrink greedily to the highest `size` in-range
-    // indices (ascending drop order removes the lowest first), so the
-    // minimal quorum is one mask-and-popcount instead of `len` predicate
-    // probes — this is the per-operation path of the simulator's
-    // MinimalQuorum contact policy.
     fn find_read_quorum_bits(&self, available: ReplicaSet) -> Option<ReplicaSet> {
-        let live = available.intersection(ReplicaSet::full(self.n));
-        (live.len() >= self.read_size).then(|| live.keep_highest(self.read_size))
+        self.rule.find_quorum(available, false)
     }
 
     fn find_write_quorum_bits(&self, available: ReplicaSet) -> Option<ReplicaSet> {
-        let live = available.intersection(ReplicaSet::full(self.n));
-        (live.len() >= self.write_size).then(|| live.keep_highest(self.write_size))
+        self.rule.find_quorum(available, true)
     }
 
     fn thresholds(&self) -> Option<Thresholds> {
-        Some(Thresholds {
-            n: self.n,
-            read_size: self.read_size,
-            write_size: self.write_size,
-        })
+        Some(self.rule)
     }
 
     fn label(&self) -> String {
-        if self.read_size == self.write_size {
-            format!("majority({}/{})", self.read_size, self.n)
+        let Thresholds { read, write, .. } = self.rule;
+        let n = self.n();
+        if read == write {
+            format!("majority({read}/{n})")
         } else {
-            format!("threshold(r{},w{}/{})", self.read_size, self.write_size, self.n)
+            format!("threshold(r{read},w{write}/{n})")
         }
     }
 }
@@ -837,91 +841,33 @@ mod tests {
     }
 
     #[test]
-    fn quorum_health_tracks_live_set() {
-        let q = Majority::new(5);
-        assert_eq!(q.quorum_health(ReplicaSet::full(5)), QuorumHealth::ReadWrite);
-        let three: ReplicaSet = [0usize, 2, 4].into_iter().collect();
-        assert_eq!(q.quorum_health(three), QuorumHealth::ReadWrite);
-        let two: ReplicaSet = [1usize, 3].into_iter().collect();
-        assert_eq!(q.quorum_health(two), QuorumHealth::Unavailable);
-        assert!(!q.quorum_health(two).can_read());
-        assert!(!q.quorum_health(two).can_write());
-    }
-
-    #[test]
-    fn quorum_health_rowa_degrades_to_read_only() {
-        let q = Rowa::new(3);
-        assert_eq!(q.quorum_health(ReplicaSet::full(3)), QuorumHealth::ReadWrite);
-        let partial: ReplicaSet = [0usize, 2].into_iter().collect();
-        assert_eq!(q.quorum_health(partial), QuorumHealth::ReadOnly);
-        assert!(q.quorum_health(partial).can_read());
-        assert!(!q.quorum_health(partial).can_write());
-        assert_eq!(q.quorum_health(ReplicaSet::EMPTY), QuorumHealth::Unavailable);
-    }
-
-    #[test]
-    fn quorum_health_write_only_under_asymmetric_thresholds() {
-        // Read-quorums larger than write-quorums: r=4, w=2 over n=5.
-        let q = Majority::with_sizes(5, 4, 2);
-        let three: ReplicaSet = [0usize, 1, 2].into_iter().collect();
-        assert_eq!(q.quorum_health(three), QuorumHealth::WriteOnly);
-        assert!(q.quorum_health(three).can_write());
-        assert!(!q.quorum_health(three).can_read());
-    }
-
-    #[test]
-    fn quorum_health_agrees_with_predicates_exhaustively() {
-        let specs: Vec<Box<dyn QuorumSpec>> = vec![
-            Box::new(Rowa::new(5)),
-            Box::new(Majority::new(5)),
-            Box::new(Weighted::new(vec![2, 1, 1, 1], 3, 3)),
-            Box::new(Grid::new(2, 3)),
-            Box::new(TreeQuorum::new(9)),
-        ];
-        for s in &specs {
-            for mask in 0u32..(1 << s.n()) {
-                let live = ReplicaSet::from_bits(mask as u128);
-                let h = s.quorum_health(live);
-                assert_eq!(h.can_read(), s.is_read_quorum_bits(live), "{}", s.label());
-                assert_eq!(h.can_write(), s.is_write_quorum_bits(live), "{}", s.label());
-            }
-        }
-    }
-
-    #[test]
     fn thresholds_agree_with_predicates_and_finds_exhaustively() {
         // The `thresholds()` contract: counting in-range members must give
-        // the same membership answers as the predicate methods, and
-        // `keep_highest(k)` of the in-range members must equal the greedy
-        // shrink behind `find_*_quorum_bits`, over every subset of 0..n
-        // (plus out-of-range bits, which must be ignored).
+        // the same membership answers as the predicate methods, the rule's
+        // minimal quorum must equal the greedy shrink behind
+        // `find_*_quorum_bits`, and feasibility must be the two predicates
+        // on the live set, over every subset of 0..n (plus out-of-range
+        // bits, which must be ignored).
         let specs: Vec<Box<dyn QuorumSpec>> = vec![
             Box::new(Rowa::new(1)),
             Box::new(Rowa::new(5)),
             Box::new(Majority::new(5)),
             Box::new(Majority::with_sizes(6, 2, 5)),
+            Box::new(Majority::with_sizes(5, 4, 2)),
         ];
         for s in &specs {
             let t = s.thresholds().expect("threshold systems expose thresholds");
-            assert_eq!(t.n, s.n(), "{}", s.label());
+            let label = s.label();
+            assert_eq!(t.members(), ReplicaSet::full(s.n()), "{label}");
             for mask in 0u32..(1 << (s.n() + 2)) {
                 let set = ReplicaSet::from_bits(mask as u128);
-                let live = set.intersection(ReplicaSet::full(t.n));
-                let k = live.len();
-                assert_eq!(k >= t.read_size, s.is_read_quorum_bits(set), "{}", s.label());
-                assert_eq!(k >= t.write_size, s.is_write_quorum_bits(set), "{}", s.label());
-                assert_eq!(
-                    (k >= t.read_size).then(|| live.keep_highest(t.read_size)),
-                    s.find_read_quorum_bits(set),
-                    "{}",
-                    s.label()
-                );
-                assert_eq!(
-                    (k >= t.write_size).then(|| live.keep_highest(t.write_size)),
-                    s.find_write_quorum_bits(set),
-                    "{}",
-                    s.label()
-                );
+                let (read, write) = (s.is_read_quorum_bits(set), s.is_write_quorum_bits(set));
+                assert_eq!(t.is_quorum(set, false), read, "{label}");
+                assert_eq!(t.is_quorum(set, true), write, "{label}");
+                assert_eq!(t.find_quorum(set, false), s.find_read_quorum_bits(set), "{label}");
+                assert_eq!(t.find_quorum(set, true), s.find_write_quorum_bits(set), "{label}");
+                assert_eq!(t.feasible(set, false), read, "{label}");
+                assert_eq!(t.feasible(set, true), read && write, "{label}");
             }
         }
         // Non-threshold systems must decline rather than approximate.
@@ -932,35 +878,88 @@ mod tests {
 
     #[test]
     fn quorum_family_classifies_threshold_systems() {
-        assert_eq!(QuorumFamily::of(&Rowa::new(5)), Some(QuorumFamily::Rowa));
-        assert_eq!(QuorumFamily::of(&Rowa::new(1)), Some(QuorumFamily::Rowa));
-        assert_eq!(
-            QuorumFamily::of(&Majority::new(5)),
-            Some(QuorumFamily::Majority)
-        );
-        assert_eq!(
-            QuorumFamily::of(&Majority::new(6)),
-            Some(QuorumFamily::Majority)
-        );
+        let resizable = |s: &dyn QuorumSpec| s.thresholds().is_some_and(Thresholds::resizable);
+        assert!(resizable(&Rowa::new(5)));
+        assert!(resizable(&Rowa::new(1)));
+        assert!(resizable(&Majority::new(5)));
+        assert!(resizable(&Majority::new(6)));
         // Asymmetric thresholds, grids, trees and weighted votes have no
         // canonical resizing.
-        assert_eq!(QuorumFamily::of(&Majority::with_sizes(5, 4, 2)), None);
-        assert_eq!(QuorumFamily::of(&Grid::new(2, 3)), None);
-        assert_eq!(QuorumFamily::of(&TreeQuorum::new(9)), None);
-        assert_eq!(QuorumFamily::of(&Weighted::new(vec![2, 1, 1, 1], 3, 3)), None);
+        assert!(!resizable(&Majority::with_sizes(5, 4, 2)));
+        assert!(!resizable(&Grid::new(2, 3)));
+        assert!(!resizable(&TreeQuorum::new(9)));
+        assert!(!resizable(&Weighted::new(vec![2, 1, 1, 1], 3, 3)));
+        // A fixed rule keeps only its own membership.
+        let fixed = Majority::with_sizes(5, 4, 2).thresholds().unwrap();
+        assert_eq!(fixed.over(ReplicaSet::full(5)), Some(fixed));
+        assert_eq!(fixed.over(ReplicaSet::full(4)), None);
+        // Majority over one replica is read-one/write-all over one: it
+        // resizes as ROWA.
+        let one = Majority::new(1).thresholds().unwrap();
+        assert_eq!(one.over(ReplicaSet::full(3)), Rowa::new(3).thresholds());
+    }
+
+    /// `set`'s elements among `members`, renumbered `0..members.len()` in
+    /// ascending order.
+    fn local(members: ReplicaSet, set: ReplicaSet) -> ReplicaSet {
+        let mut out = ReplicaSet::new();
+        for (i, m) in members.iter().enumerate() {
+            if set.contains(m) {
+                out.insert(i);
+            }
+        }
+        out
+    }
+
+    /// The inverse of [`local`] on subsets of `0..members.len()`.
+    fn global(members: ReplicaSet, set: ReplicaSet) -> ReplicaSet {
+        let mut out = ReplicaSet::new();
+        for (i, m) in members.iter().enumerate() {
+            if set.contains(i) {
+                out.insert(m);
+            }
+        }
+        out
     }
 
     #[test]
     fn quorum_family_sizes_match_the_rule_over_any_membership() {
-        for m in 1..=9usize {
-            assert_eq!(QuorumFamily::Rowa.read_size(m), 1);
-            assert_eq!(QuorumFamily::Rowa.write_size(m), m);
-            assert_eq!(QuorumFamily::Majority.read_size(m), m / 2 + 1);
-            assert_eq!(QuorumFamily::Majority.write_size(m), m / 2 + 1);
-            assert_eq!(QuorumFamily::config_quorum_size(m), m / 2 + 1);
-            // Gifford's constraint holds at every size.
-            for f in [QuorumFamily::Rowa, QuorumFamily::Majority] {
-                assert!(f.read_size(m) + f.write_size(m) > m);
+        // Over every non-empty member set of 0..n, n ≤ 7, the resized rule
+        // is ROWA(m) / Majority(m) remapped onto the members: the same
+        // predicates, minimal quorums and feasibility. Its configuration
+        // quorums are the members' majorities, and a phase that reads the
+        // configuration needs both.
+        for n in 1..=7usize {
+            let families: [fn(usize) -> Box<dyn QuorumSpec>; 2] =
+                [|m| Box::new(Rowa::new(m)), |m| Box::new(Majority::new(m))];
+            for at in families {
+                let rule = at(n).thresholds().unwrap();
+                for mask in 1u32..(1 << n) {
+                    let members = ReplicaSet::from_bits(mask as u128);
+                    let r = rule.over(members).expect("ROWA and majority resize");
+                    assert_eq!(r.members(), members);
+                    let (oracle, majority) = (at(members.len()), Majority::new(members.len()));
+                    let label = format!("{} over {members}", at(n).label());
+                    for bits in 0u32..(1 << n) {
+                        let set = ReplicaSet::from_bits(bits as u128);
+                        let l = local(members, set);
+                        let read = oracle.is_read_quorum_bits(l);
+                        let write = oracle.is_write_quorum_bits(l);
+                        assert_eq!(r.is_quorum(set, false), read, "{label}");
+                        assert_eq!(r.is_quorum(set, true), write, "{label}");
+                        let minimal = oracle.find_read_quorum_bits(l).map(|q| global(members, q));
+                        assert_eq!(r.find_quorum(set, false), minimal, "{label}");
+                        let minimal = oracle.find_write_quorum_bits(l).map(|q| global(members, q));
+                        assert_eq!(r.find_quorum(set, true), minimal, "{label}");
+                        assert_eq!(r.feasible(set, false), read, "{label}");
+                        assert_eq!(r.feasible(set, true), read && write, "{label}");
+                        let config = majority.is_read_quorum_bits(l);
+                        assert_eq!(r.is_config_quorum(set), config, "{label}");
+                        let reading = r.with_config_reads();
+                        assert_eq!(reading.is_quorum(set, false), read && config, "{label}");
+                        assert_eq!(reading.is_quorum(set, true), write, "{label}");
+                    }
+                }
             }
         }
     }
@@ -1020,14 +1019,9 @@ mod tests {
             assert_eq!(cfg.is_read_quorum_bits(set), m.is_read_quorum_bits(set));
             assert_eq!(cfg.is_write_quorum_bits(set), m.is_write_quorum_bits(set));
         }
-        assert_eq!(
-            cfg.quorum_health([0, 1].into_iter().collect()),
-            QuorumHealth::Unavailable
-        );
-        assert_eq!(
-            cfg.quorum_health([0, 1, 3].into_iter().collect()),
-            QuorumHealth::ReadWrite
-        );
+        assert!(!cfg.is_read_quorum_bits([0, 1].into_iter().collect()));
+        let three = [0, 1, 3].into_iter().collect();
+        assert!(cfg.is_read_quorum_bits(three) && cfg.is_write_quorum_bits(three));
     }
 
     #[test]

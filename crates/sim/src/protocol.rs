@@ -41,8 +41,11 @@
 //! # Protocol fidelity
 //!
 //! Quorum membership is decided by a [`QuorumSpec`] predicate, so every
-//! quorum system of the `quorum` crate plugs in directly; systems with a
-//! [`Thresholds`](quorum::Thresholds) form take the popcount fast path.
+//! quorum system of the `quorum` crate plugs in directly. A system with a
+//! threshold form has a [`Thresholds`] rule: every quorum question then
+//! runs as a popcount, and under dynamic quorums the same rule, resized to
+//! a configuration's members ([`Thresholds::over`]), answers it for that
+//! configuration.
 //!
 //! **Crash visibility.** A phase checks, per contacted site, whether the
 //! site's next scheduled crash (stochastic or planned) lands before the
@@ -77,7 +80,7 @@ use qc_obs::{
     EventKind, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot, SnapshotExporter,
 };
 use qc_replication::{AbortReason, LemmaChecker, LemmaViolation, TmKind, TraceAction, TraceTid};
-use quorum::{QuorumFamily, QuorumSpec, ReplicaSet};
+use quorum::{QuorumSpec, ReplicaSet, Thresholds};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -210,7 +213,7 @@ pub(crate) fn validate(
         }
     }
     if reconfig.enabled {
-        if QuorumFamily::of(quorum).is_none() {
+        if !quorum.thresholds().is_some_and(Thresholds::resizable) {
             return Err(format!(
                 "dynamic quorums require a ROWA or majority quorum system, got {}",
                 quorum.label()
@@ -272,20 +275,8 @@ pub(crate) fn validate_times(
     Ok(())
 }
 
-const FAMILY: &str = "validate() requires a quorum family under dynamic quorums";
-
 /// Sentinel for "no stochastic crash scheduled".
 pub(crate) const NO_CRASH: SimTime = SimTime(u64::MAX);
-
-/// A quorum rule by sizes: `read` / `write` responses from `members`. Where
-/// a phase takes `Option<Sizes>`, `None` is the configured static system's
-/// own predicates (a system with no threshold form).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Sizes {
-    pub members: ReplicaSet,
-    pub read: usize,
-    pub write: usize,
-}
 
 /// The outcome of one simulated phase.
 #[derive(Clone, Copy, Debug)]
@@ -462,14 +453,12 @@ pub(crate) struct Cluster {
     pub cfg: ClusterSpec,
     /// Sites per item (`quorum.n()`).
     pub n: usize,
-    /// The static quorum system as a size rule over all `n` sites, when it
-    /// has a `Thresholds` form (ROWA and majority do): membership probes
-    /// and contact selection then run as inline popcounts instead of
-    /// virtual calls.
-    th: Option<Sizes>,
-    /// Resizable family of the quorum system, when it has one (required
-    /// for dynamic quorums: the size rules must extend to any member set).
-    family: Option<QuorumFamily>,
+    /// The quorum system's rule over all `n` sites, when it has a threshold
+    /// form (ROWA and majority do); a configuration's rule is this one
+    /// resized to its members. Where a rule is an `Option<Thresholds>`,
+    /// `None` means the system's own predicates decide (grid, tree and
+    /// weighted systems, which have one configuration).
+    rule: Option<Thresholds>,
     /// Planned crash times per site, ascending (for straddle detection).
     plan_crashes: Vec<Vec<SimTime>>,
     /// Next scheduled stochastic crash per site ([`NO_CRASH`] when none;
@@ -514,12 +503,7 @@ impl Cluster {
         let slots = cfg.slots;
         Cluster {
             n,
-            th: cfg.quorum.thresholds().map(|t| Sizes {
-                members: ReplicaSet::full(t.n),
-                read: t.read_size,
-                write: t.write_size,
-            }),
-            family: QuorumFamily::of(&*cfg.quorum),
+            rule: cfg.quorum.thresholds(),
             plan_crashes: (0..n)
                 .map(|s| cfg.plan.crash_times_for(s).collect())
                 .collect(),
@@ -686,31 +670,26 @@ impl Cluster {
 
     // ----- the quorum rule -----------------------------------------------
 
-    /// Whether `have` includes the relevant quorum — a popcount wherever
-    /// sizes decide, which for the static system's threshold form agrees
-    /// exactly with its predicates (asserted exhaustively in the quorum
-    /// crate).
+    /// The quorum rule of a configuration with `members`.
+    fn rule_over(&self, members: ReplicaSet) -> Option<Thresholds> {
+        self.rule.and_then(|r| r.over(members))
+    }
+
+    /// Whether `have` includes the relevant quorum under `rule`.
     #[inline]
-    fn is_quorum(&self, have: ReplicaSet, write: bool, rule: Option<Sizes>) -> bool {
-        match rule {
-            Some(r) => have.intersection(r.members).len() >= if write { r.write } else { r.read },
-            None if write => self.cfg.quorum.is_write_quorum_bits(have),
-            None => self.cfg.quorum.is_read_quorum_bits(have),
-        }
+    fn is_quorum(&self, have: ReplicaSet, write: bool, rule: Option<Thresholds>) -> bool {
+        quorum::is_quorum(&*self.cfg.quorum, rule, have, write)
     }
 
     /// Whether the live sites hold the quorums an operation needs (writes
     /// also need a read quorum, for version discovery).
     #[inline]
-    fn feasible(&self, write: bool, rule: Option<Sizes>) -> bool {
+    fn feasible(&self, write: bool, rule: Option<Thresholds>) -> bool {
         match rule {
-            Some(r) => {
-                let k = self.up.intersection(r.members).len();
-                k >= r.read && (!write || k >= r.write)
-            }
+            Some(r) => r.feasible(self.up, write),
             None => {
-                let health = self.cfg.quorum.quorum_health(self.up);
-                health.can_read() && (!write || health.can_write())
+                let can = |write| self.is_quorum(self.up, write, None);
+                can(false) && (!write || can(true))
             }
         }
     }
@@ -718,10 +697,9 @@ impl Cluster {
     /// The sites a phase contacts, or `None` when the live sites hold no
     /// such quorum. Contacting a site known to be down buys nothing: it
     /// cannot respond. A minimal quorum matches `find_*_quorum_bits` bit
-    /// for bit: for threshold systems the greedy ascending-drop shrink
-    /// keeps exactly the highest `k` live members.
+    /// for bit (the `thresholds()` contract).
     #[inline]
-    fn targets(&self, write: bool, rule: Option<Sizes>) -> Option<ReplicaSet> {
+    fn targets(&self, write: bool, rule: Option<Thresholds>) -> Option<ReplicaSet> {
         let minimal = self.cfg.contact == ContactPolicy::MinimalQuorum;
         let Some(r) = rule else {
             return match (minimal, write) {
@@ -730,16 +708,19 @@ impl Cluster {
                 (true, false) => self.cfg.quorum.find_read_quorum_bits(self.up),
             };
         };
-        let live = self.up.intersection(r.members);
-        let k = if write { r.write } else { r.read };
-        if live.len() < k {
+        let live = self.up.intersection(r.members());
+        if !r.is_quorum(live, write) {
             // A read still contacts whoever is live: any single response
             // can reveal a newer generation, which is how a coordinator
             // with a stale cache ever recovers. (Only an attempt under a
             // cached configuration gets here; the others fail fast.)
             return (!write).then_some(live);
         }
-        Some(if minimal { live.keep_highest(k) } else { live })
+        if minimal {
+            r.find_quorum(live, write)
+        } else {
+            Some(live)
+        }
     }
 
     // ----- the phase and the attempt -------------------------------------
@@ -759,7 +740,7 @@ impl Cluster {
         targets: ReplicaSet,
         (coin_client, tid): (usize, TraceTid),
         write_phase: bool,
-        rule: Option<Sizes>,
+        rule: Option<Thresholds>,
     ) -> PhaseOutcome {
         let phase_no: u8 = if write_phase { 2 } else { 1 };
         let drop_permille = self.cfg.plan.drop_permille_at(self.now);
@@ -865,32 +846,16 @@ impl Cluster {
         let coin = (coin_client, tid);
         let base = item * self.n;
         let mut cost = Cost::default();
-        let members = match &cache {
-            Some(c) => Some(c.1),
-            None if self.cfg.reconfig.enabled => Some(self.members[item]),
-            None => None,
-        };
-        let dynamic = members.map(|members| {
-            let family = self.family.expect(FAMILY);
-            let m = members.len();
-            let config = if cache.is_some() {
-                QuorumFamily::config_quorum_size(m)
-            } else {
-                0
-            };
-            Sizes {
-                members,
-                read: family.read_size(m).max(config),
-                write: family.write_size(m),
-            }
-        });
-        let rule = dynamic.or(self.th);
-        let reachable = match (&cache, dynamic) {
+        let cached = cache.as_ref().map(|c| c.1);
+        let rule = self.rule_over(cached.unwrap_or(self.members[item]));
+        // Phase 1 under a cache also reads the configuration.
+        let rule = rule.map(|r| if cached.is_some() { r.with_config_reads() } else { r });
+        let reachable = match cached {
             // A cached attempt gives up before sending only when there is
             // nothing to contact: no response could even reveal a newer
             // generation.
-            (Some(_), Some(r)) => !self.up.intersection(r.members).is_empty(),
-            _ => self.feasible(write.is_some(), rule),
+            Some(members) => !self.up.intersection(members).is_empty(),
+            None => self.feasible(write.is_some(), rule),
         };
         let outcome = 'attempt: {
             if !reachable {
@@ -921,7 +886,7 @@ impl Cluster {
                 // cached attempt gets this far that way) is unavailable; a
                 // quorum that exists but did not assemble in time is a
                 // timeout.
-                let exists = rule.is_none_or(|r| self.up.intersection(r.members).len() >= r.read);
+                let exists = rule.is_none_or(|r| r.is_quorum(self.up, false));
                 break 'attempt if exists {
                     Outcome::Timeout
                 } else {
@@ -958,7 +923,7 @@ impl Cluster {
                     } else {
                         TmKind::Read
                     },
-                    read_cfg: dynamic.is_some(),
+                    read_cfg: self.cfg.reconfig.enabled,
                     reads: p1.responders,
                     cfg_writes: None,
                     dm_writes: installs.map(|sites| (sites, vn, value)),
@@ -1034,9 +999,8 @@ impl Cluster {
     // ----- the lemma monitor ---------------------------------------------
 
     /// Assert Lemmas 7 and 8(1a)/8(1b) against one item's stores (`Ok` when
-    /// the monitor is off), memoized (see the `memos` field). Under dynamic
-    /// quorums Lemma 8(1a)'s write quorum is evaluated over the item's
-    /// committed membership.
+    /// the monitor is off), memoized (see the `memos` field). Lemma 8(1a)'s
+    /// write quorum is the one of the item's committed configuration.
     pub fn check_item(&mut self, item: usize) -> Result<(), LemmaViolation> {
         if !self.cfg.monitor {
             return Ok(());
@@ -1045,17 +1009,9 @@ impl Cluster {
             return r.clone();
         }
         let states = self.stores.states(item * self.n..(item + 1) * self.n);
-        let checker = &self.checkers[item];
-        let r = if self.cfg.reconfig.enabled {
-            let family = self.family.expect(FAMILY);
-            let members = self.members[item];
-            checker.check_states(states, true, |holders| {
-                holders.intersection(members).len() >= family.write_size(members.len())
-            })
-        } else {
-            let quorum = &*self.cfg.quorum;
-            checker.check_states(states, true, |holders| quorum.is_write_quorum_bits(holders))
-        };
+        let (spec, rule) = (&*self.cfg.quorum, self.rule_over(self.members[item]));
+        let r = self.checkers[item]
+            .check_states(states, true, |holders| quorum::is_quorum(spec, rule, holders, true));
         self.memos[item] = Some(r.clone());
         r
     }
@@ -1128,9 +1084,6 @@ impl Cluster {
         } else {
             Reconfigured::Skipped
         };
-        let Some(family) = self.family else {
-            return infeasible;
-        };
         let pol = self.cfg.reconfig;
         let used = self.reconfigs_used[item];
         let cooling = used > 0 && self.now - self.last_reconfig[item] < pol.cooldown;
@@ -1148,9 +1101,11 @@ impl Cluster {
         }
         let discovery = live.intersection(old);
         let refresh = live.intersection(members);
-        let feasible = discovery.len() >= QuorumFamily::config_quorum_size(old.len())
-            && discovery.len() >= family.read_size(old.len())
-            && refresh.len() >= family.write_size(members.len());
+        // Discovery reads the configuration and the data at the old
+        // members; the refresh writes the data at the new ones.
+        let reads = self.rule_over(old).map(Thresholds::with_config_reads);
+        let feasible = reads.is_some_and(|r| r.is_quorum(discovery, false))
+            && self.rule_over(members).is_some_and(|r| r.is_quorum(refresh, true));
         if !feasible {
             return infeasible;
         }
@@ -1763,10 +1718,10 @@ mod tests {
         let mut c = Cluster::new(spec(Arc::new(Majority::new(5))));
         c.up.remove(0);
         c.up.remove(3);
-        let targets = c.targets(false, c.th).unwrap();
+        let targets = c.targets(false, c.rule).unwrap();
         assert_eq!(targets.iter().collect::<Vec<_>>(), vec![1, 2, 4]);
         // 3 requests + 3 responses — no messages wasted on dead sites.
-        let out = c.phase(targets, COIN, false, c.th);
+        let out = c.phase(targets, COIN, false, c.rule);
         assert!(out.ok);
         assert_eq!(out.messages, 6);
         assert_eq!(out.responders.len(), 3);
@@ -1782,7 +1737,7 @@ mod tests {
             ..spec(Arc::new(Majority::new(3)))
         });
         c.now = SimTime(50);
-        let out = c.phase(ReplicaSet::full(3), COIN, false, c.th);
+        let out = c.phase(ReplicaSet::full(3), COIN, false, c.rule);
         // Sites 0 and 1 respond (quorum); site 2's response is lost.
         assert!(out.ok);
         assert!(!out.responders.contains(2));
@@ -1983,13 +1938,14 @@ mod tests {
             (c.now, c.up) = (now, up);
 
             // ----- the phase -----
-            let rule = (system == 3)
-                .then(|| Sizes {
-                    members: set(member_mask),
-                    read: set(member_mask).len() / 2 + 1,
-                    write: set(member_mask).len(),
-                })
-                .or(c.th);
+            // System 3's phase gathers under a cached ROWA rule.
+            let rule = match system {
+                3 => Rowa::new(n)
+                    .thresholds()
+                    .and_then(|r| r.over(set(member_mask)))
+                    .map(Thresholds::with_config_reads),
+                _ => c.rule,
+            };
             let targets = set(target_mask);
             let rtt = SimTime(2 * latency + 2 * delay);
             let straddles = now < SimTime(crash_at) && SimTime(crash_at) <= now + rtt;
