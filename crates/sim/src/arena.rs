@@ -1,4 +1,5 @@
-//! Structure-of-arrays DM store arena under the protocol core.
+//! Structure-of-arrays DM store arena under the protocol core, and the
+//! table of configurations its slots name.
 //!
 //! A DM's state is a `(version number, value)` pair per site per item. The
 //! simulators used to keep these as `Vec<(u64, u64)>` — array-of-structs —
@@ -11,57 +12,149 @@
 //! Layout: slot `item * n + site` (the sharded simulator's flat-arena
 //! convention; the single-item simulator is the `items == 1` special
 //! case).
+//!
+//! # Configurations are ids
+//!
+//! Each slot also holds the `(generation, configuration)` pair of the
+//! paper's §4 dynamic scheme. A run installs few distinct member sets —
+//! the full membership, plus one per distinct reconfiguration target — so
+//! a configuration is a [`CfgId`]: a 4-byte index into a [`CfgTable`],
+//! an append-only table of member sets that never holds one twice. Each
+//! entry also holds the quorum rule resized to its members, computed once
+//! when the set is first interned, so asking for a configuration's rule is
+//! a lookup. Id 0 ([`CfgId::FULL`]) is the full membership in every table.
+//!
+//! The table belongs to one cluster (one event loop); its ids mean nothing
+//! anywhere else. The migration path ([`DmArena::read_block`] /
+//! [`DmArena::write_block`]) decodes ids to member sets on the way out and
+//! re-interns them on the way in, and traces, digests and reports see only
+//! member sets.
 
 use std::ops::Range;
 
-use quorum::ReplicaSet;
+use quorum::{ReplicaSet, Thresholds};
 
-/// One DM slot's complete migratable state:
+/// One DM slot's complete migratable state, its configuration decoded:
 /// `(vn, value, cfg_gen, cfg_members)`.
 pub type SlotState = (u64, u64, u64, ReplicaSet);
+
+/// A member set's index in its cluster's [`CfgTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CfgId(u32);
+
+impl CfgId {
+    /// The full membership: every table's first entry, and every slot's
+    /// configuration until a reconfiguration installs another.
+    pub const FULL: CfgId = CfgId(0);
+}
+
+/// The append-only table of member sets a cluster's slots name by
+/// [`CfgId`], each with the quorum rule over it.
+#[derive(Clone, Debug)]
+pub struct CfgTable {
+    /// The quorum system's rule over all sites, when it has a threshold
+    /// form; an entry's rule is this one resized to the entry's members.
+    rule: Option<Thresholds>,
+    /// `(members, rule over them)`, no member set twice.
+    entries: Vec<(ReplicaSet, Option<Thresholds>)>,
+}
+
+impl CfgTable {
+    /// A table holding the full membership of `n` sites as
+    /// [`CfgId::FULL`], whose entries' rules are `rule` resized.
+    #[must_use]
+    pub fn new(n: usize, rule: Option<Thresholds>) -> Self {
+        let mut table = CfgTable {
+            rule,
+            entries: Vec::new(),
+        };
+        table.intern(ReplicaSet::full(n));
+        table
+    }
+
+    /// The id of `members`, appended with its rule if the table does not
+    /// hold it yet.
+    ///
+    /// # Panics
+    ///
+    /// If the table already holds 2³² member sets (each is a distinct
+    /// reconfiguration target of one run; nothing close fits in memory).
+    pub fn intern(&mut self, members: ReplicaSet) -> CfgId {
+        if let Some(i) = self.entries.iter().position(|&(m, _)| m == members) {
+            return CfgId(i as u32);
+        }
+        let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 member sets");
+        self.entries.push((members, self.rule.and_then(|r| r.over(members))));
+        CfgId(id)
+    }
+
+    /// The member set `id` names.
+    #[inline]
+    #[must_use]
+    pub fn members(&self, id: CfgId) -> ReplicaSet {
+        self.entries[id.0 as usize].0
+    }
+
+    /// The quorum rule over `id`'s members (`None` when the quorum system
+    /// has no threshold form, or no resizing to them).
+    #[inline]
+    #[must_use]
+    pub fn rule(&self, id: CfgId) -> Option<Thresholds> {
+        self.entries[id.0 as usize].1
+    }
+
+    /// Every member set held, in id order.
+    #[cfg(test)]
+    pub(crate) fn member_sets(&self) -> Vec<ReplicaSet> {
+        self.entries.iter().map(|&(m, _)| m).collect()
+    }
+}
 
 /// Structure-of-arrays `(vn, value)` store arena, indexed `item·n + site`.
 ///
 /// Each slot additionally carries the `(configuration, generation)` pair of
-/// the paper's §4 dynamic scheme: `cfg_gen`/`cfg_members` are the
-/// generation number and member set the site last saw installed. Both
-/// start at `(0, full membership)` — the static configuration — and are
+/// the paper's §4 dynamic scheme: `cfg_gen` and `cfg_id` are the generation
+/// number and the [`CfgId`] of the member set the site last saw installed.
+/// Both start at `(0, CfgId::FULL)` — the static configuration — and are
 /// only touched by reconfigure ops, so static runs never read them on the
 /// hot path.
 #[derive(Clone, Debug)]
 pub struct DmArena {
+    /// Sites per item: the width of an item's block of slots.
+    n: usize,
     vns: Vec<u64>,
     vals: Vec<u64>,
     cfg_gens: Vec<u64>,
-    cfg_members: Vec<ReplicaSet>,
+    cfg_ids: Vec<CfgId>,
 }
 
 impl DmArena {
-    /// An arena of `slots` stores, all at `(vn 0, value 0)` and
-    /// configuration generation 0 with `sites_per_item` members.
+    /// An arena of `slots` stores in blocks of `sites_per_item`, all at
+    /// `(vn 0, value 0)` and configuration generation 0 under
+    /// [`CfgId::FULL`].
     #[must_use]
     pub fn new_configured(slots: usize, sites_per_item: usize) -> Self {
         DmArena {
+            n: sites_per_item,
             vns: vec![0; slots],
             vals: vec![0; slots],
             cfg_gens: vec![0; slots],
-            cfg_members: vec![ReplicaSet::full(sites_per_item); slots],
+            cfg_ids: vec![CfgId::FULL; slots],
         }
     }
 
-    /// An arena of `slots` stores, all at `(vn 0, value 0)`; every slot's
-    /// initial configuration is the full `slots`-site membership (the
-    /// single-item convention where `slots == n`).
+    /// An arena of `slots` stores, all at `(vn 0, value 0)`, in one block
+    /// of `slots` sites (the single-item convention where `slots == n`).
     #[must_use]
     pub fn new(slots: usize) -> Self {
         Self::new_configured(slots, slots)
     }
 
-    /// The `(generation, members)` configuration stored at `slot`.
+    /// The `(generation, configuration)` stored at `slot`.
     #[inline]
     #[must_use]
-    pub fn cfg(&self, slot: usize) -> (u64, ReplicaSet) {
-        (self.cfg_gens[slot], self.cfg_members[slot])
+    pub fn cfg(&self, slot: usize) -> (u64, CfgId) {
+        (self.cfg_gens[slot], self.cfg_ids[slot])
     }
 
     /// The configuration generation stored at `slot`.
@@ -71,35 +164,31 @@ impl DmArena {
         self.cfg_gens[slot]
     }
 
-    /// Install configuration `(gen, members)` at `slot`.
+    /// Install configuration `(gen, id)` at `slot`.
     #[inline]
-    pub fn set_cfg(&mut self, slot: usize, gen: u64, members: ReplicaSet) {
+    pub fn set_cfg(&mut self, slot: usize, gen: u64, id: CfgId) {
         self.cfg_gens[slot] = gen;
-        self.cfg_members[slot] = members;
+        self.cfg_ids[slot] = id;
     }
 
-    /// The configuration-discovery fold: the `(gen, members)` of the last
-    /// maximum generation among `sites` offset by `base`; `(0, EMPTY)` for
-    /// an empty set.
+    /// The configuration-discovery fold: the `(gen, id)` of the last
+    /// maximum generation among `sites` offset by `base`; `None` for an
+    /// empty set.
     #[inline]
     #[must_use]
     pub fn discover_cfg(
         &self,
         base: usize,
         sites: impl IntoIterator<Item = usize>,
-    ) -> (u64, ReplicaSet) {
-        let mut gen = 0u64;
-        let mut members = ReplicaSet::EMPTY;
-        let mut any = false;
+    ) -> Option<(u64, CfgId)> {
+        let mut seen: Option<(u64, CfgId)> = None;
         for s in sites {
             let g = self.cfg_gens[base + s];
-            if !any || g >= gen {
-                gen = g;
-                members = self.cfg_members[base + s];
-                any = true;
+            if seen.is_none_or(|(gen, _)| g >= gen) {
+                seen = Some((g, self.cfg_ids[base + s]));
             }
         }
-        (gen, members)
+        seen
     }
 
     /// Number of store slots.
@@ -157,32 +246,38 @@ impl DmArena {
         (vn, val)
     }
 
-    /// Copy out one item's `n` consecutive slots starting at `base` — the
-    /// migration export path. Nothing moves: the block stays where it is
-    /// (its owner's item slot goes on the shard's free list).
+    /// Copy out the item block starting at `base`, its configurations
+    /// decoded through `table` — the migration export path. Nothing moves:
+    /// the block stays where it is (its owner's item slot goes on the
+    /// shard's free list).
     #[must_use]
-    pub fn read_block(&self, base: usize, n: usize) -> Vec<SlotState> {
-        (base..base + n)
-            .map(|i| (self.vns[i], self.vals[i], self.cfg_gens[i], self.cfg_members[i]))
+    pub fn read_block(&self, base: usize, table: &CfgTable) -> Vec<SlotState> {
+        (base..base + self.n)
+            .map(|i| {
+                let members = table.members(self.cfg_ids[i]);
+                (self.vns[i], self.vals[i], self.cfg_gens[i], members)
+            })
             .collect()
     }
 
-    /// Overwrite the block at `base` with `slots`, growing the arena when
-    /// the block ends past its current end — the migration import path
-    /// (a reused item slot overwrites in place, a fresh one appends).
-    pub fn write_block(&mut self, base: usize, slots: &[SlotState]) {
+    /// Overwrite the item block at `base` with `slots`, interning their
+    /// member sets into `table`, and grow the arena when the block ends
+    /// past its current end — the migration import path (a reused item
+    /// slot overwrites in place, a fresh one appends).
+    pub fn write_block(&mut self, base: usize, slots: &[SlotState], table: &mut CfgTable) {
+        debug_assert_eq!(slots.len(), self.n, "one whole item block");
         let end = base + slots.len();
         if end > self.vns.len() {
             self.vns.resize(end, 0);
             self.vals.resize(end, 0);
             self.cfg_gens.resize(end, 0);
-            self.cfg_members.resize(end, ReplicaSet::EMPTY);
+            self.cfg_ids.resize(end, CfgId::FULL);
         }
         for (i, &(vn, val, gen, members)) in (base..).zip(slots) {
             self.vns[i] = vn;
             self.vals[i] = val;
             self.cfg_gens[i] = gen;
-            self.cfg_members[i] = members;
+            self.cfg_ids[i] = table.intern(members);
         }
     }
 
@@ -198,6 +293,7 @@ impl DmArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum::{Majority, QuorumSpec};
 
     #[test]
     fn set_get_roundtrip() {
@@ -228,45 +324,74 @@ mod tests {
     }
 
     #[test]
+    fn a_table_interns_each_member_set_once_with_its_rule() {
+        let rule = Majority::new(5).thresholds();
+        let mut t = CfgTable::new(5, rule);
+        assert_eq!(t.member_sets(), [ReplicaSet::full(5)]);
+        assert_eq!(t.rule(CfgId::FULL), rule);
+        let three: ReplicaSet = [0usize, 2, 4].into_iter().collect();
+        let id = t.intern(three);
+        assert_ne!(id, CfgId::FULL);
+        assert_eq!(t.intern(three), id);
+        assert_eq!(t.intern(ReplicaSet::full(5)), CfgId::FULL);
+        assert_eq!(t.member_sets(), [ReplicaSet::full(5), three]);
+        assert_eq!(t.members(id), three);
+        assert_eq!(t.rule(id), rule.and_then(|r| r.over(three)));
+        // A system with no threshold form has no rule anywhere.
+        assert_eq!(CfgTable::new(5, None).rule(CfgId::FULL), None);
+    }
+
+    #[test]
     fn configurations_start_full_and_discover_like_versions() {
+        let mut t = CfgTable::new(3, None);
         let mut a = DmArena::new_configured(6, 3);
-        let full: ReplicaSet = ReplicaSet::full(3);
-        assert_eq!(a.cfg(0), (0, full));
+        assert_eq!(a.cfg(0), (0, CfgId::FULL));
         assert_eq!(a.cfg_gen(5), 0);
-        let shrunk: ReplicaSet = [0usize, 2].into_iter().collect();
+        let shrunk = t.intern([0usize, 2].into_iter().collect());
         a.set_cfg(4, 2, shrunk);
         assert_eq!(a.cfg(4), (2, shrunk));
         // Discovery over item 1 (base 3): site 1 holds the maximum.
-        assert_eq!(a.discover_cfg(3, [0usize, 1, 2]), (2, shrunk));
-        assert_eq!(a.discover_cfg(3, [0usize, 2]), (0, full));
-        assert_eq!(a.discover_cfg(3, []), (0, ReplicaSet::EMPTY));
+        assert_eq!(a.discover_cfg(3, [0usize, 1, 2]), Some((2, shrunk)));
+        assert_eq!(a.discover_cfg(3, [0usize, 2]), Some((0, CfgId::FULL)));
+        assert_eq!(a.discover_cfg(3, []), None);
     }
 
     #[test]
     fn blocks_are_read_and_written_in_place() {
+        let mut t = CfgTable::new(3, None);
         let mut a = DmArena::new_configured(9, 3);
         for slot in 0..9 {
             a.set(slot, slot as u64, slot as u64 * 10);
         }
         let shrunk: ReplicaSet = [0usize, 1].into_iter().collect();
-        a.set_cfg(4, 7, shrunk);
-        // Reading item 1 (slots 3..6) moves nothing.
-        let moved = a.read_block(3, 3);
+        a.set_cfg(4, 7, t.intern(shrunk));
+        // Reading item 1 (slots 3..6) moves nothing and decodes the ids.
+        let moved = a.read_block(3, &t);
         assert_eq!(a.len(), 9);
         assert_eq!(moved[1], (4, 40, 7, shrunk));
+        assert_eq!(moved[0].3, ReplicaSet::full(3));
         assert_eq!(a.get(6), (6, 60));
+        // Into another table, where the ids differ: the sets re-intern.
+        let mut other = CfgTable::new(3, None);
+        let first = other.intern([2usize].into_iter().collect());
+        let mut b = DmArena::new_configured(3, 3);
+        b.write_block(0, &moved, &mut other);
+        assert_eq!(b.read_block(0, &other), moved);
+        assert_eq!(b.cfg(1), (7, CfgId(2)));
+        assert_eq!((first, other.member_sets().len()), (CfgId(1), 3));
         // Overwrite item 0 in place: its neighbours are untouched.
-        a.write_block(0, &moved);
+        a.write_block(0, &moved, &mut t);
         assert_eq!(a.len(), 9);
         assert_eq!(a.get(0), (3, 30));
-        assert_eq!(a.cfg(1), (7, shrunk));
+        assert_eq!(a.cfg(1), (7, t.intern(shrunk)));
         assert_eq!(a.get(3), (3, 30));
         // A block at the current end appends.
-        a.write_block(9, &moved);
+        a.write_block(9, &moved, &mut t);
         assert_eq!(a.len(), 12);
         assert_eq!(a.get(11), (5, 50));
-        assert_eq!(a.cfg(10), (7, shrunk));
+        assert_eq!(a.read_block(9, &t)[1], (4, 40, 7, shrunk));
         assert_eq!(a.get(8), (8, 80));
+        assert_eq!(t.member_sets().len(), 2);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use protocol::{ContactPolicy, ReconfigPolicy};
 pub use shard::{
     cum_weight_table, item_weight, run_sharded, run_sharded_elastic,
     run_sharded_elastic_traced, run_sharded_traced, ItemDist, MultiConfig, ShardReport, Workload,
-    MAX_EPOCH_BARRIERS,
+    MAX_EPOCH_BARRIERS, MAX_ITEMS,
 };
 pub use qc_replication::{
     check_commit_order_serializable, check_trace, AbortReason, AccessRecord, CommittedTxn,

@@ -8,9 +8,10 @@
 //!
 //! **Item level — [`Cluster`], under all three drivers.** The sites one
 //! event loop simulates (live set, its view of the fault plan, planned and
-//! stochastic crash times), the DM arena, and the per-item columns that
-//! belong with it: the Lemma 7/8 checker and its memo, the committed
-//! configuration, the reconfigure budget, the schedule-trace recorder. On
+//! stochastic crash times), the DM arena, the table of configurations its
+//! slots name, and the per-item columns that belong with it: the Lemma 7/8
+//! checker and its known-Ok bit, the committed configuration, the
+//! reconfigure budget, the schedule-trace recorder. On
 //! them: the quorum-gathering [phase](Cluster::phase), the quorum /
 //! feasibility / contact-target rule, [`FaultEvent`] application, the
 //! Goldman–Lynch §4 [reconfigure op](Cluster::reconfigure), the one
@@ -84,7 +85,7 @@ use quorum::{QuorumSpec, ReplicaSet, Thresholds};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::arena::{DmArena, SlotState};
+use crate::arena::{CfgId, CfgTable, DmArena, SlotState};
 use crate::faults::{message_dropped, FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, OpStats};
@@ -400,7 +401,8 @@ pub(crate) enum FaultEffect {
 }
 
 /// One item in flight between two clusters at a migration barrier: its `n`
-/// DM slots and its entry in every per-item column.
+/// DM slots and its entry in every per-item column, every configuration a
+/// member set (ids are the exporting cluster's; the importer re-interns).
 pub(crate) struct ItemExport {
     slots: Vec<SlotState>,
     checker: LemmaChecker<u64>,
@@ -449,16 +451,28 @@ pub(crate) struct ClusterSpec {
 /// arena, per-item protocol state. Items are addressed by slot; the block
 /// of slot `i` is `stores[i·n .. (i+1)·n]`, and every per-item column is
 /// indexed by slot.
+///
+/// # Configurations
+///
+/// Every configuration the cluster holds — each DM slot's, each item's
+/// committed one, and the coordinators' caches the drivers keep — is a
+/// [`CfgId`] into the cluster's [`CfgTable`]: an append-only table of
+/// member sets, each with its quorum rule. Id [`CfgId::FULL`] is the full
+/// membership, so a static run never appends to it; a reconfiguration
+/// interns its target. The ids are private to this cluster: an
+/// [`ItemExport`] carries member sets, which [`import`](Self::import)
+/// re-interns, and traces and reports see only member sets.
 pub(crate) struct Cluster {
     pub cfg: ClusterSpec,
     /// Sites per item (`quorum.n()`).
     pub n: usize,
-    /// The quorum system's rule over all `n` sites, when it has a threshold
-    /// form (ROWA and majority do); a configuration's rule is this one
-    /// resized to its members. Where a rule is an `Option<Thresholds>`,
-    /// `None` means the system's own predicates decide (grid, tree and
-    /// weighted systems, which have one configuration).
-    rule: Option<Thresholds>,
+    /// The member sets the cluster's configurations name, each with the
+    /// quorum system's rule resized to it, when the system has a threshold
+    /// form (ROWA and majority do). Where a rule is an
+    /// `Option<Thresholds>`, `None` means the system's own predicates
+    /// decide (grid, tree and weighted systems, which have one
+    /// configuration).
+    table: CfgTable,
     /// Planned crash times per site, ascending (for straddle detection).
     plan_crashes: Vec<Vec<SimTime>>,
     /// Next scheduled stochastic crash per site ([`NO_CRASH`] when none;
@@ -472,18 +486,19 @@ pub(crate) struct Cluster {
     stores: DmArena,
     /// One lemma checker per item slot.
     checkers: Vec<LemmaChecker<u64>>,
-    /// Per-item memoized outcome of the store re-check (Lemmas 7/8(1a)/
-    /// 8(1b)): a pure function of the item's history digest, committed
-    /// membership and store slots, so between mutations of those it is
-    /// replayed, not re-scanned. Cleared per item at every mutation site
-    /// (write installs, corrupt injections, committed-write digests,
-    /// reconfigurations).
-    memos: Vec<Option<Result<(), LemmaViolation>>>,
+    /// Per item slot, whether the store re-check (Lemmas 7/8(1a)/8(1b)) is
+    /// known to pass. The check is a pure function of the item's history
+    /// digest, committed membership and store slots, so between mutations
+    /// of those an `Ok` is replayed, not re-scanned; an `Err` is
+    /// recomputed, which yields the same violation. Cleared per item at
+    /// every mutation site (write installs, corrupt injections,
+    /// committed-write digests, reconfigurations, imports).
+    known_ok: Vec<bool>,
     /// Committed configuration generation per item slot (0 = the initial
     /// full membership; only reconfigure ops advance it).
     gens: Vec<u64>,
-    /// Members of the committed configuration per item slot.
-    members: Vec<ReplicaSet>,
+    /// The committed configuration's member set per item slot.
+    cfgs: Vec<CfgId>,
     /// The reactive trigger's cooldown and budget per item slot: instant of
     /// the last reconfiguration, and how many so far.
     last_reconfig: Vec<SimTime>,
@@ -503,7 +518,7 @@ impl Cluster {
         let slots = cfg.slots;
         Cluster {
             n,
-            rule: cfg.quorum.thresholds(),
+            table: CfgTable::new(n, cfg.quorum.thresholds()),
             plan_crashes: (0..n)
                 .map(|s| cfg.plan.crash_times_for(s).collect())
                 .collect(),
@@ -513,9 +528,9 @@ impl Cluster {
             up: ReplicaSet::full(n),
             stores: DmArena::new_configured(slots * n, n),
             checkers: (0..slots).map(|_| LemmaChecker::new(0)).collect(),
-            memos: vec![None; slots],
+            known_ok: vec![false; slots],
             gens: vec![0; slots],
-            members: vec![ReplicaSet::full(n); slots],
+            cfgs: vec![CfgId::FULL; slots],
             last_reconfig: vec![SimTime::ZERO; slots],
             reconfigs_used: vec![0; slots],
             recorders: None,
@@ -532,7 +547,7 @@ impl Cluster {
 
     /// Committed membership of the item in `slot`.
     pub fn members(&self, slot: usize) -> ReplicaSet {
-        self.members[slot]
+        self.table.members(self.cfgs[slot])
     }
 
     /// `current-vn` of the committed history of the item in `slot`.
@@ -653,7 +668,7 @@ impl Cluster {
                 // The plan view routes Corrupt to the loop owning global
                 // item 0, which is slot 0 there.
                 self.stores.set(site, vn, value);
-                self.memos[0] = None;
+                self.known_ok[0] = false;
                 return FaultEffect::Corrupted;
             }
             FaultEvent::Reconfig { target } => return FaultEffect::Reconfig(target),
@@ -669,11 +684,6 @@ impl Cluster {
     }
 
     // ----- the quorum rule -----------------------------------------------
-
-    /// The quorum rule of a configuration with `members`.
-    fn rule_over(&self, members: ReplicaSet) -> Option<Thresholds> {
-        self.rule.and_then(|r| r.over(members))
-    }
 
     /// Whether `have` includes the relevant quorum under `rule`.
     #[inline]
@@ -826,35 +836,36 @@ impl Cluster {
     /// compensation is the same attempt under a system identity).
     ///
     /// The quorums are the static system's unless dynamic quorums are on.
-    /// Then, with `cache = Some((gen, members))` — a flat driver's
-    /// coordinator cache — they are over the cached members, phase 1 also
-    /// demands a configuration read quorum, and doubles as the generation
-    /// currency check: a responder at a newer generation makes the attempt
-    /// [`Outcome::Stale`], whether or not the quorum assembled, and the
-    /// cache adopts what it saw. With `cache = None` they are over the
-    /// item's *committed* membership, which cannot be stale and needs no
-    /// proof of currency (the nested-transaction driver, whose accesses are
-    /// decided at the one instant they read the membership).
+    /// Then, with `cache = Some((gen, id))` — a flat driver's coordinator
+    /// cache, `id` naming a member set in this cluster's table — they are
+    /// over the cached members, phase 1 also demands a configuration read
+    /// quorum, and doubles as the generation currency check: a responder
+    /// at a newer generation makes the attempt [`Outcome::Stale`], whether
+    /// or not the quorum assembled, and the cache adopts what it saw. With
+    /// `cache = None` they are over the item's *committed* membership,
+    /// which cannot be stale and needs no proof of currency (the
+    /// nested-transaction driver, whose accesses are decided at the one
+    /// instant they read the membership).
     pub fn attempt(
         &mut self,
         item: usize,
         tid: TraceTid,
         coin_client: usize,
         write: Option<u64>,
-        cache: Option<&mut (u64, ReplicaSet)>,
+        cache: Option<&mut (u64, CfgId)>,
     ) -> (Outcome, Cost) {
         let coin = (coin_client, tid);
         let base = item * self.n;
         let mut cost = Cost::default();
         let cached = cache.as_ref().map(|c| c.1);
-        let rule = self.rule_over(cached.unwrap_or(self.members[item]));
+        let rule = self.table.rule(cached.unwrap_or(self.cfgs[item]));
         // Phase 1 under a cache also reads the configuration.
         let rule = rule.map(|r| if cached.is_some() { r.with_config_reads() } else { r });
         let reachable = match cached {
             // A cached attempt gives up before sending only when there is
             // nothing to contact: no response could even reveal a newer
             // generation.
-            Some(members) => !self.up.intersection(members).is_empty(),
+            Some(id) => !self.up.intersection(self.table.members(id)).is_empty(),
             None => self.feasible(write.is_some(), rule),
         };
         let outcome = 'attempt: {
@@ -874,9 +885,19 @@ impl Cluster {
             if let Some(cache) = cache {
                 // Generation currency: any in-time response carrying a
                 // newer generation supersedes this attempt, whether or not
-                // the phase assembled its quorum.
-                let seen = self.stores.discover_cfg(base, p1.responders);
-                if seen.0 > cache.0 {
+                // the phase assembled its quorum. No site is ahead of the
+                // item's committed generation, so a cache at it cannot be
+                // superseded and the fold is skipped.
+                let seen = if cache.0 < self.gens[item] {
+                    self.stores.discover_cfg(base, p1.responders)
+                } else {
+                    debug_assert!(self
+                        .stores
+                        .discover_cfg(base, p1.responders)
+                        .is_none_or(|(gen, _)| gen <= cache.0));
+                    None
+                };
+                if let Some(seen) = seen.filter(|&(gen, _)| gen > cache.0) {
                     *cache = seen;
                     break 'attempt Outcome::Stale;
                 }
@@ -935,7 +956,7 @@ impl Cluster {
                 for s in sites {
                     self.stores.set(base + s, vn, value);
                 }
-                self.memos[item] = None;
+                self.known_ok[item] = false;
             }
             Outcome::Committed {
                 vn,
@@ -971,7 +992,7 @@ impl Cluster {
         item: usize,
         tid: TraceTid,
         write: Option<u64>,
-        cache: Option<&mut (u64, ReplicaSet)>,
+        cache: Option<&mut (u64, CfgId)>,
     ) -> Step {
         let w = write.is_some();
         if self.forced.get_mut(client).is_some_and(std::mem::take) {
@@ -999,28 +1020,31 @@ impl Cluster {
     // ----- the lemma monitor ---------------------------------------------
 
     /// Assert Lemmas 7 and 8(1a)/8(1b) against one item's stores (`Ok` when
-    /// the monitor is off), memoized (see the `memos` field). Lemma 8(1a)'s
-    /// write quorum is the one of the item's committed configuration.
+    /// the monitor is off, or when the item is known to pass: see the
+    /// `known_ok` field). Lemma 8(1a)'s write quorum is the one of the
+    /// item's committed configuration.
     pub fn check_item(&mut self, item: usize) -> Result<(), LemmaViolation> {
-        if !self.cfg.monitor {
+        if !self.cfg.monitor || self.known_ok[item] {
             return Ok(());
         }
-        if let Some(r) = &self.memos[item] {
-            return r.clone();
-        }
-        let states = self.stores.states(item * self.n..(item + 1) * self.n);
-        let (spec, rule) = (&*self.cfg.quorum, self.rule_over(self.members[item]));
-        let r = self.checkers[item]
-            .check_states(states, true, |holders| quorum::is_quorum(spec, rule, holders, true));
-        self.memos[item] = Some(r.clone());
+        let r = self.check_states(item);
+        self.known_ok[item] = r.is_ok();
         r
+    }
+
+    /// The store re-check of `item`, un-memoized.
+    fn check_states(&self, item: usize) -> Result<(), LemmaViolation> {
+        let states = self.stores.states(item * self.n..(item + 1) * self.n);
+        let (spec, rule) = (&*self.cfg.quorum, self.table.rule(self.cfgs[item]));
+        self.checkers[item]
+            .check_states(states, true, |holders| quorum::is_quorum(spec, rule, holders, true))
     }
 
     /// The monitor at a commit point (`Ok` when it is off): Lemma 8(2) for
     /// a read; for a write, digest it into the history (`current-vn` must
-    /// advance by exactly one), which drops the memo — its inputs changed;
-    /// then the store re-check. A committed read mutates nothing, so
-    /// between writes every read replays the last outcome.
+    /// advance by exactly one), which clears the known-Ok bit — the
+    /// check's inputs changed; then the store re-check. A committed read
+    /// mutates nothing, so between writes every read replays a pass.
     pub fn commit_check(
         &mut self,
         item: usize,
@@ -1032,7 +1056,7 @@ impl Cluster {
             return Ok(());
         }
         if write {
-            self.memos[item] = None;
+            self.known_ok[item] = false;
             self.checkers[item].commit_write(vn, value)
         } else {
             self.checkers[item].check_read(&value)
@@ -1046,7 +1070,7 @@ impl Cluster {
     /// membership: sites outside its membership recovered (grow), or the
     /// loop's operations are `failing` and members are down (shrink).
     pub fn wants_reconfig(&self, item: usize, failing: bool) -> bool {
-        let members = self.members[item];
+        let members = self.members(item);
         !self.up.difference(members).is_empty()
             || (failing && !members.difference(self.up).is_empty())
     }
@@ -1095,17 +1119,19 @@ impl Cluster {
             ReconfigTarget::Live => live,
             ReconfigTarget::Members(m) => m,
         };
-        let old = self.members[item];
-        if members.len() < pol.min_members || (!allow_same && members == old) {
+        let old = self.cfgs[item];
+        let old_members = self.table.members(old);
+        if members.len() < pol.min_members || (!allow_same && members == old_members) {
             return Reconfigured::Skipped;
         }
-        let discovery = live.intersection(old);
+        let new = self.table.intern(members);
+        let discovery = live.intersection(old_members);
         let refresh = live.intersection(members);
         // Discovery reads the configuration and the data at the old
         // members; the refresh writes the data at the new ones.
-        let reads = self.rule_over(old).map(Thresholds::with_config_reads);
+        let reads = self.table.rule(old).map(Thresholds::with_config_reads);
         let feasible = reads.is_some_and(|r| r.is_quorum(discovery, false))
-            && self.rule_over(members).is_some_and(|r| r.is_quorum(refresh, true));
+            && self.table.rule(new).is_some_and(|r| r.is_quorum(refresh, true));
         if !feasible {
             return infeasible;
         }
@@ -1130,14 +1156,14 @@ impl Cluster {
             self.emit_tm(item, tid, block);
         }
         for s in install {
-            self.stores.set_cfg(base + s, gen, members);
+            self.stores.set_cfg(base + s, gen, new);
         }
         for s in refresh {
             self.stores.set(base + s, dvn, dval);
         }
         self.gens[item] = gen;
-        self.members[item] = members;
-        self.memos[item] = None;
+        self.cfgs[item] = new;
+        self.known_ok[item] = false;
         self.reconfigs_used[item] += 1;
         self.last_reconfig[item] = self.now;
         Reconfigured::Installed { gen, members }
@@ -1150,9 +1176,9 @@ impl Cluster {
     pub fn push_slot(&mut self) {
         let n = self.n;
         self.checkers.push(LemmaChecker::new(0));
-        self.memos.push(None);
+        self.known_ok.push(false);
         self.gens.push(0);
-        self.members.push(ReplicaSet::full(n));
+        self.cfgs.push(CfgId::FULL);
         self.last_reconfig.push(SimTime::ZERO);
         self.reconfigs_used.push(0);
         if let Some(recorders) = self.recorders.as_mut() {
@@ -1160,15 +1186,16 @@ impl Cluster {
         }
     }
 
-    /// Copy the item in `slot` out. The slot's columns keep their stale
-    /// contents until [`import`](Self::import) overwrites them.
+    /// Copy the item in `slot` out, its configurations decoded to member
+    /// sets. The slot's columns keep their stale contents until
+    /// [`import`](Self::import) overwrites them.
     pub fn export(&mut self, slot: usize) -> ItemExport {
         let (n, seed) = (self.n, self.cfg.seed);
         ItemExport {
-            slots: self.stores.read_block(slot * n, n),
+            slots: self.stores.read_block(slot * n, &self.table),
             checker: self.checkers[slot].clone(),
             gen: self.gens[slot],
-            members: self.members[slot],
+            members: self.members(slot),
             last_reconfig: self.last_reconfig[slot],
             reconfigs_used: self.reconfigs_used[slot],
             recorder: self
@@ -1178,19 +1205,26 @@ impl Cluster {
         }
     }
 
-    /// Write an exported item into `slot`.
+    /// Write an exported item into `slot`, interning its member sets into
+    /// this cluster's table.
     pub fn import(&mut self, slot: usize, item: ItemExport) {
-        self.stores.write_block(slot * self.n, &item.slots);
+        self.stores.write_block(slot * self.n, &item.slots, &mut self.table);
         self.checkers[slot] = item.checker;
-        self.memos[slot] = None;
+        self.known_ok[slot] = false;
         self.gens[slot] = item.gen;
-        self.members[slot] = item.members;
+        self.cfgs[slot] = self.table.intern(item.members);
         self.last_reconfig[slot] = item.last_reconfig;
         self.reconfigs_used[slot] = item.reconfigs_used;
         if let Some(recorders) = self.recorders.as_mut() {
             recorders[slot] = item.recorder.expect("a traced run migrates traced items");
         }
     }
+}
+
+/// Whether the flat drivers keep segment chains under `opts`: only phase
+/// spans and causal traces read them.
+fn records_segs(opts: &ObsOptions) -> bool {
+    opts.spans || opts.causal.enabled
 }
 
 /// How violation text names an item: the single-item driver's one item is
@@ -1250,10 +1284,11 @@ pub(crate) struct Clients {
     pub pending: OpSlab,
     /// Per-coordinator segment chain of the in-flight op: where its time
     /// went, as `(edge kind, µs)` in causal order, zero durations left
-    /// out. The op's only time record, written only when spans or causal
-    /// recording are on. When an attempt starts, the chain tiles the time
-    /// since the op started; the op's phase spans and causal trace are
-    /// folds of it at finish, which clears it (capacity kept).
+    /// out. The op's only time record, held only when spans or causal
+    /// recording are on (otherwise there is no chain at all, not even an
+    /// empty one per coordinator). When an attempt starts, the chain tiles
+    /// the time since the op started; the op's phase spans and causal
+    /// trace are folds of it at finish, which clears it (capacity kept).
     segs: Vec<Vec<(EdgeKind, u64)>>,
     /// Observability recordings (spans / events / snapshots / causal).
     pub obs: ObsReport,
@@ -1268,10 +1303,11 @@ pub(crate) struct Clients {
 
 impl Clients {
     pub fn new(coords: usize, opts: &ObsOptions, shard: u32) -> Self {
+        let chains = if records_segs(opts) { coords } else { 0 };
         Clients {
             metrics: Metrics::default(),
             pending: OpSlab::new(coords),
-            segs: vec![Vec::new(); coords],
+            segs: vec![Vec::new(); chains],
             obs: ObsReport::new(opts),
             snap: opts.snapshot_every_us.map(SnapshotExporter::new),
             opts: *opts,
@@ -1283,13 +1319,15 @@ impl Clients {
     /// Append one idle coordinator slot.
     pub fn push_coord(&mut self) {
         self.pending.push_empty();
-        self.segs.push(Vec::new());
+        if records_segs(&self.opts) {
+            self.segs.push(Vec::new());
+        }
     }
 
-    /// Whether coordinator `key` has nothing in flight and an empty
-    /// segment chain — what a migrating item's coordinator must look like.
+    /// Whether coordinator `key` has nothing in flight and no segments —
+    /// what a migrating item's coordinator must look like.
     pub fn is_idle(&self, key: usize) -> bool {
-        !self.pending.is_live(key) && self.segs[key].is_empty()
+        !self.pending.is_live(key) && self.segs.get(key).is_none_or(Vec::is_empty)
     }
 
     fn stats(&mut self, read: bool) -> &mut OpStats {
@@ -1480,7 +1518,7 @@ impl Clients {
         key: usize,
         id: OpId,
         mut op: PendingOp,
-        cache: Option<&mut (u64, ReplicaSet)>,
+        cache: Option<&mut (u64, CfgId)>,
     ) -> Then {
         let write = (!op.read).then_some(op.value);
         let step = cluster.step(key, op.item, id.tid(&op), write, cache);
@@ -1551,9 +1589,9 @@ impl Clients {
         let now = cluster.now;
         let total = (now - op.started) + elapsed;
         self.stats(op.read).record_success(total, op.messages);
-        let segs = &self.segs[key];
+        let segs = self.segs.get(key).map_or(&[][..], Vec::as_slice);
         debug_assert!(
-            !(self.opts.spans || self.opts.causal.enabled)
+            !records_segs(&self.opts)
                 || segs.iter().map(|&(_, us)| us).sum::<u64>() == total.as_micros(),
             "the segment chain must tile the op's end-to-end latency"
         );
@@ -1629,15 +1667,14 @@ impl Clients {
     /// actually spent.
     #[inline]
     fn push_segs(&mut self, key: usize, step: &Step, end: SimTime) {
-        if self.opts.spans || self.opts.causal.enabled {
-            let segs = step.segs(end).into_iter().filter(|&(_, us)| us > 0);
-            self.segs[key].extend(segs);
+        if let Some(chain) = self.segs.get_mut(key) {
+            chain.extend(step.segs(end).into_iter().filter(|&(_, us)| us > 0));
         }
     }
 
     /// Close coordinator `key`'s finished (committed or terminally
-    /// aborted) op: record its causal trace if the recorder is on, then
-    /// clear its chain. The trace is a single `Access` root span whose
+    /// aborted) op: record its causal trace if the recorder is on (which
+    /// means the coordinator has a chain), then clear its chain. The trace is a single `Access` root span whose
     /// segments are the chain laid back-to-back from the op's start, so it
     /// reconciles exactly with end-to-end latency. An op killed
     /// *mid-backoff* by a migration fence ([`AbortCause::Fence`]) has a
@@ -1652,7 +1689,9 @@ impl Clients {
         op: &PendingOp,
         cause: Option<AbortCause>,
     ) {
-        let segs = &mut self.segs[key];
+        let Some(segs) = self.segs.get_mut(key) else {
+            return;
+        };
         if self.opts.causal.enabled {
             let txn = TxnRef {
                 client: id.coord as u32,
@@ -1718,10 +1757,11 @@ mod tests {
         let mut c = Cluster::new(spec(Arc::new(Majority::new(5))));
         c.up.remove(0);
         c.up.remove(3);
-        let targets = c.targets(false, c.rule).unwrap();
+        let rule = c.table.rule(CfgId::FULL);
+        let targets = c.targets(false, rule).unwrap();
         assert_eq!(targets.iter().collect::<Vec<_>>(), vec![1, 2, 4]);
         // 3 requests + 3 responses — no messages wasted on dead sites.
-        let out = c.phase(targets, COIN, false, c.rule);
+        let out = c.phase(targets, COIN, false, rule);
         assert!(out.ok);
         assert_eq!(out.messages, 6);
         assert_eq!(out.responders.len(), 3);
@@ -1737,7 +1777,7 @@ mod tests {
             ..spec(Arc::new(Majority::new(3)))
         });
         c.now = SimTime(50);
-        let out = c.phase(ReplicaSet::full(3), COIN, false, c.rule);
+        let out = c.phase(ReplicaSet::full(3), COIN, false, c.table.rule(CfgId::FULL));
         // Sites 0 and 1 respond (quorum); site 2's response is lost.
         assert!(out.ok);
         assert!(!out.responders.contains(2));
@@ -1861,13 +1901,226 @@ mod tests {
     }
 
     /// The stores and configurations of item 0, site by site.
-    fn snapshot(c: &Cluster) -> Vec<((u64, u64), (u64, ReplicaSet))> {
+    fn snapshot(c: &Cluster) -> Vec<((u64, u64), (u64, CfgId))> {
         (0..c.n)
             .map(|s| (c.stores.get(s), c.stores.cfg(s)))
             .collect()
     }
 
+    /// The per-item layout before configurations were interned, kept as the
+    /// reference: a member set per DM slot and per item, whose rule is
+    /// resized by [`Thresholds::over`] whenever it is asked for.
+    struct Reference {
+        /// `(gen, members)` per DM slot, `item·n + site`.
+        sites: Vec<(u64, ReplicaSet)>,
+        /// The committed `(gen, members)` per item slot.
+        committed: Vec<(u64, ReplicaSet)>,
+    }
+
+    impl Reference {
+        fn new(slots: usize, n: usize) -> Self {
+            let full = (0, ReplicaSet::full(n));
+            Reference {
+                sites: vec![full; slots * n],
+                committed: vec![full; slots],
+            }
+        }
+
+        /// The old discovery fold: the last maximum generation among
+        /// `sites` of item `slot`.
+        fn discover_cfg(
+            &self,
+            n: usize,
+            slot: usize,
+            sites: ReplicaSet,
+        ) -> Option<(u64, ReplicaSet)> {
+            let mut seen: Option<(u64, ReplicaSet)> = None;
+            for s in sites {
+                let cfg = self.sites[slot * n + s];
+                if seen.is_none_or(|(gen, _)| cfg.0 >= gen) {
+                    seen = Some(cfg);
+                }
+            }
+            seen
+        }
+
+        /// What a scripted reconfigure of `slot` to `members` over the live
+        /// sites `up` does, computed over the old columns.
+        fn reconfigure(
+            &mut self,
+            (n, rule): (usize, Option<Thresholds>),
+            (slot, up, members, allow_same): (usize, ReplicaSet, ReplicaSet, bool),
+        ) -> Reconfigured {
+            let (gen, old) = self.committed[slot];
+            if members.is_empty() || (!allow_same && members == old) {
+                return Reconfigured::Skipped;
+            }
+            let (discovery, refresh) = (up.intersection(old), up.intersection(members));
+            let reads = rule
+                .and_then(|r| r.over(old))
+                .map(Thresholds::with_config_reads);
+            let writes = rule.and_then(|r| r.over(members));
+            if !(reads.is_some_and(|r| r.is_quorum(discovery, false))
+                && writes.is_some_and(|r| r.is_quorum(refresh, true)))
+            {
+                return Reconfigured::Failed;
+            }
+            for s in discovery.union(refresh) {
+                self.sites[slot * n + s] = (gen + 1, members);
+            }
+            self.committed[slot] = (gen + 1, members);
+            Reconfigured::Installed {
+                gen: gen + 1,
+                members,
+            }
+        }
+
+        /// Move item `from` of `self` and item `to` of `other` into each
+        /// other's slots.
+        fn swap(&mut self, n: usize, from: usize, other: &mut Reference, to: usize) {
+            for s in 0..n {
+                std::mem::swap(&mut self.sites[from * n + s], &mut other.sites[to * n + s]);
+            }
+            std::mem::swap(&mut self.committed[from], &mut other.committed[to]);
+        }
+    }
+
+    /// Every slot of `c` against `r`: decoded configurations, the rule
+    /// lookup, a table with no member set twice, the discovery fold over
+    /// `probe`, and the known-Ok bit against an un-memoized check under the
+    /// reference rule. Ends by running the monitor's check on every slot.
+    fn agrees(c: &mut Cluster, r: &Reference, probe: ReplicaSet) -> Result<(), TestCaseError> {
+        let n = c.n;
+        let decode = |c: &Cluster, (gen, id): (u64, CfgId)| (gen, c.table.members(id));
+        let sets = c.table.member_sets();
+        for (i, set) in sets.iter().enumerate() {
+            prop_assert!(!sets[..i].contains(set), "{} twice in the table", set);
+        }
+        let spec = Arc::clone(&c.cfg.quorum);
+        for slot in 0..r.committed.len() {
+            for s in 0..n {
+                prop_assert_eq!(decode(c, c.stores.cfg(slot * n + s)), r.sites[slot * n + s]);
+            }
+            let (gen, members) = r.committed[slot];
+            prop_assert_eq!((c.gen(slot), c.members(slot)), (gen, members));
+            let rule = spec.thresholds().and_then(|t| t.over(members));
+            prop_assert_eq!(c.table.rule(c.cfgs[slot]), rule);
+            let seen = c
+                .stores
+                .discover_cfg(slot * n, probe)
+                .map(|cfg| decode(c, cfg));
+            prop_assert_eq!(seen, r.discover_cfg(n, slot, probe));
+            let states = c.stores.states(slot * n..(slot + 1) * n);
+            let fresh = c.checkers[slot]
+                .check_states(states, true, |h| quorum::is_quorum(&*spec, rule, h, true));
+            prop_assert!(
+                !c.known_ok[slot] || fresh.is_ok(),
+                "a stale known-Ok bit: {:?}",
+                fresh
+            );
+            prop_assert_eq!(c.check_item(slot), fresh.clone());
+            prop_assert_eq!(c.known_ok[slot], fresh.is_ok());
+        }
+        Ok(())
+    }
+
     proptest! {
+        /// The interned layout against the old one over random sequences of
+        /// reconfigurations (scripted, to any member set, the same one
+        /// included), site crashes and recoveries, writes, cached reads,
+        /// migrations between two clusters whose tables intern in different
+        /// orders, and corrupt injections and lost writes that make the
+        /// monitor fail.
+        #[test]
+        fn interned_configurations_match_the_member_set_layout(
+            n in 3usize..=5,
+            rowa in 0u8..2,
+            corrupts in prop::collection::vec((0usize..5, 0u64..4, 0u64..3), 1..4),
+            ops in prop::collection::vec((0u8..7, 0usize..2, 0usize..3, 0u64..64), 1..40),
+        ) {
+            const SLOTS: usize = 3;
+            let quorum: Arc<dyn QuorumSpec + Send + Sync> = if rowa == 1 {
+                Arc::new(Rowa::new(n))
+            } else {
+                Arc::new(Majority::new(n))
+            };
+            let mut plan = FaultPlan::new();
+            for (k, &(site, vn, value)) in corrupts.iter().enumerate() {
+                plan = plan.corrupt_at(SimTime(k as u64 + 1), site % n, vn, value);
+            }
+            let build = |plan: FaultPlan| Cluster::new(ClusterSpec {
+                plan,
+                reconfig: ReconfigPolicy::scripted_only(),
+                slots: SLOTS,
+                ..spec(Arc::clone(&quorum))
+            });
+            let mut cs = [build(plan), build(FaultPlan::new())];
+            let mut refs = [Reference::new(SLOTS, n), Reference::new(SLOTS, n)];
+            let mut caches = [[(0, CfgId::FULL); SLOTS]; 2];
+            let (full, rule) = (ReplicaSet::full(n), quorum.thresholds());
+            let set = |mask: u64| ReplicaSet::from_bits(u128::from(mask)).intersection(full);
+            for (step, &(kind, x, slot, mask)) in ops.iter().enumerate() {
+                let tid = TraceTid { op: step as u64, ..TID };
+                let c = &mut cs[x];
+                c.now = SimTime(1_000 * (step as u64 + 1));
+                match kind {
+                    0 => c.up = full.difference(set(mask >> 1)),
+                    1 => {
+                        let (members, allow_same) = (set(mask >> 1), mask & 1 == 1);
+                        let target = ReconfigTarget::Members(members);
+                        let expect = refs[x].reconfigure((n, rule), (slot, c.up, members, allow_same));
+                        prop_assert_eq!(c.reconfigure(slot, 0, target, true, allow_same), expect);
+                    }
+                    2 => {
+                        let (outcome, _) = c.attempt(slot, tid, 0, Some(mask + 1), None);
+                        // Installed in the stores, not yet in the history.
+                        agrees(c, &refs[x], set(mask))?;
+                        if let Outcome::Committed { vn, value, .. } = outcome {
+                            let _ = c.commit_check(slot, true, vn, value);
+                        }
+                    }
+                    3 => {
+                        let cache = &mut caches[x][slot];
+                        let (outcome, _) = c.attempt(slot, tid, 0, None, Some(cache));
+                        if outcome == Outcome::Stale {
+                            // What a responder holds, decoded.
+                            let adopted = (cache.0, c.table.members(cache.1));
+                            let sites = &refs[x].sites[slot * n..(slot + 1) * n];
+                            prop_assert!(sites.contains(&adopted));
+                        }
+                        if let Outcome::Committed { vn, value, .. } = outcome {
+                            let _ = c.commit_check(slot, false, vn, value);
+                        }
+                    }
+                    4 => {
+                        // Item `slot` of cluster x trades places with item
+                        // `mask % SLOTS` of the other cluster.
+                        let (to, [a, b]) = (mask as usize % SLOTS, &mut cs);
+                        let (from_c, to_c) = if x == 0 { (a, b) } else { (b, a) };
+                        let (out, back) = (from_c.export(slot), to_c.export(to));
+                        to_c.import(to, out);
+                        from_c.import(slot, back);
+                        let [ra, rb] = &mut refs;
+                        let (from_r, to_r) = if x == 0 { (ra, rb) } else { (rb, ra) };
+                        from_r.swap(n, slot, to_r, to);
+                        caches[x][slot] = (0, CfgId::FULL);
+                        caches[1 - x][to] = (0, CfgId::FULL);
+                    }
+                    5 => {
+                        let idx = mask as usize % corrupts.len();
+                        prop_assert_eq!(cs[0].apply_fault(idx), FaultEffect::Corrupted);
+                    }
+                    _ => {
+                        // A committed write no store saw.
+                        let _ = c.commit_check(slot, true, c.current_vn(slot) + 1, mask);
+                    }
+                }
+                for (c, r) in cs.iter_mut().zip(&refs) {
+                    agrees(c, r, set(mask))?;
+                }
+            }
+        }
+
         /// One phase and one attempt from an arbitrary site state: live
         /// set, drop and delay windows, planned crashes (some straddling
         /// the round trip), contact policy, and the static system or a
@@ -1944,7 +2197,7 @@ mod tests {
                     .thresholds()
                     .and_then(|r| r.over(set(member_mask)))
                     .map(Thresholds::with_config_reads),
-                _ => c.rule,
+                _ => c.table.rule(CfgId::FULL),
             };
             let targets = set(target_mask);
             let rtt = SimTime(2 * latency + 2 * delay);
@@ -1980,7 +2233,7 @@ mod tests {
             // ----- the attempt -----
             let before = snapshot(&c);
             // System 3 acts on a cache that a reconfiguration made stale.
-            let mut cache = (system == 3).then_some((0, full));
+            let mut cache = (system == 3).then_some((0, CfgId::FULL));
             c.attach_recorders();
             let (outcome, cost) = c.attempt(0, TID, 0, (write == 1).then_some(42), cache.as_mut());
             prop_assert!(cost.gather <= cost.elapsed && cost.dropped <= cost.messages);
@@ -2015,7 +2268,8 @@ mod tests {
                 Outcome::Stale => {
                     // Only a cache behind a reconfiguration, which it adopts.
                     prop_assert!(reconfigured == 1);
-                    prop_assert_eq!(cache, Some((c.gen(0), c.members(0))));
+                    let adopted = cache.map(|(gen, id)| (gen, c.table.members(id)));
+                    prop_assert_eq!(adopted, Some((c.gen(0), c.members(0))));
                     prop_assert_eq!(snapshot(&c), before.clone());
                 }
                 Outcome::Unavailable | Outcome::Timeout => {

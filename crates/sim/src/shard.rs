@@ -75,12 +75,13 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use quorum::{QuorumSpec, ReplicaSet};
+use quorum::QuorumSpec;
 use rand::Rng;
 
 use qc_obs::{ObsOptions, ObsReport, Phase};
 use qc_replication::ScheduleTrace;
 
+use crate::arena::CfgId;
 use crate::faults::{FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::{report_digest, Metrics};
@@ -147,6 +148,19 @@ pub enum Workload {
 /// rejects a duration / epoch ratio above it, since every barrier is an
 /// entry in a list built up front and a parallel round over the shards.
 pub const MAX_EPOCH_BARRIERS: u64 = 1_000_000;
+
+/// The most items a sharded run may have: [`MultiConfig::validate`]
+/// rejects a larger keyspace. A shard numbers its item slots in `u32`s
+/// beside the `u32::MAX` marker of an item it does not own, and under
+/// elastic placement one shard may come to hold every item plus its spare
+/// slots (`items + items / 16 + 16` at most), so the keyspace must stay
+/// well below `u32::MAX`; at this bound the largest slot index is
+/// `2 281 701 391`. A configuration id is a `u32` too, but a cluster's
+/// table holds one per distinct member set its items were reconfigured
+/// to, which does not grow with the keyspace. Memory bounds a real run far
+/// sooner: every shard keeps a 4-byte slot entry per item of the
+/// keyspace.
+pub const MAX_ITEMS: usize = 1 << 31;
 
 /// Configuration of one sharded multi-item run.
 #[derive(Clone)]
@@ -259,8 +273,9 @@ impl MultiConfig {
     ///
     /// # Errors
     ///
-    /// A description of the first inconsistency (empty keyspace, more
-    /// shards than items, no clients, or an out-of-range fault plan).
+    /// A description of the first inconsistency (empty keyspace or one
+    /// past [`MAX_ITEMS`], more shards than items, no clients, or an
+    /// out-of-range fault plan).
     pub fn validate(&self) -> Result<(), String> {
         if self.items == 0 {
             return Err("a sharded run needs at least one item".into());
@@ -282,6 +297,9 @@ impl MultiConfig {
         let elastic = self.placement.is_elastic();
         let (quorum, clients) = (&*self.quorum, (self.shards, self.clients_per_shard));
         validate(quorum, &self.faults, &self.reconfig, clients, elastic, Some(self.read_fraction))?;
+        if self.items > MAX_ITEMS {
+            return Err(format!("items must be at most {MAX_ITEMS}, got {}", self.items));
+        }
         let (Workload::Closed { think: pace }
         | Workload::Open { interarrival: pace }
         | Workload::Routed { interarrival: pace }) = self.workload;
@@ -513,14 +531,15 @@ struct ShardSim<'a> {
     /// The coordinators' operations: one coordinator per client in
     /// client-paced modes, one per item slot under [`Workload::Routed`].
     ops: Clients,
-    /// Cached `(generation, members)` per coordinator per item slot:
-    /// indexed `slot · clients_per_shard + client` in client-paced modes
-    /// (so a fresh slot appends one row), and just `slot` under
-    /// [`Workload::Routed`] (one coordinator per item).
-    /// A migrated-in item starts at `(0, full)`, so its first operation at
-    /// the new owner is stale-rejected and adopts the current generation —
-    /// the §4 stale-retry made visible to the conformance checker.
-    client_cfg: Vec<(u64, ReplicaSet)>,
+    /// Cached `(generation, configuration)` per coordinator per item slot,
+    /// the configuration an id in the cluster's table: indexed
+    /// `slot · clients_per_shard + client` in client-paced modes (so a
+    /// fresh slot appends one row), and just `slot` under
+    /// [`Workload::Routed`] (one coordinator per item). A migrated-in item
+    /// starts at `(0, CfgId::FULL)`, so its first operation at the new
+    /// owner is stale-rejected and adopts the current generation — the §4
+    /// stale-retry made visible to the conformance checker.
+    client_cfg: Vec<(u64, CfgId)>,
     /// Global id of each slot's item ([`FREE`] when vacant).
     slot_global: Vec<usize>,
     /// Global id → slot, dense over the whole keyspace ([`NO_SLOT`] for
@@ -574,7 +593,6 @@ impl<'a> ShardSim<'a> {
         traced: bool,
         step_scale: f64,
     ) -> Self {
-        let n = config.quorum.n();
         let cps = config.clients_per_shard;
         let client_base = shard * cps;
         let local = global_items.len();
@@ -637,7 +655,7 @@ impl<'a> ShardSim<'a> {
             events: Events::new(config.queue),
             cluster,
             ops: Clients::new(coords, &config.obs, shard as u32),
-            client_cfg: vec![(0, ReplicaSet::full(n)); if routed { slots } else { slots * cps }],
+            client_cfg: vec![(0, CfgId::FULL); if routed { slots } else { slots * cps }],
             slot_global,
             slot_of,
             // Popped from the back: spare slots fill in ascending order.
@@ -1104,13 +1122,12 @@ impl<'a> ShardSim<'a> {
     /// block is written).
     fn push_slot(&mut self) -> usize {
         let slot = self.slot_global.len();
-        let n = self.cluster.n;
         self.slot_global.push(FREE);
         self.cluster.push_slot();
         self.item_commits.push(0);
         self.prev_commits.push(0);
         if self.routed {
-            self.client_cfg.push((0, ReplicaSet::full(n)));
+            self.client_cfg.push((0, CfgId::FULL));
             self.step.push(0.0);
             self.arrived_at.push(NEVER);
             self.op_counter.push(0);
@@ -1118,7 +1135,7 @@ impl<'a> ShardSim<'a> {
             self.ops.push_coord();
         } else {
             let row = self.client_cfg.len() + self.config.clients_per_shard;
-            self.client_cfg.resize(row, (0, ReplicaSet::full(n)));
+            self.client_cfg.resize(row, (0, CfgId::FULL));
         }
         slot
     }
@@ -1133,7 +1150,6 @@ impl<'a> ShardSim<'a> {
             Some(slot) => slot as usize,
             None => self.push_slot(),
         };
-        let n = self.cluster.n;
         self.slot_global[slot] = st.global;
         self.slot_of[st.global] = slot as u32;
         self.walk_stale = true;
@@ -1142,7 +1158,7 @@ impl<'a> ShardSim<'a> {
         // The barrier sampled before it moved anything.
         self.prev_commits[slot] = st.commits;
         if self.routed {
-            self.client_cfg[slot] = (0, ReplicaSet::full(n));
+            self.client_cfg[slot] = (0, CfgId::FULL);
             self.step[slot] = st.step;
             self.arrived_at[slot] = NEVER;
             // No forced-abort flag names a routed slot: Routed forbids
@@ -1151,7 +1167,7 @@ impl<'a> ShardSim<'a> {
             self.retry_epoch[slot] = st.retry_epoch;
         } else {
             let cps = self.config.clients_per_shard;
-            self.client_cfg[slot * cps..(slot + 1) * cps].fill((0, ReplicaSet::full(n)));
+            self.client_cfg[slot * cps..(slot + 1) * cps].fill((0, CfgId::FULL));
         }
         slot
     }
@@ -1504,7 +1520,7 @@ pub fn run_sharded_elastic_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum::Majority;
+    use quorum::{Majority, ReplicaSet};
 
     fn base() -> MultiConfig {
         let mut c = MultiConfig::new(Arc::new(Majority::new(5)));

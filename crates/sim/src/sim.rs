@@ -35,12 +35,13 @@
 
 use std::sync::Arc;
 
-use quorum::{QuorumSpec, ReplicaSet};
+use quorum::QuorumSpec;
 use rand::Rng;
 
 use qc_obs::{EventKind, ObsOptions, ObsReport};
 use qc_replication::ScheduleTrace;
 
+use crate::arena::CfgId;
 use crate::faults::{FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::{sample_exponential, LatencyModel};
 use crate::metrics::{CommitRecord, Metrics};
@@ -177,10 +178,11 @@ pub struct Simulation {
     /// The clients' operations: metrics, in-flight slab, observation.
     ops: Clients,
     op_counter: Vec<u64>,
-    /// Per-client cached `(generation, members)` — clients act on their
-    /// cache and learn newer generations only through stale rejections,
-    /// exactly like a TM discovering a superseded configuration.
-    client_cfg: Vec<(u64, ReplicaSet)>,
+    /// Per-client cached `(generation, configuration)`, the configuration
+    /// an id in the cluster's table — clients act on their cache and learn
+    /// newer generations only through stale rejections, exactly like a TM
+    /// discovering a superseded configuration.
+    client_cfg: Vec<(u64, CfgId)>,
 }
 
 impl Simulation {
@@ -211,7 +213,7 @@ impl Simulation {
             cluster,
             ops: Clients::new(config.clients, &config.obs, 0),
             op_counter: vec![0; config.clients],
-            client_cfg: vec![(0, ReplicaSet::full(n)); config.clients],
+            client_cfg: vec![(0, CfgId::FULL); config.clients],
             config,
         };
         for c in 0..sim.config.clients {
@@ -393,7 +395,7 @@ pub fn run_observed(config: SimConfig) -> (Metrics, ObsReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum::{Majority, Rowa};
+    use quorum::{Majority, ReplicaSet, Rowa};
 
     fn base(q: Arc<dyn QuorumSpec + Send + Sync>) -> SimConfig {
         let mut c = SimConfig::new(q);

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use qc_sim::{
     run, run_sharded, run_txn, ContactPolicy, ElasticPolicy, FaultPlan, ItemDist, LatencyModel,
     Metrics, MultiConfig, PlacementPolicy, ReconfigPolicy, RetryPolicy, SeedPlacement, SimConfig,
-    SimTime, TxnConfig, Workload, MAX_EPOCH_BARRIERS,
+    SimTime, TxnConfig, Workload, MAX_EPOCH_BARRIERS, MAX_ITEMS,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -311,6 +311,17 @@ impl Fields<'_> {
         [0, 1, small, u32::MAX / 2, u32::MAX][self.edge()]
     }
 
+    /// A sharded keyspace: as a count, or on either side of
+    /// [`MAX_ITEMS`].
+    fn items(&mut self) -> usize {
+        match self.pick() % 12 {
+            0 | 1 => self.usize(6),
+            2 => MAX_ITEMS,
+            3 => MAX_ITEMS + 1,
+            _ => 6,
+        }
+    }
+
     fn time(&mut self, small_us: u64) -> SimTime {
         SimTime(self.u64(small_us))
     }
@@ -387,7 +398,7 @@ impl Fields<'_> {
     fn multi(&mut self, faults: FaultPlan) -> MultiConfig {
         let mut c = MultiConfig::new(self.quorum());
         c.latency = self.latency();
-        c.items = self.usize(6);
+        c.items = self.items();
         c.shards = self.usize(2);
         c.clients_per_shard = self.usize(2);
         c.read_fraction = self.fraction();
@@ -493,6 +504,9 @@ proptest! {
         }
         let multi = fields.multi(faults.clone());
         let counts = [multi.items, multi.shards, multi.clients_per_shard];
+        if multi.validate().is_ok() {
+            prop_assert!(multi.items <= MAX_ITEMS, "{} items accepted", multi.items);
+        }
         if let (Ok(()), PlacementPolicy::Elastic(pol)) = (multi.validate(), &multi.placement) {
             let barriers = multi.duration.0 / pol.epoch.0;
             prop_assert!(barriers <= MAX_EPOCH_BARRIERS, "{} barriers accepted", barriers);

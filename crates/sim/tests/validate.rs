@@ -9,7 +9,7 @@ use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use qc_sim::{
     run, run_sharded, run_txn, ElasticPolicy, FaultPlan, ItemDist, LatencyModel, MultiConfig,
     PlacementPolicy, ReconfigPolicy, ReconfigTarget, SimConfig, SimTime, Simulation, TxnConfig,
-    MAX_EPOCH_BARRIERS,
+    MAX_EPOCH_BARRIERS, MAX_ITEMS,
 };
 use quorum::{Majority, QuorumSpec, Weighted};
 
@@ -255,6 +255,24 @@ fn an_elastic_epoch_tiny_against_the_duration_is_an_error() {
     assert_eq!(c.validate(), Ok(()), "the bound itself is runnable");
     c.duration = SimTime(MAX_EPOCH_BARRIERS + 1);
     assert!(c.validate().is_err());
+}
+
+/// A keyspace of `1 << 40` or `usize::MAX` items passed
+/// `MultiConfig::validate`, though each shard numbers its item slots in
+/// `u32`s: a slot past `u32::MAX` would have been truncated.
+#[test]
+fn a_keyspace_past_max_items_is_an_error() {
+    let mut c = MultiConfig::new(Arc::new(Majority::new(3)));
+    for items in [MAX_ITEMS + 1, 1 << 40, usize::MAX] {
+        c.items = items;
+        let err = c.validate().expect_err(&format!("{items} items accepted"));
+        assert!(err.contains(&format!("items must be at most {MAX_ITEMS}")), "{err:?}");
+    }
+    c.items = MAX_ITEMS;
+    assert_eq!(c.validate(), Ok(()), "the bound itself validates");
+    // One shard holding every item and its elastic spares still numbers
+    // its slots below the `u32::MAX` marker of an item it does not own.
+    assert!(MAX_ITEMS + MAX_ITEMS / 16 + 16 < u32::MAX as usize);
 }
 
 /// A program generator's fields passed `TxnConfig::validate` unbounded: a
