@@ -373,6 +373,10 @@ impl Component<TxnOp> for ReadTm {
         self
     }
 
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
     fn clone_boxed(&self) -> Box<dyn Component<TxnOp>> {
         Box::new(self.clone())
     }
@@ -610,6 +614,10 @@ impl Component<TxnOp> for WriteTm {
     }
 
     fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 

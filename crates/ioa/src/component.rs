@@ -83,6 +83,11 @@ pub trait Component<Op>: fmt::Debug {
     /// manager's version number to check the paper's Lemma 7).
     fn as_any(&self) -> &dyn Any;
 
+    /// Mutable downcasting support, for the callers that drive a concrete
+    /// automaton's own methods between steps (e.g. the Theorem 10 checker
+    /// retiring the names its schedule will never use again).
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+
     /// A boxed deep copy of this automaton in its current state.
     ///
     /// This is the hook behind [`System::snapshot`](crate::System::snapshot):

@@ -21,6 +21,9 @@ use crate::schedule::Schedule;
 /// ([`System::replay`]).
 pub struct System<Op> {
     components: Vec<Box<dyn Component<Op>>>,
+    /// Each component's [`name`](Component::name), read once when it is
+    /// pushed, so a lookup by name allocates nothing.
+    names: Vec<String>,
     /// Scratch for [`System::step`]: each component's classification of
     /// the operation being performed. Not part of the state.
     classes: Vec<OpClass>,
@@ -29,10 +32,7 @@ pub struct System<Op> {
 impl<Op> fmt::Debug for System<Op> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field(
-                "components",
-                &self.components.iter().map(|c| c.name()).collect::<Vec<_>>(),
-            )
+            .field("components", &self.names)
             .finish()
     }
 }
@@ -42,12 +42,14 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     pub fn new() -> Self {
         System {
             components: Vec::new(),
+            names: Vec::new(),
             classes: Vec::new(),
         }
     }
 
     /// Add a component automaton to the composition.
     pub fn push(&mut self, c: Box<dyn Component<Op>>) {
+        self.names.push(c.name());
         self.components.push(c);
     }
 
@@ -63,15 +65,17 @@ impl<Op: Clone + fmt::Debug> System<Op> {
 
     /// Names of all components, in composition order.
     pub fn component_names(&self) -> Vec<String> {
-        self.components.iter().map(|c| c.name()).collect()
+        self.names.clone()
+    }
+
+    /// Where the component called `name` is, if present.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
     }
 
     /// Borrow a component by name, if present.
     pub fn component(&self, name: &str) -> Option<&dyn Component<Op>> {
-        self.components
-            .iter()
-            .find(|c| c.name() == name)
-            .map(|c| c.as_ref())
+        self.position(name).map(|i| self.components[i].as_ref())
     }
 
     /// Borrow and downcast a component's concrete type by name.
@@ -80,6 +84,14 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     /// (e.g. every data manager's version number, for Lemma 7).
     pub fn component_as<T: Any>(&self, name: &str) -> Option<&T> {
         self.component(name).and_then(|c| c.as_any().downcast_ref())
+    }
+
+    /// Mutably borrow and downcast a component's concrete type by name:
+    /// the counterpart of [`component_as`](System::component_as), for a
+    /// caller that drives the automaton's own methods between steps.
+    pub fn component_as_mut<T: Any>(&mut self, name: &str) -> Option<&mut T> {
+        let i = self.position(name)?;
+        self.components[i].as_any_mut().downcast_mut()
     }
 
     /// Iterate over components together with their downcast states.
@@ -98,6 +110,7 @@ impl<Op: Clone + fmt::Debug> System<Op> {
     pub fn snapshot(&self) -> System<Op> {
         System {
             components: self.components.iter().map(|c| c.clone_boxed()).collect(),
+            names: self.names.clone(),
             classes: Vec::new(),
         }
     }

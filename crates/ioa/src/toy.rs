@@ -76,6 +76,10 @@ impl Component<ToyOp> for Producer {
         self
     }
 
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
     fn clone_boxed(&self) -> Box<dyn Component<ToyOp>> {
         Box::new(self.clone())
     }
@@ -151,6 +155,10 @@ impl Component<ToyOp> for Channel {
     }
 
     fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 

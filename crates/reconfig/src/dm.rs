@@ -224,6 +224,10 @@ impl Component<TxnOp> for RcDm {
         self
     }
 
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
     fn clone_boxed(&self) -> Box<dyn Component<TxnOp>> {
         Box::new(self.clone())
     }

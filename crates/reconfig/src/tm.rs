@@ -181,6 +181,10 @@ impl Component<TxnOp> for CoordinatorTm {
         self
     }
 
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
     fn clone_boxed(&self) -> Box<dyn Component<TxnOp>> {
         Box::new(self.clone())
     }

@@ -188,12 +188,16 @@ echo "==> configuration fuzz (the three validates at 1024 cases)"
 # build runs 20 simulated milliseconds without a panic.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test fault_props any_config
 
-echo "==> system A differentials (scheduler and object vs ordered tables, 1024 cases)"
+echo "==> system A differentials (scheduler and object vs ordered tables, retiring vs full-state A, 1024 cases)"
 # The serial scheduler against the paper's literal six sets and the
 # read/write object against a BTreeSet of created accesses, step for step,
 # over names whose child indices are sparse, huge and out of order — what
-# the name tree under both must get right, at four times the budget.
+# the name tree under both must get right, at four times the budget. Then
+# the Theorem 10 checker, which retires each access from system A as it
+# returns, against a system A that keeps every name: same verdict, same α,
+# on random, reconfiguring and mutated traces.
 PROPTEST_CASES=1024 cargo test -q -p nested-txn --lib differential
+PROPTEST_CASES=1024 cargo test -q -p qc-replication --lib conformance::retirement
 
 echo "==> benchmark crate builds and runs (benchmark/ is outside the workspace)"
 # benchmark/ has its own manifest, so a signature change to anything it
