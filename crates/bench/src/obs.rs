@@ -30,8 +30,8 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    run_observed, run_sharded, ContactPolicy, FaultPlan, LatencyModel, Metrics, MultiConfig,
-    ObsOptions, ObsReport, Phase, QueueKind, RetryPolicy, SimConfig, SimTime, PHASES,
+    run_observed, run_sharded_with, ContactPolicy, FaultPlan, LatencyModel, Metrics, MultiConfig,
+    ObsOptions, ObsRecorder, ObsReport, Phase, QueueKind, RetryPolicy, SimConfig, SimTime, PHASES,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
@@ -169,12 +169,16 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     mc.clients_per_shard = 2;
     mc.duration = SimTime::from_millis(if smoke { 500 } else { 2_000 });
     mc.seed = seed;
-    mc.obs = ObsOptions::full();
-    mc.obs.snapshot_every_us = Some(100_000);
+    let mut opts = ObsOptions::full();
+    opts.snapshot_every_us = Some(100_000);
     let sharded = same_on_1_2_4(
         "merged obs recordings (spans, all)",
         &[QueueKind::Calendar],
-        |_, t| run_sharded(&mc, t).obs,
+        |_, t| {
+            let mut rec = ObsRecorder::new(opts);
+            run_sharded_with(&mc, t, &mut rec);
+            rec.into_report()
+        },
         |o| (o.spans.digest(), o.digest()),
     );
     assert!(

@@ -30,8 +30,8 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    check_trace, run_sharded_elastic, run_sharded_elastic_traced, ContactPolicy, ElasticPolicy,
-    ItemDist, MultiConfig, PlacementPolicy, PlacementReport, QueueKind, ReconfigPolicy, SimTime,
+    check_trace, run_sharded_elastic, run_sharded_with, ContactPolicy, ElasticPolicy, ItemDist,
+    MultiConfig, PlacementPolicy, PlacementReport, QueueKind, ReconfigPolicy, SimTime, Traces,
     Workload,
 };
 use quorum::Majority;
@@ -119,7 +119,9 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
 
     // 2. Conformance: every per-item schedule — including migrated items
     // whose history spans two shards — replays through Theorem 10.
-    let (traced_report, traces, traced_placement) = run_sharded_elastic_traced(&det_cfg, threads);
+    let mut traces = Traces::new(&*det_cfg.quorum, det_cfg.seed, det_cfg.items);
+    let (traced_report, traced_placement) = run_sharded_with(&det_cfg, threads, &mut traces);
+    let traces = traces.into_traces();
     assert_eq!(traced_report.digest(), digest0, "tracing perturbed the run");
     assert_eq!(traced_placement.digest(), pdigest0);
     let mut traced_events = 0usize;

@@ -23,8 +23,8 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    check_trace, run_sharded, run_sharded_traced, ContactPolicy, ItemDist, MultiConfig, QueueKind,
-    SimTime, Workload,
+    check_trace, run_sharded, run_sharded_with, ContactPolicy, ItemDist, MultiConfig, ObsRecorder,
+    QueueKind, SimTime, Traces, Workload,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
@@ -73,20 +73,24 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
 
     // 1. Determinism: bit-identical report digest across thread counts —
     // including the merged observability recordings when enabled.
-    let mut det_cfg = config(items, max_shards.min(items), secs.min(2), seed, theta);
-    det_cfg.obs = obs.options();
-    let det = same_on_1_2_4(
+    let det_cfg = config(items, max_shards.min(items), secs.min(2), seed, theta);
+    let (det, det_obs) = same_on_1_2_4(
         "(report digest, obs digest)",
         &[QueueKind::Calendar],
-        |_, t| run_sharded(&det_cfg, t),
-        |r| (r.digest(), r.obs.digest()),
+        |_, t| {
+            let mut rec = ObsRecorder::new(obs.options());
+            (run_sharded_with(&det_cfg, t, &mut rec).0, rec.into_report())
+        },
+        |(r, o)| (r.digest(), o.digest()),
     );
-    obs.dump("shard_scaling", &det.obs);
+    obs.dump("shard_scaling", &det_obs);
     let digest = det.digest();
     println!("determinism: digest {digest:#018x} identical on 1/2/4 threads");
 
     // 2. Conformance: every per-item schedule replays through Theorem 10.
-    let (traced_report, traces) = run_sharded_traced(&det_cfg, threads);
+    let mut traces = Traces::new(&*det_cfg.quorum, det_cfg.seed, det_cfg.items);
+    let (traced_report, _) = run_sharded_with(&det_cfg, threads, &mut traces);
+    let traces = traces.into_traces();
     assert_eq!(traced_report.digest(), digest, "tracing perturbed the run");
     let mut traced_events = 0usize;
     for (g, trace) in traces.iter().enumerate() {

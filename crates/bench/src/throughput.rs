@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qc_cc::{check_theorem11, CcRunOptions};
-use qc_sim::{par_map, run_sharded, ContactPolicy, FaultPlan, SimConfig, SimTime};
+use qc_sim::{par_map, run_sharded_with, ContactPolicy, FaultPlan, ObsRecorder, SimConfig, SimTime};
 use quorum::{Majority, QuorumSpec, Rowa};
 
 use crate::cli::{Flags, ObsFlags};
@@ -124,9 +124,9 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     if let Some(items) = items {
         let mut mc = shard_scaling::config(items, items.min(8), secs, seed, theta);
         mc.faults = faults.clone();
-        mc.obs = obs.options();
-        let report = run_sharded(&mc, threads);
-        obs.dump("throughput_sharded", &report.obs);
+        let mut rec = ObsRecorder::new(obs.options());
+        let (report, _) = run_sharded_with(&mc, threads, &mut rec);
+        obs.dump("throughput_sharded", &rec.into_report());
         let ops = report
             .metrics
             .throughput_ops_per_sec(SimTime::from_secs(secs));

@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use qc_sim::{
-    check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_traced,
-    FaultPlan, QueueKind, SimTime, TxnConfig, TxnReport,
+    check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_with,
+    FaultPlan, QueueKind, SimTime, Traces, TxnConfig, TxnReport,
 };
 use quorum::Majority;
 use serde_json::JsonObject;
@@ -70,7 +70,9 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     println!("determinism: digest {digest:#018x} identical on 1/2/4 threads");
 
     // 2. Conformance: Theorem 10 per item, Theorem 11 for the whole run.
-    let (traced_report, traces) = run_txn_traced(&det_cfg, threads);
+    let mut traces = Traces::new(&*det_cfg.quorum, det_cfg.seed, det_cfg.items);
+    let traced_report = run_txn_with(&det_cfg, threads, &mut traces);
+    let traces = traces.into_traces();
     assert_eq!(traced_report.digest(), digest, "tracing perturbed the run");
     let mut traced_events = 0usize;
     for (g, trace) in traces.iter().enumerate() {

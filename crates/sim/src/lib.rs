@@ -15,7 +15,9 @@
 //! by three drivers, each an event loop of its own: the single-item
 //! [`Simulation`], the sharded multi-item [`run_sharded`], and the
 //! nested-transaction [`txn_workload`], which composes the same quorum
-//! operations with a copy-level lock table (the paper's Theorem 11).
+//! operations with a copy-level lock table (the paper's Theorem 11). What
+//! a run records is an [`Observe`]r composed with it ([`observe`]):
+//! [`run_with`], [`run_sharded_with`] and [`run_txn_with`].
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@ pub mod arena;
 mod faults;
 mod latency;
 mod metrics;
+pub mod observe;
 mod par;
 pub mod placement;
 mod protocol;
@@ -59,11 +62,11 @@ pub use placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
     PlacementReport, SeedPlacement,
 };
-pub use protocol::{ContactPolicy, ReconfigPolicy};
+pub use observe::{CausalRecorder, ObsRecorder, Observe, Traces};
+pub use protocol::{Block, ContactPolicy, ReconfigPolicy};
 pub use shard::{
-    cum_weight_table, item_weight, run_sharded, run_sharded_elastic,
-    run_sharded_elastic_traced, run_sharded_traced, ItemDist, MultiConfig, ShardReport, Workload,
-    MAX_EPOCH_BARRIERS, MAX_ITEMS,
+    cum_weight_table, item_weight, run_sharded, run_sharded_elastic, run_sharded_with, ItemDist,
+    MultiConfig, ShardReport, Workload, MAX_EPOCH_BARRIERS, MAX_ITEMS,
 };
 pub use qc_replication::{
     check_commit_order_serializable, check_trace, AbortReason, AccessRecord, CommittedTxn,
@@ -74,13 +77,13 @@ pub use qc_obs::{
     EventKind, EventLogMode, Histogram, ObsEvent, ObsOptions, ObsReport, OpRef, Phase,
     Snapshot, SpanRecorder, PHASES,
 };
-pub use sim::{run, run_observed, run_traced, SimConfig, Simulation};
+pub use sim::{run, run_observed, run_traced, run_with, SimConfig, Simulation};
 pub use time::SimTime;
-pub use trace::{trace_to_json, TraceRecorder};
+pub use trace::trace_to_json;
 pub use qc_obs::causal::{
     AbortCause, CausalOptions, CausalReport, CritProfile, EdgeKind, SpanKind, TxnTrace,
     ABORT_CAUSES, EDGE_KINDS,
 };
 pub use txn_workload::{
-    run_txn, run_txn_causal, run_txn_committed, run_txn_traced, TxnConfig, TxnReport, TxnStats,
+    run_txn, run_txn_causal, run_txn_committed, run_txn_with, TxnConfig, TxnReport, TxnStats,
 };

@@ -11,7 +11,8 @@
 //! stochastic crash times), the DM arena, the table of configurations its
 //! slots name, and the per-item columns that belong with it: the Lemma 7/8
 //! checker and its known-Ok bit, the committed configuration, the
-//! reconfigure budget, the schedule-trace recorder. On
+//! reconfigure budget — and the event loop's observer ([`Observe`]), which
+//! the cluster hands every closed TM block of an item's β ([`Block`]). On
 //! them: the quorum-gathering [phase](Cluster::phase), the quorum /
 //! feasibility / contact-target rule, [`FaultEvent`] application, the
 //! Goldman–Lynch §4 [reconfigure op](Cluster::reconfigure), the one
@@ -28,11 +29,13 @@
 //!
 //! **Client-op level — [`Clients`], under the two flat drivers.** What a
 //! logical operation costs across its attempts and leaves behind: the
-//! accounting on each step's [`Verdict`] over [`Metrics`], the [`OpSlab`],
-//! the per-op segment chain that phase spans and causal traces fold,
-//! snapshots, the event log and violation reporting. It returns what to
-//! schedule ([`Then`]) and never schedules. The nested driver does its own
-//! accounting on the same verdicts, over `TxnStats` and its span trees.
+//! accounting on each step's [`Verdict`] over [`Metrics`] and the
+//! [`OpSlab`], and violation reporting. It tells the observer what each
+//! attempt spent ([`Observe::attempt`]) and when an op finished
+//! ([`Observe::op_done`]); what to keep of that is the observer's. It
+//! returns what to schedule ([`Then`]) and never schedules. The nested
+//! driver does its own accounting on the same verdicts, over `TxnStats`,
+//! and tells its observer about its program trees.
 //!
 //! Every name an observer can see is the driver's to supply: the
 //! coordinator and item of an operation ([`OpId`]), whether an item is
@@ -76,10 +79,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use qc_obs::causal::{AbortCause, EdgeKind, SpanKind, TxnRef, TxnTrace, NO_SPAN};
-use qc_obs::{
-    EventKind, ObsEvent, ObsOptions, ObsReport, OpRef, Phase, Snapshot, SnapshotExporter,
-};
+use qc_obs::causal::{AbortCause, EdgeKind};
+use qc_obs::OpRef;
 use qc_replication::{AbortReason, LemmaChecker, LemmaViolation, TmKind, TraceAction, TraceTid};
 use quorum::{QuorumSpec, ReplicaSet, Thresholds};
 use rand::SeedableRng;
@@ -89,9 +90,9 @@ use crate::arena::{CfgId, CfgTable, DmArena, SlotState};
 use crate::faults::{message_dropped, FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::{Metrics, OpStats};
+use crate::observe::{Mark, Observe, OpDone};
 use crate::slab::{OpSlab, PendingOp};
 use crate::time::SimTime;
-use crate::trace::TraceRecorder;
 
 /// Which replicas the coordinator contacts in each phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -410,10 +411,19 @@ pub(crate) struct ItemExport {
     members: ReplicaSet,
     last_reconfig: SimTime,
     reconfigs_used: u32,
-    recorder: Option<TraceRecorder>,
+}
+
+/// An item as the cluster addresses it and as observers name it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Item {
+    /// The cluster slot holding the item.
+    pub slot: usize,
+    /// The item's global id (0 for the single-item driver's one item).
+    pub name: usize,
 }
 
 /// One transaction-manager block of the schedule trace, CREATE to COMMIT.
+#[derive(Clone, Copy, Debug)]
 struct TmBlock {
     kind: TmKind,
     /// Whether the TM also read the configuration at `reads`.
@@ -425,6 +435,85 @@ struct TmBlock {
     dm_writes: Option<(ReplicaSet, u64, u64)>,
     /// REQUEST-COMMIT's `(vn, value)`.
     commit: (u64, u64),
+}
+
+/// What a [`Block`] holds.
+#[derive(Clone, Copy, Debug)]
+enum Body {
+    Tm(TmBlock),
+    /// The attempt was never created.
+    Abort { kind: TmKind, reason: AbortReason },
+}
+
+/// One closed block of an item's β as its cluster ran it, at one instant
+/// under one transaction name: a TM's CREATE … COMMIT, or the ABORT of an
+/// attempt that was never created ([`Observe::block`]). Its actions read
+/// the stores as the block saw them: the cluster emits a block before it
+/// installs anything.
+pub struct Block<'a> {
+    /// The item's global id (0 for the single-item driver's one item).
+    pub item: usize,
+    /// The instant the block ran at.
+    pub at: SimTime,
+    /// The block's transaction name.
+    pub tid: TraceTid,
+    body: Body,
+    stores: &'a DmArena,
+    /// The item's first store slot.
+    base: usize,
+    plan: &'a FaultPlan,
+    up: ReplicaSet,
+    n: usize,
+}
+
+impl Block<'_> {
+    /// Whether any fault condition was active — a site down, or an open
+    /// drop/delay window — so a reader can separate healthy-period actions
+    /// from faulted-period ones. A forced abort is a fault by definition.
+    #[must_use]
+    pub fn faulted(&self) -> bool {
+        matches!(self.body, Body::Abort { reason: AbortReason::Forced, .. })
+            || self.up != ReplicaSet::full(self.n)
+            || self.plan.drop_permille_at(self.at) > 0
+            || self.plan.delay_extra_at(self.at) > SimTime::ZERO
+    }
+
+    /// The block's actions in schedule order.
+    pub fn actions(&self, mut emit: impl FnMut(TraceAction)) {
+        let b = match self.body {
+            Body::Tm(b) => b,
+            Body::Abort { kind, reason } => return emit(TraceAction::Abort { kind, reason }),
+        };
+        let (base, stores) = (self.base, self.stores);
+        // A `ReplicaSet` holds sites below 128, so each fits a trace's `u8`.
+        let site_u8 = |site: usize| site as u8;
+        emit(TraceAction::Create { kind: b.kind });
+        if b.read_cfg {
+            for site in b.reads {
+                let gen = stores.cfg_gen(base + site);
+                emit(TraceAction::ReadCfg { site: site_u8(site), gen });
+            }
+        }
+        // Emitted before any install, so the READ-DM events carry the
+        // store contents the discovery actually saw.
+        for site in b.reads {
+            let (vn, value) = stores.get(base + site);
+            emit(TraceAction::ReadDm { site: site_u8(site), vn, value });
+        }
+        if let Some((sites, gen, members)) = b.cfg_writes {
+            for site in sites {
+                emit(TraceAction::WriteCfg { site: site_u8(site), gen, members });
+            }
+        }
+        if let Some((sites, vn, value)) = b.dm_writes {
+            for site in sites {
+                emit(TraceAction::WriteDm { site: site_u8(site), vn, value });
+            }
+        }
+        let (vn, value) = b.commit;
+        emit(TraceAction::RequestCommit { vn, value });
+        emit(TraceAction::Commit);
+    }
 }
 
 /// What a driver configures a [`Cluster`] with.
@@ -462,8 +551,10 @@ pub(crate) struct ClusterSpec {
 /// interns its target. The ids are private to this cluster: an
 /// [`ItemExport`] carries member sets, which [`import`](Self::import)
 /// re-interns, and traces and reports see only member sets.
-pub(crate) struct Cluster {
+pub(crate) struct Cluster<O> {
     pub cfg: ClusterSpec,
+    /// The event loop's observer.
+    pub obs: O,
     /// Sites per item (`quorum.n()`).
     pub n: usize,
     /// The member sets the cluster's configurations name, each with the
@@ -503,8 +594,6 @@ pub(crate) struct Cluster {
     /// the last reconfiguration, and how many so far.
     last_reconfig: Vec<SimTime>,
     reconfigs_used: Vec<u32>,
-    /// One schedule-trace recorder per item slot, when tracing.
-    recorders: Option<Vec<TraceRecorder>>,
     /// Phase response buffer, reused so the hot path allocates nothing.
     scratch: Vec<(SimTime, usize)>,
     /// A pending forced abort per driver-local client (grown on demand by
@@ -512,8 +601,8 @@ pub(crate) struct Cluster {
     forced: Vec<bool>,
 }
 
-impl Cluster {
-    pub fn new(cfg: ClusterSpec) -> Self {
+impl<O: Observe> Cluster<O> {
+    pub fn new(cfg: ClusterSpec, obs: O) -> Self {
         let n = cfg.quorum.n();
         let slots = cfg.slots;
         Cluster {
@@ -533,10 +622,10 @@ impl Cluster {
             cfgs: vec![CfgId::FULL; slots],
             last_reconfig: vec![SimTime::ZERO; slots],
             reconfigs_used: vec![0; slots],
-            recorders: None,
             scratch: Vec::new(),
             forced: Vec::new(),
             cfg,
+            obs,
         }
     }
 
@@ -555,86 +644,33 @@ impl Cluster {
         self.checkers[slot].current_vn()
     }
 
-    // ----- schedule tracing ----------------------------------------------
+    // ----- what the observer sees --------------------------------------
 
-    /// Record every item's schedule from here on. Tracing is purely
-    /// observational: it draws nothing from the RNG stream.
-    pub fn attach_recorders(&mut self) {
-        let recorder = || TraceRecorder::new(self.cfg.quorum.label(), self.n, self.cfg.seed);
-        self.recorders = Some((0..self.checkers.len()).map(|_| recorder()).collect());
+    /// Hand the observer one closed block of `item`'s β at the current
+    /// instant — the one emitter of data TMs, the reconfigure-TM and
+    /// ABORTs alike.
+    fn emit(&mut self, item: Item, tid: TraceTid, body: Body) {
+        self.obs.block(&Block {
+            item: item.name,
+            at: self.now,
+            tid,
+            body,
+            stores: &self.stores,
+            base: item.slot * self.n,
+            plan: &self.cfg.plan,
+            up: self.up,
+            n: self.n,
+        });
     }
 
-    /// Detach the recorders, one per item slot, if tracing.
-    pub fn take_recorders(&mut self) -> Option<Vec<TraceRecorder>> {
-        self.recorders.take()
-    }
-
-    /// Record one TM block against `item` at the current instant — the one
-    /// emitter of data TMs and the reconfigure-TM alike (callers check for
-    /// a recorder first, to skip building the block).
-    fn emit_tm(&mut self, item: usize, tid: TraceTid, b: TmBlock) {
-        let faulted = self.faulted_now();
-        let (now, base, stores) = (self.now, item * self.n, &self.stores);
-        let Some(recorders) = self.recorders.as_mut() else {
-            return;
-        };
-        let rec = &mut recorders[item];
-        let mut emit = |action| rec.record(now, tid, action, faulted);
-        // A `ReplicaSet` holds sites below 128, so each fits a trace's `u8`.
-        let site_u8 = |site: usize| site as u8;
-        emit(TraceAction::Create { kind: b.kind });
-        if b.read_cfg {
-            for site in b.reads {
-                let gen = stores.cfg_gen(base + site);
-                emit(TraceAction::ReadCfg { site: site_u8(site), gen });
-            }
-        }
-        // Emitted before any install, so the READ-DM events carry the
-        // store contents the discovery actually saw.
-        for site in b.reads {
-            let (vn, value) = stores.get(base + site);
-            emit(TraceAction::ReadDm { site: site_u8(site), vn, value });
-        }
-        if let Some((sites, gen, members)) = b.cfg_writes {
-            for site in sites {
-                emit(TraceAction::WriteCfg { site: site_u8(site), gen, members });
-            }
-        }
-        if let Some((sites, vn, value)) = b.dm_writes {
-            for site in sites {
-                emit(TraceAction::WriteDm { site: site_u8(site), vn, value });
-            }
-        }
-        let (vn, value) = b.commit;
-        emit(TraceAction::RequestCommit { vn, value });
-        emit(TraceAction::Commit);
-    }
-
-    /// Record the ABORT of an attempt that was never created (no-op when
-    /// untraced): a driver's forced or fenced abort; a failed attempt
-    /// records its own. A forced abort is a fault by definition.
-    fn emit_abort(&mut self, item: usize, tid: TraceTid, write: bool, reason: AbortReason) {
-        if self.recorders.is_none() {
-            return;
-        }
-        let faulted = reason == AbortReason::Forced || self.faulted_now();
+    /// The ABORT of an attempt that was never created: a driver's forced
+    /// or fenced abort; a failed attempt emits its own.
+    fn emit_abort(&mut self, item: Item, tid: TraceTid, write: bool, reason: AbortReason) {
         let kind = if write { TmKind::Write } else { TmKind::Read };
-        let now = self.now;
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders[item].record(now, tid, TraceAction::Abort { kind, reason }, faulted);
-        }
+        self.emit(item, tid, Body::Abort { kind, reason });
     }
 
     // ----- sites and weather ---------------------------------------------
-
-    /// Whether any fault condition is active right now — a site down, or
-    /// an open drop/delay window. Trace events are tagged with this so a
-    /// reader can separate healthy-period actions from faulted-period ones.
-    fn faulted_now(&self) -> bool {
-        self.up != ReplicaSet::full(self.n)
-            || self.cfg.plan.drop_permille_at(self.now) > 0
-            || self.cfg.plan.delay_extra_at(self.now) > SimTime::ZERO
-    }
 
     /// Whether `site` (up now) crashes at or before `t` — the straddle
     /// check: a response arriving at `t` is lost if the site's next
@@ -848,17 +884,17 @@ impl Cluster {
     /// instant they read the membership).
     pub fn attempt(
         &mut self,
-        item: usize,
+        item: Item,
         tid: TraceTid,
         coin_client: usize,
         write: Option<u64>,
         cache: Option<&mut (u64, CfgId)>,
     ) -> (Outcome, Cost) {
         let coin = (coin_client, tid);
-        let base = item * self.n;
+        let base = item.slot * self.n;
         let mut cost = Cost::default();
         let cached = cache.as_ref().map(|c| c.1);
-        let rule = self.table.rule(cached.unwrap_or(self.cfgs[item]));
+        let rule = self.table.rule(cached.unwrap_or(self.cfgs[item.slot]));
         // Phase 1 under a cache also reads the configuration.
         let rule = rule.map(|r| if cached.is_some() { r.with_config_reads() } else { r });
         let reachable = match cached {
@@ -888,7 +924,7 @@ impl Cluster {
                 // the phase assembled its quorum. No site is ahead of the
                 // item's committed generation, so a cache at it cannot be
                 // superseded and the fold is skipped.
-                let seen = if cache.0 < self.gens[item] {
+                let seen = if cache.0 < self.gens[item.slot] {
                     self.stores.discover_cfg(base, p1.responders)
                 } else {
                     debug_assert!(self
@@ -937,26 +973,24 @@ impl Cluster {
                     (dvn + 1, value, Some(p2.responders))
                 }
             };
-            if self.recorders.is_some() {
-                let block = TmBlock {
-                    kind: if write.is_some() {
-                        TmKind::Write
-                    } else {
-                        TmKind::Read
-                    },
-                    read_cfg: self.cfg.reconfig.enabled,
-                    reads: p1.responders,
-                    cfg_writes: None,
-                    dm_writes: installs.map(|sites| (sites, vn, value)),
-                    commit: (vn, value),
-                };
-                self.emit_tm(item, tid, block);
-            }
+            let block = TmBlock {
+                kind: if write.is_some() {
+                    TmKind::Write
+                } else {
+                    TmKind::Read
+                },
+                read_cfg: self.cfg.reconfig.enabled,
+                reads: p1.responders,
+                cfg_writes: None,
+                dm_writes: installs.map(|sites| (sites, vn, value)),
+                commit: (vn, value),
+            };
+            self.emit(item, tid, Body::Tm(block));
             if let Some(sites) = installs {
                 for s in sites {
                     self.stores.set(base + s, vn, value);
                 }
-                self.known_ok[item] = false;
+                self.known_ok[item.slot] = false;
             }
             Outcome::Committed {
                 vn,
@@ -989,7 +1023,7 @@ impl Cluster {
     pub fn step(
         &mut self,
         client: usize,
-        item: usize,
+        item: Item,
         tid: TraceTid,
         write: Option<u64>,
         cache: Option<&mut (u64, CfgId)>,
@@ -1077,7 +1111,7 @@ impl Cluster {
 
     /// Execute one reconfigure op against `item` if it is warranted and
     /// feasible; `tm_op` is the operation number the driver names the
-    /// reconfigure-TM by in the item's trace.
+    /// reconfigure-TM by in the item's β.
     ///
     /// The op follows Goldman–Lynch §4 with the control plane taken as
     /// reliable: discovery reads the `(configuration, generation)` pair
@@ -1087,8 +1121,8 @@ impl Cluster {
     /// later configuration reads of the new membership see it), and the
     /// discovered data state is refreshed at a data write quorum of the
     /// *new* members. It completes at one instant, sends no messages, and
-    /// draws nothing from the RNG stream, so enabling tracing or changing
-    /// the thread count cannot perturb a reconfiguring run.
+    /// draws nothing from the RNG stream, so observing it or changing the
+    /// thread count cannot perturb a reconfiguring run.
     ///
     /// A `scripted` op ignores the reactive trigger's budget and cooldown
     /// and counts as [`Reconfigured::Failed`] when infeasible. `allow_same`
@@ -1097,7 +1131,7 @@ impl Cluster {
     /// and re-adopt) before the item serves from its new shard.
     pub fn reconfigure(
         &mut self,
-        item: usize,
+        item: Item,
         tm_op: u64,
         target: ReconfigTarget,
         scripted: bool,
@@ -1109,8 +1143,9 @@ impl Cluster {
             Reconfigured::Skipped
         };
         let pol = self.cfg.reconfig;
-        let used = self.reconfigs_used[item];
-        let cooling = used > 0 && self.now - self.last_reconfig[item] < pol.cooldown;
+        let slot = item.slot;
+        let used = self.reconfigs_used[slot];
+        let cooling = used > 0 && self.now - self.last_reconfig[slot] < pol.cooldown;
         if !scripted && (used >= pol.max_reconfigs || cooling) {
             return Reconfigured::Skipped;
         }
@@ -1119,7 +1154,7 @@ impl Cluster {
             ReconfigTarget::Live => live,
             ReconfigTarget::Members(m) => m,
         };
-        let old = self.cfgs[item];
+        let old = self.cfgs[slot];
         let old_members = self.table.members(old);
         if members.len() < pol.min_members || (!allow_same && members == old_members) {
             return Reconfigured::Skipped;
@@ -1135,37 +1170,35 @@ impl Cluster {
         if !feasible {
             return infeasible;
         }
-        let base = item * self.n;
-        let gen = self.gens[item] + 1;
+        let base = slot * self.n;
+        let gen = self.gens[slot] + 1;
         let (dvn, dval) = self.stores.discover(base, discovery);
         let install = discovery.union(refresh);
-        if self.recorders.is_some() {
-            let tid = TraceTid {
-                client: u32::MAX,
-                op: tm_op,
-                attempt: 1,
-            };
-            let block = TmBlock {
-                kind: TmKind::Reconfig,
-                read_cfg: true,
-                reads: discovery,
-                cfg_writes: Some((install, gen, members)),
-                dm_writes: Some((refresh, dvn, dval)),
-                commit: (gen, members.bits() as u64),
-            };
-            self.emit_tm(item, tid, block);
-        }
+        let tid = TraceTid {
+            client: u32::MAX,
+            op: tm_op,
+            attempt: 1,
+        };
+        let block = TmBlock {
+            kind: TmKind::Reconfig,
+            read_cfg: true,
+            reads: discovery,
+            cfg_writes: Some((install, gen, members)),
+            dm_writes: Some((refresh, dvn, dval)),
+            commit: (gen, members.bits() as u64),
+        };
+        self.emit(item, tid, Body::Tm(block));
         for s in install {
             self.stores.set_cfg(base + s, gen, new);
         }
         for s in refresh {
             self.stores.set(base + s, dvn, dval);
         }
-        self.gens[item] = gen;
-        self.cfgs[item] = new;
-        self.known_ok[item] = false;
-        self.reconfigs_used[item] += 1;
-        self.last_reconfig[item] = self.now;
+        self.gens[slot] = gen;
+        self.cfgs[slot] = new;
+        self.known_ok[slot] = false;
+        self.reconfigs_used[slot] += 1;
+        self.last_reconfig[slot] = self.now;
         Reconfigured::Installed { gen, members }
     }
 
@@ -1174,34 +1207,25 @@ impl Cluster {
     /// Append one fresh item slot to every per-item column (the DM arena
     /// grows when a block is imported into it).
     pub fn push_slot(&mut self) {
-        let n = self.n;
         self.checkers.push(LemmaChecker::new(0));
         self.known_ok.push(false);
         self.gens.push(0);
         self.cfgs.push(CfgId::FULL);
         self.last_reconfig.push(SimTime::ZERO);
         self.reconfigs_used.push(0);
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders.push(TraceRecorder::new("", n, self.cfg.seed));
-        }
     }
 
     /// Copy the item in `slot` out, its configurations decoded to member
     /// sets. The slot's columns keep their stale contents until
     /// [`import`](Self::import) overwrites them.
-    pub fn export(&mut self, slot: usize) -> ItemExport {
-        let (n, seed) = (self.n, self.cfg.seed);
+    pub fn export(&self, slot: usize) -> ItemExport {
         ItemExport {
-            slots: self.stores.read_block(slot * n, &self.table),
+            slots: self.stores.read_block(slot * self.n, &self.table),
             checker: self.checkers[slot].clone(),
             gen: self.gens[slot],
             members: self.members(slot),
             last_reconfig: self.last_reconfig[slot],
             reconfigs_used: self.reconfigs_used[slot],
-            recorder: self
-                .recorders
-                .as_mut()
-                .map(|r| std::mem::replace(&mut r[slot], TraceRecorder::new("", n, seed))),
         }
     }
 
@@ -1215,16 +1239,7 @@ impl Cluster {
         self.cfgs[slot] = self.table.intern(item.members);
         self.last_reconfig[slot] = item.last_reconfig;
         self.reconfigs_used[slot] = item.reconfigs_used;
-        if let Some(recorders) = self.recorders.as_mut() {
-            recorders[slot] = item.recorder.expect("a traced run migrates traced items");
-        }
     }
-}
-
-/// Whether the flat drivers keep segment chains under `opts`: only phase
-/// spans and causal traces read them.
-fn records_segs(opts: &ObsOptions) -> bool {
-    opts.spans || opts.causal.enabled
 }
 
 /// How violation text names an item: the single-item driver's one item is
@@ -1251,6 +1266,14 @@ pub(crate) struct OpId {
 }
 
 impl OpId {
+    /// The op's item, its slot named by its global id (0 when anonymous).
+    fn item(self, op: &PendingOp) -> Item {
+        Item {
+            slot: op.item,
+            name: self.item.unwrap_or(0),
+        }
+    }
+
     fn tid(self, op: &PendingOp) -> TraceTid {
         TraceTid {
             client: self.coord as u32,
@@ -1282,52 +1305,17 @@ pub(crate) struct Clients {
     pub metrics: Metrics,
     /// Per-coordinator in-flight operation, interned for the whole run.
     pub pending: OpSlab,
-    /// Per-coordinator segment chain of the in-flight op: where its time
-    /// went, as `(edge kind, µs)` in causal order, zero durations left
-    /// out. The op's only time record, held only when spans or causal
-    /// recording are on (otherwise there is no chain at all, not even an
-    /// empty one per coordinator). When an attempt starts, the chain tiles
-    /// the time since the op started; the op's phase spans and causal
-    /// trace are folds of it at finish, which clears it (capacity kept).
-    segs: Vec<Vec<(EdgeKind, u64)>>,
-    /// Observability recordings (spans / events / snapshots / causal).
-    pub obs: ObsReport,
-    /// Periodic snapshot schedule, when enabled.
-    snap: Option<SnapshotExporter>,
-    opts: ObsOptions,
-    /// Shard tag stamped on events, snapshots and causal traces.
-    shard: u32,
     /// The failure signal (timeouts + unavailable) at the last spy poll.
     last_failure_signal: u64,
 }
 
 impl Clients {
-    pub fn new(coords: usize, opts: &ObsOptions, shard: u32) -> Self {
-        let chains = if records_segs(opts) { coords } else { 0 };
+    pub fn new(coords: usize) -> Self {
         Clients {
             metrics: Metrics::default(),
             pending: OpSlab::new(coords),
-            segs: vec![Vec::new(); chains],
-            obs: ObsReport::new(opts),
-            snap: opts.snapshot_every_us.map(SnapshotExporter::new),
-            opts: *opts,
-            shard,
             last_failure_signal: 0,
         }
-    }
-
-    /// Append one idle coordinator slot.
-    pub fn push_coord(&mut self) {
-        self.pending.push_empty();
-        if records_segs(&self.opts) {
-            self.segs.push(Vec::new());
-        }
-    }
-
-    /// Whether coordinator `key` has nothing in flight and no segments —
-    /// what a migrating item's coordinator must look like.
-    pub fn is_idle(&self, key: usize) -> bool {
-        !self.pending.is_live(key) && self.segs.get(key).is_none_or(Vec::is_empty)
     }
 
     fn stats(&mut self, read: bool) -> &mut OpStats {
@@ -1340,94 +1328,50 @@ impl Clients {
 
     // ----- observation ---------------------------------------------------
 
-    /// Emit every due snapshot with boundary time ≤ `t` (state as of the
-    /// events processed so far). Drivers call this before the event at `t`
-    /// executes, so a snapshot reflects exactly its boundary instant.
+    /// Tell the observer the clock is about to advance to `t`. Drivers call
+    /// this before the event at `t` executes, so a snapshot reflects
+    /// exactly its boundary instant.
     #[inline]
-    pub fn fire_snapshots_through(&mut self, t: SimTime) {
-        loop {
-            let due = match self.snap.as_mut() {
-                Some(s) => s.next_due(t.as_micros()),
-                None => return,
-            };
-            let Some(at_us) = due else { return };
-            let snap = Snapshot {
-                at_us,
-                shard: self.shard,
-                ops_done: self.metrics.reads.successes + self.metrics.writes.successes,
-                in_flight: self.pending.in_flight(),
-                violations: self.metrics.lemma_violations,
-                read_p50_us: self.metrics.reads.latency_hist().p50(),
-                read_p99_us: self.metrics.reads.latency_hist().p99(),
-                write_p50_us: self.metrics.writes.latency_hist().p50(),
-                write_p99_us: self.metrics.writes.latency_hist().p99(),
-            };
-            self.obs.snapshots.push(snap);
-            if self.obs.events.enabled() {
-                self.obs.events.emit(ObsEvent {
-                    at_us,
-                    shard: self.shard,
-                    kind: EventKind::Snapshot(snap),
-                });
-            }
-        }
+    pub fn clock<O: Observe>(&self, cluster: &mut Cluster<O>, t: SimTime) {
+        cluster.obs.clock(t, &self.metrics, self.pending.in_flight());
     }
 
-    /// Log a structured event at simulated instant `now`.
-    pub fn emit_obs(&mut self, now: SimTime, kind: EventKind) {
-        self.obs.events.emit(ObsEvent {
-            at_us: now.as_micros(),
-            shard: self.shard,
-            kind,
-        });
-    }
-
-    /// Record a lemma violation in the metrics and, when the event log is
-    /// enabled, as a structured event carrying the offending op (if the
-    /// violation was detected at an op's commit).
+    /// Record a lemma violation in the metrics and tell the observer, with
+    /// the offending op if the violation was detected at an op's commit.
     ///
     /// Takes pre-formatted arguments, not a `String`: the description is
     /// rendered only where it is actually retained (the capped metrics
-    /// list, the event log), so no call path is forced to allocate first.
-    fn violation(&mut self, now: SimTime, description: fmt::Arguments<'_>, op: Option<OpRef>) {
-        if self.obs.events.enabled() {
-            let desc = description.to_string();
-            self.emit_obs(
-                now,
-                EventKind::Violation {
-                    desc: desc.clone(),
-                    op,
-                },
-            );
-            self.metrics.record_violation(desc);
-        } else {
-            self.metrics.record_violation_args(description);
-        }
+    /// list, an observer's log), so no call path is forced to allocate.
+    fn violation<O: Observe>(
+        &mut self,
+        cluster: &mut Cluster<O>,
+        desc: fmt::Arguments<'_>,
+        op: Option<OpRef>,
+    ) {
+        cluster.obs.mark(cluster.now, &Mark::Violation(desc, op));
+        self.metrics.record_violation_args(desc);
     }
 
     // ----- faults, reconfiguration, the quiescent sweep ------------------
 
-    /// A planned fault fires: count it, log it, apply it. A scripted
-    /// reconfiguration comes back for the driver to run, in the order
-    /// observers see, over every item it owns.
-    pub fn plan_fault(&mut self, cluster: &mut Cluster, idx: usize) -> Option<ReconfigTarget> {
+    /// A planned fault fires: count it, tell the observer, apply it. A
+    /// scripted reconfiguration comes back for the driver to run, in the
+    /// order observers see, over every item it owns.
+    pub fn plan_fault<O: Observe>(
+        &mut self,
+        cluster: &mut Cluster<O>,
+        idx: usize,
+    ) -> Option<ReconfigTarget> {
         self.metrics.injected_faults += 1;
         let now = cluster.now;
-        if self.obs.events.enabled() {
-            let (at, event) = cluster.cfg.plan.events()[idx];
-            self.emit_obs(
-                now,
-                EventKind::Fault {
-                    desc: event.text(at),
-                },
-            );
-        }
+        let (at, event) = cluster.cfg.plan.events()[idx];
+        cluster.obs.mark(now, &Mark::Fault(at, event));
         match cluster.apply_fault(idx) {
             FaultEffect::None => {}
             FaultEffect::SiteDown => self.metrics.site_failures += 1,
             FaultEffect::Corrupted => {
                 if let Err(v) = cluster.check_item(0) {
-                    self.violation(now, format_args!("t={now} corrupt injection: {v}"), None);
+                    self.violation(cluster, format_args!("t={now} corrupt injection: {v}"), None);
                 }
             }
             FaultEffect::Reconfig(target) => return Some(target),
@@ -1450,18 +1394,19 @@ impl Clients {
     }
 
     /// Run [`Cluster::reconfigure`] and account for it; whether it
-    /// installed. `global` names the item in the event log and violations.
+    /// installed. `global` names the item to observers and in violations.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_reconfigure(
+    pub fn run_reconfigure<O: Observe>(
         &mut self,
-        cluster: &mut Cluster,
-        item: usize,
+        cluster: &mut Cluster<O>,
+        slot: usize,
         global: Option<usize>,
         tm_op: u64,
         target: ReconfigTarget,
         scripted: bool,
         allow_same: bool,
     ) -> bool {
+        let item = Item { slot, name: global.unwrap_or(0) };
         let (gen, members) = match cluster.reconfigure(item, tm_op, target, scripted, allow_same) {
             Reconfigured::Skipped => return false,
             Reconfigured::Failed => {
@@ -1470,39 +1415,27 @@ impl Clients {
             }
             Reconfigured::Installed { gen, members } => (gen, members),
         };
-        if self.opts.spans {
-            // The op completes at one instant (reliable control plane), so
-            // the fence is a zero-duration marker — counted like
-            // vn_resolve/commit_round so fence frequency shows up in the
-            // phase profile.
-            self.obs.spans.record(Phase::ReconfigFence, 0);
-        }
         self.metrics.reconfigurations += 1;
         let now = cluster.now;
-        if self.obs.events.enabled() {
-            let desc = match global {
-                Some(g) => format!("reconfig:item{g}:gen{gen}:{members}"),
-                None => format!("reconfig:gen{gen}:{members}"),
-            };
-            self.emit_obs(now, EventKind::Fault { desc });
-        }
-        if let Err(v) = cluster.check_item(item) {
+        cluster.obs.mark(now, &Mark::Reconfig(global, gen, members));
+        if let Err(v) = cluster.check_item(slot) {
             let tag = ItemTag(global);
-            self.violation(
-                now,
-                format_args!("t={now}{tag} reconfig gen {gen}: {v}"),
-                None,
-            );
+            self.violation(cluster, format_args!("t={now}{tag} reconfig gen {gen}: {v}"), None);
         }
         true
     }
 
     /// The stores must satisfy the lemmas at quiescence too (this is what
     /// catches a Corrupt injection that no later read observed).
-    pub fn final_check(&mut self, cluster: &mut Cluster, item: usize, global: Option<usize>) {
-        if let Err(v) = cluster.check_item(item) {
+    pub fn final_check<O: Observe>(
+        &mut self,
+        cluster: &mut Cluster<O>,
+        slot: usize,
+        global: Option<usize>,
+    ) {
+        if let Err(v) = cluster.check_item(slot) {
             let tag = ItemTag(global);
-            self.violation(cluster.now, format_args!("end-of-run{tag}: {v}"), None);
+            self.violation(cluster, format_args!("end-of-run{tag}: {v}"), None);
         }
     }
 
@@ -1512,16 +1445,16 @@ impl Clients {
     /// from the slab by the driver) and account for its verdict. `cache`
     /// is the coordinator's cached configuration of the op's item under
     /// dynamic quorums; a stale attempt adopts the newer one into it.
-    pub fn run_attempt(
+    pub fn run_attempt<O: Observe>(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &mut Cluster<O>,
         key: usize,
         id: OpId,
         mut op: PendingOp,
         cache: Option<&mut (u64, CfgId)>,
     ) -> Then {
         let write = (!op.read).then_some(op.value);
-        let step = cluster.step(key, op.item, id.tid(&op), write, cache);
+        let step = cluster.step(key, id.item(&op), id.tid(&op), write, cache);
         let elapsed = step.cost.elapsed;
         self.metrics.dropped_messages += step.cost.dropped;
         op.messages += step.cost.messages;
@@ -1530,12 +1463,12 @@ impl Clients {
             Verdict::Retry { delay, .. } => delay,
             _ => elapsed,
         };
-        self.push_segs(key, &step, end);
+        cluster.obs.attempt(key, step.segs(end));
         match step.verdict {
             Verdict::Forced => {
                 self.metrics.forced_aborts += 1;
                 self.stats(op.read).record_abort();
-                self.finish_op(cluster.now, key, id, &op, Some(AbortCause::Forced));
+                finish_op(cluster, key, id, &op, Err(AbortCause::Forced));
                 Then::Next {
                     after: SimTime::ZERO,
                     floor: SimTime::ZERO,
@@ -1565,7 +1498,7 @@ impl Clients {
                 } else {
                     stats.record_failure(op.messages);
                 }
-                self.finish_op(cluster.now, key, id, &op, Some(AbortCause::QuorumUnavailable));
+                finish_op(cluster, key, id, &op, Err(AbortCause::QuorumUnavailable));
                 Then::Next {
                     after: elapsed,
                     floor: SimTime(1),
@@ -1575,11 +1508,11 @@ impl Clients {
         }
     }
 
-    /// The operation committed: record metrics and spans, seal its causal
-    /// trace, assert the lemmas.
-    fn commit(
+    /// The operation committed: record its metrics, tell the observer,
+    /// assert the lemmas.
+    fn commit<O: Observe>(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &mut Cluster<O>,
         key: usize,
         id: OpId,
         op: PendingOp,
@@ -1589,38 +1522,7 @@ impl Clients {
         let now = cluster.now;
         let total = (now - op.started) + elapsed;
         self.stats(op.read).record_success(total, op.messages);
-        let segs = self.segs.get(key).map_or(&[][..], Vec::as_slice);
-        debug_assert!(
-            !records_segs(&self.opts)
-                || segs.iter().map(|&(_, us)| us).sum::<u64>() == total.as_micros(),
-            "the segment chain must tile the op's end-to-end latency"
-        );
-        if self.opts.spans {
-            // The phase spans are a fold of the chain, a stale retry
-            // counting as backoff. The vn_resolve and commit_round phases
-            // take zero *simulated* time — version resolution happens when
-            // the gather completes and the commit round is atomic — so
-            // they are recorded as zero-duration spans, one per committed
-            // op, keeping phase counts meaningful (DESIGN.md §5.4).
-            let (mut gather, mut install, mut backoff) = (0, 0, 0);
-            for &(kind, us) in segs {
-                match kind {
-                    EdgeKind::ReadGather => gather += us,
-                    EdgeKind::WriteInstall => install += us,
-                    _ => backoff += us,
-                }
-            }
-            self.obs.spans.record(Phase::ReadGather, gather);
-            self.obs.spans.record(Phase::VnResolve, 0);
-            if !op.read {
-                self.obs.spans.record(Phase::WriteInstall, install);
-            }
-            self.obs.spans.record(Phase::CommitRound, 0);
-            if backoff > 0 {
-                self.obs.spans.record(Phase::RetryBackoff, backoff);
-            }
-        }
-        self.finish_op(now, key, id, &op, None);
+        finish_op(cluster, key, id, &op, Ok(total));
         if let Err(v) = cluster.commit_check(op.item, !op.read, vn, value) {
             let kind = if op.read { "read" } else { "write" };
             let (tag, client) = (ItemTag(id.item), id.coord);
@@ -1633,7 +1535,7 @@ impl Clients {
                 value,
             };
             self.violation(
-                now,
+                cluster,
                 format_args!("t={now}{tag} client={client} {kind}: {v}"),
                 Some(op_ref),
             );
@@ -1649,85 +1551,61 @@ impl Clients {
     /// barrier with a stale rejection: the generation bump just installed
     /// supersedes it. The abandoned op leaves no `OpStats` record (it
     /// neither committed nor exhausted its budget).
-    pub fn fence_parked(&mut self, cluster: &mut Cluster, key: usize, id: OpId) -> bool {
-        let Some(op) = self.pending.take(key) else {
-            return false;
-        };
+    pub fn fence_parked<O: Observe>(&mut self, cluster: &mut Cluster<O>, key: usize, id: OpId) {
+        let Some(op) = self.pending.take(key) else { return };
         self.metrics.stale_rejections += 1;
-        cluster.emit_abort(op.item, id.tid(&op), !op.read, AbortReason::Stale);
-        self.finish_op(cluster.now, key, id, &op, Some(AbortCause::Fence));
-        true
+        cluster.emit_abort(id.item(&op), id.tid(&op), !op.read, AbortReason::Stale);
+        finish_op(cluster, key, id, &op, Err(AbortCause::Fence));
     }
+}
 
-    // ----- the segment chain ---------------------------------------------
-
-    /// Append a step's segments up to `end` ([`Step::segs`]) to
-    /// coordinator `key`'s chain, if an observer reads the chain. Zero
-    /// durations are left out: the chain carries only time that was
-    /// actually spent.
-    #[inline]
-    fn push_segs(&mut self, key: usize, step: &Step, end: SimTime) {
-        if let Some(chain) = self.segs.get_mut(key) {
-            chain.extend(step.segs(end).into_iter().filter(|&(_, us)| us > 0));
-        }
-    }
-
-    /// Close coordinator `key`'s finished (committed or terminally
-    /// aborted) op: record its causal trace if the recorder is on (which
-    /// means the coordinator has a chain), then clear its chain. The trace is a single `Access` root span whose
-    /// segments are the chain laid back-to-back from the op's start, so it
-    /// reconciles exactly with end-to-end latency. An op killed
-    /// *mid-backoff* by a migration fence ([`AbortCause::Fence`]) has a
-    /// chain that extends to its parked retry instant: it is cut at `now`,
-    /// where a zero-duration `Fence` marker names the barrier.
-    #[allow(clippy::cast_possible_truncation)]
-    fn finish_op(
-        &mut self,
-        now: SimTime,
-        key: usize,
-        id: OpId,
-        op: &PendingOp,
-        cause: Option<AbortCause>,
-    ) {
-        let Some(segs) = self.segs.get_mut(key) else {
-            return;
-        };
-        if self.opts.causal.enabled {
-            let txn = TxnRef {
-                client: id.coord as u32,
-                epoch: op.op_index as u32,
-            };
-            let mut trace = TxnTrace::new(txn, self.shard, op.started.as_micros());
-            let access = SpanKind::Access {
-                item: id.item.unwrap_or(0) as u64,
-                write: !op.read,
-            };
-            let root = trace.add_span(NO_SPAN, access);
-            trace.start_span(root, op.started.as_micros());
-            let fenced = cause == Some(AbortCause::Fence);
-            let end = if fenced { now.as_micros() } else { u64::MAX };
-            let at = trace.lay_segs(root, op.started.as_micros(), end, segs.iter().copied());
-            if fenced {
-                trace.push_seg(root, EdgeKind::Fence, at, 0, None);
-            }
-            if let Some(c) = cause {
-                trace.abort_span(root, at, c);
-                trace.seal(at, false, root, cause);
-            } else {
-                trace.finish_span(root, at);
-                trace.seal(at, true, NO_SPAN, None);
-            }
-            self.obs.causal.record(trace);
-        }
-        segs.clear();
-    }
+/// Tell the observer coordinator `key`'s op is over: committed with its
+/// end-to-end latency, or terminally aborted.
+fn finish_op<O: Observe>(
+    cluster: &mut Cluster<O>,
+    key: usize,
+    id: OpId,
+    op: &PendingOp,
+    end: Result<SimTime, AbortCause>,
+) {
+    cluster.obs.op_done(&OpDone {
+        now: cluster.now,
+        key,
+        coord: id.coord,
+        item: id.item,
+        op: op.op_index,
+        started: op.started,
+        read: op.read,
+        end,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::Traces;
     use proptest::prelude::*;
+    use qc_replication::ScheduleTrace;
     use quorum::{Majority, Rowa, Weighted};
+
+    /// Every test cluster records its items' traces.
+    type TestCluster = Cluster<Traces>;
+
+    fn cluster(spec: ClusterSpec) -> TestCluster {
+        let traces = Traces::new(&*spec.quorum, spec.seed, spec.slots);
+        Cluster::new(spec, traces)
+    }
+
+    /// The trace of item 0 since the last take.
+    fn take_trace(c: &mut TestCluster) -> ScheduleTrace {
+        let fresh = c.obs.fork(0);
+        std::mem::replace(&mut c.obs, fresh).into_traces().swap_remove(0)
+    }
+
+    /// Slot `slot`, named by its slot number.
+    fn it(slot: usize) -> Item {
+        Item { slot, name: slot }
+    }
 
     const TID: TraceTid = TraceTid {
         client: 0,
@@ -1754,7 +1632,7 @@ mod tests {
 
     #[test]
     fn all_live_skips_down_sites() {
-        let mut c = Cluster::new(spec(Arc::new(Majority::new(5))));
+        let mut c = cluster(spec(Arc::new(Majority::new(5))));
         c.up.remove(0);
         c.up.remove(3);
         let rule = c.table.rule(CfgId::FULL);
@@ -1771,7 +1649,7 @@ mod tests {
     fn straddled_crash_loses_the_response() {
         // Site 2 crashes at t = 100 µs. A phase started just before, whose
         // responses land after the crash, must not count site 2.
-        let mut c = Cluster::new(ClusterSpec {
+        let mut c = cluster(ClusterSpec {
             latency: LatencyModel::Fixed(SimTime(300)),
             plan: FaultPlan::new().crash_at(SimTime(100), 2),
             ..spec(Arc::new(Majority::new(3)))
@@ -1787,14 +1665,14 @@ mod tests {
 
     /// A cluster over `Majority(3)` with site 2 down, after one committed
     /// and digested write of 7 — installed at the quorum {0, 1}.
-    fn after_one_write(plan: FaultPlan) -> Cluster {
-        let mut c = Cluster::new(ClusterSpec {
+    fn after_one_write(plan: FaultPlan) -> TestCluster {
+        let mut c = cluster(ClusterSpec {
             plan,
             ..spec(Arc::new(Majority::new(3)))
         });
         c.check_item(0).unwrap();
         c.up.remove(2);
-        let (write, _) = c.attempt(0, TID, 0, Some(7), None);
+        let (write, _) = c.attempt(it(0), TID, 0, Some(7), None);
         let committed = Outcome::Committed {
             vn: 1,
             value: 7,
@@ -1813,33 +1691,33 @@ mod tests {
     #[test]
     fn step_consumes_forced_aborts_and_classifies_time() {
         use EdgeKind::{ReadGather, RetryBackoff, WriteInstall};
-        let mut c = Cluster::new(ClusterSpec {
+        let mut c = cluster(ClusterSpec {
             latency: LatencyModel::Fixed(SimTime(50)),
             plan: FaultPlan::new().abort_at(SimTime::ZERO, 1),
             retry: RetryPolicy::retries(2, SimTime(1_000)),
             ..spec(Arc::new(Majority::new(3)))
         });
         assert_eq!(c.apply_fault(0), FaultEffect::None);
-        let forced = c.step(1, 0, TID, Some(7), None);
+        let forced = c.step(1, it(0), TID, Some(7), None);
         assert_eq!(forced.verdict, Verdict::Forced);
         assert_eq!(forced.segs(SimTime::ZERO).map(|s| s.1), [0, 0, 0]);
-        let write = c.step(1, 0, TID, Some(7), None);
+        let write = c.step(1, it(0), TID, Some(7), None);
         assert_eq!(write.verdict, Verdict::Committed { vn: 1, value: 7, prev: 0 });
         // Two round trips per phase; a scheduling floor joins the install.
         let expect = [(ReadGather, 100), (WriteInstall, 100), (RetryBackoff, 0)];
         assert_eq!(write.segs(SimTime(200)), expect);
         assert_eq!(write.segs(SimTime(201))[1], (WriteInstall, 101));
-        let read = c.step(0, 0, TID, None, None);
+        let read = c.step(0, it(0), TID, None, None);
         assert_eq!(read.segs(SimTime(101))[0], (ReadGather, 101));
         c.up.remove(0);
         c.up.remove(1);
-        let retry = c.step(0, 0, TID, None, None);
+        let retry = c.step(0, it(0), TID, None, None);
         let delay = SimTime(1_000);
         assert_eq!(retry.verdict, Verdict::Retry { delay, stale: false });
         assert_eq!(retry.segs(delay), [(ReadGather, 0), (WriteInstall, 0), (RetryBackoff, 1_000)]);
         // An abandoned attempt ends where the driver says: no time at all.
         let last = TraceTid { attempt: 2, ..TID };
-        let failed = c.step(0, 0, last, None, None);
+        let failed = c.step(0, it(0), last, None, None);
         assert_eq!(failed.verdict, Verdict::Failed { unavailable: true });
         assert_eq!(failed.segs(SimTime::ZERO).map(|s| s.1), [0, 0, 0]);
     }
@@ -1847,7 +1725,7 @@ mod tests {
     #[test]
     fn monitor_follows_a_faithful_run() {
         let mut c = after_one_write(FaultPlan::new());
-        let (read, _) = c.attempt(0, TID, 0, None, None);
+        let (read, _) = c.attempt(it(0), TID, 0, None, None);
         let committed = Outcome::Committed {
             vn: 1,
             value: 7,
@@ -1871,17 +1749,13 @@ mod tests {
     }
 
     #[test]
-    fn recorders_detach_with_the_recorded_trace() {
-        let mut c = Cluster::new(spec(Arc::new(Majority::new(3))));
-        assert!(c.take_recorders().is_none());
-        // Untraced, emission is a no-op.
-        c.emit_abort(0, TID, false, AbortReason::Timeout);
-        c.attach_recorders();
+    fn blocks_reach_the_observer() {
+        let mut c = cluster(spec(Arc::new(Majority::new(3))));
         c.now = SimTime::from_millis(1);
-        let (read, _) = c.attempt(0, TID, 0, None, None);
+        let (read, _) = c.attempt(it(0), TID, 0, None, None);
         assert!(matches!(read, Outcome::Committed { .. }));
-        c.emit_abort(0, TID, true, AbortReason::Forced);
-        let trace = c.take_recorders().unwrap().pop().unwrap().finish();
+        c.emit_abort(it(0), TID, true, AbortReason::Forced);
+        let trace = take_trace(&mut c);
         assert_eq!((trace.seed, trace.sites), (9, 3));
         let create = TraceAction::Create { kind: TmKind::Read };
         let first = trace.events.get(0).unwrap();
@@ -1896,12 +1770,11 @@ mod tests {
         };
         assert_eq!(last.action, abort);
         assert!(last.faulted, "a forced abort is a fault by definition");
-        // Taking the trace detaches the recorders.
-        assert!(c.take_recorders().is_none());
+        assert!(take_trace(&mut c).events.is_empty());
     }
 
     /// The stores and configurations of item 0, site by site.
-    fn snapshot(c: &Cluster) -> Vec<((u64, u64), (u64, CfgId))> {
+    fn snapshot(c: &TestCluster) -> Vec<((u64, u64), (u64, CfgId))> {
         (0..c.n)
             .map(|s| (c.stores.get(s), c.stores.cfg(s)))
             .collect()
@@ -1989,9 +1862,9 @@ mod tests {
     /// lookup, a table with no member set twice, the discovery fold over
     /// `probe`, and the known-Ok bit against an un-memoized check under the
     /// reference rule. Ends by running the monitor's check on every slot.
-    fn agrees(c: &mut Cluster, r: &Reference, probe: ReplicaSet) -> Result<(), TestCaseError> {
+    fn agrees(c: &mut TestCluster, r: &Reference, probe: ReplicaSet) -> Result<(), TestCaseError> {
         let n = c.n;
-        let decode = |c: &Cluster, (gen, id): (u64, CfgId)| (gen, c.table.members(id));
+        let decode = |c: &TestCluster, (gen, id): (u64, CfgId)| (gen, c.table.members(id));
         let sets = c.table.member_sets();
         for (i, set) in sets.iter().enumerate() {
             prop_assert!(!sets[..i].contains(set), "{} twice in the table", set);
@@ -2048,7 +1921,7 @@ mod tests {
             for (k, &(site, vn, value)) in corrupts.iter().enumerate() {
                 plan = plan.corrupt_at(SimTime(k as u64 + 1), site % n, vn, value);
             }
-            let build = |plan: FaultPlan| Cluster::new(ClusterSpec {
+            let build = |plan: FaultPlan| cluster(ClusterSpec {
                 plan,
                 reconfig: ReconfigPolicy::scripted_only(),
                 slots: SLOTS,
@@ -2069,10 +1942,11 @@ mod tests {
                         let (members, allow_same) = (set(mask >> 1), mask & 1 == 1);
                         let target = ReconfigTarget::Members(members);
                         let expect = refs[x].reconfigure((n, rule), (slot, c.up, members, allow_same));
-                        prop_assert_eq!(c.reconfigure(slot, 0, target, true, allow_same), expect);
+                        let got = c.reconfigure(it(slot), 0, target, true, allow_same);
+                        prop_assert_eq!(got, expect);
                     }
                     2 => {
-                        let (outcome, _) = c.attempt(slot, tid, 0, Some(mask + 1), None);
+                        let (outcome, _) = c.attempt(it(slot), tid, 0, Some(mask + 1), None);
                         // Installed in the stores, not yet in the history.
                         agrees(c, &refs[x], set(mask))?;
                         if let Outcome::Committed { vn, value, .. } = outcome {
@@ -2081,7 +1955,7 @@ mod tests {
                     }
                     3 => {
                         let cache = &mut caches[x][slot];
-                        let (outcome, _) = c.attempt(slot, tid, 0, None, Some(cache));
+                        let (outcome, _) = c.attempt(it(slot), tid, 0, None, Some(cache));
                         if outcome == Outcome::Stale {
                             // What a responder holds, decoded.
                             let adopted = (cache.0, c.table.members(cache.1));
@@ -2169,7 +2043,7 @@ mod tests {
                 plan = plan.crash_at(SimTime(crash_at), s);
             }
             let timeout = SimTime(1_000);
-            let mut c = Cluster::new(ClusterSpec {
+            let mut c = cluster(ClusterSpec {
                 latency: LatencyModel::Fixed(SimTime(latency)),
                 contact: [ContactPolicy::AllLive, ContactPolicy::MinimalQuorum][minimal as usize],
                 timeout,
@@ -2179,12 +2053,12 @@ mod tests {
             });
             // A healthy history first (t = 0, before any weather), so the
             // attempt below has a version to discover and a value to keep.
-            let (first, _) = c.attempt(0, TID, 0, Some(7), None);
+            let (first, _) = c.attempt(it(0), TID, 0, Some(7), None);
             prop_assert_eq!(first, Outcome::Committed { vn: 1, value: 7, prev: 0 });
             prop_assert!(c.commit_check(0, true, 1, 7).is_ok());
             if dynamic && reconfigured == 1 {
                 let target = ReconfigTarget::Members(set(member_mask).union(set(1)));
-                c.reconfigure(0, 0, target, true, true);
+                c.reconfigure(it(0), 0, target, true, true);
                 prop_assert_eq!(c.gen(0), 1);
             }
             let (now, up) = (SimTime(1_000), full.difference(set(down & sparse)));
@@ -2234,11 +2108,12 @@ mod tests {
             let before = snapshot(&c);
             // System 3 acts on a cache that a reconfiguration made stale.
             let mut cache = (system == 3).then_some((0, CfgId::FULL));
-            c.attach_recorders();
-            let (outcome, cost) = c.attempt(0, TID, 0, (write == 1).then_some(42), cache.as_mut());
+            take_trace(&mut c);
+            let value = (write == 1).then_some(42);
+            let (outcome, cost) = c.attempt(it(0), TID, 0, value, cache.as_mut());
             prop_assert!(cost.gather <= cost.elapsed && cost.dropped <= cost.messages);
             // The attempt's last word in the trace: COMMIT, or its own ABORT.
-            let trace = c.take_recorders().unwrap().pop().unwrap().finish();
+            let trace = take_trace(&mut c);
             let reason = match outcome {
                 Outcome::Committed { .. } => None,
                 Outcome::Unavailable => Some(AbortReason::Unavailable),

@@ -15,7 +15,9 @@
 //! one item. What is here is what only this driver has: [`MultiConfig`],
 //! the event enum and its dispatch, item choice and the closed / open / routed
 //! workloads, stable item slots and `walk`, migration and the elastic
-//! barriers, and the merge of per-shard results.
+//! barriers, and the merge of per-shard results. Each shard records into
+//! its own observer ([`crate::observe`]), forked by shard index and
+//! absorbed back in shard order by [`run_sharded_with`].
 //!
 //! # Determinism contract
 //!
@@ -78,13 +80,11 @@ use std::sync::Arc;
 use quorum::QuorumSpec;
 use rand::Rng;
 
-use qc_obs::{ObsOptions, ObsReport, Phase};
-use qc_replication::ScheduleTrace;
-
 use crate::arena::CfgId;
 use crate::faults::{FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::{report_digest, Metrics};
+use crate::observe::{Mark, Observe};
 use crate::par::par_map;
 use crate::placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
@@ -198,11 +198,6 @@ pub struct MultiConfig {
     pub retry: RetryPolicy,
     /// Assert Lemmas 7/8 per item after every committed operation.
     pub monitor: bool,
-    /// Observability options. Each shard records privately (events and
-    /// snapshots tagged with the shard index) and the per-shard reports
-    /// are merged in shard-index order, so the aggregate
-    /// [`ShardReport::obs`] is bit-identical for any thread count.
-    pub obs: ObsOptions,
     /// Event-queue implementation per shard (the calendar queue by
     /// default; both pop in identical order, so this never changes
     /// results — only wall-clock speed).
@@ -256,7 +251,6 @@ impl MultiConfig {
             faults: FaultPlan::new(),
             retry: RetryPolicy::default(),
             monitor: true,
-            obs: ObsOptions::disabled(),
             queue: QueueKind::default(),
             reconfig: ReconfigPolicy::off(),
             placement: PlacementPolicy::Static,
@@ -380,11 +374,6 @@ pub struct ShardReport {
     pub item_commits: Vec<u64>,
     /// Final committed version number per global item.
     pub item_vns: Vec<u64>,
-    /// Observability recordings merged in shard-index order (empty unless
-    /// [`MultiConfig::obs`] enables something). Not part of
-    /// [`ShardReport::digest`], which hashes committed behaviour only;
-    /// [`ObsReport::digest`] covers the recordings themselves.
-    pub obs: ObsReport,
 }
 
 impl ShardReport {
@@ -491,14 +480,12 @@ enum Event {
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// What one shard hands back to the merge step.
-struct ShardOutcome {
+struct ShardOutcome<O> {
     metrics: Metrics,
     /// `(global item id, commits, final vn)` per owned item.
     items: Vec<(usize, u64, u64)>,
-    /// Per-owned-item schedule traces (same order as `items`), when traced.
-    traces: Option<Vec<(usize, ScheduleTrace)>>,
-    /// This shard's observability recordings.
-    obs: ObsReport,
+    /// This shard's observer.
+    obs: O,
 }
 
 /// `slot_global` marker of a vacant item slot.
@@ -521,13 +508,14 @@ const NEVER: SimTime = SimTime(u64::MAX);
 /// Without migrations slot order equals ascending global id; after one it
 /// does not, so every walk whose order is observable goes through `walk`
 /// (ascending global id) instead.
-struct ShardSim<'a> {
+struct ShardSim<'a, O> {
     config: &'a MultiConfig,
     /// Global client id of this shard's first client.
     client_base: usize,
     events: Events<Event>,
-    /// The sites and this shard's items, one cluster slot per item slot.
-    cluster: Cluster,
+    /// The sites and this shard's items, one cluster slot per item slot,
+    /// and the shard's observer.
+    cluster: Cluster<O>,
     /// The coordinators' operations: one coordinator per client in
     /// client-paced modes, one per item slot under [`Workload::Routed`].
     ops: Clients,
@@ -582,15 +570,15 @@ struct ShardSim<'a> {
     retry_epoch: Vec<u32>,
 }
 
-impl<'a> ShardSim<'a> {
+impl<'a, O: Observe> ShardSim<'a, O> {
     /// A shard owning `global_items` (ascending), one slot per item in
-    /// that order. `step_scale` is the per-run constant of
-    /// [`routed_step_scale`].
+    /// that order, recording into `obs`. `step_scale` is the per-run
+    /// constant of [`routed_step_scale`].
     fn new(
         config: &'a MultiConfig,
         shard: usize,
         global_items: Vec<usize>,
-        traced: bool,
+        obs: O,
         step_scale: f64,
     ) -> Self {
         let cps = config.clients_per_shard;
@@ -629,7 +617,7 @@ impl<'a> ShardSim<'a> {
         // The corruption target is item 0; validate() forbids Corrupt under
         // elastic placement, so the time-zero owner keeps it for the run.
         let owns_item0 = global_items.first() == Some(&0);
-        let mut cluster = Cluster::new(ClusterSpec {
+        let spec = ClusterSpec {
             quorum: Arc::clone(&config.quorum),
             latency: config.latency,
             contact: config.contact,
@@ -641,10 +629,7 @@ impl<'a> ShardSim<'a> {
             retry: config.retry,
             monitor: config.monitor,
             slots,
-        });
-        if traced {
-            cluster.attach_recorders();
-        }
+        };
         let slot_global: Vec<usize> =
             global_items.into_iter().chain(std::iter::repeat(FREE)).take(slots).collect();
         let mut walk = Vec::with_capacity(slots);
@@ -653,8 +638,8 @@ impl<'a> ShardSim<'a> {
             config,
             client_base,
             events: Events::new(config.queue),
-            cluster,
-            ops: Clients::new(coords, &config.obs, shard as u32),
+            cluster: Cluster::new(spec, obs),
+            ops: Clients::new(coords),
             client_cfg: vec![(0, CfgId::FULL); if routed { slots } else { slots * cps }],
             slot_global,
             slot_of,
@@ -770,7 +755,7 @@ impl<'a> ShardSim<'a> {
     fn run_to(&mut self, limit: SimTime) {
         while let Some((t, e)) = self.events.pop_until(limit) {
             // Snapshot boundaries fire before the event at `t`.
-            self.ops.fire_snapshots_through(t);
+            self.ops.clock(&mut self.cluster, t);
             self.cluster.now = t;
             self.dispatch(e);
         }
@@ -781,7 +766,7 @@ impl<'a> ShardSim<'a> {
     /// any due snapshot boundaries move. Migrations applied while parked
     /// are stamped at the barrier.
     fn sync_to(&mut self, t: SimTime) {
-        self.ops.fire_snapshots_through(t);
+        self.ops.clock(&mut self.cluster, t);
         self.cluster.now = t;
     }
 
@@ -828,15 +813,15 @@ impl<'a> ShardSim<'a> {
         self.walk.sort_unstable_by_key(|&s| globals[s as usize]);
     }
 
-    fn run(mut self) -> ShardOutcome {
+    fn run(mut self) -> ShardOutcome<O> {
         self.run_to(self.config.duration);
         self.finish()
     }
 
     /// The end-of-run tail: final snapshot boundaries, the quiescent
     /// lemma sweep, and result assembly.
-    fn finish(mut self) -> ShardOutcome {
-        self.ops.fire_snapshots_through(self.config.duration);
+    fn finish(mut self) -> ShardOutcome<O> {
+        self.ops.clock(&mut self.cluster, self.config.duration);
         self.cluster.now = self.config.duration;
         // Every owned item's stores must satisfy the lemmas at quiescence.
         self.refresh_walk();
@@ -852,19 +837,10 @@ impl<'a> ShardSim<'a> {
                 (self.slot_global[s], self.item_commits[s], self.cluster.current_vn(s))
             })
             .collect();
-        let traces = self.cluster.take_recorders().map(|recorders| {
-            self.slot_global
-                .iter()
-                .zip(recorders)
-                .filter(|(&g, _)| g != FREE)
-                .map(|(&g, r)| (g, r.finish()))
-                .collect()
-        });
         ShardOutcome {
             metrics: self.ops.metrics,
             items,
-            traces,
-            obs: self.ops.obs,
+            obs: self.cluster.obs,
         }
     }
 
@@ -1059,11 +1035,7 @@ impl<'a> ShardSim<'a> {
             let slot = slot as usize;
             let members = self.cluster.members(slot);
             if self.reconfigure_slot(slot, ReconfigTarget::Members(members), true, true) {
-                if self.config.obs.spans {
-                    // One marker per item actually fenced for export (the
-                    // fence itself was counted as reconfig_fence above).
-                    self.ops.obs.spans.record(Phase::Migration, 0);
-                }
+                self.cluster.obs.mark(self.cluster.now, &Mark::Migration);
                 slots.push(slot);
             } else {
                 failures += 1;
@@ -1104,9 +1076,9 @@ impl<'a> ShardSim<'a> {
         self.free.push(slot as u32);
         self.walk_stale = true;
         // Per-coordinator state is per *item* under routing and travels
-        // with it; `abort_parked` has already emptied the slab slot and
-        // the causal segments.
-        debug_assert!(!self.routed || self.ops.is_idle(slot));
+        // with it; `abort_parked` has already emptied the slab slot (and
+        // told the observer the op is over).
+        debug_assert!(!self.routed || !self.ops.pending.is_live(slot));
         ItemState {
             global,
             core: self.cluster.export(slot),
@@ -1132,7 +1104,7 @@ impl<'a> ShardSim<'a> {
             self.arrived_at.push(NEVER);
             self.op_counter.push(0);
             self.retry_epoch.push(0);
-            self.ops.push_coord();
+            self.ops.pending.push_empty();
         } else {
             let row = self.client_cfg.len() + self.config.clients_per_shard;
             self.client_cfg.resize(row, (0, CfgId::FULL));
@@ -1218,8 +1190,8 @@ impl<'a> ShardSim<'a> {
 struct ItemState {
     /// Global item id.
     global: usize,
-    /// The item's DM slots, lemma monitor, committed configuration,
-    /// reconfigure budget and trace recorder.
+    /// The item's DM slots, lemma monitor, committed configuration and
+    /// reconfigure budget.
     core: ItemExport,
     /// Committed operations so far (feeds the cumulative load tallies).
     commits: u64,
@@ -1231,18 +1203,17 @@ struct ItemState {
     step: f64,
 }
 
-fn merge_outcomes(
+/// Merge the per-shard results in shard-index order (`par_map` returns
+/// them in input order regardless of thread count), absorbing each
+/// shard's observer into `obs`.
+fn merge_outcomes<O: Observe>(
     config: &MultiConfig,
-    outcomes: Vec<ShardOutcome>,
-) -> (ShardReport, Option<Vec<ScheduleTrace>>) {
+    outcomes: Vec<ShardOutcome<O>>,
+    obs: &mut O,
+) -> ShardReport {
     let mut metrics = Metrics::default();
     let mut item_commits = vec![0u64; config.items];
     let mut item_vns = vec![0u64; config.items];
-    let mut traces: Option<Vec<Option<ScheduleTrace>>> = None;
-    // `par_map` returns outcomes in input (shard-index) order regardless
-    // of thread count, so absorbing in iteration order keeps the merged
-    // ObsReport bit-identical across thread counts.
-    let mut obs = ObsReport::new(&config.obs);
     for out in outcomes {
         metrics.merge(&out.metrics);
         obs.absorb(out.obs);
@@ -1250,28 +1221,12 @@ fn merge_outcomes(
             item_commits[g] = commits;
             item_vns[g] = vn;
         }
-        if let Some(shard_traces) = out.traces {
-            let slots = traces.get_or_insert_with(|| (0..config.items).map(|_| None).collect());
-            for (g, t) in shard_traces {
-                slots[g] = Some(t);
-            }
-        }
     }
-    let traces = traces.map(|slots| {
-        slots
-            .into_iter()
-            .map(|t| t.expect("every item belongs to exactly one shard"))
-            .collect()
-    });
-    (
-        ShardReport {
-            metrics,
-            item_commits,
-            item_vns,
-            obs,
-        },
-        traces,
-    )
+    ShardReport {
+        metrics,
+        item_commits,
+        item_vns,
+    }
 }
 
 /// The simulated instants at which the elastic control plane parks every
@@ -1302,16 +1257,16 @@ fn barrier_schedule(config: &MultiConfig, pol: &ElasticPolicy) -> Vec<(SimTime, 
 /// and continue. Every rebalancing input is a function of simulated time,
 /// so the result is bit-identical for any thread count; the per-segment
 /// wall-clock durations feed the perf experiment only.
-fn run_elastic(
+fn run_elastic<O: Observe>(
     config: &MultiConfig,
     threads: usize,
-    traced: bool,
+    obs: &O,
     dir: &mut PlacementDirectory,
     pol: &ElasticPolicy,
     step_scale: f64,
-) -> (Vec<ShardOutcome>, PlacementReport) {
-    let mut sims: Vec<ShardSim<'_>> = (0..config.shards)
-        .map(|s| ShardSim::new(config, s, dir.owned_by(s), traced, step_scale))
+) -> (Vec<ShardOutcome<O>>, PlacementReport) {
+    let mut sims: Vec<ShardSim<'_, O>> = (0..config.shards)
+        .map(|s| ShardSim::new(config, s, dir.owned_by(s), obs.fork(s), step_scale))
         .collect();
     let mut report = PlacementReport::default();
     let scripted: Vec<(SimTime, usize, usize)> = config
@@ -1395,6 +1350,10 @@ fn run_elastic(
                         .expect("every exported item was planned");
                     let to = dest[d].1;
                     dir.set_owner(st.global, to);
+                    // The item's fence is recorded; what it records from
+                    // here on is the destination's.
+                    let (src, dst) = two_mut(&mut sims, from, to);
+                    src.cluster.obs.hand_over(st.global, &mut dst.cluster.obs);
                     applied += 1;
                     incoming[to].push(st);
                 }
@@ -1423,11 +1382,38 @@ fn run_elastic(
     (outcomes, report)
 }
 
-fn run_sharded_inner(
+/// Shards `a` and `b` (distinct) of `sims`, both mutably.
+fn two_mut<T>(sims: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    assert_ne!(a, b, "a migration moves an item between two shards");
+    if a < b {
+        let (lo, hi) = sims.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = sims.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
+/// Run a sharded multi-item simulation on up to `threads` OS threads,
+/// recording into `obs`: every shard records into `obs.fork(shard)`, and
+/// the forks are absorbed back in shard-index order. Returns the report
+/// and the elastic control plane's [`PlacementReport`] (barrier load
+/// samples, migrations, per-segment wall clock); with a non-elastic
+/// [`MultiConfig::placement`] the placement report carries only the final
+/// per-shard item counts.
+///
+/// The result — the observer's recording included — is bit-identical for
+/// every `threads` value (see the module docs for the determinism
+/// contract), and the same under every observer.
+///
+/// # Panics
+///
+/// Panics if the configuration fails [`MultiConfig::validate`].
+pub fn run_sharded_with<O: Observe>(
     config: &MultiConfig,
     threads: usize,
-    traced: bool,
-) -> (ShardReport, Option<Vec<ScheduleTrace>>, PlacementReport) {
+    obs: &mut O,
+) -> (ShardReport, PlacementReport) {
     config.validate().expect("invalid sharded configuration");
     let mut dir = PlacementDirectory::seed(
         config.items,
@@ -1436,12 +1422,13 @@ fn run_sharded_inner(
     );
     let step_scale = routed_step_scale(config);
     let (outcomes, placement) = if let PlacementPolicy::Elastic(pol) = config.placement {
-        run_elastic(config, threads, traced, &mut dir, &pol, step_scale)
+        run_elastic(config, threads, obs, &mut dir, &pol, step_scale)
     } else {
         // Fixed placement: one uninterrupted leg per shard — byte-for-byte
         // the pre-placement behaviour under `Static` (round-robin).
-        let outcomes = par_map((0..config.shards).collect(), threads, |_, s| {
-            ShardSim::new(config, s, dir.owned_by(s), traced, step_scale).run()
+        let forks = (0..config.shards).map(|s| (s, obs.fork(s))).collect();
+        let outcomes = par_map(forks, threads, |_, (s, o)| {
+            ShardSim::new(config, s, dir.owned_by(s), o, step_scale).run()
         });
         let placement = PlacementReport {
             final_counts: dir.counts(),
@@ -1449,78 +1436,45 @@ fn run_sharded_inner(
         };
         (outcomes, placement)
     };
-    let (report, traces) = merge_outcomes(config, outcomes);
-    (report, traces, placement)
+    (merge_outcomes(config, outcomes, obs), placement)
 }
 
 /// Run a sharded multi-item simulation on up to `threads` OS threads.
-///
-/// The result is bit-identical for every `threads` value (see the module
-/// docs for the determinism contract).
 ///
 /// # Panics
 ///
 /// Panics if the configuration fails [`MultiConfig::validate`].
 #[must_use]
 pub fn run_sharded(config: &MultiConfig, threads: usize) -> ShardReport {
-    run_sharded_inner(config, threads, false).0
+    run_sharded_with(config, threads, &mut ()).0
 }
 
-/// Run a sharded simulation with per-item schedule tracing: returns the
-/// report plus one single-item [`ScheduleTrace`] per global item (indexed
-/// by item id), each independently checkable with
-/// [`check_trace`](qc_replication::check_trace).
-///
-/// Tracing is observational — it draws nothing from any shard's RNG
-/// stream — so the report is identical to [`run_sharded`]'s.
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`MultiConfig::validate`].
-#[must_use]
-pub fn run_sharded_traced(config: &MultiConfig, threads: usize) -> (ShardReport, Vec<ScheduleTrace>) {
-    let (report, traces, _) = run_sharded_inner(config, threads, true);
-    (report, traces.expect("tracing was requested for every shard"))
-}
-
-/// [`run_sharded`] plus the elastic control plane's [`PlacementReport`]
-/// (barrier load samples, migrations, per-segment wall clock). With a
-/// non-elastic [`MultiConfig::placement`] the report carries only the
-/// final per-shard item counts.
+/// [`run_sharded`] plus the [`PlacementReport`].
 ///
 /// # Panics
 ///
 /// Panics if the configuration fails [`MultiConfig::validate`].
 #[must_use]
 pub fn run_sharded_elastic(config: &MultiConfig, threads: usize) -> (ShardReport, PlacementReport) {
-    let (report, _, placement) = run_sharded_inner(config, threads, false);
-    (report, placement)
-}
-
-/// [`run_sharded_traced`] plus the [`PlacementReport`] — the form the
-/// migration conformance suite drives: every migrated item's spliced
-/// trace must still pass the generation-aware Theorem 10 checker.
-///
-/// # Panics
-///
-/// Panics if the configuration fails [`MultiConfig::validate`].
-#[must_use]
-pub fn run_sharded_elastic_traced(
-    config: &MultiConfig,
-    threads: usize,
-) -> (ShardReport, Vec<ScheduleTrace>, PlacementReport) {
-    let (report, traces, placement) = run_sharded_inner(config, threads, true);
-    (
-        report,
-        traces.expect("tracing was requested for every shard"),
-        placement,
-    )
+    run_sharded_with(config, threads, &mut ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::Traces;
+    use qc_replication::ScheduleTrace;
     use quorum::{Majority, ReplicaSet};
+
+    /// The report, one trace per item, and the placement report.
+    fn traced(
+        c: &MultiConfig,
+        threads: usize,
+    ) -> (ShardReport, Vec<ScheduleTrace>, PlacementReport) {
+        let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+        let (report, placement) = run_sharded_with(c, threads, &mut traces);
+        (report, traces.into_traces(), placement)
+    }
 
     fn base() -> MultiConfig {
         let mut c = MultiConfig::new(Arc::new(Majority::new(5)));
@@ -1612,7 +1566,7 @@ mod tests {
         use qc_replication::TraceAction;
         let c = base();
         let plain = run_sharded(&c, 1);
-        let (traced, traces) = run_sharded_traced(&c, 1);
+        let (traced, traces, _) = traced(&c, 1);
         assert_eq!(plain.digest(), traced.digest());
         assert_eq!(traces.len(), c.items);
         // Per-item traces carry only that item's operations: commits seen
@@ -1918,8 +1872,8 @@ mod tests {
         c.timeout = SimTime::from_millis(10);
         c.retry = RetryPolicy::retries(8, SimTime::from_millis(5));
         let step_scale = routed_step_scale(&c);
-        let mut home = ShardSim::new(&c, 0, vec![0, 2], false, step_scale);
-        let mut away = ShardSim::new(&c, 1, vec![1, 3], false, step_scale);
+        let mut home = ShardSim::new(&c, 0, vec![0, 2], (), step_scale);
+        let mut away = ShardSim::new(&c, 1, vec![1, 3], (), step_scale);
         // A is the hot item 0 (slot 0 at home), B the cold item 3.
         let (a, b) = (0usize, 3usize);
         let a_first = home.next_arrival_at_or_after(0, SimTime::ZERO).unwrap();
@@ -1982,7 +1936,7 @@ mod tests {
     fn migrated_traces_pass_the_generation_aware_checker() {
         use qc_replication::check_trace;
         let c = elastic_routed();
-        let (report, traces, placement) = run_sharded_elastic_traced(&c, 2);
+        let (report, traces, placement) = traced(&c, 2);
         assert!(placement.migrations > 0);
         let (plain, placement_plain) = run_sharded_elastic(&c, 2);
         assert_eq!(report.digest(), plain.digest(), "tracing perturbed the run");

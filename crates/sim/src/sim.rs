@@ -18,7 +18,9 @@
 //! is here is what only this driver has: [`SimConfig`], the event enum and
 //! its dispatch, closed-loop pacing with think time, the per-client
 //! configuration cache, the commit history, and the exponential
-//! time-to-failure / time-to-repair process per site.
+//! time-to-failure / time-to-repair process per site. What a run records
+//! is its observer's ([`crate::observe`]): [`run_with`] composes any
+//! observer with the run.
 //!
 //! # Hot path
 //!
@@ -38,13 +40,14 @@ use std::sync::Arc;
 use quorum::QuorumSpec;
 use rand::Rng;
 
-use qc_obs::{EventKind, ObsOptions, ObsReport};
+use qc_obs::ObsReport;
 use qc_replication::ScheduleTrace;
 
 use crate::arena::CfgId;
 use crate::faults::{FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::{sample_exponential, LatencyModel};
 use crate::metrics::{CommitRecord, Metrics};
+use crate::observe::{Mark, ObsRecorder, Observe, Traces};
 use crate::protocol::{
     validate, validate_times, Clients, Cluster, ClusterSpec, ContactPolicy, OpId, ReconfigPolicy,
     Then, NO_CRASH,
@@ -87,11 +90,9 @@ pub struct SimConfig {
     pub monitor: bool,
     /// Record every committed operation in `Metrics::history`.
     pub record_history: bool,
-    /// Observability options: per-phase spans, structured event log,
-    /// periodic snapshots (all disabled by default; recording draws
-    /// nothing from the RNG stream, so an observed run is event-for-event
-    /// identical to an unobserved one).
-    pub obs: ObsOptions,
+    /// What [`run_observed`] records (nothing by default). Every other
+    /// entry point records what its observer says and ignores this.
+    pub obs: qc_obs::ObsOptions,
     /// Event-queue implementation (the calendar queue by default; both
     /// pop in identical order, so this never changes results — only
     /// wall-clock speed).
@@ -132,7 +133,7 @@ impl SimConfig {
             retry: RetryPolicy::default(),
             monitor: true,
             record_history: false,
-            obs: ObsOptions::disabled(),
+            obs: qc_obs::ObsOptions::disabled(),
             queue: QueueKind::default(),
             reconfig: ReconfigPolicy::off(),
         }
@@ -168,14 +169,14 @@ enum Event {
 // The queue stores events as they are: keep them two words.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-/// The simulator state.
-pub struct Simulation {
+/// The simulator state, observed by `O`.
+pub struct Simulation<O: Observe = ()> {
     config: SimConfig,
     events: Events<Event>,
-    /// The sites and the one replicated item (slot 0, anonymous to
-    /// observers: violation and event texts name no item).
-    cluster: Cluster,
-    /// The clients' operations: metrics, in-flight slab, observation.
+    /// The sites, the one replicated item (slot 0, named item 0 in traces
+    /// and anonymous in violation and event texts) and the observer.
+    cluster: Cluster<O>,
+    /// The clients' operations: metrics and the in-flight slab.
     ops: Clients,
     op_counter: Vec<u64>,
     /// Per-client cached `(generation, configuration)`, the configuration
@@ -186,16 +187,27 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create a simulation from a configuration.
+    /// Create an unobserved simulation from a configuration.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`] (a fault
     /// plan that references sites or clients out of range, …).
     pub fn new(config: SimConfig) -> Self {
+        Simulation::with_observer(config, ())
+    }
+}
+
+impl<O: Observe> Simulation<O> {
+    /// Create a simulation from a configuration, recording into `obs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`SimConfig::validate`].
+    pub fn with_observer(config: SimConfig, obs: O) -> Self {
         config.validate().expect("invalid SimConfig");
         let n = config.quorum.n();
-        let cluster = Cluster::new(ClusterSpec {
+        let spec = ClusterSpec {
             quorum: Arc::clone(&config.quorum),
             latency: config.latency,
             contact: config.contact,
@@ -207,11 +219,11 @@ impl Simulation {
             retry: config.retry,
             monitor: config.monitor,
             slots: 1,
-        });
+        };
         let mut sim = Simulation {
             events: Events::new(config.queue),
-            cluster,
-            ops: Clients::new(config.clients, &config.obs, 0),
+            cluster: Cluster::new(spec, obs),
+            ops: Clients::new(config.clients),
             op_counter: vec![0; config.clients],
             client_cfg: vec![(0, CfgId::FULL); config.clients],
             config,
@@ -243,35 +255,14 @@ impl Simulation {
     }
 
     /// Run to completion, consuming the simulator and returning metrics.
-    pub fn run(mut self) -> Metrics {
-        self.drive();
-        self.ops.metrics
+    pub fn run(self) -> Metrics {
+        self.finish().0
     }
 
-    /// Run to completion, returning the metrics *and* the observability
-    /// report (spans, events, snapshots) recorded per `SimConfig::obs`.
-    ///
-    /// Observation is observational in the strict sense: it draws nothing
-    /// from the RNG stream and schedules no events, so the returned
-    /// metrics are bit-identical to what [`Simulation::run`] produces for
-    /// the same configuration.
-    pub fn run_observed(mut self) -> (Metrics, ObsReport) {
+    /// Run to completion; the metrics and the observer.
+    fn finish(mut self) -> (Metrics, O) {
         self.drive();
-        (self.ops.metrics, self.ops.obs)
-    }
-
-    /// Run to completion with a schedule-trace recorder attached,
-    /// returning the metrics *and* the recorded run as an ordered
-    /// I/O-automaton schedule (see [`crate::trace`]).
-    ///
-    /// Tracing is observational: it draws nothing from the RNG stream, so
-    /// the returned metrics are identical to what [`Simulation::run`]
-    /// produces for the same configuration.
-    pub fn run_traced(mut self) -> (Metrics, ScheduleTrace) {
-        self.cluster.attach_recorders();
-        self.drive();
-        let recorder = self.cluster.take_recorders().and_then(|mut r| r.pop());
-        (self.ops.metrics, recorder.expect("attached above").finish())
+        (self.ops.metrics, self.cluster.obs)
     }
 
     fn dispatch(&mut self, e: Event) {
@@ -297,14 +288,14 @@ impl Simulation {
                 if self.cluster.up.contains(site) {
                     self.cluster.up.remove(site);
                     self.ops.metrics.site_failures += 1;
-                    self.log_site("down", site);
+                    self.log_site(false, site);
                 }
                 let repair = sample_exponential(self.config.mttr, &mut self.cluster.rng);
                 self.schedule(repair, Event::SiteUp { site });
             }
             Event::SiteUp { site } => {
                 if !self.cluster.up.contains(site) {
-                    self.log_site("up", site);
+                    self.log_site(true, site);
                 }
                 self.cluster.up.insert(site);
                 if let Some(mttf) = self.config.mttf {
@@ -316,11 +307,8 @@ impl Simulation {
         }
     }
 
-    fn log_site(&mut self, change: &str, site: usize) {
-        if self.ops.obs.events.enabled() {
-            let desc = format!("site-{change}:{site}");
-            self.ops.emit_obs(self.cluster.now, EventKind::Fault { desc });
-        }
+    fn log_site(&mut self, up: bool, site: usize) {
+        self.cluster.obs.mark(self.cluster.now, &Mark::Site(site, up));
     }
 
     /// One reconfigure op on the item. Its TM is named by the count of
@@ -335,12 +323,12 @@ impl Simulation {
             // Snapshot boundaries crossed by this clock advance fire
             // before the event at `t` executes, so a snapshot reflects
             // exactly the state at its boundary time.
-            self.ops.fire_snapshots_through(t);
+            self.ops.clock(&mut self.cluster, t);
             self.cluster.now = t;
             self.dispatch(e);
         }
         // Boundaries between the last event and the end of the run.
-        self.ops.fire_snapshots_through(self.config.duration);
+        self.ops.clock(&mut self.cluster, self.config.duration);
         self.cluster.now = self.config.duration;
         self.ops.final_check(&mut self.cluster, 0, None);
     }
@@ -377,19 +365,36 @@ impl Simulation {
     }
 }
 
-/// Convenience: build and run in one call.
+/// Build and run in one call, recording into `obs` (forked for the run as
+/// loop 0 and absorbed back). Observation draws nothing from the RNG
+/// stream and schedules nothing, so the metrics are the same under every
+/// observer.
+///
+/// # Panics
+///
+/// Panics if the configuration fails [`SimConfig::validate`].
+pub fn run_with<O: Observe>(config: SimConfig, obs: &mut O) -> Metrics {
+    let (metrics, run) = Simulation::with_observer(config, obs.fork(0)).finish();
+    obs.absorb(run);
+    metrics
+}
+
+/// Build and run in one call.
 pub fn run(config: SimConfig) -> Metrics {
-    Simulation::new(config).run()
+    run_with(config, &mut ())
 }
 
-/// Convenience: build and run with schedule tracing in one call.
+/// [`run`], also returning the item's schedule trace (see
+/// [`crate::trace`]).
 pub fn run_traced(config: SimConfig) -> (Metrics, ScheduleTrace) {
-    Simulation::new(config).run_traced()
+    let mut traces = Traces::new(&*config.quorum, config.seed, 1);
+    (run_with(config, &mut traces), traces.into_traces().swap_remove(0))
 }
 
-/// Convenience: build and run with observability recording in one call.
+/// [`run`], also returning what `config.obs` asks to record.
 pub fn run_observed(config: SimConfig) -> (Metrics, ObsReport) {
-    Simulation::new(config).run_observed()
+    let mut rec = ObsRecorder::new(config.obs);
+    (run_with(config, &mut rec), rec.into_report())
 }
 
 #[cfg(test)]

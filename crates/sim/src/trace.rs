@@ -1,25 +1,17 @@
-//! Schedule tracing: recording a simulated run as an ordered
-//! I/O-automaton schedule of the replicated serial system **B**.
+//! Schedule traces: a simulated run recorded as an ordered I/O-automaton
+//! schedule of the replicated serial system **B**.
 //!
 //! The simulator's event loop is an operational stand-in for the paper's
 //! replicated system: each committed operation is one transaction manager
 //! run (`CREATE`, its replica accesses, `REQUEST-COMMIT`, `COMMIT`), each
 //! failed or forced-aborted attempt is a transaction that was *never
-//! created* (`ABORT`). A [`TraceRecorder`] — one per item, attached to the
-//! protocol core a driver runs — captures that schedule as a
-//! [`ScheduleTrace`], which `qc_replication::check_trace` then replays
-//! through the Theorem 10 projection and the serial-system machinery.
-//!
-//! The recorder appends to the trace's packed event store
-//! ([`qc_replication::TraceEvents`]): a 24-byte row per event, and one
-//! `(at_us, tid, faulted)` header per run of events that share it. The
-//! protocol core emits a whole TM block at one instant under one name and
-//! one fault flag, so a block costs one header, and an `ABORT` its own.
-//!
-//! The recorder is purely observational: it draws nothing from the
-//! simulator's RNG stream and mutates no simulator state, so a traced run
-//! commits exactly the operations the untraced run commits
-//! (`tests/conformance.rs` asserts metrics equality).
+//! created* (`ABORT`). The [`Traces`](crate::Traces) observer keeps one
+//! [`ScheduleTrace`] per item, which `qc_replication::check_trace` then
+//! replays through the Theorem 10 projection and the serial-system
+//! machinery. Its store is the packed [`qc_replication::TraceEvents`]: a
+//! 24-byte row per event, and one `(at_us, tid, faulted)` header per run of
+//! events that share it — the protocol core emits a whole TM block at one
+//! instant under one name and one fault flag, so a block costs one header.
 //!
 //! [`trace_to_json`] renders a trace in a stable, diff-friendly byte
 //! format (one event per line) for `--trace-dir` dumps and the golden
@@ -27,54 +19,7 @@
 
 use std::fmt::Write as _;
 
-use qc_replication::{ScheduleTrace, TraceAction, TraceEvent, TraceTid};
-
-use crate::time::SimTime;
-
-/// Accumulates the schedule of one simulated run.
-#[derive(Clone, Debug)]
-pub struct TraceRecorder {
-    trace: ScheduleTrace,
-}
-
-impl TraceRecorder {
-    /// An empty recorder for a run over `sites` replicas under the quorum
-    /// system labelled `quorum`, seeded with `seed`.
-    #[must_use]
-    pub fn new(quorum: impl Into<String>, sites: usize, seed: u64) -> Self {
-        TraceRecorder {
-            trace: ScheduleTrace::new(quorum, sites, seed),
-        }
-    }
-
-    /// Append one action to the schedule.
-    pub fn record(&mut self, at: SimTime, tid: TraceTid, action: TraceAction, faulted: bool) {
-        self.trace.events.push(TraceEvent {
-            at_us: at.as_micros(),
-            tid,
-            action,
-            faulted,
-        });
-    }
-
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trace.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trace.events.is_empty()
-    }
-
-    /// Finish recording and return the trace.
-    #[must_use]
-    pub fn finish(self) -> ScheduleTrace {
-        self.trace
-    }
-}
+use qc_replication::{ScheduleTrace, TraceAction, TraceEvent};
 
 /// Append `e` as one JSON object, keys in their fixed order.
 fn write_event_json(s: &mut String, e: &TraceEvent) {
@@ -151,7 +96,12 @@ pub fn trace_to_json(trace: &ScheduleTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qc_replication::{AbortReason, TmKind};
+    use qc_replication::{AbortReason, TmKind, TraceTid};
+
+    /// Append `action` at `at_us` under [`tid`].
+    fn record(t: &mut ScheduleTrace, at_us: u64, action: TraceAction, faulted: bool) {
+        t.events.push(TraceEvent { at_us, tid: tid(), action, faulted });
+    }
 
     fn tid() -> TraceTid {
         TraceTid {
@@ -163,17 +113,14 @@ mod tests {
 
     #[test]
     fn recorder_accumulates_in_order() {
-        let mut r = TraceRecorder::new("majority(3)", 3, 7);
-        assert!(r.is_empty());
-        r.record(
-            SimTime(10),
-            tid(),
-            TraceAction::Create { kind: TmKind::Read },
+        let mut r = ScheduleTrace::new("majority(3)", 3, 7);
+        assert!(r.events.is_empty());
+        record(&mut r, 10, TraceAction::Create { kind: TmKind::Read },
             false,
         );
-        r.record(SimTime(11), tid(), TraceAction::Commit, true);
-        assert_eq!(r.len(), 2);
-        let t = r.finish();
+        record(&mut r, 11, TraceAction::Commit, true);
+        assert_eq!(r.events.len(), 2);
+        let t = r;
         assert_eq!(t.quorum, "majority(3)");
         assert_eq!(t.sites, 3);
         assert_eq!(t.seed, 7);
@@ -183,63 +130,45 @@ mod tests {
 
     #[test]
     fn json_format_is_stable() {
-        let mut r = TraceRecorder::new("rowa(2)", 2, 0);
-        r.record(
-            SimTime(5),
-            tid(),
-            TraceAction::Create {
+        let mut r = ScheduleTrace::new("rowa(2)", 2, 0);
+        record(&mut r, 5, TraceAction::Create {
                 kind: TmKind::Write,
             },
             false,
         );
-        r.record(
-            SimTime(5),
-            tid(),
-            TraceAction::ReadDm {
+        record(&mut r, 5, TraceAction::ReadDm {
                 site: 0,
                 vn: 0,
                 value: 0,
             },
             false,
         );
-        r.record(
-            SimTime(5),
-            tid(),
-            TraceAction::WriteDm {
+        record(&mut r, 5, TraceAction::WriteDm {
                 site: 1,
                 vn: 1,
                 value: 9,
             },
             false,
         );
-        r.record(
-            SimTime(5),
-            tid(),
-            TraceAction::RequestCommit { vn: 1, value: 9 },
+        record(&mut r, 5, TraceAction::RequestCommit { vn: 1, value: 9 },
             false,
         );
-        r.record(SimTime(5), tid(), TraceAction::Commit, false);
-        r.record(
-            SimTime(6),
-            tid(),
-            TraceAction::Abort {
+        record(&mut r, 5, TraceAction::Commit, false);
+        record(&mut r, 6, TraceAction::Abort {
                 kind: TmKind::Read,
                 reason: AbortReason::Timeout,
             },
             true,
         );
-        r.record(SimTime(7), tid(), TraceAction::ReadCfg { site: 0, gen: 0 }, false);
-        r.record(
-            SimTime(7),
-            tid(),
-            TraceAction::WriteCfg {
+        record(&mut r, 7, TraceAction::ReadCfg { site: 0, gen: 0 }, false);
+        record(&mut r, 7, TraceAction::WriteCfg {
                 site: 1,
                 gen: 1,
                 members: [0usize, 1].into_iter().collect(),
             },
             false,
         );
-        let json = trace_to_json(&r.finish());
+        let json = trace_to_json(&r);
         let expected = "{\n  \"format\": \"qc-trace-v1\",\n  \"quorum\": \"rowa(2)\",\n  \
                         \"sites\": 2,\n  \"seed\": 0,\n  \"initial\": 0,\n  \"events\": [\n    \
                         {\"at_us\":5,\"client\":1,\"op\":2,\"attempt\":3,\"faulted\":false,\"action\":\"CREATE\",\"kind\":\"write\"},\n    \
@@ -256,8 +185,8 @@ mod tests {
 
     #[test]
     fn quorum_labels_are_escaped() {
-        let r = TraceRecorder::new("odd \"label\"", 1, 0);
-        let json = trace_to_json(&r.finish());
+        let r = ScheduleTrace::new("odd \"label\"", 1, 0);
+        let json = trace_to_json(&r);
         assert!(json.contains("\"quorum\": \"odd \\\"label\\\"\""));
     }
 }

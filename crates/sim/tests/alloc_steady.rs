@@ -40,8 +40,8 @@ use std::sync::{Arc, Mutex};
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
     run_sharded_elastic, run_txn_committed, CausalOptions, ElasticPolicy, FaultPlan, Metrics,
-    MultiConfig, ObsOptions, PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimConfig,
-    SimTime, Simulation, TxnConfig, Workload,
+    MultiConfig, ObsOptions, ObsRecorder, PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement,
+    SimConfig, SimTime, Simulation, TxnConfig, Workload,
 };
 use quorum::Majority;
 
@@ -79,8 +79,7 @@ fn drive_counted(secs: u64, obs: ObsOptions) -> (u64, Metrics) {
     let mut config = SimConfig::new(Arc::new(Majority::new(5)));
     config.duration = SimTime::from_secs(secs);
     config.queue = QueueKind::Calendar;
-    config.obs = obs;
-    let sim = Simulation::new(config);
+    let sim = Simulation::with_observer(config, ObsRecorder::new(obs));
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let metrics = sim.run();
     let after = ALLOC_CALLS.load(Ordering::Relaxed);

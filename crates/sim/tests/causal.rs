@@ -14,10 +14,10 @@ use std::sync::Arc;
 
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_sim::{
-    run, run_observed, run_sharded, run_sharded_elastic, run_txn, run_txn_causal,
-    CausalOptions, EdgeKind, ElasticPolicy, FaultPlan, ItemDist, LatencyModel, MultiConfig,
-    Phase, PlacementPolicy, QueueKind, ReconfigPolicy, RetryPolicy, SeedPlacement, SimConfig,
-    SimTime, TxnConfig, Workload,
+    run, run_observed, run_sharded, run_sharded_with, run_txn, run_txn_causal, CausalOptions,
+    EdgeKind, ElasticPolicy, FaultPlan, ItemDist, LatencyModel, MultiConfig, ObsOptions,
+    ObsRecorder, ObsReport, Phase, PlacementPolicy, PlacementReport, QueueKind, ReconfigPolicy,
+    RetryPolicy, SeedPlacement, ShardReport, SimConfig, SimTime, TxnConfig, Workload,
 };
 use quorum::Majority;
 
@@ -137,14 +137,25 @@ fn sharded_config() -> MultiConfig {
     c
 }
 
+/// Run `c` on `threads` threads recording what `opts` says.
+fn observed(
+    c: &MultiConfig,
+    threads: usize,
+    opts: ObsOptions,
+) -> (ShardReport, PlacementReport, ObsReport) {
+    let mut rec = ObsRecorder::new(opts);
+    let (report, placement) = run_sharded_with(c, threads, &mut rec);
+    (report, placement, rec.into_report())
+}
+
 #[test]
 fn causal_recording_is_invisible_sharded() {
     let plain = run_sharded(&sharded_config(), 2);
-    let mut c = sharded_config();
-    c.obs.causal = CausalOptions::full();
-    let observed = run_sharded(&c, 2);
+    let mut opts = ObsOptions::disabled();
+    opts.causal = CausalOptions::full();
+    let (observed, _, obs) = observed(&sharded_config(), 2, opts);
     assert_eq!(plain.digest(), observed.digest(), "causal recording perturbed the run");
-    assert_reconciled(&observed.obs.causal);
+    assert_reconciled(&obs.causal);
 }
 
 fn migrating_config() -> MultiConfig {
@@ -164,9 +175,16 @@ fn migrating_config() -> MultiConfig {
         ..ElasticPolicy::new()
     });
     c.faults = FaultPlan::parse("migrate@10:0->1;migrate@20:2->0").expect("fault plan parses");
-    c.obs.spans = true;
-    c.obs.causal = CausalOptions::full();
     c
+}
+
+/// Spans and every causal trace.
+fn migrating_obs() -> ObsOptions {
+    ObsOptions {
+        spans: true,
+        causal: CausalOptions::full(),
+        ..ObsOptions::disabled()
+    }
 }
 
 /// Migrations fence items between shards; the new owner's first op
@@ -180,20 +198,20 @@ fn migrating_causal_digest_is_thread_and_queue_invariant() {
         for threads in [1usize, 2, 4] {
             let mut c = migrating_config();
             c.queue = queue;
-            let (report, placement) = run_sharded_elastic(&c, threads);
+            let (report, placement, obs) = observed(&c, threads, migrating_obs());
             assert!(placement.migrations > 0, "{placement:?}");
             assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
             assert_eq!(
-                report.obs.spans.hist(Phase::Migration).count(),
+                obs.spans.hist(Phase::Migration).count(),
                 placement.migrations,
                 "one migration marker per exported item"
             );
             assert!(
-                report.obs.causal.profile().edge(EdgeKind::StaleRetry).count() > 0,
+                obs.causal.profile().edge(EdgeKind::StaleRetry).count() > 0,
                 "migration fences must surface as stale_retry edges"
             );
-            assert_reconciled(&report.obs.causal);
-            digests.push((queue, threads, report.obs.causal.digest()));
+            assert_reconciled(&obs.causal);
+            digests.push((queue, threads, obs.causal.digest()));
         }
     }
     let first = digests[0].2;
@@ -281,16 +299,17 @@ fn sharded_faulted() -> MultiConfig {
 #[test]
 fn faulted_sharded_full_observation_is_pinned() {
     let plain = run_sharded(&sharded_faulted(), 1);
-    let mut c = sharded_faulted();
-    full_observation(&mut c.obs);
+    let c = sharded_faulted();
+    let mut opts = ObsOptions::disabled();
+    full_observation(&mut opts);
     for queue in [QueueKind::Calendar, QueueKind::Heap] {
         for threads in [1usize, 2, 4] {
-            let r = run_sharded(&MultiConfig { queue, ..c.clone() }, threads);
+            let (r, _, obs) = observed(&MultiConfig { queue, ..c.clone() }, threads, opts);
             let at = format!("{queue:?} at {threads} threads");
             assert_eq!(r.digest(), plain.digest(), "{at}");
             let m = &r.metrics;
             assert!(m.forced_aborts == 1 && m.reads.retries + m.writes.retries > 0, "{at}");
-            let got = (r.obs.digest(), r.obs.causal.digest());
+            let got = (obs.digest(), obs.causal.digest());
             let pinned = (0xd9b5_8a5f_64ec_617c, 0x360a_6743_c22a_93fe);
             assert_eq!(got, pinned, "{at}: got ({:#018x}, {:#018x})", got.0, got.1);
         }

@@ -17,8 +17,9 @@ use std::sync::Arc;
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use proptest::prelude::*;
 use qc_sim::{
-    run_sharded, run_txn_causal, CausalOptions, CritProfile, FaultPlan, MultiConfig, ObsOptions,
-    ReconfigPolicy, RetryPolicy, SimTime, TxnConfig,
+    run_sharded_with, run_txn_causal, CausalOptions, CritProfile, FaultPlan, MultiConfig,
+    ObsOptions, ObsRecorder, ObsReport, ReconfigPolicy, RetryPolicy, ShardReport, SimTime,
+    TxnConfig,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -151,27 +152,39 @@ proptest! {
         attempts in 1u32..4,
     ) {
         let c = flat_config(seed, &weather, rowa_raw == 1, attempts);
-        let r = run_sharded(&c, 1);
+        let (r, obs) = flat_observed(&c, 1);
         let m = &r.metrics;
         let e2e = m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
-        prop_assert_eq!(r.obs.spans.total_us(), e2e, "phase spans drifted from latency");
-        let p = r.obs.causal.profile();
+        prop_assert_eq!(obs.spans.total_us(), e2e, "phase spans drifted from latency");
+        let p = obs.causal.profile();
         let finished: u64 = [&m.reads, &m.writes]
             .iter()
             .map(|s| s.successes + s.timeouts + s.unavailable + s.aborted)
             .sum();
         prop_assert_eq!(p.txns(), finished, "one trace per finished op");
         prop_assert_eq!(p.reconciled(), p.txns(), "profile saw a non-reconciling path");
-        for t in r.obs.causal.all() {
+        for t in obs.causal.all() {
             prop_assert_eq!(t.verify(), Ok(()), "inconsistent trace: {}", t.to_json_line());
         }
-        prop_assert_eq!(run_sharded(&c, 2).obs.digest(), r.obs.digest(), "diverged at 2 threads");
+        prop_assert_eq!(flat_observed(&c, 2).1.digest(), obs.digest(), "diverged at 2 threads");
     }
 }
 
-/// A sharded flat run (2 shards × 2 clients over 4 items) with spans and
-/// every causal trace recorded, under `weather`: `(kind, at_ms, index)`
-/// crashes, recoveries, forced aborts and 30 ms drop windows.
+/// Run `c` on `threads` threads with spans and every causal trace
+/// recorded.
+fn flat_observed(c: &MultiConfig, threads: usize) -> (ShardReport, ObsReport) {
+    let mut rec = ObsRecorder::new(ObsOptions {
+        spans: true,
+        causal: CausalOptions::full(),
+        ..ObsOptions::disabled()
+    });
+    let (report, _) = run_sharded_with(c, threads, &mut rec);
+    (report, rec.into_report())
+}
+
+/// A sharded flat run (2 shards × 2 clients over 4 items) under
+/// `weather`: `(kind, at_ms, index)` crashes, recoveries, forced aborts
+/// and 30 ms drop windows.
 fn flat_config(seed: u64, weather: &[(u8, u64, usize)], rowa: bool, attempts: u32) -> MultiConfig {
     let quorum: Arc<dyn QuorumSpec + Send + Sync> = if rowa {
         Arc::new(Rowa::new(SITES))
@@ -196,10 +209,5 @@ fn flat_config(seed: u64, weather: &[(u8, u64, usize)], rowa: bool, attempts: u3
     }
     c.retry = RetryPolicy::retries(attempts, SimTime::from_millis(2));
     c.reconfig = ReconfigPolicy::reactive();
-    c.obs = ObsOptions {
-        spans: true,
-        causal: CausalOptions::full(),
-        ..ObsOptions::disabled()
-    };
     c
 }

@@ -18,11 +18,11 @@ use std::sync::Arc;
 use nested_txn::{BankingGen, WorkloadKind};
 use qc_replication::conformance::{check_trace_tapped, project_trace};
 use qc_sim::{
-    check_trace, run_observed, run_sharded_elastic_traced, run_traced, run_txn_causal,
-    run_txn_traced, trace_to_json, CausalOptions, ContactPolicy, DivergenceKind, ElasticPolicy,
-    FaultPlan, LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, QueueKind, ReconfigPolicy,
-    RetryPolicy, ScheduleTrace, SeedPlacement, SimConfig, SimTime, TmKind, TraceAction, TxnConfig,
-    TxnTrace, Workload,
+    check_trace, run_observed, run_sharded_with, run_traced, run_txn_causal, run_txn_with,
+    trace_to_json, CausalOptions, ContactPolicy, DivergenceKind, ElasticPolicy, FaultPlan,
+    LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, PlacementReport, QueueKind,
+    ReconfigPolicy, RetryPolicy, ScheduleTrace, SeedPlacement, ShardReport, SimConfig, SimTime,
+    TmKind, TraceAction, Traces, TxnConfig, TxnReport, TxnTrace, Workload,
 };
 use quorum::{Majority, QuorumSpec};
 
@@ -153,7 +153,7 @@ fn txn_banking() -> TxnConfig {
 fn txn_banking_snapshot_is_stable() {
     for queue in QUEUES {
         let config = TxnConfig { queue, ..txn_banking() };
-        let (report, traces) = run_txn_traced(&config, 1);
+        let (report, traces) = run_txn_traces(&config, 1);
         assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
         assert_eq!(report.stats.lemma_violations, 0, "{:?}", report.stats.violations);
         compare_trace("txn_banking_seed17.json", &traces[0], &*config.quorum);
@@ -230,7 +230,7 @@ fn reordered_causal_edge_is_rejected() {
 #[test]
 fn mutated_txn_trace_is_rejected_at_first_divergence() {
     let config = txn_banking();
-    let (_, traces) = run_txn_traced(&config, 1);
+    let (_, traces) = run_txn_traces(&config, 1);
     let good = &traces[0];
     check_trace(good, &*config.quorum).expect("unmutated trace conforms");
 
@@ -300,7 +300,7 @@ fn migration_config() -> MultiConfig {
 fn migration_snapshot_is_stable() {
     for queue in QUEUES {
         let config = MultiConfig { queue, ..migration_config() };
-        let (report, traces, placement) = run_sharded_elastic_traced(&config, 2);
+        let (report, traces, placement) = run_elastic_traces(&config, 2);
         assert_eq!(placement.migrations, 1, "{placement:?}");
         assert_eq!(report.metrics.reconfigurations, 1);
         assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
@@ -317,7 +317,7 @@ fn migration_snapshot_is_stable() {
 #[test]
 fn migration_without_config_write_quorum_is_rejected() {
     let config = migration_config();
-    let (_, traces, _) = run_sharded_elastic_traced(&config, 2);
+    let (_, traces, _) = run_elastic_traces(&config, 2);
     let good = &traces[0];
     check_trace(good, &*config.quorum).expect("unmutated trace conforms");
 
@@ -371,4 +371,21 @@ fn event_log_format_is_stable() {
         assert!(metrics.lemma_violations > 0, "scenario must emit violations");
         compare("events_majority3_seed13.jsonl", obs.events_jsonl());
     }
+}
+
+/// The report, one schedule trace per item, and the placement report.
+fn run_elastic_traces(
+    c: &MultiConfig,
+    threads: usize,
+) -> (ShardReport, Vec<ScheduleTrace>, PlacementReport) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, placement) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces(), placement)
+}
+
+/// The report and one schedule trace per item.
+fn run_txn_traces(c: &TxnConfig, threads: usize) -> (TxnReport, Vec<ScheduleTrace>) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let report = run_txn_with(c, threads, &mut traces);
+    (report, traces.into_traces())
 }

@@ -14,9 +14,9 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    run, run_observed, run_sharded, CausalOptions, EventKind, FaultPlan, LatencyModel, Metrics,
-    MultiConfig, ObsOptions, ObsReport, QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy,
-    SimConfig, SimTime, PHASES,
+    run, run_observed, run_sharded, run_sharded_with, CausalOptions, EventKind, FaultPlan,
+    LatencyModel, Metrics, MultiConfig, ObsOptions, ObsRecorder, ObsReport, QueueKind,
+    ReconfigPolicy, ReconfigTarget, RetryPolicy, ShardReport, SimConfig, SimTime, PHASES,
 };
 use quorum::{Majority, Rowa};
 
@@ -112,36 +112,48 @@ fn sharded_config() -> MultiConfig {
         .crash_at(SimTime::from_millis(300), 0)
         .recover_at(SimTime::from_millis(500), 0);
     c.retry = RetryPolicy::retries(3, SimTime::from_millis(5));
-    c.obs = ObsOptions::full();
-    // The default snapshot period (1 s) is longer than this run.
-    c.obs.snapshot_every_us = Some(200_000);
     c
+}
+
+/// Everything, with snapshots every `every_us`.
+fn full_every(every_us: u64) -> ObsOptions {
+    ObsOptions {
+        snapshot_every_us: Some(every_us),
+        ..ObsOptions::full()
+    }
+}
+
+/// Run `c` on `threads` threads recording what `opts` says.
+fn observed(c: &MultiConfig, threads: usize, opts: ObsOptions) -> (ShardReport, ObsReport) {
+    let mut rec = ObsRecorder::new(opts);
+    let (report, _) = run_sharded_with(c, threads, &mut rec);
+    (report, rec.into_report())
 }
 
 #[test]
 fn sharded_obs_is_bit_identical_across_thread_counts() {
     let c = sharded_config();
-    let base = run_sharded(&c, 1);
-    assert!(!base.obs.spans.is_empty());
-    assert!(!base.obs.snapshots.is_empty());
+    // The default snapshot period (1 s) is longer than this run.
+    let opts = full_every(200_000);
+    let (base, base_obs) = observed(&c, 1, opts);
+    assert!(!base_obs.spans.is_empty());
+    assert!(!base_obs.snapshots.is_empty());
     for threads in [2, 4] {
-        let r = run_sharded(&c, threads);
+        let (r, obs) = observed(&c, threads, opts);
         assert_eq!(r.metrics.digest(), base.metrics.digest());
-        assert_eq!(r.obs.digest(), base.obs.digest(), "{threads} threads");
-        assert_eq!(r.obs.events_jsonl(), base.obs.events_jsonl());
-        assert_eq!(r.obs.snapshots_json(), base.obs.snapshots_json());
+        assert_eq!(obs.digest(), base_obs.digest(), "{threads} threads");
+        assert_eq!(obs.events_jsonl(), base_obs.events_jsonl());
+        assert_eq!(obs.snapshots_json(), base_obs.snapshots_json());
     }
 }
 
 #[test]
 fn sharded_observation_is_invisible() {
-    let mut plain = sharded_config();
-    plain.obs = ObsOptions::disabled();
-    let a = run_sharded(&plain, 2);
-    let b = run_sharded(&sharded_config(), 2);
+    let a = run_sharded(&sharded_config(), 2);
+    let (b, b_obs) = observed(&sharded_config(), 2, full_every(200_000));
     assert_eq!(a.metrics.digest(), b.metrics.digest());
-    assert!(a.obs.is_empty());
-    assert!(!b.obs.is_empty());
+    assert!(observed(&sharded_config(), 2, ObsOptions::disabled()).1.is_empty());
+    assert!(!b_obs.is_empty());
 }
 
 #[test]
@@ -248,8 +260,6 @@ fn reconfiguring_sharded() -> MultiConfig {
     c.faults = reconfiguring_weather().corrupt_at(SimTime::from_millis(1950), 0, 999, 123);
     c.retry = RetryPolicy::retries(3, SimTime::from_millis(5));
     c.reconfig = ReconfigPolicy::reactive();
-    c.obs = ObsOptions::full();
-    c.obs.snapshot_every_us = Some(250_000);
     c
 }
 
@@ -275,7 +285,8 @@ fn reconfiguring_sharded_obs_digest_is_pinned() {
     let c = reconfiguring_sharded();
     for queue in [QueueKind::Calendar, QueueKind::Heap] {
         for threads in [1, 2, 4] {
-            let r = run_sharded(&MultiConfig { queue, ..c.clone() }, threads);
+            let opts = full_every(250_000);
+            let (r, obs) = observed(&MultiConfig { queue, ..c.clone() }, threads, opts);
             assert!(r.metrics.reconfigurations >= 3 * c.items as u64);
             assert!(r.metrics.stale_rejections > 0 && r.metrics.forced_aborts == 1);
             assert!(
@@ -283,7 +294,7 @@ fn reconfiguring_sharded_obs_digest_is_pinned() {
                 "no committed op met the corruption: {:?}",
                 r.metrics.violations
             );
-            assert_eq!(r.obs.digest(), 17389884464033808329, "{queue:?}, {threads} threads");
+            assert_eq!(obs.digest(), 17389884464033808329, "{queue:?}, {threads} threads");
         }
     }
 }
@@ -311,8 +322,8 @@ fn spans_and_causal_record_the_same_alone_and_together() {
         (e2e(&m), report)
     };
     let sharded = |obs| {
-        let r = run_sharded(&MultiConfig { obs, ..reconfiguring_sharded() }, 2);
-        (e2e(&r.metrics), r.obs)
+        let (r, obs) = observed(&reconfiguring_sharded(), 2, obs);
+        (e2e(&r.metrics), obs)
     };
     for (driver, run) in [
         ("single", &single as &dyn Fn(ObsOptions) -> (u64, ObsReport)),

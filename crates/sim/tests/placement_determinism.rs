@@ -10,9 +10,10 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    check_trace, run_sharded_elastic, run_sharded_elastic_traced, ContactPolicy, ElasticPolicy,
-    EventLogMode, FaultPlan, ItemDist, MultiConfig, PlacementPolicy, QueueKind, ReconfigPolicy,
-    ReconfigTarget, SeedPlacement, SimTime, Workload,
+    check_trace, run_sharded_elastic, run_sharded_with, ContactPolicy, ElasticPolicy, EventLogMode,
+    FaultPlan, ItemDist, MultiConfig, ObsOptions, ObsRecorder, PlacementPolicy, PlacementReport,
+    QueueKind, ReconfigPolicy, ReconfigTarget, ScheduleTrace, SeedPlacement, ShardReport, SimTime,
+    Traces, Workload,
 };
 use quorum::{Majority, ReplicaSet};
 
@@ -64,7 +65,7 @@ fn elastic_digests_survive_threads_and_queues() {
 #[test]
 fn migrated_schedules_replay_through_theorem_10() {
     let c = elastic_config();
-    let (report, traces, placement) = run_sharded_elastic_traced(&c, 2);
+    let (report, traces, placement) = run_elastic_traces(&c, 2);
     assert!(placement.migrations > 0, "{placement:?}");
     // Tracing must not perturb the simulation.
     let (plain, plain_placement) = run_sharded_elastic(&c, 2);
@@ -141,7 +142,6 @@ fn pinned_closed() -> MultiConfig {
         .reconfig_at(SimTime::from_millis(1_100), ReconfigTarget::Members(shrunk))
         .migrate_at(SimTime::from_millis(1_400), 5, 2)
         .migrate_at(SimTime::from_millis(1_400), 47, 0);
-    c.obs.events = EventLogMode::Full;
     c.queue = QueueKind::Calendar;
     c
 }
@@ -174,18 +174,23 @@ fn routed_elastic_digests_are_pinned_across_code_versions() {
 
 #[test]
 fn closed_loop_elastic_digests_are_pinned_across_code_versions() {
-    let (report, placement) = run_sharded_elastic(&pinned_closed(), 2);
+    let mut rec = ObsRecorder::new(ObsOptions {
+        events: EventLogMode::Full,
+        ..ObsOptions::disabled()
+    });
+    let (report, placement) = run_sharded_with(&pinned_closed(), 2, &mut rec);
+    let obs = rec.into_report();
     assert_eq!(report.metrics.lemma_violations, 0);
     assert_eq!(placement.migrations, 9);
     // One reconfigure op per item on top of the nine migration fences.
     assert_eq!(report.metrics.reconfigurations, 48 + 9);
     assert_eq!(
-        (report.digest(), placement.digest(), report.obs.digest()),
+        (report.digest(), placement.digest(), obs.digest()),
         (PINNED_CLOSED_SHARD, PINNED_CLOSED_PLACEMENT, PINNED_CLOSED_OBS),
         "got ({:#018x}, {:#018x}, {:#018x})",
         report.digest(),
         placement.digest(),
-        report.obs.digest()
+        obs.digest()
     );
 }
 
@@ -244,4 +249,14 @@ fn a_bounced_item_keeps_a_single_arrival_stream() {
         base_report.metrics.reads.attempts + base_report.metrics.writes.attempts
     );
     assert_eq!(report.metrics.lemma_violations, 0);
+}
+
+/// The report, one schedule trace per item, and the placement report.
+fn run_elastic_traces(
+    c: &MultiConfig,
+    threads: usize,
+) -> (ShardReport, Vec<ScheduleTrace>, PlacementReport) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, placement) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces(), placement)
 }

@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qc_sim::{
-    check_trace, cum_weight_table, item_weight, plan_moves, run_sharded_elastic,
-    run_sharded_elastic_traced, ElasticPolicy, FaultPlan, ItemDist, MultiConfig,
-    PlacementDirectory, PlacementPolicy, QueueKind, ReconfigPolicy, SeedPlacement, SimTime,
-    Workload,
+    check_trace, cum_weight_table, item_weight, plan_moves, run_sharded_elastic, run_sharded_with,
+    ElasticPolicy, FaultPlan, ItemDist, MultiConfig, PlacementDirectory, PlacementPolicy,
+    PlacementReport, QueueKind, ReconfigPolicy, ScheduleTrace, SeedPlacement, ShardReport, SimTime,
+    Traces, Workload,
 };
 use quorum::{Majority, Rowa};
 
@@ -121,7 +121,7 @@ proptest! {
         let (routed, rowa) = (mode.0 == 1, mode.1 == 1);
         let (threads, heap) = (run.0, run.1 == 1);
         let c = migration_config(&plan, seed, routed, rowa, QueueKind::Calendar);
-        let (report, traces, placement) = run_sharded_elastic_traced(&c, 1);
+        let (report, traces, placement) = run_elastic_traces(&c, 1);
         prop_assert_eq!(
             report.metrics.lemma_violations, 0,
             "violations: {:?}", report.metrics.violations
@@ -312,4 +312,14 @@ proptest! {
         let reparsed = FaultPlan::parse(&spec.join(";")).expect("own rendering parses");
         prop_assert_eq!(reparsed.events(), plan.events());
     }
+}
+
+/// The report, one schedule trace per item, and the placement report.
+fn run_elastic_traces(
+    c: &MultiConfig,
+    threads: usize,
+) -> (ShardReport, Vec<ScheduleTrace>, PlacementReport) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, placement) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces(), placement)
 }

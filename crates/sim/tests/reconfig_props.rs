@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qc_sim::{
-    check_trace, run_sharded_traced, AbortReason, FaultPlan, Metrics, MultiConfig,
-    ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace, SimConfig, SimTime, Simulation,
-    TmKind, TraceAction,
+    check_trace, run_sharded_with, run_traced, AbortReason, FaultPlan, Metrics, MultiConfig,
+    ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace, ShardReport, SimConfig, SimTime,
+    TmKind, TraceAction, Traces,
 };
 use quorum::{Majority, QuorumSpec, ReplicaSet, Rowa};
 
@@ -180,8 +180,7 @@ proptest! {
     ) {
         let quorum = Arc::new(Majority::new(3));
         let plan = build_plan(&events, 3);
-        let (m, trace) = Simulation::new(config(quorum.clone(), plan, seed, reactive == 1))
-            .run_traced();
+        let (m, trace) = run_traced(config(quorum.clone(), plan, seed, reactive == 1));
         assert_safe(&m)?;
         assert_trace_conforms(&m, &trace, &*quorum)?;
     }
@@ -196,8 +195,7 @@ proptest! {
     ) {
         let quorum = Arc::new(Rowa::new(3));
         let plan = build_plan(&events, 3);
-        let (m, trace) = Simulation::new(config(quorum.clone(), plan, seed, reactive == 1))
-            .run_traced();
+        let (m, trace) = run_traced(config(quorum.clone(), plan, seed, reactive == 1));
         assert_safe(&m)?;
         assert_trace_conforms(&m, &trace, &*quorum)?;
     }
@@ -222,7 +220,7 @@ proptest! {
         // Client aborts index the sharded run's 4 global clients.
         c.faults = build_plan(&events, 3);
         c.retry = RetryPolicy::retries(2, SimTime::from_millis(3));
-        let (report, traces) = run_sharded_traced(&c, threads);
+        let (report, traces) = run_sharded_traces(&c, threads);
         prop_assert_eq!(
             report.metrics.lemma_violations,
             0,
@@ -246,4 +244,11 @@ proptest! {
         prop_assert_eq!(stale, report.metrics.stale_rejections);
         prop_assert_eq!(reconfigs, report.metrics.reconfigurations);
     }
+}
+
+/// The report and one schedule trace per item.
+fn run_sharded_traces(c: &MultiConfig, threads: usize) -> (ShardReport, Vec<ScheduleTrace>) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, _) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces())
 }

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    check_trace, run_sharded, run_sharded_traced, ContactPolicy, FaultPlan, ItemDist,
-    MultiConfig, QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy, SimTime, TmKind,
-    TraceAction, Workload,
+    check_trace, run_sharded, run_sharded_with, ContactPolicy, FaultPlan, ItemDist, MultiConfig,
+    QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace, ShardReport, SimTime,
+    TmKind, TraceAction, Traces, Workload,
 };
 use quorum::{Majority, Rowa};
 
@@ -168,7 +168,7 @@ fn traced_reconfiguring_items_conform_generation_aware() {
     .flat_map(|(label, config)| both_queues(&config).map(|c| (label, c)))
     {
         let plain = run_sharded(&config, 2);
-        let (traced, traces) = run_sharded_traced(&config, 2);
+        let (traced, traces) = run_sharded_traces(&config, 2);
         assert_eq!(
             plain.digest(),
             traced.digest(),
@@ -253,7 +253,7 @@ fn forced_aborts_land_in_the_owning_shard_only() {
 fn traced_run_is_observational_and_items_conform() {
     for config in both_queues(&faulted()) {
         let plain = run_sharded(&config, 2);
-        let (traced, traces) = run_sharded_traced(&config, 2);
+        let (traced, traces) = run_sharded_traces(&config, 2);
         assert_eq!(plain.digest(), traced.digest(), "tracing perturbed the run");
         assert_eq!(traces.len(), config.items);
         for (g, trace) in traces.iter().enumerate() {
@@ -274,7 +274,7 @@ fn traced_run_is_observational_and_items_conform() {
 #[test]
 fn zipfian_traces_cover_the_whole_keyspace() {
     for config in both_queues(&zipfian()) {
-        let (report, traces) = run_sharded_traced(&config, 1);
+        let (report, traces) = run_sharded_traces(&config, 1);
         assert_eq!(report.metrics.lemma_violations, 0);
         // Every item conforms, hot head and cold tail alike.
         let mut total_commits = 0u64;
@@ -293,4 +293,11 @@ fn zipfian_traces_cover_the_whole_keyspace() {
             "per-item traces partition the committed operations"
         );
     }
+}
+
+/// The report and one schedule trace per item.
+fn run_sharded_traces(c: &MultiConfig, threads: usize) -> (ShardReport, Vec<ScheduleTrace>) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, _) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces())
 }

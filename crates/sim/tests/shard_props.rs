@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qc_sim::{
-    check_trace, run_sharded, run_sharded_traced, ContactPolicy, FaultPlan, ItemDist,
-    MultiConfig, RetryPolicy, SimTime,
+    check_trace, run_sharded, run_sharded_with, ContactPolicy, FaultPlan, ItemDist, MultiConfig,
+    RetryPolicy, ScheduleTrace, ShardReport, SimTime, Traces,
 };
 use quorum::Majority;
 
@@ -132,7 +132,7 @@ proptest! {
         theta_centi in 0u32..120,
     ) {
         let c = config(&events, seed, 6, 3, theta_centi);
-        let (report, traces) = run_sharded_traced(&c, 2);
+        let (report, traces) = run_sharded_traces(&c, 2);
         prop_assert_eq!(
             report.metrics.lemma_violations, 0,
             "violations: {:?}", report.metrics.violations
@@ -145,4 +145,11 @@ proptest! {
             prop_assert_eq!(conf.max_vn, report.item_vns[g], "item {}", g);
         }
     }
+}
+
+/// The report and one schedule trace per item.
+fn run_sharded_traces(c: &MultiConfig, threads: usize) -> (ShardReport, Vec<ScheduleTrace>) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let (report, _) = run_sharded_with(c, threads, &mut traces);
+    (report, traces.into_traces())
 }

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use proptest::prelude::*;
 use qc_sim::{
-    check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_traced,
-    FaultPlan, RetryPolicy, SimTime, TxnConfig,
+    check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_with,
+    FaultPlan, RetryPolicy, ScheduleTrace, SimTime, Traces, TxnConfig, TxnReport,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -150,7 +150,7 @@ proptest! {
         let rowa = rowa_raw == 1;
         let c = config(&events, seed, kind, size, 2, 2, rowa);
         let plain = run_txn(&c, 1);
-        let (report, traces) = run_txn_traced(&c, 2);
+        let (report, traces) = run_txn_traces(&c, 2);
         prop_assert_eq!(plain.digest(), report.digest(), "tracing perturbed the run");
         prop_assert_eq!(
             report.stats.lemma_violations, 0,
@@ -164,4 +164,11 @@ proptest! {
             prop_assert_eq!(conf.max_vn, report.item_vns[g], "item {}", g);
         }
     }
+}
+
+/// The report and one schedule trace per item.
+fn run_txn_traces(c: &TxnConfig, threads: usize) -> (TxnReport, Vec<ScheduleTrace>) {
+    let mut traces = Traces::new(&*c.quorum, c.seed, c.items);
+    let report = run_txn_with(c, threads, &mut traces);
+    (report, traces.into_traces())
 }

@@ -32,6 +32,27 @@ if grep -rnE 'Instant|SystemTime' crates/bench/src; then
   exit 1
 fi
 
+echo "==> recording stays out of the drivers"
+# What a run records is an Observe impl composed with it
+# (crates/sim/src/observe.rs); the four driver files only emit facts. The
+# non-test part of each (the text before its first `#[cfg(test)]`) must not
+# name a recorder or a recorder's options. The exceptions are the one-line
+# wrappers, which name the observer they build (`run_txn_causal` returns
+# its `CausalReport`), and the two configuration fields those wrappers read,
+# `SimConfig::obs` and `TxnConfig::causal`, kept only because benchmark/
+# sets them.
+RECORDERS='TraceRecorder|SpanRecorder|CausalReport|ObsOptions|CausalOptions'
+WRAPPERS='pub obs: qc_obs::ObsOptions,|obs: qc_obs::ObsOptions::disabled\(\),'
+WRAPPERS+='|pub causal: qc_obs::CausalOptions,|causal: qc_obs::CausalOptions::disabled\(\),'
+WRAPPERS+='|pub fn run_txn_causal\(.*\) -> \(TxnReport, qc_obs::CausalReport\) \{'
+for driver in protocol sim shard txn_workload; do
+  src="crates/sim/src/$driver.rs"
+  if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nE "$RECORDERS" | grep -vE "$WRAPPERS"; then
+    echo "tier1: $src records for itself; make it an Observe impl" >&2
+    exit 1
+  fi
+done
+
 # The experiment legs run the built qc-exp from scratch working
 # directories: it writes results/ relative to where it runs, so the
 # committed results/ (recorded at full scale) is never touched.
@@ -180,6 +201,14 @@ echo "==> causal suites (causal_props at 1024 cases)"
 # operation: a change to what an operation records, or to when its chain
 # is written and cleared, is checked here at four times the budget.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test causal_props
+
+echo "==> observer property (observe_props at 1024 cases)"
+# Drawn configurations of the three drivers, and migrating routed elastic
+# runs, under no observer, each shipped observer alone and all four
+# composed (a 4-tuple at 2 threads, nested pairs in reverse at 1): the
+# report digest never moves, and each observer records the same alone,
+# composed and at either thread count.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test observe_props
 
 echo "==> configuration fuzz (the three validates at 1024 cases)"
 # Every field of SimConfig, MultiConfig and TxnConfig drawn from the edges
