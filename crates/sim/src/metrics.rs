@@ -324,20 +324,11 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Record a lemma violation, keeping the first few descriptions.
-    pub fn record_violation(&mut self, description: String) {
-        self.lemma_violations += 1;
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(description);
-        }
-    }
-
     /// Record a lemma violation from pre-formatted arguments, rendering
     /// the description only if it will actually be retained (past the
-    /// [`MAX_RECORDED_VIOLATIONS`] cap, only the counter moves). This is
-    /// the simulator-facing entry point: the non-violating hot path never
-    /// allocates a description, and a violation storm formats at most the
-    /// first few.
+    /// [`MAX_RECORDED_VIOLATIONS`] cap, only the counter moves): the
+    /// non-violating hot path never allocates a description, and a
+    /// violation storm formats at most the first few.
     pub fn record_violation_args(&mut self, description: std::fmt::Arguments<'_>) {
         self.lemma_violations += 1;
         if self.violations.len() < MAX_RECORDED_VIOLATIONS {
@@ -489,7 +480,7 @@ mod tests {
     fn violation_descriptions_are_capped() {
         let mut m = Metrics::default();
         for i in 0..20 {
-            m.record_violation(format!("violation {i}"));
+            m.record_violation_args(format_args!("violation {i}"));
         }
         assert_eq!(m.lemma_violations, 20);
         assert_eq!(m.violations.len(), MAX_RECORDED_VIOLATIONS);
@@ -501,7 +492,7 @@ mod tests {
         let mut a = Metrics::default();
         a.reads.record_success(SimTime(1_000), 6);
         a.writes.record_failure(4);
-        a.record_violation("first".into());
+        a.record_violation_args(format_args!("first"));
         a.history.push(CommitRecord {
             client: 0,
             read: true,
@@ -512,7 +503,7 @@ mod tests {
         b.reads.record_success(SimTime(3_000), 6);
         b.reads.record_retry();
         b.site_failures = 2;
-        b.record_violation("second".into());
+        b.record_violation_args(format_args!("second"));
         a.merge(&b);
         assert_eq!(a.reads.attempts, 2);
         assert_eq!(a.reads.successes, 2);
@@ -530,8 +521,8 @@ mod tests {
         let mut a = Metrics::default();
         let mut b = Metrics::default();
         for i in 0..MAX_RECORDED_VIOLATIONS {
-            a.record_violation(format!("a{i}"));
-            b.record_violation(format!("b{i}"));
+            a.record_violation_args(format_args!("a{i}"));
+            b.record_violation_args(format_args!("b{i}"));
         }
         a.merge(&b);
         assert_eq!(a.lemma_violations, 2 * MAX_RECORDED_VIOLATIONS as u64);

@@ -38,7 +38,7 @@ fn apply(m: &mut Metrics, &(kind, read_flag, latency_us, messages): &RawOp) {
         3 => stats.record_abort(),
         4 => stats.record_retry(),
         _ => {
-            m.record_violation(format!("synthetic r={read} l={latency_us}"));
+            m.record_violation_args(format_args!("synthetic r={read} l={latency_us}"));
             m.site_failures += 1;
             m.dropped_messages += messages;
         }
