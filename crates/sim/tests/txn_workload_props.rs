@@ -1,8 +1,8 @@
 //! Property wall for the nested-transaction workload harness: under *any*
 //! generated combination of program shape (banking / inventory / random
 //! trees with doomed subtrees), fault plan (crashes, recoveries, forced
-//! aborts, drop and delay windows), quorum system (Majority / ROWA), and
-//! thread count (1–3), every run must
+//! aborts, drop and delay windows), quorum system (Majority / ROWA, static
+//! or dynamic), and thread count (1–3), every run must
 //!
 //! * keep the Lemma 7/8 runtime monitors green (zero violations),
 //! * produce a committed projection that replays serially in commit order
@@ -21,7 +21,8 @@ use nested_txn::{BankingGen, InventoryGen, RandomTreeGen, WorkloadKind};
 use proptest::prelude::*;
 use qc_sim::{
     check_commit_order_serializable, check_trace, run_txn, run_txn_committed, run_txn_with,
-    FaultPlan, RetryPolicy, ScheduleTrace, SimTime, Traces, TxnConfig, TxnReport,
+    FaultPlan, ReconfigPolicy, ReconfigTarget, RetryPolicy, ScheduleTrace, SimTime, Traces,
+    TxnConfig, TxnReport,
 };
 use quorum::{Majority, QuorumSpec, Rowa};
 
@@ -138,7 +139,10 @@ proptest! {
     }
 
     /// Every item's schedule conforms to the serial single-copy object
-    /// (Theorem 10), and tracing is observational.
+    /// (Theorem 10), and tracing is observational — under static quorums
+    /// and under dynamic ones (scripted, idle or with one `reconfig@` to
+    /// the live sites), where every access also reads the configuration
+    /// and so needs a configuration read quorum even under ROWA.
     #[test]
     fn per_item_txn_schedules_conform(
         events in events_strategy(),
@@ -146,9 +150,18 @@ proptest! {
         kind in 0u8..3,
         size in 0u8..6,
         rowa_raw in 0u8..2,
+        policy in 0u8..3,
+        reconfig_ms in 0u64..DURATION_MS,
     ) {
         let rowa = rowa_raw == 1;
-        let c = config(&events, seed, kind, size, 2, 2, rowa);
+        let mut c = config(&events, seed, kind, size, 2, 2, rowa);
+        if policy > 0 {
+            c.reconfig = ReconfigPolicy::scripted_only();
+        }
+        if policy > 1 {
+            let at = SimTime::from_millis(reconfig_ms);
+            c.faults = c.faults.reconfig_at(at, ReconfigTarget::Live);
+        }
         let plain = run_txn(&c, 1);
         let (report, traces) = run_txn_traces(&c, 2);
         prop_assert_eq!(plain.digest(), report.digest(), "tracing perturbed the run");
@@ -156,13 +169,18 @@ proptest! {
             report.stats.lemma_violations, 0,
             "violations: {:?}", report.stats.violations
         );
+        // The checker also counts each item's committed reconfigure TMs,
+        // which the report's per-item tally leaves out.
+        let mut reconfig_tms = 0;
         for (g, trace) in traces.iter().enumerate() {
             let conf = check_trace(trace, &*c.quorum).map_err(|d| {
                 TestCaseError::fail(format!("item {g} diverged: {d}"))
             })?;
-            prop_assert_eq!(conf.committed as u64, report.item_commits[g], "item {}", g);
+            prop_assert!(conf.committed as u64 >= report.item_commits[g], "item {}", g);
+            reconfig_tms += conf.committed as u64 - report.item_commits[g];
             prop_assert_eq!(conf.max_vn, report.item_vns[g], "item {}", g);
         }
+        prop_assert_eq!(reconfig_tms, report.stats.reconfigurations);
     }
 }
 
