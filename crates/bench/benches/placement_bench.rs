@@ -23,7 +23,9 @@ const SHARDS: usize = 8;
 /// keeps the measured loop branch- and allocation-free).
 #[inline]
 fn next_item(state: &mut u64) -> usize {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     ((*state >> 33) as usize) % ITEMS
 }
 
@@ -37,13 +39,16 @@ fn bench_lookup(c: &mut Criterion) {
             black_box(black_box(g) % SHARDS)
         })
     });
-    group.bench_function(BenchmarkId::new("directory", "100k items / 8 shards"), |b| {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        b.iter(|| {
-            let g = next_item(&mut state);
-            black_box(dir.owner_of(black_box(g)))
-        })
-    });
+    group.bench_function(
+        BenchmarkId::new("directory", "100k items / 8 shards"),
+        |b| {
+            let mut state = 0x9E3779B97F4A7C15u64;
+            b.iter(|| {
+                let g = next_item(&mut state);
+                black_box(dir.owner_of(black_box(g)))
+            })
+        },
+    );
     group.finish();
 }
 

@@ -40,14 +40,16 @@ fn bench_find_quorum(c: &mut Criterion) {
         let systems: Vec<Box<dyn QuorumSpec>> = vec![
             Box::new(Rowa::new(n)),
             Box::new(Majority::new(n)),
-            Box::new(Weighted::new(vec![1; n], (n / 2 + 1) as u32, (n / 2 + 1) as u32)),
+            Box::new(Weighted::new(
+                vec![1; n],
+                (n / 2 + 1) as u32,
+                (n / 2 + 1) as u32,
+            )),
         ];
         for q in systems {
-            g.bench_with_input(
-                BenchmarkId::new(q.label(), n),
-                &avail,
-                |b, avail| b.iter(|| q.find_read_quorum(std::hint::black_box(avail))),
-            );
+            g.bench_with_input(BenchmarkId::new(q.label(), n), &avail, |b, avail| {
+                b.iter(|| q.find_read_quorum(std::hint::black_box(avail)))
+            });
         }
     }
     // Structured systems at their natural sizes.
@@ -75,9 +77,7 @@ fn bench_bitset_vs_btreeset(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("find_btreeset_reference", n),
             &avail_btree,
-            |b, avail| {
-                b.iter(|| find_read_quorum_btree_reference(&q, std::hint::black_box(avail)))
-            },
+            |b, avail| b.iter(|| find_read_quorum_btree_reference(&q, std::hint::black_box(avail))),
         );
         g.bench_with_input(
             BenchmarkId::new("find_bits", n),

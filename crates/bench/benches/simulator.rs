@@ -32,17 +32,13 @@ fn bench_simulator(c: &mut Criterion) {
         Arc::new(Grid::new(5, 5)),
     ];
     for q in &systems {
-        g.bench_with_input(
-            BenchmarkId::new("healthy", q.label()),
-            q,
-            |b, q| {
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed += 1;
-                    run(config(Arc::clone(q), false, seed))
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::new("healthy", q.label()), q, |b, q| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                run(config(Arc::clone(q), false, seed))
+            })
+        });
     }
     let maj = Arc::new(Majority::new(5)) as Arc<dyn QuorumSpec + Send + Sync>;
     g.bench_function("with_failures/majority(3of5)", |b| {

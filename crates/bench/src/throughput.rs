@@ -18,7 +18,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use qc_cc::{check_theorem11, CcRunOptions};
-use qc_sim::{par_map, run_sharded_with, ContactPolicy, FaultPlan, ObsRecorder, SimConfig, SimTime};
+use qc_sim::{
+    par_map, run_sharded_with, ContactPolicy, FaultPlan, ObsRecorder, SimConfig, SimTime,
+};
 use quorum::{Majority, QuorumSpec, Rowa};
 
 use crate::cli::{Flags, ObsFlags};

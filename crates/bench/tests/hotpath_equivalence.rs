@@ -21,9 +21,8 @@ fn figure1_stats_identical_across_strategies() {
         .expect("full replay verifies");
     assert!(oracle.stats.truncated, "depth bound must bite");
     for every in [1usize, 3, 4, 8] {
-        let report =
-            verify_exhaustive_with(&spec, limits, ReplayStrategy::Checkpoint { every })
-                .expect("checkpointed run verifies");
+        let report = verify_exhaustive_with(&spec, limits, ReplayStrategy::Checkpoint { every })
+            .expect("checkpointed run verifies");
         assert_eq!(report.stats, oracle.stats, "every={every}");
         assert_eq!(
             report.projections_checked, oracle.projections_checked,

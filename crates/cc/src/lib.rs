@@ -61,6 +61,5 @@ pub use locking::{LockGranularity, LockingObject};
 pub use scheduler::ConcurrentScheduler;
 pub use serialize::{non_orphans, serialize_return_order, SerializeError};
 pub use theorem11::{
-    check_theorem11, final_dm_values, run_concurrent, CcRunOptions, Theorem11Error,
-    Theorem11Report,
+    check_theorem11, final_dm_values, run_concurrent, CcRunOptions, Theorem11Error, Theorem11Report,
 };

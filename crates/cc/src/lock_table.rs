@@ -174,9 +174,7 @@ impl ItemLocks {
         let writes_ok = self.write_holders.iter().all(|h| h.is_ancestor_of(tid));
         match mode {
             LockMode::Read => writes_ok,
-            LockMode::Write => {
-                writes_ok && self.read_holders.iter().all(|h| h.is_ancestor_of(tid))
-            }
+            LockMode::Write => writes_ok && self.read_holders.iter().all(|h| h.is_ancestor_of(tid)),
         }
     }
 
@@ -416,8 +414,14 @@ mod tests {
     #[test]
     fn reads_share_writes_exclude() {
         let mut lt = LockTable::new(1);
-        assert_eq!(lt.acquire(0, top(0).child(0), LockMode::Read), Acquire::Granted);
-        assert_eq!(lt.acquire(0, top(1).child(0), LockMode::Read), Acquire::Granted);
+        assert_eq!(
+            lt.acquire(0, top(0).child(0), LockMode::Read),
+            Acquire::Granted
+        );
+        assert_eq!(
+            lt.acquire(0, top(1).child(0), LockMode::Read),
+            Acquire::Granted
+        );
         // A stranger's write waits behind both readers.
         assert!(matches!(
             lt.acquire(0, top(2).child(0), LockMode::Write),
@@ -541,7 +545,7 @@ mod tests {
         let doomed = t.child(1);
         let leaf_a = t.child(0); // committed branch
         let leaf_b = doomed.child(0); // doomed branch
-        // Branch A writes 10 over 0, commits up to the top.
+                                      // Branch A writes 10 over 0, commits up to the top.
         assert_eq!(lt.acquire(0, leaf_a, LockMode::Write), Acquire::Granted);
         lt.note_write(0, leaf_a, 0);
         lt.inherit(0, &leaf_a);
@@ -575,9 +579,15 @@ mod tests {
         // A stranger's write conflicts with the reader.
         assert_eq!(lt.blocking_holder(0, &w, LockMode::Write), Some(r));
         // A stranger's read is compatible with the reader.
-        assert_eq!(lt.blocking_holder(0, &top(3).child(0), LockMode::Read), None);
+        assert_eq!(
+            lt.blocking_holder(0, &top(3).child(0), LockMode::Read),
+            None
+        );
         // An ancestor's holder never blocks its descendant.
-        assert_eq!(lt.blocking_holder(0, &top(1).child(0).child(2), LockMode::Write), None);
+        assert_eq!(
+            lt.blocking_holder(0, &top(1).child(0).child(2), LockMode::Write),
+            None
+        );
         // Behind a compensation latch there is no conflicting holder.
         let t = top(4);
         let leaf = t.child(0);
@@ -587,7 +597,10 @@ mod tests {
         lt.inherit(0, &leaf);
         assert_eq!(lt.abort_subtree(0, &t), Some(7));
         assert!(lt.comp_pending(0));
-        assert_eq!(lt.blocking_holder(0, &top(5).child(0), LockMode::Write), None);
+        assert_eq!(
+            lt.blocking_holder(0, &top(5).child(0), LockMode::Write),
+            None
+        );
     }
 
     #[test]

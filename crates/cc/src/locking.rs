@@ -225,11 +225,9 @@ impl Component<TxnOp> for LockingObject {
                 Ok(())
             }
             TxnOp::RequestCommit { tid, value } => {
-                let (kind, data) = self
-                    .pending
-                    .get(tid)
-                    .cloned()
-                    .ok_or_else(|| format!("{}: REQUEST-COMMIT for non-pending {tid}", self.label))?;
+                let (kind, data) = self.pending.get(tid).cloned().ok_or_else(|| {
+                    format!("{}: REQUEST-COMMIT for non-pending {tid}", self.label)
+                })?;
                 if !self.grantable(tid, kind) {
                     return Err(format!("{}: lock not grantable to {tid}", self.label));
                 }

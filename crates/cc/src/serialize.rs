@@ -48,9 +48,9 @@ fn buckets(gamma: &Schedule<TxnOp>) -> BTreeMap<Tid, Vec<TxnOp>> {
             // transaction (or its object, for accesses — same bucket).
             TxnOp::Create { tid, .. } | TxnOp::RequestCommit { tid, .. } => tid.clone(),
             // REQUEST-CREATE and returns are operations of the parent.
-            TxnOp::RequestCreate { tid, .. }
-            | TxnOp::Commit { tid, .. }
-            | TxnOp::Abort { tid } => tid.parent().expect("root has no requests or returns"),
+            TxnOp::RequestCreate { tid, .. } | TxnOp::Commit { tid, .. } | TxnOp::Abort { tid } => {
+                tid.parent().expect("root has no requests or returns")
+            }
         };
         map.entry(owner).or_default().push(op.clone());
     }
@@ -84,9 +84,9 @@ fn emit(
     };
     for op in ops {
         match op {
-            TxnOp::Create { .. }
-            | TxnOp::RequestCreate { .. }
-            | TxnOp::RequestCommit { .. } => out.push(op.clone()),
+            TxnOp::Create { .. } | TxnOp::RequestCreate { .. } | TxnOp::RequestCommit { .. } => {
+                out.push(op.clone())
+            }
             TxnOp::Commit { tid: child, .. } => {
                 emit(child, buckets, out)?;
                 out.push(op.clone());
@@ -210,12 +210,8 @@ mod tests {
 
     #[test]
     fn incomplete_run_is_rejected() {
-        let gamma: Schedule<TxnOp> = vec![
-            create(&[]),
-            TxnOp::request_create(t(&[0])),
-            create(&[0]),
-        ]
-        .into();
+        let gamma: Schedule<TxnOp> =
+            vec![create(&[]), TxnOp::request_create(t(&[0])), create(&[0])].into();
         let err = serialize_return_order(&gamma).unwrap_err();
         assert_eq!(err, SerializeError::Incomplete { tid: t(&[0]) });
     }
@@ -246,8 +242,7 @@ mod tests {
     fn never_created_requests_are_kept_dangling() {
         // A request with neither CREATE nor return: allowed (γ may end
         // while the request is still outstanding at the scheduler).
-        let gamma: Schedule<TxnOp> =
-            vec![create(&[]), TxnOp::request_create(t(&[0]))].into();
+        let gamma: Schedule<TxnOp> = vec![create(&[]), TxnOp::request_create(t(&[0]))].into();
         let sigma = serialize_return_order(&gamma).unwrap();
         assert_eq!(sigma.len(), 2);
     }

@@ -204,8 +204,7 @@ pub fn check_theorem11(
     }
 
     // Conclusion: the Theorem 10 projection of σ is a schedule of A.
-    let t10 = check_projection(spec, &layout, &sigma)
-        .map_err(Theorem11Error::ConclusionRefused)?;
+    let t10 = check_projection(spec, &layout, &sigma).map_err(Theorem11Error::ConclusionRefused)?;
 
     let aborts = gamma
         .iter()
@@ -213,9 +212,7 @@ pub fn check_theorem11(
         .count();
     let users_committed = gamma
         .iter()
-        .filter(|op| {
-            matches!(op, TxnOp::Commit { tid, .. } if tid.depth() == 1)
-        })
+        .filter(|op| matches!(op, TxnOp::Commit { tid, .. } if tid.depth() == 1))
         .count();
     Ok(Theorem11Report {
         gamma_len: gamma.len(),

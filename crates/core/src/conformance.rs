@@ -517,7 +517,10 @@ impl fmt::Display for Divergence {
                 write!(f, "installs do not cover a write quorum")
             }
             DivergenceKind::NoConfigReadQuorum => {
-                write!(f, "configuration reads do not cover a configuration read quorum")
+                write!(
+                    f,
+                    "configuration reads do not cover a configuration read quorum"
+                )
             }
             DivergenceKind::NoConfigWriteQuorum => write!(
                 f,
@@ -853,7 +856,11 @@ fn check_against(
                     // A write-TM advances the version; a reconfigure-TM
                     // *refreshes* the discovered version at the new members
                     // (the data does not change, only its placement).
-                    let expect = if b.kind == TmKind::Reconfig { dvn } else { dvn + 1 };
+                    let expect = if b.kind == TmKind::Reconfig {
+                        dvn
+                    } else {
+                        dvn + 1
+                    };
                     if vn != expect {
                         return Err(diverge(
                             i,
@@ -1255,7 +1262,9 @@ fn check_stores(
     rule: Option<Thresholds>,
 ) -> Result<(), LemmaViolation> {
     let states = stores.iter().enumerate().map(|(s, (vn, v))| (s, *vn, v));
-    checker.check_states(states, true, |holders| quorum::is_quorum(quorum, rule, holders, true))
+    checker.check_states(states, true, |holders| {
+        quorum::is_quorum(quorum, rule, holders, true)
+    })
 }
 
 /// The non-replicated object of the synthesized serial system **A**.
@@ -2251,7 +2260,10 @@ mod tests {
         edit(&mut t, |e| e.remove(7));
         let d = check_trace(&t, &Rowa::new(3)).unwrap_err();
         assert_eq!(d.kind, DivergenceKind::NoWriteQuorum);
-        assert_eq!(d.event, 7, "divergence at the reconfig's REQUEST-COMMIT: {d}");
+        assert_eq!(
+            d.event, 7,
+            "divergence at the reconfig's REQUEST-COMMIT: {d}"
+        );
     }
 
     #[test]
@@ -2646,8 +2658,16 @@ mod tests {
         let members = ReplicaSet::from_bits(u128::from(word(lo)) | u128::from(word(hi)) << 64);
         let action = match action {
             0 => TraceAction::Create { kind },
-            1 => TraceAction::ReadDm { site, vn: a, value: b },
-            2 => TraceAction::WriteDm { site, vn: a, value: b },
+            1 => TraceAction::ReadDm {
+                site,
+                vn: a,
+                value: b,
+            },
+            2 => TraceAction::WriteDm {
+                site,
+                vn: a,
+                value: b,
+            },
             3 => TraceAction::ReadCfg { site, gen: a },
             4 => TraceAction::WriteCfg {
                 site,

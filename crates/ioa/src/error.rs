@@ -77,7 +77,10 @@ impl fmt::Display for IoaError {
                     f,
                     "component '{component}' refused operation {op} at schedule index {i}: {reason}"
                 ),
-                None => write!(f, "component '{component}' refused operation {op}: {reason}"),
+                None => write!(
+                    f,
+                    "component '{component}' refused operation {op}: {reason}"
+                ),
             },
             IoaError::Monitor(v) => write!(f, "{v}"),
         }

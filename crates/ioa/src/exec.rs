@@ -135,7 +135,9 @@ pub struct FnMonitor<Op> {
 
 impl<Op> fmt::Debug for FnMonitor<Op> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnMonitor").field("name", &self.name).finish()
+        f.debug_struct("FnMonitor")
+            .field("name", &self.name)
+            .finish()
     }
 }
 

@@ -283,7 +283,11 @@ where
         checkpoints.push((path.len(), system.snapshot()));
         profile.checkpoints_taken += 1;
     }
-    let outs0: Vec<Op> = system.enabled_outputs().into_iter().filter(|o| keep(o)).collect();
+    let outs0: Vec<Op> = system
+        .enabled_outputs()
+        .into_iter()
+        .filter(|o| keep(o))
+        .collect();
     // Each stack frame: the candidate ops at this depth and the next index
     // to try.
     let mut stack: Vec<(Vec<Op>, usize)> = vec![(outs0, 0)];
@@ -421,7 +425,11 @@ where
     let mut factory = factory_builder();
     let mut system = factory();
     system.reset();
-    let branches: Vec<Op> = system.enabled_outputs().into_iter().filter(|o| keep(o)).collect();
+    let branches: Vec<Op> = system
+        .enabled_outputs()
+        .into_iter()
+        .filter(|o| keep(o))
+        .collect();
     let mut stats = ExploreStats {
         schedules: 1,
         ..ExploreStats::default()
@@ -446,7 +454,10 @@ where
     // that index, so merge order below is fixed by the branch order.
     let n = branches.len();
     type BranchResult<E> = Result<(ExploreStats, ExploreProfile), ExploreError<E>>;
-    let work: Vec<Mutex<Option<Op>>> = branches.into_iter().map(|op| Mutex::new(Some(op))).collect();
+    let work: Vec<Mutex<Option<Op>>> = branches
+        .into_iter()
+        .map(|op| Mutex::new(Some(op)))
+        .collect();
     let results: Vec<Mutex<Option<BranchResult<E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let factory_builder = &factory_builder;
@@ -529,10 +540,7 @@ mod tests {
         // Claim: the channel never delivers item 1. Exploration must find
         // the counterexample and report its schedule.
         let err = explore(factory(2, 2), ExploreLimits::default(), |_, sched, _| {
-            if sched
-                .iter()
-                .any(|op| matches!(op, ToyOp::Deliver(1)))
-            {
+            if sched.iter().any(|op| matches!(op, ToyOp::Deliver(1))) {
                 Err("item 1 delivered".to_string())
             } else {
                 Ok(())

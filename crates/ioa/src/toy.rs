@@ -131,7 +131,11 @@ impl Component<ToyOp> for Channel {
     }
 
     fn enabled_outputs(&self) -> Vec<ToyOp> {
-        self.buffer.first().map(|&i| ToyOp::Deliver(i)).into_iter().collect()
+        self.buffer
+            .first()
+            .map(|&i| ToyOp::Deliver(i))
+            .into_iter()
+            .collect()
     }
 
     fn apply(&mut self, op: &ToyOp) -> Result<(), String> {
@@ -148,7 +152,10 @@ impl Component<ToyOp> for Channel {
                     self.delivered.push(*i);
                     Ok(())
                 } else {
-                    Err(format!("Deliver({i}) not at head of buffer {:?}", self.buffer))
+                    Err(format!(
+                        "Deliver({i}) not at head of buffer {:?}",
+                        self.buffer
+                    ))
                 }
             }
         }
@@ -221,7 +228,10 @@ mod tests {
     fn step_bound_is_respected() {
         let mut sys = toy_system(100, 100);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let exec = Executor::new().max_steps(7).run(&mut sys, &mut rng).unwrap();
+        let exec = Executor::new()
+            .max_steps(7)
+            .run(&mut sys, &mut rng)
+            .unwrap();
         assert_eq!(exec.schedule().len(), 7);
         assert!(!exec.is_quiescent());
     }
@@ -254,7 +264,10 @@ mod tests {
             ToyOp::Send(_) => 100,
             ToyOp::Deliver(_) => 0,
         });
-        let exec = Executor::new().policy(policy).run(&mut sys, &mut rng).unwrap();
+        let exec = Executor::new()
+            .policy(policy)
+            .run(&mut sys, &mut rng)
+            .unwrap();
         let sched = exec.schedule();
         assert!(matches!(sched[0], ToyOp::Send(0)));
         assert!(matches!(sched[1], ToyOp::Send(1)));
@@ -271,7 +284,10 @@ mod tests {
             ToyOp::Deliver(_) => 1,
         });
         // Should not error: the input condition means Send is always OK.
-        Executor::new().policy(policy).run(&mut sys, &mut rng).unwrap();
+        Executor::new()
+            .policy(policy)
+            .run(&mut sys, &mut rng)
+            .unwrap();
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! oracle on random toy systems, and never more replay work.
 
 use ioa::toy::{Channel, Producer, ToyOp};
-use ioa::{
-    explore_parallel, explore_profiled, ExploreLimits, ReplayStrategy, Schedule, System,
-};
+use ioa::{explore_parallel, explore_profiled, ExploreLimits, ReplayStrategy, Schedule, System};
 use proptest::prelude::*;
 
 fn factory(n: u32, cap: usize) -> impl FnMut() -> System<ToyOp> {

@@ -512,11 +512,7 @@ impl TxnTrace {
                 // Follow the abort chain if it passes through a child;
                 // otherwise the last-returning child determines when
                 // this node ends.
-                let chain_child = s
-                    .children
-                    .iter()
-                    .copied()
-                    .find(|c| on_chain.contains(c));
+                let chain_child = s.children.iter().copied().find(|c| on_chain.contains(c));
                 let pick = chain_child.or_else(|| {
                     s.children
                         .iter()
@@ -651,7 +647,10 @@ impl TxnTrace {
                         && !started.is_empty()
                         && t != s.end_us
                     {
-                        return Err(format!("span {i}: seq children tile to {t}, ends {}", s.end_us));
+                        return Err(format!(
+                            "span {i}: seq children tile to {t}, ends {}",
+                            s.end_us
+                        ));
                     }
                 }
                 SpanKind::Par => {
@@ -764,7 +763,10 @@ impl TxnTrace {
             if s.start_us == NO_TIME {
                 out.push_str(",\"start_us\":null,\"end_us\":null");
             } else {
-                out.push_str(&format!(",\"start_us\":{},\"end_us\":{}", s.start_us, s.end_us));
+                out.push_str(&format!(
+                    ",\"start_us\":{},\"end_us\":{}",
+                    s.start_us, s.end_us
+                ));
             }
             out.push_str(&format!(",\"outcome\":\"{}\"", s.outcome.name()));
             if let Some(c) = s.cause {
@@ -783,7 +785,9 @@ impl TxnTrace {
                         seg.dur_us
                     ));
                     match seg.blocker {
-                        Some(b) => out.push_str(&format!(",\"blocker\":[{},{}]", b.client, b.epoch)),
+                        Some(b) => {
+                            out.push_str(&format!(",\"blocker\":[{},{}]", b.client, b.epoch))
+                        }
                         None => out.push_str(",\"blocker\":null"),
                     }
                     out.push('}');
@@ -906,10 +910,7 @@ impl TxnTrace {
         let outcome = if self.committed {
             "committed".to_string()
         } else {
-            format!(
-                "aborted ({})",
-                self.cause.map_or("?", AbortCause::name)
-            )
+            format!("aborted ({})", self.cause.map_or("?", AbortCause::name))
         };
         let mut out = format!(
             "txn {} {} latency={}us critical-path steps={}\n",
@@ -919,9 +920,7 @@ impl TxnTrace {
             cp.steps.len()
         );
         for step in &cp.steps {
-            let item = step
-                .item
-                .map_or(String::new(), |i| format!(" item {i}"));
+            let item = step.item.map_or(String::new(), |i| format!(" item {i}"));
             let blocker = step
                 .blocker
                 .map_or(String::new(), |b| format!(" blocked-by {}", b.label()));
@@ -1339,9 +1338,8 @@ impl Jv {
                                 Some(b'r') => s.push('\r'),
                                 Some(b't') => s.push('\t'),
                                 Some(b'u') => {
-                                    let hex = b
-                                        .get(*p + 1..*p + 5)
-                                        .ok_or("truncated \\u escape")?;
+                                    let hex =
+                                        b.get(*p + 1..*p + 5).ok_or("truncated \\u escape")?;
                                     let code = u32::from_str_radix(
                                         std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                                         16,
@@ -1443,14 +1441,41 @@ mod tests {
     /// root Seq ── [ access(a), Par ── [access(b), access(c)], access(d) ]
     /// with one lock wait, one retry, committed at 1000.
     fn sample() -> TxnTrace {
-        let id = TxnRef { client: 3, epoch: 7 };
+        let id = TxnRef {
+            client: 3,
+            epoch: 7,
+        };
         let mut t = TxnTrace::new(id, 0, 100);
         let root = t.add_span(NO_SPAN, SpanKind::Seq);
-        let a = t.add_span(root, SpanKind::Access { item: 1, write: false });
+        let a = t.add_span(
+            root,
+            SpanKind::Access {
+                item: 1,
+                write: false,
+            },
+        );
         let par = t.add_span(root, SpanKind::Par);
-        let b = t.add_span(par, SpanKind::Access { item: 2, write: true });
-        let c = t.add_span(par, SpanKind::Access { item: 3, write: false });
-        let d = t.add_span(root, SpanKind::Access { item: 1, write: true });
+        let b = t.add_span(
+            par,
+            SpanKind::Access {
+                item: 2,
+                write: true,
+            },
+        );
+        let c = t.add_span(
+            par,
+            SpanKind::Access {
+                item: 3,
+                write: false,
+            },
+        );
+        let d = t.add_span(
+            root,
+            SpanKind::Access {
+                item: 1,
+                write: true,
+            },
+        );
 
         t.start_span(root, 100);
         // a: granted immediately, one clean read 100..250.
@@ -1466,7 +1491,10 @@ mod tests {
             EdgeKind::LockWait,
             250,
             150,
-            Some(TxnRef { client: 9, epoch: 1 }),
+            Some(TxnRef {
+                client: 9,
+                epoch: 1,
+            }),
         );
         t.push_seg(b, EdgeKind::ReadGather, 400, 200, None);
         t.push_seg(b, EdgeKind::WriteInstall, 600, 100, None);
@@ -1511,18 +1539,36 @@ mod tests {
         );
         assert_eq!(
             cp.steps[1].blocker,
-            Some(TxnRef { client: 9, epoch: 1 })
+            Some(TxnRef {
+                client: 9,
+                epoch: 1
+            })
         );
         assert_eq!(cp.steps[1].item, Some(2));
     }
 
     #[test]
     fn aborted_path_follows_the_abort_chain() {
-        let id = TxnRef { client: 1, epoch: 2 };
+        let id = TxnRef {
+            client: 1,
+            epoch: 2,
+        };
         let mut t = TxnTrace::new(id, 0, 0);
         let root = t.add_span(NO_SPAN, SpanKind::Par);
-        let x = t.add_span(root, SpanKind::Access { item: 5, write: true });
-        let y = t.add_span(root, SpanKind::Access { item: 6, write: false });
+        let x = t.add_span(
+            root,
+            SpanKind::Access {
+                item: 5,
+                write: true,
+            },
+        );
+        let y = t.add_span(
+            root,
+            SpanKind::Access {
+                item: 6,
+                write: false,
+            },
+        );
         t.start_span(root, 0);
         t.start_span(x, 0);
         t.start_span(y, 0);
@@ -1533,7 +1579,10 @@ mod tests {
             EdgeKind::LockWait,
             0,
             300,
-            Some(TxnRef { client: 8, epoch: 4 }),
+            Some(TxnRef {
+                client: 8,
+                epoch: 4,
+            }),
         );
         t.abort_span(x, 300, AbortCause::LockTimeout);
         t.seal(300, false, x, Some(AbortCause::LockTimeout));
@@ -1544,7 +1593,13 @@ mod tests {
         assert_eq!(cp.total_us, 300);
         assert_eq!(cp.steps.len(), 1);
         assert_eq!(cp.steps[0].kind, EdgeKind::LockWait);
-        assert_eq!(cp.steps[0].blocker, Some(TxnRef { client: 8, epoch: 4 }));
+        assert_eq!(
+            cp.steps[0].blocker,
+            Some(TxnRef {
+                client: 8,
+                epoch: 4
+            })
+        );
     }
 
     #[test]
@@ -1620,8 +1675,21 @@ mod tests {
     /// The fenced access of `json_round_trip`: one span, a gather and a
     /// fence segment, aborted.
     fn fenced() -> TxnTrace {
-        let mut a = TxnTrace::new(TxnRef { client: 0, epoch: 0 }, 2, 50);
-        let root = a.add_span(NO_SPAN, SpanKind::Access { item: 9, write: true });
+        let mut a = TxnTrace::new(
+            TxnRef {
+                client: 0,
+                epoch: 0,
+            },
+            2,
+            50,
+        );
+        let root = a.add_span(
+            NO_SPAN,
+            SpanKind::Access {
+                item: 9,
+                write: true,
+            },
+        );
         a.start_span(root, 50);
         a.push_seg(root, EdgeKind::ReadGather, 50, 10, None);
         a.push_seg(root, EdgeKind::Fence, 60, 40, None);
@@ -1658,8 +1726,12 @@ mod tests {
                     b.remove(at);
                 }
                 _ => {
-                    let start = (at..b.len()).find(|&i| b[i].is_ascii_digit()).unwrap_or(b.len());
-                    let end = (start..b.len()).find(|&i| !b[i].is_ascii_digit()).unwrap_or(b.len());
+                    let start = (at..b.len())
+                        .find(|&i| b[i].is_ascii_digit())
+                        .unwrap_or(b.len());
+                    let end = (start..b.len())
+                        .find(|&i| !b[i].is_ascii_digit())
+                        .unwrap_or(b.len());
                     b.splice(start..end, WIDE[usize::from(x) % WIDE.len()].bytes());
                 }
             }
@@ -1719,7 +1791,13 @@ mod tests {
         let mut r = CausalReport::new(opts);
         for (epoch, scale) in [(0u32, 1u64), (1, 3), (2, 2)] {
             let mut t = TxnTrace::new(TxnRef { client: 0, epoch }, 0, 0);
-            let root = t.add_span(NO_SPAN, SpanKind::Access { item: 0, write: false });
+            let root = t.add_span(
+                NO_SPAN,
+                SpanKind::Access {
+                    item: 0,
+                    write: false,
+                },
+            );
             t.start_span(root, 0);
             t.push_seg(root, EdgeKind::ReadGather, 0, 100 * scale, None);
             t.finish_span(root, 100 * scale);
@@ -1733,8 +1811,21 @@ mod tests {
 
         // Absorb order must not change the retained set.
         let mut other = CausalReport::new(opts);
-        let mut t = TxnTrace::new(TxnRef { client: 1, epoch: 0 }, 1, 0);
-        let root = t.add_span(NO_SPAN, SpanKind::Access { item: 0, write: false });
+        let mut t = TxnTrace::new(
+            TxnRef {
+                client: 1,
+                epoch: 0,
+            },
+            1,
+            0,
+        );
+        let root = t.add_span(
+            NO_SPAN,
+            SpanKind::Access {
+                item: 0,
+                write: false,
+            },
+        );
         t.start_span(root, 0);
         t.push_seg(root, EdgeKind::ReadGather, 0, 250, None);
         t.finish_span(root, 250);

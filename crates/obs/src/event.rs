@@ -100,7 +100,10 @@ impl ObsEvent {
         let head = format!("\"at_us\":{},\"shard\":{}", self.at_us, self.shard);
         match &self.kind {
             EventKind::Fault { desc } => {
-                format!("{{{head},\"event\":\"fault\",\"desc\":\"{}\"}}", escape(desc))
+                format!(
+                    "{{{head},\"event\":\"fault\",\"desc\":\"{}\"}}",
+                    escape(desc)
+                )
             }
             EventKind::Violation { desc, op } => {
                 let op = match op {
@@ -328,9 +331,9 @@ mod tests {
         merged.absorb(full);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.dropped(), 3);
-        assert!(merged.to_jsonl().starts_with(
-            "{\"format\":\"qc-events-v1\",\"events\":3,\"dropped\":3}\n"
-        ));
+        assert!(merged
+            .to_jsonl()
+            .starts_with("{\"format\":\"qc-events-v1\",\"events\":3,\"dropped\":3}\n"));
     }
 
     #[test]

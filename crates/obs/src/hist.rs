@@ -325,7 +325,10 @@ mod tests {
         for v in (1u64..100_000).step_by(37) {
             let rep = representative(index(v));
             let err = (rep as f64 - v as f64).abs() / v as f64;
-            assert!(err <= 1.0 / f64::from(1 << (SUB_BITS + 1)), "v={v} rep={rep}");
+            assert!(
+                err <= 1.0 / f64::from(1 << (SUB_BITS + 1)),
+                "v={v} rep={rep}"
+            );
         }
     }
 
@@ -425,7 +428,10 @@ mod tests {
         h.record(130);
         assert_eq!(
             h.to_json(),
-            format!("{{\"count\":3,\"sum\":140,\"min\":5,\"max\":130,\"buckets\":[[5,2],[{},1]]}}", index(130))
+            format!(
+                "{{\"count\":3,\"sum\":140,\"min\":5,\"max\":130,\"buckets\":[[5,2],[{},1]]}}",
+                index(130)
+            )
         );
         assert!(h.summary_json().contains("\"p50_us\":5"));
     }

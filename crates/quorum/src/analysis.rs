@@ -80,7 +80,10 @@ pub fn monte_carlo_availability(
             w_ok += 1;
         }
     }
-    (f64::from(r_ok) / f64::from(trials), f64::from(w_ok) / f64::from(trials))
+    (
+        f64::from(r_ok) / f64::from(trials),
+        f64::from(w_ok) / f64::from(trials),
+    )
 }
 
 /// Sizes `(read, write)` of the smallest quorums when all replicas are up —

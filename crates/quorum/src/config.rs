@@ -362,10 +362,7 @@ mod tests {
 
     #[test]
     fn find_quorum_prefers_smallest() {
-        let cfg = Configuration::new(
-            vec![set(&[0]), set(&[0, 1, 2])],
-            vec![set(&[0, 1, 2])],
-        );
+        let cfg = Configuration::new(vec![set(&[0]), set(&[0, 1, 2])], vec![set(&[0, 1, 2])]);
         let avail = set(&[0, 1, 2]);
         assert_eq!(cfg.find_read_quorum(&avail), Some(&set(&[0])));
     }
@@ -387,10 +384,7 @@ mod tests {
 
     #[test]
     fn minimized_removes_supersets() {
-        let cfg = Configuration::new(
-            vec![set(&[0]), set(&[0, 1]), set(&[2])],
-            vec![set(&[0, 2])],
-        );
+        let cfg = Configuration::new(vec![set(&[0]), set(&[0, 1]), set(&[2])], vec![set(&[0, 2])]);
         let min = cfg.minimized();
         assert_eq!(min.read_quorums(), &[set(&[0]), set(&[2])]);
     }
@@ -433,8 +427,7 @@ mod tests {
         assert_eq!(c.index_of(&99), None);
         for mask in 0u32..8 {
             let bits = crate::ReplicaSet::from_bits(mask as u128);
-            let explicit: BTreeSet<u32> =
-                bits.iter().map(|i| c.members()[i]).collect();
+            let explicit: BTreeSet<u32> = bits.iter().map(|i| c.members()[i]).collect();
             assert_eq!(
                 c.covers_read_quorum(bits),
                 cfg.covers_read_quorum(&explicit)

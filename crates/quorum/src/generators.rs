@@ -104,9 +104,8 @@ pub fn weighted<T: Ord + Clone>(
 pub fn grid<T: Ord + Clone>(universe: &[T], rows: usize, cols: usize) -> Configuration<T> {
     assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
     assert_eq!(universe.len(), rows * cols, "universe must fill the grid");
-    let column = |c: usize| -> Vec<T> {
-        (0..rows).map(|r| universe[r * cols + c].clone()).collect()
-    };
+    let column =
+        |c: usize| -> Vec<T> { (0..rows).map(|r| universe[r * cols + c].clone()).collect() };
     let n_reads = rows.pow(cols as u32);
     assert!(n_reads <= 100_000, "grid enumeration too large");
 
@@ -164,7 +163,10 @@ pub fn grid<T: Ord + Clone>(universe: &[T], rows: usize, cols: usize) -> Configu
 /// Panics if `universe.len()` is not a positive power of 3.
 pub fn tree_majority<T: Ord + Clone>(universe: &[T]) -> Configuration<T> {
     let n = universe.len();
-    assert!(n > 0 && is_power_of_3(n), "universe size must be a power of 3");
+    assert!(
+        n > 0 && is_power_of_3(n),
+        "universe size must be a power of 3"
+    );
     let quorums = tree_quorums(universe);
     Configuration::new(quorums.clone(), quorums)
 }
@@ -313,9 +315,7 @@ mod tests {
         let cfg = weighted(&[(0u32, 2), (1, 1), (2, 1)], 2, 3);
         assert!(cfg.validate().is_ok());
         // {0} alone reaches the read threshold.
-        assert!(cfg
-            .read_quorums()
-            .contains(&[0u32].into_iter().collect()));
+        assert!(cfg.read_quorums().contains(&[0u32].into_iter().collect()));
     }
 
     #[test]

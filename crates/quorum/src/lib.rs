@@ -55,6 +55,5 @@ mod spec;
 pub use config::{CompiledConfiguration, Configuration, ConfigurationError};
 pub use replica_set::ReplicaSet;
 pub use spec::{
-    is_quorum, to_configuration, Grid, Majority, QuorumSpec, Rowa, Thresholds, TreeQuorum,
-    Weighted,
+    is_quorum, to_configuration, Grid, Majority, QuorumSpec, Rowa, Thresholds, TreeQuorum, Weighted,
 };

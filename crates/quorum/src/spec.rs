@@ -233,12 +233,14 @@ pub trait QuorumSpec: std::fmt::Debug {
     /// A (small) read-quorum contained in `available`, if any
     /// (explicit-set form; same greedy drop order as the bitset form).
     fn find_read_quorum(&self, available: &BTreeSet<usize>) -> Option<BTreeSet<usize>> {
-        self.find_read_quorum_bits(to_bits(available)).map(Into::into)
+        self.find_read_quorum_bits(to_bits(available))
+            .map(Into::into)
     }
 
     /// A (small) write-quorum contained in `available`, if any.
     fn find_write_quorum(&self, available: &BTreeSet<usize>) -> Option<BTreeSet<usize>> {
-        self.find_write_quorum_bits(to_bits(available)).map(Into::into)
+        self.find_write_quorum_bits(to_bits(available))
+            .map(Into::into)
     }
 
     /// The threshold form of this system over all its replicas, when its
@@ -432,7 +434,10 @@ impl Weighted {
     pub fn new(votes: Vec<u32>, read_threshold: u32, write_threshold: u32) -> Self {
         let total: u32 = votes.iter().sum();
         assert!(total > 0, "total votes must be positive");
-        assert!(votes.len() <= MAX_REPLICAS, "ReplicaSet caps replicas at 128");
+        assert!(
+            votes.len() <= MAX_REPLICAS,
+            "ReplicaSet caps replicas at 128"
+        );
         assert!(
             read_threshold + write_threshold > total,
             "thresholds must overlap"
@@ -446,10 +451,7 @@ impl Weighted {
     }
 
     fn tally(&self, set: ReplicaSet) -> u32 {
-        set.iter()
-            .filter_map(|x| self.votes.get(x))
-            .copied()
-            .sum()
+        set.iter().filter_map(|x| self.votes.get(x)).copied().sum()
     }
 }
 
@@ -494,7 +496,10 @@ impl Grid {
     /// [`ReplicaSet`] cap).
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0);
-        assert!(rows * cols <= MAX_REPLICAS, "ReplicaSet caps replicas at 128");
+        assert!(
+            rows * cols <= MAX_REPLICAS,
+            "ReplicaSet caps replicas at 128"
+        );
         Grid { rows, cols }
     }
 
@@ -864,8 +869,16 @@ mod tests {
                 let (read, write) = (s.is_read_quorum_bits(set), s.is_write_quorum_bits(set));
                 assert_eq!(t.is_quorum(set, false), read, "{label}");
                 assert_eq!(t.is_quorum(set, true), write, "{label}");
-                assert_eq!(t.find_quorum(set, false), s.find_read_quorum_bits(set), "{label}");
-                assert_eq!(t.find_quorum(set, true), s.find_write_quorum_bits(set), "{label}");
+                assert_eq!(
+                    t.find_quorum(set, false),
+                    s.find_read_quorum_bits(set),
+                    "{label}"
+                );
+                assert_eq!(
+                    t.find_quorum(set, true),
+                    s.find_write_quorum_bits(set),
+                    "{label}"
+                );
                 assert_eq!(t.feasible(set, false), read, "{label}");
                 assert_eq!(t.feasible(set, true), read && write, "{label}");
             }

@@ -389,12 +389,13 @@ pub fn check_rc_random(spec: &RcSystemSpec, opts: RcRunOptions) -> Result<RcRepo
     for (i, op) in alpha.iter().enumerate() {
         a.system.step(op).map_err(|e| annotate(e, i))?;
         so_far.push(op.clone());
-        wf.check(&a.system, &so_far, i).map_err(|m| IoaError::StepRefused {
-            component: "wf-monitor(A)".into(),
-            op: format!("{op:?}"),
-            reason: m,
-            at: Some(i),
-        })?;
+        wf.check(&a.system, &so_far, i)
+            .map_err(|m| IoaError::StepRefused {
+                component: "wf-monitor(A)".into(),
+                op: format!("{op:?}"),
+                reason: m,
+                at: Some(i),
+            })?;
     }
     let reconfigs_committed = layout
         .rc_tms
@@ -442,16 +443,10 @@ mod tests {
                 init: Value::Int(0),
                 replicas: 3,
                 initial_config: quorum::generators::majority(&u),
-                alt_configs: vec![
-                    quorum::generators::rowa(&u),
-                    quorum::generators::raow(&u),
-                ],
+                alt_configs: vec![quorum::generators::rowa(&u), quorum::generators::raow(&u)],
             }],
             users: vec![
-                UserSpec::new(vec![
-                    UserStep::Write(0, Value::Int(7)),
-                    UserStep::Read(0),
-                ]),
+                UserSpec::new(vec![UserStep::Write(0, Value::Int(7)), UserStep::Read(0)]),
                 UserSpec::new(vec![
                     UserStep::Read(0),
                     UserStep::Write(0, Value::Int(9)),

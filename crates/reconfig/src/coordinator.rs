@@ -93,11 +93,14 @@ impl Coordinator {
         init_value: Value,
         init_config: Configuration<ObjectId>,
     ) -> Self {
-        let label = format!("{}-coord({tid})", match kind {
-            CoordKind::Read => "read",
-            CoordKind::Write => "write",
-            CoordKind::Reconfigure => "reconfig",
-        });
+        let label = format!(
+            "{}-coord({tid})",
+            match kind {
+                CoordKind::Read => "read",
+                CoordKind::Write => "write",
+                CoordKind::Reconfigure => "reconfig",
+            }
+        );
         Coordinator {
             tid,
             kind,

@@ -5,9 +5,8 @@ use std::collections::BTreeMap;
 
 use ioa::System;
 use nested_txn::{
-    AccessKind, ChildRequest, ObjectId, ReadWriteObject, RegisteredAccess,
-    ScriptProgram, ScriptStep, SerialScheduler, SystemWfMonitor, Tid, TransactionNode, TxnOp,
-    Value,
+    AccessKind, ChildRequest, ObjectId, ReadWriteObject, RegisteredAccess, ScriptProgram,
+    ScriptStep, SerialScheduler, SystemWfMonitor, Tid, TransactionNode, TxnOp, Value,
 };
 use qc_replication::{ItemId, LogicalItem, TmRole, UserSpec, UserStep};
 use quorum::Configuration;
@@ -90,9 +89,7 @@ impl RcLayout {
         let mut t = Some(tid.clone());
         while let Some(cur) = t {
             if cur.last_index().is_some_and(|i| i >= SPY_CHILD_BASE)
-                && cur
-                    .parent()
-                    .is_some_and(|p| self.user_tids.contains(&p))
+                && cur.parent().is_some_and(|p| self.user_tids.contains(&p))
             {
                 return true;
             }
@@ -164,7 +161,9 @@ impl RcWalk {
             match step {
                 UserStep::Read(i) => {
                     let item = ItemId(*i as u32);
-                    self.layout.tm_roles.insert(child.clone(), TmRole::Read(item));
+                    self.layout
+                        .tm_roles
+                        .insert(child.clone(), TmRole::Read(item));
                     if self.replicated {
                         self.add_tm_with_coordinators(&child, CoordKind::Read, item);
                     }

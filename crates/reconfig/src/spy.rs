@@ -226,8 +226,8 @@ mod tests {
     fn spy_ops_disjoint_from_user_node() {
         use nested_txn::{LeafProgram, TransactionNode};
         let user = Tid::root().child(0);
-        let node =
-            TransactionNode::new(user.clone(), LeafProgram::new(Value::Nil)).with_child_limit(SPY_CHILD_BASE);
+        let node = TransactionNode::new(user.clone(), LeafProgram::new(Value::Nil))
+            .with_child_limit(SPY_CHILD_BASE);
         let spy = Spy::new(user.clone(), vec![cfg()], 1);
         let spy_req = TxnOp::request_create(user.child(SPY_CHILD_BASE));
         let node_req = TxnOp::request_create(user.child(0));

@@ -84,7 +84,8 @@ impl CfgTable {
             return CfgId(i as u32);
         }
         let id = u32::try_from(self.entries.len()).expect("fewer than 2^32 member sets");
-        self.entries.push((members, self.rule.and_then(|r| r.over(members))));
+        self.entries
+            .push((members, self.rule.and_then(|r| r.over(members))));
         CfgId(id)
     }
 
@@ -398,8 +399,7 @@ mod tests {
     fn states_renumbers_sites_per_item() {
         let mut a = DmArena::new(6);
         a.set(3, 7, 70);
-        let got: Vec<(usize, u64, u64)> =
-            a.states(3..6).map(|(s, vn, &v)| (s, vn, v)).collect();
+        let got: Vec<(usize, u64, u64)> = a.states(3..6).map(|(s, vn, &v)| (s, vn, v)).collect();
         assert_eq!(got, vec![(0, 7, 70), (1, 0, 0), (2, 0, 0)]);
     }
 }

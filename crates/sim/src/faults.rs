@@ -218,9 +218,7 @@ impl FaultPlan {
         self.events
             .iter()
             .filter_map(|&(at, e)| match e {
-                FaultEvent::DropWindow { duration, permille }
-                    if at <= t && t < at + duration =>
-                {
+                FaultEvent::DropWindow { duration, permille } if at <= t && t < at + duration => {
                     Some(permille)
                 }
                 _ => None,
@@ -347,9 +345,16 @@ impl FaultPlan {
             .events
             .iter()
             .filter_map(|&(at, e)| match e {
-                FaultEvent::AbortClient { client } => (clients_lo..clients_hi)
-                    .contains(&client)
-                    .then(|| (at, FaultEvent::AbortClient { client: client - clients_lo })),
+                FaultEvent::AbortClient { client } => {
+                    (clients_lo..clients_hi).contains(&client).then(|| {
+                        (
+                            at,
+                            FaultEvent::AbortClient {
+                                client: client - clients_lo,
+                            },
+                        )
+                    })
+                }
                 FaultEvent::Corrupt { .. } => keep_corrupt.then_some((at, e)),
                 // Migrations are control-plane events interpreted by the
                 // epoch driver between shard legs, never inside a shard.
@@ -364,7 +369,14 @@ impl FaultPlan {
     /// random sites, `aborts` forced client aborts, all within
     /// `[duration/10, 9·duration/10]`.
     #[must_use]
-    pub fn random(seed: u64, sites: usize, clients: usize, duration: SimTime, pairs: usize, aborts: usize) -> Self {
+    pub fn random(
+        seed: u64,
+        sites: usize,
+        clients: usize,
+        duration: SimTime,
+        pairs: usize,
+        aborts: usize,
+    ) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17_FA17_FA17_FA17);
         let span = duration.as_micros();
         let (lo, hi) = (span / 10, span * 9 / 10);
@@ -584,12 +596,8 @@ impl Serialize for FaultPlan {
             .map(|&(at, e)| {
                 let o = serde_json::JsonObject::new().field("at_us", &at.as_micros());
                 match e {
-                    FaultEvent::Crash { site } => {
-                        o.field("kind", "crash").field("site", &site)
-                    }
-                    FaultEvent::Recover { site } => {
-                        o.field("kind", "recover").field("site", &site)
-                    }
+                    FaultEvent::Crash { site } => o.field("kind", "crash").field("site", &site),
+                    FaultEvent::Recover { site } => o.field("kind", "recover").field("site", &site),
                     FaultEvent::AbortClient { client } => {
                         o.field("kind", "abort").field("client", &client)
                     }
@@ -615,9 +623,10 @@ impl Serialize for FaultPlan {
                             o.field("kind", "reconfig").field("members", &list)
                         }
                     },
-                    FaultEvent::Migrate { item, to } => {
-                        o.field("kind", "migrate").field("item", &item).field("to", &to)
-                    }
+                    FaultEvent::Migrate { item, to } => o
+                        .field("kind", "migrate")
+                        .field("item", &item)
+                        .field("to", &to),
                 }
                 .build()
             })
@@ -792,7 +801,11 @@ mod tests {
     fn zero_duration_windows_round_trip_and_affect_no_instant() {
         let plan = FaultPlan::new()
             .drop_window(SimTime::from_millis(10), SimTime::ZERO, 900)
-            .delay_window(SimTime::from_millis(20), SimTime::ZERO, SimTime::from_millis(3));
+            .delay_window(
+                SimTime::from_millis(20),
+                SimTime::ZERO,
+                SimTime::from_millis(3),
+            );
         let back = FaultPlan::parse(&plan.to_string()).unwrap();
         assert_eq!(plan, back);
         // A window of zero duration is empty: [start, start) contains nothing.
@@ -854,7 +867,10 @@ mod tests {
         assert_eq!(plan.drop_permille_at(SimTime::from_millis(10)), 250);
         assert_eq!(plan.drop_permille_at(SimTime::from_millis(12)), 900); // max wins
         assert_eq!(plan.drop_permille_at(SimTime::from_millis(15)), 0); // end exclusive
-        assert_eq!(plan.delay_extra_at(SimTime::from_millis(25)), SimTime::from_millis(3));
+        assert_eq!(
+            plan.delay_extra_at(SimTime::from_millis(25)),
+            SimTime::from_millis(3)
+        );
         assert_eq!(plan.delay_extra_at(SimTime::from_millis(30)), SimTime::ZERO);
     }
 
@@ -874,7 +890,11 @@ mod tests {
             .crash_at(SimTime::from_millis(1), 2)
             .recover_at(SimTime::from_millis(2), 2)
             .drop_window(SimTime::from_millis(3), SimTime::from_millis(1), 500)
-            .delay_window(SimTime::from_millis(4), SimTime::from_millis(1), SimTime(100))
+            .delay_window(
+                SimTime::from_millis(4),
+                SimTime::from_millis(1),
+                SimTime(100),
+            )
             .abort_at(SimTime::from_millis(5), 1)
             .abort_at(SimTime::from_millis(6), 5)
             .corrupt_at(SimTime::from_millis(7), 0, 99, 7);
@@ -961,15 +981,17 @@ mod tests {
         assert!(FaultPlan::parse("reconfig@5:live,1").is_err()); // arity
         assert!(FaultPlan::parse("reconfig@5:200").is_err()); // beyond the 128 cap
         assert!(FaultPlan::parse("reconfig@x:live").is_err()); // bad time
-        // Validation catches out-of-range and empty member sets.
+                                                               // Validation catches out-of-range and empty member sets.
         let plan = FaultPlan::new().reconfig_at(
             SimTime::from_millis(1),
             ReconfigTarget::Members([0usize, 6].into_iter().collect()),
         );
         assert!(plan.validate(5, 4).is_err());
         assert!(plan.validate(7, 4).is_ok());
-        let empty = FaultPlan::new()
-            .reconfig_at(SimTime::from_millis(1), ReconfigTarget::Members(ReplicaSet::EMPTY));
+        let empty = FaultPlan::new().reconfig_at(
+            SimTime::from_millis(1),
+            ReconfigTarget::Members(ReplicaSet::EMPTY),
+        );
         assert!(empty.validate(5, 4).is_err());
         // `live` targets are always in range.
         let live = FaultPlan::new().reconfig_at(SimTime::from_millis(1), ReconfigTarget::Live);

@@ -144,10 +144,16 @@ mod tests {
     fn lognormal_clamps_pathological_parameters() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // exp overflow → upper clamp, not `inf as u64`.
-        let m = LatencyModel::LogNormal { mu: 1e9, sigma: 0.0 };
+        let m = LatencyModel::LogNormal {
+            mu: 1e9,
+            sigma: 0.0,
+        };
         assert_eq!(m.sample(&mut rng), SimTime(60_000_000));
         // Underflow to 0.0 → floor of 1 µs.
-        let m = LatencyModel::LogNormal { mu: -1e9, sigma: 0.0 };
+        let m = LatencyModel::LogNormal {
+            mu: -1e9,
+            sigma: 0.0,
+        };
         assert_eq!(m.sample(&mut rng), SimTime(1));
         // NaN parameters → floor, never a zero-duration sample.
         let m = LatencyModel::LogNormal {

@@ -440,7 +440,20 @@ mod tests {
             };
             s.record_success(SimTime(v), 1);
         }
-        for p in [-1.0, 0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, 150.0, f64::NAN] {
+        for p in [
+            -1.0,
+            0.0,
+            0.1,
+            1.0,
+            25.0,
+            50.0,
+            90.0,
+            99.0,
+            99.9,
+            100.0,
+            150.0,
+            f64::NAN,
+        ] {
             assert_eq!(
                 s.percentile_ms(p).to_bits(),
                 percentile_by_sort(&s, p).to_bits(),
@@ -512,7 +525,10 @@ mod tests {
         assert_eq!(a.writes.timeouts, 1);
         assert_eq!(a.site_failures, 2);
         assert_eq!(a.lemma_violations, 2);
-        assert_eq!(a.violations, vec!["first".to_string(), "second".to_string()]);
+        assert_eq!(
+            a.violations,
+            vec!["first".to_string(), "second".to_string()]
+        );
         assert_eq!(a.history.len(), 1);
     }
 

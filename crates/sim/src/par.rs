@@ -47,7 +47,11 @@ where
     }
     let threads = threads.clamp(1, n);
     if threads == 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();

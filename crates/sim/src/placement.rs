@@ -241,12 +241,12 @@ pub struct Migration {
 ///
 /// Panics if `deltas` has a different length than the directory.
 #[must_use]
-pub fn plan_moves(
-    deltas: &[u64],
-    dir: &PlacementDirectory,
-    pol: &ElasticPolicy,
-) -> Vec<Migration> {
-    assert_eq!(deltas.len(), dir.items(), "delta vector must cover the keyspace");
+pub fn plan_moves(deltas: &[u64], dir: &PlacementDirectory, pol: &ElasticPolicy) -> Vec<Migration> {
+    assert_eq!(
+        deltas.len(),
+        dir.items(),
+        "delta vector must cover the keyspace"
+    );
     let shards = dir.shards();
     let total: u64 = deltas.iter().sum();
     if pol.max_moves_per_epoch == 0 || total < pol.min_epoch_commits.max(1) {
@@ -298,7 +298,11 @@ pub fn plan_moves(
         let Some((d, g)) = chosen else { break };
         load[h] -= d;
         load[c] += d;
-        moves.push(Migration { item: g, from: h, to: c });
+        moves.push(Migration {
+            item: g,
+            from: h,
+            to: c,
+        });
     }
     moves
 }
@@ -428,14 +432,20 @@ mod tests {
         assert!(plan_moves(&deltas, &dir, &pol).is_empty());
         pol.max_moves_per_epoch = 8;
         pol.min_epoch_commits = 1_000;
-        assert!(plan_moves(&deltas, &dir, &pol).is_empty(), "below the noise floor");
+        assert!(
+            plan_moves(&deltas, &dir, &pol).is_empty(),
+            "below the noise floor"
+        );
     }
 
     #[test]
     fn plan_moves_is_deterministic_and_leaves_balance_alone() {
         let dir = PlacementDirectory::seed(8, 4, SeedPlacement::RoundRobin);
         let deltas = [10, 10, 10, 10, 10, 10, 10, 10];
-        let pol = ElasticPolicy { min_epoch_commits: 1, ..ElasticPolicy::new() };
+        let pol = ElasticPolicy {
+            min_epoch_commits: 1,
+            ..ElasticPolicy::new()
+        };
         assert!(plan_moves(&deltas, &dir, &pol).is_empty(), "already flat");
         let dir = PlacementDirectory::seed(8, 2, SeedPlacement::Range);
         let deltas = [50, 30, 20, 10, 1, 1, 1, 1];

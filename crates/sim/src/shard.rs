@@ -285,19 +285,35 @@ impl MultiConfig {
         }
         if let ItemDist::Zipfian { theta } = self.dist {
             if !(theta.is_finite() && theta >= 0.0) {
-                return Err(format!("zipfian theta must be finite and >= 0, got {theta}"));
+                return Err(format!(
+                    "zipfian theta must be finite and >= 0, got {theta}"
+                ));
             }
         }
         let elastic = self.placement.is_elastic();
         let (quorum, clients) = (&*self.quorum, (self.shards, self.clients_per_shard));
-        validate(quorum, &self.faults, &self.reconfig, clients, elastic, Some(self.read_fraction))?;
+        validate(
+            quorum,
+            &self.faults,
+            &self.reconfig,
+            clients,
+            elastic,
+            Some(self.read_fraction),
+        )?;
         if self.items > MAX_ITEMS {
-            return Err(format!("items must be at most {MAX_ITEMS}, got {}", self.items));
+            return Err(format!(
+                "items must be at most {MAX_ITEMS}, got {}",
+                self.items
+            ));
         }
         let (Workload::Closed { think: pace }
         | Workload::Open { interarrival: pace }
         | Workload::Routed { interarrival: pace }) = self.workload;
-        let spans = [("pace", pace), ("timeout", self.timeout), ("duration", self.duration)];
+        let spans = [
+            ("pace", pace),
+            ("timeout", self.timeout),
+            ("duration", self.duration),
+        ];
         validate_times(&self.latency, &self.retry, &self.reconfig, &spans)?;
         if elastic {
             if !self.reconfig.enabled {
@@ -320,7 +336,9 @@ impl MultiConfig {
                 );
             }
             for &(_, e) in self.faults.events() {
-                let FaultEvent::Migrate { item, to } = e else { continue };
+                let FaultEvent::Migrate { item, to } = e else {
+                    continue;
+                };
                 if item >= self.items {
                     return Err(format!(
                         "migrate references item {item}, but there are {} items",
@@ -355,9 +373,7 @@ impl MultiConfig {
                 .iter()
                 .any(|(_, e)| matches!(e, FaultEvent::AbortClient { .. }))
         {
-            return Err(
-                "abort@ events reference clients, but the routed workload has none".into(),
-            );
+            return Err("abort@ events reference clients, but the routed workload has none".into());
         }
         Ok(())
     }
@@ -460,20 +476,29 @@ pub fn cum_weight_table(global_items: &[usize], dist: ItemDist) -> (Vec<f64>, f6
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
-    OpStart { client: usize },
-    PlanFault { idx: usize },
+    OpStart {
+        client: usize,
+    },
+    PlanFault {
+        idx: usize,
+    },
     /// Retry of a parked operation. `coord` is the shard-local client
     /// index in client-paced modes and the **global** item id under
     /// [`Workload::Routed`]; `epoch` is the coordinator's retry epoch at
     /// scheduling time. A migration aborts the in-flight op and bumps the
     /// epoch, so a retry queued before the barrier tombstones instead of
     /// prodding whatever op parks there next.
-    Retry { coord: u32, epoch: u32 },
+    Retry {
+        coord: u32,
+        epoch: u32,
+    },
     SpyCheck,
     /// A routed arrival for global item `item`. Arrivals for items this
     /// shard no longer owns are tombstones (the new owner re-derives the
     /// same stream from `(seed, item, t)`).
-    Arrival { item: usize },
+    Arrival {
+        item: usize,
+    },
 }
 
 // The queue stores events as they are: keep them two words.
@@ -602,7 +627,9 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             cum_weight_table(&global_items, config.dist)
         };
         let step: Vec<f64> = if routed {
-            let owned = global_items.iter().map(|&g| arrival_step(step_scale, g, config.dist));
+            let owned = global_items
+                .iter()
+                .map(|&g| arrival_step(step_scale, g, config.dist));
             owned.chain(std::iter::repeat(0.0)).take(slots).collect()
         } else {
             Vec::new()
@@ -624,14 +651,19 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             timeout: config.timeout,
             seed: config.seed,
             rng_seed: shard_seed(config.seed, shard),
-            plan: config.faults.shard_view(client_base, client_base + cps, owns_item0),
+            plan: config
+                .faults
+                .shard_view(client_base, client_base + cps, owns_item0),
             reconfig: config.reconfig,
             retry: config.retry,
             monitor: config.monitor,
             slots,
         };
-        let slot_global: Vec<usize> =
-            global_items.into_iter().chain(std::iter::repeat(FREE)).take(slots).collect();
+        let slot_global: Vec<usize> = global_items
+            .into_iter()
+            .chain(std::iter::repeat(FREE))
+            .take(slots)
+            .collect();
         let mut walk = Vec::with_capacity(slots);
         walk.extend(0..local as u32);
         let mut sim = ShardSim {
@@ -729,7 +761,15 @@ impl<'a, O: Observe> ShardSim<'a, O> {
         allow_same: bool,
     ) -> bool {
         let (global, tm_op) = (Some(self.slot_global[slot]), self.cluster.gen(slot) + 1);
-        self.ops.run_reconfigure(&mut self.cluster, slot, global, tm_op, target, scripted, allow_same)
+        self.ops.run_reconfigure(
+            &mut self.cluster,
+            slot,
+            global,
+            tm_op,
+            target,
+            scripted,
+            allow_same,
+        )
     }
 
     /// A queued retry of coordinate `coord` fires; a stale epoch — or,
@@ -827,14 +867,19 @@ impl<'a, O: Observe> ShardSim<'a, O> {
         self.refresh_walk();
         for &slot in &self.walk {
             let slot = slot as usize;
-            self.ops.final_check(&mut self.cluster, slot, Some(self.slot_global[slot]));
+            self.ops
+                .final_check(&mut self.cluster, slot, Some(self.slot_global[slot]));
         }
         let items = self
             .walk
             .iter()
             .map(|&s| {
                 let s = s as usize;
-                (self.slot_global[s], self.item_commits[s], self.cluster.current_vn(s))
+                (
+                    self.slot_global[s],
+                    self.item_commits[s],
+                    self.cluster.current_vn(s),
+                )
             })
             .collect();
         ShardOutcome {
@@ -861,8 +906,15 @@ impl<'a, O: Observe> ShardSim<'a, O> {
     /// keeps its coordinate).
     #[inline]
     fn op_id(&self, key: usize, item: usize) -> OpId {
-        let coord = if self.routed { self.slot_global[key] } else { self.client_base + key };
-        OpId { coord, item: Some(self.slot_global[item]) }
+        let coord = if self.routed {
+            self.slot_global[key]
+        } else {
+            self.client_base + key
+        };
+        OpId {
+            coord,
+            item: Some(self.slot_global[item]),
+        }
     }
 
     /// Index into `client_cfg` of coordinator `key`'s cached configuration
@@ -935,7 +987,9 @@ impl<'a, O: Observe> ShardSim<'a, O> {
         // Values are unique per item across the whole run: the counter
         // migrates with the item, and the prefix is its global id.
         let value = g as u64 * 1_000_000 + op_index + 1;
-        self.ops.pending.put(slot, PendingOp::begin(slot, is_read, value, op_index, now));
+        self.ops
+            .pending
+            .put(slot, PendingOp::begin(slot, is_read, value, op_index, now));
         self.attempt_op(slot);
     }
 
@@ -981,19 +1035,39 @@ impl<'a, O: Observe> ShardSim<'a, O> {
     /// Run one attempt of coordinator `key`'s pending operation and
     /// schedule what follows it.
     fn attempt_op(&mut self, key: usize) {
-        let Some(op) = self.ops.pending.take(key) else { return };
+        let Some(op) = self.ops.pending.take(key) else {
+            return;
+        };
         let id = self.op_id(key, op.item);
         let idx = self.cfg_idx(key, op.item);
-        let cache = self.config.reconfig.enabled.then(|| &mut self.client_cfg[idx]);
+        let cache = self
+            .config
+            .reconfig
+            .enabled
+            .then(|| &mut self.client_cfg[idx]);
         match self.ops.run_attempt(&mut self.cluster, key, id, op, cache) {
             Then::Retry { delay } => {
                 // The coordinate a retry names survives a migration: the
                 // global item id under Routed.
-                let coord = if self.routed { self.slot_global[key] } else { key };
+                let coord = if self.routed {
+                    self.slot_global[key]
+                } else {
+                    key
+                };
                 let epoch = self.retry_epoch[key];
-                self.schedule(delay, Event::Retry { coord: coord as u32, epoch });
+                self.schedule(
+                    delay,
+                    Event::Retry {
+                        coord: coord as u32,
+                        epoch,
+                    },
+                );
             }
-            Then::Next { after, floor, commit } => {
+            Then::Next {
+                after,
+                floor,
+                commit,
+            } => {
                 if commit.is_some() {
                     self.item_commits[op.item] += 1;
                 }
@@ -1006,7 +1080,9 @@ impl<'a, O: Observe> ShardSim<'a, O> {
     /// [`Clients::fence_parked`]). Bumping the retry epoch tombstones the
     /// op's queued retry; a closed-loop client moves on.
     fn abort_parked(&mut self, key: usize) {
-        let Some(item) = self.ops.pending.get(key).map(|op| op.item) else { return };
+        let Some(item) = self.ops.pending.get(key).map(|op| op.item) else {
+            return;
+        };
         let id = self.op_id(key, item);
         self.ops.fence_parked(&mut self.cluster, key, id);
         self.retry_epoch[key] += 1;
@@ -1055,7 +1131,12 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             }
         } else {
             for c in 0..self.config.clients_per_shard {
-                if self.ops.pending.get(c).is_some_and(|op| slots.contains(&op.item)) {
+                if self
+                    .ops
+                    .pending
+                    .get(c)
+                    .is_some_and(|op| slots.contains(&op.item))
+                {
                     self.abort_parked(c);
                 }
             }
@@ -1083,8 +1164,16 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             global,
             core: self.cluster.export(slot),
             commits: self.item_commits[slot],
-            op_count: if self.routed { self.op_counter[slot] } else { 0 },
-            retry_epoch: if self.routed { self.retry_epoch[slot] } else { 0 },
+            op_count: if self.routed {
+                self.op_counter[slot]
+            } else {
+                0
+            },
+            retry_epoch: if self.routed {
+                self.retry_epoch[slot]
+            } else {
+                0
+            },
             step: if self.routed { self.step[slot] } else { 0.0 },
         }
     }
@@ -1152,7 +1241,11 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             return;
         }
         self.refresh_walk();
-        let globals: Vec<usize> = self.walk.iter().map(|&s| self.slot_global[s as usize]).collect();
+        let globals: Vec<usize> = self
+            .walk
+            .iter()
+            .map(|&s| self.slot_global[s as usize])
+            .collect();
         let (cw, total) = cum_weight_table(&globals, self.config.dist);
         self.cum_weights = cw;
         self.total_weight = total;
@@ -1324,7 +1417,11 @@ fn run_elastic<O: Observe>(
             if from == m.to {
                 continue;
             }
-            batch.push(Migration { item: m.item, from, to: m.to });
+            batch.push(Migration {
+                item: m.item,
+                from,
+                to: m.to,
+            });
         }
         if !batch.is_empty() {
             // Stable by source: within one shard, fences run in planner
@@ -1510,7 +1607,11 @@ mod tests {
         let report = run_sharded(&base(), 1);
         assert_eq!(report.metrics.lemma_violations, 0);
         assert_eq!(report.metrics.reads.availability(), 1.0);
-        assert!(report.item_commits.iter().all(|&c| c > 0), "{:?}", report.item_commits);
+        assert!(
+            report.item_commits.iter().all(|&c| c > 0),
+            "{:?}",
+            report.item_commits
+        );
         // Writes happened somewhere, so some item's version advanced.
         assert!(report.item_vns.iter().any(|&vn| vn > 0));
         assert_eq!(report.item_commits.len(), base().items);
@@ -1589,8 +1690,16 @@ mod tests {
         heap.queue = QueueKind::Heap;
         let reference = run_sharded(&cal, 1).digest();
         for threads in [1, 2, 4] {
-            assert_eq!(run_sharded(&cal, threads).digest(), reference, "calendar t={threads}");
-            assert_eq!(run_sharded(&heap, threads).digest(), reference, "heap t={threads}");
+            assert_eq!(
+                run_sharded(&cal, threads).digest(),
+                reference,
+                "calendar t={threads}"
+            );
+            assert_eq!(
+                run_sharded(&heap, threads).digest(),
+                reference,
+                "heap t={threads}"
+            );
         }
     }
 
@@ -1618,14 +1727,18 @@ mod tests {
         c.seed = 7;
         c.read_fraction = 0.5;
         c.reconfig = ReconfigPolicy::scripted_only();
-        c.faults = FaultPlan::new()
-            .reconfig_at(SimTime::from_secs(1), ReconfigTarget::Members(shrunk));
+        c.faults =
+            FaultPlan::new().reconfig_at(SimTime::from_secs(1), ReconfigTarget::Members(shrunk));
         let report = run_sharded(&c, 2);
         // One reconfigure op per item.
         assert_eq!(report.metrics.reconfigurations, c.items as u64);
         assert_eq!(report.metrics.reconfig_failures, 0);
         assert!(report.metrics.stale_rejections > 0);
-        assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
+        assert_eq!(
+            report.metrics.lemma_violations, 0,
+            "{:?}",
+            report.metrics.violations
+        );
         assert!(report.item_commits.iter().all(|&n| n > 0));
     }
 
@@ -1643,15 +1756,18 @@ mod tests {
         let reference = run_sharded(&c, 1);
         assert!(reference.metrics.reconfigurations > 0);
         assert_eq!(
-            reference.metrics.lemma_violations,
-            0,
+            reference.metrics.lemma_violations, 0,
             "{:?}",
             reference.metrics.violations
         );
         let mut heap = c.clone();
         heap.queue = QueueKind::Heap;
         for threads in [2, 4] {
-            assert_eq!(run_sharded(&c, threads).digest(), reference.digest(), "t={threads}");
+            assert_eq!(
+                run_sharded(&c, threads).digest(),
+                reference.digest(),
+                "t={threads}"
+            );
         }
         assert_eq!(run_sharded(&heap, 1).digest(), reference.digest(), "heap");
     }
@@ -1688,7 +1804,11 @@ mod tests {
         // 2 s / 2 ms ≈ 1000 arrivals over the whole keyspace.
         let attempts = report.metrics.reads.attempts + report.metrics.writes.attempts;
         assert!((850..=1_050).contains(&attempts), "attempts {attempts}");
-        assert!(report.item_commits.iter().all(|&n| n > 0), "{:?}", report.item_commits);
+        assert!(
+            report.item_commits.iter().all(|&n| n > 0),
+            "{:?}",
+            report.item_commits
+        );
     }
 
     #[test]
@@ -1772,7 +1892,11 @@ mod tests {
     #[test]
     fn elastic_rebalancer_migrates_and_flattens_a_hot_range() {
         let (report, placement) = run_sharded_elastic(&elastic_routed(), 2);
-        assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
+        assert_eq!(
+            report.metrics.lemma_violations, 0,
+            "{:?}",
+            report.metrics.violations
+        );
         assert!(placement.migrations > 0, "{placement:?}");
         // The range seed starts shard 0 with the entire zipf head; moves
         // must spread ownership out.
@@ -1840,7 +1964,11 @@ mod tests {
         // Item 0 left shard 0 (round-robin owner) for shard 3.
         assert_eq!(placement.final_counts, vec![1, 2, 2, 3]);
         assert_eq!(report.metrics.reconfigurations, 1);
-        assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
+        assert_eq!(
+            report.metrics.lemma_violations, 0,
+            "{:?}",
+            report.metrics.violations
+        );
         // Commits keep flowing to the item on its new shard.
         assert!(report.item_commits[0] > 0);
     }
@@ -1881,8 +2009,13 @@ mod tests {
         home.sync_to(a_first);
         away.run_to(a_first);
         away.sync_to(a_first);
-        assert!(home.ops.pending.is_live(0), "A's first op is parked behind its retry");
-        let a_next = home.next_arrival_at_or_after(0, a_first + SimTime(1)).unwrap();
+        assert!(
+            home.ops.pending.is_live(0),
+            "A's first op is parked behind its retry"
+        );
+        let a_next = home
+            .next_arrival_at_or_after(0, a_first + SimTime(1))
+            .unwrap();
         let a_retry = a_first + c.timeout + c.retry.backoff_before(2);
         assert!(a_retry < a_next, "the retry fires inside the window below");
         let queued = home.queue_len();
@@ -1898,7 +2031,9 @@ mod tests {
         home.migrate_in_many(imported);
         assert_eq!(home.slot_of[b], 0, "B took the slot A vacated");
         assert_eq!(home.slot_global[0], b);
-        let b_first = home.next_arrival_at_or_after(0, a_first + SimTime(1)).unwrap();
+        let b_first = home
+            .next_arrival_at_or_after(0, a_first + SimTime(1))
+            .unwrap();
         assert!(
             b_first > a_next + SimTime::from_millis(1),
             "pick a seed whose cold item's next tick follows the hot item's: {b_first} vs {a_next}"
@@ -1914,7 +2049,11 @@ mod tests {
         home.run_to(a_next - SimTime(1));
         let before = home.queue_len();
         home.run_to(a_next);
-        assert_eq!(home.queue_len(), before - 1, "the arrival tombstoned, no successor");
+        assert_eq!(
+            home.queue_len(),
+            before - 1,
+            "the arrival tombstoned, no successor"
+        );
         home.run_to(a_next + SimTime::from_millis(1));
         assert!(!home.ops.pending.is_live(0), "A's retry prodded B's slot");
         assert_eq!(home.op_counter[0], 0, "A's arrival started an op for B");

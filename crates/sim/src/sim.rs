@@ -149,9 +149,20 @@ impl SimConfig {
     /// fault plan naming sites or clients out of range.
     pub fn validate(&self) -> Result<(), String> {
         let (quorum, clients) = (&*self.quorum, (1, self.clients));
-        validate(quorum, &self.faults, &self.reconfig, clients, false, Some(self.read_fraction))?;
+        validate(
+            quorum,
+            &self.faults,
+            &self.reconfig,
+            clients,
+            false,
+            Some(self.read_fraction),
+        )?;
         let think = ("think_time", self.think_time);
-        let spans = [think, ("timeout", self.timeout), ("duration", self.duration)];
+        let spans = [
+            think,
+            ("timeout", self.timeout),
+            ("duration", self.duration),
+        ];
         validate_times(&self.latency, &self.retry, &self.reconfig, &spans)
     }
 }
@@ -308,14 +319,17 @@ impl<O: Observe> Simulation<O> {
     }
 
     fn log_site(&mut self, up: bool, site: usize) {
-        self.cluster.obs.mark(self.cluster.now, &Mark::Site(site, up));
+        self.cluster
+            .obs
+            .mark(self.cluster.now, &Mark::Site(site, up));
     }
 
     /// One reconfigure op on the item. Its TM is named by the count of
     /// reconfigurations so far.
     fn reconfigure_item(&mut self, target: ReconfigTarget, scripted: bool) {
         let tm_op = self.ops.metrics.reconfigurations;
-        self.ops.run_reconfigure(&mut self.cluster, 0, None, tm_op, target, scripted, false);
+        self.ops
+            .run_reconfigure(&mut self.cluster, 0, None, tm_op, target, scripted, false);
     }
 
     fn drive(&mut self) {
@@ -348,15 +362,36 @@ impl<O: Observe> Simulation<O> {
     /// Run one attempt of `client`'s pending operation and schedule what
     /// follows it.
     fn attempt_op(&mut self, client: usize) {
-        let Some(op) = self.ops.pending.take(client) else { return };
-        let id = OpId { coord: client, item: None };
-        let cache = self.config.reconfig.enabled.then(|| &mut self.client_cfg[client]);
-        match self.ops.run_attempt(&mut self.cluster, client, id, op, cache) {
+        let Some(op) = self.ops.pending.take(client) else {
+            return;
+        };
+        let id = OpId {
+            coord: client,
+            item: None,
+        };
+        let cache = self
+            .config
+            .reconfig
+            .enabled
+            .then(|| &mut self.client_cfg[client]);
+        match self
+            .ops
+            .run_attempt(&mut self.cluster, client, id, op, cache)
+        {
             Then::Retry { delay } => self.schedule(delay, Event::Retry { client }),
-            Then::Next { after, floor, commit } => {
+            Then::Next {
+                after,
+                floor,
+                commit,
+            } => {
                 if let (true, Some((vn, value))) = (self.config.record_history, commit) {
                     let read = op.read;
-                    self.ops.metrics.history.push(CommitRecord { client, read, vn, value });
+                    self.ops.metrics.history.push(CommitRecord {
+                        client,
+                        read,
+                        vn,
+                        value,
+                    });
                 }
                 let delay = (after + self.config.think_time).max(floor);
                 self.schedule(delay, Event::OpStart { client });
@@ -388,7 +423,10 @@ pub fn run(config: SimConfig) -> Metrics {
 /// [`crate::trace`]).
 pub fn run_traced(config: SimConfig) -> (Metrics, ScheduleTrace) {
     let mut traces = Traces::new(&*config.quorum, config.seed, 1);
-    (run_with(config, &mut traces), traces.into_traces().swap_remove(0))
+    (
+        run_with(config, &mut traces),
+        traces.into_traces().swap_remove(0),
+    )
 }
 
 /// [`run`], also returning what `config.obs` asks to record.
@@ -447,7 +485,11 @@ mod tests {
         assert!(m.site_failures > 0);
         // With ~half the time one site down, ROWA writes fail often while
         // reads almost always succeed.
-        assert!(m.writes.availability() < 0.9, "writes {}", m.writes.availability());
+        assert!(
+            m.writes.availability() < 0.9,
+            "writes {}",
+            m.writes.availability()
+        );
         assert!(m.reads.availability() > m.writes.availability());
         assert_eq!(m.lemma_violations, 0);
     }
@@ -461,8 +503,16 @@ mod tests {
         c.duration = SimTime::from_secs(30);
         let m = run(c);
         // 5 sites, short repairs: a majority is almost always up.
-        assert!(m.reads.availability() > 0.97, "reads {}", m.reads.availability());
-        assert!(m.writes.availability() > 0.95, "writes {}", m.writes.availability());
+        assert!(
+            m.reads.availability() > 0.97,
+            "reads {}",
+            m.reads.availability()
+        );
+        assert!(
+            m.writes.availability() > 0.95,
+            "writes {}",
+            m.writes.availability()
+        );
         assert_eq!(m.lemma_violations, 0);
     }
 
@@ -623,7 +673,11 @@ mod tests {
         dy.faults = plan;
         dy.reconfig = ReconfigPolicy::reactive();
         let d = run(dy);
-        assert!(d.reconfigurations >= 2, "reconfigurations {}", d.reconfigurations);
+        assert!(
+            d.reconfigurations >= 2,
+            "reconfigurations {}",
+            d.reconfigurations
+        );
         assert_eq!(d.lemma_violations, 0, "violations: {:?}", d.violations);
         assert!(
             d.writes.availability() > 0.9 && s.writes.availability() < 0.7,
@@ -638,8 +692,8 @@ mod tests {
         let shrunk: ReplicaSet = [0usize, 1, 2].into_iter().collect();
         let mut c = base(Arc::new(Majority::new(5)));
         c.read_fraction = 0.5;
-        c.faults = FaultPlan::new()
-            .reconfig_at(SimTime::from_secs(1), ReconfigTarget::Members(shrunk));
+        c.faults =
+            FaultPlan::new().reconfig_at(SimTime::from_secs(1), ReconfigTarget::Members(shrunk));
         c.reconfig = ReconfigPolicy::scripted_only();
         let mut sim = Simulation::new(c);
         sim.drive();

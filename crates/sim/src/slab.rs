@@ -126,7 +126,8 @@ impl OpSlab {
     /// slots are keyed by the shard's stable item slots and an import
     /// that finds no free slot grows the table by one.
     pub fn push_empty(&mut self) {
-        self.slots.push(PendingOp::begin(0, false, 0, 0, SimTime::ZERO));
+        self.slots
+            .push(PendingOp::begin(0, false, 0, 0, SimTime::ZERO));
         self.live.push(false);
     }
 

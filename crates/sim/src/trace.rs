@@ -34,17 +34,26 @@ fn write_event_json(s: &mut String, e: &TraceEvent) {
             write!(s, "\"action\":\"CREATE\",\"kind\":\"{kind}\"")
         }
         TraceAction::ReadDm { site, vn, value } => {
-            write!(s, "\"action\":\"READ-DM\",\"site\":{site},\"vn\":{vn},\"value\":{value}")
+            write!(
+                s,
+                "\"action\":\"READ-DM\",\"site\":{site},\"vn\":{vn},\"value\":{value}"
+            )
         }
         TraceAction::WriteDm { site, vn, value } => {
-            write!(s, "\"action\":\"WRITE-DM\",\"site\":{site},\"vn\":{vn},\"value\":{value}")
+            write!(
+                s,
+                "\"action\":\"WRITE-DM\",\"site\":{site},\"vn\":{vn},\"value\":{value}"
+            )
         }
         TraceAction::ReadCfg { site, gen } => {
             write!(s, "\"action\":\"READ-CFG\",\"site\":{site},\"gen\":{gen}")
         }
         TraceAction::WriteCfg { site, gen, members } => {
-            write!(s, "\"action\":\"WRITE-CFG\",\"site\":{site},\"gen\":{gen},\"members\":[")
-                .expect("writing to a String cannot fail");
+            write!(
+                s,
+                "\"action\":\"WRITE-CFG\",\"site\":{site},\"gen\":{gen},\"members\":["
+            )
+            .expect("writing to a String cannot fail");
             for (i, m) in members.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
@@ -54,11 +63,17 @@ fn write_event_json(s: &mut String, e: &TraceEvent) {
             write!(s, "]")
         }
         TraceAction::RequestCommit { vn, value } => {
-            write!(s, "\"action\":\"REQUEST-COMMIT\",\"vn\":{vn},\"value\":{value}")
+            write!(
+                s,
+                "\"action\":\"REQUEST-COMMIT\",\"vn\":{vn},\"value\":{value}"
+            )
         }
         TraceAction::Commit => write!(s, "\"action\":\"COMMIT\""),
         TraceAction::Abort { kind, reason } => {
-            write!(s, "\"action\":\"ABORT\",\"kind\":\"{kind}\",\"reason\":\"{reason}\"")
+            write!(
+                s,
+                "\"action\":\"ABORT\",\"kind\":\"{kind}\",\"reason\":\"{reason}\""
+            )
         }
     }
     .expect("writing to a String cannot fail");
@@ -100,7 +115,12 @@ mod tests {
 
     /// Append `action` at `at_us` under [`tid`].
     fn record(t: &mut ScheduleTrace, at_us: u64, action: TraceAction, faulted: bool) {
-        t.events.push(TraceEvent { at_us, tid: tid(), action, faulted });
+        t.events.push(TraceEvent {
+            at_us,
+            tid: tid(),
+            action,
+            faulted,
+        });
     }
 
     fn tid() -> TraceTid {
@@ -115,7 +135,10 @@ mod tests {
     fn recorder_accumulates_in_order() {
         let mut r = ScheduleTrace::new("majority(3)", 3, 7);
         assert!(r.events.is_empty());
-        record(&mut r, 10, TraceAction::Create { kind: TmKind::Read },
+        record(
+            &mut r,
+            10,
+            TraceAction::Create { kind: TmKind::Read },
             false,
         );
         record(&mut r, 11, TraceAction::Commit, true);
@@ -131,37 +154,55 @@ mod tests {
     #[test]
     fn json_format_is_stable() {
         let mut r = ScheduleTrace::new("rowa(2)", 2, 0);
-        record(&mut r, 5, TraceAction::Create {
+        record(
+            &mut r,
+            5,
+            TraceAction::Create {
                 kind: TmKind::Write,
             },
             false,
         );
-        record(&mut r, 5, TraceAction::ReadDm {
+        record(
+            &mut r,
+            5,
+            TraceAction::ReadDm {
                 site: 0,
                 vn: 0,
                 value: 0,
             },
             false,
         );
-        record(&mut r, 5, TraceAction::WriteDm {
+        record(
+            &mut r,
+            5,
+            TraceAction::WriteDm {
                 site: 1,
                 vn: 1,
                 value: 9,
             },
             false,
         );
-        record(&mut r, 5, TraceAction::RequestCommit { vn: 1, value: 9 },
+        record(
+            &mut r,
+            5,
+            TraceAction::RequestCommit { vn: 1, value: 9 },
             false,
         );
         record(&mut r, 5, TraceAction::Commit, false);
-        record(&mut r, 6, TraceAction::Abort {
+        record(
+            &mut r,
+            6,
+            TraceAction::Abort {
                 kind: TmKind::Read,
                 reason: AbortReason::Timeout,
             },
             true,
         );
         record(&mut r, 7, TraceAction::ReadCfg { site: 0, gen: 0 }, false);
-        record(&mut r, 7, TraceAction::WriteCfg {
+        record(
+            &mut r,
+            7,
+            TraceAction::WriteCfg {
                 site: 1,
                 gen: 1,
                 members: [0usize, 1].into_iter().collect(),

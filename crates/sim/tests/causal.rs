@@ -50,10 +50,19 @@ fn single_faulted() -> SimConfig {
 fn assert_reconciled(causal: &qc_sim::CausalReport) {
     let p = causal.profile();
     assert!(p.txns() > 0, "nothing recorded; reconciliation is vacuous");
-    assert_eq!(p.reconciled(), p.txns(), "critical paths drifted from latency");
+    assert_eq!(
+        p.reconciled(),
+        p.txns(),
+        "critical paths drifted from latency"
+    );
     for t in causal.all() {
         t.verify().expect("recorded trace is causally consistent");
-        assert_eq!(t.critical_path().total_us, t.latency_us(), "{}", t.to_json_line());
+        assert_eq!(
+            t.critical_path().total_us,
+            t.latency_us(),
+            "{}",
+            t.to_json_line()
+        );
     }
 }
 
@@ -64,7 +73,11 @@ fn causal_recording_is_invisible_single_sim() {
         let mut c = make();
         c.obs.causal = CausalOptions::full();
         let (observed, obs) = run_observed(c);
-        assert_eq!(plain.digest(), observed.digest(), "causal recording perturbed the run");
+        assert_eq!(
+            plain.digest(),
+            observed.digest(),
+            "causal recording perturbed the run"
+        );
         assert_reconciled(&obs.causal);
     }
 }
@@ -112,7 +125,10 @@ fn stale_retries_are_attributed_to_stale_retry_edge() {
     c.obs.spans = true;
     c.obs.causal = CausalOptions::full();
     let (m, obs) = run_observed(c);
-    assert!(m.stale_rejections > 0, "the shrink must strand a stale cache");
+    assert!(
+        m.stale_rejections > 0,
+        "the shrink must strand a stale cache"
+    );
     assert_eq!(
         obs.spans.hist(Phase::ReconfigFence).count(),
         m.reconfigurations,
@@ -154,7 +170,11 @@ fn causal_recording_is_invisible_sharded() {
     let mut opts = ObsOptions::disabled();
     opts.causal = CausalOptions::full();
     let (observed, _, obs) = observed(&sharded_config(), 2, opts);
-    assert_eq!(plain.digest(), observed.digest(), "causal recording perturbed the run");
+    assert_eq!(
+        plain.digest(),
+        observed.digest(),
+        "causal recording perturbed the run"
+    );
     assert_reconciled(&obs.causal);
 }
 
@@ -200,7 +220,10 @@ fn migrating_causal_digest_is_thread_and_queue_invariant() {
             c.queue = queue;
             let (report, placement, obs) = observed(&c, threads, migrating_obs());
             assert!(placement.migrations > 0, "{placement:?}");
-            assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
+            assert!(
+                report.metrics.stale_rejections > 0,
+                "the §4 fence must fire"
+            );
             assert_eq!(
                 obs.spans.hist(Phase::Migration).count(),
                 placement.migrations,
@@ -216,7 +239,10 @@ fn migrating_causal_digest_is_thread_and_queue_invariant() {
     }
     let first = digests[0].2;
     for (queue, threads, d) in digests {
-        assert_eq!(d, first, "causal digest diverged at {queue:?} x {threads} threads");
+        assert_eq!(
+            d, first,
+            "causal digest diverged at {queue:?} x {threads} threads"
+        );
     }
 }
 
@@ -253,7 +279,10 @@ fn txn_causal_digest_is_thread_and_queue_invariant() {
     }
     let first = digests[0].2;
     for (queue, threads, d) in digests {
-        assert_eq!(d, first, "causal digest diverged at {queue:?} x {threads} threads");
+        assert_eq!(
+            d, first,
+            "causal digest diverged at {queue:?} x {threads} threads"
+        );
     }
 }
 
@@ -278,7 +307,11 @@ fn faulted_single_item_full_observation_is_pinned() {
         assert!(obs.causal.profile().edge(EdgeKind::RetryBackoff).count() > 0);
         let got = (obs.digest(), obs.causal.digest());
         let pinned = (0x05b1_16fb_6903_113a, 0x5d93_2223_f6af_5fdc);
-        assert_eq!(got, pinned, "{queue:?}: got ({:#018x}, {:#018x})", got.0, got.1);
+        assert_eq!(
+            got, pinned,
+            "{queue:?}: got ({:#018x}, {:#018x})",
+            got.0, got.1
+        );
     }
 }
 
@@ -308,7 +341,10 @@ fn faulted_sharded_full_observation_is_pinned() {
             let at = format!("{queue:?} at {threads} threads");
             assert_eq!(r.digest(), plain.digest(), "{at}");
             let m = &r.metrics;
-            assert!(m.forced_aborts == 1 && m.reads.retries + m.writes.retries > 0, "{at}");
+            assert!(
+                m.forced_aborts == 1 && m.reads.retries + m.writes.retries > 0,
+                "{at}"
+            );
             let got = (obs.digest(), obs.causal.digest());
             let pinned = (0xd9b5_8a5f_64ec_617c, 0x360a_6743_c22a_93fe);
             assert_eq!(got, pinned, "{at}: got ({:#018x}, {:#018x})", got.0, got.1);

@@ -204,7 +204,9 @@ fn flat_config(seed: u64, weather: &[(u8, u64, usize)], rowa: bool, attempts: u3
             0 => c.faults.crash_at(at, idx % SITES),
             1 => c.faults.recover_at(at, idx % SITES),
             2 => c.faults.abort_at(at, idx % 4),
-            _ => c.faults.drop_window(at, SimTime::from_millis(30), 100 * (idx as u32 + 2)),
+            _ => c
+                .faults
+                .drop_window(at, SimTime::from_millis(30), 100 * (idx as u32 + 2)),
         };
     }
     c.retry = RetryPolicy::retries(attempts, SimTime::from_millis(2));

@@ -91,8 +91,14 @@ fn determinism_scenarios_conform() {
             m.reads.successes + m.writes.successes
         );
         assert_eq!(report.aborted, expected_aborts(&m));
-        assert!(report.faulted_events > 0, "fault windows left no tagged events");
-        assert!(t.events.iter().any(|e| !e.faulted), "healthy periods missing");
+        assert!(
+            report.faulted_events > 0,
+            "fault windows left no tagged events"
+        );
+        assert!(
+            t.events.iter().any(|e| !e.faulted),
+            "healthy periods missing"
+        );
     }
 }
 
@@ -249,7 +255,10 @@ fn in_flight_crash_conforms() {
     let (m, _, report) = assert_conforms(c);
     assert_eq!(m.reads.successes + m.writes.successes, 0);
     assert_eq!(report.committed, 0);
-    assert_eq!(report.max_vn, 0, "nothing committed, so no version advanced");
+    assert_eq!(
+        report.max_vn, 0,
+        "nothing committed, so no version advanced"
+    );
 }
 
 #[test]
@@ -284,7 +293,10 @@ fn forced_aborts_conform_and_are_tagged() {
         .filter(|e| matches!(e.action, TraceAction::Abort { .. }))
         .collect();
     assert_eq!(forced.len(), 2);
-    assert!(forced.iter().all(|e| e.faulted), "forced aborts must be tagged faulted");
+    assert!(
+        forced.iter().all(|e| e.faulted),
+        "forced aborts must be tagged faulted"
+    );
 }
 
 #[test]
@@ -410,7 +422,11 @@ fn mutated_stale_version_is_rejected() {
     events[rc].action = TraceAction::RequestCommit { vn: vn + 1, value };
     t.events = events.into();
     let d = check_trace(&t, &*q).expect_err("stale version must not conform");
-    assert_eq!(d.event, rc, "diverged at {} instead of the mutated action", d.action);
+    assert_eq!(
+        d.event, rc,
+        "diverged at {} instead of the mutated action",
+        d.action
+    );
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");
 }
 
@@ -428,7 +444,11 @@ fn mutated_commit_without_quorum_install_is_rejected() {
     t.events = events.into();
     let rc = rc - installs.len();
     let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
-    assert_eq!(d.event, rc, "diverged at {} instead of the gutted commit", d.action);
+    assert_eq!(
+        d.event, rc,
+        "diverged at {} instead of the gutted commit",
+        d.action
+    );
     assert_eq!(d.kind, DivergenceKind::NoWriteQuorum, "got: {d}");
 }
 
@@ -517,7 +537,10 @@ fn recorded_reconfiguring_run() -> (ScheduleTrace, Arc<Majority>) {
         ReconfigTarget::Members([0usize, 1, 2, 3].into_iter().collect()),
     );
     let (m, t) = run_traced(c);
-    assert_eq!(m.reconfigurations, 1, "exactly the scripted reconfiguration");
+    assert_eq!(
+        m.reconfigurations, 1,
+        "exactly the scripted reconfiguration"
+    );
     check_trace(&t, &*q).expect("the unmutated trace conforms");
     (t, q)
 }
@@ -599,7 +622,9 @@ fn mutated_stale_generation_commit_is_rejected() {
         + create;
     // Drop the block's recorded generation-1 READ-CFGs...
     let cfg_reads: Vec<usize> = (create..rc)
-        .filter(|&i| events[i].tid == tid && matches!(events[i].action, TraceAction::ReadCfg { .. }))
+        .filter(|&i| {
+            events[i].tid == tid && matches!(events[i].action, TraceAction::ReadCfg { .. })
+        })
         .collect();
     assert!(!cfg_reads.is_empty(), "dynamic blocks carry READ-CFG");
     for &i in cfg_reads.iter().rev() {
@@ -619,7 +644,11 @@ fn mutated_stale_generation_commit_is_rejected() {
     t.events = events.into();
 
     let d = check_trace(&t, &*q).expect_err("a stale-generation commit must not conform");
-    assert_eq!(d.event, rc, "diverged at {} instead of the stale commit", d.action);
+    assert_eq!(
+        d.event, rc,
+        "diverged at {} instead of the stale commit",
+        d.action
+    );
     assert_eq!(d.kind, DivergenceKind::StaleGeneration, "got: {d}");
 }
 
@@ -648,7 +677,11 @@ fn mutated_install_without_old_config_quorum_is_rejected() {
     t.events = events.into();
     let rc = rc - installs.len();
     let d = check_trace(&t, &*q).expect_err("installing nowhere must not conform");
-    assert_eq!(d.event, rc, "diverged at {} instead of the gutted install", d.action);
+    assert_eq!(
+        d.event, rc,
+        "diverged at {} instead of the gutted install",
+        d.action
+    );
     assert_eq!(d.kind, DivergenceKind::NoConfigWriteQuorum, "got: {d}");
 }
 
@@ -672,6 +705,10 @@ fn mutated_read_observation_is_rejected() {
     };
     t.events = events.into();
     let d = check_trace(&t, &*q).expect_err("fabricated observation must not conform");
-    assert_eq!(d.event, target, "diverged at {} instead of the mutation", d.action);
+    assert_eq!(
+        d.event, target,
+        "diverged at {} instead of the mutation",
+        d.action
+    );
     assert!(matches!(d.kind, DivergenceKind::Malformed(_)), "got: {d}");
 }

@@ -11,8 +11,8 @@
 use std::sync::Arc;
 
 use qc_sim::{
-    run, ContactPolicy, FaultPlan, Metrics, QueueKind, ReconfigPolicy, ReconfigTarget,
-    RetryPolicy, SimConfig, SimTime,
+    run, ContactPolicy, FaultPlan, Metrics, QueueKind, ReconfigPolicy, ReconfigTarget, RetryPolicy,
+    SimConfig, SimTime,
 };
 use quorum::{Majority, Rowa};
 
@@ -171,7 +171,11 @@ fn reconfiguring_majority(seed: u64) -> SimConfig {
 fn reconfiguring_rowa_metrics_are_pinned() {
     for_each_queue(&reconfiguring_rowa(21), |m| {
         assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-        assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
+        assert!(
+            m.reconfigurations >= 2,
+            "reconfigurations {}",
+            m.reconfigurations
+        );
         assert!(m.stale_rejections > 0);
         assert_eq!(digest(&m), 14783729087712639457);
     });
@@ -181,7 +185,11 @@ fn reconfiguring_rowa_metrics_are_pinned() {
 fn reconfiguring_majority_metrics_are_pinned() {
     for_each_queue(&reconfiguring_majority(33), |m| {
         assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
-        assert!(m.reconfigurations >= 2, "reconfigurations {}", m.reconfigurations);
+        assert!(
+            m.reconfigurations >= 2,
+            "reconfigurations {}",
+            m.reconfigurations
+        );
         assert_eq!(digest(&m), 9043374931432434805);
     });
 }

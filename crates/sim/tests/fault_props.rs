@@ -95,14 +95,25 @@ fn config(
 /// history reads like a single versioned register — reads return the
 /// current version, writes advance it by one.
 fn assert_safe(m: &Metrics) -> Result<(), TestCaseError> {
-    prop_assert_eq!(m.lemma_violations, 0, "lemma violations: {:?}", m.violations);
+    prop_assert_eq!(
+        m.lemma_violations,
+        0,
+        "lemma violations: {:?}",
+        m.violations
+    );
     for (label, s) in [("reads", &m.reads), ("writes", &m.writes)] {
         prop_assert_eq!(
             s.attempts,
             s.successes + s.timeouts + s.unavailable + s.aborted,
             "{} not fully classified: {:?}",
             label,
-            (s.attempts, s.successes, s.timeouts, s.unavailable, s.aborted)
+            (
+                s.attempts,
+                s.successes,
+                s.timeouts,
+                s.unavailable,
+                s.aborted
+            )
         );
     }
     prop_assert_eq!(m.forced_aborts, m.reads.aborted + m.writes.aborted);

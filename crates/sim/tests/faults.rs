@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use qc_sim::{
-    run, ContactPolicy, FaultPlan, LatencyModel, RetryPolicy, SimConfig, SimTime,
-};
+use qc_sim::{run, ContactPolicy, FaultPlan, LatencyModel, RetryPolicy, SimConfig, SimTime};
 use quorum::{Majority, Rowa};
 
 fn base() -> SimConfig {
@@ -127,11 +125,7 @@ fn monitor_flag_gates_the_probe() {
 #[test]
 fn drop_window_loses_messages_not_correctness() {
     let mut c = base();
-    c.faults = FaultPlan::new().drop_window(
-        SimTime::from_secs(1),
-        SimTime::from_secs(2),
-        400,
-    );
+    c.faults = FaultPlan::new().drop_window(SimTime::from_secs(1), SimTime::from_secs(2), 400);
     c.retry = RetryPolicy::retries(4, SimTime::from_millis(2));
     c.record_history = true;
     let m = run(c);
@@ -191,7 +185,10 @@ fn in_flight_operations_observe_a_crash() {
         0,
         "an operation committed off responses from crashed sites"
     );
-    assert!(m.reads.timeouts + m.writes.timeouts > 0, "straddled ops should time out");
+    assert!(
+        m.reads.timeouts + m.writes.timeouts > 0,
+        "straddled ops should time out"
+    );
     assert!(m.reads.unavailable + m.writes.unavailable > 0);
     assert_eq!(m.lemma_violations, 0, "violations: {:?}", m.violations);
 }

@@ -48,8 +48,7 @@ fn compare(name: &str, json: String) {
         )
     });
     assert_eq!(
-        json,
-        expected,
+        json, expected,
         "output for {name} drifted from its snapshot; if intentional, \
          regenerate with UPDATE_GOLDEN=1"
     );
@@ -67,14 +66,19 @@ fn compare_trace(name: &str, trace: &ScheduleTrace, quorum: &dyn QuorumSpec) {
     let (alpha, src) = project_trace(trace);
     assert_eq!(report.alpha_len, alpha.len(), "{name}");
     assert!(
-        stepped.into_iter().eq(alpha.into_vec().into_iter().zip(src)),
+        stepped
+            .into_iter()
+            .eq(alpha.into_vec().into_iter().zip(src)),
         "{name}: the replay stepped something other than the projection"
     );
 }
 
 fn check(name: &str, config: SimConfig) {
     for queue in QUEUES {
-        let (_, trace) = run_traced(SimConfig { queue, ..config.clone() });
+        let (_, trace) = run_traced(SimConfig {
+            queue,
+            ..config.clone()
+        });
         compare_trace(name, &trace, &*config.quorum);
     }
 }
@@ -123,9 +127,18 @@ fn reconfig_snapshot_is_stable() {
         .expect("fault plan parses");
     config.retry = RetryPolicy::retries(3, SimTime::from_millis(2));
     for queue in QUEUES {
-        let (metrics, trace) = run_traced(SimConfig { queue, ..config.clone() });
-        assert_eq!(metrics.reconfigurations, 2, "both scripted reconfigurations run");
-        assert!(metrics.stale_rejections > 0, "the shrink must strand a stale cache");
+        let (metrics, trace) = run_traced(SimConfig {
+            queue,
+            ..config.clone()
+        });
+        assert_eq!(
+            metrics.reconfigurations, 2,
+            "both scripted reconfigurations run"
+        );
+        assert!(
+            metrics.stale_rejections > 0,
+            "the shrink must strand a stale cache"
+        );
         assert_eq!(metrics.lemma_violations, 0);
         compare_trace("reconfig_majority3_seed17.json", &trace, &*config.quorum);
     }
@@ -152,10 +165,17 @@ fn txn_banking() -> TxnConfig {
 #[test]
 fn txn_banking_snapshot_is_stable() {
     for queue in QUEUES {
-        let config = TxnConfig { queue, ..txn_banking() };
+        let config = TxnConfig {
+            queue,
+            ..txn_banking()
+        };
         let (report, traces) = run_txn_traces(&config, 1);
         assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
-        assert_eq!(report.stats.lemma_violations, 0, "{:?}", report.stats.violations);
+        assert_eq!(
+            report.stats.lemma_violations, 0,
+            "{:?}",
+            report.stats.violations
+        );
         compare_trace("txn_banking_seed17.json", &traces[0], &*config.quorum);
     }
 }
@@ -167,7 +187,11 @@ fn txn_banking_snapshot_is_stable() {
 #[test]
 fn txn_banking_causal_jsonl_is_stable() {
     for queue in QUEUES {
-        let config = TxnConfig { queue, causal: CausalOptions::full(), ..txn_banking() };
+        let config = TxnConfig {
+            queue,
+            causal: CausalOptions::full(),
+            ..txn_banking()
+        };
         let (report, causal) = run_txn_causal(&config, 1);
         assert!(report.stats.txns_committed > 0, "{:?}", report.stats);
         let p = causal.profile();
@@ -196,7 +220,8 @@ fn reordered_causal_edge_is_rejected() {
                 .any(|s| s.segs.len() >= 2 && s.segs[0].dur_us != s.segs[1].dur_us)
         })
         .expect("the banking run produces a span with distinct chained edges");
-    good.verify().expect("unmutated trace is causally consistent");
+    good.verify()
+        .expect("unmutated trace is causally consistent");
 
     let mut bad = good.clone();
     let span = bad
@@ -220,7 +245,11 @@ fn reordered_causal_edge_is_rejected() {
         "a doctored JSONL recording must fail verification"
     );
     let roundtrip = TxnTrace::parse_json_line(&good.to_json_line()).expect("good line parses");
-    assert_eq!(roundtrip.to_json_line(), good.to_json_line(), "round-trip is identity");
+    assert_eq!(
+        roundtrip.to_json_line(),
+        good.to_json_line(),
+        "round-trip is identity"
+    );
 }
 
 /// A hand-mutated trace must be rejected: flipping one committed write's
@@ -246,8 +275,8 @@ fn mutated_txn_trace_is_rejected_at_first_divergence() {
     };
     *vn += 7;
     bad.events = events.into();
-    let d = check_trace(&bad, &*config.quorum)
-        .expect_err("a mutated version number must not replay");
+    let d =
+        check_trace(&bad, &*config.quorum).expect_err("a mutated version number must not replay");
     assert_eq!(
         d.event, mutated_at,
         "divergence reported at event {} instead of the mutated action: {d}",
@@ -299,13 +328,27 @@ fn migration_config() -> MultiConfig {
 #[test]
 fn migration_snapshot_is_stable() {
     for queue in QUEUES {
-        let config = MultiConfig { queue, ..migration_config() };
+        let config = MultiConfig {
+            queue,
+            ..migration_config()
+        };
         let (report, traces, placement) = run_elastic_traces(&config, 2);
         assert_eq!(placement.migrations, 1, "{placement:?}");
         assert_eq!(report.metrics.reconfigurations, 1);
-        assert!(report.metrics.stale_rejections > 0, "the §4 fence must fire");
-        assert_eq!(report.metrics.lemma_violations, 0, "{:?}", report.metrics.violations);
-        compare_trace("migration_majority3_seed17.json", &traces[0], &*config.quorum);
+        assert!(
+            report.metrics.stale_rejections > 0,
+            "the §4 fence must fire"
+        );
+        assert_eq!(
+            report.metrics.lemma_violations, 0,
+            "{:?}",
+            report.metrics.violations
+        );
+        compare_trace(
+            "migration_majority3_seed17.json",
+            &traces[0],
+            &*config.quorum,
+        );
     }
 }
 
@@ -324,16 +367,24 @@ fn migration_without_config_write_quorum_is_rejected() {
     let reconfig_tid = good
         .events
         .iter()
-        .find(|e| matches!(e.action, TraceAction::Create { kind: TmKind::Reconfig }))
+        .find(|e| {
+            matches!(
+                e.action,
+                TraceAction::Create {
+                    kind: TmKind::Reconfig
+                }
+            )
+        })
         .expect("the migration runs a reconfigure-TM")
         .tid;
     let mut bad = good.clone();
     let mut events = bad.events.to_vec();
-    events.retain(|e| {
-        !(e.tid == reconfig_tid && matches!(e.action, TraceAction::WriteCfg { .. }))
-    });
+    events.retain(|e| !(e.tid == reconfig_tid && matches!(e.action, TraceAction::WriteCfg { .. })));
     bad.events = events.into();
-    assert!(bad.events.len() < good.events.len(), "WRITE-CFG records were present");
+    assert!(
+        bad.events.len() < good.events.len(),
+        "WRITE-CFG records were present"
+    );
     let mutated_at = bad
         .events
         .iter()
@@ -367,8 +418,14 @@ fn event_log_format_is_stable() {
     config.obs = ObsOptions::full();
     config.obs.snapshot_every_us = Some(10_000);
     for queue in QUEUES {
-        let (metrics, obs) = run_observed(SimConfig { queue, ..config.clone() });
-        assert!(metrics.lemma_violations > 0, "scenario must emit violations");
+        let (metrics, obs) = run_observed(SimConfig {
+            queue,
+            ..config.clone()
+        });
+        assert!(
+            metrics.lemma_violations > 0,
+            "scenario must emit violations"
+        );
         compare("events_majority3_seed13.jsonl", obs.events_jsonl());
     }
 }

@@ -54,7 +54,11 @@ fn assert_exact_reconciliation(config: SimConfig) {
         "workload committed nothing; reconciliation would be vacuous"
     );
     let e2e = m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
-    assert_eq!(obs.spans.total_us(), e2e, "phase spans drifted from latency");
+    assert_eq!(
+        obs.spans.total_us(),
+        e2e,
+        "phase spans drifted from latency"
+    );
 }
 
 #[test]
@@ -152,7 +156,9 @@ fn sharded_observation_is_invisible() {
     let a = run_sharded(&sharded_config(), 2);
     let (b, b_obs) = observed(&sharded_config(), 2, full_every(200_000));
     assert_eq!(a.metrics.digest(), b.metrics.digest());
-    assert!(observed(&sharded_config(), 2, ObsOptions::disabled()).1.is_empty());
+    assert!(observed(&sharded_config(), 2, ObsOptions::disabled())
+        .1
+        .is_empty());
     assert!(!b_obs.is_empty());
 }
 
@@ -272,7 +278,11 @@ fn reconfiguring_single_item_obs_digest_is_pinned() {
     let c = reconfiguring_single();
     for queue in [QueueKind::Calendar, QueueKind::Heap] {
         let (m, obs) = run_observed(SimConfig { queue, ..c.clone() });
-        assert!(m.reconfigurations >= 3, "reconfigurations {}", m.reconfigurations);
+        assert!(
+            m.reconfigurations >= 3,
+            "reconfigurations {}",
+            m.reconfigurations
+        );
         assert!(m.stale_rejections > 0 && m.forced_aborts == 1);
         assert_eq!(m.lemma_violations, 0, "{:?}", m.violations);
         assert_eq!(obs.digest(), 630950429396481429, "{queue:?}");
@@ -290,11 +300,18 @@ fn reconfiguring_sharded_obs_digest_is_pinned() {
             assert!(r.metrics.reconfigurations >= 3 * c.items as u64);
             assert!(r.metrics.stale_rejections > 0 && r.metrics.forced_aborts == 1);
             assert!(
-                r.metrics.violations.iter().any(|v| v.contains("item=0 client=")),
+                r.metrics
+                    .violations
+                    .iter()
+                    .any(|v| v.contains("item=0 client=")),
                 "no committed op met the corruption: {:?}",
                 r.metrics.violations
             );
-            assert_eq!(obs.digest(), 17389884464033808329, "{queue:?}, {threads} threads");
+            assert_eq!(
+                obs.digest(),
+                17389884464033808329,
+                "{queue:?}, {threads} threads"
+            );
         }
     }
 }
@@ -318,7 +335,10 @@ fn spans_and_causal_record_the_same_alone_and_together() {
     };
     let e2e = |m: &Metrics| m.reads.latency_hist().sum() + m.writes.latency_hist().sum();
     let single = |obs| {
-        let (m, report) = run_observed(SimConfig { obs, ..reconfiguring_single() });
+        let (m, report) = run_observed(SimConfig {
+            obs,
+            ..reconfiguring_single()
+        });
         (e2e(&m), report)
     };
     let sharded = |obs| {
@@ -337,6 +357,10 @@ fn spans_and_causal_record_the_same_alone_and_together() {
             let (alone, together) = (spans.spans.hist(phase), full.spans.hist(phase));
             assert_eq!(alone, together, "{driver}: {phase:?}");
         }
-        assert_eq!(run(causal_only).1.causal.digest(), full.causal.digest(), "{driver}");
+        assert_eq!(
+            run(causal_only).1.causal.digest(),
+            full.causal.digest(),
+            "{driver}"
+        );
     }
 }

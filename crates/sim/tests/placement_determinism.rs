@@ -55,10 +55,18 @@ fn elastic_digests_survive_threads_and_queues() {
     for threads in [2, 4] {
         let (r, p) = run_sharded_elastic(&c, threads);
         assert_eq!(r.digest(), reference.digest(), "threads = {threads}");
-        assert_eq!(p.digest(), placement.digest(), "placement, threads = {threads}");
+        assert_eq!(
+            p.digest(),
+            placement.digest(),
+            "placement, threads = {threads}"
+        );
         let (r, p) = run_sharded_elastic(&heap, threads);
         assert_eq!(r.digest(), reference.digest(), "heap, threads = {threads}");
-        assert_eq!(p.digest(), placement.digest(), "placement heap, threads = {threads}");
+        assert_eq!(
+            p.digest(),
+            placement.digest(),
+            "placement heap, threads = {threads}"
+        );
     }
 }
 
@@ -186,7 +194,11 @@ fn closed_loop_elastic_digests_are_pinned_across_code_versions() {
     assert_eq!(report.metrics.reconfigurations, 48 + 9);
     assert_eq!(
         (report.digest(), placement.digest(), obs.digest()),
-        (PINNED_CLOSED_SHARD, PINNED_CLOSED_PLACEMENT, PINNED_CLOSED_OBS),
+        (
+            PINNED_CLOSED_SHARD,
+            PINNED_CLOSED_PLACEMENT,
+            PINNED_CLOSED_OBS
+        ),
         "got ({:#018x}, {:#018x}, {:#018x})",
         report.digest(),
         placement.digest(),

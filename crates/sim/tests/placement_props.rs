@@ -98,7 +98,9 @@ fn migration_config(
         ..ElasticPolicy::new()
     });
     for &(b, item, to) in plan {
-        c.faults = c.faults.migrate_at(SimTime::from_millis(MIG_BARRIERS[b]), item, to);
+        c.faults = c
+            .faults
+            .migrate_at(SimTime::from_millis(MIG_BARRIERS[b]), item, to);
     }
     c
 }

@@ -50,8 +50,7 @@ fn build_plan(events: &[RawEvent], sites: usize) -> FaultPlan {
                 // A non-empty member subset of 0..sites from the index's
                 // low bits.
                 let mask = (idx as u64 % (1 << sites)).max(1);
-                let members: ReplicaSet =
-                    (0..sites).filter(|s| mask & (1 << s) != 0).collect();
+                let members: ReplicaSet = (0..sites).filter(|s| mask & (1 << s) != 0).collect();
                 plan.reconfig_at(at, ReconfigTarget::Members(members))
             }
         };
@@ -102,14 +101,25 @@ fn config(
 /// classified exactly once, the committed history a single versioned
 /// register.
 fn assert_safe(m: &Metrics) -> Result<(), TestCaseError> {
-    prop_assert_eq!(m.lemma_violations, 0, "lemma violations: {:?}", m.violations);
+    prop_assert_eq!(
+        m.lemma_violations,
+        0,
+        "lemma violations: {:?}",
+        m.violations
+    );
     for (label, s) in [("reads", &m.reads), ("writes", &m.writes)] {
         prop_assert_eq!(
             s.attempts,
             s.successes + s.timeouts + s.unavailable + s.aborted,
             "{} not fully classified: {:?}",
             label,
-            (s.attempts, s.successes, s.timeouts, s.unavailable, s.aborted)
+            (
+                s.attempts,
+                s.successes,
+                s.timeouts,
+                s.unavailable,
+                s.aborted
+            )
         );
     }
     let mut vn = 0u64;
@@ -160,7 +170,11 @@ fn assert_trace_conforms(
             )
         })
         .count() as u64;
-    prop_assert_eq!(reconfig_tms, m.reconfigurations, "reconfigure-TM accounting");
+    prop_assert_eq!(
+        reconfig_tms,
+        m.reconfigurations,
+        "reconfigure-TM accounting"
+    );
     prop_assert_eq!(
         report.committed as u64,
         m.reads.successes + m.writes.successes + m.reconfigurations,

@@ -81,7 +81,10 @@ fn a_routed_elastic_run_peaks_at_most_415_bytes_per_item() {
     PEAK.store(before, Ordering::Relaxed);
     let (report, placement) = run_sharded_elastic(&c, 1);
     let peak = PEAK.load(Ordering::Relaxed) - before;
-    assert!(placement.migrations > 0, "no migration: the import path is not covered");
+    assert!(
+        placement.migrations > 0,
+        "no migration: the import path is not covered"
+    );
     let commits = report.metrics.reads.successes + report.metrics.writes.successes;
     assert!(commits > 10_000, "workload too small: {commits} commits");
 

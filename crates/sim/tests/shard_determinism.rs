@@ -19,7 +19,10 @@ use quorum::{Majority, Rowa};
 /// `config` under each event-queue implementation: every test below holds
 /// under both, in-process.
 fn both_queues(config: &MultiConfig) -> [MultiConfig; 2] {
-    [QueueKind::Calendar, QueueKind::Heap].map(|queue| MultiConfig { queue, ..config.clone() })
+    [QueueKind::Calendar, QueueKind::Heap].map(|queue| MultiConfig {
+        queue,
+        ..config.clone()
+    })
 }
 
 fn healthy() -> MultiConfig {
@@ -139,7 +142,11 @@ fn report_digests_are_pinned() {
         ("zipfian", zipfian(), 16864836856410238499),
         ("open-loop", open_loop(), 2537074023544342732),
         ("reactive-rowa", reconfiguring_rowa(), 13862502716857247866),
-        ("scripted-majority", reconfiguring_majority(), 6505620225027926744),
+        (
+            "scripted-majority",
+            reconfiguring_majority(),
+            6505620225027926744,
+        ),
     ] {
         assert_thread_and_queue_invariant(label, &config, digest);
     }

@@ -48,7 +48,10 @@ fn a_grantee_cannot_revive_a_waiter_of_the_transaction_being_aborted() {
     .expect("well-formed plan");
     let (report, commits) = run_txn_committed(&c, 1);
     let s = &report.stats;
-    assert!(s.lock_timeouts > 0, "the scenario aborts on lock timeouts: {s:?}");
+    assert!(
+        s.lock_timeouts > 0,
+        "the scenario aborts on lock timeouts: {s:?}"
+    );
     assert_eq!(s.lemma_violations, 0, "{:?}", s.violations);
     assert_eq!(commits.len() as u64, s.txns_committed);
     // Every started transaction ended at most once.
@@ -78,7 +81,10 @@ fn an_aborted_transactions_span_tree_still_tiles() {
     .expect("well-formed plan");
     let (report, causal) = run_txn_causal(&c, 1);
     let s = &report.stats;
-    assert!(s.lock_timeouts > 0, "the scenario aborts on lock timeouts: {s:?}");
+    assert!(
+        s.lock_timeouts > 0,
+        "the scenario aborts on lock timeouts: {s:?}"
+    );
     assert_eq!(s.lemma_violations, 0, "{:?}", s.violations);
     assert!(s.txns_committed + s.txns_aborted <= s.txns_started, "{s:?}");
     // One span tree per ended transaction, each tiling exactly.

@@ -138,14 +138,32 @@ fn the_three_configs_reject_the_same_mistakes_in_the_same_words() {
         (
             "a reactive trigger that polls at one instant",
             |t| {
-                t.reconfig(ReconfigPolicy { poll: SimTime::ZERO, ..ReconfigPolicy::reactive() });
+                t.reconfig(ReconfigPolicy {
+                    poll: SimTime::ZERO,
+                    ..ReconfigPolicy::reactive()
+                });
             },
             "reconfig.poll must be in",
             2,
         ),
-        ("a read fraction above one", |t| t.read_fraction(1.5), "read_fraction", 2),
-        ("a negative read fraction", |t| t.read_fraction(-0.25), "read_fraction", 2),
-        ("a NaN read fraction", |t| t.read_fraction(f64::NAN), "read_fraction", 2),
+        (
+            "a read fraction above one",
+            |t| t.read_fraction(1.5),
+            "read_fraction",
+            2,
+        ),
+        (
+            "a negative read fraction",
+            |t| t.read_fraction(-0.25),
+            "read_fraction",
+            2,
+        ),
+        (
+            "a NaN read fraction",
+            |t| t.read_fraction(f64::NAN),
+            "read_fraction",
+            2,
+        ),
     ];
     for (config, verdict) in Three::new().verdicts() {
         assert_eq!(verdict, Ok(()), "{config}: the default must be runnable");
@@ -156,11 +174,22 @@ fn the_three_configs_reject_the_same_mistakes_in_the_same_words() {
         let mut wording: Option<String> = None;
         for (config, verdict) in three.verdicts().into_iter().take(makers) {
             let err = verdict.expect_err(&format!("{config} accepted {what}"));
-            assert!(err.contains(says), "{config} on {what}: {err:?} does not say {says:?}");
+            assert!(
+                err.contains(says),
+                "{config} on {what}: {err:?} does not say {says:?}"
+            );
             // The client count differs between the configs, and with it the
             // tail of an out-of-range message; everything else is verbatim.
-            let head = err.split(", but there are").next().unwrap_or(&err).to_string();
-            assert_eq!(*wording.get_or_insert(head.clone()), head, "{config} on {what}");
+            let head = err
+                .split(", but there are")
+                .next()
+                .unwrap_or(&err)
+                .to_string();
+            assert_eq!(
+                *wording.get_or_insert(head.clone()),
+                head,
+                "{config} on {what}"
+            );
         }
     }
 }
@@ -189,11 +218,16 @@ fn the_widest_windows_that_validate_run_without_overflow() {
     let widest = FaultPlan::new()
         .delay_window(SimTime::ZERO, second, SimTime(u64::MAX / 8))
         .drop_window(second, SimTime(u64::MAX - second.0), 5);
-    let wider = widest.clone().delay_window(second, second, SimTime(u64::MAX / 8 + 1));
+    let wider = widest
+        .clone()
+        .delay_window(second, second, SimTime(u64::MAX / 8 + 1));
     let mut three = Three::new();
     three.faults(wider);
     for (config, verdict) in three.verdicts() {
-        assert!(verdict.is_err(), "{config} accepted an extra delay one past the bound");
+        assert!(
+            verdict.is_err(),
+            "{config} accepted an extra delay one past the bound"
+        );
     }
     three.faults(widest);
     for (config, verdict) in three.verdicts() {
@@ -217,8 +251,16 @@ fn the_widest_windows_that_validate_run_without_overflow() {
 fn a_client_count_past_usize_is_an_error() {
     let half = 1usize << (usize::BITS / 2);
     let mut three = Three::new();
-    (three.multi.items, three.multi.shards, three.multi.clients_per_shard) = (half, half, half);
-    (three.txn.items, three.txn.domains, three.txn.clients_per_domain) = (4 * half, half, half);
+    (
+        three.multi.items,
+        three.multi.shards,
+        three.multi.clients_per_shard,
+    ) = (half, half, half);
+    (
+        three.txn.items,
+        three.txn.domains,
+        three.txn.clients_per_domain,
+    ) = (4 * half, half, half);
     for (config, verdict) in three.verdicts().into_iter().skip(1) {
         let err = verdict.expect_err(&format!("{config} accepted {half} x {half} clients"));
         assert!(err.contains("clients overflows usize"), "{config}: {err:?}");
@@ -266,7 +308,10 @@ fn a_keyspace_past_max_items_is_an_error() {
     for items in [MAX_ITEMS + 1, 1 << 40, usize::MAX] {
         c.items = items;
         let err = c.validate().expect_err(&format!("{items} items accepted"));
-        assert!(err.contains(&format!("items must be at most {MAX_ITEMS}")), "{err:?}");
+        assert!(
+            err.contains(&format!("items must be at most {MAX_ITEMS}")),
+            "{err:?}"
+        );
     }
     c.items = MAX_ITEMS;
     assert_eq!(c.validate(), Ok(()), "the bound itself validates");
@@ -282,25 +327,49 @@ fn a_keyspace_past_max_items_is_an_error() {
 fn a_program_generator_field_out_of_range_is_an_error() {
     let random = RandomTreeGen::new(4);
     let bad = [
-        (WorkloadKind::Random(RandomTreeGen { max_fanout: 70_000, ..random }), "max_fanout"),
-        (WorkloadKind::Random(RandomTreeGen { write_permille: 1001, ..random }), "write_permille"),
         (
-            WorkloadKind::Inventory(InventoryGen { check_permille: u32::MAX, ..InventoryGen::new(4) }),
+            WorkloadKind::Random(RandomTreeGen {
+                max_fanout: 70_000,
+                ..random
+            }),
+            "max_fanout",
+        ),
+        (
+            WorkloadKind::Random(RandomTreeGen {
+                write_permille: 1001,
+                ..random
+            }),
+            "write_permille",
+        ),
+        (
+            WorkloadKind::Inventory(InventoryGen {
+                check_permille: u32::MAX,
+                ..InventoryGen::new(4)
+            }),
             "check_permille",
         ),
         (
-            WorkloadKind::Banking(BankingGen { doomed_permille: 1001, ..BankingGen::new(4) }),
+            WorkloadKind::Banking(BankingGen {
+                doomed_permille: 1001,
+                ..BankingGen::new(4)
+            }),
             "doomed_permille",
         ),
     ];
     for (workload, field) in bad {
         let mut three = Three::new();
         three.txn.workload = workload;
-        let err = three.txn.validate().expect_err(&format!("{workload:?} accepted"));
+        let err = three
+            .txn
+            .validate()
+            .expect_err(&format!("{workload:?} accepted"));
         assert!(err.contains(field), "{err:?} does not name {field}");
     }
     let mut three = Three::new();
-    let widest = RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT, ..random };
+    let widest = RandomTreeGen {
+        max_fanout: RandomTreeGen::MAX_FANOUT,
+        ..random
+    };
     three.txn.workload = WorkloadKind::Random(widest);
     assert_eq!(three.txn.validate(), Ok(()), "the bound itself is accepted");
 }

@@ -440,9 +440,7 @@ mod tests {
         assert!(s.enabled_outputs().contains(&abort));
         s.apply(&create(&[0])).unwrap();
         assert!(!s.enabled_outputs().contains(&abort));
-        assert!(s
-            .apply(&TxnOp::Abort { tid: t(&[0]) })
-            .is_err());
+        assert!(s.apply(&TxnOp::Abort { tid: t(&[0]) }).is_err());
     }
 
     #[test]

@@ -194,10 +194,12 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut vals = [Value::Int(2),
+        let mut vals = [
+            Value::Int(2),
             Value::Nil,
             Value::versioned(1, Value::Nil),
-            Value::Int(1)];
+            Value::Int(1),
+        ];
         vals.sort();
         assert_eq!(vals[0], Value::Nil);
     }

@@ -275,7 +275,10 @@ impl SystemWfMonitor {
             TxnOp::RequestCreate { .. } => {
                 // Operation of parent(T).
                 let parent = tid.parent().expect("REQUEST-CREATE of root");
-                self.txns.entry(parent.clone()).or_default().observe(&parent, op)?;
+                self.txns
+                    .entry(parent.clone())
+                    .or_default()
+                    .observe(&parent, op)?;
             }
             TxnOp::Create { .. } => {
                 if is_access {
@@ -284,7 +287,10 @@ impl SystemWfMonitor {
                         self.objects.entry(obj).or_default().observe(obj, op)?;
                     }
                 } else {
-                    self.txns.entry(tid.clone()).or_default().observe(&tid, op)?;
+                    self.txns
+                        .entry(tid.clone())
+                        .or_default()
+                        .observe(&tid, op)?;
                 }
             }
             TxnOp::RequestCommit { .. } => {
@@ -294,13 +300,19 @@ impl SystemWfMonitor {
                         self.objects.entry(obj).or_default().observe(obj, op)?;
                     }
                 } else {
-                    self.txns.entry(tid.clone()).or_default().observe(&tid, op)?;
+                    self.txns
+                        .entry(tid.clone())
+                        .or_default()
+                        .observe(&tid, op)?;
                 }
             }
             TxnOp::Commit { .. } | TxnOp::Abort { .. } => {
                 // Return operations belong to parent(T).
                 let parent = tid.parent().expect("return operation for root");
-                self.txns.entry(parent.clone()).or_default().observe(&parent, op)?;
+                self.txns
+                    .entry(parent.clone())
+                    .or_default()
+                    .observe(&parent, op)?;
             }
         }
         Ok(())
@@ -379,10 +391,7 @@ mod tests {
     #[test]
     fn return_without_request_rejected() {
         let me = t(&[1]);
-        let seq = vec![
-            create(&[1]),
-            TxnOp::Abort { tid: t(&[1, 0]) },
-        ];
+        let seq = vec![create(&[1]), TxnOp::Abort { tid: t(&[1, 0]) }];
         let err = check_transaction_wf(&me, &seq).unwrap_err();
         assert!(err.reason.contains("unrequested"));
     }
@@ -406,8 +415,7 @@ mod tests {
     #[test]
     fn output_before_create_rejected() {
         let me = t(&[1]);
-        let err =
-            check_transaction_wf(&me, &[TxnOp::request_create(t(&[1, 0]))]).unwrap_err();
+        let err = check_transaction_wf(&me, &[TxnOp::request_create(t(&[1, 0]))]).unwrap_err();
         assert!(err.reason.contains("before CREATE"));
         let err2 = check_transaction_wf(&me, &[rc(&[1])]).unwrap_err();
         assert!(err2.reason.contains("before CREATE"));
@@ -465,11 +473,7 @@ mod tests {
             access: Some(AccessSpec::read(o)),
             param: None,
         };
-        let err2 = check_object_wf(
-            o,
-            &[a1.clone(), rc(&[1, 0]), a1],
-        )
-        .unwrap_err();
+        let err2 = check_object_wf(o, &[a1.clone(), rc(&[1, 0]), a1]).unwrap_err();
         assert!(err2.reason.contains("repeated CREATE"));
     }
 

@@ -394,8 +394,9 @@ impl BankingGen {
             // Transfer: debit and credit legs as concurrent nested
             // transactions over two distinct accounts.
             1 => {
-                let b = (a + 1 + u32::try_from(mix.below(u64::from(self.accounts - 1))).expect("slot"))
-                    % self.accounts;
+                let b =
+                    (a + 1 + u32::try_from(mix.below(u64::from(self.accounts - 1))).expect("slot"))
+                        % self.accounts;
                 let debit = ProgramNode::seq(vec![ProgramNode::read(a), ProgramNode::write(a)]);
                 let mut credit =
                     ProgramNode::seq(vec![ProgramNode::read(b), ProgramNode::write(b)]);
@@ -745,14 +746,35 @@ mod tests {
     fn validate_rejects_each_empty_draw_range() {
         let random = RandomTreeGen::new(4);
         let bad = [
-            WorkloadKind::Banking(BankingGen { accounts: 1, ..BankingGen::new(2) }),
-            WorkloadKind::Inventory(InventoryGen { products: 1, ..InventoryGen::new(2) }),
-            WorkloadKind::Random(RandomTreeGen { max_fanout: 0, ..random }),
+            WorkloadKind::Banking(BankingGen {
+                accounts: 1,
+                ..BankingGen::new(2)
+            }),
+            WorkloadKind::Inventory(InventoryGen {
+                products: 1,
+                ..InventoryGen::new(2)
+            }),
+            WorkloadKind::Random(RandomTreeGen {
+                max_fanout: 0,
+                ..random
+            }),
             WorkloadKind::Random(RandomTreeGen { slots: 0, ..random }),
-            WorkloadKind::Random(RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT + 1, ..random }),
-            WorkloadKind::Random(RandomTreeGen { parallel_permille: 1001, ..random }),
-            WorkloadKind::Banking(BankingGen { doomed_permille: 1001, ..BankingGen::new(2) }),
-            WorkloadKind::Inventory(InventoryGen { check_permille: 1001, ..InventoryGen::new(2) }),
+            WorkloadKind::Random(RandomTreeGen {
+                max_fanout: RandomTreeGen::MAX_FANOUT + 1,
+                ..random
+            }),
+            WorkloadKind::Random(RandomTreeGen {
+                parallel_permille: 1001,
+                ..random
+            }),
+            WorkloadKind::Banking(BankingGen {
+                doomed_permille: 1001,
+                ..BankingGen::new(2)
+            }),
+            WorkloadKind::Inventory(InventoryGen {
+                check_permille: 1001,
+                ..InventoryGen::new(2)
+            }),
         ];
         for kind in bad {
             assert!(kind.validate().is_err(), "{kind:?}");
@@ -761,14 +783,23 @@ mod tests {
         let good = [
             WorkloadKind::Banking(BankingGen::new(2)),
             WorkloadKind::Inventory(InventoryGen::new(2)),
-            WorkloadKind::Random(RandomTreeGen { slots: 1, max_fanout: 1, ..random }),
+            WorkloadKind::Random(RandomTreeGen {
+                slots: 1,
+                max_fanout: 1,
+                ..random
+            }),
         ];
-        let widest = RandomTreeGen { max_fanout: RandomTreeGen::MAX_FANOUT, ..random };
+        let widest = RandomTreeGen {
+            max_fanout: RandomTreeGen::MAX_FANOUT,
+            ..random
+        };
         assert_eq!(WorkloadKind::Random(widest).validate(), Ok(()));
         for kind in good {
             assert_eq!(kind.validate(), Ok(()), "{kind:?}");
             for seed in 0..200 {
-                kind.program(seed).validate().unwrap_or_else(|e| panic!("{kind:?} {seed}: {e}"));
+                kind.program(seed)
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{kind:?} {seed}: {e}"));
             }
         }
     }

@@ -18,8 +18,8 @@
 //!    exact schedule shape the simulator's epoch-bump cancellation
 //!    produces.
 
-use nested_txn::{SerialScheduler, SystemWfMonitor, Tid, TxnOp, Value};
 use ioa::Component;
+use nested_txn::{SerialScheduler, SystemWfMonitor, Tid, TxnOp, Value};
 
 fn t(path: &[u32]) -> Tid {
     Tid::from_path(path)

@@ -47,10 +47,22 @@ fn write_then_read(tid: Tid, object: ObjectId, value: i64) -> TransactionNode {
 fn system_two_writers() -> System<TxnOp> {
     let mut sys = System::new();
     sys.push(Box::new(SerialScheduler::new()));
-    sys.push(Box::new(ReadWriteObject::new(ObjectId(0), "x", Value::Int(0))));
+    sys.push(Box::new(ReadWriteObject::new(
+        ObjectId(0),
+        "x",
+        Value::Int(0),
+    )));
     sys.push(Box::new(root_node(2)));
-    sys.push(Box::new(write_then_read(Tid::root().child(0), ObjectId(0), 10)));
-    sys.push(Box::new(write_then_read(Tid::root().child(1), ObjectId(0), 20)));
+    sys.push(Box::new(write_then_read(
+        Tid::root().child(0),
+        ObjectId(0),
+        10,
+    )));
+    sys.push(Box::new(write_then_read(
+        Tid::root().child(1),
+        ObjectId(0),
+        20,
+    )));
     sys
 }
 
@@ -131,7 +143,11 @@ fn final_object_state_is_last_writer() {
         })
         .next_back()
         .unwrap();
-    let expected = if last_commit == Tid::root().child(0) { 10 } else { 20 };
+    let expected = if last_commit == Tid::root().child(0) {
+        10
+    } else {
+        20
+    };
     let x: &ReadWriteObject = sys.component_as("x").unwrap();
     assert_eq!(x.data(), &Value::Int(expected));
 }

@@ -36,10 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         items: vec![account("alice"), account("bob")],
         plain: vec![],
         users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(150)),
-                UserStep::Read(0),
-            ]),
+            UserSpec::new(vec![UserStep::Write(0, Value::Int(150)), UserStep::Read(0)]),
             UserSpec::new(vec![UserStep::Sub(UserSpec::new(vec![
                 UserStep::Write(1, Value::Int(50)),
                 UserStep::Write(0, Value::Int(200)),

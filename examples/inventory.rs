@@ -87,7 +87,11 @@ fn main() {
         println!(
             "  {label:<16} {} orders, abort rate {:.3}, {} lock waits, {} compensations",
             st.txns_started,
-            if done == 0 { 0.0 } else { st.txns_aborted as f64 / done as f64 },
+            if done == 0 {
+                0.0
+            } else {
+                st.txns_aborted as f64 / done as f64
+            },
             st.lock_waits,
             st.compensations,
         );

@@ -24,10 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }],
         plain: vec![],
         users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(42)),
-                UserStep::Read(0),
-            ]),
+            UserSpec::new(vec![UserStep::Write(0, Value::Int(42)), UserStep::Read(0)]),
             UserSpec::new(vec![UserStep::Sub(UserSpec::new(vec![UserStep::Read(0)]))]),
         ],
         strategy: Default::default(),
@@ -53,7 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Theorem 10 verified:");
     println!("  |β| = {} operations (system B)", report.b_len);
     println!("  |α| = {} operations (system A)", alpha.len());
-    println!("  projections agree at {} user transactions", report.users_checked);
-    println!("  {} logical operations (TMs) appear in β", report.tms_in_beta);
+    println!(
+        "  projections agree at {} user transactions",
+        report.users_checked
+    );
+    println!(
+        "  {} logical operations (TMs) appear in β",
+        report.tms_in_beta
+    );
     Ok(())
 }

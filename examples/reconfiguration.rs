@@ -31,10 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ],
         }],
         users: vec![
-            UserSpec::new(vec![
-                UserStep::Write(0, Value::Int(7)),
-                UserStep::Read(0),
-            ]),
+            UserSpec::new(vec![UserStep::Write(0, Value::Int(7)), UserStep::Read(0)]),
             UserSpec::new(vec![
                 UserStep::Read(0),
                 UserStep::Write(0, Value::Int(9)),

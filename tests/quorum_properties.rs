@@ -5,8 +5,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use qcnt::quorum::{
-    analysis, generators, to_configuration, Grid, Majority, QuorumSpec, Rowa, TreeQuorum,
-    Weighted,
+    analysis, generators, to_configuration, Grid, Majority, QuorumSpec, Rowa, TreeQuorum, Weighted,
 };
 
 fn subset_strategy(n: usize) -> impl Strategy<Value = BTreeSet<usize>> {

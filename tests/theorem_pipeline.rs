@@ -6,9 +6,7 @@
 use proptest::prelude::*;
 use qcnt::cc::{check_theorem11, CcRunOptions};
 use qcnt::reconfig::{check_rc_random, RcItemSpec, RcRunOptions, RcSystemSpec};
-use qcnt::replication::{
-    check_random, random_spec, GenParams, RunOptions, UserSpec, UserStep,
-};
+use qcnt::replication::{check_random, random_spec, GenParams, RunOptions, UserSpec, UserStep};
 use qcnt::txn::Value;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
