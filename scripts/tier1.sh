@@ -11,6 +11,11 @@ export PROPTEST_CASES="${PROPTEST_CASES:-256}"
 # What `git status` shows before the gate runs; it must show the same after.
 TREE_BEFORE="$(git status --porcelain)"
 
+echo "==> cargo fmt --check"
+# The workspace is rustfmt-clean, so a diff's formatting is its own.
+# benchmark/ is its own workspace and is not covered.
+cargo fmt --all -- --check
+
 echo "==> cargo build --release"
 cargo build --release
 
