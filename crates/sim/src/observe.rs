@@ -27,7 +27,7 @@ use qc_obs::{
     CausalOptions, CausalReport, EventKind, ObsEvent, ObsOptions, ObsReport, OpRef, Phase,
     Snapshot, SnapshotExporter,
 };
-use qc_replication::{CommittedTxn, ScheduleTrace, TraceEvent};
+use qc_replication::{CommitLog, ScheduleTrace, TraceEvent};
 use quorum::{QuorumSpec, ReplicaSet};
 
 use crate::faults::FaultEvent;
@@ -617,17 +617,18 @@ impl Observe for CausalRecorder {
 /// The committed top-level transactions in commit order, the input of
 /// [`check_commit_order_serializable`](qc_replication::check_commit_order_serializable).
 /// Domains own disjoint items, so their logs concatenated in domain order
-/// are a valid commit order for the whole run.
-impl Observe for Vec<CommittedTxn> {
+/// are a valid commit order for the whole run; each domain's segments are
+/// moved in, not copied.
+impl Observe for CommitLog {
     fn fork(&self, _index: usize) -> Self {
-        Vec::new()
+        CommitLog::new()
     }
 
     fn absorb(&mut self, other: Self) {
-        self.extend(other);
+        self.append(other);
     }
 
     fn committed(&mut self, txn: &Committed<'_>) {
-        self.push(txn.txn());
+        self.push(txn.client(), txn.accesses());
     }
 }

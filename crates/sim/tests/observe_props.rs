@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use qc_obs::{Fnv1a, FNV_PRIME};
 use qc_sim::{
     check_trace, run_sharded_with, run_txn_with, run_with, trace_to_json, CausalOptions,
-    CausalRecorder, CommittedTxn, ElasticPolicy, FaultPlan, MultiConfig, ObsOptions, ObsRecorder,
+    CausalRecorder, CommitLog, ElasticPolicy, FaultPlan, MultiConfig, ObsOptions, ObsRecorder,
     Observe, PlacementPolicy, ReconfigPolicy, ScheduleTrace, SeedPlacement, SimConfig, SimTime,
     Traces, TxnConfig, Workload,
 };
@@ -83,7 +83,7 @@ impl Driver for TxnConfig {
 }
 
 /// The four shipped observers.
-type All = (Traces, ObsRecorder, CausalRecorder, Vec<CommittedTxn>);
+type All = (Traces, ObsRecorder, CausalRecorder, CommitLog);
 
 fn fresh(d: &impl Driver) -> All {
     let (seed, items) = d.seed_items();
@@ -95,7 +95,7 @@ fn fresh(d: &impl Driver) -> All {
         Traces::new(d.quorum(), seed, items),
         ObsRecorder::new(obs),
         causal,
-        Vec::new(),
+        CommitLog::new(),
     )
 }
 
