@@ -1149,7 +1149,16 @@ impl<O: Observe> Cluster<O> {
     /// membership: sites outside its membership recovered (grow), or the
     /// loop's operations are `failing` and members are down (shrink).
     pub fn wants_reconfig(&self, item: usize, failing: bool) -> bool {
-        let members = self.members(item);
+        self.wants_members(self.members(item), failing)
+    }
+
+    /// [`wants_reconfig`](Self::wants_reconfig) for an item still at the
+    /// initial full membership, which a driver has given no slot yet.
+    pub fn wants_reconfig_initial(&self, failing: bool) -> bool {
+        self.wants_members(ReplicaSet::full(self.n), failing)
+    }
+
+    fn wants_members(&self, members: ReplicaSet, failing: bool) -> bool {
         !self.up.difference(members).is_empty()
             || (failing && !members.difference(self.up).is_empty())
     }
@@ -1274,6 +1283,22 @@ impl<O: Observe> Cluster<O> {
             members: self.members(slot),
             last_reconfig: self.last_reconfig[slot],
             reconfigs_used: self.reconfigs_used[slot],
+        }
+    }
+
+    /// An item as it starts a run: every store at `(vn 0, value 0)` under
+    /// generation 0 of the full membership, an empty history, and an
+    /// unspent reconfigure budget — what [`import`](Self::import) writes
+    /// into a slot to give an item its first one mid-run.
+    pub fn initial_export(&self) -> ItemExport {
+        let full = ReplicaSet::full(self.n);
+        ItemExport {
+            slots: vec![(0, 0, 0, full); self.n],
+            checker: LemmaChecker::new(0),
+            gen: 0,
+            members: full,
+            last_reconfig: SimTime::ZERO,
+            reconfigs_used: 0,
         }
     }
 
