@@ -61,10 +61,29 @@ fn migration_plan() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
         })
 }
 
+/// The workload of a migration case: closed-loop clients, routed arrivals
+/// dense enough that every item arrives, or routed arrivals `sparse_ms`
+/// apart in aggregate — at 100 ms or more, most of the 12 items have no
+/// arrival in 400 ms, so the plan migrates, drains and refills items
+/// that no arrival gave a slot.
+fn migration_workload(mode: u8, sparse_ms: u64) -> Workload {
+    match mode {
+        0 => Workload::Closed {
+            think: SimTime::from_millis(2),
+        },
+        1 => Workload::Routed {
+            interarrival: SimTime::from_millis(1),
+        },
+        _ => Workload::Routed {
+            interarrival: SimTime::from_millis(sparse_ms),
+        },
+    }
+}
+
 fn migration_config(
     plan: &[(usize, usize, usize)],
     seed: u64,
-    routed: bool,
+    workload: Workload,
     rowa: bool,
     queue: QueueKind,
 ) -> MultiConfig {
@@ -78,15 +97,7 @@ fn migration_config(
     c.clients_per_shard = 2;
     c.read_fraction = 0.5;
     c.dist = ItemDist::Zipfian { theta: 0.9 };
-    c.workload = if routed {
-        Workload::Routed {
-            interarrival: SimTime::from_millis(1),
-        }
-    } else {
-        Workload::Closed {
-            think: SimTime::from_millis(2),
-        }
-    };
+    c.workload = workload;
     c.duration = SimTime::from_millis(400);
     c.seed = seed;
     c.queue = queue;
@@ -112,17 +123,18 @@ proptest! {
     /// silent, every item's spliced schedule (its history spans every
     /// shard it visited) replays through Theorem 10, the reports are
     /// bit-identical across thread counts and queue implementations, and
-    /// every item still has exactly one owner.
+    /// every item still has exactly one owner. The sparse routed arm
+    /// moves items that have no slot until the move gives them one.
     #[test]
     fn scripted_migrations_reuse_slots_safely(
         plan in migration_plan(),
         seed in 0u64..1_000_000,
-        mode in (0u8..2, 0u8..2),
+        mode in (0u8..3, 0u8..2, 100u64..400),
         run in (1usize..4, 0u8..2),
     ) {
-        let (routed, rowa) = (mode.0 == 1, mode.1 == 1);
+        let (workload, rowa) = (migration_workload(mode.0, mode.2), mode.1 == 1);
         let (threads, heap) = (run.0, run.1 == 1);
-        let c = migration_config(&plan, seed, routed, rowa, QueueKind::Calendar);
+        let c = migration_config(&plan, seed, workload, rowa, QueueKind::Calendar);
         let (report, traces, placement) = run_elastic_traces(&c, 1);
         prop_assert_eq!(
             report.metrics.lemma_violations, 0,
@@ -145,7 +157,7 @@ proptest! {
         prop_assert_eq!(bumps, placement.migrations);
         // The untraced run on another thread count and queue is the same run.
         let queue = if heap { QueueKind::Heap } else { QueueKind::Calendar };
-        let other = migration_config(&plan, seed, routed, rowa, queue);
+        let other = migration_config(&plan, seed, workload, rowa, queue);
         let (r2, p2) = run_sharded_elastic(&other, threads);
         prop_assert_eq!(r2.digest(), report.digest(), "threads {} heap {}", threads, heap);
         prop_assert_eq!(p2.digest(), placement.digest(), "placement, threads {} heap {}", threads, heap);

@@ -215,6 +215,15 @@ echo "==> observer property (observe_props at 1024 cases)"
 # composed and at either thread count.
 PROPTEST_CASES=1024 cargo test -q -p qc-sim --test observe_props
 
+echo "==> placement suites (placement_props at 1024 cases)"
+# Scripted migration plans over the sharded driver's item slots, closed
+# loop, dense routed and sparse routed (most items never arrive, so moves
+# drain and refill items that get their slot from the move): Theorem 10
+# per item, one owner per item, and the same digests at any thread count
+# under either queue. Run it after any change to when a slot is built,
+# reused or freed.
+PROPTEST_CASES=1024 cargo test -q -p qc-sim --test placement_props
+
 echo "==> configuration fuzz (the three validates at 1024 cases)"
 # Every field of SimConfig, MultiConfig and TxnConfig drawn from the edges
 # of its type, with fault-plan text from the plan-parse fuzz: validate
