@@ -39,12 +39,12 @@ use quorum::{ReplicaSet, Thresholds};
 pub type SlotState = (u64, u64, u64, ReplicaSet);
 
 /// A member set's index in its cluster's [`CfgTable`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CfgId(u32);
 
 impl CfgId {
-    /// The full membership: every table's first entry, and every slot's
-    /// configuration until a reconfiguration installs another.
+    /// The full membership: every table's first entry, the default id, and
+    /// every slot's configuration until a reconfiguration installs another.
     pub const FULL: CfgId = CfgId(0);
 }
 
