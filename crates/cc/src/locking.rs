@@ -104,11 +104,6 @@ impl LockingObject {
         &self.versions.last().expect("base version always present").1
     }
 
-    /// The committed (base) value.
-    pub fn committed_value(&self) -> &Value {
-        &self.versions[0].1
-    }
-
     /// Number of lock-conflict observations so far.
     pub fn conflicts(&self) -> u64 {
         self.conflicts

@@ -63,11 +63,6 @@ impl<Op: Clone + fmt::Debug> System<Op> {
         self.components.is_empty()
     }
 
-    /// Names of all components, in composition order.
-    pub fn component_names(&self) -> Vec<String> {
-        self.names.clone()
-    }
-
     /// Where the component called `name` is, if present.
     fn position(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)

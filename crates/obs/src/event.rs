@@ -2,15 +2,14 @@
 //! lemma violations, progress snapshots) rendered as JSONL.
 //!
 //! [`EventLog`] is the in-memory log the simulator owns: unbounded
-//! ([`EventLogMode::Full`]), a ring buffer keeping the last N events
-//! ([`EventLogMode::Ring`]), or off ([`EventLogMode::Null`] — the default,
+//! ([`EventLogMode::Full`]) or off ([`EventLogMode::Null`] — the default,
 //! under which [`EventLog::enabled`] is `false` and call sites gated on it
 //! build no payload).
 //!
 //! The JSONL format is versioned (`qc-events-v1`) and golden-tested in
-//! `crates/sim/tests/golden.rs` so it cannot drift silently.
-
-use std::collections::VecDeque;
+//! `crates/sim/tests/golden.rs` so it cannot drift silently. Its header
+//! still carries the `"dropped":0` of a since-removed bounded mode, so
+//! every file written before stays byte-identical.
 
 use crate::snapshot::Snapshot;
 
@@ -139,19 +138,15 @@ pub enum EventLogMode {
     /// Keep nothing.
     #[default]
     Null,
-    /// Keep only the most recent N events (older ones are dropped and
-    /// counted).
-    Ring(usize),
     /// Keep every event.
     Full,
 }
 
-/// In-memory event log, optionally ring-bounded.
+/// In-memory event log.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventLog {
     mode: EventLogMode,
-    events: VecDeque<ObsEvent>,
-    dropped: u64,
+    events: Vec<ObsEvent>,
 }
 
 impl EventLog {
@@ -159,8 +154,7 @@ impl EventLog {
     pub fn new(mode: EventLogMode) -> Self {
         Self {
             mode,
-            events: VecDeque::new(),
-            dropped: 0,
+            events: Vec::new(),
         }
     }
 
@@ -179,31 +173,17 @@ impl EventLog {
         self.events.is_empty()
     }
 
-    /// Events evicted by ring retention.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Append another log's retained events (shard-order reduction).
-    /// The receiver's retention mode is re-applied after appending.
     pub fn absorb(&mut self, other: EventLog) {
-        self.dropped += other.dropped;
         self.events.extend(other.events);
-        if let EventLogMode::Ring(cap) = self.mode {
-            while self.events.len() > cap.max(1) {
-                self.events.pop_front();
-                self.dropped += 1;
-            }
-        }
     }
 
     /// The versioned JSONL rendering: a header line, then one line per
     /// retained event.
     pub fn to_jsonl(&self) -> String {
         let mut out = format!(
-            "{{\"format\":\"{EVENTS_FORMAT}\",\"events\":{},\"dropped\":{}}}\n",
-            self.events.len(),
-            self.dropped
+            "{{\"format\":\"{EVENTS_FORMAT}\",\"events\":{},\"dropped\":0}}\n",
+            self.events.len()
         );
         for e in &self.events {
             out.push_str(&e.to_json_line());
@@ -221,14 +201,7 @@ impl EventLog {
     pub fn emit(&mut self, event: ObsEvent) {
         match self.mode {
             EventLogMode::Null => {}
-            EventLogMode::Ring(cap) => {
-                self.events.push_back(event);
-                if self.events.len() > cap.max(1) {
-                    self.events.pop_front();
-                    self.dropped += 1;
-                }
-            }
-            EventLogMode::Full => self.events.push_back(event),
+            EventLogMode::Full => self.events.push(event),
         }
     }
 
@@ -315,25 +288,22 @@ mod tests {
 
     #[test]
     fn ring_retention_and_absorb() {
-        let mut log = EventLog::new(EventLogMode::Ring(2));
+        let mut log = EventLog::new(EventLogMode::Full);
         assert!(log.enabled());
-        for i in 0..5 {
+        for i in 0..2 {
             log.emit(fault(i, "crash@0:0"));
         }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(log.events().next().unwrap().at_us, 3);
-
         let mut full = EventLog::new(EventLogMode::Full);
         full.emit(fault(9, "recover@0:0"));
         let mut merged = EventLog::new(EventLogMode::Full);
-        merged.absorb(log.clone());
+        merged.absorb(log);
         merged.absorb(full);
         assert_eq!(merged.len(), 3);
-        assert_eq!(merged.dropped(), 3);
+        let at: Vec<u64> = merged.events().map(|e| e.at_us).collect();
+        assert_eq!(at, [0, 1, 9], "shard order, oldest first");
         assert!(merged
             .to_jsonl()
-            .starts_with("{\"format\":\"qc-events-v1\",\"events\":3,\"dropped\":3}\n"));
+            .starts_with("{\"format\":\"qc-events-v1\",\"events\":3,\"dropped\":0}\n"));
     }
 
     #[test]
@@ -342,7 +312,7 @@ mod tests {
         assert!(!log.enabled());
         log.emit(fault(1, "crash@0:0"));
         assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
+        assert!(log.to_jsonl().ends_with("\"events\":0,\"dropped\":0}\n"));
     }
 
     #[test]

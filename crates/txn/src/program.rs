@@ -55,24 +55,6 @@ pub struct Effects {
 }
 
 impl Effects {
-    /// Request creation of the non-access child with the given index.
-    pub fn request_child(&mut self, index: u32) {
-        self.requests.push(ChildRequest {
-            index,
-            access: None,
-            param: None,
-        });
-    }
-
-    /// Request creation of a child with a creation parameter.
-    pub fn request_child_with_param(&mut self, index: u32, param: Value) {
-        self.requests.push(ChildRequest {
-            index,
-            access: None,
-            param: Some(param),
-        });
-    }
-
     /// Request creation of an access child.
     pub fn request_access(&mut self, index: u32, spec: AccessSpec) {
         self.requests.push(ChildRequest {

@@ -54,16 +54,6 @@ impl TxnWfTracker {
         Self::default()
     }
 
-    /// Whether `CREATE(T)` has occurred.
-    pub fn is_created(&self) -> bool {
-        self.created
-    }
-
-    /// Whether `REQUEST-COMMIT(T, ·)` has occurred.
-    pub fn has_requested_commit(&self) -> bool {
-        self.commit_requested
-    }
-
     /// Observe the next operation of `T`'s subsequence, where `tid` is `T`.
     ///
     /// # Errors
