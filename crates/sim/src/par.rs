@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::Metrics;
+use crate::observe::Observe;
 use crate::sim::{run, SimConfig};
 
 /// Number of worker threads to use by default: the machine's available
@@ -95,6 +96,41 @@ where
                 .expect("every item was processed")
         })
         .collect()
+}
+
+/// What one event loop of a multi-loop driver (a shard, a domain) hands
+/// back to the merge step.
+pub(crate) struct LoopOutcome<C, O> {
+    /// The loop's counters: `Metrics` or `TxnStats`.
+    pub counters: C,
+    /// `(global item id, commits, final vn)` per owned item.
+    pub items: Vec<(usize, u64, u64)>,
+    /// The loop's observer.
+    pub obs: O,
+}
+
+/// Merge per-loop outcomes in loop-index order (`par_map` returns them in
+/// input order regardless of thread count): the counters through `merge`,
+/// each loop's observer absorbed into `obs`, and the per-item commit counts
+/// and final version numbers over a keyspace of `items`.
+pub(crate) fn merge_outcomes<C: Default, O: Observe>(
+    items: usize,
+    outcomes: Vec<LoopOutcome<C, O>>,
+    obs: &mut O,
+    merge: fn(&mut C, &C),
+) -> (C, Vec<u64>, Vec<u64>) {
+    let mut counters = C::default();
+    let mut item_commits = vec![0u64; items];
+    let mut item_vns = vec![0u64; items];
+    for out in outcomes {
+        merge(&mut counters, &out.counters);
+        obs.absorb(out.obs);
+        for (g, commits, vn) in out.items {
+            item_commits[g] = commits;
+            item_vns[g] = vn;
+        }
+    }
+    (counters, item_commits, item_vns)
 }
 
 /// Run every configuration (each with its own seed baked in) and return

@@ -28,15 +28,18 @@
 //! the caller ([`Cluster::commit_check`], [`Cluster::check_item`]), never
 //! carried in a per-attempt return.
 //!
-//! **Client-op level — [`Clients`], under the two flat drivers.** What a
-//! logical operation costs across its attempts and leaves behind: the
-//! accounting on each step's [`Verdict`] over [`Metrics`] and the
-//! [`OpSlab`], and violation reporting. It tells the observer what each
-//! attempt spent ([`Observe::attempt`]) and when an op finished
-//! ([`Observe::op_done`]); what to keep of that is the observer's. It
-//! returns what to schedule ([`Then`]) and never schedules. The nested
-//! driver does its own accounting on the same verdicts, over `TxnStats`,
-//! and tells its observer about its program trees.
+//! **The ledger — [`Clients`].** Under all three drivers: planned faults,
+//! reconfigurations, lemma violations (their texts included) and the
+//! end-of-run sweep, counted in [`Metrics`] and told to the observer
+//! ([`Observe::mark`]). Under the two flat drivers also what a logical
+//! operation costs across its attempts and leaves behind: the accounting
+//! on each step's [`Verdict`] over [`Metrics`] and the [`OpSlab`]. It
+//! tells the observer what each attempt spent ([`Observe::attempt`]) and
+//! when an op finished ([`Observe::op_done`]); what to keep of that is the
+//! observer's. It returns what to schedule ([`Then`]) and never schedules.
+//! The nested driver accounts for its own leaf verdicts over `TxnStats`,
+//! asks the ledger to check each commit ([`Clients::check_commit`]), and
+//! tells its observer about its program trees.
 //!
 //! Every name an observer can see is the driver's to supply: the
 //! coordinator and item of an operation ([`OpId`]), whether an item is
@@ -1370,8 +1373,11 @@ pub(crate) enum Then {
     },
 }
 
-/// The flat drivers' ledger of logical operations: one coordinator slot
-/// per client (or per item slot under the routed workload).
+/// The drivers' ledger. Under all three it accounts, in [`Metrics`], for
+/// planned faults, reconfigurations, lemma violations and the end-of-run
+/// sweep, and tells the observer of each. Under the two flat drivers it
+/// also runs their logical operations: one coordinator slot per client
+/// (or per item slot under the routed workload).
 pub(crate) struct Clients {
     pub metrics: Metrics,
     /// Per-coordinator in-flight operation, interned for the whole run.
@@ -1415,7 +1421,7 @@ impl Clients {
     /// Takes pre-formatted arguments, not a `String`: the description is
     /// rendered only where it is actually retained (the capped metrics
     /// list, an observer's log), so no call path is forced to allocate.
-    fn violation<O: Observe>(
+    pub fn violation<O: Observe>(
         &mut self,
         cluster: &mut Cluster<O>,
         desc: fmt::Arguments<'_>,
@@ -1603,17 +1609,37 @@ impl Clients {
         elapsed: SimTime,
         (vn, value): (u64, u64),
     ) -> Then {
-        let now = cluster.now;
-        let total = (now - op.started) + elapsed;
+        let total = (cluster.now - op.started) + elapsed;
         self.stats(op.read).record_success(total, op.messages);
         finish_op(cluster, key, id, &op, Ok(total));
-        if let Err(v) = cluster.commit_check(op.item, !op.read, vn, value) {
-            let kind = if op.read { "read" } else { "write" };
-            let (tag, client) = (ItemTag(id.item), id.coord);
+        let tid = id.tid(&op);
+        self.check_commit(cluster, id, op.item, tid, op.read, (vn, value));
+        Then::Next {
+            after: elapsed,
+            floor: SimTime::ZERO,
+            commit: Some((vn, value)),
+        }
+    }
+
+    /// Assert the lemmas over coordinator `id`'s attempt `tid`, which
+    /// committed `(vn, value)` on the item in `slot`; a violation names
+    /// the op.
+    pub fn check_commit<O: Observe>(
+        &mut self,
+        cluster: &mut Cluster<O>,
+        id: OpId,
+        slot: usize,
+        tid: TraceTid,
+        read: bool,
+        (vn, value): (u64, u64),
+    ) {
+        if let Err(v) = cluster.commit_check(slot, !read, vn, value) {
+            let kind = if read { "read" } else { "write" };
+            let (now, tag, client) = (cluster.now, ItemTag(id.item), id.coord);
             let op_ref = OpRef {
                 client: client as u64,
-                op: op.op_index,
-                attempt: op.attempt,
+                op: tid.op,
+                attempt: tid.attempt,
                 kind,
                 vn,
                 value,
@@ -1623,11 +1649,6 @@ impl Clients {
                 format_args!("t={now}{tag} client={client} {kind}: {v}"),
                 Some(op_ref),
             );
-        }
-        Then::Next {
-            after: elapsed,
-            floor: SimTime::ZERO,
-            commit: Some((vn, value)),
         }
     }
 

@@ -85,7 +85,7 @@ use crate::faults::{FaultEvent, FaultPlan, ReconfigTarget, RetryPolicy};
 use crate::latency::LatencyModel;
 use crate::metrics::{report_digest, Metrics};
 use crate::observe::{Mark, Observe};
-use crate::par::par_map;
+use crate::par::{merge_outcomes, par_map, LoopOutcome};
 use crate::placement::{
     plan_moves, ElasticPolicy, EpochSample, Migration, PlacementDirectory, PlacementPolicy,
     PlacementReport,
@@ -331,7 +331,7 @@ impl MultiConfig {
                 .any(|(_, e)| matches!(e, FaultEvent::Corrupt { .. }))
             {
                 return Err(
-                    "corrupt injection targets item 0's owner at startup, which elastic \
+                    "a corrupt@ event targets item 0's owner at startup, which elastic \
                      placement may move mid-run"
                         .into(),
                 );
@@ -528,15 +528,6 @@ enum Event {
 // The queue stores events as they are: keep them two words.
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
-/// What one shard hands back to the merge step.
-struct ShardOutcome<O> {
-    metrics: Metrics,
-    /// `(global item id, commits, final vn)` per owned item.
-    items: Vec<(usize, u64, u64)>,
-    /// This shard's observer.
-    obs: O,
-}
-
 /// [`Tenant::global`] marker of a vacant item slot.
 const FREE: usize = usize::MAX;
 /// `slot_of` marker of an item this shard does not own.
@@ -616,7 +607,7 @@ impl Tenant {
 /// reactive poll that would move an item at the full membership, or a
 /// scripted move that names it. The observable walks still visit every
 /// owned item in ascending global id, because they slot the unslotted
-/// ones first ([`slot_all`](Self::slot_all)); the end-of-run lemma sweep
+/// ones first ([`slot_all`](Self::slot_all)); the quiescent lemma sweep
 /// and the per-item tallies skip them, since an item in its initial state
 /// passes the one and reads zero in the other.
 struct ShardSim<'a, O> {
@@ -652,7 +643,7 @@ struct ShardSim<'a, O> {
     free: Vec<u32>,
     /// The occupied slots in ascending global-id order — the order of
     /// every walk an observer can see (scripted `reconfig@` fan-out and
-    /// the reactive poll in the event log, the end-of-run lemma sweep) and
+    /// the reactive poll in the event log, the quiescent lemma sweep) and
     /// the index space of the client-paced draw table. Rebuilt on demand
     /// after a migration (see [`refresh_walk`](Self::refresh_walk)).
     walk: Vec<u32>,
@@ -993,15 +984,15 @@ impl<'a, O: Observe> ShardSim<'a, O> {
             .sort_unstable_by_key(|&s| tenants[s as usize].global);
     }
 
-    fn run(mut self) -> ShardOutcome<O> {
+    fn run(mut self) -> LoopOutcome<Metrics, O> {
         self.run_to(self.config.duration);
         self.finish()
     }
 
-    /// The end-of-run tail: final snapshot boundaries, the quiescent
+    /// The tail of the run: final snapshot boundaries, the quiescent
     /// lemma sweep, and result assembly, both over the slotted items (an
     /// unslotted one is in its initial state).
-    fn finish(mut self) -> ShardOutcome<O> {
+    fn finish(mut self) -> LoopOutcome<Metrics, O> {
         self.ops.clock(&mut self.cluster, self.config.duration);
         self.cluster.now = self.config.duration;
         // Every owned item's stores must satisfy the lemmas at quiescence.
@@ -1019,8 +1010,8 @@ impl<'a, O: Observe> ShardSim<'a, O> {
                 (t.global, t.commits, self.cluster.current_vn(s as usize))
             })
             .collect();
-        ShardOutcome {
-            metrics: self.ops.metrics,
+        LoopOutcome {
+            counters: self.ops.metrics,
             items,
             obs: self.cluster.obs,
         }
@@ -1415,32 +1406,6 @@ struct ItemState {
     coord: (u64, u32),
 }
 
-/// Merge the per-shard results in shard-index order (`par_map` returns
-/// them in input order regardless of thread count), absorbing each
-/// shard's observer into `obs`.
-fn merge_outcomes<O: Observe>(
-    config: &MultiConfig,
-    outcomes: Vec<ShardOutcome<O>>,
-    obs: &mut O,
-) -> ShardReport {
-    let mut metrics = Metrics::default();
-    let mut item_commits = vec![0u64; config.items];
-    let mut item_vns = vec![0u64; config.items];
-    for out in outcomes {
-        metrics.merge(&out.metrics);
-        obs.absorb(out.obs);
-        for (g, commits, vn) in out.items {
-            item_commits[g] = commits;
-            item_vns[g] = vn;
-        }
-    }
-    ShardReport {
-        metrics,
-        item_commits,
-        item_vns,
-    }
-}
-
 /// The simulated instants at which the elastic control plane parks every
 /// shard: each positive multiple of the epoch below the duration, plus
 /// every scripted `migrate@` instant (merged — a coinciding barrier both
@@ -1476,7 +1441,7 @@ fn run_elastic<O: Observe>(
     dir: &mut PlacementDirectory,
     pol: &ElasticPolicy,
     step_scale: f64,
-) -> (Vec<ShardOutcome<O>>, PlacementReport) {
+) -> (Vec<LoopOutcome<Metrics, O>>, PlacementReport) {
     let mut sims: Vec<ShardSim<'_, O>> = (0..config.shards)
         .map(|s| ShardSim::new(config, s, dir.owned_by(s), obs.fork(s), step_scale))
         .collect();
@@ -1654,7 +1619,14 @@ pub fn run_sharded_with<O: Observe>(
         };
         (outcomes, placement)
     };
-    (merge_outcomes(config, outcomes, obs), placement)
+    let (metrics, item_commits, item_vns) =
+        merge_outcomes(config.items, outcomes, obs, Metrics::merge);
+    let report = ShardReport {
+        metrics,
+        item_commits,
+        item_vns,
+    };
+    (report, placement)
 }
 
 /// Run a sharded multi-item simulation on up to `threads` OS threads.

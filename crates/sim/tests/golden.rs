@@ -20,9 +20,9 @@ use qc_replication::conformance::{check_trace_tapped, project_trace};
 use qc_sim::{
     check_trace, run_observed, run_sharded_with, run_traced, run_txn_causal, run_txn_with,
     trace_to_json, CausalOptions, ContactPolicy, DivergenceKind, ElasticPolicy, FaultPlan,
-    LatencyModel, MultiConfig, ObsOptions, PlacementPolicy, PlacementReport, QueueKind,
-    ReconfigPolicy, RetryPolicy, ScheduleTrace, SeedPlacement, ShardReport, SimConfig, SimTime,
-    TmKind, TraceAction, Traces, TxnConfig, TxnReport, TxnTrace, Workload,
+    LatencyModel, MultiConfig, ObsOptions, ObsRecorder, PlacementPolicy, PlacementReport,
+    QueueKind, ReconfigPolicy, RetryPolicy, ScheduleTrace, SeedPlacement, ShardReport, SimConfig,
+    SimTime, TmKind, TraceAction, Traces, TxnConfig, TxnReport, TxnTrace, Workload,
 };
 use quorum::{Majority, QuorumSpec};
 
@@ -427,6 +427,43 @@ fn event_log_format_is_stable() {
             "scenario must emit violations"
         );
         compare("events_majority3_seed13.jsonl", obs.events_jsonl());
+    }
+}
+
+/// The nested driver's `qc-events-v1` event log: a faulted banking run over
+/// two domains logs what the flat drivers log — planned faults as they
+/// fire, reconfiguration fences per item and lemma violations (a corrupt
+/// injection, the commits that meet it, the end-of-run sweep) — the same
+/// at 1 and 2 threads under both queues. The nested loop emits no clock,
+/// so the log holds no snapshots.
+#[test]
+fn txn_event_log_format_is_stable() {
+    let mut config = txn_banking();
+    config.items = 8;
+    config.domains = 2;
+    config.reconfig = ReconfigPolicy::scripted_only();
+    config.faults = FaultPlan::parse(
+        "crash@5:2;abort@8:1;drop@10:5,300;corrupt@20:1,999,77;reconfig@30:live;\
+         recover@40:2;reconfig@45:live",
+    )
+    .expect("fault plan parses");
+    config.retry = RetryPolicy::retries(3, SimTime::from_millis(2));
+    for queue in QUEUES {
+        for threads in [1, 2] {
+            let config = TxnConfig {
+                queue,
+                ..config.clone()
+            };
+            let mut obs = ObsRecorder::new(ObsOptions::full());
+            let report = run_txn_with(&config, threads, &mut obs);
+            let stats = &report.stats;
+            assert!(stats.lemma_violations > 0, "{stats:?}");
+            assert!(stats.reconfigurations > 0, "{stats:?}");
+            compare(
+                "txn_events_majority3_seed17.jsonl",
+                obs.into_report().events_jsonl(),
+            );
+        }
     }
 }
 
