@@ -36,7 +36,9 @@ use crate::protocol::Block;
 use crate::time::SimTime;
 use crate::txn_workload::{Committed, TxnShape};
 
-/// A fault, fence, migration or violation, as a flat driver saw it.
+/// A fault, fence, migration or violation, as a driver saw it. All three
+/// drivers mark planned faults, reconfigurations and violations; site
+/// changes and migrations come from the flat drivers only.
 #[derive(Clone, Copy, Debug)]
 pub enum Mark<'a> {
     /// Planned fault `(at, event)` fired.
@@ -272,11 +274,15 @@ impl Observe for Traces {
     }
 }
 
-/// The flat drivers' [`ObsReport`] as [`ObsOptions`] say: phase spans, the
-/// event log, periodic snapshots and one causal trace per finished
-/// operation. Spans and causal traces fold the operation's segment chain:
-/// where its time went, as `(edge kind, µs)` in causal order, zero
-/// durations left out, kept per coordinator only when one of them is on.
+/// A run's [`ObsReport`] as [`ObsOptions`] say. Under every driver: the
+/// event log of planned faults, reconfigurations and violations, and a
+/// `reconfig_fence` span per installed reconfiguration. Under the flat
+/// drivers also the other phase spans, periodic snapshots and one causal
+/// trace per finished operation (the nested driver's span trees are
+/// [`CausalRecorder`]'s). Spans and causal traces fold the operation's
+/// segment chain: where its time went, as `(edge kind, µs)` in causal
+/// order, zero durations left out, kept per coordinator only when one of
+/// them is on.
 #[derive(Clone, Debug)]
 pub struct ObsRecorder {
     report: ObsReport,

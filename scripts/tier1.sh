@@ -58,6 +58,21 @@ for driver in protocol sim shard txn_workload; do
   fi
 done
 
+echo "==> one ledger"
+# Planned faults, reconfigurations, lemma violations and the quiescent
+# sweep are accounted, and their violation texts written, once: in
+# `Clients` (crates/sim/src/protocol.rs), under all three drivers. The
+# non-test part of each driver file must not write one of those texts or
+# keep a violation counter of its own.
+LEDGER='corrupt injection|reconfig gen|end-of-run|record_violation'
+for driver in sim shard txn_workload; do
+  src="crates/sim/src/$driver.rs"
+  if sed '/^#\[cfg(test)\]/,$d' "$src" | grep -nE "$LEDGER"; then
+    echo "tier1: $src keeps a ledger of its own; account through protocol::Clients" >&2
+    exit 1
+  fi
+done
+
 # The experiment legs run the built qc-exp from scratch working
 # directories: it writes results/ relative to where it runs, so the
 # committed results/ (recorded at full scale) is never touched.
