@@ -78,6 +78,13 @@ impl Flags {
         self.get_with(flag, str::parse)
     }
 
+    /// `flag`'s value as a directory, created (with its parents) when read:
+    /// a path naming a file is an `Err` naming the flag, not a panic mid-run.
+    /// Read it after the other flags, so that a refused run makes no directory.
+    pub(crate) fn dir(&self, flag: &str) -> Result<Option<PathBuf>, String> {
+        self.get_with(flag, |d| std::fs::create_dir_all(d).map(|()| d.into()))
+    }
+
     /// `--threads`, or every core.
     pub(crate) fn threads(&self) -> Result<usize, String> {
         Ok(self
@@ -92,7 +99,7 @@ impl Flags {
 /// `--snapshot-every SECS` sets the snapshot period in *simulated* seconds
 /// (implies instrumentation even without a dir).
 pub(crate) struct ObsFlags {
-    /// Dump directory (`--obs-dir`), created eagerly when given.
+    /// Dump directory (`--obs-dir`), created when the flag is read.
     dir: Option<PathBuf>,
     /// Snapshot period in simulated seconds (`--snapshot-every`).
     every_secs: Option<f64>,
@@ -102,15 +109,11 @@ impl ObsFlags {
     /// Read `--obs-dir` / `--snapshot-every` and create the dump directory:
     /// a period that is not a positive number is an `Err`.
     pub(crate) fn new(flags: &Flags) -> Result<ObsFlags, String> {
-        let dir: Option<PathBuf> = flags.get("--obs-dir")?;
         let every_secs = flags.get_with("--snapshot-every", |s| match s.parse::<f64>() {
             Ok(v) if v > 0.0 => Ok(v),
             _ => Err("takes a positive number of seconds"),
         })?;
-        if let Some(d) = &dir {
-            std::fs::create_dir_all(d)
-                .map_err(|e| format!("cannot create --obs-dir {}: {e}", d.display()))?;
-        }
+        let dir = flags.dir("--obs-dir")?;
         Ok(ObsFlags { dir, every_secs })
     }
 

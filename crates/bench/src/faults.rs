@@ -21,7 +21,6 @@
 //!   cargo run --release -p qc-bench --bin qc-exp -- faults > results/exp_faults.txt
 //! Also writes `results/BENCH_faults.json` (plan, seed, per-cell metrics).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use qc_sim::{
@@ -91,11 +90,11 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     let given_plan = flags.get_with("--faults", FaultPlan::parse)?;
     let pinned = secs == DURATION_SECS && given_plan.is_none();
     let plan = given_plan.unwrap_or_else(|| scenario(secs));
-    let trace_dir: Option<PathBuf> = flags.get("--trace-dir")?;
     // `--obs-dir DIR` / `--snapshot-every SECS`: run every cell with the
     // instrumentation layer on (fault firings and any violations land in
     // the event log) and dump the recordings per cell.
     let obs = ObsFlags::new(flags)?;
+    let trace_dir = flags.dir("--trace-dir")?;
 
     println!("Q6 — fault injection under a seeded plan (n = 5, seed {seed}, {secs} s)\n");
     println!("plan: {plan}\n");

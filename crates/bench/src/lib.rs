@@ -1,6 +1,5 @@
 //! The experiments that regenerate the evaluation in `EXPERIMENTS.md`,
-//! run as `qc-exp <name> [flags]` (see [`qc_exp`]), plus the specs the
-//! criterion benches share with them.
+//! run as `qc-exp <name> [flags]` (see [`qc_exp`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -127,12 +126,12 @@ fn dump_trace(dir: &Path, name: &str, trace: &qc_sim::ScheduleTrace) -> PathBuf 
 }
 
 /// Run a sweep of simulator cells, each named by a file stem. Under
-/// `--trace-dir` the cells run serially and traced: each trace is written
-/// as `<stem>.json` and must replay through the Theorem 10 conformance
-/// checker, and `on_trace` reports it. Under `--obs-dir` /
-/// `--snapshot-every` they run instrumented and their recordings are
-/// dumped per stem. Otherwise they run as one parallel batch. The metrics
-/// are the same in all three.
+/// `--trace-dir` (a directory [`Flags::dir`] has made) the cells run
+/// serially and traced: each trace is written as `<stem>.json` and must
+/// replay through the Theorem 10 conformance checker, and `on_trace`
+/// reports it. Under `--obs-dir` / `--snapshot-every` they run
+/// instrumented and their recordings are dumped per stem. Otherwise they
+/// run as one parallel batch. The metrics are the same in all three.
 fn run_cells(
     cells: Vec<(String, SimConfig)>,
     trace_dir: Option<&Path>,
@@ -141,7 +140,6 @@ fn run_cells(
     on_trace: impl Fn(&Path, &ConformanceReport),
 ) -> Vec<Metrics> {
     if let Some(dir) = trace_dir {
-        std::fs::create_dir_all(dir).expect("create --trace-dir");
         let traced = |(stem, c): (String, SimConfig)| {
             let quorum = Arc::clone(&c.quorum);
             let (m, trace) = qc_sim::run_traced(c);
@@ -253,7 +251,7 @@ pub fn figure1_spec() -> SystemSpec {
 
 /// A contention-heavy spec for the Theorem 11 experiments: `users` user
 /// transactions all touching the same two items.
-pub fn contention_spec(users: usize, replicas: usize) -> SystemSpec {
+pub(crate) fn contention_spec(users: usize, replicas: usize) -> SystemSpec {
     let mk_user = |k: usize| {
         UserSpec::new(vec![
             UserStep::Write(0, Value::Int(10 + k as i64)),

@@ -14,7 +14,6 @@
 //! Everything printed is a function of the flags and the seed. What a
 //! committed operation costs the host is `benchmark/run.sh`'s job.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use qc_cc::{check_theorem11, CcRunOptions};
@@ -59,7 +58,6 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
         .unwrap_or_default();
     let seed: u64 = flags.get("--seed")?.unwrap_or(23);
     let secs: u64 = flags.get("--secs")?.unwrap_or(SIM_SECS);
-    let trace_dir: Option<PathBuf> = flags.get("--trace-dir")?;
     // `--threads N` caps the sweep threads; `--items N` adds a sharded
     // multi-item throughput section (`--zipf THETA` skews its keyspace).
     let threads = flags.threads()?;
@@ -68,6 +66,7 @@ pub(crate) fn run(flags: &Flags) -> Result<(), String> {
     // `--obs-dir DIR` / `--snapshot-every SECS` instrument every cell and
     // dump its event log + snapshots under DIR.
     let obs = ObsFlags::new(flags)?;
+    let trace_dir = flags.dir("--trace-dir")?;
     println!("Q3a — simulated throughput vs read fraction (n = 5, 8 clients, LAN)\n");
     if !faults.is_empty() {
         println!("injected fault plan: {faults}\n");

@@ -1,8 +1,9 @@
 //! `qc-exp` refuses malformed input before running anything: an unknown
-//! experiment, a flag the experiment does not accept, a flag with no value
-//! and a value that does not parse each exit 2 with a message on stderr
-//! and nothing on stdout — never a panic (101), and never a silent run of
-//! something other than what was asked.
+//! experiment, a flag the experiment does not accept, a flag with no
+//! value, a value that does not parse and a directory flag naming a file
+//! each exit 2 with a message on stderr and nothing on stdout — never a
+//! panic (101), and never a silent run of something other than what was
+//! asked.
 
 use std::process::Command;
 
@@ -60,4 +61,16 @@ fn a_flag_with_no_value_is_refused() {
     refused(&["txn", "--seed"], "--seed needs a value");
     refused(&["critpath", "--secs", "--smoke"], "--secs needs a value");
     refused(&["txn", "--smoke", "--smoke"], "--smoke given twice");
+}
+
+#[test]
+fn a_directory_flag_naming_a_file_is_refused() {
+    let file = "dir_flag_names_this_file";
+    let path = format!("{}/{file}", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(path, "").expect("write the file a directory flag names");
+    let trace = "invalid --trace-dir \"dir_flag_names_this_file\"";
+    refused(&["faults", "--secs", "1", "--trace-dir", file], trace);
+    refused(&["throughput", "--secs", "1", "--trace-dir", file], trace);
+    let obs = "invalid --obs-dir \"dir_flag_names_this_file\"";
+    refused(&["shard_scaling", "--secs", "1", "--obs-dir", file], obs);
 }

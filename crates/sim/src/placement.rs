@@ -127,8 +127,7 @@ impl PlacementPolicy {
 }
 
 /// The item→shard map: one `u32` owner per item, O(1) lookup on the
-/// dispatch path (measured within a few hundred picoseconds of the
-/// hardwired `g % shards` it replaces — see `benches/placement_bench.rs`).
+/// dispatch path (`benchmark/run.sh` times it as `placement.owner_of_ns`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlacementDirectory {
     shards: usize,

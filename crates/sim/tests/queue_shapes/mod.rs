@@ -1,15 +1,11 @@
 //! Event-queue scripts shaped like the traffic the three drivers really
 //! produce, drawn ahead of time so that every queue replays the very same
-//! operations. Shared by `tests/queue_props.rs` (calendar = heap, pop for
-//! pop, and the calendar's work bound) and by `qc-bench`'s `queue_bench`
-//! (the paired `queue_shape/<name>/{calendar,heap}` rows).
+//! operations. `tests/queue_props.rs` replays them: calendar = heap, pop
+//! for pop, and the calendar's work bound.
 //!
 //! A script is recorded from the drivers' own loop — `pop_until(limit)`,
 //! reschedule what fired — run over the heap oracle, so its pushes carry
 //! the times a real run would compute.
-
-// The bench replays three of the shapes and has no use for the bound's inputs.
-#![allow(dead_code)]
 
 use qc_sim::{EventQueue, HeapQueue, SimTime};
 
